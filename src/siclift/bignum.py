@@ -1,26 +1,19 @@
-"""Arbitrary-precision scalars, vectors and dense matrices on top of mpmath.
+"""Guarded precision, decimal I/O, dense complex vectors and matrices, and
+the linear solve, on top of mpmath.
 
-Precision is tracked in decimal digits everywhere user-facing. The wrapped
-scalar types (BigReal / BigComplex) carry a claimed-accurate digit count that
-shrinks by OP_GUARD_LOSS per arithmetic operation; heavy inner loops elsewhere
-in the package work on raw mpmath numbers inside an explicit working-precision
-context instead, which is what CVector / CMatrix store.
+Precision is tracked in decimal digits everywhere user-facing. CVector and
+CMatrix store raw mpmath numbers with one declared precision and do their
+arithmetic inside an explicit guarded working-precision context.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 import mpmath as mp
 
 from .errors import SingularMatrixError
-
-# Per-operation precision loss charged to wrapped scalars. Generous for
-# non-cancelling operations; catastrophic cancellation is the caller's
-# problem, as usual.
-OP_GUARD_LOSS = 2
 
 # Pipeline stages request 20% more digits than the consumer needs.
 GUARD_FRACTION = 0.2
@@ -30,113 +23,6 @@ MIN_GUARD_DIGITS = 10
 def guarded(digits: int) -> int:
     """Working digits for a stage that must deliver `digits` to its consumer."""
     return digits + max(MIN_GUARD_DIGITS, math.ceil(GUARD_FRACTION * digits))
-
-
-def working(digits: int):
-    """mpmath context manager at guarded working precision."""
-    return mp.workdps(guarded(digits))
-
-
-Scalar = Union[int, "BigReal", "BigComplex"]
-
-
-@dataclass(frozen=True)
-class BigReal:
-    value: mp.mpf
-    prec: int
-
-    @classmethod
-    def make(cls, x, prec: int) -> "BigReal":
-        with mp.workdps(guarded(prec)):
-            return cls(mp.mpf(x), prec)
-
-    def _binop(self, other, fn) -> "BigReal":
-        o = other if isinstance(other, BigReal) else BigReal.make(other, self.prec)
-        prec = min(self.prec, o.prec) - OP_GUARD_LOSS
-        with mp.workdps(guarded(prec)):
-            return BigReal(fn(self.value, o.value), prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        o = other if isinstance(other, BigReal) else BigReal.make(other, self.prec)
-        if abs(o.value) < mp.mpf(10) ** (-o.prec):
-            raise ZeroDivisionError("divisor below precision floor")
-        return self._binop(o, lambda a, b: a / b)
-
-    def __neg__(self):
-        with mp.workdps(guarded(self.prec)):
-            return BigReal(-self.value, self.prec)
-
-    def __float__(self):
-        return float(self.value)
-
-    def to_decimal(self) -> str:
-        return format_decimal(self.value, self.prec)
-
-
-@dataclass(frozen=True)
-class BigComplex:
-    value: mp.mpc
-    prec: int
-
-    @classmethod
-    def make(cls, x, prec: int) -> "BigComplex":
-        with mp.workdps(guarded(prec)):
-            return cls(mp.mpc(x), prec)
-
-    @property
-    def real(self) -> BigReal:
-        return BigReal(self.value.real, self.prec)
-
-    @property
-    def imag(self) -> BigReal:
-        return BigReal(self.value.imag, self.prec)
-
-    def conjugate(self) -> "BigComplex":
-        # even conj/neg round to the ambient context in mpmath
-        with mp.workdps(guarded(self.prec)):
-            return BigComplex(mp.conj(self.value), self.prec)
-
-    def _binop(self, other, fn) -> "BigComplex":
-        o = other if isinstance(other, BigComplex) else BigComplex.make(other, self.prec)
-        prec = min(self.prec, o.prec) - OP_GUARD_LOSS
-        with mp.workdps(guarded(prec)):
-            return BigComplex(fn(self.value, o.value), prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        o = other if isinstance(other, BigComplex) else BigComplex.make(other, self.prec)
-        if abs(o.value) < mp.mpf(10) ** (-o.prec):
-            raise ZeroDivisionError("divisor below precision floor")
-        return self._binop(o, lambda a, b: a / b)
-
-    def __neg__(self):
-        with mp.workdps(guarded(self.prec)):
-            return BigComplex(-self.value, self.prec)
-
-    def __abs__(self) -> BigReal:
-        with mp.workdps(guarded(self.prec)):
-            return BigReal(abs(self.value), self.prec)
-
-    def to_decimal_pair(self) -> tuple[str, str]:
-        return (format_decimal(self.value.real, self.prec),
-                format_decimal(self.value.imag, self.prec))
 
 
 def format_decimal(x, digits: int) -> str:
@@ -151,38 +37,9 @@ def parse_decimal(s: str, digits: int) -> mp.mpf:
         return mp.mpf(s)
 
 
-def root_of_unity(k: int, m: int, prec: int) -> BigComplex:
-    """e^{2 pi i k / m} at `prec` digits."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    with mp.workdps(guarded(prec)):
-        # expjpi evaluates exp(i*pi*x) accurately for rational x
-        return BigComplex(mp.expjpi(mp.mpf(2 * (k % m)) / m), prec)
-
-
-def tau(d: int, prec: int) -> BigComplex:
-    """tau = -e^{i pi / d}, the 2d-th root of unity fixed by the displacement
-    convention (equals a primitive d-th root for odd d)."""
-    with mp.workdps(guarded(prec)):
-        return BigComplex(-mp.expjpi(mp.mpf(1) / d), prec)
-
-
-def tau_power_table(d: int, prec: int) -> list[mp.mpc]:
-    """[tau^0, ..., tau^{2d-1}] as raw mpc at guarded precision."""
-    with mp.workdps(guarded(prec)):
-        t = -mp.expjpi(mp.mpf(1) / d)
-        out = [mp.mpc(1)]
-        for _ in range(2 * d - 1):
-            out.append(out[-1] * t)
-        return out
-
-
 class CVector:
-    """Dense complex vector with uniform declared precision.
-
-    Entries are raw mpmath numbers; wrap via entry() when a tracked scalar is
-    wanted.
-    """
+    """Dense complex vector with uniform declared precision; entries are raw
+    mpmath numbers."""
 
     __slots__ = ("entries", "prec")
 
@@ -198,9 +55,6 @@ class CVector:
 
     def __getitem__(self, i: int):
         return self.entries[i]
-
-    def entry(self, i: int) -> BigComplex:
-        return BigComplex(self.entries[i], self.prec)
 
     def norm(self):
         with mp.workdps(guarded(self.prec)):
@@ -257,9 +111,6 @@ class CMatrix:
     def __getitem__(self, ij: tuple[int, int]):
         return self.rows[ij[0]][ij[1]]
 
-    def entry(self, i: int, j: int) -> BigComplex:
-        return BigComplex(self.rows[i][j], self.prec)
-
     def __mul__(self, other: "CMatrix") -> "CMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -305,10 +156,6 @@ class CMatrix:
     def max_abs(self):
         with mp.workdps(guarded(self.prec)):
             return max(abs(e) for row in self.rows for e in row)
-
-    def norm_inf(self):
-        with mp.workdps(guarded(self.prec)):
-            return max(mp.fsum(abs(e) for e in row) for row in self.rows)
 
 
 class LinearSolution(NamedTuple):

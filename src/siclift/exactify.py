@@ -23,7 +23,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .bignum import CMatrix, CVector, guarded, solve_linear
-from .errors import FieldError, LiftError, PrecisionError
+from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import express_in_basis, minimal_polynomial, raw_relation, \
     relation_norm
@@ -31,8 +31,8 @@ from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
     adjoin, automorphisms, cyclotomic_polynomial, factor_over_tower, \
-    lift_element, recognize, squarefree_part, _minpoly_image_roots, \
-    _verify_root
+    lift_element, recognize, squarefree_part, _minpoly_image, \
+    _subset_product_coeffs, _verify_root
 
 log = logging.getLogger("siclift.exactify")
 
@@ -130,17 +130,6 @@ def _distinct_values(vals, prec):
     return reps, assign
 
 
-def _poly_from_roots(roots):
-    coeffs = [mp.mpc(1)]
-    for r in roots:
-        nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * r
-        coeffs = nxt
-    return coeffs
-
-
 def build_orbit_polynomials(table, group: MatGroup,
                             cube: bool = False) -> list[OrbitPolynomial]:
     """One monic polynomial per index orbit of `group`, with the table's
@@ -156,7 +145,8 @@ def build_orbit_polynomials(table, group: MatGroup,
             vals = [table.chi(q) ** 3 if cube else table.chi(q)
                     for q in orbit]
             dist, _ = _distinct_values(vals, prec)
-            coeffs = _poly_from_roots(dist)
+            coeffs = _subset_product_coeffs(dist, range(len(dist)), prec) \
+                + [mp.mpc(1)]
             defect = max(abs(c.imag) for c in coeffs)
             polys.append(OrbitPolynomial(
                 oid, tuple(orbit[0]), tuple(tuple(q) for q in orbit),
@@ -192,7 +182,7 @@ def orbit_coefficient_values(fid, precision: int | None = None) -> list:
 # coefficient field
 
 
-def _recognize_ladder(tower: FieldTower, value, denominator_bound=None):
+def _recognize_ladder(tower: FieldTower, value):
     """recognize() at increasing precision; cheap first, exact answer either
     way since candidates are verified downstream."""
     tried = []
@@ -201,21 +191,25 @@ def _recognize_ladder(tower: FieldTower, value, denominator_bound=None):
         if p in tried:
             continue
         tried.append(p)
-        got = recognize(tower, value, denominator_bound, precision=p)
+        got = recognize(tower, value, precision=p)
         if got is not None:
             return got
     return None
 
 
-def _field_from_seed(seed, max_e0_degree, prec) -> FieldTower:
+# Highest coefficient-field degree the lift searches for.
+MAX_E0_DEGREE = 8
+
+
+def _field_from_seed(seed, prec) -> FieldTower:
     mpoly = None
     for p in (min(prec, 220), min(prec, 420), prec):
-        mpoly = minimal_polynomial(seed, max_e0_degree, precision=p)
+        mpoly = minimal_polynomial(seed, MAX_E0_DEGREE, precision=p)
         if mpoly is not None:
             break
     if mpoly is None:
         raise PrecisionError(
-            f"no minimal polynomial of degree <= {max_e0_degree} found for "
+            f"no minimal polynomial of degree <= {MAX_E0_DEGREE} found for "
             f"the seed coefficient at {prec} digits")
     if mpoly.degree == 1:
         return FieldTower.rationals(prec)
@@ -226,7 +220,6 @@ def _field_from_seed(seed, max_e0_degree, prec) -> FieldTower:
 
 
 def lift_coefficients(polys: list[OrbitPolynomial], e0_hint=None,
-                      max_e0_degree: int = 8,
                       precision: int | None = None) -> FieldTower:
     """Recognize every orbit-polynomial coefficient in one real field.
 
@@ -245,7 +238,7 @@ def lift_coefficients(polys: list[OrbitPolynomial], e0_hint=None,
         target = min(nontrivial, key=lambda q: (q.degree, q.orbit_id))
         with mp.workdps(guarded(prec)):
             seed = target.coefficients[-2].real
-        e0 = _field_from_seed(seed, max_e0_degree, prec)
+        e0 = _field_from_seed(seed, prec)
     for _rebuild in range(4):
         failed = None
         for poly in polys:
@@ -269,7 +262,7 @@ def lift_coefficients(polys: list[OrbitPolynomial], e0_hint=None,
             raise LiftError(
                 f"orbit {oid} coefficient of x^{k} does not lie in the "
                 f"degree-{e0.degree} hinted coefficient field")
-        bigger = _field_from_seed(cr, max_e0_degree, prec)
+        bigger = _field_from_seed(cr, prec)
         if bigger.degree <= e0.degree:
             raise LiftError(
                 f"orbit {oid} coefficient of x^{k} generates a degree-"
@@ -471,13 +464,19 @@ def _galois_group(e1: FieldTower, fixing_level: int, expected: int,
 # certificate types
 
 
+def _image_coords(a: EmbeddingAutomorphism) -> tuple:
+    """Flat coordinates of the image of the last generator a moves, () when
+    it moves none (a trivial extension of Q)."""
+    return tuple(a.images[-1].coefficients) if a.images else ()
+
+
 @dataclass
 class GaloisMatch:
     """Alignment of the overlap-field automorphisms with the index-quotient
-    cosets. Row j pairs the automorphism fingerprinted by images[j] (flat
-    coordinates of the image of the overlap-field generator) with the coset
-    of matrices[j]. score is the winning bijection's worst relation norm,
-    runner_up the best among the losers."""
+    cosets. Row j pairs the automorphism that fixes the coefficient field and
+    sends the overlap-field generator to images[j] (its exact flat
+    coordinates) with the coset of matrices[j]. score is the winning
+    bijection's worst relation norm, runner_up the best among the losers."""
     matrices: tuple
     images: tuple
     score: object
@@ -545,23 +544,34 @@ class ExactFiducialCertificate:
                           self.tower.precision)
 
     def galois_rows(self) -> list[EmbeddingAutomorphism]:
-        """The overlap-field automorphisms aligned with galois.matrices,
-        rebuilt from the tower and matched by stored fingerprints."""
+        """The overlap-field automorphisms aligned with galois.matrices, built
+        from the stored images: row j fixes the coefficient field and sends
+        the overlap-field generator to galois.images[j], which is checked
+        exactly to be a root of that generator's minimal polynomial. When
+        the overlap field is the coefficient field, the one row is the
+        identity. No numerics are involved."""
         if self._rows is None:
+            stored = self.galois.images
+            if len(set(stored)) != len(stored):
+                raise FieldError("two Galois rows store the same image")
             e1 = self.e1
-            expected = len(self.galois.matrices)
-            autos = _galois_group(e1, self.e0_levels, expected,
-                                  self.tower.precision)
-            by_fp = {}
-            for a in autos:
-                fp = tuple(a.images[-1].coefficients) if a.images else ()
-                by_fp[fp] = a
+            fixed = [e1.generator(k + 1) for k in range(self.e0_levels)]
             rows = []
-            for fp in self.galois.images:
-                if fp not in by_fp:
-                    raise FieldError("stored automorphism fingerprint does "
-                                     "not match any tower automorphism")
-                rows.append(by_fp[fp])
+            for j, coords in enumerate(stored):
+                images = list(fixed)
+                if self.e1_levels > self.e0_levels:
+                    img = e1.element(coords)
+                    poly = _minpoly_image(e1, self.e1_levels, images)
+                    if not _verify_root(e1, poly, img):
+                        raise FieldError(
+                            f"Galois row {j} image is not a root of the "
+                            "overlap-field generator's minimal polynomial")
+                    images.append(img)
+                row = EmbeddingAutomorphism(e1, images)
+                if _image_coords(row) != coords:
+                    raise FieldError(f"Galois row {j} image does not match "
+                                     "the identity of a trivial extension")
+                rows.append(row)
             self._rows = rows
         return self._rows
 
@@ -622,6 +632,7 @@ class ExactFiducialCertificate:
         obj = json.loads(text)
         if obj.get("format") != "SIC-CERT v1":
             raise ValueError("not a certificate file")
+        _check_schema(obj)
         tower = FieldTower.from_json(json.dumps(obj["tower"]))
         e1 = FieldTower(tower.levels[:obj["e1_levels"]], tower.precision)
         dp = dprime(obj["d"])
@@ -647,6 +658,41 @@ class ExactFiducialCertificate:
     def load(cls, path: str) -> "ExactFiducialCertificate":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def _check_schema(obj: dict):
+    """Structural checks on a parsed certificate, made before any arithmetic
+    so that a malformed file is reported as an error rather than as a
+    verification verdict."""
+    try:
+        d = obj["d"]
+        if not isinstance(d, int) or d < 4:
+            raise SicliftError(f"dimension {d!r} is not an integer >= 4")
+        dp = dprime(d)
+        keys = sorted(_unkey(k) for k in obj["index_map"])
+        if keys != [(a, b) for a in range(dp) for b in range(dp)]:
+            raise SicliftError(f"index_map keys are not exactly (Z/{dp})^2")
+        galois = obj["galois"]
+        n_reps, n_rows = len(obj["orbit_reps"]), len(galois["matrices"])
+        for k, (pos, row) in obj["index_map"].items():
+            if pos not in range(n_reps) or row not in range(n_rows):
+                raise SicliftError(f"index_map entry {k} -> {[pos, row]} is "
+                                   f"outside {n_reps} orbit representatives "
+                                   f"and {n_rows} Galois rows")
+        if len(galois["images"]) != n_rows:
+            raise SicliftError(f"{len(galois['images'])} Galois images for "
+                               f"{n_rows} Galois rows")
+        reps = {tuple(r) for r in obj["orbit_reps"]}
+        if not reps <= {_unkey(k) for k in obj["overlaps"]}:
+            raise SicliftError("an orbit representative has no stored overlap")
+        e0, e1 = obj["e0_levels"], obj["e1_levels"]
+        levels = len(obj["tower"]["levels"])
+        if not (0 <= e0 <= e1 <= levels and e1 - e0 <= 1):
+            raise SicliftError(f"level counts e0={e0}, e1={e1} do not fit a "
+                               f"{levels}-level tower with at most one level "
+                               "between the coefficient and overlap fields")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SicliftError(f"malformed certificate: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -819,13 +865,10 @@ def _assemble_certificate(fid, struct, table, e0, e1, gen_poly, autos,
 
     conj = _conjectures(fid.d, e0, e1, gen_poly, polys, autos, n, prec)
 
-    fingerprints = tuple(
-        tuple(a.images[-1].coefficients) if a.images else ()
-        for a in autos)
     match = GaloisMatch(
         matrices=tuple(reps[coset_of_row[j]] for j in range(n)),
-        images=fingerprints, score=score, runner_up=runner_up,
-        separation=separation, candidates=candidates)
+        images=tuple(_image_coords(a) for a in autos), score=score,
+        runner_up=runner_up, separation=separation, candidates=candidates)
 
     cert = ExactFiducialCertificate(
         d=fid.d, method=method, tower=tower, e0_levels=len(e0.levels),
@@ -1138,7 +1181,7 @@ def _checked_automorphism(tower: FieldTower, images, targets,
     image exactly (root of the transported minimal polynomial) and
     numerically (embedding hits the target)."""
     for k in range(1, len(tower.levels) + 1):
-        _roots, img_coeffs = _minpoly_image_roots(tower, k, list(images[:k - 1]))
+        img_coeffs = _minpoly_image(tower, k, list(images[:k - 1]))
         if not _verify_root(tower, img_coeffs, images[k - 1]):
             raise FieldError(f"level-{k} image fails its transported minimal "
                              "polynomial")

@@ -26,6 +26,12 @@ log = logging.getLogger("siclift.fidsearch")
 
 _SYMMETRY_MATRIX = {"fz": zauner_matrix, "fa": fa_matrix}
 
+# Digits a double-precision seed carries into refinement.
+SEED_DIGITS = 14
+
+# Largest overlap mismatch at which a candidate still fixes the projector.
+STABILIZER_TOL = mp.mpf("1e-10")
+
 
 @dataclass(frozen=True)
 class Fiducial:
@@ -129,7 +135,7 @@ def _np_sic_residuals(x: np.ndarray, B: np.ndarray, d: int,
 
 
 def seed_search(d: int, symmetry: str | None = "fz", attempts: int = 24,
-                low_precision: int = 14, seed: int = 0) -> Fiducial:
+                seed: int = 0) -> Fiducial:
     """Best-of-`attempts` random-restart search for a SIC fiducial at double
     precision, restricted to one symmetry eigenspace at a time (largest
     multiplicity first, then the others)."""
@@ -170,14 +176,14 @@ def seed_search(d: int, symmetry: str | None = "fz", attempts: int = 24,
         raise SearchError(
             f"no restart converged for d={d} (best residual {best_err:.3g})",
             best_error=best_err)
-    with mp.workdps(guarded(low_precision)):
+    with mp.workdps(guarded(SEED_DIGITS)):
         # gauge: make the largest component real positive
         kbig = int(np.argmax(np.abs(best_psi)))
         phase = np.conj(best_psi[kbig]) / np.abs(best_psi[kbig])
         entries = [mp.mpc(float((z * phase).real), float((z * phase).imag))
                    for z in best_psi]
-        vec = CVector(entries, low_precision)
-    return Fiducial.create(d, vec, low_precision, symmetry=symmetry, seed=seed)
+        vec = CVector(entries, SEED_DIGITS)
+    return Fiducial.create(d, vec, SEED_DIGITS, symmetry=symmetry, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +346,8 @@ def _centralizer_candidates(d: int, symmetry: str | None) -> list[ModMatrix]:
     return out
 
 
-def detect_stabilizer(fid: Fiducial, full: bool = False,
-                      tol=None) -> set[tuple[tuple[int, int], ModMatrix]]:
+def detect_stabilizer(fid: Fiducial, full: bool = False
+                      ) -> set[tuple[tuple[int, int], ModMatrix]]:
     """All (p, F) with D_p U_F fixing the fiducial's projector. p is reported
     mod d (displacement conjugation is d-periodic). By default only the
     candidates r*I + s*F_sym are scanned; full=True sweeps all of det +-1."""
@@ -349,8 +355,6 @@ def detect_stabilizer(fid: Fiducial, full: bool = False,
         raise PrecisionError(
             f"stabilizer scan needs error < 1e-30, have {mp.nstr(fid.error, 3)}")
     d, dp = fid.d, dprime(fid.d)
-    if tol is None:
-        tol = mp.mpf("1e-10")
     T = hb.overlaps(fid)
     cands = esl2_elements(dp) if full else _centralizer_candidates(d, fid.symmetry)
     out = set()
@@ -371,7 +375,7 @@ def detect_stabilizer(fid: Fiducial, full: bool = False,
             ok = True
             for (q1, q2), v in T.items():
                 e = (q2 * p1 - q1 * p2) % d
-                if abs(omega[e] * T1.values[(q1, q2)] - v) > tol:
+                if abs(omega[e] * T1.values[(q1, q2)] - v) > STABILIZER_TOL:
                     ok = False
                     break
             if ok:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bignum import CMatrix, CVector, format_decimal, guarded, parse_decimal
+from .bignum import CMatrix, CVector, guarded
 from .modring import ModMatrix, dprime
 
 # Memo caches. Construction is deterministic and idempotent, so a racing
@@ -56,10 +56,6 @@ class DisplacementOp:
         if m is None:
             _DISP_CACHE[key] = m = _displacement_matrix(self.p, self.d, self.precision)
         return m
-
-    def dagger_index(self) -> tuple:
-        dp = dprime(self.d)
-        return ((-self.p[0]) % dp, (-self.p[1]) % dp)
 
 
 @dataclass(frozen=True)
@@ -225,11 +221,6 @@ class OverlapTable:
     def items(self):
         return self.values.items()
 
-    def abs_squared_multiset(self, digits: int = 30) -> tuple:
-        with mp.workdps(guarded(self.precision)):
-            return tuple(sorted(mp.nstr(abs(v) ** 2, digits) for v in
-                                self.values.values()))
-
     def sic_error(self):
         """max over p not = 0 mod d of |(d+1)|chi_p|^2 - 1|."""
         d = self.d
@@ -269,36 +260,6 @@ class OverlapTable:
                 e = (2 * (q2 * s[0] - q1 * s[1])) % (2 * d)
                 out[(q1, q2)] = taus[e] * v
         return OverlapTable(d, self.precision, out, normalized=False)
-
-    def save(self, path: str):
-        lines = [f"SIC-OVERLAPS v1 d={self.d} prec={self.precision}"]
-        dp = dprime(self.d)
-        for p1 in range(dp):
-            for p2 in range(dp):
-                v = self.values[(p1, p2)]
-                re = format_decimal(v.real, self.precision)
-                im = format_decimal(v.imag, self.precision)
-                lines.append(f"{p1} {p2} {re} {im}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "OverlapTable":
-        with open(path) as fh:
-            header = fh.readline().split()
-            if header[:2] != ["SIC-OVERLAPS", "v1"]:
-                raise ValueError("not an overlap table file")
-            fields = dict(kv.split("=") for kv in header[2:])
-            d, prec = int(fields["d"]), int(fields["prec"])
-            values = {}
-            with mp.workdps(guarded(prec)):
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    p1, p2, re, im = line.split()
-                    values[(int(p1), int(p2))] = mp.mpc(parse_decimal(re, prec),
-                                                        parse_decimal(im, prec))
-        return cls(d, prec, values, normalized=False)
 
 
 def overlaps(fid, d: int | None = None, precision: int | None = None) -> OverlapTable:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .bignum import BigComplex, BigReal, guarded
+from .bignum import guarded
 from .errors import PrecisionError, RelationError
 
 # Lovasz parameter delta = SWAP_P / SWAP_Q; 0.99 trades a little speed for
@@ -40,12 +40,12 @@ def scaling_guard(prec: int) -> int:
 # exact-integer LLL
 
 
-def lll_reduce(rows: Sequence[Sequence[int]], delta=(SWAP_P, SWAP_Q)) -> list[list[int]]:
+def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL-reduce integer row vectors; returns a new list of reduced rows.
 
     All arithmetic is exact. Input rows must be linearly independent.
     """
-    p, q = delta
+    p, q = SWAP_P, SWAP_Q
     b = [list(r) for r in rows]
     n = len(b)
     if n == 0:
@@ -149,17 +149,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative_coeffs(self) -> tuple:
-        """Exact derivative coefficients (NOT content-normalized, so they stay
-        usable inside Newton quotients)."""
-        return tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0,)
-
     def __str__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -173,30 +162,13 @@ class IntPolynomial:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def _as_mpc(x) -> tuple[mp.mpc, int | None]:
-    if isinstance(x, BigReal):
-        return mp.mpc(x.value), x.prec
-    if isinstance(x, BigComplex):
-        return x.value, x.prec
-    return mp.mpc(x), None
-
-
 def _prepare(xs, precision):
-    raw, precs = [], []
-    for x in xs:
-        if isinstance(x, (BigReal, BigComplex)):
-            raw.append(x.value)
-            precs.append(x.prec)
-        else:
-            raw.append(x)
     if precision is None:
-        if not precs:
-            raise ValueError("precision required for raw inputs")
-        precision = min(precs)
+        raise ValueError("precision required")
     # conversion must happen above working precision or mpc() rounds the
     # inputs to the ambient (possibly default-15-digit) context
     with mp.workdps(guarded(precision) + 15):
-        vals = [mp.mpc(v) for v in raw]
+        vals = [mp.mpc(v) for v in xs]
     return vals, precision
 
 

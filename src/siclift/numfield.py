@@ -95,11 +95,6 @@ class FieldTower:
             out *= lv.degree
         return out
 
-    def parent(self) -> "FieldTower":
-        if not self.levels:
-            raise FieldError("Q has no parent")
-        return FieldTower(self.levels[:-1], self.precision)
-
     # -- nested representation helpers -----------------------------------
 
     def _zero(self, L: int):
@@ -468,19 +463,6 @@ class AlgebraicNumber:
         return f"AlgebraicNumber([{', '.join(vals)}])"
 
 
-def arith(a: AlgebraicNumber, b: AlgebraicNumber, op: str) -> AlgebraicNumber:
-    """Dispatch wrapper: op in add|sub|mul|div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # adjoining roots
 
@@ -575,8 +557,8 @@ def _subset_product_coeffs(roots: list, subset, prec: int) -> list:
         return out[:-1]
 
 
-def adjoin(tower: FieldTower, coeffs, root_selector, tag: str | None = None,
-           check_irreducible: bool = True) -> FieldTower:
+def adjoin(tower: FieldTower, coeffs, root_selector,
+           tag: str | None = None) -> FieldTower:
     """Extend the tower by a root of the given polynomial (coefficients over
     the tower, ascending; non-monic input is monicized). root_selector is an
     approximate complex value choosing the embedding; the nearest root must
@@ -588,7 +570,7 @@ def adjoin(tower: FieldTower, coeffs, root_selector, tag: str | None = None,
     with mp.workdps(guarded(prec)):
         numeric = [tower._embed(c.nested, len(tower.levels)) for c in monic]
     roots = _poly_roots(numeric, prec)
-    if check_irreducible and len(monic) > 1:
+    if len(monic) > 1:
         if not _squarefree(tower, monic):
             raise FieldError("polynomial is reducible: repeated factor")
         factor = _screen_reducible(tower, monic, roots)
@@ -616,12 +598,11 @@ def adjoin(tower: FieldTower, coeffs, root_selector, tag: str | None = None,
 # recognition and automorphisms
 
 
-def recognize(tower: FieldTower, value, denominator_bound=None,
+def recognize(tower: FieldTower, value,
               precision: int | None = None) -> AlgebraicNumber | None:
     """Express a numeric value in the tower's power-product basis, or None."""
     prec = min(precision or tower.precision, tower.precision)
-    got = express_in_basis(value, tower.basis_values(),
-                           denominator_bound=denominator_bound, precision=prec)
+    got = express_in_basis(value, tower.basis_values(), precision=prec)
     if got is None:
         return None
     coeffs, _res = got
@@ -698,15 +679,13 @@ def _substitute(tower: FieldTower, nested, L: int,
     return acc
 
 
-def _minpoly_image_roots(tower: FieldTower, k: int,
-                         images: list[AlgebraicNumber]) -> list:
-    """Numeric roots of the level-k minimal polynomial after applying the
-    (partial) automorphism to its coefficients."""
+def _minpoly_image(tower: FieldTower, k: int,
+                   images: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
+    """Coefficients of the level-k minimal polynomial (ascending, without the
+    leading 1) after applying the (partial) automorphism given by the images
+    of the first k-1 generators; exact."""
     lv = tower.levels[k - 1]
-    img_coeffs = [_substitute(tower, c, k - 1, images) for c in lv.minpoly]
-    with mp.workdps(guarded(tower.precision)):
-        numeric = [tower._embed(c.nested, len(tower.levels)) for c in img_coeffs]
-    return _poly_roots(numeric, tower.precision), img_coeffs
+    return [_substitute(tower, c, k - 1, images) for c in lv.minpoly]
 
 
 def _verify_root(tower: FieldTower, img_coeffs: list[AlgebraicNumber],
@@ -744,7 +723,9 @@ def automorphisms(tower: FieldTower, fixing_level: int = 0,
     for k in range(fixing_level + 1, n + 1):
         nxt = []
         for images in partials:
-            roots, img_coeffs = _minpoly_image_roots(tower, k, images)
+            img_coeffs = _minpoly_image(tower, k, images)
+            roots = _poly_roots([c.embed() for c in img_coeffs],
+                                tower.precision)
             for r in roots:
                 cand = recognize(tower, r, precision=prec)
                 if cand is None:
@@ -836,26 +817,3 @@ def factor_over_tower(tower: FieldTower, coeffs, root_selector,
                 if all(tower._is_zero(r, L) for r in rem):
                     return rec
     return monic
-
-
-def conjugation_op(tower: FieldTower,
-                   precision: int | None = None) -> EmbeddingAutomorphism:
-    """The automorphism acting as entrywise complex conjugation on the
-    embedding; FieldError if the embedded field is not conjugation-closed."""
-    prec = _guess_precision(tower, precision)
-    images: list[AlgebraicNumber] = []
-    for k in range(1, len(tower.levels) + 1):
-        with mp.workdps(guarded(tower.precision)):
-            target = mp.conj(tower.levels[k - 1].embedding)
-        cand = recognize(tower, target, precision=prec)
-        if cand is None:
-            raise FieldError(
-                f"conjugate of generator {tower.levels[k - 1].tag} is not in "
-                "the tower; embedding not conjugation-closed")
-        _roots, img_coeffs = _minpoly_image_roots(tower, k, images)
-        if not _verify_root(tower, img_coeffs, cand):
-            raise FieldError(
-                f"conjugation image of {tower.levels[k - 1].tag} fails its "
-                "minimal polynomial; inconsistent tower")
-        images.append(cand)
-    return EmbeddingAutomorphism(tower, images)

@@ -3,6 +3,7 @@ codes, and error surfacing. The entry point runs in-process; files land in a
 per-module temp directory. The d=4 pipeline keeps these fast."""
 
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -213,7 +214,6 @@ def test_verify_certified_passes(certfile, capsys):
 
 
 def test_verify_tampered_certificate_fails(workdir, certfile, capsys):
-    from fractions import Fraction
     obj = json.load(open(certfile))
     key = sorted(k for k in obj["overlaps"] if k != "0,0")[0]
     obj["overlaps"][key][0] = str(Fraction(obj["overlaps"][key][0])
@@ -227,6 +227,35 @@ def test_verify_tampered_certificate_fails(workdir, certfile, capsys):
     out = _stdout_json(capsys)
     assert out["pass"] is False
     assert "provably nonzero" in out["reason"]
+
+
+def _malform(obj, how):
+    imap, images = obj["index_map"], obj["galois"]["images"]
+    if how == "index_key_dropped":
+        del imap["0,0"]
+    elif how == "row_out_of_range":
+        imap["0,1"][1] = 9
+    elif how == "images_cut":
+        del images[2:]
+    elif how == "image_duplicated":
+        images[1] = images[0]
+    elif how == "image_changed":
+        images[1][0] = str(Fraction(images[1][0]) + Fraction(1, 11))
+
+
+@pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
+                                 "images_cut", "image_duplicated",
+                                 "image_changed"])
+def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
+                                                  how):
+    obj = json.load(open(certfile))
+    _malform(obj, how)
+    bad = workdir / f"malformed_{how}.cert"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--cert", str(bad), "--mode", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "siclift verify: error:" in err
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file_is_an_error(capsys):

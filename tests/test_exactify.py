@@ -15,11 +15,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from siclift import lattice
 from siclift.errors import LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
                               _fraction_rank, _generates_over_rationals,
-                              _group_isomorphisms, _poly_from_roots,
-                              _tau_order, build_orbit_polynomials,
+                              _group_isomorphisms, _tau_order,
+                              build_orbit_polynomials,
                               galois_transport, lift_coefficients,
                               method1_exactify, method2_exactify,
                               orbit_coefficient_values, symmetry_structure,
@@ -28,7 +29,7 @@ from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
 from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
 from siclift.modring import h2_group
-from siclift.numfield import FieldTower, adjoin, recognize
+from siclift.numfield import FieldTower, _subset_product_coeffs, adjoin, recognize
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +93,11 @@ def test_distinct_values_ambiguity_band_aborts():
 
 def test_poly_from_roots():
     with mp.workdps(50):
-        coeffs = _poly_from_roots([mp.mpf(1), mp.mpf(2)])
-        # (x-1)(x-2) = 2 - 3x + x^2, ascending
-        assert len(coeffs) == 3
+        coeffs = _subset_product_coeffs([mp.mpf(1), mp.mpf(2)], (0, 1), 50)
+        # (x-1)(x-2) = 2 - 3x + x^2, ascending, leading 1 left out
+        assert len(coeffs) == 2
         assert abs(coeffs[0] - 2) < 1e-40
         assert abs(coeffs[1] + 3) < 1e-40
-        assert abs(coeffs[2] - 1) < 1e-40
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,21 @@ def test_certificate_d4(cert4):
 def test_verify_exact_d4(cert4):
     rep = verify_exact(cert4)
     assert rep["pass"] is True, rep["offending"]
+
+
+def test_reload_runs_no_lll_d4(cert4, tmp_path, monkeypatch):
+    # a loaded certificate rebuilds its Galois rows from the stored images,
+    # so neither verifier may reach lattice reduction
+    def no_lll(rows):
+        raise AssertionError("lll_reduce called on the load path")
+
+    monkeypatch.setattr(lattice, "lll_reduce", no_lll)
+    path = tmp_path / "d4.cert"
+    cert4.save(str(path))
+    back = ExactFiducialCertificate.load(str(path))
+    assert verify_exact(back)["pass"] is True
+    assert verify_certified(back, digits=80)["pass"] is True
+    assert back.galois_rows() == cert4._rows
 
 
 def test_alignment_degeneracy_is_recorded_d4(cert4):

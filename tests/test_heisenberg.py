@@ -76,8 +76,9 @@ class TestDisplacement:
             p = (rng.randrange(dp), rng.randrange(dp))
             D = hb.displacement(p, d, PREC)
             assert maxdiff(D.matrix * D.matrix.dagger(), CMatrix.identity(d, PREC)) < TOL
+            neg = ((-p[0]) % dp, (-p[1]) % dp)
             assert maxdiff(D.matrix.dagger(),
-                           hb.displacement(D.dagger_index(), d, PREC).matrix) < TOL
+                           hb.displacement(neg, d, PREC).matrix) < TOL
 
     def test_even_d_period(self):
         # indices live mod 2d for even d: shifting p1 by d costs tau^(d p2)
@@ -170,7 +171,7 @@ class TestSymplecticUnitary:
             basis = [mp.mpc(t) for t in hb.tau_powers(d, prec)[:4]]
         for r in range(d):
             for s in range(d):
-                got = express_in_basis(U.entry(r, s), basis,
+                got = express_in_basis(U[r, s], basis,
                                        denominator_bound=25, precision=prec)
                 assert got is not None, (r, s)
                 coeffs, _res = got
@@ -282,15 +283,6 @@ class TestOverlaps:
             worst = max(abs(brute.values[q] - disp.values[q]) for q in brute.values)
             assert worst < TOL
 
-    def test_covariance_multiset(self):
-        # |chi|^2 multiset is invariant under transport and displacement
-        d = 5
-        T = hb.overlaps(rand_unit_vector(d, 99), d, PREC)
-        base = T.abs_squared_multiset(digits=25)
-        F = sample_units(5, 1, 5, det=1)[0]
-        assert T.transported(F).abs_squared_multiset(digits=25) == base
-        assert T.displaced((2, 1)).abs_squared_multiset(digits=25) == base
-
     def test_sic_error_random_vector_is_large(self):
         T = hb.overlaps(rand_unit_vector(5, 4), 5, PREC)
         assert T.sic_error() > mp.mpf("0.001")
@@ -332,26 +324,6 @@ class TestReconstruct:
         T2 = hb.overlaps_of_matrix(back, d, PREC)
         worst = max(abs(T.values[q] - T2.values[q]) for q in T.values)
         assert worst < TOL
-
-
-class TestFileFormat:
-    def test_save_load_round_trip(self, tmp_path):
-        d = 5
-        T = hb.overlaps(rand_unit_vector(d, 12), d, PREC)
-        path = tmp_path / "table.sov"
-        T.save(str(path))
-        first = path.read_text().splitlines()[0]
-        assert first.startswith("SIC-OVERLAPS v1 d=5 prec=60")
-        L = hb.OverlapTable.load(str(path))
-        assert L.d == d and L.precision == PREC
-        worst = max(abs(L.values[q] - T.values[q]) for q in T.values)
-        assert worst < mp.mpf(10) ** -(PREC - 3)
-
-    def test_load_rejects_other_files(self, tmp_path):
-        p = tmp_path / "junk.txt"
-        p.write_text("SIC-FIDUCIAL v1 d=5 prec=60\n")
-        with pytest.raises(ValueError):
-            hb.OverlapTable.load(str(p))
 
 
 class TestMemoization:

@@ -12,9 +12,9 @@ import mpmath as mp
 import pytest
 
 from siclift.errors import FieldError
-from siclift.numfield import (AlgebraicNumber, FieldTower, adjoin, arith,
-                              automorphisms, conjugation_op,
-                              cyclotomic_polynomial, factor_over_tower,
+from siclift.numfield import (AlgebraicNumber, FieldTower, adjoin,
+                              automorphisms, cyclotomic_polynomial,
+                              factor_over_tower,
                               lift_element, recognize, squarefree_part)
 
 PREC = 80
@@ -150,14 +150,13 @@ class TestArithmetic:
                                           rng.randint(1, 9)) for _ in range(8)])
                 y = K15.element([Fraction(rng.randint(-9, 9),
                                           rng.randint(1, 9)) for _ in range(8)])
-                for op, f in [("add", lambda u, v: u + v),
-                              ("sub", lambda u, v: u - v),
-                              ("mul", lambda u, v: u * v)]:
-                    got = arith(x, y, op).embed()
+                for f in [lambda u, v: u + v, lambda u, v: u - v,
+                          lambda u, v: u * v]:
+                    got = f(x, y).embed()
                     want = f(x.embed(), y.embed())
                     assert abs(got - want) < tol
                 if not y.is_zero():
-                    assert abs(arith(x, y, "div").embed()
+                    assert abs((x / y).embed()
                                - x.embed() / y.embed()) < tol
 
     def test_pow_and_rational_mixing(self, K3):
@@ -259,29 +258,6 @@ def _order(g):
         n += 1
         assert n <= 16
     return n
-
-
-class TestConjugation:
-    def test_gaussian(self, Q):
-        Ki = adjoin(Q, [1, 0, 1], 1j, tag="i")
-        cj = conjugation_op(Ki)
-        i = Ki.generator(1)
-        assert cj(i) == -i
-        assert cj.compose(cj).is_identity()
-
-    def test_real_tower_identity(self, K35):
-        assert conjugation_op(K35).is_identity()
-
-    def test_cyclotomic(self, Q):
-        with mp.workdps(40):
-            sel = mp.exp(2j * mp.pi / 5)
-        Kz = adjoin(Q, [1, 1, 1, 1, 1], sel, tag="z5")
-        z = Kz.generator(1)
-        cj = conjugation_op(Kz)
-        assert cj(z) == z ** 4
-        x = 3 * z ** 3 - z / 2 + 7
-        with mp.workdps(PREC):
-            assert abs(cj(x).embed() - mp.conj(x.embed())) < mp.mpf("1e-60")
 
 
 class TestSerialization:
