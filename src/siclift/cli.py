@@ -302,6 +302,10 @@ def cmd_verify(ns) -> int:
     return 0 if report["pass"] else 1
 
 
+# label for fields the report echoes from the file without checking them
+_STORED = "(stored, not re-checked)"
+
+
 def _report_text(cert: ExactFiducialCertificate) -> str:
     with mp.workdps(25):
         levels = " / ".join(f"{lv.tag} (degree {lv.degree})"
@@ -328,15 +332,17 @@ def _report_text(cert: ExactFiducialCertificate) -> str:
             f"orbit representatives: " +
             " ".join(f"({r[0]},{r[1]})" for r in cert.orbit_reps),
             f"galois rows: {len(cert.galois.matrices)}",
-            f"alignment score: {mp.nstr(cert.galois.score, 8)}",
-            f"alignment runner-up: {mp.nstr(cert.galois.runner_up, 8)}",
-            f"alignment separation: {mp.nstr(cert.galois.separation, 8)}",
+            f"alignment score {_STORED}: {mp.nstr(cert.galois.score, 8)}",
+            f"alignment runner-up {_STORED}: "
+            f"{mp.nstr(cert.galois.runner_up, 8)}",
+            f"alignment separation {_STORED}: "
+            f"{mp.nstr(cert.galois.separation, 8)}",
             f"alignment candidates: {cert.galois.candidates}",
-            "conjectures:",
+            f"conjectures {_STORED}:",
         ]
         for key in sorted(cert.conjectures):
             lines.append(f"  {key}: {cert.conjectures[key]}")
-        lines.append(f"verification: {ver_line}")
+        lines.append(f"verification {_STORED}: {ver_line}")
     return "\n".join(lines) + "\n"
 
 

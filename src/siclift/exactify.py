@@ -314,16 +314,16 @@ def _tau_order(d: int) -> int:
 
 
 def _extend_with_tau(e1: FieldTower, d: int):
-    """Make the phase tau = -exp(i pi / d) available: recognize it inside the
-    overlap field, else adjoin the factor of its cyclotomic polynomial that
-    it roots. Returns (tower, tau, level_added)."""
-    m = _tau_order(d)
+    """Make the phase tau = -exp(i pi / d) available: factor its cyclotomic
+    polynomial over the overlap field. A linear factor, certified by exact
+    division, means tau is already in the field; otherwise the factor tau
+    roots is adjoined. Returns (tower, tau, level_added)."""
     with mp.workdps(guarded(e1.precision)):
         target = -mp.expjpi(mp.mpf(1) / d)
-    got = _recognize_ladder(e1, target)
-    if got is not None:
-        return e1, got, False
-    fac = factor_over_tower(e1, cyclotomic_polynomial(m), root_selector=target)
+    fac = factor_over_tower(e1, cyclotomic_polynomial(_tau_order(d)),
+                            root_selector=target)
+    if len(fac) == 1:
+        return e1, -fac[0], False
     tower = adjoin(e1, list(fac) + [e1.one()], root_selector=target,
                    tag="tau")
     return tower, tower.generator(len(tower.levels)), True
@@ -632,26 +632,21 @@ class ExactFiducialCertificate:
         obj = json.loads(text)
         if obj.get("format") != "SIC-CERT v1":
             raise ValueError("not a certificate file")
-        _check_schema(obj)
+        galois, s_mats, stab = _check_schema(obj)
         tower = FieldTower.from_json(json.dumps(obj["tower"]))
         e1 = FieldTower(tower.levels[:obj["e1_levels"]], tower.precision)
-        dp = dprime(obj["d"])
         rep_overlaps = {}
         for k, fl in obj["overlaps"].items():
             rep_overlaps[_unkey(k)] = e1.element([Fraction(s) for s in fl])
         tau = tower.element([Fraction(s) for s in obj["tau"]])
         index_map = {_unkey(k): tuple(v)
                      for k, v in obj["index_map"].items()}
-        s_mats = tuple(ModMatrix(*row, dp) for row in obj["s_matrices"])
-        stab = tuple((tuple(p), ModMatrix(*row, dp))
-                     for p, row in obj["stabilizer"])
         return cls(obj["d"], obj["method"], tower, obj["e0_levels"],
                    obj["e1_levels"], tau, obj["tau_level_added"],
                    tuple(obj["generator_rep"]) if obj["generator_rep"]
                    else None,
                    tuple(tuple(r) for r in obj["orbit_reps"]),
-                   rep_overlaps, index_map,
-                   GaloisMatch.from_obj(obj["galois"]), s_mats, stab,
+                   rep_overlaps, index_map, galois, s_mats, stab,
                    obj["conjectures"], obj["verification"])
 
     @classmethod
@@ -660,10 +655,11 @@ class ExactFiducialCertificate:
             return cls.from_json(fh.read())
 
 
-def _check_schema(obj: dict):
+def _check_schema(obj: dict) -> tuple:
     """Structural checks on a parsed certificate, made before any arithmetic
     so that a malformed file is reported as an error rather than as a
-    verification verdict."""
+    verification verdict. Returns the group fields built from the file: the
+    Galois match, the symmetry matrices and the stabilizer."""
     try:
         d = obj["d"]
         if not isinstance(d, int) or d < 4:
@@ -691,6 +687,10 @@ def _check_schema(obj: dict):
             raise SicliftError(f"level counts e0={e0}, e1={e1} do not fit a "
                                f"{levels}-level tower with at most one level "
                                "between the coefficient and overlap fields")
+        return (GaloisMatch.from_obj(galois),
+                tuple(ModMatrix(*row, dp) for row in obj["s_matrices"]),
+                tuple((tuple(p), ModMatrix(*row, dp))
+                      for p, row in obj["stabilizer"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SicliftError(f"malformed certificate: {exc!r}") from exc
 
@@ -699,79 +699,37 @@ def _check_schema(obj: dict):
 # shared assembly
 
 
-def _fraction_rank(rows) -> int:
-    """Rank of a matrix of Fractions by exact Gaussian elimination."""
-    a = [list(r) for r in rows]
-    rank, ncols = 0, len(a[0]) if a else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col]
-        for r in range(rank + 1, len(a)):
-            if a[r][col]:
-                f = a[r][col] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
-
-
-def _generates_over_rationals(x: AlgebraicNumber) -> bool:
-    deg = x.tower.degree
-    rows, acc = [], x.tower.one()
-    for _ in range(deg):
-        rows.append(list(acc.coefficients))
-        acc = acc * x
-    return _fraction_rank(rows) == deg
-
-
 def _rational_minpoly(x: AlgebraicNumber) -> tuple:
     """Exact minimal polynomial of x over the rationals: ascending integer
-    coefficients, primitive, positive leading. Pure Fraction arithmetic on
-    the power coordinates; the first exact dependence wins."""
-    deg = x.tower.degree
-    powers, acc = [], x.tower.one()
-    for _ in range(deg + 1):
-        powers.append(list(acc.coefficients))
+    coefficients, primitive, positive leading. One incremental Fraction
+    elimination over the power coordinates of 1, x, x^2, ...: each power is
+    reduced against the earlier ones, and the first that reduces to zero
+    gives the dependence."""
+    reduced = []   # (pivot column, reduced coordinates, combination of powers)
+    acc = x.tower.one()
+    for k in range(x.tower.degree + 1):
+        row = list(acc.coefficients)
+        comb = [Fraction(0)] * k + [Fraction(1)]   # row = sum comb_i x^i
+        for piv, brow, bcomb in reduced:
+            if row[piv]:
+                f = row[piv] / brow[piv]
+                row = [a - f * b for a, b in zip(row, brow)]
+                for i, c in enumerate(bcomb):
+                    comb[i] -= f * c
+        piv = next((col for col, v in enumerate(row) if v), None)
+        if piv is None:
+            # sum comb_i x^i = 0 with comb_k = 1, and 1, ..., x^(k-1) are
+            # independent, so comb is the monic minimal polynomial
+            den = 1
+            for c in comb:
+                den = den * c.denominator // math.gcd(den, c.denominator)
+            ints = [int(c * den) for c in comb]
+            g = 0
+            for v in ints:
+                g = math.gcd(g, abs(v))
+            return tuple(v // g for v in ints)
+        reduced.append((piv, row, comb))
         acc = acc * x
-    for k in range(1, deg + 1):
-        # solve powers[k] = sum_i c_i powers[i] by elimination, augmented
-        rows = [powers[i] + [Fraction(int(i == j)) for j in range(k)]
-                for i in range(k)]
-        tgt = list(powers[k]) + [Fraction(0)] * k
-        ncols = len(powers[0])
-        rank = 0
-        for col in range(ncols):
-            piv = next((r for r in range(rank, k) if rows[r][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = rows[rank][col]
-            for r in range(k):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col] / inv
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            if tgt[col]:
-                f = tgt[col] / rows[rank][col]
-                tgt = [a - f * b for a, b in zip(tgt, rows[rank])]
-            rank += 1
-        if any(tgt[:ncols]):
-            continue   # x^k is independent of the lower powers
-        # tgt's augmentation holds -c for x^k = sum c_i x^i, so the ascending
-        # minimal polynomial (-c_0, ..., -c_{k-1}, 1) reads off directly
-        coeffs = [tgt[ncols + i] for i in range(k)] + [Fraction(1)]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
     raise FieldError("element satisfies no dependence up to the tower degree")
 
 
@@ -786,10 +744,11 @@ def overlap_minimal_polynomials(cert: "ExactFiducialCertificate") -> list:
 def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, autos, n,
                  prec) -> dict:
     """Structural expectations that are checked and recorded, never assumed:
-    the squarefree discriminant's square root inside the coefficient field,
-    realness defects, the automorphism count matching the quotient order, and
-    whether the adjoined overlap value generates the whole field over the
-    rationals."""
+    the squarefree discriminant's square root inside the coefficient field
+    (a linear factor of x^2 - disc, certified by exact division), realness
+    defects, the automorphism count matching the quotient order, and whether
+    the adjoined overlap value generates the whole field over the rationals
+    (its minimal polynomial has the field's degree)."""
     disc = squarefree_part((d - 3) * (d + 1))
     with mp.workdps(guarded(prec)):
         sqrt_disc = mp.sqrt(disc) if disc >= 0 else mp.mpc(0, mp.sqrt(-disc))
@@ -797,11 +756,12 @@ def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, autos, n,
         for k in range(len(e0.levels)):
             e0_defect = max(e0_defect,
                             abs(e0.generator(k + 1).embed().imag))
-    has_sqrt = _recognize_ladder(e0, sqrt_disc) is not None
+    has_sqrt = len(factor_over_tower(e0, [-disc, 0, 1], sqrt_disc)) == 1
     imag_defect = max(p.imag_defect for p in polys)
     gen_ok = None
     if gen_poly is not None:
-        gen_ok = _generates_over_rationals(e1.generator(len(e1.levels)))
+        gen_ok = len(_rational_minpoly(e1.generator(len(e1.levels)))) \
+            == e1.degree + 1
     out = {
         "discriminant_squarefree": disc,
         "coefficient_field_contains_sqrt_disc": has_sqrt,
@@ -1154,21 +1114,61 @@ def galois_transport(cert: ExactFiducialCertificate,
     """Apply one certified automorphism to the whole exact overlap table and
     check, exactly, that it lands on the table relabeled by the matched
     matrix. Returns {index: transported value}."""
-    rows = cert.galois_rows()
-    row = next((i for i, a in enumerate(rows) if a == g), None)
+    row = next((i for i, a in enumerate(cert.galois_rows()) if a == g), None)
     if row is None:
         raise ValueError("automorphism is not one of the certificate's rows")
-    G = cert.galois.matrices[row]
+    return _transported(cert, row)
+
+
+def _transported(cert: ExactFiducialCertificate, i: int) -> dict:
+    """Galois row i applied to the whole exact overlap table, checked exactly
+    against the table relabeled by galois.matrices[i]; LiftError at the first
+    index where they differ. The row is applied once per (orbit position,
+    source row) pair, since every index's value is regenerated from one."""
+    row, G = cert.galois_rows()[i], cert.galois.matrices[i]
     table = cert.all_overlaps()
-    out = {}
-    for q, val in table.items():
-        img = g(val)
-        tgt = table[cert._norm(G.apply(q))]
-        if not (img - tgt).is_zero():
-            raise LiftError(f"transport identity failed at index {q}; the "
-                            "certificate is inconsistent")
-        out[q] = img
+    images, out = {}, {}
+    for q, src in cert.index_map.items():
+        if src not in images:
+            images[src] = row(table[q])
+        if images[src] != table[cert._norm(G.apply(q))]:
+            raise LiftError(f"transport identity of Galois row {i} failed at "
+                            f"index {q}; the certificate is inconsistent")
+        out[q] = images[src]
     return out
+
+
+def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
+    """Exact checks of the stored group data against the exact overlap
+    table: every Galois row transports the table as its matrix relabels it,
+    every symmetry matrix fixes the table, and the symmetry matrices are the
+    group that the stored stabilizer's matrix parts F generate through
+    F -> (det F) F. The stabilizer's shifts are not checked. Returns the
+    named results and the first failure's description (None on a pass)."""
+    checks = {}
+    try:
+        for i in range(len(cert.galois.matrices)):
+            _transported(cert, i)
+    except LiftError as exc:
+        checks["galois_transport"] = False
+        return checks, str(exc)
+    checks["galois_transport"] = True
+    table = cert.all_overlaps()
+    moved = next((F for F in cert.s_matrices for q in table
+                  if table[cert._norm(F.apply(q))] != table[q]), None)
+    checks["symmetry_fixes_table"] = moved is None
+    if moved is not None:
+        return checks, f"symmetry matrix {moved} does not fix the overlaps"
+    try:
+        gens = [symmetry_image(F) for _p, F in cert.stabilizer]
+        ok = set(MatGroup.generated(
+            [ModMatrix.identity(dprime(cert.d))] + gens)) \
+            == set(cert.s_matrices)
+    except ValueError:
+        ok = False
+    checks["stabilizer_generates_symmetry"] = ok
+    return checks, None if ok else ("the stabilizer does not generate the "
+                                    "symmetry matrices")
 
 
 # ---------------------------------------------------------------------------
@@ -1218,8 +1218,9 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
     """Replay every defining property in exact rational arithmetic: the
     overlap at index 0 is 1, conjugation negates indices, every off-lattice
     overlap has squared modulus 1/(d+1), tau is the right primitive root, and
-    the reconstructed operator is a Hermitian idempotent of trace 1. Stores
-    and returns the report."""
+    the reconstructed operator is a Hermitian idempotent of trace 1; then
+    the stored group data is checked against the exact table. Stores and
+    returns the report."""
     d, dp = cert.d, dprime(cert.d)
     tower = cert.tower
     prec = tower.precision
@@ -1342,7 +1343,12 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
         if not ok:
             break
     checks["idempotent"] = ok
-    return done(ok)
+    if not ok:
+        return done(False)
+
+    group, offending = _group_data_checks(cert)
+    checks.update(group)
+    return done(offending is None)
 
 
 # ---------------------------------------------------------------------------
@@ -1447,8 +1453,9 @@ def verify_certified(cert: ExactFiducialCertificate,
                      digits: int = 120) -> dict:
     """Enclose every residue of the exact-verification checklist in a complex
     ball at the requested precision. Passes when all residue balls contain 0
-    with radius below 10^(-digits/2); a ball excluding 0 is a definitive
-    failure. This is numerical evidence, not a proof."""
+    with radius below 10^(-digits/2) and the stored group data passes the
+    exact checks of verify_exact; a ball excluding 0 is a definitive
+    failure. The enclosures are numerical evidence, not a proof."""
     d, dp = cert.d, dprime(cert.d)
     tower = cert.tower
     wdps = digits + 25
@@ -1516,18 +1523,21 @@ def verify_certified(cert: ExactFiducialCertificate,
         worst_centre = max(abs(b.c) for _name, b in residues)
         excluded = [(name, mp.nstr(abs(b.c), 5), mp.nstr(b.r, 5))
                     for name, b in residues if abs(b.c) > b.r]
+        group = None
         if excluded:
             outcome, why = False, f"residue provably nonzero: {excluded[:3]}"
         elif max_r >= threshold:
             outcome, why = False, (f"enclosure radius {mp.nstr(max_r, 5)} "
                                    f"is not below 1e-{digits // 2}")
         else:
-            outcome, why = True, None
+            group, why = _group_data_checks(cert)
+            outcome = why is None
         report = {
             "mode": "certified", "digits": digits, "pass": outcome,
             "max_radius": mp.nstr(max_r, 5),
             "max_center": mp.nstr(worst_centre, 5),
             "residues": len(residues),
+            "group_checks": group,
             "reason": why,
             "note": "defect-based enclosures; evidence, not proof",
         }

@@ -467,20 +467,25 @@ class AlgebraicNumber:
 # adjoining roots
 
 
-def _coerce_poly(tower: FieldTower, coeffs) -> list[AlgebraicNumber]:
-    out = []
+def _monic_with_roots(tower: FieldTower, coeffs):
+    """Coerce a polynomial into the tower and monicize it. Returns its
+    coefficients (ascending, without the leading 1) and its numeric roots."""
+    poly = []
     for c in coeffs:
         if isinstance(c, AlgebraicNumber):
             if c.tower.levels != tower.levels:
                 raise FieldError("polynomial coefficients from a different tower")
-            out.append(c)
+            poly.append(c)
         else:
-            out.append(tower.rational(c))
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    if len(out) < 2:
+            poly.append(tower.rational(c))
+    while len(poly) > 1 and poly[-1].is_zero():
+        poly.pop()
+    if len(poly) < 2:
         raise FieldError("polynomial must have positive degree")
-    return out
+    monic = [c / poly[-1] for c in poly[:-1]]
+    with mp.workdps(guarded(tower.precision)):
+        numeric = [tower._embed(c.nested, len(tower.levels)) for c in monic]
+    return monic, _poly_roots(numeric, tower.precision)
 
 
 def _poly_roots(values: list, prec: int) -> list:
@@ -493,34 +498,28 @@ def _poly_roots(values: list, prec: int) -> list:
                       key=lambda z: (z.real, z.imag))
 
 
-def _screen_reducible(tower: FieldTower, monic: list[AlgebraicNumber],
-                      roots: list) -> list | None:
-    """Look for a nontrivial factor with coefficients in the tower: test every
-    root subset of size <= deg/2, recognizing symmetric sums numerically and
-    re-verifying at doubled precision. Returns a factor's coefficient list if
-    found, else None."""
-    deg = len(monic)
-    prec = tower.precision
-    screen = _guess_precision(tower, None)
-    for k in range(1, deg // 2 + 1):
-        for subset in itertools.combinations(range(deg), k):
-            coeffs = _subset_product_coeffs(roots, subset, prec)
+def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
+                      roots: list, subsets: list, precisions) -> list | None:
+    """Search for a monic factor whose roots are one of the given root
+    subsets: at each recognition precision in turn, the subsets' symmetric
+    functions are recognized in the tower, and a candidate counts only if it
+    divides the polynomial exactly. Returns the factor's coefficients
+    (ascending, without the leading 1), or None."""
+    L = len(tower.levels)
+    one = tower._const(Fraction(1), L)
+    P = [c.nested for c in monic] + [one]
+    for attempt in precisions:
+        for subset in subsets:
             rec = []
-            for v in coeffs:
-                got = recognize(tower, v, precision=screen)
+            for v in _subset_product_coeffs(roots, subset, tower.precision):
+                got = recognize(tower, v, precision=attempt)
                 if got is None:
-                    rec = None
                     break
                 rec.append(got)
-            if rec is None:
-                continue
-            # confirm at full precision before rejecting the polynomial
-            with mp.workdps(guarded(prec)):
-                tol = mp.mpf(10) ** -(min(prec, screen * 2) - 15)
-                ok = all(abs(g.embed() - v) < tol
-                         for g, v in zip(rec, coeffs))
-            if ok:
-                return rec
+            else:
+                _q, rem = tower._pdivmod(P, [c.nested for c in rec] + [one], L)
+                if all(tower._is_zero(r, L) for r in rem):
+                    return rec
     return None
 
 
@@ -563,17 +562,17 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
     the tower, ascending; non-monic input is monicized). root_selector is an
     approximate complex value choosing the embedding; the nearest root must
     lie within 1e-4 of it."""
-    poly = _coerce_poly(tower, coeffs)
-    lead = poly[-1]
-    monic = [c / lead for c in poly[:-1]]
+    monic, roots = _monic_with_roots(tower, coeffs)
     prec = tower.precision
-    with mp.workdps(guarded(prec)):
-        numeric = [tower._embed(c.nested, len(tower.levels)) for c in monic]
-    roots = _poly_roots(numeric, prec)
-    if len(monic) > 1:
+    deg = len(monic)
+    if deg > 1:
         if not _squarefree(tower, monic):
             raise FieldError("polynomial is reducible: repeated factor")
-        factor = _screen_reducible(tower, monic, roots)
+        # a reducible polynomial has a factor of degree <= deg/2
+        subsets = [s for k in range(1, deg // 2 + 1)
+                   for s in itertools.combinations(range(deg), k)]
+        factor = _certified_factor(tower, monic, roots, subsets,
+                                   [_guess_precision(tower, None)])
         if factor is not None:
             raise FieldError(
                 f"polynomial is reducible: found a degree-{len(factor)} factor")
@@ -776,44 +775,20 @@ def factor_over_tower(tower: FieldTower, coeffs, root_selector,
     coefficients. Ascending coefficients below the leading 1; candidates are
     recognized numerically, then certified by exact polynomial division. When
     nothing proper divides, the whole (monicized) polynomial is returned."""
-    poly = _coerce_poly(tower, coeffs)
-    lead = poly[-1]
-    monic = [c / lead for c in poly[:-1]]
+    monic, roots = _monic_with_roots(tower, coeffs)
     deg = len(monic)
     if deg > 12:
         raise FieldError("factoring bounded to degree 12")
     prec = tower.precision
     with mp.workdps(guarded(prec)):
-        numeric = [tower._embed(c.nested, len(tower.levels)) for c in monic]
-    roots = _poly_roots(numeric, prec)
-    with mp.workdps(guarded(prec)):
         sel = mp.mpc(root_selector)
         target = min(range(deg), key=lambda i: abs(roots[i] - sel))
     others = [i for i in range(deg) if i != target]
-    L = len(tower.levels)
-    P_nested = [c.nested for c in monic] + [tower._const(Fraction(1), L)]
+    subsets = [(target,) + extra for k in range(1, deg)
+               for extra in itertools.combinations(others, k - 1)]
     # Guess-precision pass first; full precision only if that finds nothing.
     # Coefficients of a true factor can have coordinate heights near the
     # tower's own (e.g. plain integers with huge power-basis coordinates),
     # which the cheap screen cannot see. Exact division certifies either way.
     ladder = sorted({_guess_precision(tower, None), prec})
-    for attempt in ladder:
-        for k in range(1, deg):
-            for extra in itertools.combinations(others, k - 1):
-                subset = (target,) + extra
-                vals = _subset_product_coeffs(roots, subset, prec)
-                rec = []
-                for v in vals:
-                    got = recognize(tower, v, precision=attempt)
-                    if got is None:
-                        rec = None
-                        break
-                    rec.append(got)
-                if rec is None:
-                    continue
-                # certify by exact division
-                F_nested = [c.nested for c in rec] + [tower._const(Fraction(1), L)]
-                _q, rem = tower._pdivmod(P_nested, F_nested, L)
-                if all(tower._is_zero(r, L) for r in rem):
-                    return rec
-    return monic
+    return _certified_factor(tower, monic, roots, subsets, ladder) or monic

@@ -230,7 +230,8 @@ def test_verify_tampered_certificate_fails(workdir, certfile, capsys):
 
 
 def _malform(obj, how):
-    imap, images = obj["index_map"], obj["galois"]["images"]
+    imap, galois = obj["index_map"], obj["galois"]
+    images = galois["images"]
     if how == "index_key_dropped":
         del imap["0,0"]
     elif how == "row_out_of_range":
@@ -241,11 +242,21 @@ def _malform(obj, how):
         images[1] = images[0]
     elif how == "image_changed":
         images[1][0] = str(Fraction(images[1][0]) + Fraction(1, 11))
+    elif how == "galois_matrix_short":
+        del galois["matrices"][1][3]
+    elif how == "s_matrix_short":
+        del obj["s_matrices"][0][3]
+    elif how == "stabilizer_not_a_pair":
+        obj["stabilizer"][0] = None
+    elif how == "modulus_string":
+        galois["modulus"] = str(galois["modulus"])
 
 
 @pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
                                  "images_cut", "image_duplicated",
-                                 "image_changed"])
+                                 "image_changed", "galois_matrix_short",
+                                 "s_matrix_short", "stabilizer_not_a_pair",
+                                 "modulus_string"])
 def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
                                                   how):
     obj = json.load(open(certfile))
@@ -256,6 +267,24 @@ def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
     err = capsys.readouterr().err
     assert "siclift verify: error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "certified"])
+@pytest.mark.parametrize("field", ["galois_matrix", "s_matrix"])
+def test_verify_checks_group_data(workdir, certfile, capsys, field, mode):
+    # the overlaps stay intact, so only the exact group-data checks can see
+    # a Galois row's matrix or a symmetry matrix replaced
+    obj = json.load(open(certfile))
+    if field == "galois_matrix":
+        obj["galois"]["matrices"][1] = [1, 0, 0, 1]
+    else:
+        obj["s_matrices"][-1] = [1, 1, 0, 1]
+    bad = workdir / f"group_{field}.cert"
+    bad.write_text(json.dumps(obj))
+    rc = main(["verify", "--cert", str(bad), "--mode", mode,
+               "--digits", "80"])
+    assert rc == 1
+    assert _stdout_json(capsys)["pass"] is False
 
 
 def test_verify_missing_file_is_an_error(capsys):
@@ -273,6 +302,22 @@ def test_report_is_a_pure_function_of_the_certificate(certfile, capsys):
     assert first == second
     assert first.startswith("SIC-REPORT v1\n")
     assert "dimension: 4" in first
+
+
+def test_report_labels_stored_claims(workdir, certfile, capsys):
+    # a stored pass is echoed, never presented as a fresh verdict
+    obj = json.load(open(certfile))
+    key = sorted(k for k in obj["overlaps"] if k != "0,0")[0]
+    obj["overlaps"][key][0] = str(Fraction(obj["overlaps"][key][0])
+                                  + Fraction(1, 11))
+    obj["verification"] = {"mode": "exact", "pass": True}
+    bad = workdir / "stale_pass.cert"
+    bad.write_text(json.dumps(obj))
+    assert main(["report", "--cert", str(bad)]) == 0
+    text = capsys.readouterr().out
+    assert "verification: exact pass" not in text
+    assert "verification (stored, not re-checked): exact pass" in text
+    assert main(["verify", "--cert", str(bad), "--mode", "exact"]) == 1
 
 
 def test_report_to_file(workdir, certfile, capsys):

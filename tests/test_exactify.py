@@ -18,8 +18,8 @@ import pytest
 from siclift import lattice
 from siclift.errors import LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
-                              _fraction_rank, _generates_over_rationals,
-                              _group_isomorphisms, _tau_order,
+                              _extend_with_tau, _group_isomorphisms,
+                              _rational_minpoly, _tau_order,
                               build_orbit_polynomials,
                               galois_transport, lift_coefficients,
                               method1_exactify, method2_exactify,
@@ -29,7 +29,8 @@ from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
 from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
 from siclift.modring import h2_group
-from siclift.numfield import FieldTower, _subset_product_coeffs, adjoin, recognize
+from siclift.numfield import FieldTower, _subset_product_coeffs, adjoin, \
+    cyclotomic_polynomial, recognize
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +148,23 @@ def test_isomorphisms_s3_automorphisms():
 # exact linear algebra helpers
 
 
-def test_fraction_rank():
-    assert _fraction_rank([[Fraction(1), Fraction(2)],
-                           [Fraction(2), Fraction(4)]]) == 1
-    assert _fraction_rank([[Fraction(1), Fraction(0)],
-                           [Fraction(0), Fraction(1)]]) == 2
-    assert _fraction_rank([[Fraction(0), Fraction(0)]]) == 0
-
-
 def test_generates_over_rationals():
+    # generation is read off the minimal polynomial's degree
     K = adjoin(FieldTower.rationals(80), [-2, 0, 1], 1.4, tag="s")
-    assert _generates_over_rationals(K.generator(1))
-    assert not _generates_over_rationals(K.one())
+    assert _rational_minpoly(K.generator(1)) == (-2, 0, 1)
+    assert _rational_minpoly(K.one()) == (-1, 1)
+
+
+def test_tau_already_in_the_overlap_field():
+    # tau = -exp(i pi/5) is a primitive 5th root of unity, so adjoining one
+    # leaves nothing to add: the linear factor of the cyclotomic polynomial
+    # over e1 is certified by exact division and tau comes back as that root
+    with mp.workdps(100):
+        tau = -mp.expjpi(mp.mpf(1) / 5)
+    e1 = adjoin(FieldTower.rationals(80), cyclotomic_polynomial(5), tau)
+    tower, got, added = _extend_with_tau(e1, 5)
+    assert tower is e1 and added is False
+    assert got == e1.generator(1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,8 @@ def test_verify_exact_d5(report5):
     for name in ("conjugation_closed", "lattice_overlaps_are_one",
                  "conjugation_negates_indices", "equiangularity",
                  "tau_is_the_phase", "trace_is_one", "hermitian",
-                 "idempotent"):
+                 "idempotent", "galois_transport", "symmetry_fixes_table",
+                 "stabilizer_generates_symmetry"):
         assert report5["checks"][name] is True, name
 
 
