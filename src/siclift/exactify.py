@@ -19,6 +19,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from mpmath import mp
 
@@ -498,7 +500,8 @@ class GaloisMatch:
     @classmethod
     def from_obj(cls, obj):
         m = obj["modulus"]
-        mats = tuple(ModMatrix(*row, m) for row in obj["matrices"])
+        mats = tuple(ModMatrix(*_ints(row, 4, "Galois matrix"), m)
+                     for row in obj["matrices"])
         imgs = tuple(tuple(Fraction(s) for s in fp) for fp in obj["images"])
         return cls(mats, imgs, mp.mpf(obj["score"]), mp.mpf(obj["runner_up"]),
                    mp.mpf(obj["separation"]), obj["candidates"])
@@ -632,22 +635,7 @@ class ExactFiducialCertificate:
         obj = json.loads(text)
         if obj.get("format") != "SIC-CERT v1":
             raise ValueError("not a certificate file")
-        galois, s_mats, stab = _check_schema(obj)
-        tower = FieldTower.from_json(json.dumps(obj["tower"]))
-        e1 = FieldTower(tower.levels[:obj["e1_levels"]], tower.precision)
-        rep_overlaps = {}
-        for k, fl in obj["overlaps"].items():
-            rep_overlaps[_unkey(k)] = e1.element([Fraction(s) for s in fl])
-        tau = tower.element([Fraction(s) for s in obj["tau"]])
-        index_map = {_unkey(k): tuple(v)
-                     for k, v in obj["index_map"].items()}
-        return cls(obj["d"], obj["method"], tower, obj["e0_levels"],
-                   obj["e1_levels"], tau, obj["tau_level_added"],
-                   tuple(obj["generator_rep"]) if obj["generator_rep"]
-                   else None,
-                   tuple(tuple(r) for r in obj["orbit_reps"]),
-                   rep_overlaps, index_map, galois, s_mats, stab,
-                   obj["conjectures"], obj["verification"])
+        return cls(**_check_schema(obj))
 
     @classmethod
     def load(cls, path: str) -> "ExactFiducialCertificate":
@@ -655,16 +643,21 @@ class ExactFiducialCertificate:
             return cls.from_json(fh.read())
 
 
-def _check_schema(obj: dict) -> tuple:
+def _check_schema(obj: dict) -> dict:
     """Structural checks on a parsed certificate, made before any arithmetic
     so that a malformed file is reported as an error rather than as a
-    verification verdict. Returns the group fields built from the file: the
-    Galois match, the symmetry matrices and the stabilizer."""
+    verification verdict. Returns every certificate field built from the
+    file and checked for its type."""
     try:
         d = obj["d"]
-        if not isinstance(d, int) or d < 4:
+        if type(d) is not int or d < 4:
             raise SicliftError(f"dimension {d!r} is not an integer >= 4")
         dp = dprime(d)
+        for key, kind in (("overlaps", dict), ("index_map", dict),
+                          ("galois", dict), ("conjectures", dict),
+                          ("tau", list)):
+            if not isinstance(obj[key], kind):
+                raise SicliftError(f"{key} is not a {kind.__name__}")
         keys = sorted(_unkey(k) for k in obj["index_map"])
         if keys != [(a, b) for a in range(dp) for b in range(dp)]:
             raise SicliftError(f"index_map keys are not exactly (Z/{dp})^2")
@@ -687,12 +680,51 @@ def _check_schema(obj: dict) -> tuple:
             raise SicliftError(f"level counts e0={e0}, e1={e1} do not fit a "
                                f"{levels}-level tower with at most one level "
                                "between the coefficient and overlap fields")
-        return (GaloisMatch.from_obj(galois),
-                tuple(ModMatrix(*row, dp) for row in obj["s_matrices"]),
-                tuple((tuple(p), ModMatrix(*row, dp))
-                      for p, row in obj["stabilizer"]))
+        method, added, gen = (obj["method"], obj["tau_level_added"],
+                              obj["generator_rep"])
+        if type(method) is not int or method not in (1, 2):
+            raise SicliftError(f"method {method!r} is not 1 or 2")
+        if type(added) is not bool:
+            raise SicliftError(f"tau_level_added {added!r} is not a boolean")
+        ver = obj["verification"]
+        if ver is not None and not (isinstance(ver, dict)
+                                    and isinstance(ver.get("mode"), str)
+                                    and type(ver.get("pass")) is bool):
+            raise SicliftError("verification is neither null nor a report "
+                               "with a mode and a verdict")
+        tower = FieldTower.from_json(json.dumps(obj["tower"]))
+        e1_tower = FieldTower(tower.levels[:e1], tower.precision)
+        return dict(
+            d=d, method=method, tower=tower, e0_levels=e0, e1_levels=e1,
+            tau=tower.element([Fraction(s) for s in obj["tau"]]),
+            tau_level_added=added,
+            generator_rep=None if gen is None
+            else _ints(gen, 2, "generator_rep"),
+            orbit_reps=tuple(_ints(r, 2, "orbit representative")
+                             for r in obj["orbit_reps"]),
+            rep_overlaps={_unkey(k): e1_tower.element([Fraction(s)
+                                                       for s in fl])
+                          for k, fl in obj["overlaps"].items()},
+            index_map={_unkey(k): _ints(v, 2, f"index_map entry {k}")
+                       for k, v in obj["index_map"].items()},
+            galois=GaloisMatch.from_obj(galois),
+            s_matrices=tuple(ModMatrix(*_ints(row, 4, "symmetry matrix"), dp)
+                             for row in obj["s_matrices"]),
+            stabilizer=tuple((_ints(p, 2, "stabilizer shift"),
+                              ModMatrix(*_ints(row, 4, "stabilizer matrix"),
+                                        dp))
+                             for p, row in obj["stabilizer"]),
+            conjectures=obj["conjectures"],
+            verification=ver)
     except (KeyError, TypeError, ValueError) as exc:
         raise SicliftError(f"malformed certificate: {exc!r}") from exc
+
+
+def _ints(v, n: int, what: str) -> tuple:
+    if not (isinstance(v, list) and len(v) == n
+            and all(type(x) is int for x in v)):
+        raise SicliftError(f"{what} {v!r} is not a list of {n} integers")
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -928,9 +960,7 @@ def method2_exactify(fid, digits: int | None = None,
         rep_overlaps = {}
         for q in polys:
             if q.degree == 1:
-                val = -q.exact[0]
-                rep_overlaps[q.rep] = lift_element(e1, val) \
-                    if len(e1.levels) > len(e0.levels) else val
+                rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
                 continue
             sk = []
             for comp in svecs[f][q.orbit_id].entries:
@@ -1019,8 +1049,7 @@ def method1_exactify(fid, digits: int | None = None,
     for q in polys:
         if q.degree == 1:
             continue
-        lifted = [lift_element(e1, c) if len(e1.levels) > len(e0.levels)
-                  else c for c in q.exact]
+        lifted = [lift_element(e1, c) for c in q.exact]
         for i, v in enumerate(q.values):
             cand = _recognize_ladder(e1, v)
             if cand is None:
@@ -1080,9 +1109,7 @@ def method1_exactify(fid, digits: int | None = None,
     rep_overlaps = {}
     for q in polys:
         if q.degree == 1:
-            val = -q.exact[0]
-            rep_overlaps[q.rep] = lift_element(e1, val) \
-                if len(e1.levels) > len(e0.levels) else val
+            rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
         else:
             rep_overlaps[q.rep] = exact_vals[(q.orbit_id, 0)]
 
@@ -1141,10 +1168,12 @@ def _transported(cert: ExactFiducialCertificate, i: int) -> dict:
 def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
     """Exact checks of the stored group data against the exact overlap
     table: every Galois row transports the table as its matrix relabels it,
-    every symmetry matrix fixes the table, and the symmetry matrices are the
+    every symmetry matrix fixes the table, the symmetry matrices are the
     group that the stored stabilizer's matrix parts F generate through
-    F -> (det F) F. The stabilizer's shifts are not checked. Returns the
-    named results and the first failure's description (None on a pass)."""
+    F -> (det F) F, and every stabilizer element (p, F) fixes the table:
+    chi_q = tau^(2<q,p>) chi_x with x = F^-1 q, negated when det F = -1
+    (conjugation negates indices). Returns the named results and the first
+    failure's description (None on a pass)."""
     checks = {}
     try:
         for i in range(len(cert.galois.matrices)):
@@ -1167,8 +1196,28 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
     except ValueError:
         ok = False
     checks["stabilizer_generates_symmetry"] = ok
-    return checks, None if ok else ("the stabilizer does not generate the "
-                                    "symmetry matrices")
+    if not ok:
+        return checks, "the stabilizer does not generate the symmetry matrices"
+    d, tower = cert.d, cert.tower
+    w = _powers(cert.tau * cert.tau, tower.one(), d)
+    for p, F in cert.stabilizer:
+        Finv, anti = F.inv(), F.det() == F.m - 1
+        for q in table:
+            x = Finv.apply(q)
+            if anti:
+                x = cert._norm((-x[0], -x[1]))
+            e = (q[1] * p[0] - q[0] * p[1]) % d
+            if e == 0:
+                ok = table[q] == table[x]
+            else:
+                ok = lift_element(tower, table[q]) \
+                    == w[e] * lift_element(tower, table[x])
+            if not ok:
+                checks["stabilizer_shifts"] = False
+                return checks, (f"stabilizer element {list(p)}, {F} does not "
+                                f"fix the overlap at {q}")
+    checks["stabilizer_shifts"] = True
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
@@ -1214,14 +1263,60 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     return _checked_automorphism(tower, images, targets, tol)
 
 
+def _residues(chi, d, one, conj, tau, inv_d, tau_residue):
+    """The checklist that defines a SIC projector, as (check name, failure
+    message, residue) triples in report order; every residue is zero for a
+    SIC. It runs in any arithmetic with +, - and * and the given conjugation,
+    exact tower elements or complex balls alike. chi maps every index mod d'
+    to its overlap. tau_residue takes tau^0 .. tau^(2d-1) and returns the
+    (failure message, residue) pair of the phase check, which each
+    arithmetic states its own way. Nothing is computed before the previous
+    residue has been taken, so a driver that stops early saves the rest."""
+    dp = dprime(d)
+    lattice = [q for q in chi if q[0] % d == 0 and q[1] % d == 0]
+    for q in lattice:
+        yield ("lattice_overlaps_are_one",
+               f"overlap at lattice index {q} is not 1", chi[q] - one)
+    conj_chi = {}
+    for q, x in chi.items():
+        neg = ((-q[0]) % dp, (-q[1]) % dp)
+        conj_chi[q] = conj(x)
+        yield ("conjugation_negates_indices",
+               f"conjugate of overlap {q} is not the overlap at {neg}",
+               conj_chi[q] - chi[neg])
+    for q, x in chi.items():
+        if q not in lattice:
+            yield ("equiangularity", f"overlap modulus condition fails at {q}",
+                   (d + 1) * x * conj_chi[q] - one)
+    tau_powers = _powers(tau, one, 2 * d)
+    yield ("tau_is_the_phase", *tau_residue(tau_powers))
+    A = hb.operator_rows(chi, d, tau_powers, inv_d)
+    yield ("trace_is_one", "reconstructed operator trace is not 1",
+           reduce(add, (A[r][r] for r in range(d))) - one)
+    for r in range(d):
+        for s in range(d):
+            yield ("hermitian",
+                   f"reconstructed operator is not Hermitian at {(r, s)}",
+                   conj(A[s][r]) - A[r][s])
+    for r in range(d):
+        for s in range(d):
+            yield ("idempotent",
+                   f"reconstructed operator is not idempotent at {(r, s)}",
+                   reduce(add, (A[r][k] * A[k][s] for k in range(d)))
+                   - A[r][s])
+
+
+def _powers(x, one, count):
+    """[1, x, ..., x^(count-1)]."""
+    return list(itertools.accumulate([x] * (count - 1), mul, initial=one))
+
+
 def verify_exact(cert: ExactFiducialCertificate) -> dict:
-    """Replay every defining property in exact rational arithmetic: the
-    overlap at index 0 is 1, conjugation negates indices, every off-lattice
-    overlap has squared modulus 1/(d+1), tau is the right primitive root, and
-    the reconstructed operator is a Hermitian idempotent of trace 1; then
-    the stored group data is checked against the exact table. Stores and
-    returns the report."""
-    d, dp = cert.d, dprime(cert.d)
+    """Replay the checklist of _residues in exact rational arithmetic, after
+    building the conjugation map and up to the first residue that is not
+    zero; then check the stored group data against the exact table. Stores
+    and returns the report."""
+    d = cert.d
     tower = cert.tower
     prec = tower.precision
     checks: dict = {}
@@ -1233,11 +1328,8 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
         cert.verification = report
         return report
 
-    chi = {}
-    for q, val in cert.all_overlaps().items():
-        chi[q] = lift_element(tower, val) \
-            if cert.e1_levels < len(tower.levels) else val
-
+    chi = {q: lift_element(tower, val)
+           for q, val in cert.all_overlaps().items()}
     try:
         conj = _conjugation_map(cert)
         checks["conjugation_closed"] = True
@@ -1247,104 +1339,25 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
         return done(False)
 
     one = tower.one()
-    ok = True
-    for q in chi:
-        if q[0] % d == 0 and q[1] % d == 0 and not (chi[q] - one).is_zero():
-            ok, offending = False, f"overlap at lattice index {q} is not 1"
-            break
-    checks["lattice_overlaps_are_one"] = ok
-    if not ok:
-        return done(False)
 
-    for q in chi:
-        neg = ((-q[0]) % dp, (-q[1]) % dp)
-        if not (conj(chi[q]) - chi[neg]).is_zero():
-            ok, offending = False, \
-                f"conjugate of overlap {q} is not the overlap at {neg}"
-            break
-    checks["conjugation_negates_indices"] = ok
-    if not ok:
-        return done(False)
-
-    for q in chi:
-        if q[0] % d == 0 and q[1] % d == 0:
-            continue
-        neg = ((-q[0]) % dp, (-q[1]) % dp)
-        if not ((d + 1) * chi[q] * chi[neg] - one).is_zero():
-            ok, offending = False, f"overlap modulus condition fails at {q}"
-            break
-    checks["equiangularity"] = ok
-    if not ok:
-        return done(False)
-
-    m = _tau_order(d)
-    phi = cyclotomic_polynomial(m)
-    acc, tp = tower.zero(), tower.one()
-    for c in phi:
-        acc = acc + c * tp
-        tp = tp * cert.tau
-    ok = acc.is_zero()
-    if ok:
+    def tau_residue(taupow):
+        phi = reduce(add, map(mul, cyclotomic_polynomial(_tau_order(d)),
+                              taupow))
+        if not phi.is_zero():
+            return "tau is not a primitive root of the expected order", phi
         with mp.workdps(guarded(prec)):
-            target = -mp.expjpi(mp.mpf(1) / d)
-            ok = abs(cert.tau.embed() - target) < mp.mpf(10) ** (-(prec // 2))
-        if not ok:
-            offending = "tau embeds as a different primitive root"
-    else:
-        offending = "tau is not a primitive root of the expected order"
-    checks["tau_is_the_phase"] = ok
-    if not ok:
-        return done(False)
+            off = abs(cert.tau.embed() + mp.expjpi(mp.mpf(1) / d))
+            near = off < mp.mpf(10) ** (-(prec // 2))
+        # a root of the right order at another embedding: the residue 1
+        # stands for the failed comparison
+        return "tau embeds as a different primitive root", phi if near else one
 
-    taupow = [one]
-    for _ in range(2 * d - 1):
-        taupow.append(taupow[-1] * cert.tau)
-    inv_d = Fraction(1, d)
-    A = [[tower.zero() for _ in range(d)] for _ in range(d)]
-    for p1 in range(d):
-        for p2 in range(d):
-            c = chi[((-p1) % dp, (-p2) % dp)]
-            for s in range(d):
-                r = (s + p1) % d
-                A[r][s] = A[r][s] + c * taupow[(p1 * p2 + 2 * p2 * s)
-                                               % (2 * d)]
-    A = [[x * inv_d for x in row] for row in A]
-
-    tr = tower.zero()
-    for r in range(d):
-        tr = tr + A[r][r]
-    ok = (tr - one).is_zero()
-    checks["trace_is_one"] = ok
-    if not ok:
-        offending = "reconstructed operator trace is not 1"
-        return done(False)
-
-    for r in range(d):
-        for s in range(d):
-            if not (conj(A[s][r]) - A[r][s]).is_zero():
-                ok, offending = False, \
-                    f"reconstructed operator is not Hermitian at {(r, s)}"
-                break
-        if not ok:
-            break
-    checks["hermitian"] = ok
-    if not ok:
-        return done(False)
-
-    for r in range(d):
-        for s in range(d):
-            acc = tower.zero()
-            for k in range(d):
-                acc = acc + A[r][k] * A[k][s]
-            if not (acc - A[r][s]).is_zero():
-                ok, offending = False, \
-                    f"reconstructed operator is not idempotent at {(r, s)}"
-                break
-        if not ok:
-            break
-    checks["idempotent"] = ok
-    if not ok:
-        return done(False)
+    for name, message, residue in _residues(
+            chi, d, one, conj, cert.tau, Fraction(1, d), tau_residue):
+        checks[name] = residue.is_zero()
+        if not checks[name]:
+            offending = message
+            return done(False)
 
     group, offending = _group_data_checks(cert)
     checks.update(group)
@@ -1359,58 +1372,59 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
 
 
 class _Ball:
-    __slots__ = ("c", "r")
+    """Complex ball: centre c, radius r. Every operation pads the radius by
+    eps times the modulus of the new centre; ints and Fractions enter as
+    balls around their rounded values."""
+    __slots__ = ("c", "r", "eps")
 
-    def __init__(self, c, r=0):
-        self.c = mp.mpc(c)
-        self.r = mp.mpf(r)
+    def __init__(self, c, r, eps):
+        self.c, self.r, self.eps = c, r, eps
+
+    @staticmethod
+    def exact(q, eps) -> "_Ball":
+        c = mp.mpf(q.numerator) / q.denominator
+        return _Ball(c, abs(c) * eps + eps * eps, eps)
+
+    def __add__(self, o):
+        if type(o) is not _Ball:
+            o = _Ball.exact(o, self.eps)
+        c = self.c + o.c
+        return _Ball(c, self.r + o.r + abs(c) * self.eps, self.eps)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is not _Ball:
+            o = _Ball.exact(o, self.eps)
+        c = self.c - o.c
+        return _Ball(c, self.r + o.r + abs(c) * self.eps, self.eps)
+
+    def __mul__(self, o):
+        if type(o) is not _Ball:
+            o = _Ball.exact(o, self.eps)
+        c = self.c * o.c
+        return _Ball(c, abs(self.c) * o.r + abs(o.c) * self.r + self.r * o.r
+                     + abs(c) * self.eps, self.eps)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "_Ball":
+        return _Ball(mp.conj(self.c), self.r, self.eps)
 
 
-def _bpad(c, eps):
-    return abs(c) * eps
-
-
-def _badd(a, b, eps):
-    c = a.c + b.c
-    return _Ball(c, a.r + b.r + _bpad(c, eps))
-
-
-def _bsub(a, b, eps):
-    c = a.c - b.c
-    return _Ball(c, a.r + b.r + _bpad(c, eps))
-
-
-def _bmul(a, b, eps):
-    c = a.c * b.c
-    r = abs(a.c) * b.r + abs(b.c) * a.r + a.r * b.r + _bpad(c, eps)
-    return _Ball(c, r)
-
-
-def _bconj(a):
-    return _Ball(mp.conj(a.c), a.r)
-
-
-def _bfrac(fr, eps):
-    c = mp.mpf(fr.numerator) / fr.denominator
-    return _Ball(c, _bpad(c, eps) + eps * eps)
+def _horner(coeffs, z):
+    """coeffs[0] + coeffs[1] z + ... (ascending coefficients)."""
+    *rest, acc = coeffs
+    for c in reversed(rest):
+        acc = acc * z + c
+    return acc
 
 
 def _nested_ball(nested, level, gballs, eps):
     if level == 0:
-        return _bfrac(nested, eps)
-    g = gballs[level - 1]
-    acc = _Ball(0)
-    for c in reversed(nested):
-        acc = _badd(_bmul(acc, g, eps),
-                    _nested_ball(c, level - 1, gballs, eps), eps)
-    return acc
-
-
-def _poly_ball(coeff_balls, lead_ball, z, eps):
-    acc = lead_ball
-    for c in reversed(coeff_balls):
-        acc = _badd(_bmul(acc, z, eps), c, eps)
-    return acc
+        return _Ball.exact(nested, eps)
+    return _horner([_nested_ball(c, level - 1, gballs, eps) for c in nested],
+                   gballs[level - 1])
 
 
 def _generator_balls(tower: FieldTower, eps):
@@ -1435,28 +1449,27 @@ def _generator_balls(tower: FieldTower, eps):
             z = z - step
             if abs(step) < eps * max(abs(z), mp.mpf(1)):
                 break
-        zb = _Ball(z)
-        fb = _poly_ball(coeffs, _Ball(1), zb, eps)
-        dcoeffs = [_Ball(coeffs[i].c * i, coeffs[i].r * i + _bpad(
-            coeffs[i].c * i, eps)) for i in range(1, deg)]
-        fpb = _poly_ball(dcoeffs, _Ball(deg), zb, eps)
+        zb = _Ball(z, 0, eps)
+        fb = _horner(coeffs + [_Ball(1, 0, eps)], zb)
+        fpb = _horner([i * coeffs[i] for i in range(1, deg)]
+                      + [_Ball(deg, 0, eps)], zb)
         denom = abs(fpb.c) - fpb.r
         if denom <= 0:
             raise PrecisionError(f"generator {k + 1} enclosure failed: the "
                                  "derivative ball straddles zero")
         rad = 2 * (abs(fb.c) + fb.r) / denom
-        gballs.append(_Ball(z, rad + _bpad(z, eps)))
+        gballs.append(_Ball(z, rad + abs(z) * eps, eps))
     return gballs
 
 
 def verify_certified(cert: ExactFiducialCertificate,
                      digits: int = 120) -> dict:
-    """Enclose every residue of the exact-verification checklist in a complex
-    ball at the requested precision. Passes when all residue balls contain 0
-    with radius below 10^(-digits/2) and the stored group data passes the
-    exact checks of verify_exact; a ball excluding 0 is a definitive
-    failure. The enclosures are numerical evidence, not a proof."""
-    d, dp = cert.d, dprime(cert.d)
+    """Enclose every residue of the _residues checklist in a complex ball at
+    the requested precision. Passes when all residue balls contain 0 with
+    radius below 10^(-digits/2) and the stored group data passes the exact
+    checks of verify_exact; a ball excluding 0 is a definitive failure. The
+    enclosures are numerical evidence, not a proof."""
+    d = cert.d
     tower = cert.tower
     wdps = digits + 25
     report: dict
@@ -1465,58 +1478,16 @@ def verify_certified(cert: ExactFiducialCertificate,
         gballs = _generator_balls(tower, eps)
         levels = len(tower.levels)
 
-        chi = {}
-        for q, val in cert.all_overlaps().items():
-            x = lift_element(tower, val) \
-                if cert.e1_levels < levels else val
-            chi[q] = _nested_ball(x.nested, levels, gballs, eps)
+        chi = {q: _nested_ball(lift_element(tower, val).nested, levels,
+                               gballs, eps)
+               for q, val in cert.all_overlaps().items()}
         taub = _nested_ball(cert.tau.nested, levels, gballs, eps)
-        oneb = _Ball(1)
-
-        residues = []
-        for q, b in chi.items():
-            neg = ((-q[0]) % dp, (-q[1]) % dp)
-            residues.append((f"conjugation at {q}",
-                             _bsub(_bconj(b), chi[neg], eps)))
-            if q[0] % d == 0 and q[1] % d == 0:
-                residues.append((f"lattice overlap at {q}",
-                                 _bsub(b, oneb, eps)))
-            else:
-                m2 = _bmul(b, _bconj(b), eps)
-                scaled = _Ball(m2.c * (d + 1),
-                               m2.r * (d + 1) + _bpad(m2.c * (d + 1), eps))
-                residues.append((f"equiangularity at {q}",
-                                 _bsub(scaled, oneb, eps)))
-        target = _Ball(-mp.expjpi(mp.mpf(1) / d), eps)
-        residues.append(("tau phase", _bsub(taub, target, eps)))
-
-        taupow = [oneb]
-        for _ in range(2 * d - 1):
-            taupow.append(_bmul(taupow[-1], taub, eps))
-        inv_d = _bfrac(Fraction(1, d), eps)
-        A = [[_Ball(0) for _ in range(d)] for _ in range(d)]
-        for p1 in range(d):
-            for p2 in range(d):
-                c = chi[((-p1) % dp, (-p2) % dp)]
-                for s in range(d):
-                    r = (s + p1) % d
-                    A[r][s] = _badd(A[r][s], _bmul(c, taupow[
-                        (p1 * p2 + 2 * p2 * s) % (2 * d)], eps), eps)
-        A = [[_bmul(x, inv_d, eps) for x in row] for row in A]
-
-        tr = _Ball(0)
-        for r in range(d):
-            tr = _badd(tr, A[r][r], eps)
-        residues.append(("trace", _bsub(tr, oneb, eps)))
-        for r in range(d):
-            for s in range(d):
-                residues.append((f"hermiticity at {(r, s)}",
-                                 _bsub(_bconj(A[s][r]), A[r][s], eps)))
-                acc = _Ball(0)
-                for k in range(d):
-                    acc = _badd(acc, _bmul(A[r][k], A[k][s], eps), eps)
-                residues.append((f"idempotency at {(r, s)}",
-                                 _bsub(acc, A[r][s], eps)))
+        one = _Ball(1, 0, eps)
+        phase = _Ball(-mp.expjpi(mp.mpf(1) / d), eps, eps)
+        residues = [(message, b) for _name, message, b in _residues(
+            chi, d, one, _Ball.conj, taub, Fraction(1, d),
+            lambda _powers: ("tau is not the phase -exp(i pi/d)",
+                             taub - phase))]
 
         threshold = mp.mpf(10) ** (-(digits // 2))
         max_r = max(b.r for _name, b in residues)

@@ -190,23 +190,10 @@ def seed_search(d: int, symmetry: str | None = "fz", attempts: int = 24,
 # high-precision refinement
 
 
-def _chi_period(psi: list, d: int, taus) -> dict:
-    """Raw chi_p over one period p in (Z/d)^2; runs in the caller's context."""
-    n = 2 * d
-    out = {}
-    conj_psi = [mp.conj(x) for x in psi]
-    for p1 in range(d):
-        for p2 in range(d):
-            out[(p1, p2)] = mp.fsum(
-                (conj_psi[(s + p1) % d] * taus[(p1 * p2 + 2 * p2 * s) % n] * psi[s]
-                 for s in range(d)), absolute=False)
-    return out
-
-
 def _period_error(psi: list, d: int, taus):
     """Max SIC residual of psi/|psi| over one period; caller's context."""
     nrm2 = mp.fsum(abs(x) ** 2 for x in psi)
-    chi = _chi_period(psi, d, taus)
+    chi = hb._overlap_sums(psi, d, taus, d)
     worst = mp.mpf(0)
     for p, v in chi.items():
         if p == (0, 0):
@@ -220,7 +207,7 @@ def _sic_system(psi: list, d: int, gauge: int, taus) -> tuple[list, list]:
     parametrization (u_0..u_{d-1}, v_0..v_{d-1}), including the norm row and
     the Im(psi_gauge) = 0 phase-fixing row. Caller's context."""
     n = 2 * d
-    chi = _chi_period(psi, d, taus)
+    chi = hb._overlap_sums(psi, d, taus, d)
     conj_psi = [mp.conj(x) for x in psi]
     rows, res = [], []
     for p1 in range(d):

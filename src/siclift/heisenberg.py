@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import mpmath as mp
 
@@ -262,6 +264,17 @@ class OverlapTable:
         return OverlapTable(d, self.precision, out, normalized=False)
 
 
+def _overlap_sums(psi: list, d: int, taus, m: int) -> dict:
+    """Raw chi_p = sum_s conj(psi_{s+p1}) tau^(p1 p2 + 2 p2 s) psi_s for p in
+    (Z/m)^2; runs in the caller's context."""
+    n = 2 * d
+    conj_psi = [mp.conj(x) for x in psi]
+    return {(p1, p2): mp.fsum((conj_psi[(s + p1) % d]
+                               * taus[(p1 * p2 + 2 * p2 * s) % n] * psi[s]
+                               for s in range(d)), absolute=False)
+            for p1 in range(m) for p2 in range(m)}
+
+
 def overlaps(fid, d: int | None = None, precision: int | None = None) -> OverlapTable:
     """chi_p = Tr(D_p Pi) for all p mod d'. Accepts a Fiducial or a CVector."""
     if hasattr(fid, "vector"):
@@ -272,18 +285,9 @@ def overlaps(fid, d: int | None = None, precision: int | None = None) -> Overlap
             d = len(v)
         if precision is None:
             precision = v.prec
-    dp = dprime(d)
-    taus = tau_powers(d, precision)
-    n = 2 * d
-    values = {}
     with mp.workdps(guarded(precision)):
-        psi = v.entries
-        conj_psi = [mp.conj(x) for x in psi]
-        for p1 in range(dp):
-            for p2 in range(dp):
-                acc = mp.fsum((conj_psi[(s + p1) % d] * taus[(p1 * p2 + 2 * p2 * s) % n]
-                               * psi[s] for s in range(d)), absolute=False)
-                values[(p1, p2)] = acc
+        values = _overlap_sums(v.entries, d, tau_powers(d, precision),
+                               dprime(d))
     return OverlapTable(d, precision, values, normalized=True)
 
 
@@ -309,19 +313,28 @@ def overlaps_of_matrix(A: CMatrix, d: int | None = None,
     return OverlapTable(d, precision, values, normalized=False)
 
 
+def operator_rows(chi, d: int, taus, inv_d) -> list:
+    """Rows of A = (1/d) sum_{p in (Z/d)^2} chi_{-p} D_p, one period only, in
+    any arithmetic with + and *: chi maps indices mod d' to values, taus holds
+    tau^0 .. tau^{2d-1} and inv_d is 1/d. Entry (r, s) is the sum of the d
+    terms with p1 = r - s mod d."""
+    dp, n = dprime(d), 2 * d
+    rows = []
+    for r in range(d):
+        row = []
+        for s in range(d):
+            p1 = (r - s) % d
+            row.append(reduce(add, (chi[(-p1 % dp, -p2 % dp)]
+                                    * taus[(p1 * p2 + 2 * p2 * s) % n]
+                                    for p2 in range(d))) * inv_d)
+        rows.append(row)
+    return rows
+
+
 def reconstruct_operator(table: OverlapTable) -> CMatrix:
     """A = (1/d) sum_{p in (Z/d)^2} chi_{-p} D_p, one period only."""
     d, prec = table.d, table.precision
-    dp = dprime(d)
-    taus = tau_powers(d, prec)
-    n = 2 * d
     with mp.workdps(guarded(prec)):
-        rows = [[mp.mpc(0)] * d for _ in range(d)]
-        for p1 in range(d):
-            for p2 in range(d):
-                c = table.values[((-p1) % dp, (-p2) % dp)]
-                for s in range(d):
-                    rows[(s + p1) % d][s] += c * taus[(p1 * p2 + 2 * p2 * s) % n]
-        inv_d = 1 / mp.mpf(d)
-        rows = [[e * inv_d for e in row] for row in rows]
+        rows = operator_rows(table.values, d, tau_powers(d, prec),
+                             1 / mp.mpf(d))
     return CMatrix(rows, prec)

@@ -54,10 +54,6 @@ class ModMatrix:
     def identity(cls, m: int) -> "ModMatrix":
         return cls(1, 0, 0, 1, m)
 
-    @classmethod
-    def scalar(cls, r: int, m: int) -> "ModMatrix":
-        return cls(r, 0, 0, r, m)
-
     @property
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -250,13 +250,18 @@ def _malform(obj, how):
         obj["stabilizer"][0] = None
     elif how == "modulus_string":
         galois["modulus"] = str(galois["modulus"])
+    elif how == "s_matrix_float":
+        obj["s_matrices"][0][0] = 0.5
+    elif how == "index_entry_float":
+        imap["0,1"][0] = 1.0
 
 
 @pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
                                  "images_cut", "image_duplicated",
                                  "image_changed", "galois_matrix_short",
                                  "s_matrix_short", "stabilizer_not_a_pair",
-                                 "modulus_string"])
+                                 "modulus_string", "s_matrix_float",
+                                 "index_entry_float"])
 def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
                                                   how):
     obj = json.load(open(certfile))
@@ -269,16 +274,67 @@ def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
     assert "Traceback" not in err
 
 
+# every top-level certificate field, and five ways to break each
+_FIELDS = ("format", "d", "method", "tower", "e0_levels", "e1_levels", "tau",
+           "tau_level_added", "generator_rep", "orbit_reps", "overlaps",
+           "index_map", "galois", "s_matrices", "stabilizer", "conjectures",
+           "verification")
+_MUTATIONS = {"int": 7, "string": "x", "list": [1], "mapping": {"a": 1}}
+
+
+@pytest.mark.parametrize("mutation", ["dropped", *_MUTATIONS])
+@pytest.mark.parametrize("key", _FIELDS)
+def test_field_mutation_is_a_failure_or_an_error(workdir, certfile, capsys,
+                                                 key, mutation):
+    # only the informational conjectures may hold any mapping and still pass
+    obj = json.load(open(certfile))
+    if mutation == "dropped":
+        del obj[key]
+    else:
+        obj[key] = _MUTATIONS[mutation]
+    bad = workdir / f"mutated_{key}_{mutation}.cert"
+    bad.write_text(json.dumps(obj))
+    allowed = {0, 1, 2} if (key, mutation) == ("conjectures", "mapping") \
+        else {1, 2}
+    for args in (["verify", "--mode", "exact"],
+                 ["verify", "--mode", "certified", "--digits", "80"],
+                 ["report"]):
+        rc = main(args[:1] + ["--cert", str(bad)] + args[1:])
+        assert rc in allowed, (args, rc)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["exact", "certified"])
-@pytest.mark.parametrize("field", ["galois_matrix", "s_matrix"])
+def test_verify_rejects_another_primitive_root_as_tau(workdir, certfile,
+                                                      capsys, mode):
+    # tau^3 is a primitive root of the same order, so only its embedding
+    # (or the conjugation it implies) tells it from the phase
+    from siclift.exactify import ExactFiducialCertificate
+    obj = json.load(open(certfile))
+    tau = ExactFiducialCertificate.load(certfile).tau
+    obj["tau"] = [str(c) for c in (tau ** 3).coefficients]
+    bad = workdir / "tau_cubed.cert"
+    bad.write_text(json.dumps(obj))
+    rc = main(["verify", "--cert", str(bad), "--mode", mode,
+               "--digits", "80"])
+    assert rc == 1
+    assert _stdout_json(capsys)["pass"] is False
+
+
+@pytest.mark.parametrize("mode", ["exact", "certified"])
+@pytest.mark.parametrize("field", ["galois_matrix", "s_matrix",
+                                   "stabilizer_shift"])
 def test_verify_checks_group_data(workdir, certfile, capsys, field, mode):
     # the overlaps stay intact, so only the exact group-data checks can see
-    # a Galois row's matrix or a symmetry matrix replaced
+    # a Galois row's matrix, a symmetry matrix or a stabilizer shift replaced
     obj = json.load(open(certfile))
     if field == "galois_matrix":
         obj["galois"]["matrices"][1] = [1, 0, 0, 1]
-    else:
+    elif field == "s_matrix":
         obj["s_matrices"][-1] = [1, 1, 0, 1]
+    else:
+        assert obj["stabilizer"][0][0] == [0, 0]
+        obj["stabilizer"][0][0] = [1, 0]
     bad = workdir / f"group_{field}.cert"
     bad.write_text(json.dumps(obj))
     rc = main(["verify", "--cert", str(bad), "--mode", mode,

@@ -258,7 +258,7 @@ def test_verify_exact_d5(report5):
                  "conjugation_negates_indices", "equiangularity",
                  "tau_is_the_phase", "trace_is_one", "hermitian",
                  "idempotent", "galois_transport", "symmetry_fixes_table",
-                 "stabilizer_generates_symmetry"):
+                 "stabilizer_generates_symmetry", "stabilizer_shifts"):
         assert report5["checks"][name] is True, name
 
 
