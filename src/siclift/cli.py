@@ -337,7 +337,7 @@ def _report_text(cert: ExactFiducialCertificate) -> str:
             f"{mp.nstr(cert.galois.runner_up, 8)}",
             f"alignment separation {_STORED}: "
             f"{mp.nstr(cert.galois.separation, 8)}",
-            f"alignment candidates: {cert.galois.candidates}",
+            f"alignment candidates {_STORED}: {cert.galois.candidates}",
             f"conjectures {_STORED}:",
         ]
         for key in sorted(cert.conjectures):

@@ -686,6 +686,9 @@ def _check_schema(obj: dict) -> dict:
             raise SicliftError(f"method {method!r} is not 1 or 2")
         if type(added) is not bool:
             raise SicliftError(f"tau_level_added {added!r} is not a boolean")
+        if type(galois["candidates"]) is not int:
+            raise SicliftError(f"galois candidates {galois['candidates']!r} "
+                               "is not an integer")
         ver = obj["verification"]
         if ver is not None and not (isinstance(ver, dict)
                                     and isinstance(ver.get("mode"), str)
@@ -716,7 +719,7 @@ def _check_schema(obj: dict) -> dict:
                              for p, row in obj["stabilizer"]),
             conjectures=obj["conjectures"],
             verification=ver)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SicliftError(f"malformed certificate: {exc!r}") from exc
 
 
@@ -1420,20 +1423,14 @@ def _horner(coeffs, z):
     return acc
 
 
-def _nested_ball(nested, level, gballs, eps):
-    if level == 0:
-        return _Ball.exact(nested, eps)
-    return _horner([_nested_ball(c, level - 1, gballs, eps) for c in nested],
-                   gballs[level - 1])
-
-
 def _generator_balls(tower: FieldTower, eps):
     """Enclosures for the tower generators: Newton-refined centers with a
     defect-based radius 2|f(z)| / (|f'(z)| - r'). Evidence-grade, not a formal
     proof of enclosure."""
     gballs = []
     for k, lvl in enumerate(tower.levels):
-        coeffs = [_nested_ball(c, k, gballs, eps) for c in lvl.minpoly]
+        coeffs = [tower.evaluate(c, k, lambda q: _Ball.exact(q, eps), gballs)
+                  for c in lvl.minpoly]
         deg = len(coeffs)
         centres = [b.c for b in coeffs]
         z = mp.mpc(lvl.embedding)
@@ -1476,12 +1473,13 @@ def verify_certified(cert: ExactFiducialCertificate,
     with mp.workdps(wdps):
         eps = mp.mpf(10) ** (4 - wdps)
         gballs = _generator_balls(tower, eps)
-        levels = len(tower.levels)
 
-        chi = {q: _nested_ball(lift_element(tower, val).nested, levels,
-                               gballs, eps)
-               for q, val in cert.all_overlaps().items()}
-        taub = _nested_ball(cert.tau.nested, levels, gballs, eps)
+        def ball(x: AlgebraicNumber):
+            return tower.evaluate(x.coefficients, len(x.tower.levels),
+                                  lambda q: _Ball.exact(q, eps), gballs)
+
+        chi = {q: ball(val) for q, val in cert.all_overlaps().items()}
+        taub = ball(cert.tau)
         one = _Ball(1, 0, eps)
         phase = _Ball(-mp.expjpi(mp.mpf(1) / d), eps, eps)
         residues = [(message, b) for _name, message, b in _residues(

@@ -1,17 +1,21 @@
 """Exact arithmetic in towers of number fields with chosen complex embeddings.
 
 A tower is Q = L_0 < L_1 < ... < L_n where each step adjoins one root of a
-polynomial over the previous level. Elements are nested polynomial
-representations with exact rational leaves; every element also has a complex
-embedding fixed by the root choices, so numeric and exact computations can
-cross-check each other. Automorphisms are found by reassigning generators to
-conjugate roots and verified exactly before being returned.
+polynomial over the previous level. An element is its coordinate tuple: the
+rational coordinates over the power-product basis of the generators, in lex
+exponent order with the top generator varying fastest, so for a level-L
+element u and m = deg(level L), u[j::m] is the coefficient of g_L^j over level
+L-1. Every element also has a complex embedding fixed by the root choices, so
+numeric and exact computations can cross-check each other. Automorphisms are
+found by reassigning generators to conjugate roots and verified exactly
+before being returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,6 +23,8 @@ import mpmath as mp
 from .bignum import format_decimal, guarded, parse_decimal
 from .errors import FieldError
 from .lattice import express_in_basis
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def squarefree_part(n: int) -> int:
@@ -50,16 +56,34 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
 
 
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _add(u, v):
+    return tuple(map(operator.add, u, v))
+
+
+def _sub(u, v):
+    return tuple(map(operator.sub, u, v))
+
+
+def _interleave(parts):
+    """The coordinate tuple u with u[j::len(parts)] == parts[j]."""
+    return tuple(itertools.chain.from_iterable(zip(*parts)))
+
+
 class FieldLevel:
     """One extension step: a generator with its monic minimal polynomial over
-    the previous level (nested-rational coefficients, ascending, without the
-    leading 1) and the chosen embedding root."""
+    the previous level (ascending, without the leading 1; each coefficient is
+    a coordinate tuple of the previous level) and the chosen embedding
+    root."""
 
     __slots__ = ("tag", "minpoly", "degree", "root_index", "embedding")
 
     def __init__(self, tag, minpoly, root_index, embedding):
         self.tag = tag
-        self.minpoly = minpoly          # tuple of nested reps over the parent
+        self.minpoly = minpoly          # tuple of parent coordinate tuples
         self.degree = len(minpoly)
         self.root_index = root_index
         self.embedding = embedding      # raw mpc at the tower's precision
@@ -76,11 +100,16 @@ class FieldLevel:
 
 class FieldTower:
     """Immutable after construction; all arithmetic is exact, with embeddings
-    available at the tower's stated precision."""
+    available at the tower's stated precision. A level-L element is the
+    tuple u of its [L_L : Q] rational coordinates; u[j::m] is its
+    coefficient of g_L^j over level L-1, where m is level L's degree."""
 
     def __init__(self, levels=(), precision=80):
         self.levels = tuple(levels)
         self.precision = precision
+        self._dims = [1]
+        for lv in self.levels:
+            self._dims.append(self._dims[-1] * lv.degree)
         self._basis_cache = None
         self._inv_cache = {}
 
@@ -90,117 +119,88 @@ class FieldTower:
 
     @property
     def degree(self) -> int:
-        out = 1
-        for lv in self.levels:
-            out *= lv.degree
-        return out
+        return self._dims[-1]
 
-    # -- nested representation helpers -----------------------------------
+    # -- coordinate tuples --------------------------------------------------
 
     def _zero(self, L: int):
-        if L == 0:
-            return Fraction(0)
-        return tuple(self._zero(L - 1) for _ in range(self.levels[L - 1].degree))
+        return (_ZERO,) * self._dims[L]
 
     def _const(self, q: Fraction, L: int):
-        if L == 0:
-            return q
-        m = self.levels[L - 1].degree
-        return tuple([self._const(q, L - 1)]
-                     + [self._zero(L - 1) for _ in range(m - 1)])
+        return (q,) + (_ZERO,) * (self._dims[L] - 1)
 
     def _lift(self, u, from_L: int, to_L: int):
-        """View an element of the sub-tower at level from_L inside level to_L."""
-        for L in range(from_L, to_L):
-            m = self.levels[L].degree
-            u = tuple([u] + [self._zero(L) for _ in range(m - 1)])
-        return u
-
-    def _add(self, u, v, L: int):
-        if L == 0:
-            return u + v
-        return tuple(self._add(a, b, L - 1) for a, b in zip(u, v))
-
-    def _neg(self, u, L: int):
-        if L == 0:
-            return -u
-        return tuple(self._neg(a, L - 1) for a in u)
-
-    def _is_zero(self, u, L: int) -> bool:
-        if L == 0:
-            return u == 0
-        return all(self._is_zero(a, L - 1) for a in u)
+        """View an element of the sub-tower at level from_L inside level to_L:
+        the generators above from_L have exponent 0."""
+        out = [_ZERO] * self._dims[to_L]
+        out[::self._dims[to_L] // self._dims[from_L]] = u
+        return tuple(out)
 
     def _mul(self, u, v, L: int):
         if L == 0:
-            return u * v
+            return (u[0] * v[0],)
         m = self.levels[L - 1].degree
-        prod = [self._zero(L - 1) for _ in range(2 * m - 1)]
-        for i, a in enumerate(u):
-            if self._is_zero(a, L - 1):
-                continue
-            for j, b in enumerate(v):
-                if self._is_zero(b, L - 1):
-                    continue
-                prod[i + j] = self._add(prod[i + j], self._mul(a, b, L - 1), L - 1)
+        zero = self._zero(L - 1)
+        right = [(j, v[j::m]) for j in range(m) if any(v[j::m])]
+        prod = [zero] * (2 * m - 1)
+        for i in range(m):
+            a = u[i::m]
+            if any(a):
+                for j, b in right:
+                    prod[i + j] = _add(prod[i + j], self._mul(a, b, L - 1))
         P = self.levels[L - 1].minpoly
         for i in range(2 * m - 2, m - 1, -1):
             c = prod[i]
-            if self._is_zero(c, L - 1):
-                continue
-            # x^i = -x^(i-m) * sum P_j x^j  (minpoly is monic)
-            for j in range(m):
-                prod[i - m + j] = self._add(
-                    prod[i - m + j],
-                    self._neg(self._mul(c, P[j], L - 1), L - 1), L - 1)
-        return tuple(prod[:m])
+            if any(c):
+                # x^i = -x^(i-m) * sum P_j x^j  (minpoly is monic)
+                for j in range(m):
+                    prod[i - m + j] = _sub(prod[i - m + j],
+                                           self._mul(c, P[j], L - 1))
+        return _interleave(prod[:m])
 
     def _inv(self, u, L: int):
+        if not any(u):
+            raise ZeroDivisionError("division by zero field element")
         if L == 0:
-            if u == 0:
-                raise ZeroDivisionError("division by zero field element")
-            return 1 / u
+            return (1 / u[0],)
         key = (L, u)
         hit = self._inv_cache.get(key)
         if hit is not None:
             return hit
-        if self._is_zero(u, L):
-            raise ZeroDivisionError("division by zero field element")
         # extended Euclid on (minpoly, u) over level L-1
         m = self.levels[L - 1].degree
-        P = list(self.levels[L - 1].minpoly) + [self._const(Fraction(1), L - 1)]
-        A = list(u)
-        while A and self._is_zero(A[-1], L - 1):
+        P = list(self.levels[L - 1].minpoly) + [self._const(_ONE, L - 1)]
+        A = [u[j::m] for j in range(m)]
+        while A and not any(A[-1]):
             A.pop()
         r0, r1 = P, A
         s0 = [self._zero(L - 1)]
-        s1 = [self._const(Fraction(1), L - 1)]
+        s1 = [self._const(_ONE, L - 1)]
         while True:
             if len(r1) == 1:
                 c = self._inv(r1[0], L - 1)
                 inv = [self._mul(c, x, L - 1) for x in s1]
                 inv += [self._zero(L - 1)] * (m - len(inv))
-                out = tuple(inv[:m])
+                out = _interleave(inv[:m])
                 self._inv_cache[key] = out
                 return out
             q, r = self._pdivmod(r0, r1, L - 1)
-            while r and self._is_zero(r[-1], L - 1):
+            while r and not any(r[-1]):
                 r.pop()
             if not r:
                 raise FieldError("minimal polynomial is not irreducible "
                                  "(gcd with element is nontrivial)")
             # s_{k+1} = s_{k-1} - q s_k
             qs = self._pmul_nored(q, s1, L - 1)
-            s2 = [self._add(a, self._neg(b, L - 1), L - 1)
-                  for a, b in itertools.zip_longest(
-                      s0, qs, fillvalue=self._zero(L - 1))]
+            s2 = [_sub(a, b) for a, b in itertools.zip_longest(
+                s0, qs, fillvalue=self._zero(L - 1))]
             r0, r1, s0, s1 = r1, r, s1, s2
 
     def _pmul_nored(self, A, B, L: int):
         out = [self._zero(L) for _ in range(len(A) + len(B) - 1)]
         for i, a in enumerate(A):
             for j, b in enumerate(B):
-                out[i + j] = self._add(out[i + j], self._mul(a, b, L), L)
+                out[i + j] = _add(out[i + j], self._mul(a, b, L))
         return out
 
     def _pdivmod(self, A, B, L: int):
@@ -211,20 +211,23 @@ class FieldTower:
         for i in range(len(A) - len(B), -1, -1):
             c = self._mul(A[i + len(B) - 1], binv, L)
             q[i] = c
-            if self._is_zero(c, L):
+            if not any(c):
                 continue
             for j, b in enumerate(B):
-                A[i + j] = self._add(A[i + j], self._neg(self._mul(c, b, L), L), L)
+                A[i + j] = _sub(A[i + j], self._mul(c, b, L))
         return q, A[:len(B) - 1]
 
-    def _embed(self, u, L: int):
-        """Numeric value of a nested rep; caller provides the context."""
+    def evaluate(self, u, L: int, leaf, gens):
+        """Value of the level-L coordinate tuple u in any arithmetic with +
+        and *: leaf maps a rational coordinate into it, and gens[k-1] stands
+        for the level-k generator. Horner's rule in g_L over level L-1."""
         if L == 0:
-            return mp.mpf(u.numerator) / u.denominator
-        g = self.levels[L - 1].embedding
-        acc = mp.mpc(0)
-        for c in reversed(u):
-            acc = acc * g + self._embed(c, L - 1)
+            return leaf(u[0])
+        m = self.levels[L - 1].degree
+        g = gens[L - 1]
+        acc = self.evaluate(u[m - 1::m], L - 1, leaf, gens)
+        for j in range(m - 2, -1, -1):
+            acc = acc * g + self.evaluate(u[j::m], L - 1, leaf, gens)
         return acc
 
     # -- public element constructors --------------------------------------
@@ -243,36 +246,16 @@ class FieldTower:
         """The level-k generator (1-based) as an element of this tower."""
         if not 1 <= k <= len(self.levels):
             raise FieldError(f"no level {k} in a {len(self.levels)}-level tower")
-        m = self.levels[k - 1].degree
-        nested = tuple(
-            self._const(Fraction(1 if j == 1 else 0), k - 1) for j in range(m))
-        return AlgebraicNumber(self, self._lift(nested, k, len(self.levels)))
+        u = [_ZERO] * self._dims[k]
+        if self.levels[k - 1].degree > 1:
+            u[1] = _ONE
+        return AlgebraicNumber(self, self._lift(u, k, len(self.levels)))
 
-    def element(self, flat_coeffs) -> "AlgebraicNumber":
-        flat = [_as_fraction(c) for c in flat_coeffs]
-        if len(flat) != self.degree:
-            raise FieldError(f"need {self.degree} coefficients, got {len(flat)}")
-        return AlgebraicNumber(self, self._from_flat(flat, len(self.levels)))
-
-    def _from_flat(self, flat, L: int):
-        if L == 0:
-            return flat[0]
-        m = self.levels[L - 1].degree
-        step = len(flat) // m
-        # lex order: lower-level exponents are more significant, the top
-        # generator's exponent varies fastest
-        return tuple(self._from_flat([flat[i * m + j] for i in range(step)], L - 1)
-                     for j in range(m))
-
-    def _to_flat(self, u, L: int):
-        if L == 0:
-            return [u]
-        subs = [self._to_flat(c, L - 1) for c in u]
-        out = []
-        for i in range(len(subs[0])):
-            for s in subs:
-                out.append(s[i])
-        return out
+    def element(self, coords) -> "AlgebraicNumber":
+        u = tuple(_as_fraction(c) for c in coords)
+        if len(u) != self.degree:
+            raise FieldError(f"need {self.degree} coefficients, got {len(u)}")
+        return AlgebraicNumber(self, u)
 
     # -- basis -------------------------------------------------------------
 
@@ -295,12 +278,15 @@ class FieldTower:
         return self._basis_cache
 
     # -- serialization ------------------------------------------------------
+    # SIC-TOWER v1 writes a level-L coordinate tuple as nested lists, one
+    # list per level, the coefficient of g_L^j at position j
 
     def to_json(self) -> str:
         def enc(u, L):
             if L == 0:
-                return f"{u.numerator}/{u.denominator}"
-            return [enc(c, L - 1) for c in u]
+                return f"{u[0].numerator}/{u[0].denominator}"
+            m = self.levels[L - 1].degree
+            return [enc(u[j::m], L - 1) for j in range(m)]
 
         levels = []
         for k, lv in enumerate(self.levels):
@@ -320,32 +306,46 @@ class FieldTower:
         if doc.get("format") != "SIC-TOWER v1":
             raise ValueError("not a tower document")
         prec = doc["precision"]
+        levels = []
 
         def dec(node, L):
             if L == 0:
-                return Fraction(node)
-            return tuple(dec(c, L - 1) for c in node)
+                if not isinstance(node, str):
+                    raise FieldError(f"level {len(levels) + 1} minimal "
+                                     f"polynomial has a leaf {node!r}")
+                return (Fraction(node),)
+            if not (isinstance(node, list)
+                    and len(node) == levels[L - 1].degree):
+                raise FieldError(f"level {len(levels) + 1} minimal polynomial "
+                                 "does not nest as the level degrees")
+            return _interleave([dec(c, L - 1) for c in node])
 
-        levels = []
         for k, lv in enumerate(doc["levels"]):
-            re_s, im_s = lv["embedding"].split()
+            tag, minpoly, root, emb = (lv["tag"], lv["minpoly"],
+                                       lv["root_index"], lv["embedding"])
+            if not (isinstance(tag, str) and type(root) is int
+                    and isinstance(emb, str)
+                    and isinstance(minpoly, list) and minpoly):
+                raise FieldError(f"level {k + 1} is not a tag, a minimal "
+                                 "polynomial, a root index and an embedding")
+            re_s, im_s = emb.split()
             with mp.workdps(guarded(prec)):
                 emb = mp.mpc(parse_decimal(re_s, prec), parse_decimal(im_s, prec))
-            levels.append(FieldLevel(lv["tag"],
-                                     tuple(dec(c, k) for c in lv["minpoly"]),
-                                     lv["root_index"], emb))
+            levels.append(FieldLevel(tag, tuple(dec(c, k) for c in minpoly),
+                                     root, emb))
         tower = cls(levels, prec)
         # embeddings must satisfy their polynomials
-        for k in range(1, len(levels) + 1):
-            sub = cls(levels[:k], prec)
-            with mp.workdps(guarded(prec)):
-                g = levels[k - 1].embedding
-                acc = g ** levels[k - 1].degree
-                for j, c in enumerate(levels[k - 1].minpoly):
-                    acc += sub._embed(c, k - 1) * g ** j
+        gens = [lv.embedding for lv in levels]
+        with mp.workdps(guarded(prec)):
+            for k, lv in enumerate(levels):
+                g = lv.embedding
+                acc = g ** lv.degree
+                for j, c in enumerate(lv.minpoly):
+                    acc += tower.evaluate(c, k, _mpf, gens) * g ** j
                 if abs(acc) > mp.mpf(10) ** -(prec - 10):
                     raise FieldError(
-                        f"level {k} embedding violates its minimal polynomial")
+                        f"level {k + 1} embedding violates its minimal "
+                        "polynomial")
         return tower
 
     def __eq__(self, other):
@@ -359,24 +359,23 @@ class FieldTower:
 
 
 class AlgebraicNumber:
-    """Exact element of a tower; hashable and immutable."""
+    """Exact element of a tower, stored as its coordinate tuple: rational
+    coordinates over the power-product basis, lex order with the top
+    generator fastest. Hashable and immutable."""
 
-    __slots__ = ("tower", "nested", "_hash")
+    __slots__ = ("tower", "coefficients", "_hash")
 
-    def __init__(self, tower: FieldTower, nested):
+    def __init__(self, tower: FieldTower, coefficients: tuple):
         self.tower = tower
-        self.nested = nested
+        self.coefficients = coefficients
         self._hash = None
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """Rational coordinates over the power-product basis, lex order."""
-        return tuple(self.tower._to_flat(self.nested, len(self.tower.levels)))
 
     def embed(self):
         """Numeric value at the tower's precision (raw mpc)."""
-        with mp.workdps(guarded(self.tower.precision)):
-            return self.tower._embed(self.nested, len(self.tower.levels))
+        t = self.tower
+        with mp.workdps(guarded(t.precision)):
+            return t.evaluate(self.coefficients, len(t.levels), _mpf,
+                              [lv.embedding for lv in t.levels])
 
     def _peer(self, other) -> "AlgebraicNumber":
         if isinstance(other, AlgebraicNumber):
@@ -387,15 +386,14 @@ class AlgebraicNumber:
 
     def __add__(self, other):
         o = self._peer(other)
-        L = len(self.tower.levels)
         return AlgebraicNumber(self.tower,
-                               self.tower._add(self.nested, o.nested, L))
+                               _add(self.coefficients, o.coefficients))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(
-            self.tower, self.tower._neg(self.nested, len(self.tower.levels)))
+        return AlgebraicNumber(self.tower,
+                               tuple(-c for c in self.coefficients))
 
     def __sub__(self, other):
         return self + (-self._peer(other))
@@ -404,19 +402,22 @@ class AlgebraicNumber:
         return (-self) + self._peer(other)
 
     def __mul__(self, other):
+        if not isinstance(other, AlgebraicNumber):
+            # a rational factor scales the coordinates
+            q = _as_fraction(other)
+            return AlgebraicNumber(self.tower,
+                                   tuple(q * c for c in self.coefficients))
         o = self._peer(other)
-        L = len(self.tower.levels)
-        return AlgebraicNumber(self.tower,
-                               self.tower._mul(self.nested, o.nested, L))
+        return AlgebraicNumber(self.tower, self.tower._mul(
+            self.coefficients, o.coefficients, len(self.tower.levels)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._peer(other)
         L = len(self.tower.levels)
-        return AlgebraicNumber(
-            self.tower, self.tower._mul(self.nested,
-                                        self.tower._inv(o.nested, L), L))
+        return AlgebraicNumber(self.tower, self.tower._mul(
+            self.coefficients, self.tower._inv(o.coefficients, L), L))
 
     def __rtruediv__(self, other):
         return self._peer(other) / self
@@ -434,7 +435,7 @@ class AlgebraicNumber:
         return out
 
     def is_zero(self) -> bool:
-        return self.tower._is_zero(self.nested, len(self.tower.levels))
+        return not any(self.coefficients)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraicNumber):
@@ -443,20 +444,12 @@ class AlgebraicNumber:
             except (TypeError, FieldError):
                 return NotImplemented
         return (self.tower.levels == other.tower.levels
-                and self.nested == other.nested)
+                and self.coefficients == other.coefficients)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((len(self.tower.levels), self.nested))
+            self._hash = hash((len(self.tower.levels), self.coefficients))
         return self._hash
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [f"{c.numerator}/{c.denominator}" for c in self.coefficients])
-
-    @classmethod
-    def from_json(cls, tower: FieldTower, text: str) -> "AlgebraicNumber":
-        return tower.element([Fraction(s) for s in json.loads(text)])
 
     def __repr__(self):
         vals = [f"{c.numerator}/{c.denominator}" for c in self.coefficients]
@@ -483,9 +476,7 @@ def _monic_with_roots(tower: FieldTower, coeffs):
     if len(poly) < 2:
         raise FieldError("polynomial must have positive degree")
     monic = [c / poly[-1] for c in poly[:-1]]
-    with mp.workdps(guarded(tower.precision)):
-        numeric = [tower._embed(c.nested, len(tower.levels)) for c in monic]
-    return monic, _poly_roots(numeric, tower.precision)
+    return monic, _poly_roots([c.embed() for c in monic], tower.precision)
 
 
 def _poly_roots(values: list, prec: int) -> list:
@@ -506,8 +497,8 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
     divides the polynomial exactly. Returns the factor's coefficients
     (ascending, without the leading 1), or None."""
     L = len(tower.levels)
-    one = tower._const(Fraction(1), L)
-    P = [c.nested for c in monic] + [one]
+    one = tower._const(_ONE, L)
+    P = [c.coefficients for c in monic] + [one]
     for attempt in precisions:
         for subset in subsets:
             rec = []
@@ -517,8 +508,9 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
                     break
                 rec.append(got)
             else:
-                _q, rem = tower._pdivmod(P, [c.nested for c in rec] + [one], L)
-                if all(tower._is_zero(r, L) for r in rem):
+                _q, rem = tower._pdivmod(
+                    P, [c.coefficients for c in rec] + [one], L)
+                if not any(map(any, rem)):
                     return rec
     return None
 
@@ -526,13 +518,11 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
 def _squarefree(tower: FieldTower, monic: list[AlgebraicNumber]) -> bool:
     """Exact gcd(P, P') test; a repeated factor means P is reducible."""
     L = len(tower.levels)
-    one = tower._const(Fraction(1), L)
-    P = [c.nested for c in monic] + [one]
-    dP = [tower._mul(tower._const(Fraction(i), L), c, L)
-          for i, c in enumerate(P) if i]
+    P = [c.coefficients for c in monic] + [tower._const(_ONE, L)]
+    dP = [tuple(i * x for x in c) for i, c in enumerate(P) if i]
     r0, r1 = P, dP
     while True:
-        while r1 and tower._is_zero(r1[-1], L):
+        while r1 and not any(r1[-1]):
             r1.pop()
         if not r1:
             return False  # gcd has positive degree
@@ -589,7 +579,7 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
             raise FieldError(
                 f"selector {mp.nstr(sel, 8)} is ambiguous between roots")
     level = FieldLevel(tag or f"g{len(tower.levels) + 1}",
-                       tuple(c.nested for c in monic), idx, roots[idx])
+                       tuple(c.coefficients for c in monic), idx, roots[idx])
     return FieldTower(tower.levels + (level,), prec)
 
 
@@ -656,7 +646,7 @@ class EmbeddingAutomorphism:
                 and self.images == other.images)
 
     def __hash__(self):
-        return hash(tuple(img.nested for img in self.images))
+        return hash(tuple(img.coefficients for img in self.images))
 
     def __repr__(self):
         arrows = ", ".join(
@@ -665,26 +655,14 @@ class EmbeddingAutomorphism:
         return f"EmbeddingAutomorphism({arrows})"
 
 
-def _substitute(tower: FieldTower, nested, L: int,
-                images: list[AlgebraicNumber]) -> AlgebraicNumber:
-    """Apply generator images to a level-L nested rep (uses only the first L
-    images); exact."""
-    if L == 0:
-        return tower.rational(nested)
-    g = images[L - 1]
-    acc = tower.zero()
-    for c in reversed(nested):
-        acc = acc * g + _substitute(tower, c, L - 1, images)
-    return acc
-
-
 def _minpoly_image(tower: FieldTower, k: int,
                    images: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
     """Coefficients of the level-k minimal polynomial (ascending, without the
     leading 1) after applying the (partial) automorphism given by the images
     of the first k-1 generators; exact."""
     lv = tower.levels[k - 1]
-    return [_substitute(tower, c, k - 1, images) for c in lv.minpoly]
+    return [tower.evaluate(c, k - 1, tower.rational, images)
+            for c in lv.minpoly]
 
 
 def _verify_root(tower: FieldTower, img_coeffs: list[AlgebraicNumber],
@@ -741,7 +719,8 @@ def lift_element(tower: FieldTower, x: AlgebraicNumber) -> AlgebraicNumber:
     k = len(x.tower.levels)
     if tuple(tower.levels[:k]) != tuple(x.tower.levels):
         raise FieldError("element's tower is not a prefix of the target tower")
-    return AlgebraicNumber(tower, tower._lift(x.nested, k, len(tower.levels)))
+    return AlgebraicNumber(tower, tower._lift(x.coefficients, k,
+                                                len(tower.levels)))
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:

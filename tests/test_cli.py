@@ -254,6 +254,16 @@ def _malform(obj, how):
         obj["s_matrices"][0][0] = 0.5
     elif how == "index_entry_float":
         imap["0,1"][0] = 1.0
+    elif how == "minpoly_leaf_dropped":
+        obj["tower"]["levels"][1]["minpoly"][1].pop()
+    elif how == "minpoly_leaf_added":
+        obj["tower"]["levels"][1]["minpoly"][1].append("0/1")
+    elif how == "minpoly_sublist_cut":
+        obj["tower"]["levels"][2]["minpoly"][1].pop()
+    elif how == "candidates_string":
+        galois["candidates"] = "x"
+    elif how == "tau_zero_denominator":
+        obj["tau"][0] = "1/0"
 
 
 @pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
@@ -261,7 +271,9 @@ def _malform(obj, how):
                                  "image_changed", "galois_matrix_short",
                                  "s_matrix_short", "stabilizer_not_a_pair",
                                  "modulus_string", "s_matrix_float",
-                                 "index_entry_float"])
+                                 "index_entry_float", "minpoly_leaf_dropped",
+                                 "minpoly_leaf_added", "minpoly_sublist_cut",
+                                 "candidates_string", "tau_zero_denominator"])
 def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
                                                   how):
     obj = json.load(open(certfile))
@@ -373,6 +385,7 @@ def test_report_labels_stored_claims(workdir, certfile, capsys):
     text = capsys.readouterr().out
     assert "verification: exact pass" not in text
     assert "verification (stored, not re-checked): exact pass" in text
+    assert "alignment candidates (stored, not re-checked): " in text
     assert main(["verify", "--cert", str(bad), "--mode", "exact"]) == 1
 
 

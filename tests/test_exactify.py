@@ -9,6 +9,7 @@ from. The d=4 path exercises the even-dimension bookkeeping (doubled index
 modulus) and the alignment degeneracy where several bijections tie on score.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -396,6 +397,26 @@ def test_method1_agrees_d4(fid4, cert4):
     theirs = cert1.all_overlaps()
     for q in ours:
         assert ours[q].coefficients == theirs[q].coefficients, q
+
+
+def _content_digest(cert) -> str:
+    # the benchmark's recipe: the exact content, without the stored report
+    # and the float alignment scores
+    obj = json.loads(cert.to_json())
+    obj.pop("verification", None)
+    for key in ("score", "runner_up", "separation"):
+        obj["galois"].pop(key, None)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_certificate_content_is_pinned(cert4, cert5):
+    # seed 11 at 320 digits; a change to the exact arithmetic or the lift
+    # that alters one coordinate, tag or level shows here
+    assert _content_digest(cert4) == \
+        "7b73fb421b06b76a234c21685011238d0d8cca837654f95ab84f0d686b87ca44"
+    assert _content_digest(cert5) == \
+        "1c49555c8b4ac42a7c3304e047be70eaeb0f9000fa7d8c57634d5717b668e299"
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TestArithmetic:
         r1 = K35.generator(2)
         denom = r1 + Fraction(7, 3)
         _ = K35.one() / denom
-        key = (2, denom.nested)
+        key = (2, denom.coefficients)
         assert key in K35._inv_cache
         before = len(K35._inv_cache)
         _ = K35.generator(1) / denom
@@ -279,11 +279,6 @@ class TestSerialization:
         doc["levels"][0]["embedding"] = "1.5 0"
         with pytest.raises(FieldError, match="violates"):
             FieldTower.from_json(json.dumps(doc))
-
-    def test_element_roundtrip(self, K35):
-        x = K35.element([Fraction(1, 3), Fraction(-2), Fraction(0),
-                         Fraction(7, 11)])
-        assert AlgebraicNumber.from_json(K35, x.to_json()) == x
 
 
 class TestCyclotomic:
