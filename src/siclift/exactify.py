@@ -32,9 +32,9 @@ from .lattice import express_in_basis, minimal_polynomial, raw_relation, \
 from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
-    adjoin, automorphisms, cyclotomic_polynomial, factor_over_tower, \
-    lift_element, recognize, squarefree_part, _minpoly_image, \
-    _subset_product_coeffs, _verify_root
+    adjoin, automorphism, automorphisms, cyclotomic_polynomial, \
+    factor_over_tower, lift_element, squarefree_part, _recognize_ladder, \
+    _subset_product_coeffs
 
 log = logging.getLogger("siclift.exactify")
 
@@ -184,21 +184,6 @@ def orbit_coefficient_values(fid, precision: int | None = None) -> list:
 # coefficient field
 
 
-def _recognize_ladder(tower: FieldTower, value):
-    """recognize() at increasing precision; cheap first, exact answer either
-    way since candidates are verified downstream."""
-    tried = []
-    for p in (220, 420, 700, tower.precision):
-        p = min(p, tower.precision)
-        if p in tried:
-            continue
-        tried.append(p)
-        got = recognize(tower, value, precision=p)
-        if got is not None:
-            return got
-    return None
-
-
 # Highest coefficient-field degree the lift searches for.
 MAX_E0_DEGREE = 8
 
@@ -248,7 +233,7 @@ def lift_coefficients(polys: list[OrbitPolynomial], e0_hint=None,
             for k, c in enumerate(poly.coefficients[:-1]):
                 with mp.workdps(guarded(prec)):
                     cr = c.real
-                got = _recognize_ladder(e0, cr)
+                got = next(_recognize_ladder(e0, cr), None)
                 if got is None:
                     failed = (poly.orbit_id, k, cr)
                     break
@@ -346,7 +331,7 @@ def _coset_structure(cent: MatGroup, s_pi: MatGroup):
             member[M] = i
     n = len(reps)
     cay = [[member[reps[i] * reps[j]] for j in range(n)] for i in range(n)]
-    return cosets, reps, member, cay
+    return cosets, reps, cay
 
 
 def _auto_cayley(autos: list[EmbeddingAutomorphism]):
@@ -442,33 +427,14 @@ def _group_isomorphisms(cay_a, cay_b) -> list[tuple]:
     return out
 
 
-def _galois_group(e1: FieldTower, fixing_level: int, expected: int,
-                  full_precision: int) -> list[EmbeddingAutomorphism]:
-    """Automorphisms of the overlap field fixing the coefficient field, with
-    a recognition-precision ladder; exactly `expected` of them or an error."""
-    found = []
-    ladder = sorted({min(p, full_precision)
-                     for p in (240, 420, 700, full_precision)})
-    for p in ladder:
-        found = automorphisms(e1, fixing_level=fixing_level, precision=p)
-        if len(found) == expected:
-            return found
-        if len(found) > expected:
-            raise LiftError(f"found {len(found)} automorphisms where the "
-                            f"index quotient predicts {expected}")
-    raise LiftError(
-        f"only {len(found)} of the predicted {expected} automorphisms of the "
-        f"overlap field were recognized at {full_precision} digits; either "
-        "the extension is not normal or precision is insufficient")
-
-
 # ---------------------------------------------------------------------------
 # certificate types
 
 
 def _image_coords(a: EmbeddingAutomorphism) -> tuple:
-    """Flat coordinates of the image of the last generator a moves, () when
-    it moves none (a trivial extension of Q)."""
+    """Coordinates of a's image of the tower's top generator: the overlap
+    field's generator, or for a trivial extension the top coefficient-field
+    generator, which a fixes; () when the tower is Q."""
     return tuple(a.images[-1].coefficients) if a.images else ()
 
 
@@ -549,28 +515,23 @@ class ExactFiducialCertificate:
     def galois_rows(self) -> list[EmbeddingAutomorphism]:
         """The overlap-field automorphisms aligned with galois.matrices, built
         from the stored images: row j fixes the coefficient field and sends
-        the overlap-field generator to galois.images[j], which is checked
-        exactly to be a root of that generator's minimal polynomial. When
-        the overlap field is the coefficient field, the one row is the
-        identity. No numerics are involved."""
+        the overlap-field generator to galois.images[j], which automorphism()
+        checks exactly. When the overlap field is the coefficient field, the
+        one row is the identity. No numerics are involved."""
         if self._rows is None:
             stored = self.galois.images
             if len(set(stored)) != len(stored):
                 raise FieldError("two Galois rows store the same image")
             e1 = self.e1
             fixed = [e1.generator(k + 1) for k in range(self.e0_levels)]
+            moves = self.e1_levels > self.e0_levels
             rows = []
             for j, coords in enumerate(stored):
-                images = list(fixed)
-                if self.e1_levels > self.e0_levels:
-                    img = e1.element(coords)
-                    poly = _minpoly_image(e1, self.e1_levels, images)
-                    if not _verify_root(e1, poly, img):
-                        raise FieldError(
-                            f"Galois row {j} image is not a root of the "
-                            "overlap-field generator's minimal polynomial")
-                    images.append(img)
-                row = EmbeddingAutomorphism(e1, images)
+                try:
+                    row = automorphism(
+                        e1, fixed + ([e1.element(coords)] if moves else []))
+                except FieldError as exc:
+                    raise FieldError(f"Galois row {j}: {exc}") from exc
                 if _image_coords(row) != coords:
                     raise FieldError(f"Galois row {j} image does not match "
                                      "the identity of a trivial extension")
@@ -877,7 +838,10 @@ def _assemble_certificate(fid, struct, table, e0, e1, gen_poly, autos,
     return cert
 
 
-def _prepare(fid, digits):
+def _prepare(fid, digits, e0_hint):
+    """Common head of both lifting routes, up to the overlap field and its
+    automorphisms over the coefficient field, which must be as many as the
+    index quotient has elements."""
     prec = digits or fid.precision
     if prec > fid.precision:
         raise PrecisionError(f"fiducial carries {fid.precision} digits, "
@@ -886,7 +850,22 @@ def _prepare(fid, digits):
         raise PrecisionError("lifting needs at least 200 digits")
     struct = symmetry_structure(fid)
     table = hb.overlaps(fid.vector, fid.d, prec)
-    return prec, struct, table
+    polys = build_orbit_polynomials(table, struct.cent)
+    e0 = lift_coefficients(polys, e0_hint=e0_hint, precision=prec)
+    cosets, reps, qcay = _coset_structure(struct.cent, struct.s_pi)
+    n = len(reps)
+    e1, gen_poly = _extension_field(e0, polys, n, prec)
+    autos = automorphisms(e1, len(e0.levels))
+    if len(autos) > n:
+        raise LiftError(f"found {len(autos)} automorphisms where the index "
+                        f"quotient predicts {n}")
+    if len(autos) < n:
+        raise LiftError(
+            f"only {len(autos)} of the predicted {n} automorphisms of the "
+            f"overlap field were recognized at {prec} digits; either the "
+            "extension is not normal or precision is insufficient")
+    return prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, \
+        reps, qcay
 
 
 # ---------------------------------------------------------------------------
@@ -907,13 +886,9 @@ def method2_exactify(fid, digits: int | None = None,
     if fid.d % 3 == 0:
         from .fidsearch import strongly_centre
         fid = strongly_centre(fid)
-    prec, struct, table = _prepare(fid, digits)
-    polys = build_orbit_polynomials(table, struct.cent)
-    e0 = lift_coefficients(polys, e0_hint=e0_hint, precision=prec)
-    cosets, reps, _member, qcay = _coset_structure(struct.cent, struct.s_pi)
-    n = len(reps)
-    e1, gen_poly = _extension_field(e0, polys, n, prec)
-    autos = _galois_group(e1, len(e0.levels), n, prec)
+    prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, reps, \
+        qcay = _prepare(fid, digits, e0_hint)
+    n = len(autos)
     gcay = _auto_cayley(autos)
     perms = _group_isomorphisms(gcay, qcay)
     if not perms:
@@ -1039,13 +1014,9 @@ def method1_exactify(fid, digits: int | None = None,
         raise LiftError("direct per-value recognition handles dimensions not "
                         "divisible by 3; use the alignment route (method 2) "
                         "for d = 0 mod 3")
-    prec, struct, table = _prepare(fid, digits)
-    polys = build_orbit_polynomials(table, struct.cent)
-    e0 = lift_coefficients(polys, e0_hint=e0_hint, precision=prec)
-    cosets, reps, _member, qcay = _coset_structure(struct.cent, struct.s_pi)
-    n = len(reps)
-    e1, gen_poly = _extension_field(e0, polys, n, prec)
-    autos = _galois_group(e1, len(e0.levels), n, prec)
+    prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, reps, \
+        qcay = _prepare(fid, digits, e0_hint)
+    n = len(autos)
 
     same = mp.mpf(10) ** (-(prec // 2))
     exact_vals = {}
@@ -1054,7 +1025,7 @@ def method1_exactify(fid, digits: int | None = None,
             continue
         lifted = [lift_element(e1, c) for c in q.exact]
         for i, v in enumerate(q.values):
-            cand = _recognize_ladder(e1, v)
+            cand = next(_recognize_ladder(e1, v), None)
             if cand is None:
                 raise PrecisionError(
                     f"orbit {q.orbit_id} value {i} was not recognized in the "
@@ -1227,28 +1198,13 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
 # exact verification
 
 
-def _checked_automorphism(tower: FieldTower, images, targets,
-                          tol) -> EmbeddingAutomorphism:
-    """Build an automorphism from proposed generator images, verifying each
-    image exactly (root of the transported minimal polynomial) and
-    numerically (embedding hits the target)."""
-    for k in range(1, len(tower.levels) + 1):
-        img_coeffs = _minpoly_image(tower, k, list(images[:k - 1]))
-        if not _verify_root(tower, img_coeffs, images[k - 1]):
-            raise FieldError(f"level-{k} image fails its transported minimal "
-                             "polynomial")
-    with mp.workdps(guarded(tower.precision)):
-        for img, tgt in zip(images, targets):
-            if abs(img.embed() - tgt) > tol:
-                raise FieldError("image embedding does not match its target")
-    return EmbeddingAutomorphism(tower, tuple(images))
-
-
 def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     """Entrywise complex conjugation on the certificate tower, assembled from
     what the certificate pins down: coefficient-field generators are real,
     the overlap generator conjugates to the overlap at the negated index, and
-    tau conjugates to its inverse power."""
+    tau conjugates to its inverse power. Each image is checked numerically
+    to embed at the conjugate of its generator, and exactly by
+    automorphism()."""
     tower = cert.tower
     prec = tower.precision
     images = [tower.generator(k + 1) for k in range(cert.e0_levels)]
@@ -1260,10 +1216,13 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     if cert.tau_level_added:
         images.append(cert.tau ** (_tau_order(cert.d) - 1))
     with mp.workdps(guarded(prec)):
-        targets = [mp.conj(tower.generator(k + 1).embed())
-                   for k in range(len(tower.levels))]
         tol = mp.mpf(10) ** (-(prec // 2))
-    return _checked_automorphism(tower, images, targets, tol)
+        for k, img in enumerate(images):
+            if abs(img.embed() - mp.conj(tower.generator(k + 1).embed())) \
+                    > tol:
+                raise FieldError(f"the level-{k + 1} image does not embed at "
+                                 "the conjugate of its generator")
+    return automorphism(tower, images)
 
 
 def _residues(chi, d, one, conj, tau, inv_d, tau_residue):

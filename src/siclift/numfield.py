@@ -6,9 +6,10 @@ rational coordinates over the power-product basis of the generators, in lex
 exponent order with the top generator varying fastest, so for a level-L
 element u and m = deg(level L), u[j::m] is the coefficient of g_L^j over level
 L-1. Every element also has a complex embedding fixed by the root choices, so
-numeric and exact computations can cross-check each other. Automorphisms are
-found by reassigning generators to conjugate roots and verified exactly
-before being returned.
+numeric and exact computations can cross-check each other. Every
+automorphism is built by `automorphism`, which checks its generator images
+exactly, and `automorphisms` generates the group of the top level from as
+few numerically recognized conjugates as generate it.
 """
 
 from __future__ import annotations
@@ -546,6 +547,12 @@ def _subset_product_coeffs(roots: list, subset, prec: int) -> list:
         return out[:-1]
 
 
+def _guess_precision(tower: FieldTower) -> int:
+    # recognition only proposes candidates (exact verification follows), so a
+    # few hundred digits suffice and keep the lattice reduction cheap
+    return min(tower.precision, max(160, 12 * tower.degree))
+
+
 def adjoin(tower: FieldTower, coeffs, root_selector,
            tag: str | None = None) -> FieldTower:
     """Extend the tower by a root of the given polynomial (coefficients over
@@ -555,17 +562,19 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
     monic, roots = _monic_with_roots(tower, coeffs)
     prec = tower.precision
     deg = len(monic)
-    if deg > 1:
-        if not _squarefree(tower, monic):
-            raise FieldError("polynomial is reducible: repeated factor")
-        # a reducible polynomial has a factor of degree <= deg/2
-        subsets = [s for k in range(1, deg // 2 + 1)
-                   for s in itertools.combinations(range(deg), k)]
-        factor = _certified_factor(tower, monic, roots, subsets,
-                                   [_guess_precision(tower, None)])
-        if factor is not None:
-            raise FieldError(
-                f"polynomial is reducible: found a degree-{len(factor)} factor")
+    if deg == 1:
+        raise FieldError("a linear polynomial adds no level: its root is "
+                         "already in the tower")
+    if not _squarefree(tower, monic):
+        raise FieldError("polynomial is reducible: repeated factor")
+    # a reducible polynomial has a factor of degree <= deg/2
+    subsets = [s for k in range(1, deg // 2 + 1)
+               for s in itertools.combinations(range(deg), k)]
+    factor = _certified_factor(tower, monic, roots, subsets,
+                               [_guess_precision(tower)])
+    if factor is not None:
+        raise FieldError(
+            f"polynomial is reducible: found a degree-{len(factor)} factor")
     with mp.workdps(guarded(prec)):
         sel = mp.mpc(root_selector)
         dists = sorted(range(len(roots)), key=lambda i: abs(roots[i] - sel))
@@ -598,10 +607,24 @@ def recognize(tower: FieldTower, value,
     return tower.element(coeffs)
 
 
+def _recognize_ladder(tower: FieldTower, value):
+    """Candidates for value from recognize() at 220, 420 and 700 digits,
+    then the tower's own: each is only a proposal, which the caller checks
+    exactly before it keeps it or climbs on to the next rung."""
+    tried = set()
+    for p in (220, 420, 700, tower.precision):
+        p = min(p, tower.precision)
+        if p not in tried:
+            tried.add(p)
+            got = recognize(tower, value, precision=p)
+            if got is not None:
+                yield got
+
+
 class EmbeddingAutomorphism:
     """A field automorphism presented by the exact images of the tower
     generators; application substitutes images into the power-product basis,
-    so it commutes with arithmetic exactly."""
+    so it commutes with arithmetic exactly. Built only by automorphism()."""
 
     __slots__ = ("tower", "images", "_basis_images")
 
@@ -637,8 +660,7 @@ class EmbeddingAutomorphism:
 
     def compose(self, other: "EmbeddingAutomorphism") -> "EmbeddingAutomorphism":
         """self after other."""
-        return EmbeddingAutomorphism(
-            self.tower, tuple(self(img) for img in other.images))
+        return automorphism(self.tower, [self(img) for img in other.images])
 
     def __eq__(self, other):
         return (isinstance(other, EmbeddingAutomorphism)
@@ -655,63 +677,79 @@ class EmbeddingAutomorphism:
         return f"EmbeddingAutomorphism({arrows})"
 
 
-def _minpoly_image(tower: FieldTower, k: int,
-                   images: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
-    """Coefficients of the level-k minimal polynomial (ascending, without the
-    leading 1) after applying the (partial) automorphism given by the images
-    of the first k-1 generators; exact."""
-    lv = tower.levels[k - 1]
-    return [tower.evaluate(c, k - 1, tower.rational, images)
-            for c in lv.minpoly]
+def automorphism(tower: FieldTower, images) -> EmbeddingAutomorphism:
+    """The automorphism sending the level-k generator to images[k-1]. Each
+    image is checked exactly to be a root of its level's minimal polynomial
+    with the earlier images substituted, so the map is a field embedding of
+    the tower into itself, hence onto; FieldError otherwise."""
+    images = tuple(images)
+    if len(images) != len(tower.levels):
+        raise FieldError(f"{len(images)} generator images for a "
+                         f"{len(tower.levels)}-level tower")
+    for k, (lv, img) in enumerate(zip(tower.levels, images), 1):
+        acc = tower.one()
+        for c in reversed(lv.minpoly):
+            acc = acc * img + tower.evaluate(c, k - 1, tower.rational, images)
+        if not acc.is_zero():
+            raise FieldError(f"the level-{k} image is not a root of its "
+                             "transported minimal polynomial")
+    return EmbeddingAutomorphism(tower, images)
 
 
-def _verify_root(tower: FieldTower, img_coeffs: list[AlgebraicNumber],
-                 cand: AlgebraicNumber) -> bool:
-    acc = tower.one()
-    val = tower.zero()
-    for c in img_coeffs:
-        val = val + c * acc
-        acc = acc * cand
-    return (val + acc).is_zero()
-
-
-def _guess_precision(tower: FieldTower, precision: int | None) -> int:
-    # recognition only proposes candidates (exact verification follows), so a
-    # few hundred digits suffice and keep the lattice reduction cheap
-    if precision is not None:
-        return min(precision, tower.precision)
-    return min(tower.precision, max(160, 12 * tower.degree))
-
-
-def automorphisms(tower: FieldTower, fixing_level: int = 0,
-                  precision: int | None = None) -> list[EmbeddingAutomorphism]:
+def automorphisms(tower: FieldTower,
+                  fixing_level: int = 0) -> list[EmbeddingAutomorphism]:
     """All automorphisms of the tower (as an abstract field mapped into its
-    own embedding) fixing levels 1..fixing_level pointwise. Images are found
-    by matching conjugate roots numerically, then verified exactly."""
+    own embedding) fixing levels 1..fixing_level pointwise, where only the
+    top level may move. The group is generated, not searched: the root the
+    top generator embeds at gives the identity, and another conjugate root
+    is recognized only when no composition of the rows found so far reaches
+    it. Rows are ordered by the index of the root they send it to."""
     n = len(tower.levels)
-    rel_degree = 1
-    for lv in tower.levels[fixing_level:]:
-        rel_degree *= lv.degree
-    if rel_degree > 64:
+    fixed = [tower.generator(k + 1) for k in range(fixing_level)]
+    if fixing_level == n:
+        return [automorphism(tower, fixed)]
+    if fixing_level != n - 1:
+        raise FieldError(f"{n - fixing_level} levels would move; only the top "
+                         "level may")
+    top = tower.levels[-1]
+    if top.degree > 64:
         raise FieldError("relative degree beyond desk scale (max 64)")
-    prec = _guess_precision(tower, precision)
-    partials: list[list[AlgebraicNumber]] = [
-        [tower.generator(k + 1) for k in range(fixing_level)]]
-    for k in range(fixing_level + 1, n + 1):
-        nxt = []
-        for images in partials:
-            img_coeffs = _minpoly_image(tower, k, images)
-            roots = _poly_roots([c.embed() for c in img_coeffs],
-                                tower.precision)
-            for r in roots:
-                cand = recognize(tower, r, precision=prec)
-                if cand is None:
-                    continue
-                if not _verify_root(tower, img_coeffs, cand):
-                    continue
-                nxt.append(images + [cand])
-        partials = nxt
-    return [EmbeddingAutomorphism(tower, imgs) for imgs in partials]
+    with mp.workdps(guarded(tower.precision)):
+        gens = [lv.embedding for lv in tower.levels]
+        roots = _poly_roots([tower.evaluate(c, n - 1, _mpf, gens)
+                             for c in top.minpoly], tower.precision)
+
+    def root_of(row):
+        z = row.images[-1].embed()
+        with mp.workdps(guarded(tower.precision)):
+            return min(range(len(roots)), key=lambda i: abs(roots[i] - z))
+
+    ident = automorphism(tower, fixed + [tower.generator(n)])
+    rows = {root_of(ident): ident}
+    generators = []
+    for i in range(len(roots)):
+        if i in rows:
+            continue
+        for cand in _recognize_ladder(tower, roots[i]):
+            try:
+                g = automorphism(tower, fixed + [cand])
+            except FieldError:
+                continue
+            if root_of(g) != i:
+                continue
+            generators.append(g)
+            rows[i] = g
+            queue = list(rows.values())
+            while queue:
+                x = queue.pop()
+                for s in generators:
+                    y = x.compose(s)
+                    j = root_of(y)
+                    if j not in rows:
+                        rows[j] = y
+                        queue.append(y)
+            break
+    return [rows[i] for i in sorted(rows)]
 
 
 def lift_element(tower: FieldTower, x: AlgebraicNumber) -> AlgebraicNumber:
@@ -769,5 +807,5 @@ def factor_over_tower(tower: FieldTower, coeffs, root_selector,
     # Coefficients of a true factor can have coordinate heights near the
     # tower's own (e.g. plain integers with huge power-basis coordinates),
     # which the cheap screen cannot see. Exact division certifies either way.
-    ladder = sorted({_guess_precision(tower, None), prec})
+    ladder = sorted({_guess_precision(tower), prec})
     return _certified_factor(tower, monic, roots, subsets, ladder) or monic

@@ -334,6 +334,29 @@ def test_verify_rejects_another_primitive_root_as_tau(workdir, certfile,
 
 
 @pytest.mark.parametrize("mode", ["exact", "certified"])
+def test_verify_rejects_orbit_negated(workdir, certfile, capsys, mode):
+    # negating the stored overlap of the 12-index orbit negates the orbit
+    # everywhere, inside the operator's period and outside it; conjugation,
+    # equiangularity, transport, symmetry and stabilizer shifts all still
+    # hold, and only the projector identity sees the edit
+    obj = json.load(open(certfile))
+    sizes = [0] * len(obj["orbit_reps"])
+    for pos, _row in obj["index_map"].values():
+        sizes[pos] += 1
+    rep = obj["orbit_reps"][sizes.index(12)]
+    key = f"{rep[0]},{rep[1]}"
+    obj["overlaps"][key] = [str(-Fraction(s)) for s in obj["overlaps"][key]]
+    bad = workdir / f"orbit_negated_{mode}.cert"
+    bad.write_text(json.dumps(obj))
+    rc = main(["verify", "--cert", str(bad), "--mode", mode,
+               "--digits", "80"])
+    assert rc == 1
+    out = _stdout_json(capsys)
+    assert out["pass"] is False
+    assert "not idempotent" in (out.get("offending") or out["reason"])
+
+
+@pytest.mark.parametrize("mode", ["exact", "certified"])
 @pytest.mark.parametrize("field", ["galois_matrix", "s_matrix",
                                    "stabilizer_shift"])
 def test_verify_checks_group_data(workdir, certfile, capsys, field, mode):

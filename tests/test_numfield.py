@@ -11,9 +11,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from siclift import numfield
 from siclift.errors import FieldError
-from siclift.numfield import (AlgebraicNumber, FieldTower, adjoin,
-                              automorphisms, cyclotomic_polynomial,
+from siclift.numfield import (AlgebraicNumber, FieldLevel, FieldTower, adjoin,
+                              automorphism, automorphisms,
+                              cyclotomic_polynomial,
                               factor_over_tower,
                               lift_element, recognize, squarefree_part)
 
@@ -43,6 +45,35 @@ def K15(K35):
         r1v = mp.sqrt(5)
         sel = (2 * (r1v - 1) + mp.sqrt(4 * (r1v - 1) ** 2 + 32 * (r1v + 3))) / 16
     return adjoin(K35, [-(r1 + 3), -2 * (r1 - 1), 8 * K35.one()], sel, tag="t")
+
+
+@pytest.fixture(scope="module")
+def K3p5(Q):
+    # Q(sqrt3 + sqrt5) as a single level: t^4 - 16 t^2 + 4 = 0
+    with mp.workdps(40):
+        sel = mp.sqrt(3) + mp.sqrt(5)
+    return adjoin(Q, [4, 0, -16, 0, 1], sel, tag="t")
+
+
+@pytest.fixture(scope="module")
+def Kz(Q):
+    with mp.workdps(40):
+        sel = mp.exp(2j * mp.pi / 5)
+    return adjoin(Q, [1, 1, 1, 1, 1], sel, tag="z5")
+
+
+@pytest.fixture
+def recognitions(monkeypatch):
+    """Counts numfield.recognize calls made while the test runs."""
+    calls = []
+    real = numfield.recognize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numfield, "recognize", counting)
+    return calls
 
 
 class TestSquarefreePart:
@@ -93,6 +124,11 @@ class TestAdjoin:
         c0 = AlgebraicNumber(K15, K15._lift(lv.minpoly[0], 2, 3))
         c1 = AlgebraicNumber(K15, K15._lift(lv.minpoly[1], 2, 3))
         assert (t * t + c1 * t + c0).is_zero()
+
+    def test_linear_polynomial_rejected(self, K3):
+        # a degree-1 level adds nothing to the tower
+        with pytest.raises(FieldError, match="linear"):
+            adjoin(K3, [-2, 1], 2)
 
     def test_selector_must_be_unambiguous(self, Q):
         with pytest.raises(FieldError):
@@ -200,15 +236,20 @@ class TestAutomorphisms:
         images = {g(a) for g in auts}
         assert images == {a, -a}
 
-    def test_klein_four(self, K35):
-        auts = automorphisms(K35)
+    def test_klein_four(self, K3p5, recognitions):
+        # one level whose group C2 x C2 needs two generators: the identity
+        # is free and each generator costs one recognition
+        auts = automorphisms(K3p5)
+        assert len(recognitions) == 2
         assert len(auts) == 4
         for g in auts:
             assert g.compose(g).is_identity()
         assert sum(g.is_identity() for g in auts) == 1
-        a, r1 = K35.generator(1), K35.generator(2)
-        assert {(g(a), g(r1)) for g in auts} == {
-            (a, r1), (a, -r1), (-a, r1), (-a, -r1)}
+        t = K3p5.generator(1)
+        s3, s5 = (t ** 3 - 14 * t) / 4, (18 * t - t ** 3) / 4
+        assert (s3 * s3, s5 * s5) == (3, 5)
+        assert {(g(s3), g(s5)) for g in auts} == {
+            (s3, s5), (s3, -s5), (-s3, s5), (-s3, -s5)}
 
     def test_fixing_level(self, K35):
         auts = automorphisms(K35, fixing_level=1)
@@ -216,39 +257,60 @@ class TestAutomorphisms:
         assert len(auts) == 2
         assert all(g(a) == a for g in auts)
 
-    def test_cyclotomic_cyclic_four(self, Q):
-        with mp.workdps(40):
-            sel = mp.exp(2j * mp.pi / 5)
-        Kz = adjoin(Q, [1, 1, 1, 1, 1], sel, tag="z5")
+    def test_cyclotomic_cyclic_four(self, Kz, recognitions):
+        # z5 -> the first conjugate root generates the whole group
         auts = automorphisms(Kz)
+        assert len(recognitions) == 1
         assert len(auts) == 4
         orders = sorted(_order(g) for g in auts)
         assert orders == [1, 2, 4, 4]
 
-    def test_commutes_with_arithmetic_exactly(self, K35):
+    def test_commutes_with_arithmetic_exactly(self, K3p5, K35, K15):
         rng = random.Random(3)
-        auts = automorphisms(K35)
-        for _ in range(4):
-            x = K35.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                             for _ in range(4)])
-            y = K35.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                             for _ in range(4)])
-            for g in auts:
-                assert g(x * y) == g(x) * g(y)
-                assert g(x + y) == g(x) + g(y)
+        for K, fixing in ((K3p5, 0), (K35, 1), (K15, 2)):
+            auts = automorphisms(K, fixing_level=fixing)
+            assert len(auts) == K.levels[-1].degree
 
-    def test_non_normal_gives_identity_only(self, K3):
-        # x^4 - a x - 1 over Q(sqrt3): conjugate roots leave the field
+            def rand():
+                return K.element([Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 6))
+                                  for _ in range(K.degree)])
+            for _ in range(4):
+                x, y = rand(), rand()
+                for g in auts:
+                    assert g(x * y) == g(x) * g(y)
+                    assert g(x + y) == g(x) + g(y)
+
+    def test_non_normal_gives_identity_only(self, K3, recognitions):
+        # x^4 - a x - 1 over Q(sqrt3): conjugate roots leave the field, so
+        # each of the three is recognized in vain
         a = K3.generator(1)
         with mp.workdps(40):
             sel = mp.findroot(lambda x: x ** 4 - mp.sqrt(3) * x - 1, 1.3)
         K = adjoin(K3, [-1, -a, 0, 0, 1], sel, tag="w")
+        recognitions.clear()
         auts = automorphisms(K, fixing_level=1)
+        assert len(recognitions) == 3
         assert len(auts) == 1 and auts[0].is_identity()
 
-    def test_degree_cap(self, K3):
+    def test_two_moving_levels_rejected(self, K35):
+        with pytest.raises(FieldError, match="only the top level"):
+            automorphisms(K35)
+
+    def test_degree_cap(self):
+        # x^65 - 2: the cap is checked before any root is computed
+        big = FieldLevel("big", ((Fraction(-2),),) + ((Fraction(0),),) * 64,
+                         0, mp.mpc(2) ** (mp.mpf(1) / 65))
         with pytest.raises(FieldError, match="desk scale"):
-            automorphisms(FieldTower(K3.levels * 7, PREC))
+            automorphisms(FieldTower((big,), PREC))
+
+    def test_image_must_be_a_root(self, K35):
+        a, r1 = K35.generator(1), K35.generator(2)
+        assert not automorphism(K35, [-a, r1]).is_identity()
+        with pytest.raises(FieldError, match="level-2 image"):
+            automorphism(K35, [a, r1 + 1])
+        with pytest.raises(FieldError, match="level-1 image"):
+            automorphism(K35, [a + 1, r1])
 
 
 def _order(g):
