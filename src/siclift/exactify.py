@@ -33,8 +33,8 @@ from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
     adjoin, automorphism, automorphisms, cyclotomic_polynomial, \
-    factor_over_tower, lift_element, squarefree_part, _recognize_ladder, \
-    _subset_product_coeffs
+    factor_over_tower, lift_element, squarefree_part, _new_level, \
+    _poly_roots, _recognize_ladder, _subset_product_coeffs
 
 log = logging.getLogger("siclift.exactify")
 
@@ -206,20 +206,17 @@ def _field_from_seed(seed, prec) -> FieldTower:
     return e0
 
 
-def lift_coefficients(polys: list[OrbitPolynomial], e0_hint=None,
+def lift_coefficients(polys: list[OrbitPolynomial],
                       precision: int | None = None) -> FieldTower:
     """Recognize every orbit-polynomial coefficient in one real field.
 
-    The field is the hint when given, otherwise it is seeded from the
-    next-to-leading coefficient of the lowest-degree nontrivial polynomial
-    and rebuilt from any later coefficient of higher degree (the cheap seed
-    can land in a proper subfield). Incompatible degrees abort. Sets
-    poly.exact in place and returns the field."""
+    The field is seeded from the next-to-leading coefficient of the
+    lowest-degree nontrivial polynomial and rebuilt from any later coefficient
+    of higher degree (the cheap seed can land in a proper subfield).
+    Incompatible degrees abort. Sets poly.exact in place; returns the field."""
     prec = precision or polys[0].precision
     nontrivial = [q for q in polys if q.degree >= 2]
-    if e0_hint is not None:
-        e0 = e0_hint
-    elif not nontrivial:
+    if not nontrivial:
         e0 = FieldTower.rationals(prec)
     else:
         target = min(nontrivial, key=lambda q: (q.degree, q.orbit_id))
@@ -245,10 +242,6 @@ def lift_coefficients(polys: list[OrbitPolynomial], e0_hint=None,
         if failed is None:
             return e0
         oid, k, cr = failed
-        if e0_hint is not None:
-            raise LiftError(
-                f"orbit {oid} coefficient of x^{k} does not lie in the "
-                f"degree-{e0.degree} hinted coefficient field")
         bigger = _field_from_seed(cr, prec)
         if bigger.degree <= e0.degree:
             raise LiftError(
@@ -303,16 +296,19 @@ def _tau_order(d: int) -> int:
 def _extend_with_tau(e1: FieldTower, d: int):
     """Make the phase tau = -exp(i pi / d) available: factor its cyclotomic
     polynomial over the overlap field. A linear factor, certified by exact
-    division, means tau is already in the field; otherwise the factor tau
-    roots is adjoined. Returns (tower, tau, level_added)."""
+    division, means tau is already in the field; otherwise tau's level is
+    built from the certified factor without adjoin's screen: were it g*h
+    with tau a root of g, g is a smaller factor through tau, which the
+    search tried at each precision it used.
+    Returns (tower, tau, level_added)."""
     with mp.workdps(guarded(e1.precision)):
         target = -mp.expjpi(mp.mpf(1) / d)
     fac = factor_over_tower(e1, cyclotomic_polynomial(_tau_order(d)),
                             root_selector=target)
     if len(fac) == 1:
         return e1, -fac[0], False
-    tower = adjoin(e1, list(fac) + [e1.one()], root_selector=target,
-                   tag="tau")
+    roots = _poly_roots([c.embed() for c in fac], e1.precision)
+    tower = _new_level(e1, fac, roots, target, "tau")
     return tower, tower.generator(len(tower.levels)), True
 
 
@@ -335,17 +331,15 @@ def _coset_structure(cent: MatGroup, s_pi: MatGroup):
 
 
 def _auto_cayley(autos: list[EmbeddingAutomorphism]):
-    idx = {a: i for i, a in enumerate(autos)}
-    n = len(autos)
+    """Composition table: entry (i, j) is row i after row j, found as the
+    row whose generator images are row i applied to row j's, not rebuilt."""
+    idx = {a.images: i for i, a in enumerate(autos)}
     cay = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            comp = autos[i].compose(autos[j])
-            if comp not in idx:
-                raise LiftError("automorphism composition left the "
-                                "enumerated set; the extension is not normal")
-            row.append(idx[comp])
+    for a in autos:
+        row = [idx.get(tuple(a(img) for img in b.images)) for b in autos]
+        if None in row:
+            raise LiftError("automorphism composition left the enumerated "
+                            "set; the extension is not normal")
         cay.append(row)
     return cay
 
@@ -737,14 +731,14 @@ def overlap_minimal_polynomials(cert: "ExactFiducialCertificate") -> list:
     return sorted(_rational_minpoly(v) for v in cert.all_overlaps().values())
 
 
-def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, autos, n,
-                 prec) -> dict:
+def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, prec) -> dict:
     """Structural expectations that are checked and recorded, never assumed:
     the squarefree discriminant's square root inside the coefficient field
     (a linear factor of x^2 - disc, certified by exact division), realness
-    defects, the automorphism count matching the quotient order, and whether
-    the adjoined overlap value generates the whole field over the rationals
-    (its minimal polynomial has the field's degree)."""
+    defects, and whether the adjoined overlap value generates the whole field
+    over the rationals (its minimal polynomial has the field's degree). The
+    automorphism count matching the quotient order is stored as True, the
+    format's key, since _prepare raises LiftError on any other count."""
     disc = squarefree_part((d - 3) * (d + 1))
     with mp.workdps(guarded(prec)):
         sqrt_disc = mp.sqrt(disc) if disc >= 0 else mp.mpc(0, mp.sqrt(-disc))
@@ -763,7 +757,7 @@ def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, autos, n,
         "coefficient_field_contains_sqrt_disc": has_sqrt,
         "coefficient_field_imag_defect": mp.nstr(e0_defect, 5),
         "orbit_coefficient_imag_defect": mp.nstr(imag_defect, 5),
-        "automorphism_count_matches_quotient": len(autos) == n,
+        "automorphism_count_matches_quotient": True,
         "overlap_generator_generates_over_rationals": gen_ok,
     }
     failed = [k for k, v in out.items() if v is False]
@@ -819,7 +813,7 @@ def _assemble_certificate(fid, struct, table, e0, e1, gen_poly, autos,
         log.info("phase extension added a level (relative degree %d)",
                  tower.levels[-1].degree)
 
-    conj = _conjectures(fid.d, e0, e1, gen_poly, polys, autos, n, prec)
+    conj = _conjectures(fid.d, e0, e1, gen_poly, polys, prec)
 
     match = GaloisMatch(
         matrices=tuple(reps[coset_of_row[j]] for j in range(n)),
@@ -838,10 +832,11 @@ def _assemble_certificate(fid, struct, table, e0, e1, gen_poly, autos,
     return cert
 
 
-def _prepare(fid, digits, e0_hint):
-    """Common head of both lifting routes, up to the overlap field and its
-    automorphisms over the coefficient field, which must be as many as the
-    index quotient has elements."""
+def _prepare(fid, digits):
+    """Common head of both lifting routes: the overlap field, its
+    automorphisms over the coefficient field, as many as the index quotient
+    has elements, and every isomorphism of their group onto the quotient (a
+    tuple giving each row's coset), the alignment candidates."""
     prec = digits or fid.precision
     if prec > fid.precision:
         raise PrecisionError(f"fiducial carries {fid.precision} digits, "
@@ -851,7 +846,7 @@ def _prepare(fid, digits, e0_hint):
     struct = symmetry_structure(fid)
     table = hb.overlaps(fid.vector, fid.d, prec)
     polys = build_orbit_polynomials(table, struct.cent)
-    e0 = lift_coefficients(polys, e0_hint=e0_hint, precision=prec)
+    e0 = lift_coefficients(polys, precision=prec)
     cosets, reps, qcay = _coset_structure(struct.cent, struct.s_pi)
     n = len(reps)
     e1, gen_poly = _extension_field(e0, polys, n, prec)
@@ -864,16 +859,20 @@ def _prepare(fid, digits, e0_hint):
             f"only {len(autos)} of the predicted {n} automorphisms of the "
             f"overlap field were recognized at {prec} digits; either the "
             "extension is not normal or precision is insufficient")
+    perms = _group_isomorphisms(_auto_cayley(autos), qcay)
+    if not perms:
+        raise LiftError("the automorphism group and the index quotient are "
+                        "not isomorphic; transport cannot be aligned")
     return prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, \
-        reps, qcay
+        reps, perms
 
 
 # ---------------------------------------------------------------------------
 # route 2: alignment scoring
 
 
-def method2_exactify(fid, digits: int | None = None,
-                     e0_hint=None) -> ExactFiducialCertificate:
+def method2_exactify(fid,
+                     digits: int | None = None) -> ExactFiducialCertificate:
     """Lift by aligning automorphisms with index cosets.
 
     Every bijection between the overlap-field automorphisms and the quotient
@@ -887,13 +886,8 @@ def method2_exactify(fid, digits: int | None = None,
         from .fidsearch import strongly_centre
         fid = strongly_centre(fid)
     prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, reps, \
-        qcay = _prepare(fid, digits, e0_hint)
+        perms = _prepare(fid, digits)
     n = len(autos)
-    gcay = _auto_cayley(autos)
-    perms = _group_isomorphisms(gcay, qcay)
-    if not perms:
-        raise LiftError("the automorphism group and the index quotient are "
-                        "not isomorphic; transport cannot be aligned")
     log.info("scoring %d structure-respecting bijections", len(perms))
 
     nontrivial = [q for q in polys if q.degree >= 2]
@@ -1000,12 +994,13 @@ def method2_exactify(fid, digits: int | None = None,
 # route 1: direct per-value recognition
 
 
-def method1_exactify(fid, digits: int | None = None,
-                     e0_hint=None) -> ExactFiducialCertificate:
+def method1_exactify(fid,
+                     digits: int | None = None) -> ExactFiducialCertificate:
     """Lift by recognizing each distinct overlap value directly in the
     overlap field and certifying it as an exact root of its lifted orbit
     polynomial. The coset alignment is then forced after the fact by exact
-    equality, with no relation scoring involved.
+    equality, with no relation scoring involved, and must be one of the
+    isomorphisms onto the index quotient that _prepare enumerated.
 
     Dimensions divisible by 3 would need the cubed-value variant and a
     factoring step over a larger tower; that is out of scope here, use the
@@ -1015,7 +1010,7 @@ def method1_exactify(fid, digits: int | None = None,
                         "divisible by 3; use the alignment route (method 2) "
                         "for d = 0 mod 3")
     prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, reps, \
-        qcay = _prepare(fid, digits, e0_hint)
+        perms = _prepare(fid, digits)
     n = len(autos)
 
     same = mp.mpf(10) ** (-(prec // 2))
@@ -1070,15 +1065,9 @@ def method1_exactify(fid, digits: int | None = None,
                             "instead of exactly one; alignment failed")
         coset_of_row.append(matches[0])
 
-    if sorted(coset_of_row) != list(range(n)):
-        raise LiftError("the forced coset alignment is not a bijection")
-    gcay = _auto_cayley(autos)
-    for i in range(n):
-        for j in range(n):
-            if coset_of_row[gcay[i][j]] != \
-                    qcay[coset_of_row[i]][coset_of_row[j]]:
-                raise LiftError("the forced coset alignment does not respect "
-                                "the group structure")
+    if tuple(coset_of_row) not in perms:
+        raise LiftError("the forced coset alignment is not an isomorphism of "
+                        "the automorphism group onto the index quotient")
 
     rep_overlaps = {}
     for q in polys:

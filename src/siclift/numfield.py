@@ -556,11 +556,13 @@ def _guess_precision(tower: FieldTower) -> int:
 def adjoin(tower: FieldTower, coeffs, root_selector,
            tag: str | None = None) -> FieldTower:
     """Extend the tower by a root of the given polynomial (coefficients over
-    the tower, ascending; non-monic input is monicized). root_selector is an
-    approximate complex value choosing the embedding; the nearest root must
-    lie within 1e-4 of it."""
+    the tower, ascending; non-monic input is monicized), which must be
+    irreducible over it: a repeated factor, or a factor the numeric screen
+    finds and exact division certifies, raises FieldError. root_selector is
+    an approximate complex value choosing the embedding: the nearest root
+    must lie within 0.3 * (1 + |root_selector|) of it and at most half as
+    far from it as the second nearest root."""
     monic, roots = _monic_with_roots(tower, coeffs)
-    prec = tower.precision
     deg = len(monic)
     if deg == 1:
         raise FieldError("a linear polynomial adds no level: its root is "
@@ -575,7 +577,14 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
     if factor is not None:
         raise FieldError(
             f"polynomial is reducible: found a degree-{len(factor)} factor")
-    with mp.workdps(guarded(prec)):
+    return _new_level(tower, monic, roots, root_selector, tag)
+
+
+def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
+               root_selector, tag: str | None) -> FieldTower:
+    """The tower extended by the root of monic that root_selector picks
+    (roots from _poly_roots); the caller vouches for its irreducibility."""
+    with mp.workdps(guarded(tower.precision)):
         sel = mp.mpc(root_selector)
         dists = sorted(range(len(roots)), key=lambda i: abs(roots[i] - sel))
         idx = dists[0]
@@ -589,7 +598,7 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
                 f"selector {mp.nstr(sel, 8)} is ambiguous between roots")
     level = FieldLevel(tag or f"g{len(tower.levels) + 1}",
                        tuple(c.coefficients for c in monic), idx, roots[idx])
-    return FieldTower(tower.levels + (level,), prec)
+    return FieldTower(tower.levels + (level,), tower.precision)
 
 
 # ---------------------------------------------------------------------------

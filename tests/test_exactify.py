@@ -16,13 +16,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from siclift import lattice
+from siclift import lattice, numfield
 from siclift.errors import LiftError, PrecisionError
-from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
-                              _extend_with_tau, _group_isomorphisms,
-                              _rational_minpoly, _tau_order,
-                              build_orbit_polynomials,
-                              galois_transport, lift_coefficients,
+from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
+                              _distinct_values, _extend_with_tau,
+                              _group_isomorphisms, _rational_minpoly,
+                              _tau_order, build_orbit_polynomials,
+                              galois_transport,
                               method1_exactify, method2_exactify,
                               orbit_coefficient_values, symmetry_structure,
                               typea_orbit_group, verify_certified,
@@ -31,7 +31,7 @@ from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
 from siclift.modring import h2_group
 from siclift.numfield import FieldTower, _subset_product_coeffs, adjoin, \
-    cyclotomic_polynomial, recognize
+    automorphisms, cyclotomic_polynomial, factor_over_tower, recognize
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,55 @@ def test_tau_already_in_the_overlap_field():
     assert got == e1.generator(1)
 
 
+def test_tau_level_is_built_from_its_certified_factor(monkeypatch):
+    # tau = -exp(i pi/6) has order 12, and Phi_12 splits over Q(sqrt 3) into
+    # two quadratics; the one through tau becomes tau's level as certified,
+    # so building it recognizes nothing beyond the factor search itself
+    calls = []
+    real = numfield.recognize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    K = adjoin(FieldTower.rationals(80), [-3, 0, 1], 1.7)
+    monkeypatch.setattr(numfield, "recognize", counted)
+    with mp.workdps(100):
+        tau = -mp.expjpi(mp.mpf(1) / 6)
+    factor_over_tower(K, cyclotomic_polynomial(12), tau)
+    searched = len(calls)
+    tower, got, added = _extend_with_tau(K, 6)
+    assert len(calls) == 2 * searched
+    assert added is True and tower.degree == 4
+    assert got ** 6 == -1
+    with mp.workdps(100):
+        assert abs(got.embed() - tau) < mp.mpf(10) ** -70
+
+
+def test_composition_table_is_read_from_the_rows(monkeypatch):
+    # Gal(Q(zeta5)/Q) is cyclic of order 4; row i sends zeta to zeta^k_i, so
+    # row i after row j is the row of k_i * k_j mod 5. The table is looked
+    # up among the rows, so no automorphism is built for it
+    with mp.workdps(100):
+        z = mp.expjpi(mp.mpf(2) / 5)
+    K = adjoin(FieldTower.rationals(80), cyclotomic_polynomial(5), z)
+    rows = automorphisms(K)
+    zeta = K.generator(1)
+    ks = [next(k for k in range(1, 5) if a.images[0] == zeta ** k)
+          for a in rows]
+
+    def no_new_rows(*args):
+        raise AssertionError("an automorphism was built")
+
+    monkeypatch.setattr(numfield, "automorphism", no_new_rows)
+    assert _auto_cayley(rows) == [[ks.index(a * b % 5) for b in ks]
+                                  for a in ks]
+    # the first two rows are zeta -> zeta^3 and zeta -> zeta^2, no subgroup
+    assert ks[:2] == [3, 2]
+    with pytest.raises(LiftError, match="not normal"):
+        _auto_cayley(rows[:2])
+
+
 # ---------------------------------------------------------------------------
 # shifted-search orbit group for the divisible-by-9 family
 
@@ -218,18 +267,6 @@ def test_orbit_coefficient_values_d5(fid5):
     vals = orbit_coefficient_values(fid5)
     assert vals
     assert all(mp.isfinite(v) for v in vals)
-
-
-def test_lift_is_stable_under_relift_d5(fid5):
-    st = symmetry_structure(fid5)
-    table = overlaps(fid5)
-    polys = build_orbit_polynomials(table, st.cent)
-    e0 = lift_coefficients(polys)
-    first = [[fr for c in p.exact for fr in c.coefficients] for p in polys]
-    e0b = lift_coefficients(polys, e0_hint=e0)
-    second = [[fr for c in p.exact for fr in c.coefficients] for p in polys]
-    assert first == second
-    assert e0b.degree == e0.degree
 
 
 def test_certificate_shape_d5(cert5):
