@@ -4,16 +4,27 @@ One engine serves three jobs: raw relations among real/complex numbers,
 minimal polynomials, and expressing a number over a known basis with rational
 coefficients. The reduction is the all-integer variant (Gram determinants d_i
 and scaled Gram-Schmidt coefficients lambda_{i,j}), so no precision is lost
-inside the lattice step itself; floating point only enters through the scaled
-input column and the residual checks.
+inside the lattice step itself.
+
+A relation lattice [I | C] (C: the one or two scaled value columns) is fed
+gradually (van Hoeij-Novocin, "Gradual sub-lattice reduction", 2010): it is
+first reduced with only the top FEED_BITS bits of C, then the identity block
+U of the result is kept and [U | U*(C >> shift)] is reduced again with
+FEED_BITS more bits, until the full columns are in. U is unimodular, so the
+last rung spans the input lattice and is LLL-reduced like a direct reduction.
+Callers with an acceptance gate stop earlier: once the shortest coefficient
+row is the same on two consecutive rungs and the gate, which checks the
+rows against the full-precision values, accepts that rung. Floating point
+enters only through the scaled columns and those gates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath as mp
 
@@ -25,6 +36,9 @@ from .errors import PrecisionError, RelationError
 # detection radius.
 SWAP_P = 99
 SWAP_Q = 100
+
+# Bits of the value columns added per rung of the gradual feeding.
+FEED_BITS = 64
 
 # Residual must beat 10^(-TIGHT*prec) while the relation norm stays below
 # 10^(LOOSE*prec); the gap between the two is the spurious-relation margin.
@@ -40,11 +54,62 @@ def scaling_guard(prec: int) -> int:
 # exact-integer LLL
 
 
-def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def lll_reduce(rows: Sequence[Sequence[int]], *,
+               stop: Callable[[list], object] | None = None) -> list[list[int]]:
     """LLL-reduce integer row vectors; returns a new list of reduced rows.
 
-    All arithmetic is exact. Input rows must be linearly independent.
+    All arithmetic is exact. Input rows must be linearly independent. A
+    relation lattice [I | C] is fed FEED_BITS bits of C at a time (module
+    docstring); any other basis is reduced directly. `stop` is a relation
+    caller's gate on the reduced rows: when the shortest coefficient row is
+    unchanged from the previous rung and `stop(rows)` is truthy, that rung's
+    coefficient block U is returned as [U | U*C], which lies in the input
+    lattice but need not be LLL-reduced.
     """
+    n = len(rows)
+    if not rows or not all(
+            len(r) > n and all(x == int(i == j) for j, x in enumerate(r[:n]))
+            for i, r in enumerate(rows)):
+        return _lll_integral(rows)
+    cols = [r[n:] for r in rows]
+    shift = max(abs(x).bit_length() for c in cols for x in c)
+    u = [list(r[:n]) for r in rows]
+    prev = None
+    while True:
+        shift = max(0, shift - FEED_BITS)
+        reduced = _lll_integral(_fed_rows(u, cols, shift))
+        if shift == 0:
+            return reduced
+        u = [r[:n] for r in reduced]
+        if stop is not None:
+            cur = _shortest(u, n)
+            if cur == prev and stop(reduced):
+                return _fed_rows(u, cols, 0)
+            prev = cur
+
+
+def _fed_rows(u, cols, shift):
+    """[U | U*(C >> shift)] for the coefficient block U and value columns C."""
+    fed = [[x >> shift for x in c] for c in cols]
+    return [ui + [sum(a * c[j] for a, c in zip(ui, fed))
+                  for j in range(len(fed[0]))] for ui in u]
+
+
+def _shortest(rows, n):
+    """Coefficient block of the shortest nonzero coefficient row, its first
+    nonzero entry made positive (the first such row on a tie)."""
+    best = None
+    for row in rows:
+        coeffs = row[:n]
+        norm = sum(c * c for c in coeffs)
+        if norm and (best is None or norm < best[0]):
+            best = (norm, coeffs)
+    coeffs = best[1]
+    return [-c for c in coeffs] if next(c for c in coeffs if c) < 0 else coeffs
+
+
+def _lll_integral(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The exact-integer LLL loop (Cohen, GTM 138, Alg. 2.6.7)."""
     p, q = SWAP_P, SWAP_Q
     b = [list(r) for r in rows]
     n = len(b)
@@ -132,8 +197,6 @@ class IntPolynomial:
         while len(c) > 1 and c[-1] == 0:
             c.pop()
         g = math.gcd(*(abs(x) for x in c)) if any(c) else 1
-        if g == 0:
-            g = 1
         c = [x // g for x in c]
         if c[-1] < 0:
             c = [-x for x in c]
@@ -168,8 +231,7 @@ def _prepare(xs, precision):
     # conversion must happen above working precision or mpc() rounds the
     # inputs to the ambient (possibly default-15-digit) context
     with mp.workdps(guarded(precision) + 15):
-        vals = [mp.mpc(v) for v in xs]
-    return vals, precision
+        return [mp.mpc(v) for v in xs]
 
 
 def _candidate_rows(vals, prec):
@@ -187,7 +249,7 @@ def _candidate_rows(vals, prec):
             if complex_input:
                 row.append(int(mp.nint(v.imag * scale)))
             rows.append(row)
-    return rows, complex_input
+    return rows
 
 
 def _scan_reduced(reduced, vals, n, prec, max_height_digits):
@@ -240,7 +302,8 @@ def integer_relation(xs, precision: int | None = None,
     height (roughly height_digits * count, plus margin), since an undersized
     lattice happily produces junk relations.
     """
-    vals, prec = _prepare(xs, precision)
+    vals = _prepare(xs, precision)
+    prec = precision
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two numbers")
@@ -250,9 +313,12 @@ def integer_relation(xs, precision: int | None = None,
             raise PrecisionError(
                 f"precision {prec} below ~{need} required for height "
                 f"10^{max_height_digits} over {n} numbers")
-    rows, _ = _candidate_rows(vals, prec)
-    reduced = lll_reduce(rows)
-    best = _scan_reduced(reduced, vals, n, prec, max_height_digits)
+
+    # the acceptance gate, which also lets the fed reduction stop early
+    def gate(rows):
+        return _scan_reduced(rows, vals, n, prec, max_height_digits)
+
+    best = gate(lll_reduce(_candidate_rows(vals, prec), stop=gate))
     if best is None:
         return None
     coeffs = _normalize(best[1])
@@ -271,22 +337,13 @@ def raw_relation(xs, precision: int | None = None) -> RelationResult:
     so score ratios between candidate hypotheses stay meaningful even though
     the losing rows would never pass integer_relation's gates.
     """
-    vals, prec = _prepare(xs, precision)
+    vals = _prepare(xs, precision)
+    prec = precision
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two numbers")
-    rows, _ = _candidate_rows(vals, prec)
-    reduced = lll_reduce(rows)
-    best = None
+    coeffs = _normalize(_shortest(lll_reduce(_candidate_rows(vals, prec)), n))
     with mp.workdps(prec + 10):
-        for row in reduced:
-            coeffs = row[:n]
-            if not any(coeffs):
-                continue
-            norm = mp.sqrt(mp.fsum(mp.mpf(c) ** 2 for c in coeffs))
-            if best is None or norm < best[0]:
-                best = (norm, coeffs)
-        coeffs = _normalize(best[1])
         signed = [coeffs[0]] + [-c for c in coeffs[1:]]
         resid = abs(mp.fsum((c * v for c, v in zip(coeffs, vals)), absolute=False))
     return RelationResult(tuple(signed), resid, prec)
@@ -299,7 +356,7 @@ def relation_norm(rel: RelationResult) -> mp.mpf:
 def verify_relation(rel: RelationResult, xs, precision: int) -> bool:
     """Re-check a relation against (higher-precision) values of the same
     numbers; threshold scales with the verification precision."""
-    vals, _ = _prepare(xs, precision)
+    vals = _prepare(xs, precision)
     m = rel.coefficients
     with mp.workdps(precision + 10):
         resid = abs(mp.fsum([m[0] * vals[0]] + [-c * v for c, v in zip(m[1:], vals[1:])],
@@ -316,26 +373,34 @@ def minimal_polynomial(a, max_degree: int, precision: int | None = None
     lower-degree integer factor vanishing at `a`; together with the residual
     gate that is the irreducibility guarantee for genuinely algebraic input.
     """
-    vals, prec = _prepare([a], precision)
-    val = vals[0]
+    prec = precision
+    val = _prepare([a], prec)[0]
+
+    # acceptance gate of one degree step, which also lets its fed
+    # reduction stop early
+    def gate(xs, rows):
+        best = _scan_reduced(rows, xs, len(xs), prec, None)
+        if best is None:
+            return None
+        coeffs = _normalize(best[1])
+        if coeffs[-1] == 0:
+            return None  # degenerate: really a lower-degree relation
+        poly = IntPolynomial(tuple(coeffs))
+        # confirmation pass at the input's native precision
+        if abs(poly(val)) < mp.mpf(10) ** (-0.8 * prec) * max(
+                abs(c) for c in poly.coeffs):
+            return poly
+        return None
+
     with mp.workdps(guarded(prec)):
         powers = [mp.mpc(1)]
         for _ in range(max_degree):
             powers.append(powers[-1] * val)
         for deg in range(1, max_degree + 1):
             xs = powers[:deg + 1]
-            rows, _ = _candidate_rows(xs, prec)
-            reduced = lll_reduce(rows)
-            best = _scan_reduced(reduced, xs, deg + 1, prec, None)
-            if best is None:
-                continue
-            coeffs = _normalize(best[1])
-            if coeffs[-1] == 0:
-                continue  # degenerate: really a lower-degree relation
-            poly = IntPolynomial(tuple(coeffs))
-            # confirmation pass at the input's native precision
-            if abs(poly(val)) < mp.mpf(10) ** (-0.8 * prec) * max(
-                    abs(c) for c in poly.coeffs):
+            accept = functools.partial(gate, xs)
+            poly = accept(lll_reduce(_candidate_rows(xs, prec), stop=accept))
+            if poly is not None:
                 return poly
     return None
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siclift import lattice as lat
 from siclift.errors import PrecisionError
@@ -34,6 +35,126 @@ class TestLLL:
         rows = [[201, 37], [1648, 297]]
         red = lat.lll_reduce(rows)
         assert max(sum(x * x for x in r) for r in red) < 201 ** 2 + 37 ** 2
+
+
+def gram_schmidt(rows):
+    """Exact Gram-Schmidt: squared norms B_i and coefficients mu_{i,j}."""
+    ortho, norms, mu = [], [], []
+    for i, r in enumerate(rows):
+        v = [Fraction(x) for x in r]
+        mu.append([])
+        for j in range(i):
+            m = sum(a * b for a, b in zip(r, ortho[j])) / norms[j]
+            mu[i].append(m)
+            v = [a - m * b for a, b in zip(v, ortho[j])]
+        ortho.append(v)
+        norms.append(sum(a * a for a in v))
+    return norms, mu
+
+
+def det(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    out = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            out = -out
+        out *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return out
+
+
+class TestGradualFeeding:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 2), st.data())
+    def test_fed_reduction_is_lll_reduced_and_unimodular(self, n, m, data):
+        # entries from a seeded generator: hypothesis keeps drawn integers
+        # small, and the columns must reach the full width to take many rungs
+        bits = data.draw(st.integers(1, 1000))
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        rows = [[int(i == j) for j in range(n)]
+                + [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(m)]
+                for i in range(n)]
+        red = lat.lll_reduce(rows)
+        norms, mu = gram_schmidt(red)
+        delta = Fraction(lat.SWAP_P, lat.SWAP_Q)
+        for i in range(1, n):
+            assert all(abs(x) <= Fraction(1, 2) for x in mu[i])
+            assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]
+        u = [r[:n] for r in red]
+        assert abs(det(u)) == 1
+        assert red == [[sum(a * row[j] for a, row in zip(ur, rows))
+                        for j in range(n + m)] for ur in u]
+
+    def test_near_relation_fails_the_gate_on_every_rung(self, monkeypatch):
+        # (1, -1) is the shortest row from the first rung on, but its
+        # residual 10^-200 never beats the full-precision gate
+        gates = []
+        scan = lat._scan_reduced
+        monkeypatch.setattr(lat, "_scan_reduced",
+                            lambda *a: gates.append(1) or scan(*a))
+        with mp.workdps(340):
+            a = mp.sqrt(2)
+            xs = [a, a + mp.mpf(10) ** -200]
+        assert lat.integer_relation(xs, precision=320) is None
+        assert len(gates) > 2  # the gate ran on the rungs, not only at the end
+
+    def test_two_relations_match_the_direct_reduction(self, monkeypatch):
+        rungs = []
+        integral = lat._lll_integral
+        monkeypatch.setattr(lat, "_lll_integral",
+                            lambda rows: rungs.append(1) or integral(rows))
+        with mp.workdps(340):
+            s = mp.sqrt(3)
+            xs = [s, mp.mpf(1), s, 2 * s]
+            rel = lat.integer_relation(xs, precision=320)
+            vals = lat._prepare(xs, 320)
+            rows = lat._candidate_rows(vals, 320)
+        full = -(-max(abs(r[-1]).bit_length() for r in rows) // lat.FEED_BITS)
+        assert 1 < len(rungs) < full  # stopped before the last rung
+        best = lat._scan_reduced(integral(rows), vals, 4, 320, None)
+        coeffs = lat._normalize(best[1])
+        assert rel is not None
+        assert rel.coefficients == (coeffs[0], *(-c for c in coeffs[1:]))
+        assert rel.coefficients == (1, 0, 1, 0)
+
+
+class TestOneReductionPerLattice:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        reduce = lat.lll_reduce
+
+        def counting(rows, **kw):
+            seen.append(len(rows))
+            return reduce(rows, **kw)
+
+        monkeypatch.setattr(lat, "lll_reduce", counting)
+        return seen
+
+    def test_relations(self, calls):
+        with mp.workdps(340):
+            phi = (1 + mp.sqrt(5)) / 2
+            assert lat.integer_relation([mp.mpf(1), phi, phi ** 2],
+                                        precision=320) is not None
+            assert calls == [3]
+            lat.raw_relation([mp.pi, mp.mpf(1), phi], precision=320)
+        assert calls == [3, 3]
+
+    def test_minimal_polynomial_degree_steps(self, calls):
+        with mp.workdps(340):
+            b = mp.cbrt(2) + 1
+            assert lat.minimal_polynomial(b, max_degree=6, precision=320) \
+                .coeffs == (-3, 3, -3, 1)
+            assert calls == [2, 3, 4]
+            assert lat.minimal_polynomial(mp.pi, max_degree=4,
+                                          precision=320) is None
+        assert calls == [2, 3, 4, 2, 3, 4, 5]
 
 
 def mpf_at(expr, dps):
