@@ -3,9 +3,10 @@
 Pipeline: partition the overlap table into orbits under the centralizer of
 the projector's symmetry image and form one monic polynomial per orbit;
 recognize the coefficients in a small real coefficient field; adjoin a root
-of one orbit polynomial to get the overlap field; align the automorphisms of
-that extension with the index-quotient cosets by scoring integer relations;
-emit a self-contained certificate carrying exact overlaps at orbit
+of one orbit polynomial to get the overlap field; lift one exact overlap per
+orbit and align the automorphisms of that extension with the index-quotient
+cosets by one rule, that they regenerate the numeric table from those
+overlaps; emit a self-contained certificate carrying exact overlaps at orbit
 representatives plus the transport data regenerating the full table.
 Verification either replays everything in exact rational arithmetic or
 encloses all residues in complex balls.
@@ -70,10 +71,8 @@ def symmetry_structure(fid, full: bool = False) -> SymmetryStructure:
     m = s_pi.modulus
     ident = ModMatrix.identity(m)
     gens = [F for F in s_pi.elements if F != ident]
-    cent = centralizer(gens[0])
-    for F in gens[1:]:
-        kept = [M for M in cent.elements if M * F == F * M]
-        cent = MatGroup.generated(kept)
+    cent = MatGroup(M for M in centralizer(gens[0])
+                    if all(M * F == F * M for F in gens[1:]))
     orbs = orbits(cent)
     return SymmetryStructure(fid.d, m, tuple(sorted(pairs)), s0, s_pi, cent,
                              tuple(tuple(map(tuple, o)) for o in orbs))
@@ -186,6 +185,9 @@ def orbit_coefficient_values(fid, precision: int | None = None) -> list:
 
 # Highest coefficient-field degree the lift searches for.
 MAX_E0_DEGREE = 8
+
+# Fewest digits a lift works at; a certificate's tower declares at least this.
+MIN_LIFT_DIGITS = 200
 
 
 def _field_from_seed(seed, prec) -> FieldTower:
@@ -650,6 +652,10 @@ def _check_schema(obj: dict) -> dict:
                                     and type(ver.get("pass")) is bool):
             raise SicliftError("verification is neither null nor a report "
                                "with a mode and a verdict")
+        tprec = obj["tower"]["precision"]
+        if type(tprec) is not int or tprec < MIN_LIFT_DIGITS:
+            raise SicliftError(f"tower precision {tprec!r} is not an integer "
+                               f">= {MIN_LIFT_DIGITS}")
         tower = FieldTower.from_json(json.dumps(obj["tower"]))
         e1_tower = FieldTower(tower.levels[:e1], tower.precision)
         return dict(
@@ -767,48 +773,82 @@ def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, prec) -> dict:
     return out
 
 
-def _assemble_certificate(fid, struct, table, e0, e1, gen_poly, autos,
-                          coset_of_row, cosets, reps, rep_overlaps, polys,
-                          method, score, runner_up, separation, candidates,
-                          prec) -> ExactFiducialCertificate:
-    """Common tail of both lifting routes: index map, numeric cross-check of
-    every index, tau extension, structural-expectation record, certificate."""
-    n = len(autos)
-    ident_row = next(i for i, a in enumerate(autos) if a.is_identity())
-    orbit_reps = tuple(q.rep for q in polys)
-    pos_of = {q.rep: i for i, q in enumerate(polys)}
-
+def _index_map(polys, cosets, coset_of_row, ident_row) -> dict:
+    """Index -> (orbit position, Galois row): every index of a one-value
+    orbit takes the identity row, and on any other orbit row j takes the
+    representative's images under the matrices of coset coset_of_row[j]."""
     index_map = {}
-    for q in polys:
+    for pos, q in enumerate(polys):
         if q.degree == 1:
             for idx in q.indices:
-                index_map[idx] = (pos_of[q.rep], ident_row)
+                index_map[idx] = (pos, ident_row)
             continue
-        for j in range(n):
-            for M in cosets[coset_of_row[j]]:
-                index_map[M.apply(q.rep)] = (pos_of[q.rep], j)
+        for j, c in enumerate(coset_of_row):
+            for M in cosets[c]:
+                index_map[M.apply(q.rep)] = (pos, j)
         missing = [idx for idx in q.indices if idx not in index_map]
         if missing:
             raise LiftError(f"orbit {q.orbit_id} indices {missing} were not "
                             "reached by any coset; transport data is "
                             "inconsistent")
+    return index_map
 
-    # numeric cross-check: every index's regenerated value must match the
-    # table well below the distinct-value separation floor
+
+def _regenerated(table, polys, autos, rep_overlaps, index_map, prec) -> bool:
+    """Whether the Galois rows, applied to the lifted orbit representatives
+    as index_map pairs them, reproduce the numeric table at every index to
+    10^-(prec//3), well below the distinct-value separation floor. Each row
+    is applied once per (orbit position, row) pair."""
     tol = mp.mpf(10) ** (-(prec // 3))
-    img_cache = {}
+    images = {}
     with mp.workdps(guarded(prec)):
-        for idx, (pos, j) in index_map.items():
-            if (pos, j) not in img_cache:
-                img_cache[(pos, j)] = autos[j](
-                    rep_overlaps[orbit_reps[pos]]).embed()
-            if abs(img_cache[(pos, j)] - table.chi(idx)) > tol:
-                raise LiftError(
-                    f"regenerated overlap at index {idx} disagrees with the "
-                    "numeric table; the transport alignment is wrong")
+        for idx, src in index_map.items():
+            if src not in images:
+                pos, j = src
+                images[src] = autos[j](rep_overlaps[polys[pos].rep]).embed()
+            if abs(images[src] - table.chi(idx)) > tol:
+                return False
+    return True
 
+
+def _select_alignment(candidates, lift, table, polys, autos, cosets, prec):
+    """The one alignment rule of both routes: of the candidate isomorphisms
+    (each row's coset), walked in order, the one under which the rows
+    regenerate the table from the representatives lift(f) returns (None
+    skips f). Returns (f, representatives, index map), or None when no
+    candidate does; LiftError when two do."""
+    ident_row = next(i for i, a in enumerate(autos) if a.is_identity())
+    found = None
+    for f in candidates:
+        rep_overlaps = lift(f)
+        index_map = _index_map(polys, cosets, f, ident_row)
+        if rep_overlaps is None or not _regenerated(
+                table, polys, autos, rep_overlaps, index_map, prec):
+            continue
+        if found is not None:
+            raise LiftError(f"alignment ambiguous: bijections {found[0]} and "
+                            f"{f} both lift exactly and regenerate the table")
+        found = (f, rep_overlaps, index_map)
+    return found
+
+
+def _poly_at(e1: FieldTower, coeffs, x: AlgebraicNumber) -> AlgebraicNumber:
+    """sum_k coeffs[k] x^k in e1, the coefficients lifted from a subfield."""
+    acc, tp = e1.zero(), e1.one()
+    for c in coeffs:
+        acc = acc + lift_element(e1, c) * tp
+        tp = tp * x
+    return acc
+
+
+def _assemble_certificate(fid, struct, e0, e1, gen_poly, autos, reps, polys,
+                          aligned, method, score, runner_up, separation,
+                          candidates, prec) -> ExactFiducialCertificate:
+    """Common tail of both lifting routes, given the alignment
+    _select_alignment chose: tau extension, structural-expectation record,
+    certificate."""
+    coset_of_row, rep_overlaps, index_map = aligned
     tower, tau, added = _extend_with_tau(e1, fid.d)
-    lifted_overlaps = rep_overlaps
     if added:
         log.info("phase extension added a level (relative degree %d)",
                  tower.levels[-1].degree)
@@ -816,7 +856,7 @@ def _assemble_certificate(fid, struct, table, e0, e1, gen_poly, autos,
     conj = _conjectures(fid.d, e0, e1, gen_poly, polys, prec)
 
     match = GaloisMatch(
-        matrices=tuple(reps[coset_of_row[j]] for j in range(n)),
+        matrices=tuple(reps[c] for c in coset_of_row),
         images=tuple(_image_coords(a) for a in autos), score=score,
         runner_up=runner_up, separation=separation, candidates=candidates)
 
@@ -824,7 +864,7 @@ def _assemble_certificate(fid, struct, table, e0, e1, gen_poly, autos,
         d=fid.d, method=method, tower=tower, e0_levels=len(e0.levels),
         e1_levels=len(e1.levels), tau=tau, tau_level_added=added,
         generator_rep=gen_poly.rep if gen_poly is not None else None,
-        orbit_reps=orbit_reps, rep_overlaps=lifted_overlaps,
+        orbit_reps=tuple(q.rep for q in polys), rep_overlaps=rep_overlaps,
         index_map=index_map, galois=match,
         s_matrices=tuple(struct.s_pi.elements),
         stabilizer=struct.stabilizer, conjectures=conj)
@@ -841,8 +881,8 @@ def _prepare(fid, digits):
     if prec > fid.precision:
         raise PrecisionError(f"fiducial carries {fid.precision} digits, "
                              f"{prec} were requested")
-    if prec < 200:
-        raise PrecisionError("lifting needs at least 200 digits")
+    if prec < MIN_LIFT_DIGITS:
+        raise PrecisionError(f"lifting needs at least {MIN_LIFT_DIGITS} digits")
     struct = symmetry_structure(fid)
     table = hb.overlaps(fid.vector, fid.d, prec)
     polys = build_orbit_polynomials(table, struct.cent)
@@ -881,7 +921,9 @@ def method2_exactify(fid,
     solution component is fed to a gate-free integer-relation search over the
     coefficient-field basis. The true bijection's components lie in the
     coefficient field, so its relation norms sit many orders of magnitude
-    below every competitor's junk floor. The winner is then lifted exactly."""
+    below every competitor's junk floor. The low scorers, best first, have
+    their solutions lifted exactly, and _select_alignment keeps the one whose
+    lift regenerates the numeric table."""
     if fid.d % 3 == 0:
         from .fidsearch import strongly_centre
         fid = strongly_centre(fid)
@@ -925,11 +967,12 @@ def method2_exactify(fid,
             f"{mp.nstr(scores[ranked[0]], 5)} at {prec} digits); increase "
             "precision")
 
-    def _attempt(f):
-        """Exact lift of the bijection's solution, then the decisive check:
-        the lifted generator-orbit value must regenerate the numeric table at
-        every transported representative index."""
+    def lift(f):
+        """Exact lift of the bijection's solution: each component in the
+        coefficient field, summed against the powers of the overlap-field
+        generator; None when a component is not recognized."""
         rep_overlaps = {}
+        t = e1.generator(len(e1.levels))
         for q in polys:
             if q.degree == 1:
                 rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
@@ -940,39 +983,18 @@ def method2_exactify(fid,
                 if got is None:
                     return None
                 sk.append(e0.element(got[0]))
-            t = e1.generator(len(e1.levels))
-            acc, tp = e1.zero(), e1.one()
-            for c in sk:
-                acc = acc + lift_element(e1, c) * tp
-                tp = tp * t
-            rep_overlaps[q.rep] = acc
-        tol = mp.mpf(10) ** (-(prec // 3))
-        with mp.workdps(guarded(prec)):
-            for q in nontrivial:
-                for j in range(n):
-                    img = autos[j](rep_overlaps[q.rep]).embed()
-                    if abs(img - table.chi(reps[f[j]].apply(q.rep))) > tol:
-                        return None
+            rep_overlaps[q.rep] = _poly_at(e1, sk, t)
         return rep_overlaps
 
-    best = None
-    rep_overlaps = None
-    for f in candidates:
-        lifted = _attempt(f)
-        if lifted is None:
-            continue
-        if best is not None:
-            raise LiftError(
-                f"alignment ambiguous: bijections {best} and {f} both lift "
-                "exactly and regenerate the table (scores "
-                f"{mp.nstr(scores[best], 5)}, {mp.nstr(scores[f], 5)})")
-        best, rep_overlaps = f, lifted
-    if best is None:
+    aligned = _select_alignment(candidates, lift, table, polys, autos, cosets,
+                                prec)
+    if aligned is None:
         raise PrecisionError(
             f"none of the {len(candidates)} low-scoring bijections passed "
             f"the gated exact lift and table cross-check at {prec} digits; "
             "increase precision")
 
+    best = aligned[0]
     best_score = scores[best]
     others = [scores[f] for f in perms if f != best]
     runner_up = min(others) if others else mp.inf
@@ -983,102 +1005,60 @@ def method2_exactify(fid,
                     "winner", best, mp.nstr(best_score, 5),
                     mp.nstr(scores[ranked[0]], 5))
 
-    coset_of_row = list(best)
     return _assemble_certificate(
-        fid, struct, table, e0, e1, gen_poly, autos, coset_of_row, cosets,
-        reps, rep_overlaps, polys, 2, best_score, runner_up, separation,
-        len(perms), prec)
+        fid, struct, e0, e1, gen_poly, autos, reps, polys, aligned, 2,
+        best_score, runner_up, separation, len(perms), prec)
 
 
 # ---------------------------------------------------------------------------
-# route 1: direct per-value recognition
+# route 1: direct recognition of the representative values
 
 
 def method1_exactify(fid,
                      digits: int | None = None) -> ExactFiducialCertificate:
-    """Lift by recognizing each distinct overlap value directly in the
-    overlap field and certifying it as an exact root of its lifted orbit
-    polynomial. The coset alignment is then forced after the fact by exact
-    equality, with no relation scoring involved, and must be one of the
-    isomorphisms onto the index quotient that _prepare enumerated.
+    """Lift by recognizing each nontrivial orbit's representative value
+    directly in the overlap field and certifying it as an exact root of its
+    lifted orbit polynomial. The orbit's other values are Galois images of
+    that one, so they need no recognition of their own: the alignment is the
+    one isomorphism onto the index quotient, among those _prepare
+    enumerated, under which _select_alignment finds the rows regenerate the
+    numeric table. No relation scoring is involved.
 
     Dimensions divisible by 3 would need the cubed-value variant and a
     factoring step over a larger tower; that is out of scope here, use the
     alignment route instead."""
     if fid.d % 3 == 0:
-        raise LiftError("direct per-value recognition handles dimensions not "
-                        "divisible by 3; use the alignment route (method 2) "
-                        "for d = 0 mod 3")
+        raise LiftError("direct recognition handles dimensions not divisible "
+                        "by 3; use the alignment route (method 2) for "
+                        "d = 0 mod 3")
     prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, reps, \
         perms = _prepare(fid, digits)
-    n = len(autos)
-
-    same = mp.mpf(10) ** (-(prec // 2))
-    exact_vals = {}
-    for q in polys:
-        if q.degree == 1:
-            continue
-        lifted = [lift_element(e1, c) for c in q.exact]
-        for i, v in enumerate(q.values):
-            cand = next(_recognize_ladder(e1, v), None)
-            if cand is None:
-                raise PrecisionError(
-                    f"orbit {q.orbit_id} value {i} was not recognized in the "
-                    f"overlap field at {prec} digits")
-            acc, tp = e1.zero(), e1.one()
-            for c in lifted:
-                acc = acc + c * tp
-                tp = tp * cand
-            if not acc.is_zero():
-                raise LiftError(
-                    f"recognized value for orbit {q.orbit_id} position {i} "
-                    "is not an exact root of its orbit polynomial")
-            exact_vals[(q.orbit_id, i)] = cand
-
-    def value_pos(q, idx):
-        with mp.workdps(guarded(prec)):
-            v = table.chi(idx)
-            dists = [abs(v - w) for w in q.values]
-        i = min(range(len(dists)), key=lambda k: dists[k])
-        if dists[i] > same:
-            raise PrecisionError(f"index {idx} matches no distinct value of "
-                                 f"orbit {q.orbit_id}")
-        return i
-
-    nontrivial = [q for q in polys if q.degree >= 2]
-    coset_of_row = []
-    for j, a in enumerate(autos):
-        matches = []
-        for c in range(n):
-            ok = True
-            for q in nontrivial:
-                img = a(exact_vals[(q.orbit_id, 0)])
-                tgt = exact_vals[(q.orbit_id,
-                                  value_pos(q, reps[c].apply(q.rep)))]
-                if not (img - tgt).is_zero():
-                    ok = False
-                    break
-            if ok:
-                matches.append(c)
-        if len(matches) != 1:
-            raise LiftError(f"automorphism {j} matched {len(matches)} cosets "
-                            "instead of exactly one; alignment failed")
-        coset_of_row.append(matches[0])
-
-    if tuple(coset_of_row) not in perms:
-        raise LiftError("the forced coset alignment is not an isomorphism of "
-                        "the automorphism group onto the index quotient")
 
     rep_overlaps = {}
     for q in polys:
         if q.degree == 1:
             rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
-        else:
-            rep_overlaps[q.rep] = exact_vals[(q.orbit_id, 0)]
+            continue
+        cand = next(_recognize_ladder(e1, q.values[0]), None)
+        if cand is None:
+            raise PrecisionError(
+                f"orbit {q.orbit_id} representative value was not recognized "
+                f"in the overlap field at {prec} digits")
+        if not _poly_at(e1, q.exact, cand).is_zero():
+            raise LiftError(
+                f"recognized value for orbit {q.orbit_id} is not an exact "
+                "root of its orbit polynomial")
+        rep_overlaps[q.rep] = cand
 
+    aligned = _select_alignment(perms, lambda f: rep_overlaps, table, polys,
+                                autos, cosets, prec)
+    if aligned is None:
+        raise LiftError("no isomorphism of the automorphism group onto the "
+                        "index quotient regenerates the numeric table from "
+                        "the recognized values")
     return _assemble_certificate(
-        fid, struct, table, e0, e1, gen_poly, autos, coset_of_row, cosets,
-        reps, rep_overlaps, polys, 1, mp.mpf(0), mp.inf, mp.inf, 0, prec)
+        fid, struct, e0, e1, gen_poly, autos, reps, polys, aligned, 1,
+        mp.mpf(0), mp.inf, mp.inf, 0, prec)
 
 
 # ---------------------------------------------------------------------------

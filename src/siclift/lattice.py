@@ -284,6 +284,22 @@ def _scan_reduced(reduced, vals, n, prec, max_height_digits):
     return best
 
 
+def _gated_reduce(rows, gate):
+    """lll_reduce with `gate` as its stop; returns the gate's result on the
+    rung that stopped (its coefficient block is what lll_reduce returns), or
+    on the final rows when none did."""
+    accepted = []
+
+    def stop(reduced):
+        got = gate(reduced)
+        if got is not None:
+            accepted.append(got)
+        return got
+
+    reduced = lll_reduce(rows, stop=stop)
+    return accepted[0] if accepted else gate(reduced)
+
+
 def _normalize(coeffs):
     g = math.gcd(*(abs(c) for c in coeffs))
     if g > 1:
@@ -318,7 +334,7 @@ def integer_relation(xs, precision: int | None = None,
     def gate(rows):
         return _scan_reduced(rows, vals, n, prec, max_height_digits)
 
-    best = gate(lll_reduce(_candidate_rows(vals, prec), stop=gate))
+    best = _gated_reduce(_candidate_rows(vals, prec), gate)
     if best is None:
         return None
     coeffs = _normalize(best[1])
@@ -398,8 +414,8 @@ def minimal_polynomial(a, max_degree: int, precision: int | None = None
             powers.append(powers[-1] * val)
         for deg in range(1, max_degree + 1):
             xs = powers[:deg + 1]
-            accept = functools.partial(gate, xs)
-            poly = accept(lll_reduce(_candidate_rows(xs, prec), stop=accept))
+            poly = _gated_reduce(_candidate_rows(xs, prec),
+                                 functools.partial(gate, xs))
             if poly is not None:
                 return poly
     return None

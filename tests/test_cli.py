@@ -264,6 +264,12 @@ def _malform(obj, how):
         galois["candidates"] = "x"
     elif how == "tau_zero_denominator":
         obj["tau"][0] = "1/0"
+    elif how == "tower_precision_float":
+        obj["tower"]["precision"] += 0.5
+    elif how == "tower_precision_zero":
+        obj["tower"]["precision"] = 0
+    elif how == "tower_precision_negative":
+        obj["tower"]["precision"] = -100
 
 
 @pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
@@ -273,7 +279,10 @@ def _malform(obj, how):
                                  "modulus_string", "s_matrix_float",
                                  "index_entry_float", "minpoly_leaf_dropped",
                                  "minpoly_leaf_added", "minpoly_sublist_cut",
-                                 "candidates_string", "tau_zero_denominator"])
+                                 "candidates_string", "tau_zero_denominator",
+                                 "tower_precision_float",
+                                 "tower_precision_zero",
+                                 "tower_precision_negative"])
 def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
                                                   how):
     obj = json.load(open(certfile))

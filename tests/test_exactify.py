@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from siclift import lattice, numfield
+from siclift import exactify, lattice, numfield
 from siclift.errors import LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
                               _distinct_values, _extend_with_tau,
@@ -29,7 +29,7 @@ from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
                               verify_exact)
 from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
-from siclift.modring import h2_group
+from siclift.modring import gl2_group, h2_group
 from siclift.numfield import FieldTower, _subset_product_coeffs, adjoin, \
     automorphisms, cyclotomic_polynomial, factor_over_tower, recognize
 
@@ -434,6 +434,50 @@ def test_method1_agrees_d4(fid4, cert4):
     theirs = cert1.all_overlaps()
     for q in ours:
         assert ours[q].coefficients == theirs[q].coefficients, q
+
+
+def test_centralizer_is_every_commuting_matrix_d4(fid4):
+    # the centralizer of the symmetry image, filtered in one pass, is what a
+    # sweep of all of GL(2, Z/8) keeps
+    st = symmetry_structure(fid4)
+    brute = [M for M in gl2_group(8)
+             if all(M * F == F * M for F in st.s_pi)]
+    assert st.cent.elements == tuple(brute)
+    assert len(st.cent) == 48
+
+
+def test_method1_recognizes_one_value_per_orbit_d4(fid4, monkeypatch):
+    # each orbit's other values are Galois images of its representative's,
+    # so only the representative is recognized in the overlap field
+    towers = []
+    ladder = exactify._recognize_ladder
+
+    def counted(tower, value):
+        towers.append(tower)
+        return ladder(tower, value)
+
+    monkeypatch.setattr(exactify, "_recognize_ladder", counted)
+    cert = method1_exactify(fid4)
+    polys = build_orbit_polynomials(overlaps(fid4),
+                                    symmetry_structure(fid4).cent)
+    nontrivial = [q for q in polys if q.degree > 1]
+    in_e1 = [t for t in towers if len(t.levels) == cert.e1_levels]
+    assert cert.e1_levels > cert.e0_levels
+    assert len(in_e1) == len(nontrivial) == 1
+
+
+def test_alignment_is_chosen_by_regeneration_d4(fid4, monkeypatch):
+    # both routes keep the one isomorphism whose rows regenerate the table:
+    # at d=4 there are several isomorphisms, so accepting all is ambiguous,
+    # and rejecting all leaves no alignment
+    monkeypatch.setattr(exactify, "_regenerated", lambda *a: True)
+    with pytest.raises(LiftError, match="ambiguous"):
+        method1_exactify(fid4)
+    monkeypatch.setattr(exactify, "_regenerated", lambda *a: False)
+    with pytest.raises(LiftError, match="regenerates"):
+        method1_exactify(fid4)
+    with pytest.raises(PrecisionError):
+        method2_exactify(fid4)
 
 
 def _content_digest(cert) -> str:

@@ -123,6 +123,30 @@ class TestGradualFeeding:
         assert rel.coefficients == (coeffs[0], *(-c for c in coeffs[1:]))
         assert rel.coefficients == (1, 0, 1, 0)
 
+    def test_the_stopping_rung_is_gated_once(self, monkeypatch):
+        # the gate's verdict on the rung that stopped is the result: the rows
+        # lll_reduce returns carry the same coefficient block, so gating them
+        # again would only repeat it
+        scans, stops = [], []
+        scan, reduce = lat._scan_reduced, lat.lll_reduce
+        monkeypatch.setattr(lat, "_scan_reduced",
+                            lambda *a: scans.append(1) or scan(*a))
+
+        def watched(rows, stop=None):
+            def counted(reduced):
+                stops.append(stop(reduced))
+                return stops[-1]
+            return reduce(rows, stop=counted if stop else None)
+
+        monkeypatch.setattr(lat, "lll_reduce", watched)
+        with mp.workdps(340):
+            s = mp.sqrt(3)
+            rel = lat.integer_relation([s, mp.mpf(1), s, 2 * s],
+                                       precision=320)
+        assert rel.coefficients == (1, 0, 1, 0)
+        assert stops and stops[-1] is not None  # a rung stopped the reduction
+        assert len(scans) == len(stops)
+
 
 class TestOneReductionPerLattice:
     @pytest.fixture
