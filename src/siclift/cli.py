@@ -293,11 +293,15 @@ def cmd_exactify(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    digits = 120 if ns.digits is None else ns.digits
+    if ns.mode == "certified" and digits < 1:
+        raise SicliftError(f"--digits must be positive for certified mode, "
+                           f"got {digits}")
     cert = ExactFiducialCertificate.load(ns.cert)
     if ns.mode == "exact":
         report = verify_exact(cert)
     else:
-        report = verify_certified(cert, digits=ns.digits or 120)
+        report = verify_certified(cert, digits=digits)
     sys.stdout.write(json.dumps(report, indent=1) + "\n")
     return 0 if report["pass"] else 1
 

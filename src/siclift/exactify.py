@@ -1312,13 +1312,13 @@ class _Ball:
         self.c, self.r, self.eps = c, r, eps
 
     @staticmethod
-    def exact(q, eps) -> "_Ball":
-        c = mp.mpf(q.numerator) / q.denominator
+    def exact(num, den, eps) -> "_Ball":
+        c = mp.mpf(num) / den
         return _Ball(c, abs(c) * eps + eps * eps, eps)
 
     def __add__(self, o):
         if type(o) is not _Ball:
-            o = _Ball.exact(o, self.eps)
+            o = _Ball.exact(o.numerator, o.denominator, self.eps)
         c = self.c + o.c
         return _Ball(c, self.r + o.r + abs(c) * self.eps, self.eps)
 
@@ -1326,13 +1326,13 @@ class _Ball:
 
     def __sub__(self, o):
         if type(o) is not _Ball:
-            o = _Ball.exact(o, self.eps)
+            o = _Ball.exact(o.numerator, o.denominator, self.eps)
         c = self.c - o.c
         return _Ball(c, self.r + o.r + abs(c) * self.eps, self.eps)
 
     def __mul__(self, o):
         if type(o) is not _Ball:
-            o = _Ball.exact(o, self.eps)
+            o = _Ball.exact(o.numerator, o.denominator, self.eps)
         c = self.c * o.c
         return _Ball(c, abs(self.c) * o.r + abs(o.c) * self.r + self.r * o.r
                      + abs(c) * self.eps, self.eps)
@@ -1351,14 +1351,20 @@ def _horner(coeffs, z):
     return acc
 
 
+def _ball_of(tower: FieldTower, vec, L: int, gballs, eps) -> _Ball:
+    """Enclosure of the level-L vector vec: each coordinate enters as the
+    ball around its rounded rational value."""
+    u, den = vec
+    return tower.evaluate(u, L, lambda n: _Ball.exact(n, den, eps), gballs)
+
+
 def _generator_balls(tower: FieldTower, eps):
     """Enclosures for the tower generators: Newton-refined centers with a
     defect-based radius 2|f(z)| / (|f'(z)| - r'). Evidence-grade, not a formal
     proof of enclosure."""
     gballs = []
     for k, lvl in enumerate(tower.levels):
-        coeffs = [tower.evaluate(c, k, lambda q: _Ball.exact(q, eps), gballs)
-                  for c in lvl.minpoly]
+        coeffs = [_ball_of(tower, c, k, gballs, eps) for c in lvl.minpoly]
         deg = len(coeffs)
         centres = [b.c for b in coeffs]
         z = mp.mpc(lvl.embedding)
@@ -1393,7 +1399,11 @@ def verify_certified(cert: ExactFiducialCertificate,
     the requested precision. Passes when all residue balls contain 0 with
     radius below 10^(-digits/2) and the stored group data passes the exact
     checks of verify_exact; a ball excluding 0 is a definitive failure. The
-    enclosures are numerical evidence, not a proof."""
+    enclosures are numerical evidence, not a proof. digits must be a
+    positive integer; SicliftError otherwise."""
+    if type(digits) is not int or digits < 1:
+        raise SicliftError(f"certified digits {digits!r} is not a positive "
+                           "integer")
     d = cert.d
     tower = cert.tower
     wdps = digits + 25
@@ -1403,8 +1413,7 @@ def verify_certified(cert: ExactFiducialCertificate,
         gballs = _generator_balls(tower, eps)
 
         def ball(x: AlgebraicNumber):
-            return tower.evaluate(x.coefficients, len(x.tower.levels),
-                                  lambda q: _Ball.exact(q, eps), gballs)
+            return _ball_of(tower, x.vec, len(x.tower.levels), gballs, eps)
 
         chi = {q: ball(val) for q, val in cert.all_overlaps().items()}
         taub = ball(cert.tau)

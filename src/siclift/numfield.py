@@ -1,11 +1,22 @@
 """Exact arithmetic in towers of number fields with chosen complex embeddings.
 
 A tower is Q = L_0 < L_1 < ... < L_n where each step adjoins one root of a
-polynomial over the previous level. An element is its coordinate tuple: the
-rational coordinates over the power-product basis of the generators, in lex
-exponent order with the top generator varying fastest, so for a level-L
-element u and m = deg(level L), u[j::m] is the coefficient of g_L^j over level
-L-1. Every element also has a complex embedding fixed by the root choices, so
+polynomial over the previous level. An element is its vector: an integer
+coordinate tuple u with one positive denominator, kept reduced, over the
+power-product basis of the generators, in lex exponent order with the top
+generator varying fastest, so for a level-L element u[j::m] is the numerator
+of its coefficient of g_L^j over level L-1, where m = deg(level L). The
+rational coordinates are AlgebraicNumber.coefficients.
+
+A level-L product is one big-integer multiply: both numerator tuples are
+packed (Kronecker substitution) into the box of exponent sums, where level
+k's digit runs over 2 m_k - 1 values, so no slot carries into the next. The
+product's box slots are then sent to the basis by an integer matrix over one
+denominator, built once per tower prefix and held on the prefix's top level.
+An automorphism is likewise an integer matrix, built from the images of the
+generators.
+
+Every element also has a complex embedding fixed by the root choices, so
 numeric and exact computations can cross-check each other. Every
 automorphism is built by `automorphism`, which checks its generator images
 exactly, and `automorphisms` generates the group of the top level from as
@@ -16,16 +27,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
+import struct
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, lshift, mul, sub
 
 import mpmath as mp
 
 from .bignum import format_decimal, guarded, parse_decimal
 from .errors import FieldError
 from .lattice import express_in_basis
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def squarefree_part(n: int) -> int:
@@ -57,16 +68,46 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
 
 
-def _mpf(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
+# -- vectors: (integer numerator tuple, positive denominator), reduced -------
 
 
-def _add(u, v):
-    return tuple(map(operator.add, u, v))
+def _reduced(num: tuple, den: int):
+    """The vector num/den, for a positive den, with den made coprime to the
+    numerators."""
+    if den == 1:
+        return num, 1
+    g = gcd(den, *num)
+    if g == 1:
+        return num, den
+    return tuple([x // g for x in num]), den // g
 
 
-def _sub(u, v):
-    return tuple(map(operator.sub, u, v))
+def _combine(a, b, op):
+    """a op b for op add or sub."""
+    (u, du), (v, dv) = a, b
+    if du == dv:
+        return _reduced(tuple(map(op, u, v)), du)
+    g = gcd(du, dv)
+    su, sv = dv // g, du // g
+    return _reduced(tuple([op(x * su, y * sv) for x, y in zip(u, v)]),
+                    du * su)
+
+
+def _scale(a, q):
+    """a times the rational (int or Fraction) q."""
+    u, du = a
+    n = q.numerator
+    return _reduced(tuple([x * n for x in u]), du * q.denominator)
+
+
+def _from_fractions(coords):
+    """The vector with the given rational coordinates."""
+    return _join([((c.numerator,), c.denominator) for c in coords])
+
+
+def _fractions(a) -> tuple:
+    u, den = a
+    return tuple(Fraction(x, den) for x in u)
 
 
 def _interleave(parts):
@@ -74,20 +115,48 @@ def _interleave(parts):
     return tuple(itertools.chain.from_iterable(zip(*parts)))
 
 
+def _common(vecs):
+    """The numerator tuples of vecs over their least common denominator,
+    and that denominator."""
+    den = lcm(*(d for _u, d in vecs))
+    return [u if d == den else tuple([x * (den // d) for x in u])
+            for u, d in vecs], den
+
+
+def _join(parts):
+    """The vector whose coefficient of the top generator's j-th power is the
+    one-level-down vector parts[j]."""
+    nums, den = _common(parts)
+    return _reduced(_interleave(nums), den)
+
+
+def _part(a, j: int, m: int):
+    """The coefficient of g^j of a vector over a level of degree m."""
+    return _reduced(a[0][j::m], a[1])
+
+
+def _columns(cols):
+    """Integer rows over one denominator of the matrix whose i-th column is
+    the vector cols[i]."""
+    nums, den = _common(cols)
+    return tuple(zip(*nums)), den
+
+
 class FieldLevel:
     """One extension step: a generator with its monic minimal polynomial over
     the previous level (ascending, without the leading 1; each coefficient is
-    a coordinate tuple of the previous level) and the chosen embedding
-    root."""
+    a vector of the previous level) and the chosen embedding root. box holds
+    the product data of the prefix this level tops, built on first use."""
 
-    __slots__ = ("tag", "minpoly", "degree", "root_index", "embedding")
+    __slots__ = ("tag", "minpoly", "degree", "root_index", "embedding", "box")
 
     def __init__(self, tag, minpoly, root_index, embedding):
         self.tag = tag
-        self.minpoly = minpoly          # tuple of parent coordinate tuples
+        self.minpoly = minpoly          # tuple of parent vectors
         self.degree = len(minpoly)
         self.root_index = root_index
         self.embedding = embedding      # raw mpc at the tower's precision
+        self.box = None
 
     def __eq__(self, other):
         return (isinstance(other, FieldLevel)
@@ -99,11 +168,76 @@ class FieldLevel:
         return hash((self.tag, self.minpoly, self.root_index))
 
 
+class _Box:
+    """Product data of the tower prefix of L levels. pos[i] is basis
+    monomial i's slot in the box of exponent sums, a mixed-radix number whose
+    level-k digit runs over 2 m_k - 1 values (level 1 most significant);
+    cols[p] is box monomial p as a reduced vector, and rows, den the same
+    matrix over one denominator, each row as the indices and values of its
+    nonzero entries. A level's box is built from the one below it, its
+    minimal polynomial and products one level down."""
+
+    __slots__ = ("below", "dim", "size", "pos", "cols", "rows", "den")
+
+    def __init__(self, tower: "FieldTower | None", L: int):
+        self.below = tower.levels[:L - 1] if L else ()
+        if L == 0:
+            self.dim = self.size = 1
+            self.pos, self.cols = (0,), [((1,), 1)]
+            self.rows, self.den = (((0,), (1,)),), 1
+            return
+        low, lv = tower._box(L - 1), tower.levels[L - 1]
+        m, radix = lv.degree, 2 * lv.degree - 1
+        zero, one = tower._zero(L - 1), tower._const(1, L - 1)
+        # g^s for s < radix, as its m coefficients over level L-1:
+        # g^(s+1) = sum_j c_j g^(j+1), and g^m = -sum_j P_j g^j
+        powers = [(one,) + (zero,) * (m - 1)]
+        for _ in range(radix - 1):
+            *rest, top = powers[-1]
+            powers.append(tuple(
+                _combine(c, tower._mul(top, p, L - 1), sub)
+                for c, p in zip((zero, *rest), lv.minpoly)))
+        self.dim, self.size = low.dim * m, low.size * radix
+        self.pos = tuple(p * radix + j for p in low.pos for j in range(m))
+        self.cols = [_join([tower._mul(col, c, L - 1) for c in powers[s]])
+                     for col in low.cols for s in range(radix)]
+        rows, self.den = _columns(self.cols)
+        self.rows = tuple((tuple(p for p, x in enumerate(row) if x),
+                           tuple(x for x in row if x)) for row in rows)
+
+    def product(self, u, v) -> tuple:
+        """Numerators of u * v over self.den: u and v are packed, one slot
+        of 64 k bits per box monomial, multiplied once, unpacked with every
+        slot offset by 2^(64 k - 1) so that each reads as a nonnegative
+        number, and reduced to the basis."""
+        bits = (max(map(int.bit_length, u)) + max(map(int.bit_length, v))
+                + self.dim.bit_length())
+        k = bits // 64 + 1             # |slot| < 2^bits <= 2^(64 k - 1)
+        width = 64 * k
+        shifts = [width * p for p in self.pos]
+        packed = sum(map(lshift, u, shifts)) * sum(map(lshift, v, shifts))
+        offset = int.from_bytes((bytes(8 * k - 1) + b"\x80") * self.size,
+                                "little")
+        words = struct.unpack(f"<{k * self.size}Q", (packed + offset).to_bytes(
+            8 * k * self.size, "little"))
+        slots = words[::k]
+        for j in range(1, k):
+            slots = map(add, slots, map(lshift, words[j::k],
+                                        itertools.repeat(64 * j)))
+        slots = list(map(sub, slots, itertools.repeat(1 << (width - 1))))
+        return tuple([sum(map(mul, vals, map(slots.__getitem__, idx)))
+                      for idx, vals in self.rows])
+
+
+_Q_BOX = _Box(None, 0)
+
+
 class FieldTower:
     """Immutable after construction; all arithmetic is exact, with embeddings
-    available at the tower's stated precision. A level-L element is the
-    tuple u of its [L_L : Q] rational coordinates; u[j::m] is its
-    coefficient of g_L^j over level L-1, where m is level L's degree."""
+    available at the tower's stated precision. A level-L element is a vector
+    (u, den) of [L_L : Q] integer numerators and one denominator; u[j::m] is
+    the numerator of its coefficient of g_L^j over level L-1, where m is
+    level L's degree."""
 
     def __init__(self, levels=(), precision=80):
         self.levels = tuple(levels)
@@ -122,78 +256,77 @@ class FieldTower:
     def degree(self) -> int:
         return self._dims[-1]
 
-    # -- coordinate tuples --------------------------------------------------
+    # -- vectors ------------------------------------------------------------
 
     def _zero(self, L: int):
-        return (_ZERO,) * self._dims[L]
+        return (0,) * self._dims[L], 1
 
-    def _const(self, q: Fraction, L: int):
-        return (q,) + (_ZERO,) * (self._dims[L] - 1)
+    def _const(self, q, L: int):
+        return (q.numerator,) + (0,) * (self._dims[L] - 1), q.denominator
 
-    def _lift(self, u, from_L: int, to_L: int):
-        """View an element of the sub-tower at level from_L inside level to_L:
+    def _lift(self, a, from_L: int, to_L: int):
+        """View a vector of the sub-tower at level from_L inside level to_L:
         the generators above from_L have exponent 0."""
-        out = [_ZERO] * self._dims[to_L]
-        out[::self._dims[to_L] // self._dims[from_L]] = u
-        return tuple(out)
+        out = [0] * self._dims[to_L]
+        out[::self._dims[to_L] // self._dims[from_L]] = a[0]
+        return tuple(out), a[1]
 
-    def _mul(self, u, v, L: int):
+    def _box(self, L: int) -> _Box:
+        """The product data of the first L levels: held on level L, so every
+        tower sharing that level object with the same levels below it shares
+        them, and built here on first use."""
         if L == 0:
-            return (u[0] * v[0],)
-        m = self.levels[L - 1].degree
-        zero = self._zero(L - 1)
-        right = [(j, v[j::m]) for j in range(m) if any(v[j::m])]
-        prod = [zero] * (2 * m - 1)
-        for i in range(m):
-            a = u[i::m]
-            if any(a):
-                for j, b in right:
-                    prod[i + j] = _add(prod[i + j], self._mul(a, b, L - 1))
-        P = self.levels[L - 1].minpoly
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if any(c):
-                # x^i = -x^(i-m) * sum P_j x^j  (minpoly is monic)
-                for j in range(m):
-                    prod[i - m + j] = _sub(prod[i - m + j],
-                                           self._mul(c, P[j], L - 1))
-        return _interleave(prod[:m])
+            return _Q_BOX
+        lv = self.levels[L - 1]
+        if lv.box is None or lv.box.below != self.levels[:L - 1]:
+            lv.box = _Box(self, L)
+        return lv.box
 
-    def _inv(self, u, L: int):
+    def _mul(self, a, b, L: int):
+        (u, du), (v, dv) = a, b
+        if not (any(u) and any(v)):
+            return self._zero(L)
+        if L == 0:
+            return _reduced((u[0] * v[0],), du * dv)
+        box = self._box(L)
+        return _reduced(box.product(u, v), du * dv * box.den)
+
+    def _inv(self, a, L: int):
+        u, den = a
         if not any(u):
             raise ZeroDivisionError("division by zero field element")
         if L == 0:
-            return (1 / u[0],)
-        key = (L, u)
+            return (den if u[0] > 0 else -den,), abs(u[0])
+        key = (L, a)
         hit = self._inv_cache.get(key)
         if hit is not None:
             return hit
         # extended Euclid on (minpoly, u) over level L-1
         m = self.levels[L - 1].degree
-        P = list(self.levels[L - 1].minpoly) + [self._const(_ONE, L - 1)]
-        A = [u[j::m] for j in range(m)]
-        while A and not any(A[-1]):
+        P = list(self.levels[L - 1].minpoly) + [self._const(1, L - 1)]
+        A = [_part(a, j, m) for j in range(m)]
+        while A and not any(A[-1][0]):
             A.pop()
         r0, r1 = P, A
         s0 = [self._zero(L - 1)]
-        s1 = [self._const(_ONE, L - 1)]
+        s1 = [self._const(1, L - 1)]
         while True:
             if len(r1) == 1:
                 c = self._inv(r1[0], L - 1)
                 inv = [self._mul(c, x, L - 1) for x in s1]
                 inv += [self._zero(L - 1)] * (m - len(inv))
-                out = _interleave(inv[:m])
+                out = _join(inv[:m])
                 self._inv_cache[key] = out
                 return out
             q, r = self._pdivmod(r0, r1, L - 1)
-            while r and not any(r[-1]):
+            while r and not any(r[-1][0]):
                 r.pop()
             if not r:
                 raise FieldError("minimal polynomial is not irreducible "
                                  "(gcd with element is nontrivial)")
             # s_{k+1} = s_{k-1} - q s_k
             qs = self._pmul_nored(q, s1, L - 1)
-            s2 = [_sub(a, b) for a, b in itertools.zip_longest(
+            s2 = [_combine(a, b, sub) for a, b in itertools.zip_longest(
                 s0, qs, fillvalue=self._zero(L - 1))]
             r0, r1, s0, s1 = r1, r, s1, s2
 
@@ -201,7 +334,7 @@ class FieldTower:
         out = [self._zero(L) for _ in range(len(A) + len(B) - 1)]
         for i, a in enumerate(A):
             for j, b in enumerate(B):
-                out[i + j] = _add(out[i + j], self._mul(a, b, L))
+                out[i + j] = _combine(out[i + j], self._mul(a, b, L), add)
         return out
 
     def _pdivmod(self, A, B, L: int):
@@ -212,15 +345,15 @@ class FieldTower:
         for i in range(len(A) - len(B), -1, -1):
             c = self._mul(A[i + len(B) - 1], binv, L)
             q[i] = c
-            if not any(c):
+            if not any(c[0]):
                 continue
             for j, b in enumerate(B):
-                A[i + j] = _sub(A[i + j], self._mul(c, b, L))
+                A[i + j] = _combine(A[i + j], self._mul(c, b, L), sub)
         return q, A[:len(B) - 1]
 
     def evaluate(self, u, L: int, leaf, gens):
-        """Value of the level-L coordinate tuple u in any arithmetic with +
-        and *: leaf maps a rational coordinate into it, and gens[k-1] stands
+        """Value of the level-L numerator tuple u in any arithmetic with +
+        and *: leaf maps an integer numerator into it, and gens[k-1] stands
         for the level-k generator. Horner's rule in g_L over level L-1."""
         if L == 0:
             return leaf(u[0])
@@ -230,6 +363,15 @@ class FieldTower:
         for j in range(m - 2, -1, -1):
             acc = acc * g + self.evaluate(u[j::m], L - 1, leaf, gens)
         return acc
+
+    def _embed(self, a, L: int):
+        """Numeric value of the level-L vector a at the tower's precision:
+        each coordinate is divided by the denominator before the sums, as
+        its rational coordinate would round."""
+        u, den = a
+        with mp.workdps(guarded(self.precision)):
+            return self.evaluate(u, L, lambda n: mp.mpf(n) / den,
+                                 [lv.embedding for lv in self.levels])
 
     # -- public element constructors --------------------------------------
 
@@ -247,16 +389,17 @@ class FieldTower:
         """The level-k generator (1-based) as an element of this tower."""
         if not 1 <= k <= len(self.levels):
             raise FieldError(f"no level {k} in a {len(self.levels)}-level tower")
-        u = [_ZERO] * self._dims[k]
+        u = [0] * self._dims[k]
         if self.levels[k - 1].degree > 1:
-            u[1] = _ONE
-        return AlgebraicNumber(self, self._lift(u, k, len(self.levels)))
+            u[1] = 1
+        return AlgebraicNumber(self, self._lift((tuple(u), 1), k,
+                                                len(self.levels)))
 
     def element(self, coords) -> "AlgebraicNumber":
-        u = tuple(_as_fraction(c) for c in coords)
+        u = [_as_fraction(c) for c in coords]
         if len(u) != self.degree:
             raise FieldError(f"need {self.degree} coefficients, got {len(u)}")
-        return AlgebraicNumber(self, u)
+        return AlgebraicNumber(self, _from_fractions(u))
 
     # -- basis -------------------------------------------------------------
 
@@ -295,7 +438,8 @@ class FieldTower:
                 emb = (f"{format_decimal(lv.embedding.real, self.precision)} "
                        f"{format_decimal(lv.embedding.imag, self.precision)}")
             levels.append({"tag": lv.tag,
-                           "minpoly": [enc(c, k) for c in lv.minpoly],
+                           "minpoly": [enc(_fractions(c), k)
+                                       for c in lv.minpoly],
                            "root_index": lv.root_index,
                            "embedding": emb})
         return json.dumps({"format": "SIC-TOWER v1",
@@ -332,17 +476,17 @@ class FieldTower:
             re_s, im_s = emb.split()
             with mp.workdps(guarded(prec)):
                 emb = mp.mpc(parse_decimal(re_s, prec), parse_decimal(im_s, prec))
-            levels.append(FieldLevel(tag, tuple(dec(c, k) for c in minpoly),
-                                     root, emb))
+            levels.append(FieldLevel(
+                tag, tuple(_from_fractions(dec(c, k)) for c in minpoly),
+                root, emb))
         tower = cls(levels, prec)
         # embeddings must satisfy their polynomials
-        gens = [lv.embedding for lv in levels]
         with mp.workdps(guarded(prec)):
             for k, lv in enumerate(levels):
                 g = lv.embedding
                 acc = g ** lv.degree
                 for j, c in enumerate(lv.minpoly):
-                    acc += tower.evaluate(c, k, _mpf, gens) * g ** j
+                    acc += tower._embed(c, k) * g ** j
                 if abs(acc) > mp.mpf(10) ** -(prec - 10):
                     raise FieldError(
                         f"level {k + 1} embedding violates its minimal "
@@ -360,23 +504,27 @@ class FieldTower:
 
 
 class AlgebraicNumber:
-    """Exact element of a tower, stored as its coordinate tuple: rational
-    coordinates over the power-product basis, lex order with the top
-    generator fastest. Hashable and immutable."""
+    """Exact element of a tower, stored as its vector (u, den): integer
+    numerators over the power-product basis, lex order with the top generator
+    fastest, and one positive denominator coprime to them, so equal elements
+    have equal vectors. coefficients is the view as rational coordinates.
+    Hashable and immutable."""
 
-    __slots__ = ("tower", "coefficients", "_hash")
+    __slots__ = ("tower", "vec", "_hash")
 
-    def __init__(self, tower: FieldTower, coefficients: tuple):
+    def __init__(self, tower: FieldTower, vec: tuple):
         self.tower = tower
-        self.coefficients = coefficients
+        self.vec = vec
         self._hash = None
+
+    @property
+    def coefficients(self) -> tuple:
+        """The rational coordinates, as Fractions."""
+        return _fractions(self.vec)
 
     def embed(self):
         """Numeric value at the tower's precision (raw mpc)."""
-        t = self.tower
-        with mp.workdps(guarded(t.precision)):
-            return t.evaluate(self.coefficients, len(t.levels), _mpf,
-                              [lv.embedding for lv in t.levels])
+        return self.tower._embed(self.vec, len(self.tower.levels))
 
     def _peer(self, other) -> "AlgebraicNumber":
         if isinstance(other, AlgebraicNumber):
@@ -386,31 +534,31 @@ class AlgebraicNumber:
         return self.tower.rational(other)
 
     def __add__(self, other):
-        o = self._peer(other)
         return AlgebraicNumber(self.tower,
-                               _add(self.coefficients, o.coefficients))
+                               _combine(self.vec, self._peer(other).vec, add))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self.tower,
-                               tuple(-c for c in self.coefficients))
+        u, den = self.vec
+        return AlgebraicNumber(self.tower, (tuple([-x for x in u]), den))
 
     def __sub__(self, other):
-        return self + (-self._peer(other))
+        return AlgebraicNumber(self.tower,
+                               _combine(self.vec, self._peer(other).vec, sub))
 
     def __rsub__(self, other):
-        return (-self) + self._peer(other)
+        return AlgebraicNumber(self.tower,
+                               _combine(self._peer(other).vec, self.vec, sub))
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraicNumber):
             # a rational factor scales the coordinates
-            q = _as_fraction(other)
             return AlgebraicNumber(self.tower,
-                                   tuple(q * c for c in self.coefficients))
+                                   _scale(self.vec, _as_fraction(other)))
         o = self._peer(other)
         return AlgebraicNumber(self.tower, self.tower._mul(
-            self.coefficients, o.coefficients, len(self.tower.levels)))
+            self.vec, o.vec, len(self.tower.levels)))
 
     __rmul__ = __mul__
 
@@ -418,7 +566,7 @@ class AlgebraicNumber:
         o = self._peer(other)
         L = len(self.tower.levels)
         return AlgebraicNumber(self.tower, self.tower._mul(
-            self.coefficients, self.tower._inv(o.coefficients, L), L))
+            self.vec, self.tower._inv(o.vec, L), L))
 
     def __rtruediv__(self, other):
         return self._peer(other) / self
@@ -436,7 +584,7 @@ class AlgebraicNumber:
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.coefficients)
+        return not any(self.vec[0])
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraicNumber):
@@ -445,11 +593,11 @@ class AlgebraicNumber:
             except (TypeError, FieldError):
                 return NotImplemented
         return (self.tower.levels == other.tower.levels
-                and self.coefficients == other.coefficients)
+                and self.vec == other.vec)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((len(self.tower.levels), self.coefficients))
+            self._hash = hash((len(self.tower.levels), self.vec))
         return self._hash
 
     def __repr__(self):
@@ -498,8 +646,8 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
     divides the polynomial exactly. Returns the factor's coefficients
     (ascending, without the leading 1), or None."""
     L = len(tower.levels)
-    one = tower._const(_ONE, L)
-    P = [c.coefficients for c in monic] + [one]
+    one = tower._const(1, L)
+    P = [c.vec for c in monic] + [one]
     for attempt in precisions:
         for subset in subsets:
             rec = []
@@ -509,9 +657,8 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
                     break
                 rec.append(got)
             else:
-                _q, rem = tower._pdivmod(
-                    P, [c.coefficients for c in rec] + [one], L)
-                if not any(map(any, rem)):
+                _q, rem = tower._pdivmod(P, [c.vec for c in rec] + [one], L)
+                if not any(any(u) for u, _den in rem):
                     return rec
     return None
 
@@ -519,11 +666,11 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
 def _squarefree(tower: FieldTower, monic: list[AlgebraicNumber]) -> bool:
     """Exact gcd(P, P') test; a repeated factor means P is reducible."""
     L = len(tower.levels)
-    P = [c.coefficients for c in monic] + [tower._const(_ONE, L)]
-    dP = [tuple(i * x for x in c) for i, c in enumerate(P) if i]
+    P = [c.vec for c in monic] + [tower._const(1, L)]
+    dP = [_scale(c, i) for i, c in enumerate(P) if i]
     r0, r1 = P, dP
     while True:
-        while r1 and not any(r1[-1]):
+        while r1 and not any(r1[-1][0]):
             r1.pop()
         if not r1:
             return False  # gcd has positive degree
@@ -597,7 +744,7 @@ def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
             raise FieldError(
                 f"selector {mp.nstr(sel, 8)} is ambiguous between roots")
     level = FieldLevel(tag or f"g{len(tower.levels) + 1}",
-                       tuple(c.coefficients for c in monic), idx, roots[idx])
+                       tuple(c.vec for c in monic), idx, roots[idx])
     return FieldTower(tower.levels + (level,), tower.precision)
 
 
@@ -632,36 +779,34 @@ def _recognize_ladder(tower: FieldTower, value):
 
 class EmbeddingAutomorphism:
     """A field automorphism presented by the exact images of the tower
-    generators; application substitutes images into the power-product basis,
-    so it commutes with arithmetic exactly. Built only by automorphism()."""
+    generators, and held as an integer N x N matrix over one denominator:
+    column i is the image of basis monomial i, the generator images raised
+    to its exponents and multiplied out. Application is one mat-vec, so it
+    commutes with arithmetic exactly. Built only by automorphism()."""
 
-    __slots__ = ("tower", "images", "_basis_images")
+    __slots__ = ("tower", "images", "_rows", "_den")
 
     def __init__(self, tower: FieldTower, images):
         self.tower = tower
         self.images = tuple(images)
-        self._basis_images = None
-
-    def _basis(self):
-        if self._basis_images is None:
-            out = []
-            for expo in self.tower.basis_exponents():
-                acc = self.tower.one()
-                for img, e in zip(self.images, expo):
-                    if e:
-                        acc = acc * img ** e
-                out.append(acc)
-            self._basis_images = out
-        return self._basis_images
+        n = len(tower.levels)
+        one = tower._const(1, n)
+        cols = [one]
+        for lv, img in zip(tower.levels, self.images):
+            powers = [one]
+            for _ in range(lv.degree - 1):
+                powers.append(tower._mul(powers[-1], img.vec, n))
+            cols = [c if j == 0 else tower._mul(c, p, n)
+                    for c in cols for j, p in enumerate(powers)]
+        self._rows, self._den = _columns(cols)
 
     def __call__(self, x: AlgebraicNumber) -> AlgebraicNumber:
         if x.tower.levels != self.tower.levels:
             raise FieldError("element from a different tower")
-        out = self.tower.zero()
-        for c, b in zip(x.coefficients, self._basis()):
-            if c:
-                out = out + b * c
-        return out
+        u, den = x.vec
+        return AlgebraicNumber(self.tower, _reduced(
+            tuple([sum(map(mul, row, u)) for row in self._rows]),
+            den * self._den))
 
     def is_identity(self) -> bool:
         return all(img == self.tower.generator(k + 1)
@@ -677,7 +822,7 @@ class EmbeddingAutomorphism:
                 and self.images == other.images)
 
     def __hash__(self):
-        return hash(tuple(img.coefficients for img in self.images))
+        return hash(tuple(img.vec for img in self.images))
 
     def __repr__(self):
         arrows = ", ".join(
@@ -697,8 +842,9 @@ def automorphism(tower: FieldTower, images) -> EmbeddingAutomorphism:
                          f"{len(tower.levels)}-level tower")
     for k, (lv, img) in enumerate(zip(tower.levels, images), 1):
         acc = tower.one()
-        for c in reversed(lv.minpoly):
-            acc = acc * img + tower.evaluate(c, k - 1, tower.rational, images)
+        for u, den in reversed(lv.minpoly):
+            acc = acc * img + tower.evaluate(u, k - 1, tower.rational,
+                                             images) * Fraction(1, den)
         if not acc.is_zero():
             raise FieldError(f"the level-{k} image is not a root of its "
                              "transported minimal polynomial")
@@ -724,9 +870,8 @@ def automorphisms(tower: FieldTower,
     if top.degree > 64:
         raise FieldError("relative degree beyond desk scale (max 64)")
     with mp.workdps(guarded(tower.precision)):
-        gens = [lv.embedding for lv in tower.levels]
-        roots = _poly_roots([tower.evaluate(c, n - 1, _mpf, gens)
-                             for c in top.minpoly], tower.precision)
+        roots = _poly_roots([tower._embed(c, n - 1) for c in top.minpoly],
+                            tower.precision)
 
     def root_of(row):
         z = row.images[-1].embed()
@@ -766,8 +911,7 @@ def lift_element(tower: FieldTower, x: AlgebraicNumber) -> AlgebraicNumber:
     k = len(x.tower.levels)
     if tuple(tower.levels[:k]) != tuple(x.tower.levels):
         raise FieldError("element's tower is not a prefix of the target tower")
-    return AlgebraicNumber(tower, tower._lift(x.coefficients, k,
-                                                len(tower.levels)))
+    return AlgebraicNumber(tower, tower._lift(x.vec, k, len(tower.levels)))
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:

@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 from siclift.cli import main
+from siclift.errors import SicliftError
 from siclift.fidsearch import Fiducial
 
 
@@ -211,6 +212,22 @@ def test_verify_certified_passes(certfile, capsys):
     assert rc == 0
     obj = _stdout_json(capsys)
     assert obj["pass"] is True and obj["mode"] == "certified"
+
+
+@pytest.mark.parametrize("digits", ["0", "-5"])
+def test_verify_certified_digits_must_be_positive(certfile, capsys, digits):
+    # 0 once ran silently at the default 120 digits, and -5 passed against
+    # a threshold of 10^3
+    rc = main(["verify", "--cert", certfile, "--mode", "certified",
+               "--digits", digits])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "siclift verify: error: --digits must be positive" in captured.err
+    from siclift.exactify import ExactFiducialCertificate, verify_certified
+    with pytest.raises(SicliftError, match="not a positive integer"):
+        verify_certified(ExactFiducialCertificate.load(certfile),
+                         digits=int(digits))
 
 
 def test_verify_tampered_certificate_fails(workdir, certfile, capsys):

@@ -5,14 +5,17 @@ conjugation), embedding cross-checks at working precision, and exact
 zero tests that need no numerics at all.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from siclift import numfield
+from siclift import exactify, numfield
 from siclift.errors import FieldError
+from siclift.fidsearch import refine, seed_search
 from siclift.numfield import (AlgebraicNumber, FieldLevel, FieldTower, adjoin,
                               automorphism, automorphisms,
                               cyclotomic_polynomial,
@@ -166,7 +169,7 @@ class TestArithmetic:
         r1 = K35.generator(2)
         denom = r1 + Fraction(7, 3)
         _ = K35.one() / denom
-        key = (2, denom.coefficients)
+        key = (2, denom.vec)
         assert key in K35._inv_cache
         before = len(K35._inv_cache)
         _ = K35.generator(1) / denom
@@ -436,3 +439,127 @@ class TestEmbeddingFaithfulness:
                     if seen[i] != seen[j]:
                         assert abs(seen[i].embed() - seen[j].embed()) \
                             > mp.mpf("1e-40")
+
+
+# ---------------------------------------------------------------------------
+# properties of the integer representation
+
+
+@pytest.fixture(scope="module")
+def cert4():
+    fid = refine(seed_search(4, "fz", attempts=24, seed=11), 320)
+    return exactify.method2_exactify(fid)
+
+
+@pytest.fixture(scope="module")
+def fields(K35, K3p5, Kz, K15, cert4):
+    """name -> (tower, automorphisms of it): the fixture towers, and the
+    seed-11 d=4 overlap field with its Galois rows and the full tower with
+    its complex conjugation."""
+    return {
+        "K35": (K35, automorphisms(K35, fixing_level=1)),
+        "K3p5": (K3p5, automorphisms(K3p5)),
+        "Kz": (Kz, automorphisms(Kz)),
+        "K15": (K15, automorphisms(K15, fixing_level=2)),
+        "d4-e1": (cert4.e1, cert4.galois_rows()),
+        "d4": (cert4.tower, [exactify._conjugation_map(cert4)]),
+    }
+
+
+def _coordinate(rng):
+    """Zero, small or at least 200 bits, of either sign, over a small or a
+    large denominator, so that packed slots meet both signs and wide
+    values."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    bits = 4 if kind == 1 else rng.randint(200, 280)
+    den = rng.choice([1, rng.randint(1, 9), rng.getrandbits(bits) + 1])
+    return Fraction(rng.randint(-(2 ** bits), 2 ** bits), den)
+
+
+def _random_element(K, rng):
+    return K.element([_coordinate(rng) for _ in range(K.degree)])
+
+
+def _assert_reduced(x):
+    num, den = x.vec
+    assert den > 0 and math.gcd(den, *num) == 1
+    assert x.coefficients == tuple(Fraction(n, den) for n in num)
+
+
+def _scale(K, x):
+    """1 + sum |coordinate| |basis value|: bounds |x.embed()| and sets the
+    size of its rounding error."""
+    return 1 + sum(abs(mp.mpf(c.numerator) / c.denominator) * abs(b)
+                   for c, b in zip(x.coefficients, K.basis_values()))
+
+
+_FIELD_NAMES = ["K35", "K3p5", "Kz", "K15", "d4-e1", "d4"]
+
+
+class TestIntegerRepresentation:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(_FIELD_NAMES), st.integers(0, 10 ** 6))
+    def test_arithmetic_properties(self, fields, name, seed):
+        # coordinates from a seeded generator: hypothesis keeps drawn
+        # integers small, and the packed products must meet wide ones
+        K, autos = fields[name]
+        rng = random.Random(seed)
+        x, y, z = (_random_element(K, rng) for _ in range(3))
+        xy = x * y
+        for v in (xy, x + y, x - y):
+            _assert_reduced(v)
+        with mp.workdps(K.precision + 20):
+            tol = mp.mpf(10) ** -(K.precision - 20) \
+                * _scale(K, x) * _scale(K, y)
+            assert abs(xy.embed() - x.embed() * y.embed()) <= tol
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        if not x.is_zero():
+            inv = 1 / x
+            _assert_reduced(inv)
+            assert x * inv == 1
+        for g in autos:
+            gx = g(x)
+            _assert_reduced(gx)
+            num, den = x.vec
+            ref = K.evaluate(num, len(K.levels), K.rational, g.images) \
+                * Fraction(1, den)
+            assert gx == ref
+
+    def test_equal_values_compare_and_hash_equal(self, fields):
+        rng = random.Random(5)
+        for name in _FIELD_NAMES:
+            K, _autos = fields[name]
+            x, y = _random_element(K, rng), _random_element(K, rng)
+            if y.is_zero():
+                y = y + 1
+            for other in ((x / 3) * 3, x * Fraction(1, 3) * 3,
+                          (x + y) - y, (x * y) / y, -(-x)):
+                _assert_reduced(other)
+                assert other == x and hash(other) == hash(x)
+                assert other.vec == x.vec
+            half = K.rational(Fraction(2, 4))
+            assert half.vec[1] == 2 and half == Fraction(1, 2)
+            assert K.zero().vec[1] == 1 and (x - x).vec == K.zero().vec
+
+    def test_loads_share_no_product_data(self, cert4, tmp_path):
+        # product data is held on a tower's levels: shared by the towers
+        # of one decoded certificate, never between two decodes, so every
+        # load pays for its own
+        path = str(tmp_path / "d4.cert")
+        cert4.save(path)
+        a, b = (exactify.ExactFiducialCertificate.load(path)
+                for _ in range(2))
+        for cert in (a, b):
+            assert exactify.verify_exact(cert)["pass"]
+        n = len(a.tower.levels)
+        assert all(a.tower.levels[k] is not b.tower.levels[k]
+                   for k in range(n))
+        assert all(a.tower._box(L) is not b.tower._box(L)
+                   for L in range(1, n + 1))
+        e1 = a.e1_levels
+        assert all(a.e1._box(L) is a.tower._box(L) for L in range(1, e1 + 1))
+        rows = a.galois_rows()
+        assert all(r.tower._box(e1) is a.tower._box(e1) for r in rows)
