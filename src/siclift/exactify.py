@@ -34,8 +34,9 @@ from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
     adjoin, automorphism, automorphisms, cyclotomic_polynomial, \
-    factor_over_tower, lift_element, squarefree_part, _new_level, \
-    _poly_roots, _recognize_ladder, _subset_product_coeffs
+    factor_over_tower, horner, lift_element, squarefree_part, _new_level, \
+    _poly_roots, _rational_minpoly, _recognize_ladder, \
+    _subset_product_coeffs
 
 log = logging.getLogger("siclift.exactify")
 
@@ -695,40 +696,6 @@ def _ints(v, n: int, what: str) -> tuple:
 # shared assembly
 
 
-def _rational_minpoly(x: AlgebraicNumber) -> tuple:
-    """Exact minimal polynomial of x over the rationals: ascending integer
-    coefficients, primitive, positive leading. One incremental Fraction
-    elimination over the power coordinates of 1, x, x^2, ...: each power is
-    reduced against the earlier ones, and the first that reduces to zero
-    gives the dependence."""
-    reduced = []   # (pivot column, reduced coordinates, combination of powers)
-    acc = x.tower.one()
-    for k in range(x.tower.degree + 1):
-        row = list(acc.coefficients)
-        comb = [Fraction(0)] * k + [Fraction(1)]   # row = sum comb_i x^i
-        for piv, brow, bcomb in reduced:
-            if row[piv]:
-                f = row[piv] / brow[piv]
-                row = [a - f * b for a, b in zip(row, brow)]
-                for i, c in enumerate(bcomb):
-                    comb[i] -= f * c
-        piv = next((col for col, v in enumerate(row) if v), None)
-        if piv is None:
-            # sum comb_i x^i = 0 with comb_k = 1, and 1, ..., x^(k-1) are
-            # independent, so comb is the monic minimal polynomial
-            den = 1
-            for c in comb:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            ints = [int(c * den) for c in comb]
-            g = 0
-            for v in ints:
-                g = math.gcd(g, abs(v))
-            return tuple(v // g for v in ints)
-        reduced.append((piv, row, comb))
-        acc = acc * x
-    raise FieldError("element satisfies no dependence up to the tower degree")
-
-
 def overlap_minimal_polynomials(cert: "ExactFiducialCertificate") -> list:
     """Sorted multiset of exact minimal polynomials over the rationals, one
     per overlap index, each an ascending integer tuple. Depends only on the
@@ -830,15 +797,6 @@ def _select_alignment(candidates, lift, table, polys, autos, cosets, prec):
                             f"{f} both lift exactly and regenerate the table")
         found = (f, rep_overlaps, index_map)
     return found
-
-
-def _poly_at(e1: FieldTower, coeffs, x: AlgebraicNumber) -> AlgebraicNumber:
-    """sum_k coeffs[k] x^k in e1, the coefficients lifted from a subfield."""
-    acc, tp = e1.zero(), e1.one()
-    for c in coeffs:
-        acc = acc + lift_element(e1, c) * tp
-        tp = tp * x
-    return acc
 
 
 def _assemble_certificate(fid, struct, e0, e1, gen_poly, autos, reps, polys,
@@ -983,7 +941,8 @@ def method2_exactify(fid,
                 if got is None:
                     return None
                 sk.append(e0.element(got[0]))
-            rep_overlaps[q.rep] = _poly_at(e1, sk, t)
+            rep_overlaps[q.rep] = horner([lift_element(e1, c) for c in sk],
+                                         t)
         return rep_overlaps
 
     aligned = _select_alignment(candidates, lift, table, polys, autos, cosets,
@@ -1044,7 +1003,8 @@ def method1_exactify(fid,
             raise PrecisionError(
                 f"orbit {q.orbit_id} representative value was not recognized "
                 f"in the overlap field at {prec} digits")
-        if not _poly_at(e1, q.exact, cand).is_zero():
+        if not horner([lift_element(e1, c) for c in q.exact],
+                      cand).is_zero():
             raise LiftError(
                 f"recognized value for orbit {q.orbit_id} is not an exact "
                 "root of its orbit polynomial")
@@ -1304,8 +1264,9 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
 
 class _Ball:
     """Complex ball: centre c, radius r. Every operation pads the radius by
-    eps times the modulus of the new centre; ints and Fractions enter as
-    balls around their rounded values."""
+    eps times |re c| + |im c| for the new centre c, a bound on its modulus
+    that needs no square root; ints and Fractions enter as balls around
+    their rounded values."""
     __slots__ = ("c", "r", "eps")
 
     def __init__(self, c, r, eps):
@@ -1320,7 +1281,7 @@ class _Ball:
         if type(o) is not _Ball:
             o = _Ball.exact(o.numerator, o.denominator, self.eps)
         c = self.c + o.c
-        return _Ball(c, self.r + o.r + abs(c) * self.eps, self.eps)
+        return _Ball(c, self.r + o.r + _mag(c) * self.eps, self.eps)
 
     __radd__ = __add__
 
@@ -1328,14 +1289,14 @@ class _Ball:
         if type(o) is not _Ball:
             o = _Ball.exact(o.numerator, o.denominator, self.eps)
         c = self.c - o.c
-        return _Ball(c, self.r + o.r + abs(c) * self.eps, self.eps)
+        return _Ball(c, self.r + o.r + _mag(c) * self.eps, self.eps)
 
     def __mul__(self, o):
         if type(o) is not _Ball:
             o = _Ball.exact(o.numerator, o.denominator, self.eps)
         c = self.c * o.c
-        return _Ball(c, abs(self.c) * o.r + abs(o.c) * self.r + self.r * o.r
-                     + abs(c) * self.eps, self.eps)
+        return _Ball(c, _mag(self.c) * o.r + _mag(o.c) * self.r + self.r * o.r
+                     + _mag(c) * self.eps, self.eps)
 
     __rmul__ = __mul__
 
@@ -1343,12 +1304,9 @@ class _Ball:
         return _Ball(mp.conj(self.c), self.r, self.eps)
 
 
-def _horner(coeffs, z):
-    """coeffs[0] + coeffs[1] z + ... (ascending coefficients)."""
-    *rest, acc = coeffs
-    for c in reversed(rest):
-        acc = acc * z + c
-    return acc
+def _mag(c):
+    """|re c| + |im c| >= |c|."""
+    return abs(c.real) + abs(c.imag)
 
 
 def _ball_of(tower: FieldTower, vec, L: int, gballs, eps) -> _Ball:
@@ -1381,9 +1339,9 @@ def _generator_balls(tower: FieldTower, eps):
             if abs(step) < eps * max(abs(z), mp.mpf(1)):
                 break
         zb = _Ball(z, 0, eps)
-        fb = _horner(coeffs + [_Ball(1, 0, eps)], zb)
-        fpb = _horner([i * coeffs[i] for i in range(1, deg)]
-                      + [_Ball(deg, 0, eps)], zb)
+        fb = horner(coeffs + [_Ball(1, 0, eps)], zb)
+        fpb = horner([i * coeffs[i] for i in range(1, deg)]
+                     + [_Ball(deg, 0, eps)], zb)
         denom = abs(fpb.c) - fpb.r
         if denom <= 0:
             raise PrecisionError(f"generator {k + 1} enclosure failed: the "

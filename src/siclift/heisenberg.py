@@ -62,34 +62,22 @@ class DisplacementOp:
 
 @dataclass(frozen=True)
 class CliffordOp:
-    """Unitary U_F, or the antiunitary U_{F.J} composed with complex
-    conjugation when antiunitary=True."""
+    """The unitary U_F of a symplectic F."""
     F: ModMatrix
     d: int
     precision: int
-    antiunitary: bool = False
 
     @property
     def matrix(self) -> CMatrix:
-        key = (self.F.entries, self.F.m, self.d, self.precision, self.antiunitary)
+        key = (self.F.entries, self.F.m, self.d, self.precision)
         m = _SYMP_CACHE.get(key)
         if m is None:
-            G = self.F * _jmat(self.d) if self.antiunitary else self.F
-            _SYMP_CACHE[key] = m = _symplectic_matrix(G, self.d, self.precision)
+            _SYMP_CACHE[key] = m = _symplectic_matrix(self.F, self.d,
+                                                      self.precision)
         return m
 
     def apply(self, v: CVector) -> CVector:
-        if self.antiunitary:
-            v = v.conj()
         return self.matrix.matvec(v)
-
-    def conjugate_matrix(self, A: CMatrix) -> CMatrix:
-        """U A U^{-1} (with the entrywise conjugation first if antiunitary)."""
-        if self.antiunitary:
-            with mp.workdps(guarded(A.prec)):
-                A = CMatrix([[mp.conj(e) for e in row] for row in A.rows], A.prec)
-        U = self.matrix
-        return U * A * U.dagger()
 
 
 def _displacement_matrix(p: tuple, d: int, prec: int) -> CMatrix:
@@ -107,10 +95,6 @@ def displacement(p: tuple, d: int, precision: int) -> DisplacementOp:
         raise ValueError("d must be >= 4")
     dp = dprime(d)
     return DisplacementOp((p[0] % dp, p[1] % dp), d, precision)
-
-
-def _jmat(d: int) -> ModMatrix:
-    return ModMatrix(1, 0, 0, -1, dprime(d))
 
 
 def _require_modulus(F: ModMatrix, d: int) -> ModMatrix:
@@ -184,13 +168,6 @@ def symplectic_unitary(F: ModMatrix, d: int, precision: int) -> CliffordOp:
     if F.det() != 1 % F.m:
         raise ValueError("symplectic matrix must have det 1 mod d'")
     return CliffordOp(F, d, precision)
-
-
-def antiunitary_extend(F: ModMatrix, d: int, precision: int) -> CliffordOp:
-    F = _require_modulus(F, d)
-    if F.det() != (-1) % F.m:
-        raise ValueError("antisymplectic matrix must have det -1 mod d'")
-    return CliffordOp(F, d, precision, antiunitary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +266,6 @@ def overlaps(fid, d: int | None = None, precision: int | None = None) -> Overlap
         values = _overlap_sums(v.entries, d, tau_powers(d, precision),
                                dprime(d))
     return OverlapTable(d, precision, values, normalized=True)
-
-
-def overlaps_of_matrix(A: CMatrix, d: int | None = None,
-                       precision: int | None = None) -> OverlapTable:
-    """chi_p = Tr(D_p A) for a general operator (no chi_0 normalization)."""
-    if d is None:
-        d = A.nrows
-    if precision is None:
-        precision = A.prec
-    dp = dprime(d)
-    taus = tau_powers(d, precision)
-    n = 2 * d
-    values = {}
-    with mp.workdps(guarded(precision)):
-        for p1 in range(dp):
-            for p2 in range(dp):
-                # Tr(D_p A) = sum_s (D_p)_{s+p1, s} A_{s, s+p1}
-                acc = mp.fsum((taus[(p1 * p2 + 2 * p2 * s) % n]
-                               * A.rows[s][(s + p1) % d] for s in range(d)),
-                              absolute=False)
-                values[(p1, p2)] = acc
-    return OverlapTable(d, precision, values, normalized=False)
 
 
 def operator_rows(chi, d: int, taus, inv_d) -> list:

@@ -18,6 +18,9 @@ import numpy as np
 # Brute-force group enumeration is O(m^4); vectorized it is fine up to here.
 MAX_BRUTE_MODULUS = 100
 
+# Largest group MatGroup.generated enumerates.
+MAX_GENERATED_ORDER = 2_000_000
+
 
 def dprime(d: int) -> int:
     """d for odd d, 2d for even d (the modulus of the displacement index)."""
@@ -139,7 +142,7 @@ class MatGroup:
     which fixes orbit labels and serialization across runs.
     """
 
-    def __init__(self, elements: Iterable[ModMatrix], check: bool = False):
+    def __init__(self, elements: Iterable[ModMatrix]):
         elems = sorted(set(elements))
         if not elems:
             raise ValueError("empty group")
@@ -149,11 +152,9 @@ class MatGroup:
         self.modulus = m
         self.elements: tuple[ModMatrix, ...] = tuple(elems)
         self._set = frozenset(elems)
-        if check and not self.is_closed():
-            raise ValueError("not closed under product/inverse")
 
     @classmethod
-    def generated(cls, gens: Iterable[ModMatrix], limit: int = 2_000_000) -> "MatGroup":
+    def generated(cls, gens: Iterable[ModMatrix]) -> "MatGroup":
         gens = list(gens)
         seen = {ModMatrix.identity(gens[0].m)}
         frontier = list(seen)
@@ -165,7 +166,7 @@ class MatGroup:
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
-                        if len(seen) > limit:
+                        if len(seen) > MAX_GENERATED_ORDER:
                             raise ValueError("generated group exceeds limit")
             frontier = nxt
         return cls(seen)
@@ -190,9 +191,6 @@ class MatGroup:
 
     def __lt__(self, other: "MatGroup") -> bool:
         return self._set < other._set
-
-    def intersection(self, other: "MatGroup") -> "MatGroup":
-        return MatGroup(self._set & other._set)
 
     def is_closed(self) -> bool:
         if not any(e.is_identity() for e in self.elements):

@@ -21,6 +21,13 @@ numeric and exact computations can cross-check each other. Every
 automorphism is built by `automorphism`, which checks its generator images
 exactly, and `automorphisms` generates the group of the top level from as
 few numerically recognized conjugates as generate it.
+
+The exact polynomial algebra over a tower is written once, here: `horner`
+evaluates a polynomial in any arithmetic (tower elements, embeddings,
+enclosure balls), `FieldTower._euclid` is the one remainder sequence
+(inverses, and the squarefree test of `adjoin`), and `_rational_minpoly`
+is the one elimination, fraction-free over the integer coordinate vectors
+of the powers of an element.
 """
 
 from __future__ import annotations
@@ -108,6 +115,25 @@ def _from_fractions(coords):
 def _fractions(a) -> tuple:
     u, den = a
     return tuple(Fraction(x, den) for x in u)
+
+
+def horner(coeffs, z):
+    """coeffs[0] + coeffs[1] z + ... (ascending, nonempty) by Horner's rule,
+    in any arithmetic with + and *: the one polynomial evaluation of tower
+    elements, their embeddings and complex balls."""
+    *rest, acc = coeffs
+    for c in reversed(rest):
+        acc = acc * z + c
+    return acc
+
+
+def _trimmed(poly) -> list:
+    """The polynomial (ascending list of vectors) without its zero leading
+    coefficients."""
+    poly = list(poly)
+    while poly and not any(poly[-1][0]):
+        poly.pop()
+    return poly
 
 
 def _interleave(parts):
@@ -246,7 +272,6 @@ class FieldTower:
         for lv in self.levels:
             self._dims.append(self._dims[-1] * lv.degree)
         self._basis_cache = None
-        self._inv_cache = {}
 
     @classmethod
     def rationals(cls, precision=80) -> "FieldTower":
@@ -297,40 +322,37 @@ class FieldTower:
             raise ZeroDivisionError("division by zero field element")
         if L == 0:
             return (den if u[0] > 0 else -den,), abs(u[0])
-        key = (L, a)
-        hit = self._inv_cache.get(key)
-        if hit is not None:
-            return hit
-        # extended Euclid on (minpoly, u) over level L-1
         m = self.levels[L - 1].degree
         P = list(self.levels[L - 1].minpoly) + [self._const(1, L - 1)]
-        A = [_part(a, j, m) for j in range(m)]
-        while A and not any(A[-1][0]):
-            A.pop()
-        r0, r1 = P, A
-        s0 = [self._zero(L - 1)]
-        s1 = [self._const(1, L - 1)]
-        while True:
-            if len(r1) == 1:
-                c = self._inv(r1[0], L - 1)
-                inv = [self._mul(c, x, L - 1) for x in s1]
-                inv += [self._zero(L - 1)] * (m - len(inv))
-                out = _join(inv[:m])
-                self._inv_cache[key] = out
-                return out
-            q, r = self._pdivmod(r0, r1, L - 1)
-            while r and not any(r[-1][0]):
-                r.pop()
-            if not r:
-                raise FieldError("minimal polynomial is not irreducible "
-                                 "(gcd with element is nontrivial)")
-            # s_{k+1} = s_{k-1} - q s_k
-            qs = self._pmul_nored(q, s1, L - 1)
-            s2 = [_combine(a, b, sub) for a, b in itertools.zip_longest(
-                s0, qs, fillvalue=self._zero(L - 1))]
-            r0, r1, s0, s1 = r1, r, s1, s2
+        r, s = self._euclid(P, [_part(a, j, m) for j in range(m)], L - 1)
+        if len(r) > 1:
+            raise FieldError("minimal polynomial is not irreducible "
+                             "(gcd with element is nontrivial)")
+        c = self._inv(r[0], L - 1)
+        inv = [self._mul(c, x, L - 1) for x in s]
+        return _join(inv + [self._zero(L - 1)] * (m - len(inv)))
 
-    def _pmul_nored(self, A, B, L: int):
+    def _euclid(self, A, B, L: int):
+        """Euclid's remainder sequence on the polynomials A and B over the
+        level-L field (ascending lists of vectors, B nonzero), stopped at a
+        constant remainder: the last nonzero remainder r, a gcd of A and B,
+        and its cofactor s, with r = s B mod A."""
+        zero = self._zero(L)
+        r0, r1 = A, _trimmed(B)
+        s0, s1 = [zero], [self._const(1, L)]
+        while len(r1) > 1:
+            q, r = self._pdivmod(r0, r1, L)
+            r = _trimmed(r)
+            if not r:
+                break
+            # s_{k+1} = s_{k-1} - q s_k
+            qs = self._pmul(q, s1, L)
+            s0, s1 = s1, [_combine(x, y, sub) for x, y in
+                          itertools.zip_longest(s0, qs, fillvalue=zero)]
+            r0, r1 = r1, r
+        return r1, s1
+
+    def _pmul(self, A, B, L: int):
         out = [self._zero(L) for _ in range(len(A) + len(B) - 1)]
         for i, a in enumerate(A):
             for j, b in enumerate(B):
@@ -358,11 +380,8 @@ class FieldTower:
         if L == 0:
             return leaf(u[0])
         m = self.levels[L - 1].degree
-        g = gens[L - 1]
-        acc = self.evaluate(u[m - 1::m], L - 1, leaf, gens)
-        for j in range(m - 2, -1, -1):
-            acc = acc * g + self.evaluate(u[j::m], L - 1, leaf, gens)
-        return acc
+        return horner([self.evaluate(u[j::m], L - 1, leaf, gens)
+                       for j in range(m)], gens[L - 1])
 
     def _embed(self, a, L: int):
         """Numeric value of the level-L vector a at the tower's precision:
@@ -483,10 +502,8 @@ class FieldTower:
         # embeddings must satisfy their polynomials
         with mp.workdps(guarded(prec)):
             for k, lv in enumerate(levels):
-                g = lv.embedding
-                acc = g ** lv.degree
-                for j, c in enumerate(lv.minpoly):
-                    acc += tower._embed(c, k) * g ** j
+                acc = horner([tower._embed(c, k) for c in lv.minpoly]
+                             + [mp.mpc(1)], lv.embedding)
                 if abs(acc) > mp.mpf(10) ** -(prec - 10):
                     raise FieldError(
                         f"level {k + 1} embedding violates its minimal "
@@ -609,9 +626,9 @@ class AlgebraicNumber:
 # adjoining roots
 
 
-def _monic_with_roots(tower: FieldTower, coeffs):
+def _monic(tower: FieldTower, coeffs) -> list[AlgebraicNumber]:
     """Coerce a polynomial into the tower and monicize it. Returns its
-    coefficients (ascending, without the leading 1) and its numeric roots."""
+    coefficients (ascending, without the leading 1)."""
     poly = []
     for c in coeffs:
         if isinstance(c, AlgebraicNumber):
@@ -624,13 +641,21 @@ def _monic_with_roots(tower: FieldTower, coeffs):
         poly.pop()
     if len(poly) < 2:
         raise FieldError("polynomial must have positive degree")
-    monic = [c / poly[-1] for c in poly[:-1]]
-    return monic, _poly_roots([c.embed() for c in monic], tower.precision)
+    return [c / poly[-1] for c in poly[:-1]]
 
 
 def _poly_roots(values: list, prec: int) -> list:
     """Roots of a monic polynomial given numeric coefficients (ascending,
-    without the leading 1), sorted by (re, im) for determinism."""
+    without the leading 1), sorted by (re, im) for determinism.
+
+    The order of two roots with equal real parts is decided by rounding
+    noise: complex-conjugate pairs, such as tau and its conjugate or pairs
+    of the overlap-field generator's conjugates, have equal real parts, and
+    the last digits of the computed ones pick the order. A level's
+    root_index, and the order of the rows automorphisms() returns, so
+    depend on the exact numerics that produced the coefficients: recomputed
+    from a reloaded seed-11 d=5 certificate, tau sorts first, though the
+    certificate stores it at root_index 1."""
     with mp.workdps(guarded(prec) + 20):
         coeffs = [mp.mpc(1)] + [mp.mpc(v) for v in reversed(values)]
         roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec)
@@ -663,23 +688,6 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
     return None
 
 
-def _squarefree(tower: FieldTower, monic: list[AlgebraicNumber]) -> bool:
-    """Exact gcd(P, P') test; a repeated factor means P is reducible."""
-    L = len(tower.levels)
-    P = [c.vec for c in monic] + [tower._const(1, L)]
-    dP = [_scale(c, i) for i, c in enumerate(P) if i]
-    r0, r1 = P, dP
-    while True:
-        while r1 and not any(r1[-1][0]):
-            r1.pop()
-        if not r1:
-            return False  # gcd has positive degree
-        if len(r1) == 1:
-            return True
-        _q, r = tower._pdivmod(r0, r1, L)
-        r0, r1 = r1, list(r)
-
-
 def _subset_product_coeffs(roots: list, subset, prec: int) -> list:
     """Coefficients (ascending, below the leading 1) of prod (x - roots[i])."""
     with mp.workdps(guarded(prec)):
@@ -709,13 +717,19 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
     an approximate complex value choosing the embedding: the nearest root
     must lie within 0.3 * (1 + |root_selector|) of it and at most half as
     far from it as the second nearest root."""
-    monic, roots = _monic_with_roots(tower, coeffs)
+    monic = _monic(tower, coeffs)
     deg = len(monic)
     if deg == 1:
         raise FieldError("a linear polynomial adds no level: its root is "
                          "already in the tower")
-    if not _squarefree(tower, monic):
+    # a repeated factor shows as a common factor of P and P'
+    L = len(tower.levels)
+    P = [c.vec for c in monic] + [tower._const(1, L)]
+    gcd_pdp, _s = tower._euclid(P, [_scale(c, i) for i, c in enumerate(P)
+                                    if i], L)
+    if len(gcd_pdp) > 1:
         raise FieldError("polynomial is reducible: repeated factor")
+    roots = _poly_roots([c.embed() for c in monic], tower.precision)
     # a reducible polynomial has a factor of degree <= deg/2
     subsets = [s for k in range(1, deg // 2 + 1)
                for s in itertools.combinations(range(deg), k)]
@@ -841,11 +855,9 @@ def automorphism(tower: FieldTower, images) -> EmbeddingAutomorphism:
         raise FieldError(f"{len(images)} generator images for a "
                          f"{len(tower.levels)}-level tower")
     for k, (lv, img) in enumerate(zip(tower.levels, images), 1):
-        acc = tower.one()
-        for u, den in reversed(lv.minpoly):
-            acc = acc * img + tower.evaluate(u, k - 1, tower.rational,
-                                             images) * Fraction(1, den)
-        if not acc.is_zero():
+        coeffs = [tower.evaluate(u, k - 1, tower.rational, images)
+                  * Fraction(1, den) for u, den in lv.minpoly]
+        if not horner(coeffs + [tower.one()], img).is_zero():
             raise FieldError(f"the level-{k} image is not a root of its "
                              "transported minimal polynomial")
     return EmbeddingAutomorphism(tower, images)
@@ -914,6 +926,41 @@ def lift_element(tower: FieldTower, x: AlgebraicNumber) -> AlgebraicNumber:
     return AlgebraicNumber(tower, tower._lift(x.vec, k, len(tower.levels)))
 
 
+def _rational_minpoly(x: AlgebraicNumber) -> tuple:
+    """Exact minimal polynomial of x over the rationals: ascending integer
+    coefficients, primitive, positive leading. One fraction-free elimination
+    over the integer coordinate vectors of 1, x, x^2, ...: each row is a
+    power's numerators followed by its combination of powers, reduced
+    against the earlier rows by cross-multiplication and divided by its
+    content; the first power whose coordinates reduce to zero gives the
+    dependence, and the power x^i enters scaled by its denominator."""
+    n = x.tower.degree
+    rows, dens = [], []       # (pivot column, row); denominators of powers
+    acc = x.tower.one()
+    for k in range(n + 1):
+        u, den = acc.vec
+        dens.append(den)
+        row = list(u) + [0] * k + [1] + [0] * (n - k)
+        for piv, b in rows:
+            if row[piv]:
+                g = gcd(row[piv], b[piv])
+                f, h = b[piv] // g, row[piv] // g
+                row = [f * y - h * z for y, z in zip(row, b)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [y // g for y in row]
+        piv = next((col for col in range(n) if row[col]), None)
+        if piv is None:
+            # sum_i row[n + i] x^i den_i = 0, and the coefficient of x^k is
+            # nonzero while 1, ..., x^(k-1) are independent: minimal
+            poly = [c * d for c, d in zip(row[n:n + k + 1], dens)]
+            g = gcd(*poly) * (1 if poly[-1] > 0 else -1)
+            return tuple(c // g for c in poly)
+        rows.append((piv, row))
+        acc = acc * x
+    raise FieldError("element satisfies no dependence up to the tower degree")
+
+
 def cyclotomic_polynomial(m: int) -> list[int]:
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial."""
     if m < 1:
@@ -945,10 +992,11 @@ def factor_over_tower(tower: FieldTower, coeffs, root_selector,
     coefficients. Ascending coefficients below the leading 1; candidates are
     recognized numerically, then certified by exact polynomial division. When
     nothing proper divides, the whole (monicized) polynomial is returned."""
-    monic, roots = _monic_with_roots(tower, coeffs)
+    monic = _monic(tower, coeffs)
     deg = len(monic)
     if deg > 12:
         raise FieldError("factoring bounded to degree 12")
+    roots = _poly_roots([c.embed() for c in monic], tower.precision)
     prec = tower.precision
     with mp.workdps(guarded(prec)):
         sel = mp.mpc(root_selector)

@@ -20,9 +20,8 @@ from siclift import exactify, lattice, numfield
 from siclift.errors import LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
                               _distinct_values, _extend_with_tau,
-                              _group_isomorphisms, _rational_minpoly,
-                              _tau_order, build_orbit_polynomials,
-                              galois_transport,
+                              _group_isomorphisms, _tau_order,
+                              build_orbit_polynomials, galois_transport,
                               method1_exactify, method2_exactify,
                               orbit_coefficient_values, symmetry_structure,
                               typea_orbit_group, verify_certified,
@@ -30,8 +29,9 @@ from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
 from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
 from siclift.modring import gl2_group, h2_group
-from siclift.numfield import FieldTower, _subset_product_coeffs, adjoin, \
-    automorphisms, cyclotomic_polynomial, factor_over_tower, recognize
+from siclift.numfield import FieldTower, _rational_minpoly, \
+    _subset_product_coeffs, adjoin, automorphisms, cyclotomic_polynomial, \
+    factor_over_tower, recognize
 
 
 # ---------------------------------------------------------------------------

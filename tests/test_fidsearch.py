@@ -7,7 +7,21 @@ from siclift import fidsearch as fs
 from siclift import heisenberg as hb
 from siclift.bignum import CMatrix, CVector, guarded
 from siclift.errors import PrecisionError, RefinementError, SearchError
-from siclift.modring import dprime, esl2_elements, zauner_matrix
+from siclift.modring import ModMatrix, dprime, esl2_elements, zauner_matrix
+
+
+def conjugate_matrix(F, A, d, prec):
+    """V A V^{-1} for V the unitary of F (det 1) or, for det -1, the
+    antiunitary U_{F J} K with J = diag(1, -1) and K entrywise complex
+    conjugation: the brute-force route to a transported projector."""
+    if F.det() == 1 % F.m:
+        U = hb.symplectic_unitary(F, d, prec).matrix
+    else:
+        U = hb.symplectic_unitary(F * ModMatrix(1, 0, 0, -1, F.m), d,
+                                  prec).matrix
+        with mp.workdps(guarded(A.prec)):
+            A = CMatrix([[mp.conj(e) for e in row] for row in A.rows], A.prec)
+    return U * A * U.dagger()
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +190,7 @@ class TestStabilizer:
         sample = list(S) + [((rng.randrange(d), rng.randrange(d)), M)
                             for M in rng.sample(others, 30)]
         for (p, F) in sample:
-            op = (hb.symplectic_unitary if F.det() == 1
-                  else hb.antiunitary_extend)(F, d, prec)
-            A = op.conjugate_matrix(Pi)
+            A = conjugate_matrix(F, Pi, d, prec)
             Dp = hb.displacement(p, d, prec).matrix
             fixed = (Dp * A * Dp.dagger() - Pi).max_abs() < mp.mpf("1e-10")
             assert fixed == ((p, F) in S)

@@ -38,6 +38,53 @@ def sample_units(dp, count, seed, det):
     return rng.sample(pool, count)
 
 
+# Brute-force oracles: the Clifford action by explicit matrices, and
+# overlaps of a general operator. The package itself works on overlap
+# tables only.
+
+
+class Antiunitary:
+    """V = U_{F J} K for an antisymplectic F, with J = diag(1, -1) and K
+    entrywise complex conjugation."""
+
+    def __init__(self, F, d, prec):
+        if F.det() != (-1) % F.m:
+            raise ValueError("antisymplectic matrix must have det -1 mod d'")
+        self.matrix = hb.symplectic_unitary(F * ModMatrix(1, 0, 0, -1, F.m),
+                                            d, prec).matrix
+
+    def apply(self, v):
+        return self.matrix.matvec(v.conj())
+
+
+def conjugate_matrix(F, A, d, prec):
+    """V A V^{-1} for V the unitary of F (det 1) or its Antiunitary
+    (det -1)."""
+    if F.det() == 1 % F.m:
+        U = hb.symplectic_unitary(F, d, prec).matrix
+    else:
+        U = Antiunitary(F, d, prec).matrix
+        with mp.workdps(guarded(A.prec)):
+            A = CMatrix([[mp.conj(e) for e in row] for row in A.rows], A.prec)
+    return U * A * U.dagger()
+
+
+def overlaps_of_matrix(A, d, prec):
+    """chi_p = Tr(D_p A) for a general operator (no chi_0 normalization)."""
+    dp = dprime(d)
+    taus = hb.tau_powers(d, prec)
+    n = 2 * d
+    values = {}
+    with mp.workdps(guarded(prec)):
+        for p1 in range(dp):
+            for p2 in range(dp):
+                # Tr(D_p A) = sum_s (D_p)_{s+p1, s} A_{s, s+p1}
+                values[(p1, p2)] = mp.fsum(
+                    (taus[(p1 * p2 + 2 * p2 * s) % n] * A.rows[s][(s + p1) % d]
+                     for s in range(d)), absolute=False)
+    return hb.OverlapTable(d, prec, values, normalized=False)
+
+
 class TestDisplacement:
     def test_zero_is_identity(self):
         for d in (5, 6):
@@ -188,7 +235,7 @@ class TestAntiunitary:
         # this module's phase convention
         d = 5
         J = ModMatrix(1, 0, 0, -1, 5)
-        V = hb.antiunitary_extend(J, d, PREC)
+        V = Antiunitary(J, d, PREC)
         v = rand_unit_vector(d, 3)
         w = V.apply(v)
         assert maxdiff(w, v.conj()) < TOL
@@ -198,10 +245,10 @@ class TestAntiunitary:
         d, dp = 5, 5
         rng = random.Random(55)
         for F in sample_units(dp, 4, 55, det=-1):
-            V = hb.antiunitary_extend(F, d, PREC)
             for _ in range(3):
                 p = (rng.randrange(dp), rng.randrange(dp))
-                got = V.conjugate_matrix(hb.displacement(p, d, PREC).matrix)
+                got = conjugate_matrix(
+                    F, hb.displacement(p, d, PREC).matrix, d, PREC)
                 want = hb.displacement(F.apply(p), d, PREC).matrix
                 assert maxdiff(got, want) < TOL
 
@@ -210,8 +257,8 @@ class TestAntiunitary:
         # up to a global phase
         d, dp = 5, 5
         F1, F2 = sample_units(dp, 2, 77, det=-1)
-        V1 = hb.antiunitary_extend(F1, d, PREC)
-        V2 = hb.antiunitary_extend(F2, d, PREC)
+        V1 = Antiunitary(F1, d, PREC)
+        V2 = Antiunitary(F2, d, PREC)
         G = F1 * F2
         assert G.det() == 1
         U = hb.symplectic_unitary(G, d, PREC)
@@ -227,7 +274,7 @@ class TestAntiunitary:
 
     def test_det_plus_one_rejected(self):
         with pytest.raises(ValueError):
-            hb.antiunitary_extend(ModMatrix(1, 0, 0, 1, 5), 5, PREC)
+            Antiunitary(ModMatrix(1, 0, 0, 1, 5), 5, PREC)
 
 
 class TestOverlaps:
@@ -263,10 +310,8 @@ class TestOverlaps:
         Fs = [zauner_matrix(d)] + sample_units(dp, 2, 40 + d, det=1)
         Fs += [ModMatrix(1, 0, 0, -1, dp)] + sample_units(dp, 2, 41 + d, det=-1)
         for F in Fs:
-            det = F.det()
-            op = (hb.symplectic_unitary if det == 1 % dp
-                  else hb.antiunitary_extend)(F, d, PREC)
-            brute = hb.overlaps_of_matrix(op.conjugate_matrix(Pi), d, PREC)
+            brute = overlaps_of_matrix(conjugate_matrix(F, Pi, d, PREC), d,
+                                       PREC)
             trans = T.transported(F)
             worst = max(abs(brute.values[q] - trans.values[q]) for q in brute.values)
             assert worst < TOL
@@ -278,7 +323,7 @@ class TestOverlaps:
         Pi = rand_proj(v)
         for s in ((1, 0), (0, 1), (2, 3)):
             Ds = hb.displacement(s, d, PREC).matrix
-            brute = hb.overlaps_of_matrix(Ds * Pi * Ds.dagger(), d, PREC)
+            brute = overlaps_of_matrix(Ds * Pi * Ds.dagger(), d, PREC)
             disp = T.displaced(s)
             worst = max(abs(brute.values[q] - disp.values[q]) for q in brute.values)
             assert worst < TOL
@@ -295,7 +340,7 @@ class TestOverlaps:
 class TestReconstruct:
     @pytest.mark.parametrize("d", [5, 6])
     def test_identity_round_trip(self, d):
-        T = hb.overlaps_of_matrix(CMatrix.identity(d, PREC), d, PREC)
+        T = overlaps_of_matrix(CMatrix.identity(d, PREC), d, PREC)
         # Tr(D_p) = d exactly at p = 0 and 0 elsewhere within a period
         with mp.workdps(guarded(PREC)):
             assert abs(T.values[(0, 0)] - d) < TOL
@@ -310,7 +355,7 @@ class TestReconstruct:
             rows = [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                      for _ in range(d)] for _ in range(d)]
         A = CMatrix(rows, PREC)
-        back = hb.reconstruct_operator(hb.overlaps_of_matrix(A, d, PREC))
+        back = hb.reconstruct_operator(overlaps_of_matrix(A, d, PREC))
         assert maxdiff(back, A) < TOL
 
     def test_projector_round_trip(self):
@@ -321,7 +366,7 @@ class TestReconstruct:
         assert maxdiff(back, Pi) < TOL
         # and the overlap table itself is a fixed point of the round trip
         T = hb.overlaps(v, d, PREC)
-        T2 = hb.overlaps_of_matrix(back, d, PREC)
+        T2 = overlaps_of_matrix(back, d, PREC)
         worst = max(abs(T.values[q] - T2.values[q]) for q in T.values)
         assert worst < TOL
 

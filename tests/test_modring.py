@@ -118,7 +118,7 @@ def test_maximal_abelian_subgroups_d21():
         assert H.is_abelian()
         assert h2g < H
     assert H4 != H6 and H6 != H8 and H4 != H8
-    inter = H4.intersection(H6).intersection(H8)
+    inter = MatGroup(set(H4) & set(H6) & set(H8))
     assert h2g <= inter
 
 

@@ -13,14 +13,15 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siclift import exactify, numfield
+from siclift import exactify, lattice, numfield
 from siclift.errors import FieldError
 from siclift.fidsearch import refine, seed_search
 from siclift.numfield import (AlgebraicNumber, FieldLevel, FieldTower, adjoin,
                               automorphism, automorphisms,
                               cyclotomic_polynomial,
                               factor_over_tower,
-                              lift_element, recognize, squarefree_part)
+                              lift_element, recognize, squarefree_part,
+                              _rational_minpoly)
 
 PREC = 80
 
@@ -128,6 +129,21 @@ class TestAdjoin:
         c1 = AlgebraicNumber(K15, K15._lift(lv.minpoly[1], 2, 3))
         assert (t * t + c1 * t + c0).is_zero()
 
+    def test_repeated_factor_needs_no_lll(self, Q, K3, monkeypatch):
+        # (x - sqrt3)^2: the gcd with the derivative proves it reducible
+        # before any numeric screen runs
+        def no_lll(*args, **kwargs):
+            raise AssertionError("lll_reduce called")
+
+        monkeypatch.setattr(lattice, "lll_reduce", no_lll)
+        a = K3.generator(1)
+        with pytest.raises(FieldError, match="repeated factor"):
+            adjoin(K3, [3, -2 * a, 1], 1.7)
+        # (x^2 - 3)^2: the numeric root finder does not converge on its
+        # double roots, so the exact test must come before it
+        with pytest.raises(FieldError, match="repeated factor"):
+            adjoin(Q, [9, 0, -6, 0, 1], 1.7)
+
     def test_linear_polynomial_rejected(self, K3):
         # a degree-1 level adds nothing to the tower
         with pytest.raises(FieldError, match="linear"):
@@ -165,15 +181,22 @@ class TestArithmetic:
         assert y * (r1 - 1) == a + 1
         assert (1 / y) * y == 1
 
-    def test_memoized_inverse_reused(self, K35):
-        r1 = K35.generator(2)
-        denom = r1 + Fraction(7, 3)
-        _ = K35.one() / denom
-        key = (2, denom.vec)
-        assert key in K35._inv_cache
-        before = len(K35._inv_cache)
-        _ = K35.generator(1) / denom
-        assert len(K35._inv_cache) == before
+    def test_reducible_level_division_raises(self, monkeypatch):
+        # a level built directly from x^2 - 4 = (x - 2)(x + 2): g - 2 is a
+        # zero divisor, and the remainder sequence finds the common factor
+        lv = FieldLevel("r", (((-4,), 1), ((0,), 1)), 0, mp.mpc(2))
+        K = FieldTower((lv,), PREC)
+        calls = []
+        euclid = FieldTower._euclid
+
+        def spy(self, A, B, L):
+            calls.append(L)
+            return euclid(self, A, B, L)
+
+        monkeypatch.setattr(FieldTower, "_euclid", spy)
+        with pytest.raises(FieldError, match="not irreducible"):
+            _ = K.one() / (K.generator(1) - 2)
+        assert calls == [0]
 
     def test_zero_division_raises(self, K3):
         with pytest.raises(ZeroDivisionError):
@@ -302,7 +325,7 @@ class TestAutomorphisms:
 
     def test_degree_cap(self):
         # x^65 - 2: the cap is checked before any root is computed
-        big = FieldLevel("big", ((Fraction(-2),),) + ((Fraction(0),),) * 64,
+        big = FieldLevel("big", (((-2,), 1),) + (((0,), 1),) * 64,
                          0, mp.mpc(2) ** (mp.mpf(1) / 65))
         with pytest.raises(FieldError, match="desk scale"):
             automorphisms(FieldTower((big,), PREC))
@@ -563,3 +586,53 @@ class TestIntegerRepresentation:
         assert all(a.e1._box(L) is a.tower._box(L) for L in range(1, e1 + 1))
         rows = a.galois_rows()
         assert all(r.tower._box(e1) is a.tower._box(e1) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free rational minimal polynomial
+
+
+def _fraction_minpoly(x):
+    """The Fraction elimination that _rational_minpoly replaced, kept as its
+    oracle: each power's rational coordinates are reduced against the
+    earlier ones, and the first that reduces to zero gives the monic
+    dependence, made primitive."""
+    reduced = []
+    acc = x.tower.one()
+    for k in range(x.tower.degree + 1):
+        row = list(acc.coefficients)
+        comb = [Fraction(0)] * k + [Fraction(1)]
+        for piv, brow, bcomb in reduced:
+            if row[piv]:
+                f = row[piv] / brow[piv]
+                row = [a - f * b for a, b in zip(row, brow)]
+                for i, c in enumerate(bcomb):
+                    comb[i] -= f * c
+        piv = next((col for col, v in enumerate(row) if v), None)
+        if piv is None:
+            den = math.lcm(*(c.denominator for c in comb))
+            ints = [int(c * den) for c in comb]
+            g = math.gcd(*ints)
+            return tuple(v // g for v in ints)
+        reduced.append((piv, row, comb))
+        acc = acc * x
+    raise AssertionError("no dependence up to the tower degree")
+
+
+class TestRationalMinpoly:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["K35", "K3p5", "Kz", "K15"]),
+           st.integers(0, 10 ** 6))
+    def test_matches_fraction_elimination(self, fields, name, seed):
+        # a random element, usually of full degree, and its sums with its
+        # conjugates, which lie in proper subfields
+        K, autos = fields[name]
+        x = _random_element(K, random.Random(seed))
+        for y in [x] + [x + g(x) for g in autos]:
+            got = _rational_minpoly(y)
+            assert got == _fraction_minpoly(y)
+            assert got[-1] > 0 and math.gcd(*got) == 1
+
+    def test_seed11_d4_overlaps(self, cert4):
+        for v in cert4.all_overlaps().values():
+            assert _rational_minpoly(v) == _fraction_minpoly(v)
