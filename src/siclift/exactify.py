@@ -1258,152 +1258,168 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
 # ---------------------------------------------------------------------------
 # certified (enclosure) verification
 
-# mpmath's interval context has no complex type, so residues are enclosed in
-# small center-radius balls with outward padding on every operation
-
-
 class _Ball:
-    """Complex ball: centre c, radius r. Every operation pads the radius by
-    eps times |re c| + |im c| for the new centre c, a bound on its modulus
-    that needs no square root; ints and Fractions enter as balls around
-    their rounded values."""
-    __slots__ = ("c", "r", "eps")
+    """Complex ball over Python ints (midpoint-radius arithmetic): centre
+    (re + i im) 2^-w, radius r 2^-w with r an integer upper bound. Sums,
+    differences, int multiples and conjugates are exact; a product truncates
+    its centre with >> w (2 units of radius) and rounds the propagated
+    radius up by 1 unit. ints and Fractions enter as floor(n 2^w / den),
+    with radius 1 when the division is inexact."""
+    __slots__ = ("re", "im", "r", "w")
 
-    def __init__(self, c, r, eps):
-        self.c, self.r, self.eps = c, r, eps
+    def __init__(self, re, im, r, w):
+        self.re, self.im, self.r, self.w = re, im, r, w
 
     @staticmethod
-    def exact(num, den, eps) -> "_Ball":
-        c = mp.mpf(num) / den
-        return _Ball(c, abs(c) * eps + eps * eps, eps)
+    def exact(num, den, w) -> "_Ball":
+        c, rem = divmod(num << w, den)
+        return _Ball(c, 0, 1 if rem else 0, w)
+
+    @staticmethod
+    def near(z, r, w) -> "_Ball":
+        """Radius r around the mpmath complex z floored onto the grid."""
+        return _Ball(int(mp.floor(mp.ldexp(z.real, w))),
+                     int(mp.floor(mp.ldexp(z.imag, w))), r, w)
 
     def __add__(self, o):
         if type(o) is not _Ball:
-            o = _Ball.exact(o.numerator, o.denominator, self.eps)
-        c = self.c + o.c
-        return _Ball(c, self.r + o.r + _mag(c) * self.eps, self.eps)
+            o = _Ball.exact(o.numerator, o.denominator, self.w)
+        return _Ball(self.re + o.re, self.im + o.im, self.r + o.r, self.w)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if type(o) is not _Ball:
-            o = _Ball.exact(o.numerator, o.denominator, self.eps)
-        c = self.c - o.c
-        return _Ball(c, self.r + o.r + _mag(c) * self.eps, self.eps)
+            o = _Ball.exact(o.numerator, o.denominator, self.w)
+        return _Ball(self.re - o.re, self.im - o.im, self.r + o.r, self.w)
 
     def __mul__(self, o):
+        w = self.w
+        if type(o) is int:
+            return _Ball(self.re * o, self.im * o, self.r * abs(o), w)
         if type(o) is not _Ball:
-            o = _Ball.exact(o.numerator, o.denominator, self.eps)
-        c = self.c * o.c
-        return _Ball(c, _mag(self.c) * o.r + _mag(o.c) * self.r + self.r * o.r
-                     + _mag(c) * self.eps, self.eps)
+            o = _Ball.exact(o.numerator, o.denominator, w)
+        a, b, c, e = self.re, self.im, o.re, o.im
+        rad = ((abs(a) + abs(b)) * o.r + (abs(c) + abs(e)) * self.r
+               + self.r * o.r) >> w
+        return _Ball((a * c - b * e) >> w, (a * e + b * c) >> w, rad + 3, w)
 
     __rmul__ = __mul__
 
     def conj(self) -> "_Ball":
-        return _Ball(mp.conj(self.c), self.r, self.eps)
+        return _Ball(self.re, -self.im, self.r, self.w)
+
+    def excludes_zero(self) -> bool:
+        return self.re * self.re + self.im * self.im > self.r * self.r
 
 
-def _mag(c):
-    """|re c| + |im c| >= |c|."""
-    return abs(c.real) + abs(c.imag)
+def _radius_below(r: int, w: int, digits: int) -> bool:
+    """r 2^-w < 10^-(digits // 2), decided in integers."""
+    return r * 10 ** (digits // 2) < 1 << w
 
 
-def _ball_of(tower: FieldTower, vec, L: int, gballs, eps) -> _Ball:
+def _ball_of(tower: FieldTower, vec, L: int, gballs, w: int) -> _Ball:
     """Enclosure of the level-L vector vec: each coordinate enters as the
-    ball around its rounded rational value."""
+    ball around its rational value."""
     u, den = vec
-    return tower.evaluate(u, L, lambda n: _Ball.exact(n, den, eps), gballs)
+    return tower.evaluate(u, L, lambda n: _Ball.exact(n, den, w), gballs)
 
 
-def _generator_balls(tower: FieldTower, eps):
-    """Enclosures for the tower generators: Newton-refined centers with a
-    defect-based radius 2|f(z)| / (|f'(z)| - r'). Evidence-grade, not a formal
-    proof of enclosure."""
+def _generator_balls(tower: FieldTower, w: int):
+    """Enclosures for the tower generators. The centre z is a Newton-refined
+    root of the centre polynomial, put on the grid; f and f' are enclosed at
+    z, and the radius is deg (|f(z)| + r) / (|f'(z)| - r'). As f'/f is the
+    sum of 1/(z - root) over the roots, every monic polynomial of degree deg
+    with coefficients in the balls has a root within that distance of z:
+    that much is rigorous. That the disk holds the root the tower embeds,
+    and not another root, stays evidence: the Newton start is the stored
+    embedding."""
     gballs = []
     for k, lvl in enumerate(tower.levels):
-        coeffs = [_ball_of(tower, c, k, gballs, eps) for c in lvl.minpoly]
-        deg = len(coeffs)
-        centres = [b.c for b in coeffs]
-        z = mp.mpc(lvl.embedding)
-        for _ in range(6):
-            f = mp.mpc(1)
-            fp = mp.mpc(0)
-            for c in reversed(centres):
-                fp = fp * z + f
-                f = f * z + c
-            if abs(fp) == 0:
-                break
-            step = f / fp
-            z = z - step
-            if abs(step) < eps * max(abs(z), mp.mpf(1)):
-                break
-        zb = _Ball(z, 0, eps)
-        fb = horner(coeffs + [_Ball(1, 0, eps)], zb)
+        coeffs = [_ball_of(tower, c, k, gballs, w) for c in lvl.minpoly]
+        deg = lvl.degree
+        with mp.workprec(w + 16):
+            centres = [mp.mpc(mp.ldexp(b.re, -w), mp.ldexp(b.im, -w))
+                       for b in coeffs]
+            z = mp.mpc(lvl.embedding)
+            for _ in range(6):
+                f = mp.mpc(1)
+                fp = mp.mpc(0)
+                for c in reversed(centres):
+                    fp = fp * z + f
+                    f = f * z + c
+                if abs(fp) == 0:
+                    break
+                step = f / fp
+                z = z - step
+                if abs(step) < mp.ldexp(max(abs(z), 1), 16 - w):
+                    break
+            zb = _Ball.near(z, 0, w)
+        fb = horner(coeffs + [_Ball(1 << w, 0, 0, w)], zb)
         fpb = horner([i * coeffs[i] for i in range(1, deg)]
-                     + [_Ball(deg, 0, eps)], zb)
-        denom = abs(fpb.c) - fpb.r
+                     + [_Ball(deg << w, 0, 0, w)], zb)
+        denom = math.isqrt(fpb.re ** 2 + fpb.im ** 2) - fpb.r
         if denom <= 0:
             raise PrecisionError(f"generator {k + 1} enclosure failed: the "
                                  "derivative ball straddles zero")
-        rad = 2 * (abs(fb.c) + fb.r) / denom
-        gballs.append(_Ball(z, rad + abs(z) * eps, eps))
+        num = deg * (math.isqrt(fb.re ** 2 + fb.im ** 2) + 1 + fb.r)
+        gballs.append(_Ball(zb.re, zb.im, -(-(num << w) // denom), w))
     return gballs
 
 
 def verify_certified(cert: ExactFiducialCertificate,
                      digits: int = 120) -> dict:
-    """Enclose every residue of the _residues checklist in a complex ball at
-    the requested precision. Passes when all residue balls contain 0 with
-    radius below 10^(-digits/2) and the stored group data passes the exact
-    checks of verify_exact; a ball excluding 0 is a definitive failure. The
-    enclosures are numerical evidence, not a proof. digits must be a
-    positive integer; SicliftError otherwise."""
+    """Enclose every residue of the _residues checklist in a complex ball on
+    the grid 2^-w, w = ceil((digits + 25) log2 10). Passes when all residue
+    balls contain 0 with radius below 10^(-digits/2) and the stored group
+    data passes the exact checks of verify_exact; a ball excluding 0 is a
+    definitive failure. The verdicts are exact integer comparisons, but
+    which root each generator ball holds is evidence, not proof (see
+    _generator_balls). digits must be a positive integer; SicliftError
+    otherwise."""
     if type(digits) is not int or digits < 1:
         raise SicliftError(f"certified digits {digits!r} is not a positive "
                            "integer")
-    d = cert.d
-    tower = cert.tower
-    wdps = digits + 25
-    report: dict
-    with mp.workdps(wdps):
-        eps = mp.mpf(10) ** (4 - wdps)
-        gballs = _generator_balls(tower, eps)
+    d, tower = cert.d, cert.tower
+    w = math.ceil((digits + 25) * math.log2(10))
+    gballs = _generator_balls(tower, w)
 
-        def ball(x: AlgebraicNumber):
-            return _ball_of(tower, x.vec, len(x.tower.levels), gballs, eps)
+    def ball(x: AlgebraicNumber):
+        return _ball_of(tower, x.vec, len(x.tower.levels), gballs, w)
 
-        chi = {q: ball(val) for q, val in cert.all_overlaps().items()}
-        taub = ball(cert.tau)
-        one = _Ball(1, 0, eps)
-        phase = _Ball(-mp.expjpi(mp.mpf(1) / d), eps, eps)
-        residues = [(message, b) for _name, message, b in _residues(
-            chi, d, one, _Ball.conj, taub, Fraction(1, d),
-            lambda _powers: ("tau is not the phase -exp(i pi/d)",
-                             taub - phase))]
+    chi = {q: ball(val) for q, val in cert.all_overlaps().items()}
+    taub = ball(cert.tau)
+    with mp.workprec(w + 16):
+        phase = _Ball.near(-mp.expjpi(mp.mpf(1) / d), 2, w)
+    residues = [(message, b) for _name, message, b in _residues(
+        chi, d, _Ball(1 << w, 0, 0, w), _Ball.conj, taub, Fraction(1, d),
+        lambda _powers: ("tau is not the phase -exp(i pi/d)",
+                         taub - phase))]
 
-        threshold = mp.mpf(10) ** (-(digits // 2))
-        max_r = max(b.r for _name, b in residues)
-        worst_centre = max(abs(b.c) for _name, b in residues)
-        excluded = [(name, mp.nstr(abs(b.c), 5), mp.nstr(b.r, 5))
-                    for name, b in residues if abs(b.c) > b.r]
-        group = None
-        if excluded:
-            outcome, why = False, f"residue provably nonzero: {excluded[:3]}"
-        elif max_r >= threshold:
-            outcome, why = False, (f"enclosure radius {mp.nstr(max_r, 5)} "
-                                   f"is not below 1e-{digits // 2}")
-        else:
-            group, why = _group_data_checks(cert)
-            outcome = why is None
-        report = {
-            "mode": "certified", "digits": digits, "pass": outcome,
-            "max_radius": mp.nstr(max_r, 5),
-            "max_center": mp.nstr(worst_centre, 5),
-            "residues": len(residues),
-            "group_checks": group,
-            "reason": why,
-            "note": "defect-based enclosures; evidence, not proof",
-        }
+    def nstr(n):
+        return mp.nstr(mp.ldexp(n, -w), 5)
+
+    max_r = max(b.r for _name, b in residues)
+    excluded = [(name, nstr(mp.sqrt(b.re ** 2 + b.im ** 2)), nstr(b.r))
+                for name, b in residues if b.excludes_zero()]
+    group = None
+    if excluded:
+        outcome, why = False, f"residue provably nonzero: {excluded[:3]}"
+    elif not _radius_below(max_r, w, digits):
+        outcome, why = False, (f"enclosure radius {nstr(max_r)} "
+                               f"is not below 1e-{digits // 2}")
+    else:
+        group, why = _group_data_checks(cert)
+        outcome = why is None
+    report = {
+        "mode": "certified", "digits": digits, "pass": outcome,
+        "max_radius": nstr(max_r),
+        "max_center": nstr(mp.sqrt(max(b.re ** 2 + b.im ** 2
+                                       for _name, b in residues))),
+        "residues": len(residues),
+        "group_checks": group,
+        "reason": why,
+        "note": "defect-based enclosures; evidence, not proof",
+    }
     cert.verification = report
     return report

@@ -11,6 +11,8 @@ modulus) and the alignment degeneracy where several bijections tie on score.
 
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -419,6 +421,45 @@ def test_reload_runs_no_lll_d4(cert4, tmp_path, monkeypatch):
     assert verify_exact(back)["pass"] is True
     assert verify_certified(back, digits=80)["pass"] is True
     assert back.galois_rows() == cert4._rows
+
+
+CERTIFIED_KEYS = {"mode", "digits", "pass", "max_radius", "max_center",
+                  "residues", "group_checks", "reason", "note"}
+
+
+def test_verify_certified_rejects_unit_tamper_d4(cert4):
+    # one nonzero overlap coefficient bumped by +1, chosen as the
+    # benchmark's reverify workload chooses it for this seed
+    obj = json.loads(cert4.to_json())
+    nonzero = [(rep, k) for rep, coeffs in obj["overlaps"].items()
+               for k, c in enumerate(coeffs) if Fraction(c) != 0]
+    rep, k = random.Random(11).choice(nonzero)
+    obj["overlaps"][rep][k] = str(Fraction(obj["overlaps"][rep][k]) + 1)
+    obj["verification"] = None
+    bad = ExactFiducialCertificate.from_json(json.dumps(obj))
+    good = ExactFiducialCertificate.from_json(cert4.to_json())
+    assert verify_exact(good)["pass"] is True
+    assert verify_exact(bad)["pass"] is False
+    for cert, ok in ((good, True), (bad, False)):
+        rep = verify_certified(cert, digits=120)
+        assert set(rep) == CERTIFIED_KEYS
+        assert rep["residues"] == 162
+        assert rep["pass"] is ok
+    assert "provably nonzero" in rep["reason"]
+
+
+@pytest.mark.parametrize("digits", [80, 200])
+def test_generator_balls_hold_the_embedding_d4(cert4, digits):
+    # the stored embeddings are good to the tower's 320 digits, far below
+    # every generator ball's radius
+    w = math.ceil((digits + 25) * math.log2(10))
+    with mp.workprec(w + 64):
+        for lvl, b in zip(cert4.tower.levels,
+                          exactify._generator_balls(cert4.tower, w)):
+            z = mp.mpc(lvl.embedding)
+            off = abs(mp.mpc(b.re - mp.ldexp(z.real, w),
+                             b.im - mp.ldexp(z.imag, w)))
+            assert off <= b.r < mp.ldexp(1, w - digits * 3)
 
 
 def test_alignment_degeneracy_is_recorded_d4(cert4):
