@@ -28,15 +28,13 @@ from mpmath import mp
 from .bignum import CMatrix, CVector, guarded, solve_linear
 from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
-from .lattice import express_in_basis, minimal_polynomial, raw_relation, \
-    relation_norm
+from .lattice import minimal_polynomial, raw_relation, relation_norm
 from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
     adjoin, automorphism, automorphisms, cyclotomic_polynomial, \
     factor_over_tower, horner, lift_element, squarefree_part, _new_level, \
-    _poly_roots, _rational_minpoly, _recognize_ladder, \
-    _subset_product_coeffs
+    _poly_roots, _rational_minpoly, _subset_product_coeffs, recognize
 
 log = logging.getLogger("siclift.exactify")
 
@@ -192,11 +190,7 @@ MIN_LIFT_DIGITS = 200
 
 
 def _field_from_seed(seed, prec) -> FieldTower:
-    mpoly = None
-    for p in (min(prec, 220), min(prec, 420), prec):
-        mpoly = minimal_polynomial(seed, MAX_E0_DEGREE, precision=p)
-        if mpoly is not None:
-            break
+    mpoly = minimal_polynomial(seed, MAX_E0_DEGREE, precision=prec)
     if mpoly is None:
         raise PrecisionError(
             f"no minimal polynomial of degree <= {MAX_E0_DEGREE} found for "
@@ -233,7 +227,7 @@ def lift_coefficients(polys: list[OrbitPolynomial],
             for k, c in enumerate(poly.coefficients[:-1]):
                 with mp.workdps(guarded(prec)):
                     cr = c.real
-                got = next(_recognize_ladder(e0, cr), None)
+                got = recognize(e0, cr)
                 if got is None:
                     failed = (poly.orbit_id, k, cr)
                     break
@@ -879,9 +873,10 @@ def method2_exactify(fid,
     solution component is fed to a gate-free integer-relation search over the
     coefficient-field basis. The true bijection's components lie in the
     coefficient field, so its relation norms sit many orders of magnitude
-    below every competitor's junk floor. The low scorers, best first, have
-    their solutions lifted exactly, and _select_alignment keeps the one whose
-    lift regenerates the numeric table."""
+    below every competitor's junk floor. The low scorers, best first, are
+    lifted exactly from the relations that scored them, and
+    _select_alignment keeps the one whose lift regenerates the numeric
+    table."""
     if fid.d % 3 == 0:
         from .fidsearch import strongly_centre
         fid = strongly_centre(fid)
@@ -892,7 +887,7 @@ def method2_exactify(fid,
 
     nontrivial = [q for q in polys if q.degree >= 2]
     e0_basis = e0.basis_values()
-    scores, svecs = {}, {}
+    scores, rels = {}, {}
     if nontrivial:
         with mp.workdps(guarded(prec)):
             timg = [a.images[-1].embed() for a in autos]
@@ -900,21 +895,21 @@ def method2_exactify(fid,
                         prec)
         for f in perms:
             worst = mp.mpf(1)
-            cols = {}
+            found = {}
             for q in nontrivial:
                 V = CVector([table.chi(reps[f[j]].apply(q.rep))
                              for j in range(n)], prec)
                 sol = solve_linear(B, V, prec)
-                cols[q.orbit_id] = sol.x
-                for comp in sol.x.entries:
-                    rel = raw_relation([comp, *e0_basis], precision=prec)
-                    worst = max(worst, relation_norm(rel))
-            scores[f], svecs[f] = worst, cols
+                found[q.orbit_id] = [raw_relation([comp, *e0_basis],
+                                                  precision=prec)
+                                     for comp in sol.x.entries]
+                worst = max([worst, *map(relation_norm, found[q.orbit_id])])
+            scores[f], rels[f] = worst, found
             log.info("bijection %s worst relation norm %s", f,
                      mp.nstr(worst, 5))
     else:
         for f in perms:
-            scores[f], svecs[f] = mp.mpf(1), {}
+            scores[f], rels[f] = mp.mpf(1), {}
 
     ranked = sorted(perms, key=lambda f: scores[f])
     attempt_floor = mp.mpf(10) ** (prec / 10)
@@ -927,8 +922,10 @@ def method2_exactify(fid,
 
     def lift(f):
         """Exact lift of the bijection's solution: each component in the
-        coefficient field, summed against the powers of the overlap-field
-        generator; None when a component is not recognized."""
+        coefficient field, read off the relation that scored it
+        (m_0*comp = sum m_j*basis_j), summed against the powers of the
+        overlap-field generator; None when a relation is not accepted or
+        does not involve its component."""
         rep_overlaps = {}
         t = e1.generator(len(e1.levels))
         for q in polys:
@@ -936,11 +933,11 @@ def method2_exactify(fid,
                 rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
                 continue
             sk = []
-            for comp in svecs[f][q.orbit_id].entries:
-                got = express_in_basis(comp, e0_basis, precision=prec)
-                if got is None:
+            for rel in rels[f][q.orbit_id]:
+                m = rel.coefficients
+                if not rel.accepted or m[0] == 0:
                     return None
-                sk.append(e0.element(got[0]))
+                sk.append(e0.element([Fraction(mj, m[0]) for mj in m[1:]]))
             rep_overlaps[q.rep] = horner([lift_element(e1, c) for c in sk],
                                          t)
         return rep_overlaps
@@ -998,7 +995,7 @@ def method1_exactify(fid,
         if q.degree == 1:
             rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
             continue
-        cand = next(_recognize_ladder(e1, q.values[0]), None)
+        cand = recognize(e1, q.values[0])
         if cand is None:
             raise PrecisionError(
                 f"orbit {q.orbit_id} representative value was not recognized "

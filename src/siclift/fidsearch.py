@@ -47,7 +47,10 @@ class Fiducial:
     def create(cls, d, vector, precision, symmetry=None, orbit=None, seed=None):
         """Normalize and record the SIC error; the only intended constructor."""
         with mp.workdps(guarded(precision)):
-            v = vector.scale(1 / vector.norm())
+            norm = vector.norm()
+            if not norm:
+                raise ValueError("a zero vector is no fiducial")
+            v = vector.scale(1 / norm)
         err = hb.overlaps(v, d, precision).sic_error()
         return cls(d, v, precision, symmetry, orbit, seed, err)
 
@@ -69,6 +72,8 @@ class Fiducial:
             if header[:2] != ["SIC-FIDUCIAL", "v1"]:
                 raise ValueError("not a fiducial file")
             fields = dict(kv.split("=") for kv in header[2:])
+            if "d" not in fields or "prec" not in fields:
+                raise ValueError("fiducial header needs d= and prec=")
             d, prec = int(fields["d"]), int(fields["prec"])
             tag = fields.get("symmetry", "none")
             seed = fields.get("seed", "none")
@@ -382,21 +387,20 @@ def displace(fid: Fiducial, p: tuple[int, int]) -> Fiducial:
                            orbit=fid.orbit, seed=fid.seed)
 
 
-def strongly_centre(fid: Fiducial, max_degree: int = 8,
-                    precision: int | None = None,
-                    return_shift: bool = False):
+def strongly_centre(fid: Fiducial, return_shift: bool = False):
     """For d = 0 mod 3, pick among the nine displaced candidates D_p|psi>
     (p = 0 mod d/3) the one whose orbit-polynomial coefficients have minimal
-    recovered algebraic degree; ties break lexicographically in p. Other
-    dimensions pass through unchanged. With return_shift, the result is the
-    pair (fiducial, chosen index shift)."""
+    recovered algebraic degree (at most 8); ties break lexicographically in
+    p. Other dimensions pass through unchanged. With return_shift, the result
+    is the pair (fiducial, chosen index shift)."""
     if fid.d % 3:
         return (fid, (0, 0)) if return_shift else fid
     from .exactify import orbit_coefficient_values
     from .lattice import minimal_polynomial
 
     n = fid.d // 3
-    prec = precision or min(fid.precision, max(140, 12 * fid.d))
+    max_degree = 8
+    prec = min(fid.precision, max(140, 12 * fid.d))
     unresolved = max_degree + 1
     best = None
     for a in range(3):

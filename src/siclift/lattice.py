@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import mpmath as mp
 
 from .bignum import guarded
-from .errors import PrecisionError, RelationError
+from .errors import RelationError
 
 # Lovasz parameter delta = SWAP_P / SWAP_Q; 0.99 trades a little speed for
 # shorter vectors, which matters when the true relation is barely inside the
@@ -177,10 +177,12 @@ def _lll_integral(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class RelationResult:
-    """Integers m_0..m_n with m_0*x_0 - sum_{j>=1} m_j*x_j ~ 0."""
+    """Integers m_0..m_n with m_0*x_0 - sum_{j>=1} m_j*x_j ~ 0; accepted
+    when the relation passes integer_relation's acceptance gate."""
     coefficients: tuple
     residual: mp.mpf
     precision: int
+    accepted: bool = True
 
     def __iter__(self):
         return iter(self.coefficients)
@@ -226,8 +228,6 @@ class IntPolynomial:
 
 
 def _prepare(xs, precision):
-    if precision is None:
-        raise ValueError("precision required")
     # conversion must happen above working precision or mpc() rounds the
     # inputs to the ambient (possibly default-15-digit) context
     with mp.workdps(guarded(precision) + 15):
@@ -252,7 +252,7 @@ def _candidate_rows(vals, prec):
     return rows
 
 
-def _scan_reduced(reduced, vals, n, prec, max_height_digits):
+def _scan_reduced(reduced, vals, n, prec):
     """Pick the smallest acceptable relation among reduced rows.
 
     Junk relations (they always exist) have height around 10^((prec-g)/n);
@@ -265,7 +265,6 @@ def _scan_reduced(reduced, vals, n, prec, max_height_digits):
     with mp.workdps(prec + 10):
         tight = mp.mpf(10) ** (-TIGHT * prec)
         loose = min(mp.mpf(10) ** (LOOSE * prec), mp.mpf(10) ** cap_digits)
-        height_cap = (mp.mpf(10) ** max_height_digits if max_height_digits else None)
         best = None
         for row in reduced:
             coeffs = row[:n]
@@ -273,8 +272,6 @@ def _scan_reduced(reduced, vals, n, prec, max_height_digits):
                 continue
             norm = mp.sqrt(mp.fsum(mp.mpf(c) ** 2 for c in coeffs))
             if norm >= loose:
-                continue
-            if height_cap is not None and max(abs(c) for c in coeffs) > height_cap:
                 continue
             resid = abs(mp.fsum((c * v for c, v in zip(coeffs, vals)), absolute=False))
             if resid >= tight:
@@ -310,29 +307,17 @@ def _normalize(coeffs):
     return coeffs
 
 
-def integer_relation(xs, precision: int | None = None,
-                     max_height_digits: int | None = None) -> RelationResult | None:
-    """Find integers m with m_0*x_0 = sum_{j>=1} m_j*x_j, or None.
-
-    Refuses to run when the precision cannot support the requested coefficient
-    height (roughly height_digits * count, plus margin), since an undersized
-    lattice happily produces junk relations.
-    """
+def integer_relation(xs, precision: int) -> RelationResult | None:
+    """Find integers m with m_0*x_0 = sum_{j>=1} m_j*x_j, or None."""
     vals = _prepare(xs, precision)
     prec = precision
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two numbers")
-    if max_height_digits is not None:
-        need = math.ceil(1.1 * max_height_digits * n) + scaling_guard(prec)
-        if prec < need:
-            raise PrecisionError(
-                f"precision {prec} below ~{need} required for height "
-                f"10^{max_height_digits} over {n} numbers")
 
     # the acceptance gate, which also lets the fed reduction stop early
     def gate(rows):
-        return _scan_reduced(rows, vals, n, prec, max_height_digits)
+        return _scan_reduced(rows, vals, n, prec)
 
     best = _gated_reduce(_candidate_rows(vals, prec), gate)
     if best is None:
@@ -345,24 +330,27 @@ def integer_relation(xs, precision: int | None = None,
     return RelationResult(tuple(signed), resid, prec)
 
 
-def raw_relation(xs, precision: int | None = None) -> RelationResult:
-    """Best-effort relation with NO acceptance gates, for comparative scoring.
+def raw_relation(xs, precision: int) -> RelationResult:
+    """Best-effort relation for comparative scoring: the minimum-norm nonzero
+    row of the fully reduced lattice, accepted when integer_relation's gate
+    passes that row.
 
-    Always returns the minimum-norm nonzero row of the reduced lattice. When
-    no true relation exists the norm sits near the junk floor 10^((prec-g)/n),
-    so score ratios between candidate hypotheses stay meaningful even though
-    the losing rows would never pass integer_relation's gates.
+    When no true relation exists the norm sits near the junk floor
+    10^((prec-g)/n), so score ratios between candidate hypotheses stay
+    meaningful even though the losing rows are never accepted.
     """
     vals = _prepare(xs, precision)
     prec = precision
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two numbers")
-    coeffs = _normalize(_shortest(lll_reduce(_candidate_rows(vals, prec)), n))
+    shortest = _shortest(lll_reduce(_candidate_rows(vals, prec)), n)
+    accepted = _scan_reduced([shortest], vals, n, prec) is not None
+    coeffs = _normalize(shortest)
     with mp.workdps(prec + 10):
         signed = [coeffs[0]] + [-c for c in coeffs[1:]]
         resid = abs(mp.fsum((c * v for c, v in zip(coeffs, vals)), absolute=False))
-    return RelationResult(tuple(signed), resid, prec)
+    return RelationResult(tuple(signed), resid, prec, accepted)
 
 
 def relation_norm(rel: RelationResult) -> mp.mpf:
@@ -381,7 +369,7 @@ def verify_relation(rel: RelationResult, xs, precision: int) -> bool:
     return resid < bound
 
 
-def minimal_polynomial(a, max_degree: int, precision: int | None = None
+def minimal_polynomial(a, max_degree: int, precision: int
                        ) -> IntPolynomial | None:
     """Lowest-degree integer polynomial vanishing at `a`, or None.
 
@@ -395,7 +383,7 @@ def minimal_polynomial(a, max_degree: int, precision: int | None = None
     # acceptance gate of one degree step, which also lets its fed
     # reduction stop early
     def gate(xs, rows):
-        best = _scan_reduced(rows, xs, len(xs), prec, None)
+        best = _scan_reduced(rows, xs, len(xs), prec)
         if best is None:
             return None
         coeffs = _normalize(best[1])
@@ -421,8 +409,7 @@ def minimal_polynomial(a, max_degree: int, precision: int | None = None
     return None
 
 
-def express_in_basis(a, basis, denominator_bound: int | None = None,
-                     precision: int | None = None):
+def express_in_basis(a, basis, precision: int):
     """Rational coefficients q with a = sum q_j * basis_j, or None.
 
     Returns (list of Fraction, residual). Raises RelationError if the found
@@ -434,7 +421,5 @@ def express_in_basis(a, basis, denominator_bound: int | None = None,
     m = rel.coefficients
     if m[0] == 0:
         raise RelationError("relation does not involve the target number")
-    if denominator_bound is not None and abs(m[0]) > denominator_bound:
-        return None
     qs = [Fraction(mj, m[0]) for mj in m[1:]]
     return qs, rel.residual

@@ -768,27 +768,15 @@ def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
 
 def recognize(tower: FieldTower, value,
               precision: int | None = None) -> AlgebraicNumber | None:
-    """Express a numeric value in the tower's power-product basis, or None."""
+    """Express a numeric value in the tower's power-product basis, or None.
+    One reduction at the tower's precision, whose gradual feeding is the
+    precision ladder; only the factor searches pass a lower precision."""
     prec = min(precision or tower.precision, tower.precision)
     got = express_in_basis(value, tower.basis_values(), precision=prec)
     if got is None:
         return None
     coeffs, _res = got
     return tower.element(coeffs)
-
-
-def _recognize_ladder(tower: FieldTower, value):
-    """Candidates for value from recognize() at 220, 420 and 700 digits,
-    then the tower's own: each is only a proposal, which the caller checks
-    exactly before it keeps it or climbs on to the next rung."""
-    tried = set()
-    for p in (220, 420, 700, tower.precision):
-        p = min(p, tower.precision)
-        if p not in tried:
-            tried.add(p)
-            got = recognize(tower, value, precision=p)
-            if got is not None:
-                yield got
 
 
 class EmbeddingAutomorphism:
@@ -896,25 +884,26 @@ def automorphisms(tower: FieldTower,
     for i in range(len(roots)):
         if i in rows:
             continue
-        for cand in _recognize_ladder(tower, roots[i]):
-            try:
-                g = automorphism(tower, fixed + [cand])
-            except FieldError:
-                continue
-            if root_of(g) != i:
-                continue
-            generators.append(g)
-            rows[i] = g
-            queue = list(rows.values())
-            while queue:
-                x = queue.pop()
-                for s in generators:
-                    y = x.compose(s)
-                    j = root_of(y)
-                    if j not in rows:
-                        rows[j] = y
-                        queue.append(y)
-            break
+        cand = recognize(tower, roots[i])
+        if cand is None:
+            continue
+        try:
+            g = automorphism(tower, fixed + [cand])
+        except FieldError:
+            continue
+        if root_of(g) != i:
+            continue
+        generators.append(g)
+        rows[i] = g
+        queue = list(rows.values())
+        while queue:
+            x = queue.pop()
+            for s in generators:
+                y = x.compose(s)
+                j = root_of(y)
+                if j not in rows:
+                    rows[j] = y
+                    queue.append(y)
     return [rows[i] for i in sorted(rows)]
 
 

@@ -409,6 +409,30 @@ def test_verify_missing_file_is_an_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+_BAD_FIDUCIALS = {
+    "header_without_dim": "SIC-FIDUCIAL v1 prec=30 symmetry=fz seed=none\n"
+                          + "0.5 0.0\n" * 4,
+    "header_without_prec": "SIC-FIDUCIAL v1 d=4 symmetry=fz seed=none\n"
+                           + "0.5 0.0\n" * 4,
+    "zero_vector": "SIC-FIDUCIAL v1 d=4 prec=30 symmetry=fz seed=none\n"
+                   + "0.0 0.0\n" * 4,
+}
+
+
+@pytest.mark.parametrize("command", ["refine", "symmetry", "qpoly",
+                                     "exactify"])
+@pytest.mark.parametrize("how", sorted(_BAD_FIDUCIALS))
+def test_malformed_fiducial_is_an_error(workdir, capsys, how, command):
+    # exit 1 means "verification failed"; a file that cannot be read is 2
+    bad = workdir / f"malformed_{how}.fid"
+    bad.write_text(_BAD_FIDUCIALS[how])
+    assert main([command, "--fiducial", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"siclift {command}: error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_report_is_a_pure_function_of_the_certificate(certfile, capsys):
     rc = main(["report", "--cert", certfile])
     assert rc == 0

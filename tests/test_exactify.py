@@ -491,13 +491,13 @@ def test_method1_recognizes_one_value_per_orbit_d4(fid4, monkeypatch):
     # each orbit's other values are Galois images of its representative's,
     # so only the representative is recognized in the overlap field
     towers = []
-    ladder = exactify._recognize_ladder
+    recognize_ = exactify.recognize
 
     def counted(tower, value):
         towers.append(tower)
-        return ladder(tower, value)
+        return recognize_(tower, value)
 
-    monkeypatch.setattr(exactify, "_recognize_ladder", counted)
+    monkeypatch.setattr(exactify, "recognize", counted)
     cert = method1_exactify(fid4)
     polys = build_orbit_polynomials(overlaps(fid4),
                                     symmetry_structure(fid4).cent)
@@ -505,6 +505,30 @@ def test_method1_recognizes_one_value_per_orbit_d4(fid4, monkeypatch):
     in_e1 = [t for t in towers if len(t.levels) == cert.e1_levels]
     assert cert.e1_levels > cert.e0_levels
     assert len(in_e1) == len(nontrivial) == 1
+
+
+def test_alignment_runs_no_lll_d4(fid4, monkeypatch):
+    # method 1 aligns values it has already recognized, and method 2 lifts
+    # each candidate from the relations that scored it: choosing the
+    # alignment reduces no lattice in either route
+    active = []
+    select, reduce = exactify._select_alignment, lattice.lll_reduce
+
+    def watched(*args):
+        active.append(1)
+        try:
+            return select(*args)
+        finally:
+            active.pop()
+
+    def refusing(rows, **kw):
+        assert not active, "LLL ran while the alignment was being chosen"
+        return reduce(rows, **kw)
+
+    monkeypatch.setattr(exactify, "_select_alignment", watched)
+    monkeypatch.setattr(lattice, "lll_reduce", refusing)
+    for route in (method1_exactify, method2_exactify):
+        route(fid4)
 
 
 def test_alignment_is_chosen_by_regeneration_d4(fid4, monkeypatch):

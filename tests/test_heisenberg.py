@@ -218,8 +218,7 @@ class TestSymplecticUnitary:
             basis = [mp.mpc(t) for t in hb.tau_powers(d, prec)[:4]]
         for r in range(d):
             for s in range(d):
-                got = express_in_basis(U[r, s], basis,
-                                       denominator_bound=25, precision=prec)
+                got = express_in_basis(U[r, s], basis, precision=prec)
                 assert got is not None, (r, s)
                 coeffs, _res = got
                 assert all(c.denominator in (1, 5) for c in coeffs)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siclift import lattice as lat
-from siclift.errors import PrecisionError
 
 
 def det3(rows):
@@ -117,7 +116,7 @@ class TestGradualFeeding:
             rows = lat._candidate_rows(vals, 320)
         full = -(-max(abs(r[-1]).bit_length() for r in rows) // lat.FEED_BITS)
         assert 1 < len(rungs) < full  # stopped before the last rung
-        best = lat._scan_reduced(integral(rows), vals, 4, 320, None)
+        best = lat._scan_reduced(integral(rows), vals, 4, 320)
         coeffs = lat._normalize(best[1])
         assert rel is not None
         assert rel.coefficients == (coeffs[0], *(-c for c in coeffs[1:]))
@@ -197,8 +196,7 @@ class TestIntegerRelation:
 
     def test_pi_has_no_small_relation(self):
         with mp.workdps(120):
-            rel = lat.integer_relation([mp.pi, mp.mpf(1)], precision=100,
-                                       max_height_digits=10)
+            rel = lat.integer_relation([mp.pi, mp.mpf(1)], precision=100)
         assert rel is None
 
     def test_golden_ratio_identity(self):
@@ -210,12 +208,6 @@ class TestIntegerRelation:
             rel2 = lat.integer_relation([mp.mpf(1), phi, phi ** 2], precision=60)
         # m0*x0 - m1*x1 - m2*x2 = 0 with x=(1, phi, phi^2): 1 + phi - phi^2 = 0
         assert rel2.coefficients == (1, -1, 1)
-
-    def test_precision_refusal(self):
-        with mp.workdps(40):
-            xs = [mp.sqrt(2), mp.mpf(1), mp.sqrt(3)]
-            with pytest.raises(PrecisionError):
-                lat.integer_relation(xs, precision=30, max_height_digits=30)
 
     def test_pslq_cross_check(self):
         # same relations out of an independent engine, mapped between sign
@@ -284,6 +276,58 @@ class TestRawRelation:
                                         precision=200)
             ratio = lat.relation_norm(junk_rel) / lat.relation_norm(true_rel)
         assert ratio > mp.mpf(10) ** 40
+
+
+def _field_member(basis, coeffs):
+    return mp.fsum(mp.mpf(q.numerator) / q.denominator * b
+                   for q, b in zip(coeffs, basis))
+
+
+# a value, then a basis linearly independent over Q (method 2 scores and
+# lifts [component, *coefficient-field basis]); the first four values lie in
+# the basis' span, the last two do not
+_GATE_CASES = {
+    "sqrt5": (lambda: [mp.mpf(1), mp.sqrt(5)],
+              [Fraction(3, 7), Fraction(-5, 11)]),
+    "sqrt3_sqrt5": (lambda: [mp.mpf(1), mp.sqrt(3), mp.sqrt(5), mp.sqrt(15)],
+                    [Fraction(1, 2), Fraction(-2, 3), Fraction(0),
+                     Fraction(7, 5)]),
+    "i_sqrt2": (lambda: [mp.mpc(1), mp.mpc(0, 1), mp.sqrt(2),
+                         mp.mpc(0, 1) * mp.sqrt(2)],
+                [Fraction(2, 3), Fraction(-1, 4), Fraction(5), Fraction(1, 6)]),
+    "sqrt3_sqrt5_wide": (lambda: [mp.mpf(1), mp.sqrt(3), mp.sqrt(5),
+                                  mp.sqrt(15)],
+                         [Fraction(-17, 29), Fraction(31, 13), Fraction(8, 19),
+                          Fraction(-23, 7)]),
+    "pi": (lambda: [mp.mpf(1), mp.sqrt(5)], lambda: +mp.pi),
+    "e": (lambda: [mp.mpf(1), mp.sqrt(3), mp.sqrt(5), mp.sqrt(15)],
+          lambda: mp.exp(1)),
+}
+
+
+class TestRawRelationGate:
+    @pytest.mark.parametrize("prec", [60, 120, 200])
+    @pytest.mark.parametrize("case", sorted(_GATE_CASES))
+    def test_accepted_agrees_with_integer_relation(self, case, prec):
+        # raw_relation's flag is integer_relation's verdict, and an accepted
+        # pair carries the same relation
+        make_basis, value = _GATE_CASES[case]
+        with mp.workdps(prec + 20):
+            basis = make_basis()
+            x = (_field_member(basis, value) if isinstance(value, list)
+                 else value())
+            xs = [x, *basis]
+            raw = lat.raw_relation(xs, precision=prec)
+            gated = lat.integer_relation(xs, precision=prec)
+        assert raw.accepted == (gated is not None)
+        if gated is not None:
+            assert raw.coefficients == gated.coefficients
+        if case in ("pi", "e"):
+            assert not raw.accepted
+        elif prec >= 120:
+            assert raw.accepted
+            m = raw.coefficients
+            assert [Fraction(mj, m[0]) for mj in m[1:]] == value
 
 
 class TestMinimalPolynomial:
@@ -411,8 +455,7 @@ class TestExpressInBasis:
                            for _ in range(4)]
                 val = mp.fsum(q.numerator / mp.mpf(q.denominator) * b
                               for q, b in zip(qs_true, basis))
-                out = lat.express_in_basis(val, basis, denominator_bound=10 ** 8,
-                                           precision=120)
+                out = lat.express_in_basis(val, basis, precision=120)
                 assert out is not None and out[0] == qs_true
 
     def test_complex_element(self):
