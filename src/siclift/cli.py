@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import mpmath as mp
 
@@ -33,15 +32,30 @@ from .modring import (centralizer, dprime, fa_matrix, orbits, symmetry_image,
 ENV_DIGITS = "SICLIFT_DIGITS"
 _SEED_STRIDE = 1000003  # distinct per-worker seed offsets for --threads
 
+# integer flags that count digits, attempts, workers or degrees
+_POSITIVE_FLAGS = ("digits", "attempts", "threads", "max_degree")
+
+
+def _check_positive(ns):
+    for name in _POSITIVE_FLAGS:
+        value = getattr(ns, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise SicliftError(f"{flag} must be positive, got {value}")
+
 
 def _default_digits(fallback: int | None = None) -> int | None:
     raw = os.environ.get(ENV_DIGITS)
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        digits = int(raw)
     except ValueError:
-        raise SicliftError(f"{ENV_DIGITS} must be an integer, got {raw!r}")
+        digits = 0
+    if digits < 1:
+        raise SicliftError(f"{ENV_DIGITS} must be a positive integer, "
+                           f"got {raw!r}")
+    return digits
 
 
 def _emit(obj, out: str | None):
@@ -82,6 +96,7 @@ def _parallel_seed(d, symmetry, attempts, seed, threads):
     workers = max(1, min(threads, attempts))
     if workers == 1:
         return seed_search(d, symmetry, attempts=attempts, seed=seed)
+    from concurrent.futures import ProcessPoolExecutor
     base, extra = divmod(attempts, workers)
     jobs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,7 +121,7 @@ def cmd_search(ns) -> int:
     out = ns.out or f"d{ns.dim}.fid"
     fid.save(out)
     with mp.workdps(20):
-        print(f"wrote {out}: d={fid.d} digits={digits} "
+        print(f"wrote {out}: d={fid.d} digits={fid.precision} "
               f"sic_error={mp.nstr(fid.error, 5)}")
     return 0
 
@@ -124,7 +139,7 @@ def cmd_refine(ns) -> int:
     out = ns.out or ns.fiducial
     fid.save(out)
     with mp.workdps(20):
-        print(f"wrote {out}: d={fid.d} digits={digits} "
+        print(f"wrote {out}: d={fid.d} digits={fid.precision} "
               f"sic_error={mp.nstr(fid.error, 5)}")
     return 0
 
@@ -294,9 +309,6 @@ def cmd_exactify(ns) -> int:
 
 def cmd_verify(ns) -> int:
     digits = 120 if ns.digits is None else ns.digits
-    if ns.mode == "certified" and digits < 1:
-        raise SicliftError(f"--digits must be positive for certified mode, "
-                           f"got {digits}")
     cert = ExactFiducialCertificate.load(ns.cert)
     if ns.mode == "exact":
         report = verify_exact(cert)
@@ -475,6 +487,7 @@ def main(argv=None) -> int:
         level=logging.INFO if ns.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
+        _check_positive(ns)
         return ns.fn(ns)
     except SicliftError as exc:
         hint = next((h for t, h in _HINTS.items() if isinstance(exc, t)), None)

@@ -5,6 +5,10 @@ set: (d+1)|chi_p|^2 = 1 for every p not = 0 mod d. The search runs at double
 precision (numpy/scipy) inside an eigenspace of the canonical order-3 unitary;
 refinement is a Gauss-Newton ladder in mpmath whose working precision roughly
 doubles per sweep, with an analytic Wirtinger Jacobian.
+
+numpy and scipy are imported by the seed-search functions that use them, so
+that loading a fiducial or a certificate, and verifying one, never loads
+either library.
 """
 
 from __future__ import annotations
@@ -12,15 +16,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import mpmath as mp
-import numpy as np
-from scipy.optimize import least_squares
 
 from . import heisenberg as hb
 from .bignum import CMatrix, CVector, format_decimal, guarded, parse_decimal, solve_linear
 from .errors import PrecisionError, RefinementError, SearchError
 from .modring import ModMatrix, dprime, esl2_elements, fa_matrix, zauner_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger("siclift.fidsearch")
 
@@ -97,6 +103,7 @@ class Fiducial:
 
 
 def _np_unitary(F: ModMatrix, d: int) -> np.ndarray:
+    import numpy as np
     U = hb.symplectic_unitary(F, d, 20).matrix
     with mp.workdps(30):
         return np.array([[complex(e) for e in row] for row in U.rows])
@@ -105,6 +112,7 @@ def _np_unitary(F: ModMatrix, d: int) -> np.ndarray:
 def _eigen_sectors(U: np.ndarray) -> list[tuple[complex, np.ndarray]]:
     """Orthonormal bases of the eigenspaces of an order-3 (up to phase)
     unitary, largest multiplicity first."""
+    import numpy as np
     d = U.shape[0]
     cube = U @ U @ U
     c = cube[0, 0]
@@ -125,6 +133,7 @@ def _eigen_sectors(U: np.ndarray) -> list[tuple[complex, np.ndarray]]:
 
 def _np_sic_residuals(x: np.ndarray, B: np.ndarray, d: int,
                       idx: np.ndarray) -> np.ndarray:
+    import numpy as np
     k = B.shape[1]
     z = x[:k] + 1j * x[k:]
     psi = B @ z
@@ -148,6 +157,8 @@ def seed_search(d: int, symmetry: str | None = "fz", attempts: int = 24,
         raise ValueError("seed search supports 4 <= d <= 24")
     if symmetry is not None and symmetry not in _SYMMETRY_MATRIX:
         raise ValueError(f"unknown symmetry tag {symmetry!r}")
+    import numpy as np
+    from scipy.optimize import least_squares
     rng = np.random.default_rng(seed)
     idx = (np.arange(d)[:, None] + np.arange(d)[None, :]) % d
     if symmetry is None:

@@ -13,8 +13,6 @@ from functools import reduce
 from math import gcd
 from typing import Iterable, Iterator
 
-import numpy as np
-
 # Brute-force group enumeration is O(m^4); vectorized it is fine up to here.
 MAX_BRUTE_MODULUS = 100
 
@@ -363,6 +361,7 @@ def centralizer(F: ModMatrix, m: int | None = None) -> MatGroup:
         F = ModMatrix(F.a, F.b, F.c, F.d, m)
     if m > MAX_BRUTE_MODULUS:
         raise ValueError(f"modulus {m} above brute-force bound {MAX_BRUTE_MODULUS}")
+    import numpy as np
     fa_, fb, fc, fd = F.entries
     gg, dd = np.meshgrid(np.arange(m, dtype=np.int64),
                          np.arange(m, dtype=np.int64), indexing="ij")

@@ -1,13 +1,18 @@
 """Command-line layer: artifact round-trips, determinism given a seed, exit
-codes, and error surfacing. The entry point runs in-process; files land in a
-per-module temp directory. The d=4 pipeline keeps these fast."""
+codes, and error surfacing. The entry point runs in-process, except where a
+test needs a fresh interpreter; files land in a per-module temp directory.
+The d=4 pipeline keeps these fast."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import siclift
 from siclift.cli import main
 from siclift.errors import SicliftError
 from siclift.fidsearch import Fiducial
@@ -79,6 +84,61 @@ def test_refine_reaches_requested_digits(workdir, fidfile):
     assert fid.precision == 260
     with mp.workdps(270):
         assert fid.error < mp.mpf(10) ** -250
+
+
+def test_refine_reports_the_written_precision(workdir, fidfile, capsys):
+    # a fiducial already past the target is written back unchanged, at its
+    # own 210 digits, and the success line says so
+    out = str(workdir / "d4_kept.fid")
+    assert main(["refine", "--fiducial", fidfile, "--digits", "100",
+                 "--out", out]) == 0
+    assert Fiducial.load(out).precision == 210
+    assert f"wrote {out}: d=4 digits=210 " in capsys.readouterr().out
+
+
+_NON_POSITIVE = [
+    ("search", ["--dim", "4", "--digits", "-5"], "--digits", "-5"),
+    ("search", ["--dim", "4", "--attempts", "0"], "--attempts", "0"),
+    ("search", ["--dim", "4", "--threads", "0"], "--threads", "0"),
+    ("refine", ["--fiducial", "FID", "--digits", "0"], "--digits", "0"),
+    ("relation", ["--values", "VALUES", "--digits", "-1"], "--digits", "-1"),
+    ("minpoly", ["--literal", "1.4142135623", "--digits", "0"],
+     "--digits", "0"),
+    ("minpoly", ["--literal", "1.4142135623", "--max-degree", "0"],
+     "--max-degree", "0"),
+    ("qpoly", ["--fiducial", "FID", "--digits", "-3"], "--digits", "-3"),
+    ("exactify", ["--fiducial", "FID", "--digits", "0"], "--digits", "0"),
+]
+
+
+@pytest.mark.parametrize("command,args,flag,value", _NON_POSITIVE,
+                         ids=[f"{c}{f}" for c, _, f, _ in _NON_POSITIVE])
+def test_non_positive_flag_is_an_error(workdir, fidfile, capsys, command,
+                                       args, flag, value):
+    # search --digits -5 once wrote a 14-digit file and exited 0, relation
+    # reported precision -1, refine --digits 0 asked for --digits and
+    # minpoly --digits 0 ran at 21 digits
+    values = workdir / "two_values.txt"
+    values.write_text("1.4142135623\n2.8284271247\n")
+    out = workdir / f"never_written_{command}"
+    argv = [command] + [{"FID": fidfile, "VALUES": str(values)}.get(a, a)
+                        for a in args] + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"siclift {command}: error: {flag} must be "
+                            f"positive, got {value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["0", "-7", "many"])
+def test_env_digits_must_be_a_positive_integer(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SICLIFT_DIGITS", raw)
+    assert main(["minpoly", "--literal", "1.4142135623"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("siclift minpoly: error: SICLIFT_DIGITS must be "
+                            f"a positive integer, got {raw!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +528,60 @@ def test_report_to_file(workdir, certfile, capsys):
     assert rc == 0
     capsys.readouterr()
     assert out.read_text().startswith("SIC-REPORT v1\n")
+
+
+# ---------------------------------------------------------------------------
+# cold start: checking a certificate loads neither numpy nor scipy
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(siclift.__file__)))
+
+_CHECK_IN_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import siclift, siclift.cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("numpy", "scipy")
+                  or m == "concurrent.futures.process")
+
+after_import = loaded()
+codes = []
+for argv in (["verify", "--cert", sys.argv[2], "--mode", "exact"],
+             ["verify", "--cert", sys.argv[2], "--mode", "certified",
+              "--digits", "80"],
+             ["report", "--cert", sys.argv[2]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(siclift.cli.main(argv))
+print(json.dumps({"after_import": after_import, "codes": codes,
+                  "after_checks": loaded()}))
+"""
+
+_SEARCH_IN_FRESH_INTERPRETER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from siclift.fidsearch import seed_search
+seed_search(4, "fz", attempts=8, seed=7).save(sys.argv[2])
+"""
+
+
+def _fresh_python(script, *args):
+    got = subprocess.run([sys.executable, "-c", script, _SRC, *args],
+                         capture_output=True, text=True, timeout=300)
+    assert got.returncode == 0, got.stderr
+    return got.stdout
+
+
+def test_checking_loads_no_numpy_scipy_or_process_pool(certfile):
+    obj = json.loads(_fresh_python(_CHECK_IN_FRESH_INTERPRETER, certfile))
+    assert obj["codes"] == [0, 0, 0]
+    assert obj["after_import"] == []
+    assert obj["after_checks"] == []
+
+
+def test_cold_seed_search_matches_in_process(workdir):
+    from siclift.fidsearch import seed_search
+    cold, warm = workdir / "cold_seed.fid", workdir / "warm_seed.fid"
+    _fresh_python(_SEARCH_IN_FRESH_INTERPRETER, str(cold))
+    seed_search(4, "fz", attempts=8, seed=7).save(str(warm))
+    assert cold.read_text() == warm.read_text()
