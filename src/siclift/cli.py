@@ -24,7 +24,6 @@ from .exactify import (ExactFiducialCertificate, build_orbit_polynomials,
                        method1_exactify, method2_exactify, symmetry_structure,
                        typea_orbit_group, verify_certified, verify_exact)
 from .fidsearch import Fiducial, refine, seed_search
-from .heisenberg import overlaps
 from .lattice import integer_relation, minimal_polynomial, raw_relation
 from .modring import (centralizer, dprime, fa_matrix, orbits, symmetry_image,
                       zauner_matrix)
@@ -97,6 +96,9 @@ def _parallel_seed(d, symmetry, attempts, seed, threads):
     if workers == 1:
         return seed_search(d, symmetry, attempts=attempts, seed=seed)
     from concurrent.futures import ProcessPoolExecutor
+
+    # the forked workers inherit it rather than each importing it again
+    import scipy.optimize  # noqa: F401
     base, extra = divmod(attempts, workers)
     jobs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,8 +212,7 @@ def cmd_qpoly(ns) -> int:
     fid = Fiducial.load(ns.fiducial)
     digits = min(ns.digits or _default_digits(fid.precision), fid.precision)
     st = symmetry_structure(fid)
-    table = overlaps(fid)
-    polys = build_orbit_polynomials(table, st.cent, cube=ns.cube)
+    polys = build_orbit_polynomials(fid.table, st.cent, cube=ns.cube)
     with mp.workdps(digits + 10):
         body = [{
             "orbit": p.orbit_id,

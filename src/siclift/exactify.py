@@ -28,7 +28,8 @@ from mpmath import mp
 from .bignum import CMatrix, CVector, guarded, solve_linear
 from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
-from .lattice import minimal_polynomial, raw_relation, relation_norm
+from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
+    relation_norm
 from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
@@ -163,7 +164,7 @@ def orbit_coefficient_values(fid, precision: int | None = None) -> list:
     the algebraic degree of what they would have to be lifted to."""
     prec = min(fid.precision, precision or fid.precision)
     struct = symmetry_structure(fid)
-    table = hb.overlaps(fid.vector, fid.d, prec)
+    table = fid.overlaps(prec)
     polys = build_orbit_polynomials(table, struct.cent)
     out = []
     with mp.workdps(guarded(prec)):
@@ -836,7 +837,7 @@ def _prepare(fid, digits):
     if prec < MIN_LIFT_DIGITS:
         raise PrecisionError(f"lifting needs at least {MIN_LIFT_DIGITS} digits")
     struct = symmetry_structure(fid)
-    table = hb.overlaps(fid.vector, fid.d, prec)
+    table = fid.overlaps(prec)
     polys = build_orbit_polynomials(table, struct.cent)
     e0 = lift_coefficients(polys, precision=prec)
     cosets, reps, qcay = _coset_structure(struct.cent, struct.s_pi)
@@ -863,20 +864,46 @@ def _prepare(fid, digits):
 # route 2: alignment scoring
 
 
+def _is_real(z, prec) -> bool:
+    return abs(z.imag) <= mp.mpf(10) ** (-(prec // 2))
+
+
+def _relation_score(comps, basis, prec, reduced):
+    """Relations of one orbit's solution components over the real
+    coefficient-field basis, and their worst norm (at least 1). A component
+    that is not real cannot lie in the field: the score is +inf, with no
+    relations and no lattice reduction. Each distinct relation lattice is
+    reduced once; `reduced` maps the lattices already reduced to their
+    relations."""
+    if not all(_is_real(c, prec) for c in comps):
+        return mp.inf, None
+    found = []
+    for c in comps:
+        xs = [c, *basis]
+        key = relation_lattice(xs, prec)
+        if key not in reduced:
+            reduced[key] = raw_relation(xs, precision=prec)
+        found.append(reduced[key])
+    return max([mp.mpf(1), *map(relation_norm, found)]), found
+
+
 def method2_exactify(fid,
                      digits: int | None = None) -> ExactFiducialCertificate:
     """Lift by aligning automorphisms with index cosets.
 
     Every bijection between the overlap-field automorphisms and the quotient
     cosets that respects the group structure is scored: the candidate overlap
-    vector it predicts is solved against the conjugate-power basis, and each
-    solution component is fed to a gate-free integer-relation search over the
-    coefficient-field basis. The true bijection's components lie in the
-    coefficient field, so its relation norms sit many orders of magnitude
-    below every competitor's junk floor. The low scorers, best first, are
-    lifted exactly from the relations that scored them, and
-    _select_alignment keeps the one whose lift regenerates the numeric
-    table."""
+    vector it predicts is solved against the conjugate-power basis. The
+    coefficient field is real, so a solution component with an imaginary
+    part above 10^-(prec//2) cannot lie in it, and its bijection scores
+    +inf with no lattice reduction. Every other component is fed to a
+    gate-free integer-relation search over the coefficient-field basis, one
+    reduction per distinct relation lattice. The true bijection's
+    components lie in the coefficient field, so its relation norms sit many
+    orders of magnitude below every competitor's junk floor. The low
+    scorers, best first, are lifted exactly from the relations that scored
+    them, and _select_alignment keeps the one whose lift regenerates the
+    numeric table."""
     if fid.d % 3 == 0:
         from .fidsearch import strongly_centre
         fid = strongly_centre(fid)
@@ -887,7 +914,10 @@ def method2_exactify(fid,
 
     nontrivial = [q for q in polys if q.degree >= 2]
     e0_basis = e0.basis_values()
-    scores, rels = {}, {}
+    if not all(_is_real(b, prec) for b in e0_basis):
+        raise LiftError("the coefficient field is not real; alignment "
+                        "scoring assumes it is")
+    scores, rels, reduced = {}, {}, {}
     if nontrivial:
         with mp.workdps(guarded(prec)):
             timg = [a.images[-1].embed() for a in autos]
@@ -899,11 +929,12 @@ def method2_exactify(fid,
             for q in nontrivial:
                 V = CVector([table.chi(reps[f[j]].apply(q.rep))
                              for j in range(n)], prec)
-                sol = solve_linear(B, V, prec)
-                found[q.orbit_id] = [raw_relation([comp, *e0_basis],
-                                                  precision=prec)
-                                     for comp in sol.x.entries]
-                worst = max([worst, *map(relation_norm, found[q.orbit_id])])
+                norm, found[q.orbit_id] = _relation_score(
+                    solve_linear(B, V, prec).x.entries, e0_basis, prec,
+                    reduced)
+                worst = max(worst, norm)
+                if worst == mp.inf:
+                    break
             scores[f], rels[f] = worst, found
             log.info("bijection %s worst relation norm %s", f,
                      mp.nstr(worst, 5))

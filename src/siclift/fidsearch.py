@@ -13,9 +13,10 @@ either library.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import mpmath as mp
@@ -36,7 +37,7 @@ _SYMMETRY_MATRIX = {"fz": zauner_matrix, "fa": fa_matrix}
 SEED_DIGITS = 14
 
 # Largest overlap mismatch at which a candidate still fixes the projector.
-STABILIZER_TOL = mp.mpf("1e-10")
+STABILIZER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,17 +49,29 @@ class Fiducial:
     orbit: str | None = None
     seed: int | None = None
     error: object = None  # mpf SIC error, recorded at creation
+    # overlap table at `precision`, computed at creation for the SIC error
+    table: hb.OverlapTable | None = field(default=None, compare=False,
+                                          repr=False)
 
     @classmethod
     def create(cls, d, vector, precision, symmetry=None, orbit=None, seed=None):
-        """Normalize and record the SIC error; the only intended constructor."""
+        """Normalize and record the SIC error and the overlap table; the only
+        intended constructor."""
         with mp.workdps(guarded(precision)):
             norm = vector.norm()
             if not norm:
                 raise ValueError("a zero vector is no fiducial")
             v = vector.scale(1 / norm)
-        err = hb.overlaps(v, d, precision).sic_error()
-        return cls(d, v, precision, symmetry, orbit, seed, err)
+        table = hb.overlaps(v, d, precision)
+        return cls(d, v, precision, symmetry, orbit, seed, table.sic_error(),
+                   table)
+
+    def overlaps(self, precision: int) -> hb.OverlapTable:
+        """The overlap table at `precision` digits: the one kept from
+        creation at the fiducial's own precision, else computed anew."""
+        if precision == self.precision:
+            return self.table
+        return hb.overlaps(self.vector, self.d, precision)
 
     def save(self, path: str):
         tag = self.symmetry or "none"
@@ -353,36 +366,35 @@ def detect_stabilizer(fid: Fiducial, full: bool = False
                       ) -> set[tuple[tuple[int, int], ModMatrix]]:
     """All (p, F) with D_p U_F fixing the fiducial's projector. p is reported
     mod d (displacement conjugation is d-periodic). By default only the
-    candidates r*I + s*F_sym are scanned; full=True sweeps all of det +-1."""
+    candidates r*I + s*F_sym are scanned; full=True sweeps all of det +-1.
+    The scan compares the overlap table in double precision: a projector
+    that is fixed matches to rounding, one that is not misses by far more
+    than the tolerances."""
     if fid.error > mp.mpf("1e-30"):
         raise PrecisionError(
             f"stabilizer scan needs error < 1e-30, have {mp.nstr(fid.error, 3)}")
     d, dp = fid.d, dprime(fid.d)
-    T = hb.overlaps(fid)
+    chi = {q: complex(v) for q, v in fid.table.items()}
     cands = esl2_elements(dp) if full else _centralizer_candidates(d, fid.symmetry)
     out = set()
-    wprec = min(fid.precision, 40)
-    taus = hb.tau_powers(d, wprec)
-    with mp.workdps(guarded(wprec)):
-        omega = [taus[(2 * k) % (2 * d)] for k in range(d)]
-        for F in cands:
-            T1 = T.transported(F)
-            # phases at q=(0,1) and q=(1,0) determine the displacement part
-            a = T.chi((0, 1)) / T1.chi((0, 1))      # omega^p1
-            b = T1.chi((1, 0)) / T.chi((1, 0))      # omega^p2
-            p1 = min(range(d), key=lambda k: abs(a - omega[k]))
-            p2 = min(range(d), key=lambda k: abs(b - omega[k]))
-            if abs(a - omega[p1]) > mp.mpf("1e-6") or \
-               abs(b - omega[p2]) > mp.mpf("1e-6"):
-                continue
-            ok = True
-            for (q1, q2), v in T.items():
-                e = (q2 * p1 - q1 * p2) % d
-                if abs(omega[e] * T1.values[(q1, q2)] - v) > STABILIZER_TOL:
-                    ok = False
-                    break
-            if ok:
-                out.add(((p1, p2), F))
+    omega = [cmath.exp(2j * math.pi * k / d) for k in range(d)]
+    for F in cands:
+        # overlaps of the transported projector: chi_{F^-1 q}, conjugated
+        # for det -1
+        Finv, anti = F.inv(), F.det() == dp - 1
+        moved = {q: chi[Finv.apply(q)] for q in chi}
+        if anti:
+            moved = {q: v.conjugate() for q, v in moved.items()}
+        # phases at q=(0,1) and q=(1,0) determine the displacement part
+        a = chi[(0, 1)] / moved[(0, 1)]      # omega^p1
+        b = moved[(1, 0)] / chi[(1, 0)]      # omega^p2
+        p1 = min(range(d), key=lambda k: abs(a - omega[k]))
+        p2 = min(range(d), key=lambda k: abs(b - omega[k]))
+        if abs(a - omega[p1]) > 1e-6 or abs(b - omega[p2]) > 1e-6:
+            continue
+        if all(abs(omega[(q2 * p1 - q1 * p2) % d] * moved[(q1, q2)] - v)
+               <= STABILIZER_TOL for (q1, q2), v in chi.items()):
+            out.add(((p1, p2), F))
     return out
 
 

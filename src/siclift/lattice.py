@@ -330,14 +330,27 @@ def integer_relation(xs, precision: int) -> RelationResult | None:
     return RelationResult(tuple(signed), resid, prec)
 
 
+def relation_lattice(xs, precision: int) -> tuple:
+    """The integer rows raw_relation and integer_relation reduce for xs, as
+    a tuple of tuples: two value lists with equal rows reduce alike."""
+    vals = _prepare(xs, precision)
+    return tuple(map(tuple, _candidate_rows(vals, precision)))
+
+
 def raw_relation(xs, precision: int) -> RelationResult:
     """Best-effort relation for comparative scoring: the minimum-norm nonzero
-    row of the fully reduced lattice, accepted when integer_relation's gate
-    passes that row.
+    coefficient row of the fully reduced lattice, accepted when
+    integer_relation's gate passes that row.
 
-    When no true relation exists the norm sits near the junk floor
-    10^((prec-g)/n), so score ratios between candidate hypotheses stay
-    meaningful even though the losing rows are never accepted.
+    When the xs are real and no true relation exists, the norm sits near
+    the junk floor 10^((prec-g)/n), so score ratios between candidate
+    hypotheses stay meaningful even though the losing rows are never
+    accepted. A non-real
+    x_0 over a real basis is the exception: no small relation can involve
+    x_0, so one reduced row keeps x_0's large imaginary entry beside a tiny
+    coefficient block such as (1, 0, ..., 0), and the shortest coefficient
+    row's norm, often 1, says nothing. Callers scoring such a target rule
+    it out before calling.
     """
     vals = _prepare(xs, precision)
     prec = precision

@@ -172,17 +172,21 @@ class FieldLevel:
     """One extension step: a generator with its monic minimal polynomial over
     the previous level (ascending, without the leading 1; each coefficient is
     a vector of the previous level) and the chosen embedding root. box holds
-    the product data of the prefix this level tops, built on first use."""
+    the product data of the prefix this level tops, built on first use;
+    roots, when the level was built from them, is the minimal polynomial's
+    sorted root list from _poly_roots at the tower's precision."""
 
-    __slots__ = ("tag", "minpoly", "degree", "root_index", "embedding", "box")
+    __slots__ = ("tag", "minpoly", "degree", "root_index", "embedding", "box",
+                 "roots")
 
-    def __init__(self, tag, minpoly, root_index, embedding):
+    def __init__(self, tag, minpoly, root_index, embedding, roots=None):
         self.tag = tag
         self.minpoly = minpoly          # tuple of parent vectors
         self.degree = len(minpoly)
         self.root_index = root_index
         self.embedding = embedding      # raw mpc at the tower's precision
         self.box = None
+        self.roots = roots
 
     def __eq__(self, other):
         return (isinstance(other, FieldLevel)
@@ -758,7 +762,7 @@ def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
             raise FieldError(
                 f"selector {mp.nstr(sel, 8)} is ambiguous between roots")
     level = FieldLevel(tag or f"g{len(tower.levels) + 1}",
-                       tuple(c.vec for c in monic), idx, roots[idx])
+                       tuple(c.vec for c in monic), idx, roots[idx], roots)
     return FieldTower(tower.levels + (level,), tower.precision)
 
 
@@ -869,9 +873,8 @@ def automorphisms(tower: FieldTower,
     top = tower.levels[-1]
     if top.degree > 64:
         raise FieldError("relative degree beyond desk scale (max 64)")
-    with mp.workdps(guarded(tower.precision)):
-        roots = _poly_roots([tower._embed(c, n - 1) for c in top.minpoly],
-                            tower.precision)
+    roots = top.roots or _poly_roots(
+        [tower._embed(c, n - 1) for c in top.minpoly], tower.precision)
 
     def root_of(row):
         z = row.images[-1].embed()

@@ -6,11 +6,13 @@ Oracles: group-theoretic counts recomputed through the matrix layer, exact
 identities checked in pure rational arithmetic (no numerics can fake a zero),
 and embedding cross-checks against the refined fiducial each certificate came
 from. The d=4 path exercises the even-dimension bookkeeping (doubled index
-modulus) and the alignment degeneracy where several bijections tie on score.
+modulus) and an alignment among several structure-respecting bijections, of
+which most predict non-real coefficients.
 """
 
 import hashlib
 import json
+import logging
 import math
 import random
 from fractions import Fraction
@@ -18,7 +20,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from siclift import exactify, lattice, numfield
+from siclift import exactify, heisenberg, lattice, numfield
+from siclift.bignum import guarded
 from siclift.errors import LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
                               _distinct_values, _extend_with_tau,
@@ -543,6 +546,84 @@ def test_alignment_is_chosen_by_regeneration_d4(fid4, monkeypatch):
         method1_exactify(fid4)
     with pytest.raises(PrecisionError):
         method2_exactify(fid4)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The values method 2 hands to raw_relation, one per reduction."""
+    seen = []
+    raw = exactify.raw_relation
+
+    def counted(xs, precision):
+        seen.append(xs[0])
+        return raw(xs, precision=precision)
+
+    monkeypatch.setattr(exactify, "raw_relation", counted)
+    return seen
+
+
+def test_alignment_score_is_decisive_d4(fid4, reductions, caplog):
+    # most bijections predict a non-real component, which cannot lie in the
+    # real coefficient field and scores +inf unreduced; of the rest only the
+    # true one has short relations, so the score alone picks the winner
+    with caplog.at_level(logging.WARNING, logger="siclift.exactify"):
+        cert = method2_exactify(fid4)
+    assert cert.galois.separation > mp.mpf(10) ** 20
+    assert "not decisive" not in caplog.text
+    assert len(reductions) <= 8
+
+
+def test_non_real_component_scores_inf(monkeypatch):
+    def refusing(rows, **kw):
+        raise AssertionError("a lattice was reduced for a non-real component")
+
+    monkeypatch.setattr(lattice, "lll_reduce", refusing)
+    with mp.workdps(120):
+        basis = [mp.mpf(1), mp.sqrt(5)]
+        phi = (1 + mp.sqrt(5)) / 2
+        off = mp.mpc(mp.mpf(1) / 3, mp.mpf(1) / 7)
+    for comps in ([off], [phi, off]):
+        assert exactify._relation_score(comps, basis, 100, {}) \
+            == (mp.inf, None)
+
+
+def test_equal_relation_lattices_reduce_once(reductions):
+    # values that round to the same scaled lattice share one reduction
+    with mp.workdps(120):
+        basis = [mp.mpf(1), mp.sqrt(5)]
+        phi = (1 + mp.sqrt(5)) / 2
+        comps = [phi, phi + mp.mpf(10) ** -110, mp.sqrt(5)]
+    reduced = {}
+    norm, rels = exactify._relation_score(comps, basis, 100, reduced)
+    assert len(reductions) == 2 and rels[0] is rels[1]
+    assert rels[0].coefficients == (2, 1, 1) and norm < 3
+    assert exactify._relation_score([phi], basis, 100, reduced)[1] == \
+        [rels[0]]
+    assert len(reductions) == 2
+
+
+def test_lift_reuses_table_and_roots_d4(fid4, monkeypatch):
+    # the stabilizer scan and the lift read the overlap table the fiducial
+    # kept from creation, and a new level's roots serve its automorphisms:
+    # no full-precision table is computed again and no polynomial is solved
+    # twice
+    table_dps, solved = [], []
+    sums, roots = heisenberg._overlap_sums, numfield._poly_roots
+
+    def counted_sums(psi, d, taus, m):
+        table_dps.append(mp.mp.dps)
+        return sums(psi, d, taus, m)
+
+    def counted_roots(values, prec):
+        solved.append((tuple(values), prec))
+        return roots(values, prec)
+
+    monkeypatch.setattr(heisenberg, "_overlap_sums", counted_sums)
+    monkeypatch.setattr(numfield, "_poly_roots", counted_roots)
+    monkeypatch.setattr(exactify, "_poly_roots", counted_roots)
+    method2_exactify(fid4)
+    assert guarded(fid4.precision) not in table_dps
+    assert solved and len(set(solved)) == len(solved)
 
 
 def _content_digest(cert) -> str:

@@ -196,6 +196,43 @@ class TestStabilizer:
             assert fixed == ((p, F) in S)
 
 
+def _reference_scan(fid, full):
+    """The stabilizer scan in 40-digit mpmath arithmetic: the reference the
+    double-precision scan must agree with."""
+    d, dp = fid.d, dprime(fid.d)
+    T = hb.overlaps(fid)
+    cands = esl2_elements(dp) if full \
+        else fs._centralizer_candidates(d, fid.symmetry)
+    taus = hb.tau_powers(d, 40)
+    out = set()
+    with mp.workdps(guarded(40)):
+        omega = [taus[(2 * k) % (2 * d)] for k in range(d)]
+        for F in cands:
+            T1 = T.transported(F)
+            a = T.chi((0, 1)) / T1.chi((0, 1))
+            b = T1.chi((1, 0)) / T.chi((1, 0))
+            p1 = min(range(d), key=lambda k: abs(a - omega[k]))
+            p2 = min(range(d), key=lambda k: abs(b - omega[k]))
+            if abs(a - omega[p1]) > mp.mpf("1e-6") or \
+                    abs(b - omega[p2]) > mp.mpf("1e-6"):
+                continue
+            if all(abs(omega[(q2 * p1 - q1 * p2) % d] * T1.values[(q1, q2)]
+                       - v) <= mp.mpf("1e-10")
+                   for (q1, q2), v in T.items()):
+                out.add(((p1, p2), F))
+    return out
+
+
+@pytest.mark.parametrize("d, seed, full", [
+    (4, 11, False), (4, 13, False), (4, 4, False), (5, 11, False),
+    (4, 11, True)])
+def test_double_precision_scan_matches_reference(d, seed, full):
+    fid = fs.refine(fs.seed_search(d, "fz", attempts=24, seed=seed), 60)
+    S = fs.detect_stabilizer(fid, full=full)
+    assert len(S) > 1
+    assert S == _reference_scan(fid, full)
+
+
 class TestStronglyCentre:
     def test_non_multiple_of_three_unchanged(self, fid5):
         assert fs.strongly_centre(fid5) is fid5
