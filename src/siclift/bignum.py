@@ -1,5 +1,6 @@
 """Guarded precision, decimal I/O, dense complex vectors and matrices, and
-the linear solve, on top of mpmath.
+the linear solve (LU factors kept for many right-hand sides), on top of
+mpmath.
 
 Precision is tracked in decimal digits everywhere user-facing. CVector and
 CMatrix store raw mpmath numbers with one declared precision and do their
@@ -164,6 +165,61 @@ class LinearSolution(NamedTuple):
     condition: mp.mpf     # pivot-growth estimate, order of magnitude only
 
 
+class LUFactors:
+    """Gaussian elimination with partial pivoting of one square matrix, kept
+    to solve against many right-hand sides: row-permuted B = L U, with the
+    unit lower factor's multipliers below the diagonal of `lu` and U on and
+    above it. Solving repeats exactly the operations of eliminating B with
+    the right-hand side carried along."""
+
+    __slots__ = ("prec", "perm", "lu", "pivots")
+
+    def __init__(self, B: CMatrix, prec: int | None = None):
+        n = B.nrows
+        if B.ncols != n:
+            raise ValueError("LU factors need a square matrix")
+        self.prec = prec = B.prec if prec is None else prec
+        with mp.workdps(guarded(prec)):
+            a = [list(row) for row in B.rows]
+            perm = list(range(n))
+            floor = mp.mpf(10) ** (-(guarded(prec) - 5)) \
+                * max(B.max_abs(), mp.mpf(1))
+            pivots = []
+            for col in range(n):
+                piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+                if abs(a[piv][col]) < floor:
+                    raise SingularMatrixError(
+                        f"pivot {col} below precision floor")
+                if piv != col:
+                    a[col], a[piv] = a[piv], a[col]
+                    perm[col], perm[piv] = perm[piv], perm[col]
+                pivots.append(abs(a[col][col]))
+                inv = 1 / a[col][col]
+                for r in range(col + 1, n):
+                    f = a[r][col] * inv
+                    a[r][col] = f
+                    if f == 0:
+                        continue
+                    for c in range(col + 1, n):
+                        a[r][c] -= f * a[col][c]
+        self.perm, self.lu, self.pivots = perm, a, pivots
+
+    def solve(self, v) -> list:
+        """x with B x = v, for v a sequence of n numbers."""
+        a, n = self.lu, len(self.lu)
+        with mp.workdps(guarded(self.prec)):
+            b = [v[i] for i in self.perm]
+            for col in range(n):
+                for r in range(col + 1, n):
+                    if a[r][col] != 0:
+                        b[r] -= a[r][col] * b[col]
+            x = [mp.mpc(0)] * n
+            for r in range(n - 1, -1, -1):
+                s = b[r] - mp.fsum(a[r][c] * x[c] for c in range(r + 1, n))
+                x[r] = s / a[r][r]
+        return x
+
+
 def solve_linear(B: CMatrix, v: CVector, prec: int | None = None) -> LinearSolution:
     """Solve Bx = v by Gaussian elimination with partial pivoting.
 
@@ -171,38 +227,13 @@ def solve_linear(B: CMatrix, v: CVector, prec: int | None = None) -> LinearSolut
     precision floor; the reported condition number is the max/min pivot
     magnitude ratio, a cheap growth estimate rather than a true kappa.
     """
-    n = B.nrows
-    if B.ncols != n or len(v) != n:
+    if len(v) != B.nrows:
         raise ValueError("solve_linear needs a square system")
     if prec is None:
         prec = min(B.prec, v.prec)
+    lu = LUFactors(B, prec)
+    sol = CVector(lu.solve(v.entries), prec)
     with mp.workdps(guarded(prec)):
-        a = [list(row) for row in B.rows]
-        b = list(v.entries)
-        floor = mp.mpf(10) ** (-(guarded(prec) - 5)) * max(B.max_abs(), mp.mpf(1))
-        pivots = []
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-            if abs(a[piv][col]) < floor:
-                raise SingularMatrixError(f"pivot {col} below precision floor")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-            pivots.append(abs(a[col][col]))
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if f == 0:
-                    continue
-                a[r][col] = mp.mpc(0)
-                for c in range(col + 1, n):
-                    a[r][c] -= f * a[col][c]
-                b[r] -= f * b[col]
-        x = [mp.mpc(0)] * n
-        for r in range(n - 1, -1, -1):
-            s = b[r] - mp.fsum(a[r][c] * x[c] for c in range(r + 1, n))
-            x[r] = s / a[r][r]
-        sol = CVector(x, prec)
         res = (B.matvec(sol) - v).max_abs()
-        cond = max(pivots) / min(pivots)
+        cond = max(lu.pivots) / min(lu.pivots)
     return LinearSolution(sol, res, cond)

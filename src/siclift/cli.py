@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
 import mpmath as mp
 
@@ -29,10 +28,9 @@ from .modring import (centralizer, dprime, fa_matrix, orbits, symmetry_image,
                       zauner_matrix)
 
 ENV_DIGITS = "SICLIFT_DIGITS"
-_SEED_STRIDE = 1000003  # distinct per-worker seed offsets for --threads
 
-# integer flags that count digits, attempts, workers or degrees
-_POSITIVE_FLAGS = ("digits", "attempts", "threads", "max_degree")
+# integer flags that count digits, attempts or degrees
+_POSITIVE_FLAGS = ("digits", "attempts", "max_degree")
 
 
 def _check_positive(ns):
@@ -80,45 +78,10 @@ def _read_values(path: str):
 # search
 
 
-def _search_chunk(args):
-    d, symmetry, attempts, seed, outdir = args
-    try:
-        fid = seed_search(d, symmetry, attempts=attempts, seed=seed)
-    except SicliftError as exc:
-        return None, seed, str(exc)
-    path = os.path.join(outdir, f"seed{seed}.fid")
-    fid.save(path)
-    return float(fid.error), seed, path
-
-
-def _parallel_seed(d, symmetry, attempts, seed, threads):
-    workers = max(1, min(threads, attempts))
-    if workers == 1:
-        return seed_search(d, symmetry, attempts=attempts, seed=seed)
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the forked workers inherit it rather than each importing it again
-    import scipy.optimize  # noqa: F401
-    base, extra = divmod(attempts, workers)
-    jobs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for i in range(workers):
-            n = base + (1 if i < extra else 0)
-            if n:
-                jobs.append((d, symmetry, n, seed + _SEED_STRIDE * i, tmp))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_chunk, jobs))
-        hits = sorted(r for r in results if r[0] is not None)
-        if not hits:
-            raise SicliftError("no search chunk converged: "
-                               + "; ".join(r[2] for r in results))
-        return Fiducial.load(hits[0][2])
-
-
 def cmd_search(ns) -> int:
     digits = ns.digits or _default_digits(200)
     symmetry = None if ns.symmetry == "none" else ns.symmetry
-    fid = _parallel_seed(ns.dim, symmetry, ns.attempts, ns.seed, ns.threads)
+    fid = seed_search(ns.dim, symmetry, attempts=ns.attempts, seed=ns.seed)
     fid = refine(fid, digits)
     out = ns.out or f"d{ns.dim}.fid"
     fid.save(out)
@@ -394,10 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", choices=["fz", "fa", "none"], default="fz")
     p.add_argument("--attempts", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="spread --attempts over worker processes; the "
-                        "attempt split (and so the result) depends on the "
-                        "thread count but not on scheduling")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_search)
 

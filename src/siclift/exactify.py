@@ -25,7 +25,7 @@ from operator import add, mul
 
 from mpmath import mp
 
-from .bignum import CMatrix, CVector, guarded, solve_linear
+from .bignum import CMatrix, LUFactors, guarded
 from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
@@ -33,9 +33,10 @@ from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
 from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
-    adjoin, automorphism, automorphisms, cyclotomic_polynomial, \
-    factor_over_tower, horner, lift_element, squarefree_part, _new_level, \
-    _poly_roots, _rational_minpoly, _subset_product_coeffs, recognize
+    adjoin, automorphism, cyclotomic_polynomial, divides, factor_over_tower, \
+    generated_automorphisms, horner, lift_element, squarefree_part, \
+    _guess_precision, _monic, _new_level, _poly_roots, _rational_minpoly, \
+    _subset_product_coeffs, recognize
 
 log = logging.getLogger("siclift.exactify")
 
@@ -291,21 +292,176 @@ def _tau_order(d: int) -> int:
     return 2 * d // math.gcd(d + 1, 2 * d)
 
 
-def _extend_with_tau(e1: FieldTower, d: int):
-    """Make the phase tau = -exp(i pi / d) available: factor its cyclotomic
-    polynomial over the overlap field. A linear factor, certified by exact
-    division, means tau is already in the field; otherwise tau's level is
-    built from the certified factor without adjoin's screen: were it g*h
-    with tau a root of g, g is a smaller factor through tau, which the
-    search tried at each precision it used.
-    Returns (tower, tau, level_added)."""
-    with mp.workdps(guarded(e1.precision)):
-        target = -mp.expjpi(mp.mpf(1) / d)
-    fac = factor_over_tower(e1, cyclotomic_polynomial(_tau_order(d)),
-                            root_selector=target)
+def _is_real(z, prec) -> bool:
+    return abs(z.imag) <= mp.mpf(10) ** (-(prec // 2))
+
+
+class _Conjugates:
+    """The overlap field e1 = e0(t) seen through its conjugates over the
+    real coefficient field e0, indexed by the cosets of the index quotient
+    (composition table cay): coset N sends t to t_N, the numeric overlap
+    at M_N applied to t's index. An element x = sum_k x_k t^k with x_k in
+    e0 has N-th conjugate sum_k x_k t_N^k, so x is interpolated from its n
+    conjugates by one solve against B[N][k] = t_N^k, factored once, and
+    each x_k is recognized in e0, at lattice dimension deg(e0) + 1.
+    at_root maps the index of each root of e1's top level to the coset
+    whose t_N lies nearest it."""
+
+    def __init__(self, e0: FieldTower, e1: FieldTower, t_conj, cay):
+        self.e0, self.e1, self.cay = e0, e1, cay
+        self.prec = prec = e1.precision
+        self.identity = _cayley_identity(cay)
+        self.t_conj = t_conj
+        n = len(t_conj)
+        with mp.workdps(guarded(prec)):
+            self.lu = LUFactors(CMatrix(
+                [[t ** k for k in range(n)] for t in t_conj], prec), prec)
+        self.t, self.at_root = None, {0: 0}
+        if len(e1.levels) > len(e0.levels):
+            self.t = e1.generator(len(e1.levels))
+            roots = e1.levels[-1].roots
+            with mp.workdps(guarded(prec)):
+                self.at_root = {
+                    min(range(len(roots)), key=lambda i: abs(roots[i] - t)): N
+                    for N, t in enumerate(t_conj)}
+
+    def lift(self, values, precision: int | None = None):
+        """The element of e1 whose conjugates are values (in coset order),
+        or None when a coordinate is not real or not recognized in e0 at
+        `precision` (default: e0's own)."""
+        coords = []
+        for x in self.lu.solve(values):
+            got = recognize(self.e0, x.real, precision=precision) \
+                if _is_real(x, self.prec) else None
+            if got is None:
+                return None
+            coords.append(lift_element(self.e1, got))
+        return horner(coords, self.t)
+
+
+def _galois_rows(conj: _Conjugates) -> list[EmbeddingAutomorphism]:
+    """The automorphisms of the overlap field over the coefficient field,
+    ordered by the index of the root they send t to. Coset c's row sends t
+    to t_c, so its image's N-th conjugate is t_(N c) (the quotient is
+    abelian); that image is interpolated and recognized over e0, checked
+    exactly by automorphism(), and asked for only for cosets that the
+    compositions of the rows found so far do not reach."""
+    e1, cay = conj.e1, conj.cay
+    if conj.t is None:
+        return [automorphism(e1, [e1.generator(k + 1)
+                                  for k in range(len(e1.levels))])]
+
+    def propose(i):
+        c = conj.at_root.get(i)
+        if c is None:
+            return None
+        return conj.lift([conj.t_conj[cay[N][c]] for N in range(len(cay))])
+
+    return generated_automorphisms(e1, e1.levels[-1].roots, propose)
+
+
+def _unit_subgroups(m: int) -> list[frozenset]:
+    """Every subgroup of (Z/m)^x, by increasing order (ties by elements)."""
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    groups, frontier = {frozenset({1})}, [frozenset({1})]
+    while frontier:
+        H = frontier.pop()
+        for a in units:
+            # the group generated by H and a is the union of the a^k H
+            K = frozenset(h * pow(a, k, m) % m for h in H for k in range(m))
+            if K not in groups:
+                groups.add(K)
+                frontier.append(K)
+    return sorted(groups, key=lambda H: (len(H), sorted(H)))
+
+
+def _actions(cay, m: int, H: frozenset, H0: frozenset, base) -> list[tuple]:
+    """Every homomorphism chi from the index quotient (composition table
+    cay) into (Z/m)^x / H with chi(N) in base[N] * H0 for every coset N,
+    each as one representative per coset."""
+    def canon(a):
+        return min(a * h % m for h in H)
+
+    gens, known, deriv = _spanning(cay)
+    n = len(cay)
+    out = set()
+    for pick in itertools.product(*(sorted({canon(base[g] * h) for h in H0})
+                                    for g in gens)):
+        img = dict(zip(gens, pick))
+        chi = {known[0]: 1}
+        for y in known[1:]:
+            x, g = deriv[y]
+            chi[y] = canon(chi[x] * img[g])
+        if all(chi[N] * pow(base[N], -1, m) % m in H0 for N in range(n)) \
+                and all(chi[cay[a][b]] == canon(chi[a] * chi[b])
+                        for a in range(n) for b in range(n)):
+            out.add(tuple(chi[N] for N in range(n)))
+    return sorted(out)
+
+
+def _extend_with_tau(conj: _Conjugates, d: int, guess):
+    """Make the phase tau = -exp(i pi / d) available: find its minimal
+    polynomial over the overlap field e1 among the factors of the
+    cyclotomic polynomial Phi_m, m its order.
+
+    tau's conjugates over e1 are tau^h for h in a subgroup H of (Z/m)^x,
+    and coset N acts on tau as tau -> tau^chi(N), chi a homomorphism into
+    (Z/m)^x / H. The candidate (H, chi) is prod_{h in H} (x - tau^h); its
+    N-th conjugate has the roots tau^(chi(N) h), so each coefficient is
+    interpolated from those conjugates and recognized over the coefficient
+    field (_Conjugates.lift, at the guess precision, then at full), and
+    the candidate is accepted when it divides Phi_m exactly over e1.
+
+    First, the proper subgroups by increasing order with chi = guess
+    (scaled so the identity coset acts trivially); Phi_m itself when none
+    divides. The accepted factor, with subgroup H0, has tau as a root, so
+    tau's minimal polynomial divides it and its subgroup lies in H0; the
+    exact conjugates of its coefficients fix the true action modulo H0. So
+    every H properly inside H0, with every chi agreeing with the accepted
+    action modulo H0, must miss; a hit replaces the factor, and the sweep
+    repeats below it. Returns (tower, tau, level_added)."""
+    e1, prec, n = conj.e1, conj.prec, len(conj.cay)
+    m = _tau_order(d)
+    taus = hb.tau_powers(d, prec)
+    scale = pow(guess[conj.identity], -1, m)
+    act = tuple(g * scale % m for g in guess)
+    groups = _unit_subgroups(m)
+    phi = _monic(e1, cyclotomic_polynomial(m))
+    ladder = sorted({_guess_precision(conj.e0), prec})
+
+    def factor(H, chi, precision):
+        conjugates = [_subset_product_coeffs(
+            [taus[chi[N] * h % m] for h in sorted(H)], range(len(H)), prec)
+            for N in range(n)]
+        coeffs = []
+        for i in range(len(H)):
+            c = conj.lift([v[i] for v in conjugates], precision)
+            if c is None:
+                return None
+            coeffs.append(c)
+        return coeffs if divides(e1, coeffs, phi) else None
+
+    def first_hit(candidates):
+        for precision in ladder:
+            for H, chi in candidates:
+                fac = factor(H, chi, precision)
+                if fac is not None:
+                    return H, chi, fac
+        return None
+
+    H0, chi0, fac = first_hit([(H, act) for H in groups[:-1]]) \
+        or (groups[-1], act, phi)
+    while True:
+        hit = first_hit([(H, chi) for H in groups if H < H0
+                         for chi in _actions(conj.cay, m, H, H0, chi0)])
+        if hit is None:
+            break
+        H0, chi0, fac = hit
     if len(fac) == 1:
         return e1, -fac[0], False
-    roots = _poly_roots([c.embed() for c in fac], e1.precision)
+    with mp.workdps(guarded(prec)):
+        target = -mp.expjpi(mp.mpf(1) / d)
+    roots = _poly_roots([c.embed() for c in fac], prec)
     tower = _new_level(e1, fac, roots, target, "tau")
     return tower, tower.generator(len(tower.levels)), True
 
@@ -363,6 +519,36 @@ def _cayley_orders(cay, e):
     return out
 
 
+def _spanning(cay):
+    """Generators of a finite group given by its composition table, each
+    the smallest element not yet generated, and a derivation of the whole
+    group from them: the elements in order of discovery from the identity,
+    and for each later one y a pair (x, g) with y = cay[x][g]."""
+    n = len(cay)
+    e = _cayley_identity(cay)
+
+    def close(gens):
+        known, seen, deriv = [e], {e}, {}
+        i = 0
+        while i < len(known):
+            x = known[i]
+            i += 1
+            for g in gens:
+                y = cay[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    deriv[y] = (x, g)
+                    known.append(y)
+        return known, seen, deriv
+
+    gens = []
+    known, seen, deriv = close(gens)
+    while len(seen) < n:
+        gens.append(min(x for x in range(n) if x not in seen))
+        known, seen, deriv = close(gens)
+    return gens, known, deriv
+
+
 def _group_isomorphisms(cay_a, cay_b) -> list[tuple]:
     """All isomorphisms between two finite groups given as composition
     tables, as permutation tuples (image of element i at position i).
@@ -375,26 +561,7 @@ def _group_isomorphisms(cay_a, cay_b) -> list[tuple]:
     ord_a, ord_b = _cayley_orders(cay_a, ea), _cayley_orders(cay_b, eb)
     if sorted(ord_a) != sorted(ord_b):
         return []
-
-    def close(gens):
-        known, seen, deriv = [ea], {ea}, {}
-        i = 0
-        while i < len(known):
-            x = known[i]
-            i += 1
-            for g in gens:
-                y = cay_a[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    deriv[y] = (x, g)
-                    known.append(y)
-        return known, seen, deriv
-
-    gens = []
-    known, seen, deriv = close(gens)
-    while len(seen) < n:
-        gens.append(min(x for x in range(n) if x not in seen))
-        known, seen, deriv = close(gens)
+    gens, known, deriv = _spanning(cay_a)
 
     cands = [[h for h in range(n) if ord_b[h] == ord_a[g]] for g in gens]
     out = []
@@ -794,14 +961,17 @@ def _select_alignment(candidates, lift, table, polys, autos, cosets, prec):
     return found
 
 
-def _assemble_certificate(fid, struct, e0, e1, gen_poly, autos, reps, polys,
+def _assemble_certificate(fid, struct, conj, gen_poly, autos, reps, polys,
                           aligned, method, score, runner_up, separation,
                           candidates, prec) -> ExactFiducialCertificate:
     """Common tail of both lifting routes, given the alignment
     _select_alignment chose: tau extension, structural-expectation record,
-    certificate."""
+    certificate. Coset N's guessed action on tau is tau -> tau^det(M_N),
+    the Galois-Clifford correspondence."""
+    e0, e1 = conj.e0, conj.e1
     coset_of_row, rep_overlaps, index_map = aligned
-    tower, tau, added = _extend_with_tau(e1, fid.d)
+    tower, tau, added = _extend_with_tau(conj, fid.d,
+                                         [M.det() for M in reps])
     if added:
         log.info("phase extension added a level (relative degree %d)",
                  tower.levels[-1].degree)
@@ -827,9 +997,10 @@ def _assemble_certificate(fid, struct, e0, e1, gen_poly, autos, reps, polys,
 
 def _prepare(fid, digits):
     """Common head of both lifting routes: the overlap field, its
-    automorphisms over the coefficient field, as many as the index quotient
-    has elements, and every isomorphism of their group onto the quotient (a
-    tuple giving each row's coset), the alignment candidates."""
+    automorphisms over the coefficient field, found by conjugate
+    interpolation (as many as the index quotient has elements), and every
+    isomorphism of their group onto the quotient (a tuple giving each
+    row's coset), the alignment candidates."""
     prec = digits or fid.precision
     if prec > fid.precision:
         raise PrecisionError(f"fiducial carries {fid.precision} digits, "
@@ -840,10 +1011,19 @@ def _prepare(fid, digits):
     table = fid.overlaps(prec)
     polys = build_orbit_polynomials(table, struct.cent)
     e0 = lift_coefficients(polys, precision=prec)
+    if not all(_is_real(b, prec) for b in e0.basis_values()):
+        raise LiftError("the coefficient field is not real; conjugate "
+                        "interpolation and alignment scoring assume it is")
     cosets, reps, qcay = _coset_structure(struct.cent, struct.s_pi)
     n = len(reps)
+    if any(qcay[i][j] != qcay[j][i] for i in range(n) for j in range(i)):
+        raise LiftError("the index quotient is not commutative; its cosets "
+                        "cannot label the Galois conjugates")
     e1, gen_poly = _extension_field(e0, polys, n, prec)
-    autos = automorphisms(e1, len(e0.levels))
+    t_conj = [1] if gen_poly is None else \
+        [table.chi(M.apply(gen_poly.rep)) for M in reps]
+    conj = _Conjugates(e0, e1, t_conj, qcay)
+    autos = _galois_rows(conj)
     if len(autos) > n:
         raise LiftError(f"found {len(autos)} automorphisms where the index "
                         f"quotient predicts {n}")
@@ -856,16 +1036,12 @@ def _prepare(fid, digits):
     if not perms:
         raise LiftError("the automorphism group and the index quotient are "
                         "not isomorphic; transport cannot be aligned")
-    return prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, \
-        reps, perms
+    return prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
+        perms
 
 
 # ---------------------------------------------------------------------------
 # route 2: alignment scoring
-
-
-def _is_real(z, prec) -> bool:
-    return abs(z.imag) <= mp.mpf(10) ** (-(prec // 2))
 
 
 def _relation_score(comps, basis, prec, reduced):
@@ -907,40 +1083,31 @@ def method2_exactify(fid,
     if fid.d % 3 == 0:
         from .fidsearch import strongly_centre
         fid = strongly_centre(fid)
-    prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, reps, \
+    prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
         perms = _prepare(fid, digits)
-    n = len(autos)
+    e0, e1, n = conj.e0, conj.e1, len(autos)
     log.info("scoring %d structure-respecting bijections", len(perms))
 
     nontrivial = [q for q in polys if q.degree >= 2]
     e0_basis = e0.basis_values()
-    if not all(_is_real(b, prec) for b in e0_basis):
-        raise LiftError("the coefficient field is not real; alignment "
-                        "scoring assumes it is")
     scores, rels, reduced = {}, {}, {}
-    if nontrivial:
-        with mp.workdps(guarded(prec)):
-            timg = [a.images[-1].embed() for a in autos]
-            B = CMatrix([[timg[j] ** k for k in range(n)] for j in range(n)],
-                        prec)
-        for f in perms:
-            worst = mp.mpf(1)
-            found = {}
-            for q in nontrivial:
-                V = CVector([table.chi(reps[f[j]].apply(q.rep))
-                             for j in range(n)], prec)
-                norm, found[q.orbit_id] = _relation_score(
-                    solve_linear(B, V, prec).x.entries, e0_basis, prec,
-                    reduced)
-                worst = max(worst, norm)
-                if worst == mp.inf:
-                    break
-            scores[f], rels[f] = worst, found
+    for f in perms:
+        worst = mp.mpf(1)
+        found = {}
+        for q in nontrivial:
+            # row j sends t to the root at index j, whose coset is at_root[j]
+            V = [None] * n
+            for j in range(n):
+                V[conj.at_root[j]] = table.chi(reps[f[j]].apply(q.rep))
+            norm, found[q.orbit_id] = _relation_score(
+                conj.lu.solve(V), e0_basis, prec, reduced)
+            worst = max(worst, norm)
+            if worst == mp.inf:
+                break
+        scores[f], rels[f] = worst, found
+        if nontrivial:
             log.info("bijection %s worst relation norm %s", f,
                      mp.nstr(worst, 5))
-    else:
-        for f in perms:
-            scores[f], rels[f] = mp.mpf(1), {}
 
     ranked = sorted(perms, key=lambda f: scores[f])
     attempt_floor = mp.mpf(10) ** (prec / 10)
@@ -993,7 +1160,7 @@ def method2_exactify(fid,
                     mp.nstr(scores[ranked[0]], 5))
 
     return _assemble_certificate(
-        fid, struct, e0, e1, gen_poly, autos, reps, polys, aligned, 2,
+        fid, struct, conj, gen_poly, autos, reps, polys, aligned, 2,
         best_score, runner_up, separation, len(perms), prec)
 
 
@@ -1018,8 +1185,9 @@ def method1_exactify(fid,
         raise LiftError("direct recognition handles dimensions not divisible "
                         "by 3; use the alignment route (method 2) for "
                         "d = 0 mod 3")
-    prec, struct, table, polys, e0, e1, gen_poly, autos, cosets, reps, \
+    prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
         perms = _prepare(fid, digits)
+    e1 = conj.e1
 
     rep_overlaps = {}
     for q in polys:
@@ -1045,7 +1213,7 @@ def method1_exactify(fid,
                         "index quotient regenerates the numeric table from "
                         "the recognized values")
     return _assemble_certificate(
-        fid, struct, e0, e1, gen_poly, autos, reps, polys, aligned, 1,
+        fid, struct, conj, gen_poly, autos, reps, polys, aligned, 1,
         mp.mpf(0), mp.inf, mp.inf, 0, prec)
 
 

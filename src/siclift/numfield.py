@@ -19,8 +19,11 @@ generators.
 Every element also has a complex embedding fixed by the root choices, so
 numeric and exact computations can cross-check each other. Every
 automorphism is built by `automorphism`, which checks its generator images
-exactly, and `automorphisms` generates the group of the top level from as
-few numerically recognized conjugates as generate it.
+exactly, and `generated_automorphisms` generates the group of the top level
+from as few proposed conjugates as generate it. The lift proposes them by
+conjugate interpolation over its coefficient field (`exactify`);
+`automorphisms` proposes them by recognizing conjugate roots in the whole
+tower.
 
 The exact polynomial algebra over a tower is written once, here: `horner`
 evaluates a polynomial in any arithmetic (tower elements, embeddings,
@@ -656,10 +659,11 @@ def _poly_roots(values: list, prec: int) -> list:
     noise: complex-conjugate pairs, such as tau and its conjugate or pairs
     of the overlap-field generator's conjugates, have equal real parts, and
     the last digits of the computed ones pick the order. A level's
-    root_index, and the order of the rows automorphisms() returns, so
-    depend on the exact numerics that produced the coefficients: recomputed
-    from a reloaded seed-11 d=5 certificate, tau sorts first, though the
-    certificate stores it at root_index 1."""
+    root_index, and the order of the Galois rows, which are sorted by the
+    root they send the top generator to, so depend on the exact numerics
+    that produced the coefficients: recomputed from a reloaded seed-11 d=5
+    certificate, tau sorts first, though the certificate stores it at
+    root_index 1."""
     with mp.workdps(guarded(prec) + 20):
         coeffs = [mp.mpc(1)] + [mp.mpc(v) for v in reversed(values)]
         roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec)
@@ -674,9 +678,6 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
     functions are recognized in the tower, and a candidate counts only if it
     divides the polynomial exactly. Returns the factor's coefficients
     (ascending, without the leading 1), or None."""
-    L = len(tower.levels)
-    one = tower._const(1, L)
-    P = [c.vec for c in monic] + [one]
     for attempt in precisions:
         for subset in subsets:
             rec = []
@@ -686,10 +687,21 @@ def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],
                     break
                 rec.append(got)
             else:
-                _q, rem = tower._pdivmod(P, [c.vec for c in rec] + [one], L)
-                if not any(any(u) for u, _den in rem):
+                if divides(tower, rec, monic):
                     return rec
     return None
+
+
+def divides(tower: FieldTower, factor: list[AlgebraicNumber],
+            monic: list[AlgebraicNumber]) -> bool:
+    """Whether the monic polynomial `factor` divides the monic polynomial
+    `monic` exactly over the tower (both ascending, without the leading
+    1)."""
+    L = len(tower.levels)
+    one = tower._const(1, L)
+    _q, rem = tower._pdivmod([c.vec for c in monic] + [one],
+                             [c.vec for c in factor] + [one], L)
+    return not any(any(u) for u, _den in rem)
 
 
 def _subset_product_coeffs(roots: list, subset, prec: int) -> list:
@@ -859,14 +871,15 @@ def automorphisms(tower: FieldTower,
                   fixing_level: int = 0) -> list[EmbeddingAutomorphism]:
     """All automorphisms of the tower (as an abstract field mapped into its
     own embedding) fixing levels 1..fixing_level pointwise, where only the
-    top level may move. The group is generated, not searched: the root the
-    top generator embeds at gives the identity, and another conjugate root
-    is recognized only when no composition of the rows found so far reaches
-    it. Rows are ordered by the index of the root they send it to."""
+    top level may move, generated by `generated_automorphisms` from
+    conjugate roots of the top generator recognized in the whole tower.
+    The lift finds its rows over the coefficient field instead (by
+    conjugate interpolation in `exactify`); this recognition at the tower's
+    full degree serves towers that carry no such structure."""
     n = len(tower.levels)
-    fixed = [tower.generator(k + 1) for k in range(fixing_level)]
     if fixing_level == n:
-        return [automorphism(tower, fixed)]
+        return [automorphism(tower, [tower.generator(k + 1)
+                                     for k in range(n)])]
     if fixing_level != n - 1:
         raise FieldError(f"{n - fixing_level} levels would move; only the top "
                          "level may")
@@ -875,6 +888,21 @@ def automorphisms(tower: FieldTower,
         raise FieldError("relative degree beyond desk scale (max 64)")
     roots = top.roots or _poly_roots(
         [tower._embed(c, n - 1) for c in top.minpoly], tower.precision)
+    return generated_automorphisms(tower, roots,
+                                   lambda i: recognize(tower, roots[i]))
+
+
+def generated_automorphisms(tower: FieldTower, roots: list,
+                            propose) -> list[EmbeddingAutomorphism]:
+    """The automorphisms of the tower that fix every level but the top one,
+    generated, not searched: the root the top generator embeds at gives the
+    identity, and propose(i), a candidate image of the top generator near
+    roots[i] (or None), is asked for only when no composition of the rows
+    found so far reaches root i. Each candidate is checked exactly by
+    automorphism(). Rows are ordered by the index of the root they send the
+    top generator to."""
+    n = len(tower.levels)
+    fixed = [tower.generator(k + 1) for k in range(n - 1)]
 
     def root_of(row):
         z = row.images[-1].embed()
@@ -887,7 +915,7 @@ def automorphisms(tower: FieldTower,
     for i in range(len(roots)):
         if i in rows:
             continue
-        cand = recognize(tower, roots[i])
+        cand = propose(i)
         if cand is None:
             continue
         try:

@@ -79,6 +79,25 @@ class TestVectorsMatrices:
         assert sol.residual < mp.mpf(10) ** -280
         assert sol.condition < mp.mpf(10) ** 6
 
+    def test_lu_factors_serve_many_right_hand_sides(self):
+        # one pivoted factorization, then each right-hand side is solved by
+        # substitution alone; the pivot order must apply to every one
+        rng = random.Random(5)
+        with mp.workdps(130):
+            rows = [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                     for _ in range(6)] for _ in range(6)]
+            vs = [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(6)] for _ in range(4)]
+        B = bn.CMatrix(rows, 100)
+        lu = bn.LUFactors(B)
+        assert lu.perm != list(range(6))
+        for v in vs:
+            x = bn.CVector(lu.solve(v), 100)
+            assert (B.matvec(x) - bn.CVector(v, 100)).max_abs() \
+                < mp.mpf(10) ** -90
+        with pytest.raises(SingularMatrixError):
+            bn.LUFactors(bn.CMatrix([[1, 2], [2, 4]], 50))
+
     def test_solve_singular(self):
         B = bn.CMatrix([[1, 2], [2, 4]], 50)
         with pytest.raises(SingularMatrixError):

@@ -65,16 +65,6 @@ def test_search_is_deterministic_given_seed(workdir, fidfile):
     assert open(again).read() == open(fidfile).read()
 
 
-def test_search_threads_converges(workdir):
-    out = str(workdir / "d4_threads.fid")
-    rc = main(["search", "--dim", "4", "--digits", "205", "--attempts", "8",
-               "--seed", "7", "--threads", "4", "--out", out])
-    assert rc == 0
-    fid = Fiducial.load(out)
-    with mp.workdps(215):
-        assert fid.error < mp.mpf(10) ** -195
-
-
 def test_refine_reaches_requested_digits(workdir, fidfile):
     out = str(workdir / "d4_260.fid")
     rc = main(["refine", "--fiducial", fidfile, "--digits", "260",
@@ -99,7 +89,6 @@ def test_refine_reports_the_written_precision(workdir, fidfile, capsys):
 _NON_POSITIVE = [
     ("search", ["--dim", "4", "--digits", "-5"], "--digits", "-5"),
     ("search", ["--dim", "4", "--attempts", "0"], "--attempts", "0"),
-    ("search", ["--dim", "4", "--threads", "0"], "--threads", "0"),
     ("refine", ["--fiducial", "FID", "--digits", "0"], "--digits", "0"),
     ("relation", ["--values", "VALUES", "--digits", "-1"], "--digits", "-1"),
     ("minpoly", ["--literal", "1.4142135623", "--digits", "0"],

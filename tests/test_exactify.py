@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from siclift import exactify, heisenberg, lattice, numfield
+from siclift import cli, exactify, heisenberg, lattice, numfield
 from siclift.bignum import guarded
 from siclift.errors import LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
@@ -161,41 +161,76 @@ def test_generates_over_rationals():
     assert _rational_minpoly(K.one()) == (-1, 1)
 
 
+def _conjugates_over_q(e1, t_conj, units, m):
+    # e1 = Q(t) with Galois group (a subgroup of) (Z/m)^x: coset i sends t
+    # to t_conj[i] and composes as units[i] * units[j] mod m
+    cay = [[units.index(a * b % m) for b in units] for a in units]
+    return exactify._Conjugates(FieldTower.rationals(80), e1, t_conj, cay)
+
+
 def test_tau_already_in_the_overlap_field():
     # tau = -exp(i pi/5) is a primitive 5th root of unity, so adjoining one
     # leaves nothing to add: the linear factor of the cyclotomic polynomial
     # over e1 is certified by exact division and tau comes back as that root
     with mp.workdps(100):
         tau = -mp.expjpi(mp.mpf(1) / 5)
+        t_conj = [tau ** a for a in range(1, 5)]
     e1 = adjoin(FieldTower.rationals(80), cyclotomic_polynomial(5), tau)
-    tower, got, added = _extend_with_tau(e1, 5)
+    conj = _conjugates_over_q(e1, t_conj, [1, 2, 3, 4], 5)
+    tower, got, added = _extend_with_tau(conj, 5, [1, 2, 3, 4])
     assert tower is e1 and added is False
     assert got == e1.generator(1)
 
 
 def test_tau_level_is_built_from_its_certified_factor(monkeypatch):
     # tau = -exp(i pi/6) has order 12, and Phi_12 splits over Q(sqrt 3) into
-    # two quadratics; the one through tau becomes tau's level as certified,
-    # so building it recognizes nothing beyond the factor search itself
-    calls = []
-    real = numfield.recognize
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    # two quadratics; the one through tau, the factor factor_over_tower
+    # certifies, becomes tau's level as it is, without adjoin's screen. The
+    # nontrivial row acts on roots of unity as zeta -> zeta^5; the guess
+    # [1, 1] is wrong, and the sweep below the whole group corrects it
+    def no_adjoin(*args, **kwargs):
+        raise AssertionError("tau's level went through adjoin")
 
     K = adjoin(FieldTower.rationals(80), [-3, 0, 1], 1.7)
-    monkeypatch.setattr(numfield, "recognize", counted)
     with mp.workdps(100):
         tau = -mp.expjpi(mp.mpf(1) / 6)
-    factor_over_tower(K, cyclotomic_polynomial(12), tau)
-    searched = len(calls)
-    tower, got, added = _extend_with_tau(K, 6)
-    assert len(calls) == 2 * searched
-    assert added is True and tower.degree == 4
-    assert got ** 6 == -1
-    with mp.workdps(100):
-        assert abs(got.embed() - tau) < mp.mpf(10) ** -70
+        conj = _conjugates_over_q(K, [mp.sqrt(3), -mp.sqrt(3)], [1, 5], 12)
+    factor = factor_over_tower(K, cyclotomic_polynomial(12), tau)
+    monkeypatch.setattr(numfield, "adjoin", no_adjoin)
+    monkeypatch.setattr(exactify, "adjoin", no_adjoin)
+    for guess in ([1, 5], [1, 1]):
+        tower, got, added = _extend_with_tau(conj, 6, guess)
+        assert added is True and tower.degree == 4
+        assert tower.levels[-1].minpoly == tuple(c.vec for c in factor)
+        assert got ** 6 == -1
+        with mp.workdps(100):
+            assert abs(got.embed() - tau) < mp.mpf(10) ** -70
+
+
+def test_wrong_tau_guess_finds_the_same_level_d4(fid4, cert4):
+    # the guess det(M_N) only orders the search: with every coset guessed to
+    # fix tau, the sweep still ends at the factor the certificate carries
+    *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid4,
+                                                                      None)
+    assert [M.det() for M in reps] != [1] * len(reps)
+    tower, tau, added = _extend_with_tau(conj, 4, [1] * len(reps))
+    assert added is True
+    assert tower.levels == cert4.tower.levels and tau == cert4.tau
+
+
+def test_tau_actions_agree_with_the_guess_modulo_the_subgroup():
+    # homomorphisms from C2 x C2 into (Z/8)^x / H that agree with a base
+    # action modulo H0 = {1, 7}: one free choice in H0 per generator
+    cay = _klein_table()
+    full = exactify._actions(cay, 8, frozenset({1}), frozenset({1, 7}),
+                             (1, 3, 5, 7))
+    assert len(full) == 4
+    for chi in full:
+        assert chi[0] == 1
+        assert all(chi[i] * chi[j] % 8 == chi[i ^ j]
+                   for i in range(4) for j in range(4))
+    assert [len(H) for H in exactify._unit_subgroups(8)] == [1, 2, 2, 2, 4]
+    assert [len(H) for H in exactify._unit_subgroups(7)] == [1, 2, 3, 6]
 
 
 def test_composition_table_is_read_from_the_rows(monkeypatch):
@@ -496,9 +531,9 @@ def test_method1_recognizes_one_value_per_orbit_d4(fid4, monkeypatch):
     towers = []
     recognize_ = exactify.recognize
 
-    def counted(tower, value):
+    def counted(tower, value, precision=None):
         towers.append(tower)
-        return recognize_(tower, value)
+        return recognize_(tower, value, precision=precision)
 
     monkeypatch.setattr(exactify, "recognize", counted)
     cert = method1_exactify(fid4)
@@ -637,13 +672,49 @@ def _content_digest(cert) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+DIGEST_D4 = "7b73fb421b06b76a234c21685011238d0d8cca837654f95ab84f0d686b87ca44"
+DIGEST_D5 = "1c49555c8b4ac42a7c3304e047be70eaeb0f9000fa7d8c57634d5717b668e299"
+
+
 def test_certificate_content_is_pinned(cert4, cert5):
     # seed 11 at 320 digits; a change to the exact arithmetic or the lift
     # that alters one coordinate, tag or level shows here
-    assert _content_digest(cert4) == \
-        "7b73fb421b06b76a234c21685011238d0d8cca837654f95ab84f0d686b87ca44"
-    assert _content_digest(cert5) == \
-        "1c49555c8b4ac42a7c3304e047be70eaeb0f9000fa7d8c57634d5717b668e299"
+    assert _content_digest(cert4) == DIGEST_D4
+    assert _content_digest(cert5) == DIGEST_D5
+
+
+def test_method2_recognizes_nothing_above_the_coefficient_field(
+        fid4, fid5, monkeypatch):
+    # Galois rows and tau's factor are interpolated from conjugates and
+    # recognized over the coefficient field, a one-level tower here; no
+    # value is recognized in the overlap field or above it
+    real = numfield.recognize
+
+    def e0_only(tower, value, precision=None):
+        assert len(tower.levels) <= 1, "recognition above the coefficient field"
+        return real(tower, value, precision=precision)
+
+    monkeypatch.setattr(numfield, "recognize", e0_only)
+    monkeypatch.setattr(exactify, "recognize", e0_only)
+    assert _content_digest(method2_exactify(fid4)) == DIGEST_D4
+    assert _content_digest(method2_exactify(fid5)) == DIGEST_D5
+
+
+def test_end_to_end_d6(tmp_path):
+    # d = 0 mod 3: the strongly-centring search, method 2's only route and a
+    # degree-48 tower (relative degrees 2, 12, 2); the digest is the one the
+    # overlap-field recognition of the Galois rows and of tau's factor gave
+    fid = refine(seed_search(6, "fz", attempts=24, seed=11), 400)
+    cert = method2_exactify(fid)
+    assert cert.tower.degree == 48
+    assert _content_digest(cert) == \
+        "72ddb199ec1374960ab4f8b8564d18b762c5e1c10ada6859b32e29189e510fba"
+    assert verify_exact(cert)["pass"] is True
+    assert verify_certified(cert, digits=120)["pass"] is True
+    bad = tmp_path / "d6.cert"
+    _tampered(cert, Fraction(1, 7)).save(str(bad))
+    for mode in ("exact", "certified"):
+        assert cli.main(["verify", "--cert", str(bad), "--mode", mode]) == 1
 
 
 # ---------------------------------------------------------------------------
