@@ -305,8 +305,9 @@ def _report_text(cert: ExactFiducialCertificate) -> str:
             f"method: {cert.method}",
             f"index modulus: {dprime(cert.d)}",
             f"tower: {levels}; total degree {cert.tower.degree}",
-            f"coefficient field degree over the rationals: {e0_deg}",
-            f"overlap field degree over the rationals: {e1_deg}",
+            f"coefficient field degree over the rationals {_STORED}: "
+            f"{e0_deg}",
+            f"overlap field degree over the rationals {_STORED}: {e1_deg}",
             f"phase level appended: {'yes' if cert.tau_level_added else 'no'}",
             f"overlaps recorded: {len(cert.index_map)}",
             f"orbit representatives: " +

@@ -32,9 +32,9 @@ from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
     relation_norm
 from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
     orbits, symmetry_image
-from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
-    adjoin, automorphism, cyclotomic_polynomial, divides, factor_over_tower, \
-    generated_automorphisms, horner, lift_element, squarefree_part, \
+from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
+    FieldTower, adjoin, automorphism, cyclotomic_polynomial, divides, \
+    generated_automorphisms, horner, is_field, lift_element, squarefree_part, \
     _guess_precision, _monic, _new_level, _poly_roots, _rational_minpoly, \
     _subset_product_coeffs, recognize
 
@@ -415,11 +415,14 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
     First, the proper subgroups by increasing order with chi = guess
     (scaled so the identity coset acts trivially); Phi_m itself when none
     divides. The accepted factor, with subgroup H0, has tau as a root, so
-    tau's minimal polynomial divides it and its subgroup lies in H0; the
-    exact conjugates of its coefficients fix the true action modulo H0. So
-    every H properly inside H0, with every chi agreeing with the accepted
-    action modulo H0, must miss; a hit replaces the factor, and the sweep
-    repeats below it. Returns (tower, tau, level_added)."""
+    tau's minimal polynomial divides it, and its level is kept when
+    is_field proves it a field: the factor is then irreducible over e1,
+    tau's minimal polynomial. Otherwise tau's minimal polynomial has its
+    subgroup properly inside H0, and the exact conjugates of the factor's
+    coefficients fix the true action modulo H0, so every H properly inside
+    H0, with every chi agreeing with the accepted action modulo H0, is
+    tried; a hit replaces the factor and is tested in turn. Returns
+    (tower, tau, level_added)."""
     e1, prec, n = conj.e1, conj.prec, len(conj.cay)
     m = _tau_order(d)
     taus = hb.tau_powers(d, prec)
@@ -451,19 +454,21 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
 
     H0, chi0, fac = first_hit([(H, act) for H in groups[:-1]]) \
         or (groups[-1], act, phi)
-    while True:
+    with mp.workdps(guarded(prec)):
+        target = -mp.expjpi(mp.mpf(1) / d)
+    while len(fac) > 1:
+        roots = _poly_roots([c.embed() for c in fac], prec)
+        tower = _new_level(e1, fac, roots, target, "tau")
+        if is_field(tower):
+            return tower, tower.generator(len(tower.levels)), True
         hit = first_hit([(H, chi) for H in groups if H < H0
                          for chi in _actions(conj.cay, m, H, H0, chi0)])
         if hit is None:
-            break
+            raise LiftError(
+                f"tau's factor of degree {len(fac)} is reducible over the "
+                "overlap field, and no smaller candidate divides Phi_m")
         H0, chi0, fac = hit
-    if len(fac) == 1:
-        return e1, -fac[0], False
-    with mp.workdps(guarded(prec)):
-        target = -mp.expjpi(mp.mpf(1) / d)
-    roots = _poly_roots([c.embed() for c in fac], prec)
-    tower = _new_level(e1, fac, roots, target, "tau")
-    return tower, tower.generator(len(tower.levels)), True
+    return e1, -fac[0], False
 
 
 # ---------------------------------------------------------------------------
@@ -869,9 +874,9 @@ def overlap_minimal_polynomials(cert: "ExactFiducialCertificate") -> list:
 def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, prec) -> dict:
     """Structural expectations that are checked and recorded, never assumed:
     the squarefree discriminant's square root inside the coefficient field
-    (a linear factor of x^2 - disc, certified by exact division), realness
-    defects, and whether the adjoined overlap value generates the whole field
-    over the rationals (its minimal polynomial has the field's degree). The
+    (decided exactly by is_field), realness defects, and whether the
+    adjoined overlap value generates the whole field over the rationals
+    (its minimal polynomial has the field's degree). The
     automorphism count matching the quotient order is stored as True, the
     format's key, since _prepare raises LiftError on any other count."""
     disc = squarefree_part((d - 3) * (d + 1))
@@ -881,7 +886,11 @@ def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, prec) -> dict:
         for k in range(len(e0.levels)):
             e0_defect = max(e0_defect,
                             abs(e0.generator(k + 1).embed().imag))
-    has_sqrt = len(factor_over_tower(e0, [-disc, 0, 1], sqrt_disc)) == 1
+    # e0 extended by x^2 - disc is a field exactly when sqrt(disc) is not
+    # in e0; only the level's minimal polynomial matters to is_field
+    level = FieldLevel("s", tuple(c.vec for c in _monic(e0, [-disc, 0, 1])),
+                       0, sqrt_disc)
+    has_sqrt = not is_field(FieldTower(e0.levels + (level,), prec))
     imag_defect = max(p.imag_defect for p in polys)
     gen_ok = None
     if gen_poly is not None:

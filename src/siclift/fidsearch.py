@@ -267,11 +267,16 @@ def _sic_system(psi: list, d: int, gauge: int, taus) -> tuple[list, list]:
 
 
 def _newton_step(psi: list, d: int, gauge: int, taus) -> list:
-    """One Gauss-Newton step via the normal equations. Caller's context."""
+    """One Gauss-Newton step via the normal equations. Caller's context.
+    J^T J is symmetric bit for bit (fsum rounds once, and products
+    commute), so its upper triangle is summed and mirrored."""
     rows, rhs_res = _sic_system(psi, d, gauge, taus)
     m = len(rows)
-    jtj = [[mp.fsum(rows[r][i] * rows[r][j] for r in range(m))
-            for j in range(2 * d)] for i in range(2 * d)]
+    jtj = [[None] * (2 * d) for _ in range(2 * d)]
+    for i in range(2 * d):
+        for j in range(i, 2 * d):
+            jtj[i][j] = jtj[j][i] = mp.fsum(rows[r][i] * rows[r][j]
+                                            for r in range(m))
     rhs = [-mp.fsum(rows[r][i] * rhs_res[r] for r in range(m))
            for i in range(2 * d)]
     sol = solve_linear(CMatrix(jtj, mp.mp.dps), CVector(rhs, mp.mp.dps))

@@ -27,10 +27,17 @@ tower.
 
 The exact polynomial algebra over a tower is written once, here: `horner`
 evaluates a polynomial in any arithmetic (tower elements, embeddings,
-enclosure balls), `FieldTower._euclid` is the one remainder sequence
-(inverses, and the squarefree test of `adjoin`), and `_rational_minpoly`
-is the one elimination, fraction-free over the integer coordinate vectors
-of the powers of an element.
+enclosure balls), `FieldTower._euclid` is the one remainder sequence over
+a tower (inverses, and the squarefree test of `adjoin`), and
+`_rational_minpoly` is the one elimination, fraction-free over the integer
+coordinate vectors of the powers of an element.
+
+Whether a tower is a field is decided exactly, with no numerics, by
+`is_field`: an element of full degree must have an irreducible minimal
+polynomial over the rationals, which Zassenhaus's algorithm proves or
+refutes over the integers (`factor_mod_p` modulo small primes, Hensel
+lifting, recombination by exact division). `adjoin` rejects every
+extension that is not a field this way.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ import itertools
 import json
 import struct
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from math import comb, gcd, isqrt, lcm
 from operator import add, lshift, mul, sub
 
 import mpmath as mp
@@ -728,14 +736,13 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
            tag: str | None = None) -> FieldTower:
     """Extend the tower by a root of the given polynomial (coefficients over
     the tower, ascending; non-monic input is monicized), which must be
-    irreducible over it: a repeated factor, or a factor the numeric screen
-    finds and exact division certifies, raises FieldError. root_selector is
-    an approximate complex value choosing the embedding: the nearest root
-    must lie within 0.3 * (1 + |root_selector|) of it and at most half as
-    far from it as the second nearest root."""
+    irreducible over it: a repeated factor, or an extended tower that
+    is_field proves is not a field, raises FieldError. Both decisions are
+    exact. root_selector is an approximate complex value choosing the
+    embedding: the nearest root must lie within 0.3 * (1 + |root_selector|)
+    of it and at most half as far from it as the second nearest root."""
     monic = _monic(tower, coeffs)
-    deg = len(monic)
-    if deg == 1:
+    if len(monic) == 1:
         raise FieldError("a linear polynomial adds no level: its root is "
                          "already in the tower")
     # a repeated factor shows as a common factor of P and P'
@@ -746,15 +753,11 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
     if len(gcd_pdp) > 1:
         raise FieldError("polynomial is reducible: repeated factor")
     roots = _poly_roots([c.embed() for c in monic], tower.precision)
-    # a reducible polynomial has a factor of degree <= deg/2
-    subsets = [s for k in range(1, deg // 2 + 1)
-               for s in itertools.combinations(range(deg), k)]
-    factor = _certified_factor(tower, monic, roots, subsets,
-                               [_guess_precision(tower)])
-    if factor is not None:
-        raise FieldError(
-            f"polynomial is reducible: found a degree-{len(factor)} factor")
-    return _new_level(tower, monic, roots, root_selector, tag)
+    out = _new_level(tower, monic, roots, root_selector, tag)
+    if not is_field(out):
+        raise FieldError("polynomial is reducible: the extended tower is not "
+                         "a field")
+    return out
 
 
 def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
@@ -981,6 +984,348 @@ def _rational_minpoly(x: AlgebraicNumber) -> tuple:
     raise FieldError("element satisfies no dependence up to the tower degree")
 
 
+# ---------------------------------------------------------------------------
+# field certificates: factoring over the integers
+#
+# Polynomials modulo m are ascending lists of residues in [0, m) without
+# zero leading coefficients; the zero polynomial is [].
+
+
+def _packed(a, k: int) -> int:
+    """The coefficients of a in slots of k 64-bit words, lowest first."""
+    if k == 1:
+        return int.from_bytes(struct.pack(f"<{len(a)}Q", *a), "little")
+    return int.from_bytes(b"".join(c.to_bytes(8 * k, "little") for c in a),
+                          "little")
+
+
+def _kron(a, b) -> list:
+    """The product of two nonempty polynomials with nonnegative integer
+    coefficients by one big-integer multiply (Kronecker substitution), each
+    coefficient in a slot of k 64-bit words, wide enough for any
+    coefficient of the product."""
+    k = (max(a).bit_length() + max(b).bit_length()
+         + min(len(a), len(b)).bit_length()) // 64 + 1
+    n = len(a) + len(b) - 1
+    raw = (_packed(a, k) * _packed(b, k)).to_bytes(8 * k * n, "little")
+    if k == 1:
+        return list(struct.unpack(f"<{n}Q", raw))
+    return [int.from_bytes(raw[i:i + 8 * k], "little")
+            for i in range(0, 8 * k * n, 8 * k)]
+
+
+def _mtrim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mop(a, b, m: int, op=add) -> list:
+    """a + b (or a - b, for op sub) modulo m."""
+    return _mtrim([op(x, y) % m
+                   for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _mmul(a, b, m: int) -> list:
+    if not (a and b):
+        return []
+    return _mtrim([c % m for c in _kron(a, b)])
+
+
+def _mdivmod(a, b, m: int):
+    """Quotient and remainder of a by b modulo m, for b whose leading
+    coefficient is a unit modulo m."""
+    r, nb = list(a), len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(r) - nb)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + nb] * inv % m
+        if c:
+            r[i:i + nb] = [(x - c * y) % m for x, y in zip(r[i:i + nb], b)]
+    return _mtrim(q), _mtrim(r[:nb])
+
+
+def _mmonic(a, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mgcd(a, b, p: int) -> list:
+    """The monic gcd over F_p of a (nonzero) and b."""
+    while b:
+        a, b = b, _mdivmod(a, b, p)[1]
+    return _mmonic(a, p)
+
+
+def _mxgcd(a, b, p: int):
+    """(g, s, t) over F_p with g the monic gcd of a and b (a nonzero) and
+    s a + t b = g, deg s < deg b - deg g and deg t < deg a - deg g."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _mdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mop(s0, _mmul(q, s1, p), p, sub)
+        t0, t1 = t1, _mop(t0, _mmul(q, t1, p), p, sub)
+    inv = pow(r0[-1], -1, p)
+    return tuple([c * inv % p for c in x] for x in (r0, s0, t0))
+
+
+def _mpowmod(a, e: int, f, p: int) -> list:
+    """a^e modulo f over F_p, by squaring and multiplying."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mdivmod(_mmul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _mdivmod(_mmul(out, a, p), f, p)[1]
+    return out
+
+
+def _distinct_degree(f, p: int) -> list:
+    """Pairs (i, g), g the product of the monic irreducible factors of
+    degree i of f over F_p (f monic and squarefree there): g is the gcd of
+    x^(p^i) - x with what is left of f, for i = 1, 2, ... while that can
+    still split."""
+    out, h, i = [], [0, 1], 0
+    while 2 * (i + 1) < len(f):
+        i += 1
+        h = _mpowmod(h, p, f, p)
+        g = _mgcd(f, _mop(h, [0, 1], p, sub), p)
+        if len(g) > 1:
+            out.append((i, g))
+            f = _mdivmod(f, g, p)[0]
+            h = _mdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _equal_degree(g, i: int, p: int) -> list:
+    """The monic irreducible factors of g over F_p, for an odd prime p and
+    g monic, squarefree and a product of factors of degree i: the first
+    trial polynomial t, in the fixed order x, x + 1, ..., x + p - 1, then
+    the monic quadratics, ..., for which gcd(t^((p^i - 1)/2) - 1, g) is a
+    proper factor splits g, and each part is split again. Some t of degree
+    below deg g is a square modulo one factor and not modulo another, so
+    the search ends."""
+    if len(g) - 1 == i:
+        return [g]
+    e = (p ** i - 1) // 2
+    for k in range(1, len(g) - 1):
+        for low in itertools.product(range(p), repeat=k):
+            w = _mpowmod([*low, 1], e, g, p)
+            h = _mgcd(g, _mop(w, [1], p, sub), p)
+            if 1 < len(h) < len(g):
+                return (_equal_degree(h, i, p)
+                        + _equal_degree(_mdivmod(g, h, p)[0], i, p))
+    raise ArithmeticError("no trial polynomial splits an equal-degree "
+                          "product")
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _squarefree_mod(f, p: int) -> list | None:
+    """f modulo p made monic, when p keeps its degree and it stays
+    squarefree; otherwise None."""
+    fp = _mtrim([c % p for c in f])
+    if len(fp) < len(f):
+        return None
+    fp = _mmonic(fp, p)
+    deriv = _mtrim([i * c % p for i, c in enumerate(fp) if i])
+    return fp if len(_mgcd(fp, deriv, p)) == 1 else None
+
+
+def factor_mod_p(f, p: int) -> list:
+    """The monic irreducible factors over F_p (ascending residue lists),
+    ordered by degree and then coefficients, of the integer polynomial f
+    (ascending), for an odd prime p that keeps f's degree and modulo which
+    f is squarefree (FieldError otherwise): distinct-degree, then
+    equal-degree factorization. For an unramified p, their degrees are the
+    cycle type of Frobenius at p."""
+    fp = _squarefree_mod(f, p)
+    if fp is None:
+        raise FieldError(f"the polynomial is not squarefree of full degree "
+                         f"modulo {p}")
+    return sorted((h for i, g in _distinct_degree(fp, p)
+                   for h in _equal_degree(g, i, p)),
+                  key=lambda h: (len(h), h))
+
+
+def _hensel_pair(f, u, v, p: int, k: int):
+    """(u*, v*) with f = u* v* modulo p^k, v* monic, from f = u v modulo p
+    with v monic and u, v coprime there: quadratic Hensel steps (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Alg. 15.10), each on the
+    modulus p^e for exponents e that double up to k."""
+    _g, s, t = _mxgcd(u, v, p)
+    exps = [k]
+    while exps[-1] > 1:
+        exps.append((exps[-1] + 1) // 2)
+    for e in reversed(exps[:-1]):
+        m = p ** e
+        err = _mop([c % m for c in f], _mmul(u, v, m), m, sub)
+        q, r = _mdivmod(_mmul(s, err, m), v, m)
+        u = _mop(u, _mop(_mmul(t, err, m), _mmul(q, u, m), m), m)
+        v = _mop(v, r, m)
+        b = _mop(_mop(_mmul(s, u, m), _mmul(t, v, m), m), [1], m, sub)
+        c, d = _mdivmod(_mmul(s, b, m), v, m)
+        s = _mop(s, d, m, sub)
+        t = _mop(t, _mop(_mmul(t, b, m), _mmul(c, u, m), m), m, sub)
+    return u, v
+
+
+def _hensel(f, factors, p: int, k: int) -> list:
+    """Monic lifts modulo p^k, in order, of the monic coprime factors of f
+    over F_p (f congruent to its leading coefficient times their product):
+    the factors are halved, the two halves' products lifted by
+    _hensel_pair, and each half lifted again below its product."""
+    M = p ** k
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, M)
+        return [[c * inv % M for c in f]]
+    half = len(factors) // 2
+
+    def product(fs):
+        return reduce(lambda a, b: _mmul(a, b, p), fs)
+
+    u = _mmul([f[-1] % p], product(factors[half:]), p)
+    u, v = _hensel_pair(f, u, product(factors[:half]), p, k)
+    return _hensel(v, factors[:half], p, k) + _hensel(u, factors[half:], p, k)
+
+
+def _zquotient(f, g) -> list | None:
+    """f / g for integer polynomials (ascending) when the primitive g
+    divides f in Z[x], and so in Q[x]; otherwise None. Long division, with
+    every quotient coefficient integral."""
+    r, n = list(f), len(g) - 1
+    q = [0] * (len(f) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + n], g[-1])
+        if rem:
+            return None
+        q[i] = c
+        if c:
+            r[i:i + n + 1] = [x - c * y for x, y in zip(r[i:i + n + 1], g)]
+    return None if any(r) else q
+
+
+# primes whose factor degrees are intersected before lifting
+ZASSENHAUS_PRIMES = 5
+
+
+def _irreducible(f) -> bool:
+    """Whether the primitive integer polynomial f (ascending, positive
+    leading coefficient) is irreducible over the rationals, by Zassenhaus's
+    algorithm (J. Number Theory 1, 1969; Cohen, GTM 138, Alg. 3.5.7):
+    factor f modulo a few small odd primes that keep it squarefree of full
+    degree; intersect the factor degrees each allows (the sums of its
+    factors' degrees); Hensel-lift the factors at the prime with the
+    fewest past twice the bound on a factor's coefficients; and rule out
+    every combination of lifted factors of an allowed degree up to n/2, up
+    to complement, by exact division. A factor G of degree k has
+    (lc f / lc G) G congruent to lc f times its lifted factors, with
+    coefficients of size at most C(k, k/2) M(f) <= C(k, k/2) |f|_2
+    (Mahler measure; Cohen, section 3.5.5)."""
+    n = len(f) - 1
+    if n == 1:
+        return True
+    if not f[0]:
+        return False
+    lc = f[-1]
+    norm = isqrt(sum(c * c for c in f)) + 1
+    # |lc disc f| <= lc n^n |f|_2^(2n-2) has at most this many prime factors;
+    # a prime outside them keeps a squarefree f squarefree of full degree
+    bad_left = (lc * n ** n * norm ** (2 * n - 2)).bit_length()
+    degrees, best, good = None, None, 0
+    for p in _odd_primes():
+        fp = _squarefree_mod(f, p)
+        if fp is None:
+            bad_left -= 1
+            if bad_left < 0:
+                return False       # f has a repeated factor
+            continue
+        ddf = _distinct_degree(fp, p)
+        sums = {0}
+        for i, g in ddf:
+            for _ in range((len(g) - 1) // i):
+                sums |= {s + i for s in sums}
+        degrees = sums if degrees is None else degrees & sums
+        if degrees == {0, n}:
+            return True
+        count = sum((len(g) - 1) // i for i, g in ddf)
+        if best is None or count < best[0]:
+            best = (count, p)
+        good += 1
+        if good == ZASSENHAUS_PRIMES:
+            break
+    p = best[1]
+    factors = factor_mod_p(f, p)
+    kmax = max(k for k in degrees if 2 * k <= n)
+    k, M = 1, p
+    while M <= 2 * comb(kmax, kmax // 2) * norm:
+        k, M = k + 1, M * p
+    lifts = _hensel(f, factors, p, k)
+
+    def centred(c):
+        c %= M
+        return c - M if 2 * c > M else c
+
+    # factor_mod_p orders the factors by degree
+    for size in range(1, len(lifts)):
+        if 2 * sum(len(h) - 1 for h in lifts[:size]) > n:
+            break
+        for S in itertools.combinations(range(len(lifts)), size):
+            deg = sum(len(lifts[i]) - 1 for i in S)
+            if deg not in degrees or 2 * deg > n or (2 * deg == n and S[0]):
+                continue
+            # the constant term of (lc f / lc G) G divides lc f(0)
+            c0 = centred(reduce(lambda a, i: a * lifts[i][0] % M, S, lc))
+            if not c0 or lc * f[0] % c0:
+                continue
+            g = [centred(c) for c in reduce(
+                lambda a, i: _mmul(a, lifts[i], M), S, [lc % M])]
+            cont = gcd(*g)
+            if _zquotient(f, [c // cont for c in g]) is not None:
+                return False
+    return True
+
+
+def _primitive_element(tower: FieldTower):
+    """(x, x's rational minimal polynomial) for an x of full degree, which
+    so generates the tower's algebra over the rationals: the top generator
+    g, or g + c y for the least c >= 0 that gives full degree, y the
+    prefix's such element. None when no c up to C(n, 2) does, n the tower
+    degree: in a field, g + c y and its conjugates coincide under two
+    embeddings for at most one c per pair, so the tower is then not a
+    field."""
+    L = len(tower.levels)
+    if L == 0:
+        return tower.zero(), (0, 1)
+    below = _primitive_element(FieldTower(tower.levels[:-1], tower.precision))
+    if below is None:
+        return None
+    y, g = lift_element(tower, below[0]), tower.generator(L)
+    for c in range(comb(tower.degree, 2) + 1 if L > 1 else 1):
+        x = g + y * c
+        f = _rational_minpoly(x)
+        if len(f) == tower.degree + 1:
+            return x, f
+    return None
+
+
+def is_field(tower: FieldTower) -> bool:
+    """Whether the tower's algebra is a field, decided exactly with no
+    numerics and no lattice reduction: it is one exactly when an element of
+    full degree (_primitive_element) has an irreducible minimal polynomial
+    over the rationals (_irreducible)."""
+    got = _primitive_element(tower)
+    return got is not None and _irreducible(got[1])
+
+
 def cyclotomic_polynomial(m: int) -> list[int]:
     """Integer coefficients (ascending) of the m-th cyclotomic polynomial."""
     if m < 1:
@@ -988,20 +1333,10 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     # divide x^m - 1 by the cyclotomics of the proper divisors
     num = [-1] + [0] * (m - 1) + [1]
     for k in range(1, m):
-        if m % k:
-            continue
-        phi_k = cyclotomic_polynomial(k)
-        out = [0] * (len(num) - len(phi_k) + 1)
-        rem = list(num)
-        for i in range(len(out) - 1, -1, -1):
-            c = rem[i + len(phi_k) - 1]
-            out[i] = c
-            if c:
-                for j, pc in enumerate(phi_k):
-                    rem[i + j] -= c * pc
-        if any(rem[:len(phi_k) - 1]):
-            raise ArithmeticError("cyclotomic division left a remainder")
-        num = out
+        if m % k == 0:
+            num = _zquotient(num, cyclotomic_polynomial(k))
+            if num is None:
+                raise ArithmeticError("cyclotomic division left a remainder")
     return num
 
 

@@ -14,7 +14,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -214,6 +217,24 @@ def test_wrong_tau_guess_finds_the_same_level_d4(fid4, cert4):
                                                                       None)
     assert [M.det() for M in reps] != [1] * len(reps)
     tower, tau, added = _extend_with_tau(conj, 4, [1] * len(reps))
+    assert added is True
+    assert tower.levels == cert4.tower.levels and tau == cert4.tau
+
+
+def test_right_tau_guess_needs_no_sweep_d4(fid4, cert4, monkeypatch):
+    # with the guess det(M_N), the first factor found is irreducible over
+    # the overlap field, and is_field proves it: no action is enumerated
+    *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid4,
+                                                                      None)
+    calls = []
+
+    def no_actions(*args):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr(exactify, "_actions", no_actions)
+    tower, tau, added = _extend_with_tau(conj, 4, [M.det() for M in reps])
+    assert calls == []
     assert added is True
     assert tower.levels == cert4.tower.levels and tau == cert4.tau
 
@@ -698,6 +719,26 @@ def test_method2_recognizes_nothing_above_the_coefficient_field(
     monkeypatch.setattr(exactify, "recognize", e0_only)
     assert _content_digest(method2_exactify(fid4)) == DIGEST_D4
     assert _content_digest(method2_exactify(fid5)) == DIGEST_D5
+
+
+_LIFT_IN_FRESH_INTERPRETER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import siclift as sl
+fid = sl.refine(sl.seed_search(4, "fz", attempts=24, seed=11), 320)
+assert sl.verify_exact(sl.method2_exactify(fid))["pass"]
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+
+
+def test_lift_loads_no_sympy():
+    # the field certificates factor with the standard library alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        exactify.__file__)))
+    out = subprocess.run([sys.executable, "-c", _LIFT_IN_FRESH_INTERPRETER,
+                          src], capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert out.stdout.strip() == "[]"
 
 
 def test_end_to_end_d6(tmp_path):

@@ -162,6 +162,90 @@ class TestAdjoin:
         assert (Q.degree, K3.degree, K35.degree, K15.degree) == (1, 2, 4, 8)
 
 
+def _algebra(*polys):
+    """The tower of levels whose monic minimal polynomials are polys
+    (ascending, leading 1 included; each coefficient an int or an element of
+    the tower below), whatever their factorization: only is_field reads
+    them, so the embeddings are placeholders."""
+    tower = FieldTower.rationals(PREC)
+    for k, poly in enumerate(polys):
+        coeffs = tuple(c.vec if isinstance(c, AlgebraicNumber)
+                       else tower.rational(c).vec for c in poly[:-1])
+        level = FieldLevel(f"g{k + 1}", coeffs, 0, mp.mpc(0))
+        tower = FieldTower(tower.levels + (level,), PREC)
+    return tower
+
+
+def _no_lll(*args, **kwargs):
+    raise AssertionError("lll_reduce called")
+
+
+# x^8 - 40x^6 + 352x^4 - 960x^2 + 576, the minimal polynomial of
+# sqrt2 + sqrt3 + sqrt5 (Swinnerton-Dyer): irreducible over Q, yet split
+# into factors of degree at most 2 modulo every prime
+SWINNERTON_DYER = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+
+class TestIsField:
+    def test_swinnerton_dyer_needs_recombination(self, monkeypatch):
+        monkeypatch.setattr(lattice, "lll_reduce", _no_lll)
+        for p in (7, 11, 13, 17, 19, 23):
+            assert max(map(len, numfield.factor_mod_p(SWINNERTON_DYER,
+                                                      p))) <= 3
+        assert numfield.is_field(_algebra(SWINNERTON_DYER))
+
+    @pytest.mark.parametrize("poly", [[1, 0, 0, 0, 1],
+                                      cyclotomic_polynomial(12),
+                                      cyclotomic_polynomial(15)],
+                             ids=["x4+1", "phi12", "phi15"])
+    def test_irreducible_splitting_everywhere_locally(self, poly):
+        assert numfield.is_field(_algebra(poly))
+
+    def test_reducible_algebras(self, monkeypatch):
+        monkeypatch.setattr(lattice, "lll_reduce", _no_lll)
+        # y^2 - 8 = (y - 2 sqrt2)(y + 2 sqrt2) over Q(sqrt2)
+        K2 = _algebra([-2, 0, 1])
+        assert numfield.is_field(K2)
+        two_levels = _algebra([-2, 0, 1], [-8, 0, 1])
+        assert two_levels.degree == 4
+        assert not numfield.is_field(two_levels)
+        # (x^2 - 2)(x^2 - 3) as one level, and its factor x^2 - 2
+        assert not numfield.is_field(_algebra([6, 0, -5, 0, 1]))
+        # (x^2 + 1000x + 3)(x^2 - 999x + 7): its factors' coefficients
+        # exceed every small prime, so only the Hensel lift recovers them
+        assert not numfield.is_field(_algebra([21, 4003, -998990, 1, 1]))
+        # x^2 and (x + 1)^2: a nilpotent, so no squarefree reduction
+        # modulo any p
+        assert not numfield.is_field(_algebra([0, 0, 1]))
+        assert not numfield.is_field(_algebra([1, 2, 1]))
+
+    def test_tower_of_fields(self, K15, Kz, K3p5):
+        # the primitive element of K15 mixes all three levels
+        for K in (K15, Kz, K3p5):
+            assert numfield.is_field(K)
+
+    def test_factor_mod_p_multiplies_back(self):
+        f = [1, 0, 0, 0, 1]
+        # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) modulo 3
+        assert numfield.factor_mod_p(f, 3) == [[2, 1, 1], [2, 2, 1]]
+        for p in (7, 11, 13, 17, 19, 23):
+            facs = numfield.factor_mod_p(SWINNERTON_DYER, p)
+            prod = [1]
+            for h in facs:
+                prod = numfield._mmul(prod, h, p)
+            assert prod == [c % p for c in SWINNERTON_DYER]
+        with pytest.raises(FieldError, match="squarefree"):
+            numfield.factor_mod_p([1, 2, 1], 5)
+
+    def test_reducibility_is_decided_without_lll(self, Q, monkeypatch):
+        monkeypatch.setattr(lattice, "lll_reduce", _no_lll)
+        with pytest.raises(FieldError, match="reducible"):
+            adjoin(Q, [6, 0, -5, 0, 1], 1.4)
+        with mp.workdps(40):
+            sel = mp.sqrt(2) + mp.sqrt(3) + mp.sqrt(5)
+        assert adjoin(Q, SWINNERTON_DYER, sel).degree == 8
+
+
 class TestArithmetic:
     def test_golden_ratio(self, Q):
         K = adjoin(Q, [-5, 0, 1], 2.2, tag="r1")
