@@ -608,7 +608,9 @@ class GaloisMatch:
     cosets. Row j pairs the automorphism that fixes the coefficient field and
     sends the overlap-field generator to images[j] (its exact flat
     coordinates) with the coset of matrices[j]. score is the winning
-    bijection's worst relation norm, runner_up the best among the losers."""
+    bijection's worst relation norm, runner_up the best among the losers: a
+    lower bound, since scoring stops feeding a junk lattice at the attempt
+    floor."""
     matrices: tuple
     images: tuple
     score: object
@@ -1053,13 +1055,21 @@ def _prepare(fid, digits):
 # route 2: alignment scoring
 
 
+def _attempt_floor(prec):
+    """Method 2 attempts no bijection whose score reaches 10^(prec/10), so
+    scoring stops feeding a relation lattice once its row reaches it."""
+    return mp.mpf(10) ** (prec / 10)
+
+
 def _relation_score(comps, basis, prec, reduced):
     """Relations of one orbit's solution components over the real
     coefficient-field basis, and their worst norm (at least 1). A component
     that is not real cannot lie in the field: the score is +inf, with no
     relations and no lattice reduction. Each distinct relation lattice is
-    reduced once; `reduced` maps the lattices already reduced to their
-    relations."""
+    reduced once, and only until its verdict is known (raw_relation with
+    the attempt floor as its bound): a junk component's norm is then a
+    lower bound of at least the floor. `reduced` maps the lattices already
+    reduced to their relations."""
     if not all(_is_real(c, prec) for c in comps):
         return mp.inf, None
     found = []
@@ -1067,7 +1077,8 @@ def _relation_score(comps, basis, prec, reduced):
         xs = [c, *basis]
         key = relation_lattice(xs, prec)
         if key not in reduced:
-            reduced[key] = raw_relation(xs, precision=prec)
+            reduced[key] = raw_relation(xs, precision=prec,
+                                        bound=_attempt_floor(prec))
         found.append(reduced[key])
     return max([mp.mpf(1), *map(relation_norm, found)]), found
 
@@ -1081,11 +1092,12 @@ def method2_exactify(fid,
     vector it predicts is solved against the conjugate-power basis. The
     coefficient field is real, so a solution component with an imaginary
     part above 10^-(prec//2) cannot lie in it, and its bijection scores
-    +inf with no lattice reduction. Every other component is fed to a
-    gate-free integer-relation search over the coefficient-field basis, one
-    reduction per distinct relation lattice. The true bijection's
-    components lie in the coefficient field, so its relation norms sit many
-    orders of magnitude below every competitor's junk floor. The low
+    +inf with no lattice reduction. Every other component is fed to an
+    integer-relation search over the coefficient-field basis, one reduction
+    per distinct relation lattice, which stops at the rung where its
+    relation is accepted or its norm reaches the attempt floor. The true
+    bijection's components lie in the coefficient field, so its relation
+    norms sit many orders of magnitude below every competitor's. The low
     scorers, best first, are lifted exactly from the relations that scored
     them, and _select_alignment keeps the one whose lift regenerates the
     numeric table."""
@@ -1119,8 +1131,7 @@ def method2_exactify(fid,
                      mp.nstr(worst, 5))
 
     ranked = sorted(perms, key=lambda f: scores[f])
-    attempt_floor = mp.mpf(10) ** (prec / 10)
-    candidates = [f for f in ranked if scores[f] < attempt_floor]
+    candidates = [f for f in ranked if scores[f] < _attempt_floor(prec)]
     if not candidates:
         raise PrecisionError(
             f"every bijection's relation norms sit at the junk floor (best "

@@ -243,12 +243,13 @@ class OverlapTable:
 
 def _overlap_sums(psi: list, d: int, taus, m: int) -> dict:
     """Raw chi_p = sum_s conj(psi_{s+p1}) tau^(p1 p2 + 2 p2 s) psi_s for p in
-    (Z/m)^2; runs in the caller's context."""
+    (Z/m)^2; runs in the caller's context. Each first product
+    conj(psi_j) tau^k is computed once, for all of the m^2 d terms."""
     n = 2 * d
     conj_psi = [mp.conj(x) for x in psi]
-    return {(p1, p2): mp.fsum((conj_psi[(s + p1) % d]
-                               * taus[(p1 * p2 + 2 * p2 * s) % n] * psi[s]
-                               for s in range(d)), absolute=False)
+    first = {(j, k): conj_psi[j] * taus[k] for j in range(d) for k in range(n)}
+    return {(p1, p2): mp.fsum((first[(s + p1) % d, (p1 * p2 + 2 * p2 * s) % n]
+                               * psi[s] for s in range(d)), absolute=False)
             for p1 in range(m) for p2 in range(m)}
 
 

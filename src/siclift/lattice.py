@@ -14,8 +14,9 @@ FEED_BITS more bits, until the full columns are in. U is unimodular, so the
 last rung spans the input lattice and is LLL-reduced like a direct reduction.
 Callers with an acceptance gate stop earlier: once the shortest coefficient
 row is the same on two consecutive rungs and the gate, which checks the
-rows against the full-precision values, accepts that rung. Floating point
-enters only through the scaled columns and those gates.
+rows against the full-precision values, accepts that rung. A scoring caller
+with a norm bound also stops once that row's norm reaches the bound. Floating
+point enters only through the scaled columns and those gates.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def scaling_guard(prec: int) -> int:
 
 
 def lll_reduce(rows: Sequence[Sequence[int]], *,
-               stop: Callable[[list], object] | None = None) -> list[list[int]]:
+               stop: Callable[[list], object] | None = None,
+               bound: mp.mpf | None = None) -> list[list[int]]:
     """LLL-reduce integer row vectors; returns a new list of reduced rows.
 
     All arithmetic is exact. Input rows must be linearly independent. A
@@ -64,7 +66,9 @@ def lll_reduce(rows: Sequence[Sequence[int]], *,
     caller's gate on the reduced rows: when the shortest coefficient row is
     unchanged from the previous rung and `stop(rows)` is truthy, that rung's
     coefficient block U is returned as [U | U*C], which lies in the input
-    lattice but need not be LLL-reduced.
+    lattice but need not be LLL-reduced. With a norm `bound`, the same
+    happens on the first rung whose shortest coefficient row has norm at
+    least `bound`, repeated or not.
     """
     n = len(rows)
     if not rows or not all(
@@ -81,9 +85,11 @@ def lll_reduce(rows: Sequence[Sequence[int]], *,
         if shift == 0:
             return reduced
         u = [r[:n] for r in reduced]
-        if stop is not None:
+        if stop is not None or bound is not None:
             cur = _shortest(u, n)
-            if cur == prev and stop(reduced):
+            if (stop is not None and cur == prev and stop(reduced)) or (
+                    bound is not None
+                    and sum(c * c for c in cur) >= bound * bound):
                 return _fed_rows(u, cols, 0)
             prev = cur
 
@@ -337,7 +343,8 @@ def relation_lattice(xs, precision: int) -> tuple:
     return tuple(map(tuple, _candidate_rows(vals, precision)))
 
 
-def raw_relation(xs, precision: int) -> RelationResult:
+def raw_relation(xs, precision: int,
+                 bound: mp.mpf | None = None) -> RelationResult:
     """Best-effort relation for comparative scoring: the minimum-norm nonzero
     coefficient row of the fully reduced lattice, accepted when
     integer_relation's gate passes that row.
@@ -351,13 +358,26 @@ def raw_relation(xs, precision: int) -> RelationResult:
     coefficient block such as (1, 0, ..., 0), and the shortest coefficient
     row's norm, often 1, says nothing. Callers scoring such a target rule
     it out before calling.
+
+    With a norm `bound`, feeding stops at the rung that decides the verdict:
+    where the shortest coefficient row repeats and the gate accepts it, or
+    where its norm reaches `bound`. An accepted row is the relation full
+    feeding finds, since a relation over a basis independent over Q is
+    unique up to scale. A row at the bound is returned unaccepted, its norm
+    a lower bound on the fully fed one: more bits only lengthen junk rows.
     """
     vals = _prepare(xs, precision)
     prec = precision
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two numbers")
-    shortest = _shortest(lll_reduce(_candidate_rows(vals, prec)), n)
+
+    def gate(rows):
+        return _scan_reduced([_shortest(rows, n)], vals, n, prec) is not None
+
+    shortest = _shortest(lll_reduce(_candidate_rows(vals, prec),
+                                    stop=None if bound is None else gate,
+                                    bound=bound), n)
     accepted = _scan_reduced([shortest], vals, n, prec) is not None
     coeffs = _normalize(shortest)
     with mp.workdps(prec + 10):

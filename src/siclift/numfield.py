@@ -47,7 +47,7 @@ import json
 import struct
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isfinite, isqrt, lcm
 from operator import add, lshift, mul, sub
 
 import mpmath as mp
@@ -663,6 +663,22 @@ def _poly_roots(values: list, prec: int) -> list:
     """Roots of a monic polynomial given numeric coefficients (ascending,
     without the leading 1), sorted by (re, im) for determinism.
 
+    mpmath's Durand-Kerner iteration starts from roots already found in
+    double precision (_double_roots) instead of its fixed cold start, which
+    saves most of its sweeps at full precision. The routine, its stopping
+    rule, its cleanup and its final rounding are the same, and from either
+    start it runs until a correction falls below 2^-bits, with `prec` bits
+    beyond the call's `bits`: the quadratic last step leaves both iterates
+    within a few units of 2^-(bits+prec) of the true roots, relative to
+    their modulus. So rounding to the call's precision gives the cold
+    start's bits, unless a component lies within about 2^-(bits+prec) times
+    the modulus of a rounding boundary. A component below 2^-prec of its
+    root's modulus always may: its last bits are noise from either start.
+    Such a component is, for example, the imaginary part that rounding
+    complex coefficients leaves on a real root, when it is above polyroots'
+    cleanup tolerance. When the double-precision start is not finite, the
+    call starts cold.
+
     The order of two roots with equal real parts is decided by rounding
     noise: complex-conjugate pairs, such as tau and its conjugate or pairs
     of the overlap-field generator's conjugates, have equal real parts, and
@@ -674,9 +690,43 @@ def _poly_roots(values: list, prec: int) -> list:
     root_index 1."""
     with mp.workdps(guarded(prec) + 20):
         coeffs = [mp.mpc(1)] + [mp.mpc(v) for v in reversed(values)]
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec)
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec,
+                             roots_init=_double_roots(coeffs))
         return sorted((mp.mpc(r) for r in roots),
                       key=lambda z: (z.real, z.imag))
+
+
+# Durand-Kerner sweeps in double precision before the full-precision call.
+DOUBLE_SWEEPS = 100
+
+
+def _double_roots(coeffs: list) -> list | None:
+    """Roots of the monic polynomial with descending coefficients `coeffs`,
+    as mpc, by Durand-Kerner in Python complex from mpmath's cold start,
+    sweeping until the corrections stall at double precision or
+    DOUBLE_SWEEPS run out; None when they are not finite."""
+    deg = len(coeffs) - 1
+    try:
+        cs = [complex(c) for c in coeffs]
+        roots = [(0.4 + 0.9j) ** k for k in range(deg)]
+        for _ in range(DOUBLE_SWEEPS):
+            step = 0.0
+            for i, p in enumerate(roots):
+                x = 0j
+                for c in cs:
+                    x = x * p + c
+                for r in roots:
+                    if r != p:  # itself, or a coincident start
+                        x /= p - r
+                roots[i] = p - x
+                step = max(step, abs(x))
+            if not step > 1e-15 * max(1.0, *map(abs, roots)):
+                break
+    except OverflowError:  # abs() of a complex beyond the double range
+        return None
+    if all(isfinite(r.real) and isfinite(r.imag) for r in roots):
+        return [mp.mpc(r) for r in roots]
+    return None
 
 
 def _certified_factor(tower: FieldTower, monic: list[AlgebraicNumber],

@@ -482,6 +482,24 @@ def test_reload_runs_no_lll_d4(cert4, tmp_path, monkeypatch):
     assert back.galois_rows() == cert4._rows
 
 
+def test_checking_never_finds_roots_or_scores_d4(cert4, tmp_path,
+                                                monkeypatch):
+    # reload and both verifiers reach neither the root finder nor the
+    # scoring relations, so changing those cannot move a verify timing
+    def refusing(*args, **kwargs):
+        raise AssertionError("lift numerics called on the check path")
+
+    path = tmp_path / "d4.cert"
+    cert4.save(str(path))
+    for mod, name in ((numfield, "_poly_roots"), (exactify, "_poly_roots"),
+                      (lattice, "raw_relation"),
+                      (exactify, "raw_relation")):
+        monkeypatch.setattr(mod, name, refusing)
+    back = ExactFiducialCertificate.load(str(path))
+    assert verify_exact(back)["pass"] is True
+    assert verify_certified(back, digits=120)["pass"] is True
+
+
 CERTIFIED_KEYS = {"mode", "digits", "pass", "max_radius", "max_center",
                   "residues", "group_checks", "reason", "note"}
 
@@ -610,9 +628,9 @@ def reductions(monkeypatch):
     seen = []
     raw = exactify.raw_relation
 
-    def counted(xs, precision):
+    def counted(xs, precision, bound=None):
         seen.append(xs[0])
-        return raw(xs, precision=precision)
+        return raw(xs, precision=precision, bound=bound)
 
     monkeypatch.setattr(exactify, "raw_relation", counted)
     return seen
@@ -627,6 +645,44 @@ def test_alignment_score_is_decisive_d4(fid4, reductions, caplog):
     assert cert.galois.separation > mp.mpf(10) ** 20
     assert "not decisive" not in caplog.text
     assert len(reductions) <= 8
+
+
+def test_scoring_stops_at_its_verdict_d4(fid4, monkeypatch):
+    # scoring feeds each lattice only until its relation is accepted or its
+    # norm reaches the attempt floor: the winner and every accepted relation
+    # are what full feeding gives, the runner-up is a lower bound at or
+    # above the floor, and scoring reduces far fewer rungs
+    calls, rungs, active = [], [0], []
+    raw, integral = exactify.raw_relation, lattice._lll_integral
+
+    def recorded(xs, precision, bound=None):
+        active.append(1)
+        try:
+            rel = raw(xs, precision=precision, bound=bound)
+        finally:
+            active.pop()
+        calls.append((xs, precision, bound, rel))
+        return rel
+
+    def counted(rows):
+        rungs[0] += bool(active)
+        return integral(rows)
+
+    monkeypatch.setattr(exactify, "raw_relation", recorded)
+    monkeypatch.setattr(lattice, "_lll_integral", counted)
+    cert = method2_exactify(fid4)
+    monkeypatch.undo()
+    prec = cert.tower.precision
+    floor = mp.mpf(10) ** (prec / 10)
+    assert mp.almosteq(cert.galois.score, mp.sqrt(2))
+    assert cert.galois.runner_up >= floor
+    assert rungs[0] <= 30
+    accepted = [c for c in calls if c[3].accepted]
+    assert accepted and all(bound == floor for _, _, bound, _ in calls)
+    for xs, precision, _, rel in accepted:
+        assert lattice.raw_relation(xs, precision=precision) == rel
+    for *_, rel in calls:
+        assert rel.accepted or lattice.relation_norm(rel) >= floor
 
 
 def test_non_real_component_scores_inf(monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siclift import exactify, lattice, numfield
+from siclift.bignum import guarded
 from siclift.errors import FieldError
 from siclift.fidsearch import refine, seed_search
 from siclift.numfield import (AlgebraicNumber, FieldLevel, FieldTower, adjoin,
@@ -553,9 +554,13 @@ class TestEmbeddingFaithfulness:
 
 
 @pytest.fixture(scope="module")
-def cert4():
-    fid = refine(seed_search(4, "fz", attempts=24, seed=11), 320)
-    return exactify.method2_exactify(fid)
+def fid4():
+    return refine(seed_search(4, "fz", attempts=24, seed=11), 320)
+
+
+@pytest.fixture(scope="module")
+def cert4(fid4):
+    return exactify.method2_exactify(fid4)
 
 
 @pytest.fixture(scope="module")
@@ -720,3 +725,114 @@ class TestRationalMinpoly:
     def test_seed11_d4_overlaps(self, cert4):
         for v in cert4.all_overlaps().values():
             assert _rational_minpoly(v) == _fraction_minpoly(v)
+
+
+# ---------------------------------------------------------------------------
+# roots from a double-precision start
+
+
+def _cold_roots(values, prec):
+    """The oracle: _poly_roots' mpmath call from mpmath's own cold start."""
+    with mp.workdps(guarded(prec) + 20):
+        coeffs = [mp.mpc(1)] + [mp.mpc(v) for v in reversed(values)]
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec)
+        return sorted((mp.mpc(r) for r in roots),
+                      key=lambda z: (z.real, z.imag))
+
+
+def _from_roots(roots, prec):
+    """Coefficients (ascending, without the leading 1) of prod (x - r) for
+    Gaussian rationals r = (re, im), exact, rounded at the working
+    precision of _poly_roots."""
+    poly = [(Fraction(1), Fraction(0))]
+    for a, b in roots:
+        poly = [(Fraction(0), Fraction(0))] + poly
+        for i in range(len(poly) - 1):
+            x, y = poly[i + 1]
+            poly[i] = (poly[i][0] - (a * x - b * y),
+                       poly[i][1] - (a * y + b * x))
+    with mp.workdps(guarded(prec) + 20):
+        return [mp.mpc(mp.mpf(x.numerator) / x.denominator,
+                       mp.mpf(y.numerator) / y.denominator)
+                for x, y in poly[:-1]]
+
+
+def _noise(part, root, prec):
+    """A root component below 2^-prec of the root's modulus: it sits
+    beneath the extra bits the call works with, so its last bits are the
+    rounding noise of the polynomial's own coefficients."""
+    return abs(part) < abs(root) * mp.mpf(2) ** -prec
+
+
+def _assert_same_bits(values, prec, strict=True):
+    """_poly_roots equals the cold call bit for bit. Unless strict, a
+    component that is noise (_noise) in both may differ, by less than its
+    noise bound."""
+    warm, cold = numfield._poly_roots(values, prec), _cold_roots(values, prec)
+    assert len(warm) == len(cold)
+    for w, c in zip(warm, cold):
+        with mp.workdps(guarded(prec) + 20):
+            for pw, pc in ((w.real, c.real), (w.imag, c.imag)):
+                if pw._mpf_ == pc._mpf_:
+                    continue
+                assert not strict
+                assert _noise(pw, c, prec) and _noise(pc, c, prec)
+
+
+class TestPolyRoots:
+    def test_level_polynomials_of_the_d4_lift(self, fid4, monkeypatch):
+        seen = []
+        roots = numfield._poly_roots
+
+        def recorded(values, prec):
+            seen.append((list(values), prec))
+            return roots(values, prec)
+
+        monkeypatch.setattr(numfield, "_poly_roots", recorded)
+        monkeypatch.setattr(exactify, "_poly_roots", recorded)
+        exactify.method2_exactify(fid4)
+        monkeypatch.undo()
+        assert len(seen) >= 3 and {len(v) for v, _ in seen} == {2, 4}
+        for values, prec in seen:
+            _assert_same_bits(values, prec)
+
+    @pytest.mark.parametrize("g", [3, 8, 30, 60])
+    def test_clustered_quartic(self, g):
+        # roots 1 and 1 + 10^-g sit closer than double precision resolves
+        # for g >= 16; the real roots' imaginary parts are noise of the
+        # rounded complex coefficients (for g = 3, 8, 30 two of them stay
+        # above polyroots' cleanup tolerance), the only bits that may differ
+        one = (Fraction(1), Fraction(0))
+        near = (1 + Fraction(1, 10 ** g), Fraction(0))
+        values = _from_roots([one, near, (Fraction(2), Fraction(0)),
+                              (Fraction(1, 2), Fraction(1))], 320)
+        _assert_same_bits(values, 320, strict=False)
+        roots = numfield._poly_roots(values, 320)
+        with mp.workdps(400):
+            assert abs(roots[2].real - roots[1].real
+                       - mp.mpf(10) ** -g) < mp.mpf(10) ** -(300 - g)
+
+    @pytest.mark.parametrize("prec, degrees", [(200, range(2, 13)),
+                                               (1000, (2, 4, 8, 12))],
+                             ids=["200", "1000"])
+    def test_separated_gaussian_rationals(self, prec, degrees):
+        # at 1000 digits, the degrees the lifts' levels have
+        rng = random.Random(prec)
+        for deg in degrees:
+            roots = []
+            while len(roots) < deg:
+                z = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                     Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+                if all(abs(complex(*z) - complex(*r)) > 0.5 for r in roots):
+                    roots.append(z)
+            _assert_same_bits(_from_roots(roots, prec), prec)
+
+    def test_start_beyond_double_range_falls_back_cold(self):
+        # (x - 2^540)(x - 2^541): the constant term overflows a double, and
+        # the roots are exact, so the cold call's absolute tolerance is met
+        with mp.workdps(120):
+            big = mp.mpf(2) ** 540
+            values = [mp.mpc(2 * big * big), mp.mpc(-3 * big)]
+            assert numfield._double_roots(
+                [mp.mpc(1)] + values[::-1]) is None
+        _assert_same_bits(values, 100)
