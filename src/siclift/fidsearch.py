@@ -3,8 +3,12 @@
 A fiducial is a unit vector whose Weyl-Heisenberg orbit forms an equiangular
 set: (d+1)|chi_p|^2 = 1 for every p not = 0 mod d. The search runs at double
 precision (numpy/scipy) inside an eigenspace of the canonical order-3 unitary;
-refinement is a Gauss-Newton ladder in mpmath whose working precision roughly
-doubles per sweep, with an analytic Wirtinger Jacobian.
+refinement is a ladder of Gauss-Newton sweeps whose working precision roughly
+doubles per sweep. A sweep runs on Python ints on the fixed-point grid 2^-w
+(floor onto the grid, >> w after a product, every sum exact and shifted
+once), with an analytic Wirtinger Jacobian read from the same table of
+products conj(psi_j) tau^k as the overlap sums; mpmath holds the errors, the
+final normalization and the certifying overlap table.
 
 numpy and scipy are imported by the seed-search functions that use them, so
 that loading a fiducial or a certificate, and verifying one, never loads
@@ -17,13 +21,15 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import TYPE_CHECKING
 
 import mpmath as mp
 
 from . import heisenberg as hb
-from .bignum import CMatrix, CVector, format_decimal, guarded, parse_decimal, solve_linear
-from .errors import PrecisionError, RefinementError, SearchError
+from .bignum import CVector, format_decimal, guarded, parse_decimal
+from .errors import (PrecisionError, RefinementError, SearchError,
+                     SingularMatrixError)
 from .modring import ModMatrix, dprime, esl2_elements, fa_matrix, zauner_matrix
 
 if TYPE_CHECKING:
@@ -219,74 +225,150 @@ def seed_search(d: int, symmetry: str | None = "fz", attempts: int = 24,
 # high-precision refinement
 
 
-def _period_error(psi: list, d: int, taus):
-    """Max SIC residual of psi/|psi| over one period; caller's context."""
-    nrm2 = mp.fsum(abs(x) ** 2 for x in psi)
-    chi = hb._overlap_sums(psi, d, taus, d)
-    worst = mp.mpf(0)
-    for p, v in chi.items():
-        if p == (0, 0):
-            continue
-        worst = max(worst, abs((d + 1) * abs(v) ** 2 / nrm2 ** 2 - 1))
-    return worst
+def _grid_bits(prec: int) -> int:
+    """Bits w of the grid 2^-w a sweep at `prec` digits works on: the
+    guarded digits plus 16 bits."""
+    return math.ceil(guarded(prec) * math.log2(10)) + 16
 
 
-def _sic_system(psi: list, d: int, gauge: int, taus) -> tuple[list, list]:
-    """Residuals and analytic Jacobian of the SIC system in the real
-    parametrization (u_0..u_{d-1}, v_0..v_{d-1}), including the norm row and
-    the Im(psi_gauge) = 0 phase-fixing row. Caller's context."""
+def _on_grid(zs, w: int) -> list:
+    """(floor(Re z 2^w), floor(Im z 2^w)) for each mpmath complex z of
+    modulus at most about one; exact."""
+    with mp.workprec(w + 8):
+        return [(int(mp.floor(mp.ldexp(z.real, w))),
+                 int(mp.floor(mp.ldexp(z.imag, w)))) for z in zs]
+
+
+def _first_products(psi: list, w: int, taus: list) -> list:
+    """[j][k] -> conj(psi_j) tau^k on the grid: the one table the overlap
+    sums and the Jacobian read."""
+    return [[((a * c + b * e) >> w, (a * e - b * c) >> w) for c, e in taus]
+            for a, b in psi]
+
+
+def _grid_overlaps(psi: list, first: list, d: int, w: int) -> dict:
+    """chi_p = sum_s conj(psi_{s+p1}) tau^(p1 p2 + 2 p2 s) psi_s over one
+    period p in (Z/d)^2, each an exact sum shifted onto the grid once."""
     n = 2 * d
-    chi = hb._overlap_sums(psi, d, taus, d)
-    conj_psi = [mp.conj(x) for x in psi]
-    rows, res = [], []
+    chi = {}
     for p1 in range(d):
         for p2 in range(d):
-            if p1 == 0 and p2 == 0:
-                continue
-            c = chi[(p1, p2)]
-            cbar = mp.conj(c)
-            row = [mp.mpf(0)] * (2 * d)
-            for t in range(d):
-                # Wirtinger derivative of (d+1)|chi|^2 - 1 w.r.t. psi_t
-                dchi = taus[(p1 * p2 + 2 * p2 * t) % n] * conj_psi[(t + p1) % d]
-                dchibar = mp.conj(taus[(p1 * p2 + 2 * p2 * ((t - p1) % d)) % n]
-                                  * psi[(t - p1) % d])
-                w = (d + 1) * (cbar * dchi + c * dchibar)
-                row[t] = 2 * w.real
-                row[d + t] = -2 * w.imag
-            rows.append(row)
-            res.append((d + 1) * (c * cbar).real - 1)
-    nrow = [2 * psi[t].real for t in range(d)] + [2 * psi[t].imag for t in range(d)]
-    rows.append(nrow)
-    res.append(mp.fsum(abs(x) ** 2 for x in psi) - 1)
-    grow = [mp.mpf(0)] * (2 * d)
-    grow[d + gauge] = mp.mpf(1)
+            sr = si = 0
+            for s, (a, b) in enumerate(psi):
+                u, v = first[(s + p1) % d][(p1 * p2 + 2 * p2 * s) % n]
+                sr += u * a - v * b
+                si += u * b + v * a
+            chi[p1, p2] = (sr >> w, si >> w)
+    return chi
+
+
+def _period_error(psi: list, d: int, w: int, taus: list):
+    """Max SIC residual of psi/|psi| over one period, psi on the grid 2^-w;
+    an mpf in the caller's context."""
+    chi = _grid_overlaps(psi, _first_products(psi, w, taus), d, w)
+    nrm = sum(a * a + b * b for a, b in psi) >> w
+    worst = max(abs((d + 1) * (x * x + y * y) - nrm * nrm)
+                for p, (x, y) in chi.items() if p != (0, 0))
+    return mp.mpf(worst) / (nrm * nrm)
+
+
+def _sic_system(psi: list, d: int, gauge: int, w: int,
+                taus: list) -> tuple[list, list]:
+    """Residuals and analytic Wirtinger Jacobian of the SIC system on the
+    grid 2^-w, in the real parametrization (u_0..u_{d-1}, v_0..v_{d-1}),
+    including the norm row and the Im(psi_gauge) = 0 phase-fixing row. The
+    derivatives of chi_p and of its conjugate with respect to psi_t are
+    entries of the table the overlap sums read: conj(psi_{t+p1}) tau^k and
+    conj(psi_{t-p1}) tau^-k'."""
+    n, one, k = 2 * d, 1 << w, 2 * (d + 1)
+    first = _first_products(psi, w, taus)
+    rows, res = [], []
+    for (p1, p2), (x, y) in _grid_overlaps(psi, first, d, w).items():
+        if p1 == 0 and p2 == 0:
+            continue
+        re_row, im_row = [], []
+        for t in range(d):
+            a1, a2 = first[(t + p1) % d][(p1 * p2 + 2 * p2 * t) % n]
+            j = (t - p1) % d
+            b1, b2 = first[j][-(p1 * p2 + 2 * p2 * j) % n]
+            # 2 (d+1) (conj(chi) dchi + chi dconj(chi)): real part, and
+            # minus the imaginary part
+            re_row.append(k * (x * (a1 + b1) + y * (a2 - b2)) >> w)
+            im_row.append(-k * (x * (a2 + b2) - y * (a1 - b1)) >> w)
+        rows.append(re_row + im_row)
+        res.append(((d + 1) * (x * x + y * y) >> w) - one)
+    rows.append([2 * a for a, _ in psi] + [2 * b for _, b in psi])
+    res.append((sum(a * a + b * b for a, b in psi) >> w) - one)
+    grow = [0] * n
+    grow[d + gauge] = one
     rows.append(grow)
-    res.append(psi[gauge].imag)
+    res.append(psi[gauge][1])
     return rows, res
 
 
-def _newton_step(psi: list, d: int, gauge: int, taus) -> list:
-    """One Gauss-Newton step via the normal equations. Caller's context.
-    J^T J is symmetric bit for bit (fsum rounds once, and products
-    commute), so its upper triangle is summed and mirrored."""
-    rows, rhs_res = _sic_system(psi, d, gauge, taus)
-    m = len(rows)
-    jtj = [[None] * (2 * d) for _ in range(2 * d)]
-    for i in range(2 * d):
-        for j in range(i, 2 * d):
-            jtj[i][j] = jtj[j][i] = mp.fsum(rows[r][i] * rows[r][j]
-                                            for r in range(m))
-    rhs = [-mp.fsum(rows[r][i] * rhs_res[r] for r in range(m))
-           for i in range(2 * d)]
-    sol = solve_linear(CMatrix(jtj, mp.mp.dps), CVector(rhs, mp.mp.dps))
-    return [x.real for x in sol.x.entries]
+def _solve_grid(a: list, b: list, w: int) -> list:
+    """x with a x = b on the grid 2^-w (w > 32), by Gaussian elimination
+    with partial pivoting; a and b are left as they are. Each multiplier,
+    update and unknown is floored onto the grid once. A pivot below
+    2^(32-w) times the largest entry (or one) raises SingularMatrixError,
+    as LUFactors' floor of 10^-(digits-5) does."""
+    n = len(b)
+    a, b = [list(row) for row in a], list(b)
+    scale = max(1 << w, max(abs(x) for row in a for x in row))
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) << (w - 32) < scale:
+            raise SingularMatrixError(f"pivot {col} below precision floor")
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        top, p = a[col], a[col][col]
+        for r in range(col + 1, n):
+            f = (a[r][col] << w) // p
+            if f:
+                row = a[r]
+                for c in range(col + 1, n):
+                    row[c] -= f * top[c] >> w
+                b[r] -= f * b[col] >> w
+    x = [0] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = ((b[r] << w) - sum(a[r][c] * x[c] for c in range(r + 1, n))
+                ) // a[r][r]
+    return x
+
+
+def _sweep(psi: list, d: int, gauge: int, w: int, taus: list, err):
+    """One Gauss-Newton sweep on the grid 2^-w: the correction delta from
+    the normal equations, whose symmetric J^T J is summed on its upper
+    triangle and mirrored, then the trials psi + delta/2^k for k = 0, 1, 2,
+    stopping at the first whose error is below err. Returns the best
+    trial's (error, vector)."""
+    rows, res = _sic_system(psi, d, gauge, w, taus)
+    cols = list(zip(*rows))
+    n = 2 * d
+    jtj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            jtj[i][j] = jtj[j][i] = sum(map(mul, cols[i], cols[j])) >> w
+    rhs = [-sum(map(mul, c, res)) >> w for c in cols]
+    delta = _solve_grid(jtj, rhs, w)
+    best = None
+    for k in range(3):
+        trial = [(a + (delta[t] >> k), b + (delta[d + t] >> k))
+                 for t, (a, b) in enumerate(psi)]
+        e = _period_error(trial, d, w, taus)
+        if best is None or e < best[0]:
+            best = (e, trial)
+        if e < err:
+            break
+    return best
 
 
 def refine(fid: Fiducial, target_digits: int) -> Fiducial:
     """Polish a fiducial until its SIC error drops below
     10^(10 - target_digits). Working precision roughly doubles per accepted
-    sweep; three sweeps without improvement abort with diagnostics."""
+    sweep; three sweeps without improvement abort with diagnostics. The
+    sweeps run on Python ints on the grid 2^-w; the result's gauge entry
+    (its largest) is real."""
     err = fid.error
     goal = mp.mpf(10) ** (10 - target_digits)
     if err > mp.mpf("1e-8"):
@@ -295,12 +377,13 @@ def refine(fid: Fiducial, target_digits: int) -> Fiducial:
             best_error=err, sweeps=0)
     if err < goal and fid.precision >= target_digits:
         return fid
-    cur = list(fid.vector.entries)
-    with mp.workdps(guarded(fid.precision)):
-        gauge = max(range(fid.d), key=lambda i: abs(cur[i]))
-        ph = mp.conj(cur[gauge]) / abs(cur[gauge])
-        cur = [z * ph for z in cur]
     d = fid.d
+    w = _grid_bits(fid.precision)
+    with mp.workdps(guarded(fid.precision)):
+        cur = list(fid.vector.entries)
+        gauge = max(range(d), key=lambda i: abs(cur[i]))
+        ph = mp.conj(cur[gauge]) / abs(cur[gauge])
+        cur = _on_grid([z * ph for z in cur], w)
     stall, sweeps = 0, 0
     while True:
         sweeps += 1
@@ -309,20 +392,13 @@ def refine(fid: Fiducial, target_digits: int) -> Fiducial:
                                   best_error=err, sweeps=sweeps)
         correct = max(10, int(-mp.log(err, 10)))
         prec = min(target_digits, 2 * correct) + 25
+        # the grid only grows: a sweep never works on fewer bits than
+        # the vector already carries
+        k = max(0, _grid_bits(prec) - w)
+        cur, w = [(a << k, b << k) for a, b in cur], w + k
         with mp.workdps(guarded(prec)):
-            psi = [mp.mpc(z) for z in cur]
-            taus = hb.tau_powers(d, prec)
-            delta = _newton_step(psi, d, gauge, taus)
-            new_err, cand, scale = None, None, mp.mpf(1)
-            for _ in range(3):
-                trial = [psi[t] + scale * mp.mpc(delta[t], delta[d + t])
-                         for t in range(d)]
-                e = _period_error(trial, d, taus)
-                if new_err is None or e < new_err:
-                    new_err, cand = e, trial
-                if e < err:
-                    break
-                scale /= 2
+            taus = _on_grid(hb.tau_powers(d, prec), w)
+            new_err, cand = _sweep(cur, d, gauge, w, taus, err)
         log.debug("refine d=%d sweep %d at %d digits: %s -> %s",
                   d, sweeps, prec, mp.nstr(err, 3), mp.nstr(new_err, 3))
         if new_err < err:
@@ -336,8 +412,14 @@ def refine(fid: Fiducial, target_digits: int) -> Fiducial:
         if err < goal:
             break
     with mp.workdps(guarded(target_digits)):
-        nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in cur))
-        vec = CVector([x / nrm for x in cur], target_digits)
+        # the gauge entry is real by construction: its imaginary part is
+        # noise from the last sweep, set to exactly zero so that the result
+        # depends on the fiducial alone; the grid values enter exactly
+        cur[gauge] = (cur[gauge][0], 0)
+        with mp.workprec(max(abs(x).bit_length() for z in cur for x in z)):
+            psi = [mp.mpc(mp.ldexp(a, -w), mp.ldexp(b, -w)) for a, b in cur]
+        nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in psi))
+        vec = CVector([x / nrm for x in psi], target_digits)
     out = Fiducial.create(d, vec, target_digits, symmetry=fid.symmetry,
                           orbit=fid.orbit, seed=fid.seed)
     if out.error >= goal:

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 
 import mpmath as mp
 import pytest
 
+from siclift import bignum
 from siclift import fidsearch as fs
 from siclift import heisenberg as hb
 from siclift.bignum import CMatrix, CVector, guarded
-from siclift.errors import PrecisionError, RefinementError, SearchError
+from siclift.errors import (PrecisionError, RefinementError, SearchError,
+                            SingularMatrixError)
 from siclift.modring import ModMatrix, dprime, esl2_elements, zauner_matrix
 
 
@@ -27,6 +30,11 @@ def conjugate_matrix(F, A, d, prec):
 @pytest.fixture(scope="module")
 def fid5():
     return fs.refine(fs.seed_search(5, symmetry="fz", attempts=12, seed=1), 60)
+
+
+@pytest.fixture(scope="module")
+def seed4():
+    return fs.seed_search(4, symmetry="fz", attempts=24, seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -120,28 +128,91 @@ class TestRefine:
         assert exc.value.best_error > mp.mpf("1e-8")
 
     def test_jacobian_matches_finite_differences(self, fid5):
-        # analytic Wirtinger Jacobian vs central differences on a point
-        # perturbed off the solution
+        # the integer sweep's analytic Wirtinger Jacobian vs central
+        # differences on a point perturbed off the solution; both on the
+        # sweep's grid, the step h floored onto it
         d, prec, gauge = 5, 60, 0
         rng = random.Random(17)
+        w = fs._grid_bits(prec)
+        taus = fs._on_grid(hb.tau_powers(d, prec), w)
         with mp.workdps(guarded(prec)):
-            taus = hb.tau_powers(d, prec)
-            psi = [mp.mpc(z) * (1 + mp.mpf(rng.uniform(-1, 1)) / 100)
-                   + mp.mpc(0, mp.mpf(rng.uniform(-1, 1)) / 100)
-                   for z in fid5.vector.entries]
-            rows, res = fs._sic_system(psi, d, gauge, taus)
+            psi = fs._on_grid(
+                [mp.mpc(z) * (1 + mp.mpf(rng.uniform(-1, 1)) / 100)
+                 + mp.mpc(0, mp.mpf(rng.uniform(-1, 1)) / 100)
+                 for z in fid5.vector.entries], w)
+            rows, res = fs._sic_system(psi, d, gauge, w, taus)
             h = mp.mpf(10) ** -25
+            step = int(mp.floor(mp.ldexp(h, w)))
             for t in rng.sample(range(2 * d), 4):
                 bumped = list(psi)
                 j = t % d
-                dz = mp.mpc(h, 0) if t < d else mp.mpc(0, h)
-                bumped[j] = psi[j] + dz
-                _, res_hi = fs._sic_system(bumped, d, gauge, taus)
-                bumped[j] = psi[j] - dz
-                _, res_lo = fs._sic_system(bumped, d, gauge, taus)
+                dz = (step, 0) if t < d else (0, step)
+                bumped[j] = (psi[j][0] + dz[0], psi[j][1] + dz[1])
+                _, res_hi = fs._sic_system(bumped, d, gauge, w, taus)
+                bumped[j] = (psi[j][0] - dz[0], psi[j][1] - dz[1])
+                _, res_lo = fs._sic_system(bumped, d, gauge, w, taus)
                 for r in range(len(res)):
-                    fd = (res_hi[r] - res_lo[r]) / (2 * h)
-                    assert abs(fd - rows[r][t]) < mp.mpf("1e-20")
+                    fd = mp.mpf(res_hi[r] - res_lo[r]) / (2 * step)
+                    assert abs(fd - mp.ldexp(rows[r][t], -w)) < mp.mpf("1e-20")
+
+    def test_zero_correction_stalls(self, seed4, monkeypatch):
+        # with the correction patched to zero no sweep moves the vector;
+        # the recorded error is put below the vector's own, so that the
+        # first sweep cannot count the grid's rounding as progress either
+        monkeypatch.setattr(fs, "_solve_grid", lambda a, b, w: [0] * len(b))
+        start = dataclasses.replace(seed4, error=seed4.error / 2)
+        with pytest.raises(RefinementError) as exc:
+            fs.refine(start, 100)
+        assert exc.value.sweeps == 3
+        assert exc.value.best_error == start.error
+
+    def test_grid_elimination(self):
+        w = 80
+        one = 1 << w
+        # a rank-deficient system has no pivot above the floor
+        with pytest.raises(SingularMatrixError):
+            fs._solve_grid([[one, 2 * one], [2 * one, 4 * one]], [one, 0], w)
+        # a permuted, well-conditioned one is solved to a few grid units
+        a = [[0, 2 * one, one], [3 * one, one, 0], [one, 0, 4 * one]]
+        x = [5 * one // 7, -one // 3, one // 11]
+        b = [sum(r * v for r, v in zip(row, x)) >> w for row in a]
+        got = fs._solve_grid(a, b, w)
+        assert all(abs(g - v) < 16 for g, v in zip(got, x))
+
+    def test_refined_vector_ignores_seed_noise(self, seed4):
+        # seeds 1e-15 apart refine to the same bits: the sweeps converge far
+        # below the output grid, and the gauge entry is exactly real
+        outs = []
+        for eps in ("0", "1e-15", "-1e-15", "2e-15"):
+            with mp.workdps(guarded(seed4.precision)):
+                v = CVector([z * (1 + mp.mpf(eps) * (t + 1))
+                             + mp.mpc(0, mp.mpf(eps))
+                             for t, z in enumerate(seed4.vector.entries)],
+                            seed4.precision)
+            fid = fs.refine(fs.Fiducial.create(4, v, seed4.precision), 320)
+            outs.append([(z.real, z.imag) for z in fid.vector.entries])
+        assert all(out == outs[0] for out in outs[1:])
+        assert sum(im == 0 for _, im in outs[0]) == 1
+
+    def test_sweeps_compute_no_mpmath_table_or_solve(self, seed4,
+                                                     monkeypatch):
+        # the sweeps run on the integer grid: the one mpmath overlap table
+        # is the certified result's, and no mpmath linear solve runs
+        tables = []
+        sums = hb._overlap_sums
+
+        def counted_sums(psi, d, taus, m):
+            tables.append(m)
+            return sums(psi, d, taus, m)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mpmath linear solve in refine")
+
+        monkeypatch.setattr(hb, "_overlap_sums", counted_sums)
+        monkeypatch.setattr(bignum, "solve_linear", forbidden)
+        monkeypatch.setattr(bignum, "LUFactors", forbidden)
+        fs.refine(seed4, 320)
+        assert tables == [dprime(4)]
 
 
 class TestStabilizer:
