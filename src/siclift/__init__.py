@@ -9,10 +9,9 @@ at the end.
 
 from .errors import (FieldError, LiftError, PrecisionError, RefinementError,
                      RelationError, SearchError, SicliftError)
-from .exactify import (ExactFiducialCertificate, galois_transport,
-                       method1_exactify, method2_exactify,
-                       overlap_minimal_polynomials, symmetry_structure,
-                       verify_certified, verify_exact)
+from .exactify import (ExactFiducialCertificate, method1_exactify,
+                       method2_exactify, overlap_minimal_polynomials,
+                       symmetry_structure, verify_certified, verify_exact)
 from .fidsearch import (Fiducial, detect_stabilizer, refine, seed_search,
                         strongly_centre)
 from .heisenberg import overlaps, reconstruct_operator
@@ -25,7 +24,7 @@ __all__ = [
     "ExactFiducialCertificate", "FieldError", "FieldTower", "Fiducial",
     "LiftError", "PrecisionError", "RefinementError", "RelationError",
     "SearchError", "SicliftError", "adjoin", "automorphisms",
-    "detect_stabilizer", "galois_transport", "integer_relation",
+    "detect_stabilizer", "integer_relation",
     "method1_exactify", "method2_exactify", "minimal_polynomial",
     "overlap_minimal_polynomials", "overlaps", "raw_relation",
     "reconstruct_operator", "recognize", "refine", "seed_search",

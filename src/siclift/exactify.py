@@ -159,14 +159,13 @@ def build_orbit_polynomials(table, group: MatGroup,
     return polys
 
 
-def orbit_coefficient_values(fid, precision: int | None = None) -> list:
-    """Real parts of all orbit-polynomial coefficients (leading ones dropped),
-    concatenated in orbit order. Used to compare candidate displacements by
-    the algebraic degree of what they would have to be lifted to."""
-    prec = min(fid.precision, precision or fid.precision)
-    struct = symmetry_structure(fid)
-    table = fid.overlaps(prec)
-    polys = build_orbit_polynomials(table, struct.cent)
+def orbit_coefficient_values(table, group: MatGroup) -> list:
+    """Real parts of all orbit-polynomial coefficients of `table` under
+    `group` (leading ones dropped), concatenated in orbit order. Used to
+    compare candidate displacements by the algebraic degree of what they
+    would have to be lifted to."""
+    prec = table.precision
+    polys = build_orbit_polynomials(table, group)
     out = []
     with mp.workdps(guarded(prec)):
         floor = mp.mpf(10) ** (-(prec // 2))
@@ -205,15 +204,14 @@ def _field_from_seed(seed, prec) -> FieldTower:
     return e0
 
 
-def lift_coefficients(polys: list[OrbitPolynomial],
-                      precision: int | None = None) -> FieldTower:
+def lift_coefficients(polys: list[OrbitPolynomial]) -> FieldTower:
     """Recognize every orbit-polynomial coefficient in one real field.
 
     The field is seeded from the next-to-leading coefficient of the
     lowest-degree nontrivial polynomial and rebuilt from any later coefficient
     of higher degree (the cheap seed can land in a proper subfield).
     Incompatible degrees abort. Sets poly.exact in place; returns the field."""
-    prec = precision or polys[0].precision
+    prec = polys[0].precision
     nontrivial = [q for q in polys if q.degree >= 2]
     if not nontrivial:
         e0 = FieldTower.rationals(prec)
@@ -382,21 +380,11 @@ def _actions(cay, m: int, H: frozenset, H0: frozenset, base) -> list[tuple]:
     def canon(a):
         return min(a * h % m for h in H)
 
-    gens, known, deriv = _spanning(cay)
-    n = len(cay)
-    out = set()
-    for pick in itertools.product(*(sorted({canon(base[g] * h) for h in H0})
-                                    for g in gens)):
-        img = dict(zip(gens, pick))
-        chi = {known[0]: 1}
-        for y in known[1:]:
-            x, g = deriv[y]
-            chi[y] = canon(chi[x] * img[g])
-        if all(chi[N] * pow(base[N], -1, m) % m in H0 for N in range(n)) \
-                and all(chi[cay[a][b]] == canon(chi[a] * chi[b])
-                        for a in range(n) for b in range(n)):
-            out.add(tuple(chi[N] for N in range(n)))
-    return sorted(out)
+    return sorted(chi for chi in _homomorphisms(
+        cay, lambda g: sorted({canon(base[g] * h) for h in H0}),
+        lambda a, b: canon(a * b), 1)
+        if all(chi[N] * pow(base[N], -1, m) % m in H0
+               for N in range(len(cay))))
 
 
 def _extend_with_tau(conj: _Conjugates, d: int, guess):
@@ -472,7 +460,7 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
 
 
 # ---------------------------------------------------------------------------
-# finite-group bookkeeping: cosets, composition tables, isomorphisms
+# finite-group bookkeeping: cosets, composition tables, automorphisms
 
 
 def _coset_structure(cent: MatGroup, s_pi: MatGroup):
@@ -487,20 +475,6 @@ def _coset_structure(cent: MatGroup, s_pi: MatGroup):
     n = len(reps)
     cay = [[member[reps[i] * reps[j]] for j in range(n)] for i in range(n)]
     return cosets, reps, cay
-
-
-def _auto_cayley(autos: list[EmbeddingAutomorphism]):
-    """Composition table: entry (i, j) is row i after row j, found as the
-    row whose generator images are row i applied to row j's, not rebuilt."""
-    idx = {a.images: i for i, a in enumerate(autos)}
-    cay = []
-    for a in autos:
-        row = [idx.get(tuple(a(img) for img in b.images)) for b in autos]
-        if None in row:
-            raise LiftError("automorphism composition left the enumerated "
-                            "set; the extension is not normal")
-        cay.append(row)
-    return cay
 
 
 def _cayley_identity(cay):
@@ -554,41 +528,37 @@ def _spanning(cay):
     return gens, known, deriv
 
 
-def _group_isomorphisms(cay_a, cay_b) -> list[tuple]:
-    """All isomorphisms between two finite groups given as composition
-    tables, as permutation tuples (image of element i at position i).
-    Generator images are matched by element order and extended through a
-    spanning derivation of the whole group."""
-    n = len(cay_a)
-    if len(cay_b) != n:
-        return []
-    ea, eb = _cayley_identity(cay_a), _cayley_identity(cay_b)
-    ord_a, ord_b = _cayley_orders(cay_a, ea), _cayley_orders(cay_b, eb)
-    if sorted(ord_a) != sorted(ord_b):
-        return []
-    gens, known, deriv = _spanning(cay_a)
-
-    cands = [[h for h in range(n) if ord_b[h] == ord_a[g]] for g in gens]
+def _homomorphisms(cay, choices, op, unit) -> list[tuple]:
+    """Every homomorphism out of the finite group with composition table
+    cay, as the tuple of its images of the elements in order. Each of
+    _spanning's generators g goes to one of choices(g), the rest of the
+    group follows through its derivation under the target's product op
+    (identity unit), and the map is kept when it respects every product."""
+    gens, known, deriv = _spanning(cay)
+    n = len(cay)
     out = []
-
-    def extend(chosen):
-        gimg = dict(zip(gens, chosen))
-        img = {ea: eb}
+    for pick in itertools.product(*map(choices, gens)):
+        img = dict(zip(gens, pick))
+        f = {known[0]: unit}
         for y in known[1:]:
             x, g = deriv[y]
-            img[y] = cay_b[img[x]][gimg[g]]
-        perm = tuple(img[i] for i in range(n))
-        if len(set(perm)) != n:
-            return
-        for i in range(n):
-            for j in range(n):
-                if perm[cay_a[i][j]] != cay_b[perm[i]][perm[j]]:
-                    return
-        out.append(perm)
-
-    for chosen in itertools.product(*cands):
-        extend(list(chosen))
+            f[y] = op(f[x], img[g])
+        if all(f[cay[a][b]] == op(f[a], f[b])
+               for a in range(n) for b in range(n)):
+            out.append(tuple(f[N] for N in range(n)))
     return out
+
+
+def _group_automorphisms(cay) -> list[tuple]:
+    """Every automorphism of the finite group with composition table cay,
+    as a permutation tuple (image of element i at position i): each
+    generator goes to an element of its own order, and bijections are
+    kept."""
+    n, e = len(cay), _cayley_identity(cay)
+    order = _cayley_orders(cay, e)
+    return [f for f in _homomorphisms(
+        cay, lambda g: [h for h in range(n) if order[h] == order[g]],
+        lambda a, b: cay[a][b], e) if len(set(f)) == n]
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +981,10 @@ def _prepare(fid, digits):
     automorphisms over the coefficient field, found by conjugate
     interpolation (as many as the index quotient has elements), and every
     isomorphism of their group onto the quotient (a tuple giving each
-    row's coset), the alignment candidates."""
+    row's coset), the alignment candidates. Row j sends t to the root at
+    index j, the conjugate t_c of coset c = conj.at_root[j], so this
+    labelling is one such isomorphism, and the others are the quotient's
+    own automorphisms after it."""
     prec = digits or fid.precision
     if prec > fid.precision:
         raise PrecisionError(f"fiducial carries {fid.precision} digits, "
@@ -1021,7 +994,7 @@ def _prepare(fid, digits):
     struct = symmetry_structure(fid)
     table = fid.overlaps(prec)
     polys = build_orbit_polynomials(table, struct.cent)
-    e0 = lift_coefficients(polys, precision=prec)
+    e0 = lift_coefficients(polys)
     if not all(_is_real(b, prec) for b in e0.basis_values()):
         raise LiftError("the coefficient field is not real; conjugate "
                         "interpolation and alignment scoring assume it is")
@@ -1035,18 +1008,13 @@ def _prepare(fid, digits):
         [table.chi(M.apply(gen_poly.rep)) for M in reps]
     conj = _Conjugates(e0, e1, t_conj, qcay)
     autos = _galois_rows(conj)
-    if len(autos) > n:
-        raise LiftError(f"found {len(autos)} automorphisms where the index "
-                        f"quotient predicts {n}")
     if len(autos) < n:
         raise LiftError(
             f"only {len(autos)} of the predicted {n} automorphisms of the "
             f"overlap field were recognized at {prec} digits; either the "
             "extension is not normal or precision is insufficient")
-    perms = _group_isomorphisms(_auto_cayley(autos), qcay)
-    if not perms:
-        raise LiftError("the automorphism group and the index quotient are "
-                        "not isomorphic; transport cannot be aligned")
+    label = [conj.at_root[j] for j in range(n)]
+    perms = [tuple(a[c] for c in label) for a in _group_automorphisms(qcay)]
     return prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
         perms
 
@@ -1253,17 +1221,6 @@ def typea_orbit_group(d: int) -> MatGroup:
 
 # ---------------------------------------------------------------------------
 # transport
-
-
-def galois_transport(cert: ExactFiducialCertificate,
-                     g: EmbeddingAutomorphism) -> dict:
-    """Apply one certified automorphism to the whole exact overlap table and
-    check, exactly, that it lands on the table relabeled by the matched
-    matrix. Returns {index: transported value}."""
-    row = next((i for i, a in enumerate(cert.galois_rows()) if a == g), None)
-    if row is None:
-        raise ValueError("automorphism is not one of the certificate's rows")
-    return _transported(cert, row)
 
 
 def _transported(cert: ExactFiducialCertificate, i: int) -> dict:

@@ -52,7 +52,6 @@ class Fiducial:
     vector: CVector
     precision: int
     symmetry: str | None = None  # "fz" | "fa" | None
-    orbit: str | None = None
     seed: int | None = None
     error: object = None  # mpf SIC error, recorded at creation
     # overlap table at `precision`, computed at creation for the SIC error
@@ -60,7 +59,7 @@ class Fiducial:
                                           repr=False)
 
     @classmethod
-    def create(cls, d, vector, precision, symmetry=None, orbit=None, seed=None):
+    def create(cls, d, vector, precision, symmetry=None, seed=None):
         """Normalize and record the SIC error and the overlap table; the only
         intended constructor."""
         with mp.workdps(guarded(precision)):
@@ -69,8 +68,7 @@ class Fiducial:
                 raise ValueError("a zero vector is no fiducial")
             v = vector.scale(1 / norm)
         table = hb.overlaps(v, d, precision)
-        return cls(d, v, precision, symmetry, orbit, seed, table.sic_error(),
-                   table)
+        return cls(d, v, precision, symmetry, seed, table.sic_error(), table)
 
     def overlaps(self, precision: int) -> hb.OverlapTable:
         """The overlap table at `precision` digits: the one kept from
@@ -421,7 +419,7 @@ def refine(fid: Fiducial, target_digits: int) -> Fiducial:
         nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in psi))
         vec = CVector([x / nrm for x in psi], target_digits)
     out = Fiducial.create(d, vec, target_digits, symmetry=fid.symmetry,
-                          orbit=fid.orbit, seed=fid.seed)
+                          seed=fid.seed)
     if out.error >= goal:
         raise RefinementError(
             f"final certification failed: error {mp.nstr(out.error, 3)}",
@@ -494,31 +492,35 @@ def displace(fid: Fiducial, p: tuple[int, int]) -> Fiducial:
     D = hb.displacement(p, fid.d, fid.precision)
     vec = D.matrix.matvec(fid.vector)
     return Fiducial.create(fid.d, vec, fid.precision, symmetry=fid.symmetry,
-                           orbit=fid.orbit, seed=fid.seed)
+                           seed=fid.seed)
 
 
 def strongly_centre(fid: Fiducial, return_shift: bool = False):
     """For d = 0 mod 3, pick among the nine displaced candidates D_p|psi>
     (p = 0 mod d/3) the one whose orbit-polynomial coefficients have minimal
     recovered algebraic degree (at most 8); ties break lexicographically in
-    p. Other dimensions pass through unchanged. With return_shift, the result
+    p. A displacement changes only the shifts of the stabilizer, not its
+    matrices, so every candidate is scored on the phase-twisted overlap
+    table of fid under fid's own centralizer, and only the winner is built.
+    Other dimensions pass through unchanged. With return_shift, the result
     is the pair (fiducial, chosen index shift)."""
     if fid.d % 3:
         return (fid, (0, 0)) if return_shift else fid
-    from .exactify import orbit_coefficient_values
+    from .exactify import orbit_coefficient_values, symmetry_structure
     from .lattice import minimal_polynomial
 
     n = fid.d // 3
     max_degree = 8
     prec = min(fid.precision, max(140, 12 * fid.d))
     unresolved = max_degree + 1
+    cent = symmetry_structure(fid).cent
+    table = fid.overlaps(prec)
     best = None
     for a in range(3):
         for b in range(3):
             p = ((a * n) % fid.d, (b * n) % fid.d)
-            cand = displace(fid, p)
             degs = [1]
-            for val in orbit_coefficient_values(cand, precision=prec):
+            for val in orbit_coefficient_values(table.displaced(p), cent):
                 poly = minimal_polynomial(val, max_degree, precision=prec)
                 if poly is None:
                     # degree above the bound, or too few digits; either way
@@ -531,9 +533,10 @@ def strongly_centre(fid: Fiducial, return_shift: bool = False):
                      fid.d, p,
                      score[0] if score[0] <= max_degree else "unresolved")
             if best is None or score < best[0]:
-                best = (score, cand, p)
+                best = (score, p)
     if best[0][0] == unresolved:
         raise PrecisionError(
             f"no displacement candidate resolved coefficient degrees at "
             f"{prec} digits (bound {max_degree}); increase precision")
-    return (best[1], best[2]) if return_shift else best[1]
+    centred = displace(fid, best[1])
+    return (centred, best[1]) if return_shift else centred

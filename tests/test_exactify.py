@@ -26,10 +26,10 @@ import pytest
 from siclift import cli, exactify, heisenberg, lattice, numfield
 from siclift.bignum import guarded
 from siclift.errors import LiftError, PrecisionError
-from siclift.exactify import (ExactFiducialCertificate, _auto_cayley,
-                              _distinct_values, _extend_with_tau,
-                              _group_isomorphisms, _tau_order,
-                              build_orbit_polynomials, galois_transport,
+from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
+                              _extend_with_tau, _group_automorphisms,
+                              _tau_order, _transported,
+                              build_orbit_polynomials,
                               method1_exactify, method2_exactify,
                               orbit_coefficient_values, symmetry_structure,
                               typea_orbit_group, verify_certified,
@@ -38,7 +38,7 @@ from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
 from siclift.modring import gl2_group, h2_group
 from siclift.numfield import FieldTower, _rational_minpoly, \
-    _subset_product_coeffs, adjoin, automorphisms, cyclotomic_polynomial, \
+    _subset_product_coeffs, adjoin, cyclotomic_polynomial, \
     factor_over_tower, recognize
 
 
@@ -131,26 +131,44 @@ def _s3_table():
                  for i in range(6))
 
 
+def _product_table(*orders):
+    # direct product of cyclic groups, elements in mixed radix
+    import itertools
+    elems = list(itertools.product(*map(range, orders)))
+    idx = {x: i for i, x in enumerate(elems)}
+    return tuple(tuple(idx[tuple((a + b) % k for a, b, k in zip(x, y, orders))]
+                       for y in elems) for x in elems)
+
+
 def test_isomorphisms_cyclic4():
-    maps = _group_isomorphisms(_cyclic_table(4), _cyclic_table(4))
+    maps = _group_automorphisms(_cyclic_table(4))
     assert len(maps) == 2        # x -> x and x -> 3x
     for f in maps:
         assert f[0] == 0
 
 
 def test_isomorphisms_klein():
-    maps = _group_isomorphisms(_klein_table(), _klein_table())
+    maps = _group_automorphisms(_klein_table())
     assert len(maps) == 6        # GL(2, F2)
-
-
-def test_isomorphisms_distinguish_groups():
-    assert _group_isomorphisms(_cyclic_table(4), _klein_table()) == []
-    assert _group_isomorphisms(_cyclic_table(6), _s3_table()) == []
 
 
 def test_isomorphisms_s3_automorphisms():
     # all six automorphisms of S3 are inner
-    assert len(_group_isomorphisms(_s3_table(), _s3_table())) == 6
+    assert len(_group_automorphisms(_s3_table())) == 6
+
+
+@pytest.mark.parametrize("cay, count", [
+    (_cyclic_table(8), 4),         # x -> kx for odd k
+    (_product_table(2, 6), 12),    # C2 x C2 x C3: GL(2, F2) times Aut(C3)
+])
+def test_automorphisms_products_of_cyclic_groups(cay, count):
+    maps = _group_automorphisms(cay)
+    assert len(maps) == count
+    n = len(cay)
+    for f in maps:
+        assert sorted(f) == list(range(n))
+        assert all(f[cay[a][b]] == cay[f[a]][f[b]]
+                   for a in range(n) for b in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +268,32 @@ def test_tau_actions_agree_with_the_guess_modulo_the_subgroup():
         assert chi[0] == 1
         assert all(chi[i] * chi[j] % 8 == chi[i ^ j]
                    for i in range(4) for j in range(4))
+    # C3 into (Z/7)^x: only a cube root of 1 respects the products
+    assert exactify._actions(_cyclic_table(3), 7, frozenset({1}),
+                             frozenset(range(1, 7)), (1, 1, 1)) == \
+        [(1, 1, 1), (1, 2, 4), (1, 4, 2)]
     assert [len(H) for H in exactify._unit_subgroups(8)] == [1, 2, 2, 2, 4]
     assert [len(H) for H in exactify._unit_subgroups(7)] == [1, 2, 3, 6]
 
 
-def test_composition_table_is_read_from_the_rows(monkeypatch):
-    # Gal(Q(zeta5)/Q) is cyclic of order 4; row i sends zeta to zeta^k_i, so
-    # row i after row j is the row of k_i * k_j mod 5. The table is looked
-    # up among the rows, so no automorphism is built for it
-    with mp.workdps(100):
-        z = mp.expjpi(mp.mpf(2) / 5)
-    K = adjoin(FieldTower.rationals(80), cyclotomic_polynomial(5), z)
-    rows = automorphisms(K)
-    zeta = K.generator(1)
-    ks = [next(k for k in range(1, 5) if a.images[0] == zeta ** k)
-          for a in rows]
-
-    def no_new_rows(*args):
-        raise AssertionError("an automorphism was built")
-
-    monkeypatch.setattr(numfield, "automorphism", no_new_rows)
-    assert _auto_cayley(rows) == [[ks.index(a * b % 5) for b in ks]
-                                  for a in ks]
-    # the first two rows are zeta -> zeta^3 and zeta -> zeta^2, no subgroup
-    assert ks[:2] == [3, 2]
-    with pytest.raises(LiftError, match="not normal"):
-        _auto_cayley(rows[:2])
+@pytest.mark.parametrize("fid_name, count", [("fid4", 6), ("fid5", 4)])
+def test_coset_labels_compose_like_the_rows(fid_name, count, request):
+    # row j sends t to the root at index j, the conjugate of coset
+    # at_root[j]; the alignment candidates rest on this labelling being an
+    # isomorphism, so it is checked here by exact composition of the rows
+    fid = request.getfixturevalue(fid_name)
+    *_, conj, _gen, autos, _cosets, _reps, perms = exactify._prepare(fid,
+                                                                     None)
+    n = len(autos)
+    label = [conj.at_root[j] for j in range(n)]
+    assert sorted(label) == list(range(n))
+    row_of = {a.images: j for j, a in enumerate(autos)}
+    for i, a in enumerate(autos):
+        for j, b in enumerate(autos):
+            k = row_of[a.compose(b).images]
+            assert label[k] == conj.cay[label[i]][label[j]]
+    assert len(perms) == len(set(perms)) == count
+    assert tuple(label) in perms
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +343,8 @@ def test_orbit_polynomials_d5(fid5):
 
 
 def test_orbit_coefficient_values_d5(fid5):
-    vals = orbit_coefficient_values(fid5)
+    vals = orbit_coefficient_values(overlaps(fid5),
+                                    symmetry_structure(fid5).cent)
     assert vals
     assert all(mp.isfinite(v) for v in vals)
 
@@ -387,9 +406,7 @@ def test_embeddings_match_numeric_table_d5(cert5, fid5):
 
 
 def test_galois_transport_d5(cert5):
-    rows = cert5.galois_rows()
-    g = rows[1]
-    out = galois_transport(cert5, g)
+    out = _transported(cert5, 1)
     assert set(out) == set(cert5.all_overlaps())
     G = cert5.galois.matrices[1]
     q = cert5.generator_rep

@@ -246,7 +246,6 @@ class TestStabilizer:
             worst = max(abs(T.values[q] - T2.values[q]) for q in T.values)
             assert worst < mp.mpf("1e-45")
 
-    @pytest.mark.slow
     def test_d4_two_routes_agree(self, fid4):
         # route A: overlap-table scan; route B: explicit matrix conjugation
         d, dp, prec = 4, 8, fid4.precision
