@@ -14,7 +14,7 @@ from .exactify import (ExactFiducialCertificate, method1_exactify,
                        symmetry_structure, verify_certified, verify_exact)
 from .fidsearch import (Fiducial, detect_stabilizer, refine, seed_search,
                         strongly_centre)
-from .heisenberg import overlaps, reconstruct_operator
+from .heisenberg import overlaps
 from .lattice import integer_relation, minimal_polynomial, raw_relation
 from .numfield import FieldTower, adjoin, automorphisms, recognize
 
@@ -27,7 +27,7 @@ __all__ = [
     "detect_stabilizer", "integer_relation",
     "method1_exactify", "method2_exactify", "minimal_polynomial",
     "overlap_minimal_polynomials", "overlaps", "raw_relation",
-    "reconstruct_operator", "recognize", "refine", "seed_search",
+    "recognize", "refine", "seed_search",
     "strongly_centre", "symmetry_structure", "verify_certified",
     "verify_exact",
 ]

@@ -21,11 +21,11 @@ from .bignum import format_decimal, parse_decimal
 from .errors import PrecisionError, SicliftError
 from .exactify import (ExactFiducialCertificate, build_orbit_polynomials,
                        method1_exactify, method2_exactify, symmetry_structure,
-                       typea_orbit_group, verify_certified, verify_exact)
+                       verify_certified, verify_exact)
 from .fidsearch import Fiducial, refine, seed_search
 from .lattice import integer_relation, minimal_polynomial, raw_relation
-from .modring import (centralizer, dprime, fa_matrix, orbits, symmetry_image,
-                      zauner_matrix)
+from .modring import (centralizer, dprime, fa_matrix, h2_group, orbits,
+                      symmetry_image, zauner_matrix)
 
 ENV_DIGITS = "SICLIFT_DIGITS"
 
@@ -139,7 +139,7 @@ def cmd_symmetry(ns) -> int:
 
 def _named_group(d: int, name: str):
     if name == "h2":
-        return typea_orbit_group(d)
+        return h2_group(d)
     F = zauner_matrix(d) if name == "fz" else fa_matrix(d)
     return centralizer(symmetry_image(F))
 

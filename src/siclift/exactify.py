@@ -30,13 +30,13 @@ from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
     relation_norm
-from .modring import MatGroup, ModMatrix, centralizer, dprime, h2_group, \
-    orbits, symmetry_image
+from .modring import MatGroup, ModMatrix, centralizer, dprime, orbits, \
+    symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
     FieldTower, adjoin, automorphism, cyclotomic_polynomial, divides, \
     generated_automorphisms, horner, is_field, lift_element, squarefree_part, \
     _guess_precision, _monic, _new_level, _poly_roots, _rational_minpoly, \
-    _subset_product_coeffs, recognize
+    _subset_product_coeffs, recognize, relation_element
 
 log = logging.getLogger("siclift.exactify")
 
@@ -602,7 +602,7 @@ class GaloisMatch:
     @classmethod
     def from_obj(cls, obj):
         m = obj["modulus"]
-        mats = tuple(ModMatrix(*_ints(row, 4, "Galois matrix"), m)
+        mats = tuple(ModMatrix(*_mod_ints(row, 4, m, "Galois matrix"), m)
                      for row in obj["matrices"])
         imgs = tuple(tuple(Fraction(s) for s in fp) for fp in obj["images"])
         return cls(mats, imgs, mp.mpf(obj["score"]), mp.mpf(obj["runner_up"]),
@@ -744,7 +744,9 @@ def _check_schema(obj: dict) -> dict:
     """Structural checks on a parsed certificate, made before any arithmetic
     so that a malformed file is reported as an error rather than as a
     verification verdict. Returns every certificate field built from the
-    file and checked for its type."""
+    file and checked for its type; index pairs, shifts and matrix entries
+    must be canonical residues, so each stored group element has one
+    spelling."""
     try:
         d = obj["d"]
         if type(d) is not int or d < 4:
@@ -755,12 +757,17 @@ def _check_schema(obj: dict) -> dict:
                           ("tau", list)):
             if not isinstance(obj[key], kind):
                 raise SicliftError(f"{key} is not a {kind.__name__}")
-        keys = sorted(_unkey(k) for k in obj["index_map"])
-        if keys != [(a, b) for a in range(dp) for b in range(dp)]:
+        # count the keys before enumerating (Z/d')^2, which a huge d forbids
+        imap = obj["index_map"]
+        if len(imap) != dp * dp or sorted(map(_unkey, imap)) != [
+                (a, b) for a in range(dp) for b in range(dp)]:
             raise SicliftError(f"index_map keys are not exactly (Z/{dp})^2")
         galois = obj["galois"]
+        if type(galois["modulus"]) is not int or galois["modulus"] != dp:
+            raise SicliftError(f"Galois modulus {galois['modulus']!r} is not "
+                               f"d' = {dp}")
         n_reps, n_rows = len(obj["orbit_reps"]), len(galois["matrices"])
-        for k, (pos, row) in obj["index_map"].items():
+        for k, (pos, row) in imap.items():
             if pos not in range(n_reps) or row not in range(n_rows):
                 raise SicliftError(f"index_map entry {k} -> {[pos, row]} is "
                                    f"outside {n_reps} orbit representatives "
@@ -769,10 +776,13 @@ def _check_schema(obj: dict) -> dict:
             raise SicliftError(f"{len(galois['images'])} Galois images for "
                                f"{n_rows} Galois rows")
         reps = {tuple(r) for r in obj["orbit_reps"]}
-        if not reps <= {_unkey(k) for k in obj["overlaps"]}:
-            raise SicliftError("an orbit representative has no stored overlap")
+        if reps != {_unkey(k) for k in obj["overlaps"]}:
+            raise SicliftError("the stored overlaps are not exactly those of "
+                               "the orbit representatives")
         e0, e1 = obj["e0_levels"], obj["e1_levels"]
         levels = len(obj["tower"]["levels"])
+        if not levels:
+            raise SicliftError("the tower has no level to hold tau")
         if not (0 <= e0 <= e1 <= levels and e1 - e0 <= 1):
             raise SicliftError(f"level counts e0={e0}, e1={e1} do not fit a "
                                f"{levels}-level tower with at most one level "
@@ -803,8 +813,8 @@ def _check_schema(obj: dict) -> dict:
             tau=tower.element([Fraction(s) for s in obj["tau"]]),
             tau_level_added=added,
             generator_rep=None if gen is None
-            else _ints(gen, 2, "generator_rep"),
-            orbit_reps=tuple(_ints(r, 2, "orbit representative")
+            else _mod_ints(gen, 2, dp, "generator_rep"),
+            orbit_reps=tuple(_mod_ints(r, 2, dp, "orbit representative")
                              for r in obj["orbit_reps"]),
             rep_overlaps={_unkey(k): e1_tower.element([Fraction(s)
                                                        for s in fl])
@@ -812,11 +822,12 @@ def _check_schema(obj: dict) -> dict:
             index_map={_unkey(k): _ints(v, 2, f"index_map entry {k}")
                        for k, v in obj["index_map"].items()},
             galois=GaloisMatch.from_obj(galois),
-            s_matrices=tuple(ModMatrix(*_ints(row, 4, "symmetry matrix"), dp)
+            s_matrices=tuple(ModMatrix(*_mod_ints(row, 4, dp,
+                                                  "symmetry matrix"), dp)
                              for row in obj["s_matrices"]),
-            stabilizer=tuple((_ints(p, 2, "stabilizer shift"),
-                              ModMatrix(*_ints(row, 4, "stabilizer matrix"),
-                                        dp))
+            stabilizer=tuple((_mod_ints(p, 2, d, "stabilizer shift"),
+                              ModMatrix(*_mod_ints(row, 4, dp,
+                                                   "stabilizer matrix"), dp))
                              for p, row in obj["stabilizer"]),
             conjectures=obj["conjectures"],
             verification=ver)
@@ -829,6 +840,14 @@ def _ints(v, n: int, what: str) -> tuple:
             and all(type(x) is int for x in v)):
         raise SicliftError(f"{what} {v!r} is not a list of {n} integers")
     return tuple(v)
+
+
+def _mod_ints(v, n: int, m: int, what: str) -> tuple:
+    """_ints with every entry in [0, m)."""
+    out = _ints(v, n, what)
+    if not all(0 <= x < m for x in out):
+        raise SicliftError(f"{what} {v!r} has an entry outside [0, {m})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1142,7 @@ def method2_exactify(fid,
                 m = rel.coefficients
                 if not rel.accepted or m[0] == 0:
                     return None
-                sk.append(e0.element([Fraction(mj, m[0]) for mj in m[1:]]))
+                sk.append(relation_element(e0, m))
             rep_overlaps[q.rep] = horner([lift_element(e1, c) for c in sk],
                                          t)
         return rep_overlaps
@@ -1203,20 +1222,6 @@ def method1_exactify(fid,
     return _assemble_certificate(
         fid, struct, conj, gen_poly, autos, reps, polys, aligned, 1,
         mp.mpf(0), mp.inf, mp.inf, 0, prec)
-
-
-# ---------------------------------------------------------------------------
-# extra-symmetry family
-
-
-def typea_orbit_group(d: int) -> MatGroup:
-    """Orbit group for the extra order-3 symmetry family (d = 3 mod 9): the
-    invertible span of the extra generator, which contains the full
-    symmetry."""
-    if d % 9 != 3:
-        raise ValueError(f"the extra-symmetry family needs d = 3 mod 9, "
-                         f"got {d}")
-    return h2_group(d)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from . import heisenberg as hb
 from .bignum import CVector, format_decimal, guarded, parse_decimal
 from .errors import (PrecisionError, RefinementError, SearchError,
                      SingularMatrixError)
-from .modring import ModMatrix, dprime, esl2_elements, fa_matrix, zauner_matrix
+from .modring import (ModMatrix, dprime, esl2_elements, fa_matrix, span_group,
+                      zauner_matrix)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,7 +122,7 @@ class Fiducial:
 
 def _np_unitary(F: ModMatrix, d: int) -> np.ndarray:
     import numpy as np
-    U = hb.symplectic_unitary(F, d, 20).matrix
+    U = hb.symplectic_unitary(F, d, 20)
     with mp.workdps(30):
         return np.array([[complex(e) for e in row] for row in U.rows])
 
@@ -431,27 +432,12 @@ def refine(fid: Fiducial, target_digits: int) -> Fiducial:
 # stabilizer detection
 
 
-def _centralizer_candidates(d: int, symmetry: str | None) -> list[ModMatrix]:
-    dp = dprime(d)
-    F = _SYMMETRY_MATRIX.get(symmetry or "fz", zauner_matrix)(d)
-    seen = set()
-    out = []
-    for r in range(dp):
-        for s in range(dp):
-            # r*I + s*F_sym
-            M = ModMatrix((r + s * F.a) % dp, (s * F.b) % dp,
-                          (s * F.c) % dp, (r + s * F.d) % dp, dp)
-            if M.det() in (1 % dp, (-1) % dp) and M.entries not in seen:
-                seen.add(M.entries)
-                out.append(M)
-    return out
-
-
 def detect_stabilizer(fid: Fiducial, full: bool = False
                       ) -> set[tuple[tuple[int, int], ModMatrix]]:
     """All (p, F) with D_p U_F fixing the fiducial's projector. p is reported
     mod d (displacement conjugation is d-periodic). By default only the
-    candidates r*I + s*F_sym are scanned; full=True sweeps all of det +-1.
+    det +-1 elements of the span r*I + s*F_sym are scanned; full=True sweeps
+    all of det +-1.
     The scan compares the overlap table in double precision: a projector
     that is fixed matches to rounding, one that is not misses by far more
     than the tolerances."""
@@ -460,7 +446,11 @@ def detect_stabilizer(fid: Fiducial, full: bool = False
             f"stabilizer scan needs error < 1e-30, have {mp.nstr(fid.error, 3)}")
     d, dp = fid.d, dprime(fid.d)
     chi = {q: complex(v) for q, v in fid.table.items()}
-    cands = esl2_elements(dp) if full else _centralizer_candidates(d, fid.symmetry)
+    if full:
+        cands = esl2_elements(dp)
+    else:
+        F_sym = _SYMMETRY_MATRIX.get(fid.symmetry or "fz", zauner_matrix)(d)
+        cands = [M for M in span_group(F_sym) if M.det() in (1, dp - 1)]
     out = set()
     omega = [cmath.exp(2j * math.pi * k / d) for k in range(d)]
     for F in cands:
@@ -488,10 +478,18 @@ def detect_stabilizer(fid: Fiducial, full: bool = False
 
 
 def displace(fid: Fiducial, p: tuple[int, int]) -> Fiducial:
-    """The fiducial D_p|psi>, same precision and tags."""
-    D = hb.displacement(p, fid.d, fid.precision)
-    vec = D.matrix.matvec(fid.vector)
-    return Fiducial.create(fid.d, vec, fid.precision, symmetry=fid.symmetry,
+    """The fiducial D_p|psi>, same precision and tags: the phased cyclic
+    shift (D_p psi)_{s+p1} = tau^(p1 p2 + 2 p2 s) psi_s, with p taken
+    mod d'."""
+    d, prec = fid.d, fid.precision
+    dp, n = dprime(d), 2 * d
+    p1, p2 = p[0] % dp, p[1] % dp
+    taus, psi = hb.tau_powers(d, prec), fid.vector.entries
+    out = [None] * d
+    with mp.workdps(guarded(prec)):
+        for s in range(d):
+            out[(s + p1) % d] = taus[(p1 * p2 + 2 * p2 * s) % n] * psi[s]
+    return Fiducial.create(d, CVector(out, prec), prec, symmetry=fid.symmetry,
                            seed=fid.seed)
 
 

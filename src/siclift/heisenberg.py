@@ -1,5 +1,4 @@
-"""Weyl-Heisenberg displacement operators, symplectic unitaries and overlap
-tables.
+"""Weyl-Heisenberg index formulas, symplectic unitaries and overlap tables.
 
 Conventions, fixed once here and relied on everywhere downstream:
   X|r> = |r+1>,  Z|r> = w^r |r>,  w = exp(2 pi i/d),  tau = -exp(i pi/d),
@@ -7,27 +6,30 @@ Conventions, fixed once here and relied on everywhere downstream:
   r = s + p1 mod d. Then D_p D_q = tau^<p,q> D_{p+q} with <p,q> = p2 q1 - p1 q2,
   and D_p^dagger = D_{-p}. Indices live mod d' (= d for odd d, 2d for even d).
 
+A displacement is never built as a matrix: each row of D_p has one nonzero
+entry, so it enters as that index formula, read off the one tau table
+tau_powers. Applied to a vector it is a phased cyclic shift
+(fidsearch.displace), conjugating a projector twists its overlap table by a
+phase (OverlapTable.displaced), and a sum over D_p with overlap coefficients
+is operator_rows. The one dense operator is the symplectic unitary U_F,
+which the double-precision seed search diagonalizes.
+
 Overlaps are chi_p = Tr(D_p Pi) = <psi|D_p|psi> for Pi = |psi><psi|; the
 adjoint index flip chi_{-p} = conj(chi_p) is what operator reconstruction
-uses internally.
+uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 
 import mpmath as mp
 
-from .bignum import CMatrix, CVector, guarded
+from .bignum import CMatrix, guarded
 from .modring import ModMatrix, dprime
 
-# Memo caches. Construction is deterministic and idempotent, so a racing
-# double-insert is harmless; CPython dict assignment is atomic.
-_DISP_CACHE: dict = {}
-_SYMP_CACHE: dict = {}
 _TAU_CACHE: dict = {}
 
 
@@ -43,67 +45,6 @@ def tau_powers(d: int, prec: int) -> list:
                 tab.append(tab[-1] * t)
         _TAU_CACHE[key] = tab = tuple(tab)
     return tab
-
-
-@dataclass(frozen=True)
-class DisplacementOp:
-    p: tuple
-    d: int
-    precision: int
-
-    @property
-    def matrix(self) -> CMatrix:
-        key = (self.p, self.d, self.precision)
-        m = _DISP_CACHE.get(key)
-        if m is None:
-            _DISP_CACHE[key] = m = _displacement_matrix(self.p, self.d, self.precision)
-        return m
-
-
-@dataclass(frozen=True)
-class CliffordOp:
-    """The unitary U_F of a symplectic F."""
-    F: ModMatrix
-    d: int
-    precision: int
-
-    @property
-    def matrix(self) -> CMatrix:
-        key = (self.F.entries, self.F.m, self.d, self.precision)
-        m = _SYMP_CACHE.get(key)
-        if m is None:
-            _SYMP_CACHE[key] = m = _symplectic_matrix(self.F, self.d,
-                                                      self.precision)
-        return m
-
-    def apply(self, v: CVector) -> CVector:
-        return self.matrix.matvec(v)
-
-
-def _displacement_matrix(p: tuple, d: int, prec: int) -> CMatrix:
-    taus = tau_powers(d, prec)
-    p1, p2 = p
-    n = 2 * d
-    rows = [[mp.mpc(0)] * d for _ in range(d)]
-    for s in range(d):
-        rows[(s + p1) % d][s] = taus[(p1 * p2 + 2 * p2 * s) % n]
-    return CMatrix(rows, prec)
-
-
-def displacement(p: tuple, d: int, precision: int) -> DisplacementOp:
-    if d < 4:
-        raise ValueError("d must be >= 4")
-    dp = dprime(d)
-    return DisplacementOp((p[0] % dp, p[1] % dp), d, precision)
-
-
-def _require_modulus(F: ModMatrix, d: int) -> ModMatrix:
-    """Matrices must arrive mod d'. A mod-d matrix for even d has no canonical
-    mod-2d lift, so that is the caller's mistake, not something to guess."""
-    dp = dprime(d)
-    if F.m != dp:
-        raise ValueError(f"matrix modulus {F.m} != d' = {dp}")
-    return F
 
 
 def _canonical_scale(d: int, prec: int):
@@ -155,19 +96,20 @@ def split_symplectic(F: ModMatrix) -> tuple[ModMatrix, ModMatrix]:
     raise AssertionError(f"no two-factor splitting for {F!r}")  # unreachable
 
 
-def _symplectic_matrix(F: ModMatrix, d: int, prec: int) -> CMatrix:
+@cache
+def symplectic_unitary(F: ModMatrix, d: int, precision: int) -> CMatrix:
+    """The unitary U_F of a symplectic F, built once per argument triple.
+    F must arrive mod d': a mod-d matrix for even d has no canonical mod-2d
+    lift, so that is the caller's mistake, not something to guess."""
     dp = dprime(d)
-    if math.gcd(F.b, dp) == 1:
-        return _uf_direct(F, d, prec)
-    A, B = split_symplectic(F)
-    return _uf_direct(A, d, prec) * _uf_direct(B, d, prec)
-
-
-def symplectic_unitary(F: ModMatrix, d: int, precision: int) -> CliffordOp:
-    F = _require_modulus(F, d)
-    if F.det() != 1 % F.m:
+    if F.m != dp:
+        raise ValueError(f"matrix modulus {F.m} != d' = {dp}")
+    if F.det() != 1:
         raise ValueError("symplectic matrix must have det 1 mod d'")
-    return CliffordOp(F, d, precision)
+    if math.gcd(F.b, dp) == 1:
+        return _uf_direct(F, d, precision)
+    A, B = split_symplectic(F)
+    return _uf_direct(A, d, precision) * _uf_direct(B, d, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +152,6 @@ class OverlapTable:
                     continue
                 worst = max(worst, abs((d + 1) * abs(v) ** 2 - 1))
         return worst
-
-    def transported(self, F: ModMatrix) -> "OverlapTable":
-        """Overlaps of V Pi V^{-1} for V the (anti)unitary attached to F:
-        chi'_q = chi_{F^{-1} q} for det +1, conj(chi_{F^{-1} q}) for det -1."""
-        dp = dprime(self.d)
-        F = _require_modulus(F, self.d)
-        det = F.det()
-        anti = det == (-1) % dp
-        if not anti and det != 1 % dp:
-            raise ValueError("det must be +-1 mod d'")
-        Finv = F.inv()
-        out = {}
-        with mp.workdps(guarded(self.precision)):
-            for q in self.values:
-                src = Finv.apply(q)
-                v = self.values[src]
-                out[q] = mp.conj(v) if anti else v
-        return OverlapTable(self.d, self.precision, out, normalized=False)
 
     def displaced(self, s: tuple) -> "OverlapTable":
         """Overlaps of D_s Pi D_s^dagger: chi'_q = w^{<q,s>} chi_q."""
@@ -285,12 +209,3 @@ def operator_rows(chi, d: int, taus, inv_d) -> list:
                                     for p2 in range(d))) * inv_d)
         rows.append(row)
     return rows
-
-
-def reconstruct_operator(table: OverlapTable) -> CMatrix:
-    """A = (1/d) sum_{p in (Z/d)^2} chi_{-p} D_p, one period only."""
-    d, prec = table.d, table.precision
-    with mp.workdps(guarded(prec)):
-        rows = operator_rows(table.values, d, tau_powers(d, prec),
-                             1 / mp.mpf(d))
-    return CMatrix(rows, prec)

@@ -1,8 +1,9 @@
 """Integer-relation detection via exact-integer LLL.
 
 One engine serves three jobs: raw relations among real/complex numbers,
-minimal polynomials, and expressing a number over a known basis with rational
-coefficients. The reduction is the all-integer variant (Gram determinants d_i
+minimal polynomials, and relations m_0 x = sum m_j b_j that express a number
+over a known basis (numfield.relation_element reads the element off them).
+The reduction is the all-integer variant (Gram determinants d_i
 and scaled Gram-Schmidt coefficients lambda_{i,j}), so no precision is lost
 inside the lattice step itself.
 
@@ -24,13 +25,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
 
 from .bignum import guarded
-from .errors import RelationError
 
 # Lovasz parameter delta = SWAP_P / SWAP_Q; 0.99 trades a little speed for
 # shorter vectors, which matters when the true relation is barely inside the
@@ -219,18 +218,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                terms.append(x if c == 1 else f"-{x}" if c == -1 else f"{c}{x}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def _prepare(xs, precision):
@@ -440,19 +427,3 @@ def minimal_polynomial(a, max_degree: int, precision: int
             if poly is not None:
                 return poly
     return None
-
-
-def express_in_basis(a, basis, precision: int):
-    """Rational coefficients q with a = sum q_j * basis_j, or None.
-
-    Returns (list of Fraction, residual). Raises RelationError if the found
-    relation does not involve `a` at all (m_0 = 0).
-    """
-    rel = integer_relation([a] + list(basis), precision=precision)
-    if rel is None:
-        return None
-    m = rel.coefficients
-    if m[0] == 0:
-        raise RelationError("relation does not involve the target number")
-    qs = [Fraction(mj, m[0]) for mj in m[1:]]
-    return qs, rel.residual

@@ -9,7 +9,6 @@ Everything here is exact integer arithmetic; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -110,14 +109,6 @@ class ModMatrix:
             k >>= 1
         return result
 
-    def order(self, limit: int = 10_000) -> int:
-        acc = self
-        for k in range(1, limit + 1):
-            if acc.is_identity():
-                return k
-            acc = acc * self
-        raise ValueError(f"order exceeds {limit}")
-
     def apply(self, p: tuple[int, int]) -> tuple[int, int]:
         """Matrix action on an index pair, p -> Fp mod m."""
         return ((self.a * p[0] + self.b * p[1]) % self.m,
@@ -189,17 +180,6 @@ class MatGroup:
 
     def __lt__(self, other: "MatGroup") -> bool:
         return self._set < other._set
-
-    def is_closed(self) -> bool:
-        if not any(e.is_identity() for e in self.elements):
-            return False
-        for x in self.elements:
-            if x.inv() not in self._set:
-                return False
-            for y in self.elements:
-                if x * y not in self._set:
-                    return False
-        return True
 
     def is_abelian(self) -> bool:
         es = self.elements
@@ -289,35 +269,22 @@ def chi_inv(pair: tuple[ModMatrix, ModMatrix], d: int) -> ModMatrix:
     return ModMatrix(crt(a1, B.a), crt(b1, B.b), crt(c1, B.c), crt(d1, B.d), dp)
 
 
-def span_group(X: ModMatrix, m: int | None = None) -> MatGroup:
+def span_group(X: ModMatrix) -> MatGroup:
     """{ rI + sX : r, s in Z/mZ, invertible }, deduplicated."""
-    if m is None:
-        m = X.m
-    elif m != X.m:
-        X = ModMatrix(X.a, X.b, X.c, X.d, m)
-    I = ModMatrix.identity(m)
+    m = X.m
     out = set()
     for r in range(m):
         for s in range(m):
-            M = I.scale(r) + X.scale(s)
+            M = ModMatrix(r + s * X.a, s * X.b, s * X.c, r + s * X.d, m)
             if M.is_invertible():
                 out.add(M)
     return MatGroup(out)
 
 
-def h2_matrix(d: int) -> ModMatrix:
-    """H_2 = ((2n+1)/3) F_a + ((4n-1)/3) I mod d'; satisfies I + 3 H_2 = F_a."""
-    if d % 9 != 3:
-        raise ValueError(f"h2_matrix requires d = 3 mod 9, got {d}")
-    n = d // 3
-    m = dprime(d)
-    F = fa_matrix(d)
-    H = F.scale((2 * n + 1) // 3) + ModMatrix.identity(m).scale((4 * n - 1) // 3)
-    return H
-
-
 def h2_group(d: int) -> MatGroup:
-    """The group { rI + sF_a : invertible } mod d' (equivalently rI + sH_2)."""
+    """The group { rI + sF_a : invertible } mod d', for d = 3 mod 9. It is
+    also the span of H_2 = ((2n+1)/3) F_a + ((4n-1)/3) I with d = 3n, since
+    I + 3 H_2 = F_a, and it contains the whole symmetry of the family."""
     return span_group(fa_matrix(d))
 
 
@@ -388,16 +355,13 @@ def symmetry_image(F: ModMatrix) -> ModMatrix:
     raise ValueError(f"determinant {det} is not +-1 mod {F.m}")
 
 
-def orbits(G: MatGroup, m: int | None = None) -> list[list[tuple[int, int]]]:
-    """Partition of (Z/mZ)^2 into G-orbits.
+def orbits(G: MatGroup) -> list[list[tuple[int, int]]]:
+    """Partition of (Z/mZ)^2 into G-orbits, m the group's modulus.
 
     Orbits are sorted internally and listed by their lexicographically
     smallest representative, so labels are stable across runs.
     """
-    if m is None:
-        m = G.modulus
-    if m != G.modulus:
-        raise ValueError("modulus mismatch")
+    m = G.modulus
     seen = [[False] * m for _ in range(m)]
     parts = []
     for p1 in range(m):

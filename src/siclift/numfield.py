@@ -32,6 +32,11 @@ a tower (inverses, and the squarefree test of `adjoin`), and
 `_rational_minpoly` is the one elimination, fraction-free over the integer
 coordinate vectors of the powers of an element.
 
+A numeric value becomes an element through one integer relation
+m_0 x = sum m_j b_j over the tower's basis values b: `relation_element`
+reads the vector off it as the numerators m[1:] over the denominator m[0],
+for `recognize` and for the lift's scoring relations alike.
+
 Whether a tower is a field is decided exactly, with no numerics, by
 `is_field`: an element of full degree must have an irreducible minimal
 polynomial over the rationals, which Zassenhaus's algorithm proves or
@@ -53,8 +58,8 @@ from operator import add, lshift, mul, sub
 import mpmath as mp
 
 from .bignum import format_decimal, guarded, parse_decimal
-from .errors import FieldError
-from .lattice import express_in_basis
+from .errors import FieldError, RelationError
+from .lattice import integer_relation
 
 
 def squarefree_part(n: int) -> int:
@@ -74,6 +79,13 @@ def squarefree_part(n: int) -> int:
             out *= f
         f += 1
     return sign * out * n
+
+
+def _significant_digits(s: str) -> int:
+    """Digits of a decimal string's mantissa from its first nonzero one; 0
+    for zero and for text that is no decimal."""
+    mantissa = s.lower().partition("e")[0]
+    return len("".join(c for c in mantissa if c.isdigit()).lstrip("0"))
 
 
 def _as_fraction(x) -> Fraction:
@@ -485,6 +497,16 @@ class FieldTower:
         if doc.get("format") != "SIC-TOWER v1":
             raise ValueError("not a tower document")
         prec = doc["precision"]
+        # an honest writer stores `precision` significant digits of every
+        # nonzero embedding part, so a larger claim is refused before any
+        # parsing at that precision
+        stored = [n for lv in doc["levels"] if isinstance(lv["embedding"], str)
+                  for n in map(_significant_digits, lv["embedding"].split())
+                  if n]
+        if doc["levels"] and (not stored or prec > min(stored)):
+            raise FieldError(f"tower precision {prec} exceeds the "
+                             f"{min(stored, default=0)} significant digits "
+                             "its embeddings store")
         levels = []
 
         def dec(node, L):
@@ -507,6 +529,9 @@ class FieldTower:
                     and isinstance(minpoly, list) and minpoly):
                 raise FieldError(f"level {k + 1} is not a tag, a minimal "
                                  "polynomial, a root index and an embedding")
+            if not 0 <= root < len(minpoly):
+                raise FieldError(f"level {k + 1} root index {root} is "
+                                 f"outside [0, {len(minpoly)})")
             re_s, im_s = emb.split()
             with mp.workdps(guarded(prec)):
                 emb = mp.mpc(parse_decimal(re_s, prec), parse_decimal(im_s, prec))
@@ -519,7 +544,7 @@ class FieldTower:
             for k, lv in enumerate(levels):
                 acc = horner([tower._embed(c, k) for c in lv.minpoly]
                              + [mp.mpc(1)], lv.embedding)
-                if abs(acc) > mp.mpf(10) ** -(prec - 10):
+                if not abs(acc) <= mp.mpf(10) ** -(prec - 10):
                     raise FieldError(
                         f"level {k + 1} embedding violates its minimal "
                         "polynomial")
@@ -841,11 +866,25 @@ def recognize(tower: FieldTower, value,
     One reduction at the tower's precision, whose gradual feeding is the
     precision ladder; only the factor searches pass a lower precision."""
     prec = min(precision or tower.precision, tower.precision)
-    got = express_in_basis(value, tower.basis_values(), precision=prec)
-    if got is None:
+    rel = integer_relation([value] + tower.basis_values(), precision=prec)
+    if rel is None:
         return None
-    coeffs, _res = got
-    return tower.element(coeffs)
+    return relation_element(tower, rel.coefficients)
+
+
+def relation_element(tower: FieldTower, m) -> AlgebraicNumber:
+    """The element x that an integer relation m_0 x = sum_{j>=1} m_j b_j over
+    the tower's power-product basis b expresses: its vector is the
+    numerators m[1:] over the denominator m[0], sign-normalized and reduced.
+    RelationError when m_0 = 0, since the relation then does not involve x."""
+    den, num = m[0], tuple(m[1:])
+    if den == 0:
+        raise RelationError("relation does not involve the target number")
+    if len(num) != tower.degree:
+        raise FieldError(f"need {tower.degree} coefficients, got {len(num)}")
+    if den < 0:
+        den, num = -den, tuple([-x for x in num])
+    return AlgebraicNumber(tower, _reduced(num, den))
 
 
 class EmbeddingAutomorphism:

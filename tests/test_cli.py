@@ -146,15 +146,27 @@ def test_symmetry_output(fidfile, capsys):
     assert 1 in obj["orbit_sizes"]
 
 
-def test_orbits_by_dimension(capsys):
-    rc = main(["orbits", "--dim", "5", "--symmetry", "fz"])
+@pytest.mark.parametrize("d, symmetry, order, orbit_count", [
+    (5, "fz", 24, 2), (12, "fa", 2304, 8), (21, "h2", 72, 20)],
+    ids=["d5-fz", "d12-fa", "d21-h2"])
+def test_orbits_by_dimension(capsys, d, symmetry, order, orbit_count):
+    rc = main(["orbits", "--dim", str(d), "--symmetry", symmetry])
     assert rc == 0
     obj = _stdout_json(capsys)
     assert obj["format"] == "SIC-ORBITS v1"
-    assert obj["group_order"] == 24
-    assert sorted(o["size"] for o in obj["orbits"]) == [1, 24]
-    seen = {tuple(q) for o in obj["orbits"] for q in o["indices"]}
-    assert len(seen) == 25
+    assert obj["group_order"] == order
+    assert obj["orbit_count"] == len(obj["orbits"]) == orbit_count
+    dp = obj["index_modulus"]
+    seen = [tuple(q) for o in obj["orbits"] for q in o["indices"]]
+    assert sorted(seen) == [(a, b) for a in range(dp) for b in range(dp)]
+    assert all(o["size"] == len(o["indices"]) for o in obj["orbits"])
+
+
+def test_orbits_h2_needs_d_3_mod_9(capsys):
+    assert main(["orbits", "--dim", "5", "--symmetry", "h2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("siclift orbits: error:")
+    assert "Traceback" not in err
 
 
 def test_orbits_needs_exactly_one_source(capsys):
@@ -336,6 +348,49 @@ def _malform(obj, how):
         obj["tower"]["precision"] = 0
     elif how == "tower_precision_negative":
         obj["tower"]["precision"] = -100
+    # the cases below were not errors before: a d whose (Z/d')^2 was
+    # enumerated until memory ran out, a precision that no embedding stores
+    # (an OverflowError traceback), group data spelled with other
+    # representatives of the same residues, an unused stored overlap and a
+    # root index outside [0, degree) (all verified as a pass), a NaN or
+    # infinite embedding (exit 1), and a tower without levels (exact
+    # verification did not finish)
+    elif how == "dimension_huge":
+        obj["d"] = 10 ** 40
+    elif how == "tower_precision_huge":
+        obj["tower"]["precision"] = 10 ** 40
+    elif how == "galois_modulus_doubled":
+        galois["modulus"] *= 2
+    elif how == "galois_entry_plus_modulus":
+        galois["matrices"][1][0] += galois["modulus"]
+    elif how == "galois_entry_minus_modulus":
+        galois["matrices"][1][0] -= galois["modulus"]
+    elif how == "s_matrix_entry_plus_modulus":
+        obj["s_matrices"][1][1] += galois["modulus"]
+    elif how == "stabilizer_shift_plus_d":
+        obj["stabilizer"][0][0][0] += obj["d"]
+    elif how == "root_index_past_degree":
+        level = obj["tower"]["levels"][0]
+        level["root_index"] = len(level["minpoly"])
+    elif how == "root_index_negative":
+        obj["tower"]["levels"][0]["root_index"] = -1
+    elif how in ("embedding_nan", "embedding_inf"):
+        obj["tower"]["levels"][0]["embedding"] = f"{how[10:]} 0"
+    elif how == "overlap_key_extra":
+        obj["overlaps"]["9,0"] = list(obj["overlaps"]["0,1"])
+    elif how == "generator_rep_plus_modulus":
+        obj["generator_rep"][0] += galois["modulus"]
+    elif how == "tower_without_levels":
+        # a consistent certificate over Q: no embedding stores digits that
+        # could refuse the huge precision, and exact verification once
+        # computed at that precision
+        obj["tower"].update(levels=[], precision=10 ** 7)
+        obj.update(e0_levels=0, e1_levels=0, tau=["1/1"],
+                   tau_level_added=False)
+        obj["overlaps"] = {k: ["1/1"] for k in obj["overlaps"]}
+        galois.update(matrices=galois["matrices"][:1], images=[[]])
+        for entry in imap.values():
+            entry[1] = 0
 
 
 @pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
@@ -348,7 +403,18 @@ def _malform(obj, how):
                                  "candidates_string", "tau_zero_denominator",
                                  "tower_precision_float",
                                  "tower_precision_zero",
-                                 "tower_precision_negative"])
+                                 "tower_precision_negative",
+                                 "dimension_huge", "tower_precision_huge",
+                                 "galois_modulus_doubled",
+                                 "galois_entry_plus_modulus",
+                                 "galois_entry_minus_modulus",
+                                 "s_matrix_entry_plus_modulus",
+                                 "stabilizer_shift_plus_d",
+                                 "overlap_key_extra",
+                                 "generator_rep_plus_modulus",
+                                 "root_index_past_degree",
+                                 "root_index_negative", "embedding_nan",
+                                 "embedding_inf", "tower_without_levels"])
 def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
                                                   how):
     obj = json.load(open(certfile))

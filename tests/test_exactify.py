@@ -32,11 +32,10 @@ from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
                               build_orbit_polynomials,
                               method1_exactify, method2_exactify,
                               orbit_coefficient_values, symmetry_structure,
-                              typea_orbit_group, verify_certified,
-                              verify_exact)
+                              verify_certified, verify_exact)
 from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
-from siclift.modring import gl2_group, h2_group
+from siclift.modring import fa_matrix, gl2_group, h2_group, symmetry_image
 from siclift.numfield import FieldTower, _rational_minpoly, \
     _subset_product_coeffs, adjoin, cyclotomic_polynomial, \
     factor_over_tower, recognize
@@ -301,16 +300,14 @@ def test_coset_labels_compose_like_the_rows(fid_name, count, request):
 
 
 def test_typea_orbit_group_matches_matrix_layer():
-    G = typea_orbit_group(21)
+    # the group the orbits command uses for the family is the matrix layer's
+    # h2_group: Abelian, and it holds the symmetry image of F_a
+    G = cli._named_group(21, "h2")
     H = h2_group(21)
     assert set(G.elements) == set(H.elements)
+    assert symmetry_image(fa_matrix(21)) in G
     els = list(G.elements)
     assert all(a * b == b * a for a in els[:6] for b in els[:6])
-
-
-def test_typea_orbit_group_rejects_other_dimensions():
-    with pytest.raises(ValueError):
-        typea_orbit_group(5)
 
 
 # ---------------------------------------------------------------------------

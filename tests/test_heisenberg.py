@@ -1,12 +1,12 @@
 import random
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from siclift import heisenberg as hb
 from siclift.bignum import CMatrix, CVector, guarded
-from siclift.lattice import express_in_basis
+from siclift.fidsearch import Fiducial, displace
+from siclift.lattice import integer_relation
 from siclift.modring import ModMatrix, dprime, esl2_elements, zauner_matrix
 
 PREC = 60
@@ -38,9 +38,44 @@ def sample_units(dp, count, seed, det):
     return rng.sample(pool, count)
 
 
-# Brute-force oracles: the Clifford action by explicit matrices, and
-# overlaps of a general operator. The package itself works on overlap
-# tables only.
+# Brute-force oracles: displacements and the Clifford action by explicit
+# matrices, overlaps of a general operator, and the transport of an overlap
+# table. The package itself applies displacements as index formulas and
+# works on overlap tables only.
+
+
+def disp_matrix(p, d, prec):
+    """D_p as a dense matrix, p taken mod d'."""
+    dp = dprime(d)
+    p1, p2 = p[0] % dp, p[1] % dp
+    taus = hb.tau_powers(d, prec)
+    rows = [[mp.mpc(0)] * d for _ in range(d)]
+    for s in range(d):
+        rows[(s + p1) % d][s] = taus[(p1 * p2 + 2 * p2 * s) % (2 * d)]
+    return CMatrix(rows, prec)
+
+
+def displaced(v, p):
+    """D_p v through displace, which normalizes its result."""
+    return displace(Fiducial(len(v), v, v.prec), p).vector
+
+
+def transported(T, F):
+    """Overlaps of V Pi V^{-1} for V the (anti)unitary attached to F:
+    chi'_q = chi_{F^{-1} q} for det +1, conj(chi_{F^{-1} q}) for det -1."""
+    anti = F.det() == F.m - 1
+    Finv = F.inv()
+    with mp.workdps(guarded(T.precision)):
+        return {q: mp.conj(T.values[Finv.apply(q)]) if anti
+                else T.values[Finv.apply(q)] for q in T.values}
+
+
+def reconstruct(T):
+    """A = (1/d) sum_{p in (Z/d)^2} chi_{-p} D_p through operator_rows."""
+    with mp.workdps(guarded(T.precision)):
+        rows = hb.operator_rows(T.values, T.d, hb.tau_powers(T.d, T.precision),
+                                1 / mp.mpf(T.d))
+    return CMatrix(rows, T.precision)
 
 
 class Antiunitary:
@@ -51,7 +86,7 @@ class Antiunitary:
         if F.det() != (-1) % F.m:
             raise ValueError("antisymplectic matrix must have det -1 mod d'")
         self.matrix = hb.symplectic_unitary(F * ModMatrix(1, 0, 0, -1, F.m),
-                                            d, prec).matrix
+                                            d, prec)
 
     def apply(self, v):
         return self.matrix.matvec(v.conj())
@@ -61,7 +96,7 @@ def conjugate_matrix(F, A, d, prec):
     """V A V^{-1} for V the unitary of F (det 1) or its Antiunitary
     (det -1)."""
     if F.det() == 1 % F.m:
-        U = hb.symplectic_unitary(F, d, prec).matrix
+        U = hb.symplectic_unitary(F, d, prec)
     else:
         U = Antiunitary(F, d, prec).matrix
         with mp.workdps(guarded(A.prec)):
@@ -86,62 +121,80 @@ def overlaps_of_matrix(A, d, prec):
 
 
 class TestDisplacement:
+    # displace applies D_p as a phased cyclic shift; the dense D_p of the
+    # oracle gives the same fiducial to the last bit
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_shift_is_the_matrix_product_bit_for_bit(self, d):
+        rng = random.Random(3 * d)
+        v = rand_unit_vector(d, 5 * d)
+        dp = dprime(d)
+        for _ in range(6):
+            p = (rng.randrange(-dp, 2 * dp), rng.randrange(-dp, 2 * dp))
+            want = Fiducial.create(d, disp_matrix(p, d, PREC).matvec(v), PREC)
+            assert displaced(v, p).entries == want.vector.entries
+
     def test_zero_is_identity(self):
         for d in (5, 6):
-            D = hb.displacement((0, 0), d, PREC).matrix
-            assert maxdiff(D, CMatrix.identity(d, PREC)) < TOL
+            v = rand_unit_vector(d, d)
+            assert maxdiff(displaced(v, (0, 0)), v) < TOL
 
     def test_d4_shift(self):
-        D = hb.displacement((1, 0), 4, PREC).matrix
         with mp.workdps(guarded(PREC)):
-            for r in range(4):
-                for s in range(4):
+            for s in range(4):
+                e = CVector([1 if r == s else 0 for r in range(4)], PREC)
+                w = displaced(e, (1, 0))
+                for r in range(4):
                     want = 1 if r == (s + 1) % 4 else 0
-                    assert abs(D.rows[r][s] - want) < TOL
+                    assert abs(w[r] - want) < TOL
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_group_law_phase(self, d):
-        # D_p D_q = tau^(p2 q1 - p1 q2) D_{p+q}, entrywise and with
-        # the exact exponent
+        # D_p D_q = tau^(p2 q1 - p1 q2) D_{p+q}, with the exact exponent
         rng = random.Random(100 + d)
         dp = dprime(d)
         taus = hb.tau_powers(d, PREC)
+        v = rand_unit_vector(d, 101 + d)
         for _ in range(8):
             p = (rng.randrange(dp), rng.randrange(dp))
             q = (rng.randrange(dp), rng.randrange(dp))
-            lhs = hb.displacement(p, d, PREC).matrix * hb.displacement(q, d, PREC).matrix
+            lhs = displaced(displaced(v, q), p)
             r = ((p[0] + q[0]) % dp, (p[1] + q[1]) % dp)
             e = (p[1] * q[0] - p[0] * q[1]) % (2 * d)
-            rhs = hb.displacement(r, d, PREC).matrix.scale(taus[e])
-            assert maxdiff(lhs, rhs) < TOL
+            assert maxdiff(lhs, displaced(v, r).scale(taus[e])) < TOL
 
     @pytest.mark.parametrize("d", [5, 6, 7])
     def test_unitarity_and_dagger_index(self, d):
+        # D_p is unitary with D_p^dagger = D_{-p}: as matrices, and as the
+        # shift, which D_{-p} undoes
         rng = random.Random(7 * d)
         dp = dprime(d)
+        v = rand_unit_vector(d, 8 * d)
         for _ in range(4):
             p = (rng.randrange(dp), rng.randrange(dp))
-            D = hb.displacement(p, d, PREC)
-            assert maxdiff(D.matrix * D.matrix.dagger(), CMatrix.identity(d, PREC)) < TOL
             neg = ((-p[0]) % dp, (-p[1]) % dp)
-            assert maxdiff(D.matrix.dagger(),
-                           hb.displacement(neg, d, PREC).matrix) < TOL
+            D = disp_matrix(p, d, PREC)
+            assert maxdiff(D * D.dagger(), CMatrix.identity(d, PREC)) < TOL
+            assert maxdiff(D.dagger(), disp_matrix(neg, d, PREC)) < TOL
+            assert maxdiff(displaced(displaced(v, p), neg), v) < TOL
 
     def test_even_d_period(self):
         # indices live mod 2d for even d: shifting p1 by d costs tau^(d p2)
         taus = hb.tau_powers(6, PREC)
-        a = hb.displacement((7, 1), 6, PREC).matrix
-        b = hb.displacement((1, 1), 6, PREC).matrix.scale(taus[6])
+        v = rand_unit_vector(6, 66)
+        a = displaced(v, (7, 1))
+        b = displaced(v, (1, 1)).scale(taus[6])
         assert maxdiff(a, b) < TOL
         # tau^6 = -1 here, so the two differ by an honest sign
-        assert maxdiff(a, hb.displacement((1, 1), 6, PREC).matrix) > mp.mpf("0.5")
+        assert maxdiff(a, displaced(v, (1, 1))) > mp.mpf("0.5")
 
     def test_odd_d_reduction(self):
-        assert hb.displacement((6, 1), 5, PREC) == hb.displacement((1, 1), 5, PREC)
+        v = rand_unit_vector(5, 55)
+        assert displaced(v, (6, 1)).entries == displaced(v, (1, 1)).entries
 
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
-            hb.displacement((0, 0), 3, PREC)
+            displaced(rand_unit_vector(3, 3), (0, 0))
 
 
 class TestSymplecticUnitary:
@@ -149,14 +202,14 @@ class TestSymplecticUnitary:
         # beta(I) = 0 forces the split path; the resulting global phase is a
         # fixed convention of this module, frozen here
         for d, phase in ((5, mp.mpc(1)), (6, mp.mpc(0, 1))):
-            U = hb.symplectic_unitary(ModMatrix(1, 0, 0, 1, dprime(d)), d, PREC).matrix
+            U = hb.symplectic_unitary(ModMatrix(1, 0, 0, 1, dprime(d)), d, PREC)
             with mp.workdps(guarded(PREC)):
                 target = CMatrix.identity(d, PREC).scale(phase)
             assert maxdiff(U, target) < TOL
 
     def test_zauner_cube(self):
         for d, phase in ((5, mp.mpc(-1)), (6, mp.mpc(0, -1))):
-            U = hb.symplectic_unitary(zauner_matrix(d), d, PREC).matrix
+            U = hb.symplectic_unitary(zauner_matrix(d), d, PREC)
             with mp.workdps(guarded(PREC)):
                 cube = U * U * U
                 target = CMatrix.identity(d, PREC).scale(phase)
@@ -169,23 +222,23 @@ class TestSymplecticUnitary:
         dp = dprime(d)
         Fs = [zauner_matrix(d)] + sample_units(dp, 4, 31 + d, det=1)
         for F in Fs:
-            U = hb.symplectic_unitary(F, d, PREC).matrix
+            U = hb.symplectic_unitary(F, d, PREC)
             assert maxdiff(U * U.dagger(), CMatrix.identity(d, PREC)) < TOL
             for _ in range(3):
                 p = (rng.randrange(dp), rng.randrange(dp))
-                lhs = U * hb.displacement(p, d, PREC).matrix * U.dagger()
-                rhs = hb.displacement(F.apply(p), d, PREC).matrix
+                lhs = U * disp_matrix(p, d, PREC) * U.dagger()
+                rhs = disp_matrix(F.apply(p), d, PREC)
                 assert maxdiff(lhs, rhs) < TOL
 
     def test_split_branch_even_d(self):
         # gcd(beta, 12) > 1 forces composition; conjugation must still be exact
         F = ModMatrix(1, 2, 1, 3, 12)
         assert F.det() == 1
-        U = hb.symplectic_unitary(F, 6, PREC).matrix
+        U = hb.symplectic_unitary(F, 6, PREC)
         assert maxdiff(U * U.dagger(), CMatrix.identity(6, PREC)) < TOL
         for p in ((1, 0), (0, 1), (5, 7)):
-            lhs = U * hb.displacement(p, 6, PREC).matrix * U.dagger()
-            assert maxdiff(lhs, hb.displacement(F.apply(p), 6, PREC).matrix) < TOL
+            lhs = U * disp_matrix(p, 6, PREC) * U.dagger()
+            assert maxdiff(lhs, disp_matrix(F.apply(p), 6, PREC)) < TOL
 
     def test_split_factors(self):
         # both factors must carry a unit upper-right entry and multiply back
@@ -207,24 +260,24 @@ class TestSymplecticUnitary:
     def test_entries_live_in_tau_field(self):
         # d=5 direct branch: each entry of U_F is a rational combination of
         # 1, tau, tau^2, tau^3 with denominator dividing 5; coefficients are
-        # recovered numerically, then re-checked at doubled precision
+        # read off an integer relation, then re-checked at doubled precision
         d, prec = 5, 80
         F = zauner_matrix(d)
-        U = hb.symplectic_unitary(F, d, prec).matrix
+        U = hb.symplectic_unitary(F, d, prec)
         hi = 2 * prec
         taus_hi = hb.tau_powers(d, hi)
-        U_hi = hb.symplectic_unitary(F, d, hi).matrix
+        U_hi = hb.symplectic_unitary(F, d, hi)
         with mp.workdps(guarded(prec)):
             basis = [mp.mpc(t) for t in hb.tau_powers(d, prec)[:4]]
         for r in range(d):
             for s in range(d):
-                got = express_in_basis(U[r, s], basis, precision=prec)
-                assert got is not None, (r, s)
-                coeffs, _res = got
-                assert all(c.denominator in (1, 5) for c in coeffs)
+                rel = integer_relation([U[r, s]] + basis, precision=prec)
+                assert rel is not None, (r, s)
+                m0, *m = rel.coefficients
+                assert 5 % m0 == 0
                 with mp.workdps(guarded(hi)):
-                    rebuilt = mp.fsum((mp.mpf(c.numerator) / c.denominator * taus_hi[j]
-                                       for j, c in enumerate(coeffs)), absolute=False)
+                    rebuilt = mp.fsum((mj * taus_hi[j] for j, mj in enumerate(m)),
+                                      absolute=False) / m0
                     assert abs(rebuilt - U_hi.rows[r][s]) < mp.mpf(10) ** -140
 
 
@@ -246,9 +299,8 @@ class TestAntiunitary:
         for F in sample_units(dp, 4, 55, det=-1):
             for _ in range(3):
                 p = (rng.randrange(dp), rng.randrange(dp))
-                got = conjugate_matrix(
-                    F, hb.displacement(p, d, PREC).matrix, d, PREC)
-                want = hb.displacement(F.apply(p), d, PREC).matrix
+                got = conjugate_matrix(F, disp_matrix(p, d, PREC), d, PREC)
+                want = disp_matrix(F.apply(p), d, PREC)
                 assert maxdiff(got, want) < TOL
 
     def test_composition_is_unitary(self):
@@ -263,7 +315,7 @@ class TestAntiunitary:
         U = hb.symplectic_unitary(G, d, PREC)
         v = rand_unit_vector(d, 9)
         w = V1.apply(V2.apply(v))
-        u = U.apply(v)
+        u = U.matvec(v)
         with mp.workdps(guarded(PREC)):
             # extract the phase from the largest component
             k = max(range(d), key=lambda i: abs(u.entries[i]))
@@ -311,8 +363,8 @@ class TestOverlaps:
         for F in Fs:
             brute = overlaps_of_matrix(conjugate_matrix(F, Pi, d, PREC), d,
                                        PREC)
-            trans = T.transported(F)
-            worst = max(abs(brute.values[q] - trans.values[q]) for q in brute.values)
+            trans = transported(T, F)
+            worst = max(abs(brute.values[q] - trans[q]) for q in brute.values)
             assert worst < TOL
 
     @pytest.mark.parametrize("d", [5, 6])
@@ -321,7 +373,7 @@ class TestOverlaps:
         T = hb.overlaps(v, d, PREC)
         Pi = rand_proj(v)
         for s in ((1, 0), (0, 1), (2, 3)):
-            Ds = hb.displacement(s, d, PREC).matrix
+            Ds = disp_matrix(s, d, PREC)
             brute = overlaps_of_matrix(Ds * Pi * Ds.dagger(), d, PREC)
             disp = T.displaced(s)
             worst = max(abs(brute.values[q] - disp.values[q]) for q in brute.values)
@@ -344,7 +396,7 @@ class TestReconstruct:
         with mp.workdps(guarded(PREC)):
             assert abs(T.values[(0, 0)] - d) < TOL
             assert abs(T.values[(1, 2)]) < TOL
-        A = hb.reconstruct_operator(T)
+        A = reconstruct(T)
         assert maxdiff(A, CMatrix.identity(d, PREC)) < TOL
 
     @pytest.mark.parametrize("d", [5, 6])
@@ -354,14 +406,14 @@ class TestReconstruct:
             rows = [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                      for _ in range(d)] for _ in range(d)]
         A = CMatrix(rows, PREC)
-        back = hb.reconstruct_operator(overlaps_of_matrix(A, d, PREC))
+        back = reconstruct(overlaps_of_matrix(A, d, PREC))
         assert maxdiff(back, A) < TOL
 
     def test_projector_round_trip(self):
         d = 5
         v = rand_unit_vector(d, 8)
         Pi = rand_proj(v)
-        back = hb.reconstruct_operator(hb.overlaps(v, d, PREC))
+        back = reconstruct(hb.overlaps(v, d, PREC))
         assert maxdiff(back, Pi) < TOL
         # and the overlap table itself is a fixed point of the round trip
         T = hb.overlaps(v, d, PREC)
@@ -371,13 +423,8 @@ class TestReconstruct:
 
 
 class TestMemoization:
-    def test_displacement_cache_hit(self):
-        a = hb.displacement((2, 3), 7, PREC).matrix
-        b = hb.displacement((2, 3), 7, PREC).matrix
-        assert a is b
-
     def test_clifford_cache_hit(self):
         F = zauner_matrix(7)
-        a = hb.symplectic_unitary(F, 7, PREC).matrix
-        b = hb.symplectic_unitary(F, 7, PREC).matrix
+        a = hb.symplectic_unitary(F, 7, PREC)
+        b = hb.symplectic_unitary(F, 7, PREC)
         assert a is b

@@ -27,7 +27,8 @@ def test_zauner_properties(d):
     F = mr.zauner_matrix(d)
     assert F.det() == 1
     assert F.trace() % d == d - 1
-    assert F.order() == (3 if d % 2 else 6)
+    assert min(k for k in range(1, 7) if (F ** k).is_identity()) \
+        == (3 if d % 2 else 6)
     assert (F ** 3).is_identity() or d % 2 == 0
 
 
@@ -94,15 +95,24 @@ def test_chi_homomorphism_random(d):
 
 
 def test_h2_group_d21():
-    H2 = mr.h2_matrix(21)
-    assert H2.entries == (14, 15, 9, 20)
+    # H_2 = ((2n+1)/3) F_a + ((4n-1)/3) I with n = 7 satisfies I + 3 H_2 = F_a
     Fa = mr.fa_matrix(21)
-    assert ModMatrix.identity(21) + H2.scale(3) == Fa
-    # both spans define the same set
-    assert mr.span_group(H2) == mr.span_group(Fa)
+    one = ModMatrix.identity(21)
+    H2 = Fa.scale(5) + one.scale(9)
+    assert H2.entries == (14, 15, 9, 20)
+    assert one + H2.scale(3) == Fa
+    # both spans define the same set, the orbit group of the family
     G = mr.h2_group(21)
+    assert mr.span_group(H2) == G == mr.span_group(Fa)
     assert G.is_abelian()
-    assert G.is_closed()
+    # a group: the identity, inverses and products stay inside
+    assert one in G
+    assert all(x.inv() in G and all(x * y in G for y in G) for x in G)
+
+
+def test_h2_group_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        mr.h2_group(5)
 
 
 def test_maximal_abelian_subgroups_d21():

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siclift import exactify, lattice, numfield
-from siclift.bignum import guarded
-from siclift.errors import FieldError
+from siclift.bignum import format_decimal, guarded
+from siclift.errors import FieldError, RelationError
 from siclift.fidsearch import refine, seed_search
 from siclift.numfield import (AlgebraicNumber, FieldLevel, FieldTower, adjoin,
                               automorphism, automorphisms,
                               cyclotomic_polynomial,
                               factor_over_tower,
-                              lift_element, recognize, squarefree_part,
-                              _rational_minpoly)
+                              lift_element, recognize, relation_element,
+                              squarefree_part, _rational_minpoly)
 
 PREC = 80
 
@@ -338,6 +338,25 @@ class TestRecognize:
             v = mp.sqrt(2)  # not in Q(sqrt3)
         assert recognize(K3, v) is None
 
+    def test_relation_element(self, K3):
+        # m_0 x = m_1 + m_2 a: numerators m[1:] over m[0], with the sign
+        # moved onto the numerators and the common factor divided out
+        x = relation_element(K3, (-4, -2, 6))
+        assert x.vec == ((1, -3), 2)
+        assert x == K3.element([Fraction(1, 2), Fraction(-3, 2)])
+        assert relation_element(K3, (3, 6, 0)) == 2
+        with pytest.raises(RelationError):
+            relation_element(K3, (0, 1, 1))
+        with pytest.raises(FieldError):
+            relation_element(K3, (1, 1))
+
+    def test_reads_the_relation_integer_relation_finds(self, K35):
+        x = K35.generator(1) / 3 - K35.generator(2) / 7
+        rel = lattice.integer_relation([x.embed()] + K35.basis_values(),
+                                       precision=PREC)
+        assert relation_element(K35, rel.coefficients) == x
+        assert recognize(K35, x.embed()) == x
+
 
 class TestAutomorphisms:
     def test_quadratic(self, K3):
@@ -449,8 +468,12 @@ class TestSerialization:
     def test_tampered_embedding_rejected(self, K3):
         import json
         doc = json.loads(K3.to_json())
-        doc["levels"][0]["embedding"] = "1.5 0"
+        doc["levels"][0]["embedding"] = f"{format_decimal(1.5, PREC)} 0"
         with pytest.raises(FieldError, match="violates"):
+            FieldTower.from_json(json.dumps(doc))
+        # written short, it claims more digits than it stores
+        doc["levels"][0]["embedding"] = "1.5 0"
+        with pytest.raises(FieldError, match="significant digits"):
             FieldTower.from_json(json.dumps(doc))
 
 
