@@ -1,10 +1,11 @@
-"""Guarded precision, decimal I/O, dense complex vectors and matrices, and
-the linear solve (LU factors kept for many right-hand sides), on top of
-mpmath.
+"""Guarded precision, decimal I/O and the linear solve (LU factors kept for
+many right-hand sides), on top of mpmath.
 
-Precision is tracked in decimal digits everywhere user-facing. CVector and
-CMatrix store raw mpmath numbers with one declared precision and do their
-arithmetic inside an explicit guarded working-precision context.
+Precision is tracked in decimal digits everywhere user-facing. The pipeline
+holds vectors and matrices as tuples of raw mpmath numbers; LUFactors takes
+rows and a precision and works inside an explicit guarded working-precision
+context. CVector, CMatrix and solve_linear keep only what the benchmark's
+self-check calls.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ def parse_decimal(s: str, digits: int) -> mp.mpf:
         return mp.mpf(s)
 
 
+def significant_digits(s: str) -> int:
+    """Digits of a decimal string's mantissa from its first nonzero one; 0
+    for zero and for text that is no decimal. A loader refuses a declared
+    precision above what its decimals store before parsing at it."""
+    mantissa = s.lower().partition("e")[0]
+    return len("".join(c for c in mantissa if c.isdigit()).lstrip("0"))
+
+
 class CVector:
     """Dense complex vector with uniform declared precision; entries are raw
     mpmath numbers."""
@@ -54,37 +63,10 @@ class CVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, i: int):
-        return self.entries[i]
-
-    def norm(self):
-        with mp.workdps(guarded(self.prec)):
-            return mp.sqrt(mp.fsum(abs(e) ** 2 for e in self.entries))
-
-    def dot(self, other: "CVector"):
-        """Hermitian inner product, conjugate-linear in self."""
-        with mp.workdps(guarded(self.prec)):
-            return mp.fsum((mp.conj(a) * b for a, b in zip(self.entries, other.entries)),
-                           absolute=False)
-
-    def __add__(self, other: "CVector") -> "CVector":
-        prec = min(self.prec, other.prec)
-        with mp.workdps(guarded(prec)):
-            return CVector([a + b for a, b in zip(self.entries, other.entries)], prec)
-
     def __sub__(self, other: "CVector") -> "CVector":
         prec = min(self.prec, other.prec)
         with mp.workdps(guarded(prec)):
             return CVector([a - b for a, b in zip(self.entries, other.entries)], prec)
-
-    def scale(self, c) -> "CVector":
-        with mp.workdps(guarded(self.prec)):
-            c = mp.mpc(c)
-            return CVector([c * a for a in self.entries], self.prec)
-
-    def conj(self) -> "CVector":
-        with mp.workdps(guarded(self.prec)):
-            return CVector([mp.conj(a) for a in self.entries], self.prec)
 
     def max_abs(self):
         with mp.workdps(guarded(self.prec)):
@@ -109,54 +91,11 @@ class CMatrix:
     def identity(cls, n: int, prec: int) -> "CMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], prec)
 
-    def __getitem__(self, ij: tuple[int, int]):
-        return self.rows[ij[0]][ij[1]]
-
-    def __mul__(self, other: "CMatrix") -> "CMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        prec = min(self.prec, other.prec)
-        cols = list(zip(*other.rows))
-        with mp.workdps(guarded(prec)):
-            rows = [[mp.fsum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self.rows]
-        return CMatrix(rows, prec)
-
     def matvec(self, v: CVector) -> CVector:
         prec = min(self.prec, v.prec)
         with mp.workdps(guarded(prec)):
             return CVector([mp.fsum(a * b for a, b in zip(row, v.entries))
                             for row in self.rows], prec)
-
-    def __add__(self, other: "CMatrix") -> "CMatrix":
-        prec = min(self.prec, other.prec)
-        with mp.workdps(guarded(prec)):
-            return CMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)], prec)
-
-    def __sub__(self, other: "CMatrix") -> "CMatrix":
-        prec = min(self.prec, other.prec)
-        with mp.workdps(guarded(prec)):
-            return CMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)], prec)
-
-    def scale(self, c) -> "CMatrix":
-        with mp.workdps(guarded(self.prec)):
-            c = mp.mpc(c)
-            return CMatrix([[c * a for a in row] for row in self.rows], self.prec)
-
-    def dagger(self) -> "CMatrix":
-        with mp.workdps(guarded(self.prec)):
-            return CMatrix([[mp.conj(self.rows[i][j]) for i in range(self.nrows)]
-                            for j in range(self.ncols)], self.prec)
-
-    def trace(self):
-        with mp.workdps(guarded(self.prec)):
-            return mp.fsum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def max_abs(self):
-        with mp.workdps(guarded(self.prec)):
-            return max(abs(e) for row in self.rows for e in row)
 
 
 class LinearSolution(NamedTuple):
@@ -174,16 +113,18 @@ class LUFactors:
 
     __slots__ = ("prec", "perm", "lu", "pivots")
 
-    def __init__(self, B: CMatrix, prec: int | None = None):
-        n = B.nrows
-        if B.ncols != n:
+    def __init__(self, rows: Sequence[Sequence], prec: int):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("LU factors need a square matrix")
-        self.prec = prec = B.prec if prec is None else prec
+        self.prec = prec
         with mp.workdps(guarded(prec)):
-            a = [list(row) for row in B.rows]
+            # mpc() at the guarded precision: Python ints stay exact, and
+            # no pivot's reciprocal becomes a float
+            a = [[mp.mpc(e) for e in row] for row in rows]
             perm = list(range(n))
             floor = mp.mpf(10) ** (-(guarded(prec) - 5)) \
-                * max(B.max_abs(), mp.mpf(1))
+                * max(max(abs(e) for row in a for e in row), mp.mpf(1))
             pivots = []
             for col in range(n):
                 piv = max(range(col, n), key=lambda r: abs(a[r][col]))
@@ -231,7 +172,7 @@ def solve_linear(B: CMatrix, v: CVector, prec: int | None = None) -> LinearSolut
         raise ValueError("solve_linear needs a square system")
     if prec is None:
         prec = min(B.prec, v.prec)
-    lu = LUFactors(B, prec)
+    lu = LUFactors(B.rows, prec)
     sol = CVector(lu.solve(v.entries), prec)
     with mp.workdps(guarded(prec)):
         res = (B.matvec(sol) - v).max_abs()

@@ -25,7 +25,7 @@ from operator import add, mul
 
 from mpmath import mp
 
-from .bignum import CMatrix, LUFactors, guarded
+from .bignum import LUFactors, guarded
 from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
@@ -286,10 +286,6 @@ def _extension_field(e0: FieldTower, polys: list[OrbitPolynomial],
         "build the overlap field in one step")
 
 
-def _tau_order(d: int) -> int:
-    return 2 * d // math.gcd(d + 1, 2 * d)
-
-
 def _is_real(z, prec) -> bool:
     return abs(z.imag) <= mp.mpf(10) ** (-(prec // 2))
 
@@ -312,8 +308,8 @@ class _Conjugates:
         self.t_conj = t_conj
         n = len(t_conj)
         with mp.workdps(guarded(prec)):
-            self.lu = LUFactors(CMatrix(
-                [[t ** k for k in range(n)] for t in t_conj], prec), prec)
+            self.lu = LUFactors([[t ** k for k in range(n)] for t in t_conj],
+                                prec)
         self.t, self.at_root = None, {0: 0}
         if len(e1.levels) > len(e0.levels):
             self.t = e1.generator(len(e1.levels))
@@ -390,7 +386,7 @@ def _actions(cay, m: int, H: frozenset, H0: frozenset, base) -> list[tuple]:
 def _extend_with_tau(conj: _Conjugates, d: int, guess):
     """Make the phase tau = -exp(i pi / d) available: find its minimal
     polynomial over the overlap field e1 among the factors of the
-    cyclotomic polynomial Phi_m, m its order.
+    cyclotomic polynomial Phi_m, m its order d'.
 
     tau's conjugates over e1 are tau^h for h in a subgroup H of (Z/m)^x,
     and coset N acts on tau as tau -> tau^chi(N), chi a homomorphism into
@@ -412,7 +408,7 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
     tried; a hit replaces the factor and is tested in turn. Returns
     (tower, tau, level_added)."""
     e1, prec, n = conj.e1, conj.prec, len(conj.cay)
-    m = _tau_order(d)
+    m = dprime(d)
     taus = hb.tau_powers(d, prec)
     scale = pow(guess[conj.identity], -1, m)
     act = tuple(g * scale % m for g in guess)
@@ -442,11 +438,9 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
 
     H0, chi0, fac = first_hit([(H, act) for H in groups[:-1]]) \
         or (groups[-1], act, phi)
-    with mp.workdps(guarded(prec)):
-        target = -mp.expjpi(mp.mpf(1) / d)
     while len(fac) > 1:
         roots = _poly_roots([c.embed() for c in fac], prec)
-        tower = _new_level(e1, fac, roots, target, "tau")
+        tower = _new_level(e1, fac, roots, taus[1], "tau")
         if is_field(tower):
             return tower, tower.generator(len(tower.levels)), True
         hit = first_hit([(H, chi) for H in groups if H < H0
@@ -1321,7 +1315,7 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
         neg = cert._norm((-cert.generator_rep[0], -cert.generator_rep[1]))
         images.append(lift_element(tower, cert.overlap_at(neg)))
     if cert.tau_level_added:
-        images.append(cert.tau ** (_tau_order(cert.d) - 1))
+        images.append(cert.tau ** (dprime(cert.d) - 1))
     with mp.workdps(guarded(prec)):
         tol = mp.mpf(10) ** (-(prec // 2))
         for k, img in enumerate(images):
@@ -1410,12 +1404,11 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
     one = tower.one()
 
     def tau_residue(taupow):
-        phi = reduce(add, map(mul, cyclotomic_polynomial(_tau_order(d)),
-                              taupow))
+        phi = reduce(add, map(mul, cyclotomic_polynomial(dprime(d)), taupow))
         if not phi.is_zero():
             return "tau is not a primitive root of the expected order", phi
         with mp.workdps(guarded(prec)):
-            off = abs(cert.tau.embed() + mp.expjpi(mp.mpf(1) / d))
+            off = abs(cert.tau.embed() - hb.tau_powers(d, prec)[1])
             near = off < mp.mpf(10) ** (-(prec // 2))
         # a root of the right order at another embedding: the residue 1
         # stands for the failed comparison
@@ -1567,6 +1560,10 @@ def verify_certified(cert: ExactFiducialCertificate,
 
     chi = {q: ball(val) for q, val in cert.all_overlaps().items()}
     taub = ball(cert.tau)
+    # tau is computed here at w + 16 bits, not read from tau_powers: the
+    # table at `digits` can hold fewer than w bits (144 digits, 478 bits,
+    # against w = 482 at the default 120), and the ball's radius of 2 units
+    # assumes a centre good to w + 16 bits
     with mp.workprec(w + 16):
         phase = _Ball.near(-mp.expjpi(mp.mpf(1) / d), 2, w)
     residues = [(message, b) for _name, message, b in _residues(

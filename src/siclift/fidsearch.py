@@ -1,7 +1,8 @@
 """Numerical SIC fiducial search and high-precision refinement.
 
-A fiducial is a unit vector whose Weyl-Heisenberg orbit forms an equiangular
-set: (d+1)|chi_p|^2 = 1 for every p not = 0 mod d. The search runs at double
+A fiducial is a unit vector, held as a tuple of mpmath complex entries,
+whose Weyl-Heisenberg orbit forms an equiangular set: (d+1)|chi_p|^2 = 1 for
+every p not = 0 mod d. The search runs at double
 precision (numpy/scipy) inside an eigenspace of the canonical order-3 unitary;
 refinement is a ladder of Gauss-Newton sweeps whose working precision roughly
 doubles per sweep. A sweep runs on Python ints on the fixed-point grid 2^-w
@@ -27,7 +28,8 @@ from typing import TYPE_CHECKING
 import mpmath as mp
 
 from . import heisenberg as hb
-from .bignum import CVector, format_decimal, guarded, parse_decimal
+from .bignum import (format_decimal, guarded, parse_decimal,
+                     significant_digits)
 from .errors import (PrecisionError, RefinementError, SearchError,
                      SingularMatrixError)
 from .modring import (ModMatrix, dprime, esl2_elements, fa_matrix, span_group,
@@ -50,7 +52,7 @@ STABILIZER_TOL = 1e-10
 @dataclass(frozen=True)
 class Fiducial:
     d: int
-    vector: CVector
+    vector: tuple  # of mpc, normalized at guarded(precision)
     precision: int
     symmetry: str | None = None  # "fz" | "fa" | None
     seed: int | None = None
@@ -61,13 +63,18 @@ class Fiducial:
 
     @classmethod
     def create(cls, d, vector, precision, symmetry=None, seed=None):
-        """Normalize and record the SIC error and the overlap table; the only
-        intended constructor."""
+        """Convert the entries (any numbers mpc() takes) and normalize them
+        at guarded precision, then record the SIC error and the overlap
+        table; the only intended constructor."""
         with mp.workdps(guarded(precision)):
-            norm = vector.norm()
-            if not norm:
-                raise ValueError("a zero vector is no fiducial")
-            v = vector.scale(1 / norm)
+            # mpc() rounds to the ambient context, so the conversion must
+            # run inside the guarded one
+            v = tuple(mp.mpc(e) for e in vector)
+            norm = mp.sqrt(mp.fsum(abs(e) ** 2 for e in v))
+            if not norm or not mp.isfinite(norm):
+                raise ValueError("a zero or non-finite vector is no fiducial")
+            c = mp.mpc(1 / norm)
+            v = tuple(c * e for e in v)
         table = hb.overlaps(v, d, precision)
         return cls(d, v, precision, symmetry, seed, table.sic_error(), table)
 
@@ -83,7 +90,7 @@ class Fiducial:
         seed = "none" if self.seed is None else str(self.seed)
         lines = [f"SIC-FIDUCIAL v1 d={self.d} prec={self.precision} "
                  f"symmetry={tag} seed={seed}"]
-        for z in self.vector.entries:
+        for z in self.vector:
             lines.append(f"{format_decimal(z.real, self.precision)} "
                          f"{format_decimal(z.imag, self.precision)}")
         with open(path, "w") as fh:
@@ -99,19 +106,25 @@ class Fiducial:
             if "d" not in fields or "prec" not in fields:
                 raise ValueError("fiducial header needs d= and prec=")
             d, prec = int(fields["d"]), int(fields["prec"])
+            if d < 1 or prec < 1:
+                raise ValueError("fiducial d= and prec= must be positive")
             tag = fields.get("symmetry", "none")
             seed = fields.get("seed", "none")
-            entries = []
-            with mp.workdps(guarded(prec)):
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    re_s, im_s = line.split()
-                    entries.append(mp.mpc(parse_decimal(re_s, prec),
-                                          parse_decimal(im_s, prec)))
-        if len(entries) != d:
-            raise ValueError(f"expected {d} entries, got {len(entries)}")
-        return cls.create(d, CVector(entries, prec), prec,
+            parts = [line.split() for line in fh if line.strip()]
+        if len(parts) != d:
+            raise ValueError(f"expected {d} entries, got {len(parts)}")
+        # an honest save stores `prec` significant digits of every nonzero
+        # part, so a larger claim is refused before any parsing at it; an
+        # all-zero vector is left to create(), which refuses it
+        stored = max((n for part in parts for n in map(significant_digits,
+                                                        part)), default=0)
+        if stored and prec > stored:
+            raise ValueError(f"fiducial precision {prec} exceeds the {stored} "
+                             "significant digits its entries store")
+        with mp.workdps(guarded(prec)):
+            entries = [mp.mpc(parse_decimal(re_s, prec),
+                              parse_decimal(im_s, prec)) for re_s, im_s in parts]
+        return cls.create(d, entries, prec,
                           symmetry=None if tag == "none" else tag,
                           seed=None if seed == "none" else int(seed))
 
@@ -124,7 +137,7 @@ def _np_unitary(F: ModMatrix, d: int) -> np.ndarray:
     import numpy as np
     U = hb.symplectic_unitary(F, d, 20)
     with mp.workdps(30):
-        return np.array([[complex(e) for e in row] for row in U.rows])
+        return np.array([[complex(e) for e in row] for row in U])
 
 
 def _eigen_sectors(U: np.ndarray) -> list[tuple[complex, np.ndarray]]:
@@ -216,8 +229,8 @@ def seed_search(d: int, symmetry: str | None = "fz", attempts: int = 24,
         phase = np.conj(best_psi[kbig]) / np.abs(best_psi[kbig])
         entries = [mp.mpc(float((z * phase).real), float((z * phase).imag))
                    for z in best_psi]
-        vec = CVector(entries, SEED_DIGITS)
-    return Fiducial.create(d, vec, SEED_DIGITS, symmetry=symmetry, seed=seed)
+    return Fiducial.create(d, entries, SEED_DIGITS, symmetry=symmetry,
+                           seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +392,7 @@ def refine(fid: Fiducial, target_digits: int) -> Fiducial:
     d = fid.d
     w = _grid_bits(fid.precision)
     with mp.workdps(guarded(fid.precision)):
-        cur = list(fid.vector.entries)
+        cur = list(fid.vector)
         gauge = max(range(d), key=lambda i: abs(cur[i]))
         ph = mp.conj(cur[gauge]) / abs(cur[gauge])
         cur = _on_grid([z * ph for z in cur], w)
@@ -418,7 +431,7 @@ def refine(fid: Fiducial, target_digits: int) -> Fiducial:
         with mp.workprec(max(abs(x).bit_length() for z in cur for x in z)):
             psi = [mp.mpc(mp.ldexp(a, -w), mp.ldexp(b, -w)) for a, b in cur]
         nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in psi))
-        vec = CVector([x / nrm for x in psi], target_digits)
+        vec = [x / nrm for x in psi]
     out = Fiducial.create(d, vec, target_digits, symmetry=fid.symmetry,
                           seed=fid.seed)
     if out.error >= goal:
@@ -484,12 +497,12 @@ def displace(fid: Fiducial, p: tuple[int, int]) -> Fiducial:
     d, prec = fid.d, fid.precision
     dp, n = dprime(d), 2 * d
     p1, p2 = p[0] % dp, p[1] % dp
-    taus, psi = hb.tau_powers(d, prec), fid.vector.entries
+    taus, psi = hb.tau_powers(d, prec), fid.vector
     out = [None] * d
     with mp.workdps(guarded(prec)):
         for s in range(d):
             out[(s + p1) % d] = taus[(p1 * p2 + 2 * p2 * s) % n] * psi[s]
-    return Fiducial.create(d, CVector(out, prec), prec, symmetry=fid.symmetry,
+    return Fiducial.create(d, out, prec, symmetry=fid.symmetry,
                            seed=fid.seed)
 
 

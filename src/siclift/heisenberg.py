@@ -11,8 +11,8 @@ entry, so it enters as that index formula, read off the one tau table
 tau_powers. Applied to a vector it is a phased cyclic shift
 (fidsearch.displace), conjugating a projector twists its overlap table by a
 phase (OverlapTable.displaced), and a sum over D_p with overlap coefficients
-is operator_rows. The one dense operator is the symplectic unitary U_F,
-which the double-precision seed search diagonalizes.
+is operator_rows. The one dense operator is the symplectic unitary U_F, a
+tuple of row tuples, which the double-precision seed search diagonalizes.
 
 Overlaps are chi_p = Tr(D_p Pi) = <psi|D_p|psi> for Pi = |psi><psi|; the
 adjoint index flip chi_{-p} = conj(chi_p) is what operator reconstruction
@@ -27,24 +27,19 @@ from operator import add
 
 import mpmath as mp
 
-from .bignum import CMatrix, guarded
+from .bignum import guarded
 from .modring import ModMatrix, dprime
 
-_TAU_CACHE: dict = {}
 
-
-def tau_powers(d: int, prec: int) -> list:
-    """[tau^0 .. tau^{2d-1}] at guarded precision, cached."""
-    key = (d, prec)
-    tab = _TAU_CACHE.get(key)
-    if tab is None:
-        with mp.workdps(guarded(prec)):
-            t = -mp.expjpi(mp.mpf(1) / d)
-            tab = [mp.mpc(1)]
-            for _ in range(2 * d - 1):
-                tab.append(tab[-1] * t)
-        _TAU_CACHE[key] = tab = tuple(tab)
-    return tab
+@cache
+def tau_powers(d: int, prec: int) -> tuple:
+    """(tau^0 .. tau^{2d-1}) at guarded precision, built once per pair."""
+    with mp.workdps(guarded(prec)):
+        t = -mp.expjpi(mp.mpf(1) / d)
+        tab = [mp.mpc(1)]
+        for _ in range(2 * d - 1):
+            tab.append(tab[-1] * t)
+    return tuple(tab)
 
 
 def _canonical_scale(d: int, prec: int):
@@ -60,7 +55,7 @@ def _canonical_scale(d: int, prec: int):
         return ph / mp.sqrt(d)
 
 
-def _uf_direct(F: ModMatrix, d: int, prec: int) -> CMatrix:
+def _uf_direct(F: ModMatrix, d: int, prec: int) -> tuple:
     """Direct formula, valid iff gcd(beta, d') = 1."""
     dp = dprime(d)
     a, b, c, dd = F.entries
@@ -69,9 +64,9 @@ def _uf_direct(F: ModMatrix, d: int, prec: int) -> CMatrix:
     scale = _canonical_scale(d, prec)
     n = 2 * d
     with mp.workdps(guarded(prec)):
-        rows = [[scale * taus[(binv * (dd * r * r - 2 * r * s + a * s * s)) % n]
-                 for s in range(d)] for r in range(d)]
-    return CMatrix(rows, prec)
+        return tuple(tuple(scale * taus[(binv * (dd * r * r - 2 * r * s
+                                                 + a * s * s)) % n]
+                           for s in range(d)) for r in range(d))
 
 
 def split_symplectic(F: ModMatrix) -> tuple[ModMatrix, ModMatrix]:
@@ -97,10 +92,12 @@ def split_symplectic(F: ModMatrix) -> tuple[ModMatrix, ModMatrix]:
 
 
 @cache
-def symplectic_unitary(F: ModMatrix, d: int, precision: int) -> CMatrix:
-    """The unitary U_F of a symplectic F, built once per argument triple.
-    F must arrive mod d': a mod-d matrix for even d has no canonical mod-2d
-    lift, so that is the caller's mistake, not something to guess."""
+def symplectic_unitary(F: ModMatrix, d: int, precision: int) -> tuple:
+    """The unitary U_F of a symplectic F as a tuple of row tuples, built once
+    per argument triple. F must arrive mod d': a mod-d matrix for even d has
+    no canonical mod-2d lift, so that is the caller's mistake, not something
+    to guess. When gcd(beta, d') > 1, U_F is the product of the two factors'
+    direct unitaries, each entry one fsum at guarded precision."""
     dp = dprime(d)
     if F.m != dp:
         raise ValueError(f"matrix modulus {F.m} != d' = {dp}")
@@ -109,7 +106,11 @@ def symplectic_unitary(F: ModMatrix, d: int, precision: int) -> CMatrix:
     if math.gcd(F.b, dp) == 1:
         return _uf_direct(F, d, precision)
     A, B = split_symplectic(F)
-    return _uf_direct(A, d, precision) * _uf_direct(B, d, precision)
+    cols = list(zip(*_uf_direct(B, d, precision)))
+    with mp.workdps(guarded(precision)):
+        return tuple(tuple(mp.fsum(a * b for a, b in zip(row, col))
+                           for col in cols)
+                     for row in _uf_direct(A, d, precision))
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +179,18 @@ def _overlap_sums(psi: list, d: int, taus, m: int) -> dict:
 
 
 def overlaps(fid, d: int | None = None, precision: int | None = None) -> OverlapTable:
-    """chi_p = Tr(D_p Pi) for all p mod d'. Accepts a Fiducial or a CVector."""
+    """chi_p = Tr(D_p Pi) for all p mod d'. Accepts a Fiducial, or a
+    sequence of entries with an explicit precision (d defaults to its
+    length)."""
     if hasattr(fid, "vector"):
         v, d, precision = fid.vector, fid.d, fid.precision
     else:
         v = fid
-        if d is None:
-            d = len(v)
         if precision is None:
-            precision = v.prec
+            raise ValueError("overlaps of raw entries need a precision")
+        d = len(v) if d is None else d
     with mp.workdps(guarded(precision)):
-        values = _overlap_sums(v.entries, d, tau_powers(d, precision),
-                               dprime(d))
+        values = _overlap_sums(v, d, tau_powers(d, precision), dprime(d))
     return OverlapTable(d, precision, values, normalized=True)
 
 

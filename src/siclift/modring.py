@@ -306,8 +306,7 @@ def maximal_abelian_subgroups(d: int) -> tuple[MatGroup, MatGroup, MatGroup]:
 
     Each contains F_a and the whole of h2_group(d).
     """
-    n = d // 3
-    C = centralizer(fa_bar_matrix(d), nprime(n))
+    C = centralizer(fa_bar_matrix(d))
     out = []
     for j in (4, 6, 8):
         Hbar = hbar_groups()[j]
@@ -315,17 +314,14 @@ def maximal_abelian_subgroups(d: int) -> tuple[MatGroup, MatGroup, MatGroup]:
     return tuple(out)
 
 
-def centralizer(F: ModMatrix, m: int | None = None) -> MatGroup:
-    """All invertible G with GF = FG mod m, by exhaustive sweep.
+def centralizer(F: ModMatrix) -> MatGroup:
+    """All invertible G with GF = FG mod F's modulus m, by exhaustive sweep.
 
     The sweep is vectorized over (c, d) per (a, b) pair; m <= 100 keeps the
     O(m^4) cost around a second. The rI + sF span is a subset always; for F
     conjugate to a Zauner matrix it is the whole centralizer.
     """
-    if m is None:
-        m = F.m
-    elif m != F.m:
-        F = ModMatrix(F.a, F.b, F.c, F.d, m)
+    m = F.m
     if m > MAX_BRUTE_MODULUS:
         raise ValueError(f"modulus {m} above brute-force bound {MAX_BRUTE_MODULUS}")
     import numpy as np

@@ -57,7 +57,8 @@ from operator import add, lshift, mul, sub
 
 import mpmath as mp
 
-from .bignum import format_decimal, guarded, parse_decimal
+from .bignum import format_decimal, guarded, parse_decimal, \
+    significant_digits
 from .errors import FieldError, RelationError
 from .lattice import integer_relation
 
@@ -79,13 +80,6 @@ def squarefree_part(n: int) -> int:
             out *= f
         f += 1
     return sign * out * n
-
-
-def _significant_digits(s: str) -> int:
-    """Digits of a decimal string's mantissa from its first nonzero one; 0
-    for zero and for text that is no decimal."""
-    mantissa = s.lower().partition("e")[0]
-    return len("".join(c for c in mantissa if c.isdigit()).lstrip("0"))
 
 
 def _as_fraction(x) -> Fraction:
@@ -501,7 +495,7 @@ class FieldTower:
         # nonzero embedding part, so a larger claim is refused before any
         # parsing at that precision
         stored = [n for lv in doc["levels"] if isinstance(lv["embedding"], str)
-                  for n in map(_significant_digits, lv["embedding"].split())
+                  for n in map(significant_digits, lv["embedding"].split())
                   if n]
         if doc["levels"] and (not stored or prec > min(stored)):
             raise FieldError(f"tower precision {prec} exceeds the "

@@ -37,22 +37,15 @@ class TestSerialization:
 class TestVectorsMatrices:
     def test_vector_ops(self):
         v = bn.CVector([1, 1j, -2], 50)
-        assert close(v.norm(), mp.sqrt(6), 45)
-        w = bn.CVector([1, 0, 0], 50)
-        assert close(v.dot(w), 1, 45)          # conjugate-linear in first slot
-        assert close(v.dot(v), 6, 45)
+        assert len(v) == 3
         assert close((v - v).max_abs(), 0, 45)
-        assert close(v.scale(2j)[1], -2, 45)
+        assert close(v.max_abs(), 2, 45)
 
     def test_matrix_ops(self):
         A = bn.CMatrix([[1, 1j], [0, 2]], 60)
-        I2 = bn.CMatrix.identity(2, 60)
-        assert close((A * I2 - A).max_abs(), 0, 55)
-        assert close(A.dagger()[0, 1], 0, 55)
-        assert close(A.dagger()[1, 0], -1j, 55)
-        assert close(A.trace(), 3, 55)
         v = bn.CVector([1, 1], 60)
-        assert close(A.matvec(v)[0], 1 + 1j, 55)
+        assert close(A.matvec(v).entries[0], 1 + 1j, 55)
+        assert bn.CMatrix.identity(2, 60).matvec(v).entries == v.entries
 
     def test_solve_identity(self):
         I3 = bn.CMatrix.identity(3, 80)
@@ -65,7 +58,8 @@ class TestVectorsMatrices:
         # [[1,2],[3,4]] x = (1,1) has x = (-1, 1)
         B = bn.CMatrix([[1, 2], [3, 4]], 60)
         sol = bn.solve_linear(B, bn.CVector([1, 1], 60))
-        assert close(sol.x[0], -1, 55) and close(sol.x[1], 1, 55)
+        assert close(sol.x.entries[0], -1, 55) \
+            and close(sol.x.entries[1], 1, 55)
 
     def test_solve_random_8x8_300_digits(self):
         rng = random.Random(3)
@@ -88,15 +82,22 @@ class TestVectorsMatrices:
                      for _ in range(6)] for _ in range(6)]
             vs = [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                    for _ in range(6)] for _ in range(4)]
-        B = bn.CMatrix(rows, 100)
-        lu = bn.LUFactors(B)
+        lu = bn.LUFactors(rows, 100)
         assert lu.perm != list(range(6))
         for v in vs:
-            x = bn.CVector(lu.solve(v), 100)
-            assert (B.matvec(x) - bn.CVector(v, 100)).max_abs() \
-                < mp.mpf(10) ** -90
+            x = lu.solve(v)
+            with mp.workdps(130):
+                assert max(abs(mp.fsum(a * b for a, b in zip(row, x)) - y)
+                           for row, y in zip(rows, v)) < mp.mpf(10) ** -90
         with pytest.raises(SingularMatrixError):
-            bn.LUFactors(bn.CMatrix([[1, 2], [2, 4]], 50))
+            bn.LUFactors([[1, 2], [2, 4]], 50)
+
+    def test_lu_factors_of_integer_rows(self):
+        # Python ints become mpc at the guarded precision, so no multiplier
+        # 1 / pivot is a float: [[3, 1], [1, 2]] x = (1, 0) has x = (2/5, -1/5)
+        x = bn.LUFactors([[3, 1], [1, 2]], 60).solve([1, 0])
+        assert close(x[0], mp.mpf(2) / 5, 55)
+        assert close(x[1], mp.mpf(-1) / 5, 55)
 
     def test_solve_singular(self):
         B = bn.CMatrix([[1, 2], [2, 4]], 50)

@@ -531,6 +531,11 @@ _BAD_FIDUCIALS = {
                            + "0.5 0.0\n" * 4,
     "zero_vector": "SIC-FIDUCIAL v1 d=4 prec=30 symmetry=fz seed=none\n"
                    + "0.0 0.0\n" * 4,
+    "nan_entry": "SIC-FIDUCIAL v1 d=4 prec=1 symmetry=fz seed=none\n"
+                 + "nan 0.0\n" + "0.5 0.0\n" * 3,
+    # a precision no entry stores, refused before parsing at 10^40 digits
+    "huge_prec": f"SIC-FIDUCIAL v1 d=4 prec={10 ** 40} symmetry=fz "
+                 "seed=none\n" + "0.5 0.0\n" * 4,
 }
 
 
@@ -541,7 +546,9 @@ def test_malformed_fiducial_is_an_error(workdir, capsys, how, command):
     # exit 1 means "verification failed"; a file that cannot be read is 2
     bad = workdir / f"malformed_{how}.fid"
     bad.write_text(_BAD_FIDUCIALS[how])
-    assert main([command, "--fiducial", str(bad)]) == 2
+    # refine refuses a missing --digits before it loads the file
+    digits = ["--digits", "40"] if command == "refine" else []
+    assert main([command, "--fiducial", str(bad)] + digits) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"siclift {command}: error:")
     assert err.count("\n") == 1

@@ -28,14 +28,15 @@ from siclift.bignum import guarded
 from siclift.errors import LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
                               _extend_with_tau, _group_automorphisms,
-                              _tau_order, _transported,
+                              _transported,
                               build_orbit_polynomials,
                               method1_exactify, method2_exactify,
                               orbit_coefficient_values, symmetry_structure,
                               verify_certified, verify_exact)
 from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
-from siclift.modring import fa_matrix, gl2_group, h2_group, symmetry_image
+from siclift.modring import (dprime, fa_matrix, gl2_group, h2_group,
+                             symmetry_image)
 from siclift.numfield import FieldTower, _rational_minpoly, \
     _subset_product_coeffs, adjoin, cyclotomic_polynomial, \
     factor_over_tower, recognize
@@ -75,13 +76,13 @@ def cert4(fid4):
 
 
 def test_tau_order_values():
-    # order of -exp(i pi / d): odd d gives d, even d gives 2d
-    assert _tau_order(4) == 8
-    assert _tau_order(5) == 5
-    assert _tau_order(6) == 12
-    assert _tau_order(7) == 7
-    assert _tau_order(8) == 16
-    assert _tau_order(9) == 9
+    # the order of -exp(i pi / d) is d': odd d gives d, even d gives 2d
+    assert dprime(4) == 8
+    assert dprime(5) == 5
+    assert dprime(6) == 12
+    assert dprime(7) == 7
+    assert dprime(8) == 16
+    assert dprime(9) == 9
 
 
 def test_distinct_values_clusters():
@@ -467,8 +468,6 @@ def test_precision_guards_d5(fid5):
 
 def test_certificate_d4(cert4):
     assert cert4.d == 4
-    from siclift.modring import dprime
-    assert dprime(4) == 8
     assert len(cert4.all_overlaps()) == 64
     conj = cert4.conjectures
     assert conj["discriminant_squarefree"] == 5

@@ -4,10 +4,12 @@ import random
 import mpmath as mp
 import pytest
 
+from dense_oracle import (adjoint, apply, conj, identity, maxdiff, outer,
+                          product)
 from siclift import bignum
 from siclift import fidsearch as fs
 from siclift import heisenberg as hb
-from siclift.bignum import CMatrix, CVector, guarded
+from siclift.bignum import guarded
 from siclift.errors import (PrecisionError, RefinementError, SearchError,
                             SingularMatrixError)
 from siclift.modring import ModMatrix, dprime, esl2_elements, zauner_matrix
@@ -21,9 +23,8 @@ def conjugate_matrix(F, A, d, prec):
         U = hb.symplectic_unitary(F, d, prec)
     else:
         U = hb.symplectic_unitary(F * ModMatrix(1, 0, 0, -1, F.m), d, prec)
-        with mp.workdps(guarded(A.prec)):
-            A = CMatrix([[mp.conj(e) for e in row] for row in A.rows], A.prec)
-    return U * A * U.dagger()
+        A = tuple(conj(row, prec) for row in A)
+    return product(prec, U, A, adjoint(U, prec))
 
 
 def disp_matrix(p, d, prec):
@@ -32,7 +33,7 @@ def disp_matrix(p, d, prec):
     rows = [[mp.mpc(0)] * d for _ in range(d)]
     for s in range(d):
         rows[(s + p[0]) % d][s] = taus[(p[0] * p[1] + 2 * p[1] * s) % (2 * d)]
-    return CMatrix(rows, prec)
+    return tuple(map(tuple, rows))
 
 
 def transported(T, F):
@@ -75,12 +76,13 @@ class TestSeedSearch:
     def test_unit_norm(self):
         fid = fs.seed_search(5, symmetry="fz", attempts=8, seed=4)
         with mp.workdps(40):
-            assert abs(fid.vector.norm() - 1) < mp.mpf("1e-13")
+            norm = mp.sqrt(mp.fsum(abs(z) ** 2 for z in fid.vector))
+            assert abs(norm - 1) < mp.mpf("1e-13")
 
     def test_deterministic(self):
         a = fs.seed_search(5, symmetry="fz", attempts=8, seed=11)
         b = fs.seed_search(5, symmetry="fz", attempts=8, seed=11)
-        assert (a.vector - b.vector).max_abs() < mp.mpf("1e-13")
+        assert maxdiff(a.vector, b.vector) < mp.mpf("1e-13")
 
     def test_zero_attempts_fails(self):
         with pytest.raises(SearchError) as exc:
@@ -96,21 +98,35 @@ class TestSeedSearch:
             fs.seed_search(5, symmetry="weird")
 
 
+class TestCreate:
+    def test_plain_numbers_become_a_tuple_of_mpc(self):
+        fid = fs.Fiducial.create(4, [1, 1j, -1, 2 + 0j], 30)
+        assert type(fid.vector) is tuple
+        assert all(type(z) is mp.mpc for z in fid.vector)
+        with mp.workdps(guarded(30)):
+            assert abs(fid.vector[1] - mp.mpc(0, 1) / mp.sqrt(7)) \
+                < mp.mpf(10) ** -35
+            assert abs(mp.fsum(abs(z) ** 2 for z in fid.vector) - 1) \
+                < mp.mpf(10) ** -35
+
+
 class TestEigenspaceRestriction:
     def test_refined_fiducial_stays_in_eigenspace(self, fid5):
         # the converged point is an exact eigenvector of the order-3 unitary:
         # some eigenprojector (1/3) sum_k (U/mu)^k reproduces it to 1e-20
         d, prec = 5, 80
         U = hb.symplectic_unitary(zauner_matrix(d), d, prec)
+        v = fid5.vector
+        U2 = product(prec, U, U)
+        best = mp.mpf(1)
         with mp.workdps(guarded(prec)):
-            v = CVector([mp.mpc(z) for z in fid5.vector.entries], prec)
-            best = mp.mpf(1)
             for k in range(3):
                 mu = -mp.expjpi(mp.mpf(2 * k) / 3)  # cube roots of -1
-                P = (CMatrix.identity(d, prec) + U.scale(1 / mu)
-                     + (U * U).scale(1 / mu ** 2)).scale(mp.mpf(1) / 3)
-                best = min(best, (P.matvec(v) - v).max_abs())
-            assert best < mp.mpf("1e-20")
+                P = tuple(tuple((i + u / mu + u2 / mu ** 2) / 3
+                                for i, u, u2 in zip(*rows))
+                          for rows in zip(identity(d, prec), U, U2))
+                best = min(best, maxdiff(apply(P, v, prec), v))
+        assert best < mp.mpf("1e-20")
 
 
 class TestRefine:
@@ -119,9 +135,8 @@ class TestRefine:
         assert fid.precision == 200
         assert fid.error < mp.mpf(10) ** -190
         # certify independently at higher precision
-        with mp.workdps(guarded(250)):
-            v = CVector([mp.mpc(z) for z in fid.vector.entries], 250)
-        assert hb.overlaps(v, 4, 250).sic_error() < mp.mpf(10) ** -190
+        assert hb.overlaps(fid.vector, 4, 250).sic_error() \
+            < mp.mpf(10) ** -190
 
     def test_d5_to_500_digits(self, fid5):
         fid = fs.refine(fid5, 500)
@@ -138,8 +153,8 @@ class TestRefine:
     def test_out_of_basin_rejected(self):
         rng = random.Random(5)
         with mp.workdps(40):
-            v = CVector([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                         for _ in range(5)], 30)
+            v = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for _ in range(5)]
         junk = fs.Fiducial.create(5, v, 30)
         with pytest.raises(RefinementError) as exc:
             fs.refine(junk, 100)
@@ -157,7 +172,7 @@ class TestRefine:
             psi = fs._on_grid(
                 [mp.mpc(z) * (1 + mp.mpf(rng.uniform(-1, 1)) / 100)
                  + mp.mpc(0, mp.mpf(rng.uniform(-1, 1)) / 100)
-                 for z in fid5.vector.entries], w)
+                 for z in fid5.vector], w)
             rows, res = fs._sic_system(psi, d, gauge, w, taus)
             h = mp.mpf(10) ** -25
             step = int(mp.floor(mp.ldexp(h, w)))
@@ -203,12 +218,10 @@ class TestRefine:
         outs = []
         for eps in ("0", "1e-15", "-1e-15", "2e-15"):
             with mp.workdps(guarded(seed4.precision)):
-                v = CVector([z * (1 + mp.mpf(eps) * (t + 1))
-                             + mp.mpc(0, mp.mpf(eps))
-                             for t, z in enumerate(seed4.vector.entries)],
-                            seed4.precision)
+                v = [z * (1 + mp.mpf(eps) * (t + 1)) + mp.mpc(0, mp.mpf(eps))
+                     for t, z in enumerate(seed4.vector)]
             fid = fs.refine(fs.Fiducial.create(4, v, seed4.precision), 320)
-            outs.append([(z.real, z.imag) for z in fid.vector.entries])
+            outs.append([(z.real, z.imag) for z in fid.vector])
         assert all(out == outs[0] for out in outs[1:])
         assert sum(im == 0 for _, im in outs[0]) == 1
 
@@ -271,9 +284,7 @@ class TestStabilizer:
         S = fs.detect_stabilizer(fid4, full=True)
         assert len(S) == 48            # 3 * 4 * (2 kernel lifts * 2 antiunitary)
         assert len({pf for pf in S if pf[0] == (0, 0)}) == 12
-        with mp.workdps(guarded(prec)):
-            Pi = CMatrix([[a * mp.conj(b) for b in fid4.vector.entries]
-                          for a in fid4.vector.entries], prec)
+        Pi = outer(fid4.vector, prec)
         rng = random.Random(2)
         others = [M for M in esl2_elements(dp)]
         sample = list(S) + [((rng.randrange(d), rng.randrange(d)), M)
@@ -281,7 +292,8 @@ class TestStabilizer:
         for (p, F) in sample:
             A = conjugate_matrix(F, Pi, d, prec)
             Dp = disp_matrix(p, d, prec)
-            fixed = (Dp * A * Dp.dagger() - Pi).max_abs() < mp.mpf("1e-10")
+            fixed = maxdiff(product(prec, Dp, A, adjoint(Dp, prec)), Pi) \
+                < mp.mpf("1e-10")
             assert fixed == ((p, F) in S)
 
 
@@ -338,7 +350,7 @@ class TestFileIO:
         back = fs.Fiducial.load(str(path))
         assert back.d == 5 and back.precision == 60 and back.symmetry == "fz"
         assert back.seed == 1
-        assert (back.vector - fid5.vector).max_abs() < mp.mpf(10) ** -55
+        assert maxdiff(back.vector, fid5.vector) < mp.mpf(10) ** -55
         assert back.error < mp.mpf(10) ** -48
 
     def test_load_rejects_other_format(self, tmp_path):
@@ -346,6 +358,24 @@ class TestFileIO:
         p.write_text("SIC-OVERLAPS v1 d=5 prec=60\n")
         with pytest.raises(ValueError):
             fs.Fiducial.load(str(p))
+
+    @pytest.mark.parametrize("header", ["d=4 prec=0", "d=4 prec=-3",
+                                        "d=4 prec=60"])
+    def test_load_rejects_header_the_entries_cannot_carry(self, tmp_path,
+                                                          header):
+        # prec must be positive and at most the 40 significant digits the
+        # longest part stores; refused before any parsing at it
+        p = tmp_path / "h.sfv"
+        p.write_text(f"SIC-FIDUCIAL v1 {header} symmetry=none seed=none\n"
+                     + "0.5 0.0\n" * 3 + "0." + "1" * 40 + " 0.0\n")
+        with pytest.raises(ValueError):
+            fs.Fiducial.load(str(p))
+
+    def test_load_takes_the_longest_part_as_the_bound(self, tmp_path):
+        p = tmp_path / "ok.sfv"
+        p.write_text("SIC-FIDUCIAL v1 d=4 prec=40 symmetry=none seed=none\n"
+                     + "0.5 0.0\n" * 3 + "0." + "1" * 40 + " 0.0\n")
+        assert fs.Fiducial.load(str(p)).precision == 40
 
     def test_load_rejects_truncated(self, tmp_path):
         p = tmp_path / "y.sfv"

@@ -1,20 +1,20 @@
+import hashlib
 import random
 
 import mpmath as mp
 import pytest
 
+from dense_oracle import (adjoint, apply, conj, identity, maxdiff, outer,
+                          product)
 from siclift import heisenberg as hb
-from siclift.bignum import CMatrix, CVector, guarded
+from siclift.bignum import guarded
 from siclift.fidsearch import Fiducial, displace
 from siclift.lattice import integer_relation
-from siclift.modring import ModMatrix, dprime, esl2_elements, zauner_matrix
+from siclift.modring import (ModMatrix, dprime, esl2_elements, fa_matrix,
+                             zauner_matrix)
 
 PREC = 60
 TOL = mp.mpf(10) ** -50
-
-
-def maxdiff(A, B):
-    return (A - B).max_abs()
 
 
 def rand_unit_vector(d, seed, prec=PREC):
@@ -22,14 +22,14 @@ def rand_unit_vector(d, seed, prec=PREC):
     with mp.workdps(guarded(prec)):
         v = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
         n = mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
-        return CVector([x / n for x in v], prec)
+        return tuple(x / n for x in v)
 
 
-def rand_proj(v):
-    # rank-one |v><v|, built at guarded precision
-    with mp.workdps(guarded(v.prec)):
-        rows = [[a * mp.conj(b) for b in v.entries] for a in v.entries]
-    return CMatrix(rows, v.prec)
+def scaled(c, v):
+    with mp.workdps(guarded(PREC)):
+        return tuple(c * x for x in v)
+
+
 
 
 def sample_units(dp, count, seed, det):
@@ -52,12 +52,12 @@ def disp_matrix(p, d, prec):
     rows = [[mp.mpc(0)] * d for _ in range(d)]
     for s in range(d):
         rows[(s + p1) % d][s] = taus[(p1 * p2 + 2 * p2 * s) % (2 * d)]
-    return CMatrix(rows, prec)
+    return tuple(map(tuple, rows))
 
 
 def displaced(v, p):
     """D_p v through displace, which normalizes its result."""
-    return displace(Fiducial(len(v), v, v.prec), p).vector
+    return displace(Fiducial(len(v), v, PREC), p).vector
 
 
 def transported(T, F):
@@ -75,7 +75,7 @@ def reconstruct(T):
     with mp.workdps(guarded(T.precision)):
         rows = hb.operator_rows(T.values, T.d, hb.tau_powers(T.d, T.precision),
                                 1 / mp.mpf(T.d))
-    return CMatrix(rows, T.precision)
+    return tuple(map(tuple, rows))
 
 
 class Antiunitary:
@@ -89,7 +89,7 @@ class Antiunitary:
                                             d, prec)
 
     def apply(self, v):
-        return self.matrix.matvec(v.conj())
+        return apply(self.matrix, conj(v, PREC), PREC)
 
 
 def conjugate_matrix(F, A, d, prec):
@@ -99,9 +99,8 @@ def conjugate_matrix(F, A, d, prec):
         U = hb.symplectic_unitary(F, d, prec)
     else:
         U = Antiunitary(F, d, prec).matrix
-        with mp.workdps(guarded(A.prec)):
-            A = CMatrix([[mp.conj(e) for e in row] for row in A.rows], A.prec)
-    return U * A * U.dagger()
+        A = tuple(conj(row, prec) for row in A)
+    return product(prec, U, A, adjoint(U, prec))
 
 
 def overlaps_of_matrix(A, d, prec):
@@ -115,7 +114,7 @@ def overlaps_of_matrix(A, d, prec):
             for p2 in range(dp):
                 # Tr(D_p A) = sum_s (D_p)_{s+p1, s} A_{s, s+p1}
                 values[(p1, p2)] = mp.fsum(
-                    (taus[(p1 * p2 + 2 * p2 * s) % n] * A.rows[s][(s + p1) % d]
+                    (taus[(p1 * p2 + 2 * p2 * s) % n] * A[s][(s + p1) % d]
                      for s in range(d)), absolute=False)
     return hb.OverlapTable(d, prec, values, normalized=False)
 
@@ -131,8 +130,9 @@ class TestDisplacement:
         dp = dprime(d)
         for _ in range(6):
             p = (rng.randrange(-dp, 2 * dp), rng.randrange(-dp, 2 * dp))
-            want = Fiducial.create(d, disp_matrix(p, d, PREC).matvec(v), PREC)
-            assert displaced(v, p).entries == want.vector.entries
+            want = Fiducial.create(d, apply(disp_matrix(p, d, PREC), v, PREC),
+                                   PREC)
+            assert displaced(v, p) == want.vector
 
     def test_zero_is_identity(self):
         for d in (5, 6):
@@ -142,7 +142,7 @@ class TestDisplacement:
     def test_d4_shift(self):
         with mp.workdps(guarded(PREC)):
             for s in range(4):
-                e = CVector([1 if r == s else 0 for r in range(4)], PREC)
+                e = tuple(mp.mpc(1 if r == s else 0) for r in range(4))
                 w = displaced(e, (1, 0))
                 for r in range(4):
                     want = 1 if r == (s + 1) % 4 else 0
@@ -161,7 +161,7 @@ class TestDisplacement:
             lhs = displaced(displaced(v, q), p)
             r = ((p[0] + q[0]) % dp, (p[1] + q[1]) % dp)
             e = (p[1] * q[0] - p[0] * q[1]) % (2 * d)
-            assert maxdiff(lhs, displaced(v, r).scale(taus[e])) < TOL
+            assert maxdiff(lhs, scaled(taus[e], displaced(v, r))) < TOL
 
     @pytest.mark.parametrize("d", [5, 6, 7])
     def test_unitarity_and_dagger_index(self, d):
@@ -174,8 +174,9 @@ class TestDisplacement:
             p = (rng.randrange(dp), rng.randrange(dp))
             neg = ((-p[0]) % dp, (-p[1]) % dp)
             D = disp_matrix(p, d, PREC)
-            assert maxdiff(D * D.dagger(), CMatrix.identity(d, PREC)) < TOL
-            assert maxdiff(D.dagger(), disp_matrix(neg, d, PREC)) < TOL
+            assert maxdiff(product(PREC, D, adjoint(D, PREC)),
+                           identity(d, PREC)) < TOL
+            assert maxdiff(adjoint(D, PREC), disp_matrix(neg, d, PREC)) < TOL
             assert maxdiff(displaced(displaced(v, p), neg), v) < TOL
 
     def test_even_d_period(self):
@@ -183,14 +184,14 @@ class TestDisplacement:
         taus = hb.tau_powers(6, PREC)
         v = rand_unit_vector(6, 66)
         a = displaced(v, (7, 1))
-        b = displaced(v, (1, 1)).scale(taus[6])
+        b = scaled(taus[6], displaced(v, (1, 1)))
         assert maxdiff(a, b) < TOL
         # tau^6 = -1 here, so the two differ by an honest sign
         assert maxdiff(a, displaced(v, (1, 1))) > mp.mpf("0.5")
 
     def test_odd_d_reduction(self):
         v = rand_unit_vector(5, 55)
-        assert displaced(v, (6, 1)).entries == displaced(v, (1, 1)).entries
+        assert displaced(v, (6, 1)) == displaced(v, (1, 1))
 
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
@@ -203,17 +204,13 @@ class TestSymplecticUnitary:
         # fixed convention of this module, frozen here
         for d, phase in ((5, mp.mpc(1)), (6, mp.mpc(0, 1))):
             U = hb.symplectic_unitary(ModMatrix(1, 0, 0, 1, dprime(d)), d, PREC)
-            with mp.workdps(guarded(PREC)):
-                target = CMatrix.identity(d, PREC).scale(phase)
-            assert maxdiff(U, target) < TOL
+            assert maxdiff(U, identity(d, PREC, phase)) < TOL
 
     def test_zauner_cube(self):
         for d, phase in ((5, mp.mpc(-1)), (6, mp.mpc(0, -1))):
             U = hb.symplectic_unitary(zauner_matrix(d), d, PREC)
-            with mp.workdps(guarded(PREC)):
-                cube = U * U * U
-                target = CMatrix.identity(d, PREC).scale(phase)
-            assert maxdiff(cube, target) < TOL
+            assert maxdiff(product(PREC, U, U, U),
+                           identity(d, PREC, phase)) < TOL
 
     @pytest.mark.parametrize("d", [5, 6, 7])
     def test_conjugation_exact(self, d):
@@ -223,10 +220,12 @@ class TestSymplecticUnitary:
         Fs = [zauner_matrix(d)] + sample_units(dp, 4, 31 + d, det=1)
         for F in Fs:
             U = hb.symplectic_unitary(F, d, PREC)
-            assert maxdiff(U * U.dagger(), CMatrix.identity(d, PREC)) < TOL
+            assert maxdiff(product(PREC, U, adjoint(U, PREC)),
+                           identity(d, PREC)) < TOL
             for _ in range(3):
                 p = (rng.randrange(dp), rng.randrange(dp))
-                lhs = U * disp_matrix(p, d, PREC) * U.dagger()
+                lhs = product(PREC, U, disp_matrix(p, d, PREC),
+                              adjoint(U, PREC))
                 rhs = disp_matrix(F.apply(p), d, PREC)
                 assert maxdiff(lhs, rhs) < TOL
 
@@ -235,10 +234,19 @@ class TestSymplecticUnitary:
         F = ModMatrix(1, 2, 1, 3, 12)
         assert F.det() == 1
         U = hb.symplectic_unitary(F, 6, PREC)
-        assert maxdiff(U * U.dagger(), CMatrix.identity(6, PREC)) < TOL
+        assert maxdiff(product(PREC, U, adjoint(U, PREC)),
+                       identity(6, PREC)) < TOL
         for p in ((1, 0), (0, 1), (5, 7)):
-            lhs = U * disp_matrix(p, 6, PREC) * U.dagger()
+            lhs = product(PREC, U, disp_matrix(p, 6, PREC), adjoint(U, PREC))
             assert maxdiff(lhs, disp_matrix(F.apply(p), 6, PREC)) < TOL
+
+    def test_split_unitary_is_pinned(self):
+        # gcd(beta(F_a), 24) > 1 at d = 12: the product of the two direct
+        # factors, pinned bit for bit
+        U = hb.symplectic_unitary(fa_matrix(12), 12, 40)
+        bits = repr([(z.real._mpf_, z.imag._mpf_) for row in U for z in row])
+        assert hashlib.sha256(bits.encode()).hexdigest() == \
+            "fa88af179399ef4378bfe608251d22fec638b0275b71d0179f64f4c03526514a"
 
     def test_split_factors(self):
         # both factors must carry a unit upper-right entry and multiply back
@@ -271,14 +279,14 @@ class TestSymplecticUnitary:
             basis = [mp.mpc(t) for t in hb.tau_powers(d, prec)[:4]]
         for r in range(d):
             for s in range(d):
-                rel = integer_relation([U[r, s]] + basis, precision=prec)
+                rel = integer_relation([U[r][s]] + basis, precision=prec)
                 assert rel is not None, (r, s)
                 m0, *m = rel.coefficients
                 assert 5 % m0 == 0
                 with mp.workdps(guarded(hi)):
                     rebuilt = mp.fsum((mj * taus_hi[j] for j, mj in enumerate(m)),
                                       absolute=False) / m0
-                    assert abs(rebuilt - U_hi.rows[r][s]) < mp.mpf(10) ** -140
+                    assert abs(rebuilt - U_hi[r][s]) < mp.mpf(10) ** -140
 
 
 class TestAntiunitary:
@@ -290,7 +298,7 @@ class TestAntiunitary:
         V = Antiunitary(J, d, PREC)
         v = rand_unit_vector(d, 3)
         w = V.apply(v)
-        assert maxdiff(w, v.conj()) < TOL
+        assert maxdiff(w, conj(v, PREC)) < TOL
 
     def test_conjugation_action_d5(self):
         # V D_p V^{-1} = D_{Fp} exactly for antisymplectic F
@@ -315,13 +323,13 @@ class TestAntiunitary:
         U = hb.symplectic_unitary(G, d, PREC)
         v = rand_unit_vector(d, 9)
         w = V1.apply(V2.apply(v))
-        u = U.matvec(v)
+        u = apply(U, v, PREC)
         with mp.workdps(guarded(PREC)):
             # extract the phase from the largest component
-            k = max(range(d), key=lambda i: abs(u.entries[i]))
-            phase = w.entries[k] / u.entries[k]
+            k = max(range(d), key=lambda i: abs(u[i]))
+            phase = w[k] / u[k]
             assert abs(abs(phase) - 1) < TOL
-            assert maxdiff(w, u.scale(phase)) < TOL
+            assert maxdiff(w, scaled(phase, u)) < TOL
 
     def test_det_plus_one_rejected(self):
         with pytest.raises(ValueError):
@@ -357,7 +365,7 @@ class TestOverlaps:
         dp = dprime(d)
         v = rand_unit_vector(d, 17 * d)
         T = hb.overlaps(v, d, PREC)
-        Pi = rand_proj(v)
+        Pi = outer(v, PREC)
         Fs = [zauner_matrix(d)] + sample_units(dp, 2, 40 + d, det=1)
         Fs += [ModMatrix(1, 0, 0, -1, dp)] + sample_units(dp, 2, 41 + d, det=-1)
         for F in Fs:
@@ -371,10 +379,11 @@ class TestOverlaps:
     def test_displaced_matches_brute_force(self, d):
         v = rand_unit_vector(d, 23 * d)
         T = hb.overlaps(v, d, PREC)
-        Pi = rand_proj(v)
+        Pi = outer(v, PREC)
         for s in ((1, 0), (0, 1), (2, 3)):
             Ds = disp_matrix(s, d, PREC)
-            brute = overlaps_of_matrix(Ds * Pi * Ds.dagger(), d, PREC)
+            brute = overlaps_of_matrix(
+                product(PREC, Ds, Pi, adjoint(Ds, PREC)), d, PREC)
             disp = T.displaced(s)
             worst = max(abs(brute.values[q] - disp.values[q]) for q in brute.values)
             assert worst < TOL
@@ -391,28 +400,27 @@ class TestOverlaps:
 class TestReconstruct:
     @pytest.mark.parametrize("d", [5, 6])
     def test_identity_round_trip(self, d):
-        T = overlaps_of_matrix(CMatrix.identity(d, PREC), d, PREC)
+        T = overlaps_of_matrix(identity(d, PREC), d, PREC)
         # Tr(D_p) = d exactly at p = 0 and 0 elsewhere within a period
         with mp.workdps(guarded(PREC)):
             assert abs(T.values[(0, 0)] - d) < TOL
             assert abs(T.values[(1, 2)]) < TOL
         A = reconstruct(T)
-        assert maxdiff(A, CMatrix.identity(d, PREC)) < TOL
+        assert maxdiff(A, identity(d, PREC)) < TOL
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_general_matrix_round_trip(self, d):
         rng = random.Random(61 + d)
         with mp.workdps(guarded(PREC)):
-            rows = [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                     for _ in range(d)] for _ in range(d)]
-        A = CMatrix(rows, PREC)
+            A = tuple(tuple(mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                            for _ in range(d)) for _ in range(d))
         back = reconstruct(overlaps_of_matrix(A, d, PREC))
         assert maxdiff(back, A) < TOL
 
     def test_projector_round_trip(self):
         d = 5
         v = rand_unit_vector(d, 8)
-        Pi = rand_proj(v)
+        Pi = outer(v, PREC)
         back = reconstruct(hb.overlaps(v, d, PREC))
         assert maxdiff(back, Pi) < TOL
         # and the overlap table itself is a fixed point of the round trip
