@@ -3,8 +3,10 @@
 Pipeline: partition the overlap table into orbits under the centralizer of
 the projector's symmetry image and form one monic polynomial per orbit;
 recognize the coefficients in a small real coefficient field; adjoin a root
-of one orbit polynomial to get the overlap field; lift one exact overlap per
-orbit and align the automorphisms of that extension with the index-quotient
+of one orbit polynomial to get the overlap field, whose automorphisms are
+read off their conjugates by Lagrange interpolation (_Conjugates) and built
+by the rule a reloaded certificate uses (_rows_from_images); lift one exact
+overlap per orbit and align the automorphisms with the index-quotient
 cosets by one rule, that they regenerate the numeric table from those
 overlaps; emit a self-contained certificate carrying exact overlaps at orbit
 representatives plus the transport data regenerating the full table.
@@ -25,7 +27,7 @@ from operator import add, mul
 
 from mpmath import mp
 
-from .bignum import LUFactors, guarded
+from .bignum import guarded
 from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
@@ -33,9 +35,9 @@ from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
 from .modring import MatGroup, ModMatrix, centralizer, dprime, orbits, \
     symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
-    FieldTower, adjoin, automorphism, cyclotomic_polynomial, divides, \
-    generated_automorphisms, horner, is_field, lift_element, squarefree_part, \
-    _guess_precision, _monic, _new_level, _poly_roots, _rational_minpoly, \
+    FieldTower, adjoin, automorphism, cyclotomic_polynomial, divides, horner, \
+    is_field, lift_element, nearest_root, squarefree_part, _guess_precision, \
+    _monic, _new_level, _poly_roots, _rational_minpoly, \
     _subset_product_coeffs, recognize, relation_element
 
 log = logging.getLogger("siclift.exactify")
@@ -295,11 +297,12 @@ class _Conjugates:
     real coefficient field e0, indexed by the cosets of the index quotient
     (composition table cay): coset N sends t to t_N, the numeric overlap
     at M_N applied to t's index. An element x = sum_k x_k t^k with x_k in
-    e0 has N-th conjugate sum_k x_k t_N^k, so x is interpolated from its n
-    conjugates by one solve against B[N][k] = t_N^k, factored once, and
-    each x_k is recognized in e0, at lattice dimension deg(e0) + 1.
-    at_root maps the index of each root of e1's top level to the coset
-    whose t_N lies nearest it."""
+    e0 has N-th conjugate V_N = sum_k x_k t_N^k, so by Lagrange's formula
+    x_k = sum_N V_N dual[N][k], where dual row N holds the coefficients of
+    prod_{M != N} (X - t_M) divided by their value at t_N; each x_k is
+    recognized in e0, at lattice dimension deg(e0) + 1. at_root maps the
+    index of each root of e1's top level to the coset whose t_N lies
+    nearest it."""
 
     def __init__(self, e0: FieldTower, e1: FieldTower, t_conj, cay):
         self.e0, self.e1, self.cay = e0, e1, cay
@@ -308,23 +311,33 @@ class _Conjugates:
         self.t_conj = t_conj
         n = len(t_conj)
         with mp.workdps(guarded(prec)):
-            self.lu = LUFactors([[t ** k for k in range(n)] for t in t_conj],
-                                prec)
+            self.dual = []
+            for N, t in enumerate(t_conj):
+                coeffs = _subset_product_coeffs(
+                    t_conj, [M for M in range(n) if M != N], prec) \
+                    + [mp.mpc(1)]
+                at_t = horner(coeffs, t)
+                self.dual.append([c / at_t for c in coeffs])
         self.t, self.at_root = None, {0: 0}
         if len(e1.levels) > len(e0.levels):
             self.t = e1.generator(len(e1.levels))
             roots = e1.levels[-1].roots
-            with mp.workdps(guarded(prec)):
-                self.at_root = {
-                    min(range(len(roots)), key=lambda i: abs(roots[i] - t)): N
-                    for N, t in enumerate(t_conj)}
+            self.at_root = {nearest_root(roots, t, prec): N
+                            for N, t in enumerate(t_conj)}
+
+    def solve(self, values) -> list:
+        """The coordinates x_k of the element whose conjugates are values
+        (in coset order), as complex numbers."""
+        with mp.workdps(guarded(self.prec)):
+            return [mp.fsum(map(mul, values, col))
+                    for col in zip(*self.dual)]
 
     def lift(self, values, precision: int | None = None):
         """The element of e1 whose conjugates are values (in coset order),
         or None when a coordinate is not real or not recognized in e0 at
         `precision` (default: e0's own)."""
         coords = []
-        for x in self.lu.solve(values):
+        for x in self.solve(values):
             got = recognize(self.e0, x.real, precision=precision) \
                 if _is_real(x, self.prec) else None
             if got is None:
@@ -335,23 +348,37 @@ class _Conjugates:
 
 def _galois_rows(conj: _Conjugates) -> list[EmbeddingAutomorphism]:
     """The automorphisms of the overlap field over the coefficient field,
-    ordered by the index of the root they send t to. Coset c's row sends t
-    to t_c, so its image's N-th conjugate is t_(N c) (the quotient is
-    abelian); that image is interpolated and recognized over e0, checked
-    exactly by automorphism(), and asked for only for cosets that the
-    compositions of the rows found so far do not reach."""
-    e1, cay = conj.e1, conj.cay
-    if conj.t is None:
-        return [automorphism(e1, [e1.generator(k + 1)
-                                  for k in range(len(e1.levels))])]
-
-    def propose(i):
-        c = conj.at_root.get(i)
-        if c is None:
-            return None
-        return conj.lift([conj.t_conj[cay[N][c]] for N in range(len(cay))])
-
-    return generated_automorphisms(e1, e1.levels[-1].roots, propose)
+    ordered by the index of the root they send t to. The row of root i
+    sends t to t_c, c = at_root[i], so its image's N-th conjugate is
+    t_(N c) (the quotient is abelian): the identity coset's image is t
+    itself, and every other image is interpolated from its own coset's
+    conjugates and recognized over e0. The rows are then built from the
+    images by the rule a reloaded certificate's are (_rows_from_images),
+    whose FieldError is a LiftError here."""
+    e1, cay, n = conj.e1, conj.cay, len(conj.cay)
+    if conj.t is None:  # a trivial extension's one row is the identity
+        images = [tuple(e1.generator(len(e1.levels)).coefficients)
+                  if e1.levels else ()]
+    else:
+        if len(conj.at_root) < n:
+            raise LiftError(f"two of the {n} conjugates of t lie nearest one "
+                            f"root at {conj.prec} digits")
+        images = []
+        for i in range(n):
+            c = conj.at_root[i]
+            img = conj.t if c == conj.identity else conj.lift(
+                [conj.t_conj[cay[N][c]] for N in range(n)])
+            if img is None:
+                raise LiftError(
+                    f"the automorphism of coset {c} was not recognized over "
+                    f"the coefficient field at {conj.prec} digits; either "
+                    "the extension is not normal or precision is "
+                    "insufficient")
+            images.append(tuple(img.coefficients))
+    try:
+        return _rows_from_images(e1, len(conj.e0.levels), images)
+    except FieldError as exc:
+        raise LiftError(f"lifted {exc}") from exc
 
 
 def _unit_subgroups(m: int) -> list[frozenset]:
@@ -566,6 +593,32 @@ def _image_coords(a: EmbeddingAutomorphism) -> tuple:
     return tuple(a.images[-1].coefficients) if a.images else ()
 
 
+def _rows_from_images(e1: FieldTower, e0_levels: int,
+                      images) -> list[EmbeddingAutomorphism]:
+    """The automorphisms of e1 over its first e0_levels levels whose images
+    of the top generator have the coordinates images[j] (as _image_coords
+    gives them), in order. The images must be distinct, and each is checked
+    exactly by automorphism(); when e1 adds no level to the coefficient
+    field, the one row is the identity and its image must be the top
+    generator's own. FieldError otherwise."""
+    if len(set(images)) != len(images):
+        raise FieldError("two Galois rows store the same image")
+    fixed = [e1.generator(k + 1) for k in range(e0_levels)]
+    moves = len(e1.levels) > e0_levels
+    rows = []
+    for j, coords in enumerate(images):
+        try:
+            row = automorphism(
+                e1, fixed + ([e1.element(coords)] if moves else []))
+        except FieldError as exc:
+            raise FieldError(f"Galois row {j}: {exc}") from exc
+        if _image_coords(row) != coords:
+            raise FieldError(f"Galois row {j} image does not match the "
+                             "identity of a trivial extension")
+        rows.append(row)
+    return rows
+
+
 @dataclass
 class GaloisMatch:
     """Alignment of the overlap-field automorphisms with the index-quotient
@@ -644,29 +697,11 @@ class ExactFiducialCertificate:
 
     def galois_rows(self) -> list[EmbeddingAutomorphism]:
         """The overlap-field automorphisms aligned with galois.matrices, built
-        from the stored images: row j fixes the coefficient field and sends
-        the overlap-field generator to galois.images[j], which automorphism()
-        checks exactly. When the overlap field is the coefficient field, the
-        one row is the identity. No numerics are involved."""
+        from the stored images by _rows_from_images, the rule the lift
+        builds its rows by. No numerics are involved."""
         if self._rows is None:
-            stored = self.galois.images
-            if len(set(stored)) != len(stored):
-                raise FieldError("two Galois rows store the same image")
-            e1 = self.e1
-            fixed = [e1.generator(k + 1) for k in range(self.e0_levels)]
-            moves = self.e1_levels > self.e0_levels
-            rows = []
-            for j, coords in enumerate(stored):
-                try:
-                    row = automorphism(
-                        e1, fixed + ([e1.element(coords)] if moves else []))
-                except FieldError as exc:
-                    raise FieldError(f"Galois row {j}: {exc}") from exc
-                if _image_coords(row) != coords:
-                    raise FieldError(f"Galois row {j} image does not match "
-                                     "the identity of a trivial extension")
-                rows.append(row)
-            self._rows = rows
+            self._rows = _rows_from_images(self.e1, self.e0_levels,
+                                           self.galois.images)
         return self._rows
 
     def overlap_at(self, q) -> AlgebraicNumber:
@@ -991,13 +1026,12 @@ def _assemble_certificate(fid, struct, conj, gen_poly, autos, reps, polys,
 
 def _prepare(fid, digits):
     """Common head of both lifting routes: the overlap field, its
-    automorphisms over the coefficient field, found by conjugate
-    interpolation (as many as the index quotient has elements), and every
-    isomorphism of their group onto the quotient (a tuple giving each
-    row's coset), the alignment candidates. Row j sends t to the root at
-    index j, the conjugate t_c of coset c = conj.at_root[j], so this
-    labelling is one such isomorphism, and the others are the quotient's
-    own automorphisms after it."""
+    automorphisms over the coefficient field, one interpolated from each
+    coset's conjugates (_galois_rows), and every isomorphism of their group
+    onto the quotient (a tuple giving each row's coset), the alignment
+    candidates. Row j sends t to the root at index j, the conjugate t_c of
+    coset c = conj.at_root[j], so this labelling is one such isomorphism,
+    and the others are the quotient's own automorphisms after it."""
     prec = digits or fid.precision
     if prec > fid.precision:
         raise PrecisionError(f"fiducial carries {fid.precision} digits, "
@@ -1021,11 +1055,6 @@ def _prepare(fid, digits):
         [table.chi(M.apply(gen_poly.rep)) for M in reps]
     conj = _Conjugates(e0, e1, t_conj, qcay)
     autos = _galois_rows(conj)
-    if len(autos) < n:
-        raise LiftError(
-            f"only {len(autos)} of the predicted {n} automorphisms of the "
-            f"overlap field were recognized at {prec} digits; either the "
-            "extension is not normal or precision is insufficient")
     label = [conj.at_root[j] for j in range(n)]
     perms = [tuple(a[c] for c in label) for a in _group_automorphisms(qcay)]
     return prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
@@ -1069,14 +1098,15 @@ def method2_exactify(fid,
     """Lift by aligning automorphisms with index cosets.
 
     Every bijection between the overlap-field automorphisms and the quotient
-    cosets that respects the group structure is scored: the candidate overlap
-    vector it predicts is solved against the conjugate-power basis. The
-    coefficient field is real, so a solution component with an imaginary
-    part above 10^-(prec//2) cannot lie in it, and its bijection scores
-    +inf with no lattice reduction. Every other component is fed to an
-    integer-relation search over the coefficient-field basis, one reduction
-    per distinct relation lattice, which stops at the rung where its
-    relation is accepted or its norm reaches the attempt floor. The true
+    cosets that respects the group structure is scored: the overlap vector
+    it predicts is read as the conjugates of one element, whose coordinates
+    _Conjugates.solve interpolates. The coefficient field is real, so a
+    solution component with an imaginary part above 10^-(prec//2) cannot lie
+    in it, and its bijection scores +inf with no lattice reduction. Every
+    other component is fed to an integer-relation search over the
+    coefficient-field basis, one reduction per distinct relation lattice,
+    which stops at the rung where its relation is accepted or its norm
+    reaches the attempt floor. The true
     bijection's components lie in the coefficient field, so its relation
     norms sit many orders of magnitude below every competitor's. The low
     scorers, best first, are lifted exactly from the relations that scored
@@ -1102,7 +1132,7 @@ def method2_exactify(fid,
             for j in range(n):
                 V[conj.at_root[j]] = table.chi(reps[f[j]].apply(q.rep))
             norm, found[q.orbit_id] = _relation_score(
-                conj.lu.solve(V), e0_basis, prec, reduced)
+                conj.solve(V), e0_basis, prec, reduced)
             worst = max(worst, norm)
             if worst == mp.inf:
                 break

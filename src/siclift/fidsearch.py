@@ -323,7 +323,7 @@ def _solve_grid(a: list, b: list, w: int) -> list:
     with partial pivoting; a and b are left as they are. Each multiplier,
     update and unknown is floored onto the grid once. A pivot below
     2^(32-w) times the largest entry (or one) raises SingularMatrixError,
-    as LUFactors' floor of 10^-(digits-5) does."""
+    as solve_linear's floor of 10^-(digits-5) does."""
     n = len(b)
     a, b = [list(row) for row in a], list(b)
     scale = max(1 << w, max(abs(x) for row in a for x in row))

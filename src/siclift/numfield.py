@@ -17,13 +17,12 @@ An automorphism is likewise an integer matrix, built from the images of the
 generators.
 
 Every element also has a complex embedding fixed by the root choices, so
-numeric and exact computations can cross-check each other. Every
-automorphism is built by `automorphism`, which checks its generator images
-exactly, and `generated_automorphisms` generates the group of the top level
-from as few proposed conjugates as generate it. The lift proposes them by
-conjugate interpolation over its coefficient field (`exactify`);
-`automorphisms` proposes them by recognizing conjugate roots in the whole
-tower.
+numeric and exact computations can cross-check each other; `nearest_root`
+is the one rule that matches a value to a root. Every automorphism is
+built by `automorphism`, which checks its generator images exactly. The
+lift proposes one image per conjugate root by interpolation over its
+coefficient field (`exactify`); `automorphisms` proposes them by
+recognizing each conjugate root in the whole tower.
 
 The exact polynomial algebra over a tower is written once, here: `horner`
 evaluates a polynomial in any arithmetic (tower elements, embeddings,
@@ -795,6 +794,13 @@ def _subset_product_coeffs(roots: list, subset, prec: int) -> list:
         return out[:-1]
 
 
+def nearest_root(roots: list, z, prec: int) -> int:
+    """Index of the root nearest z, compared at guarded(prec)."""
+    with mp.workdps(guarded(prec)):
+        z = mp.mpc(z)
+        return min(range(len(roots)), key=lambda i: abs(roots[i] - z))
+
+
 def _guess_precision(tower: FieldTower) -> int:
     # recognition only proposes candidates (exact verification follows), so a
     # few hundred digits suffice and keep the lattice reduction cheap
@@ -916,10 +922,6 @@ class EmbeddingAutomorphism:
         return all(img == self.tower.generator(k + 1)
                    for k, img in enumerate(self.images))
 
-    def compose(self, other: "EmbeddingAutomorphism") -> "EmbeddingAutomorphism":
-        """self after other."""
-        return automorphism(self.tower, [self(img) for img in other.images])
-
     def __eq__(self, other):
         return (isinstance(other, EmbeddingAutomorphism)
                 and self.tower.levels == other.tower.levels
@@ -957,11 +959,13 @@ def automorphisms(tower: FieldTower,
                   fixing_level: int = 0) -> list[EmbeddingAutomorphism]:
     """All automorphisms of the tower (as an abstract field mapped into its
     own embedding) fixing levels 1..fixing_level pointwise, where only the
-    top level may move, generated by `generated_automorphisms` from
-    conjugate roots of the top generator recognized in the whole tower.
-    The lift finds its rows over the coefficient field instead (by
-    conjugate interpolation in `exactify`); this recognition at the tower's
-    full degree serves towers that carry no such structure."""
+    top level may move, ordered by the index of the root they send the top
+    generator to: the root nearest the level's embedding gives the
+    identity, and every other conjugate root is recognized in the whole
+    tower and kept when automorphism() accepts it. The lift reads its rows
+    off its own conjugates over the coefficient field instead (`exactify`);
+    this recognition at the tower's full degree serves towers that carry no
+    such structure."""
     n = len(tower.levels)
     if fixing_level == n:
         return [automorphism(tower, [tower.generator(k + 1)
@@ -974,54 +978,18 @@ def automorphisms(tower: FieldTower,
         raise FieldError("relative degree beyond desk scale (max 64)")
     roots = top.roots or _poly_roots(
         [tower._embed(c, n - 1) for c in top.minpoly], tower.precision)
-    return generated_automorphisms(tower, roots,
-                                   lambda i: recognize(tower, roots[i]))
-
-
-def generated_automorphisms(tower: FieldTower, roots: list,
-                            propose) -> list[EmbeddingAutomorphism]:
-    """The automorphisms of the tower that fix every level but the top one,
-    generated, not searched: the root the top generator embeds at gives the
-    identity, and propose(i), a candidate image of the top generator near
-    roots[i] (or None), is asked for only when no composition of the rows
-    found so far reaches root i. Each candidate is checked exactly by
-    automorphism(). Rows are ordered by the index of the root they send the
-    top generator to."""
-    n = len(tower.levels)
+    me = nearest_root(roots, top.embedding, tower.precision)
     fixed = [tower.generator(k + 1) for k in range(n - 1)]
-
-    def root_of(row):
-        z = row.images[-1].embed()
-        with mp.workdps(guarded(tower.precision)):
-            return min(range(len(roots)), key=lambda i: abs(roots[i] - z))
-
-    ident = automorphism(tower, fixed + [tower.generator(n)])
-    rows = {root_of(ident): ident}
-    generators = []
-    for i in range(len(roots)):
-        if i in rows:
-            continue
-        cand = propose(i)
-        if cand is None:
+    rows = []
+    for i, z in enumerate(roots):
+        img = tower.generator(n) if i == me else recognize(tower, z)
+        if img is None:
             continue
         try:
-            g = automorphism(tower, fixed + [cand])
+            rows.append(automorphism(tower, fixed + [img]))
         except FieldError:
-            continue
-        if root_of(g) != i:
-            continue
-        generators.append(g)
-        rows[i] = g
-        queue = list(rows.values())
-        while queue:
-            x = queue.pop()
-            for s in generators:
-                y = x.compose(s)
-                j = root_of(y)
-                if j not in rows:
-                    rows[j] = y
-                    queue.append(y)
-    return [rows[i] for i in sorted(rows)]
+            pass
+    return rows
 
 
 def lift_element(tower: FieldTower, x: AlgebraicNumber) -> AlgebraicNumber:
@@ -1436,9 +1404,7 @@ def factor_over_tower(tower: FieldTower, coeffs, root_selector,
         raise FieldError("factoring bounded to degree 12")
     roots = _poly_roots([c.embed() for c in monic], tower.precision)
     prec = tower.precision
-    with mp.workdps(guarded(prec)):
-        sel = mp.mpc(root_selector)
-        target = min(range(deg), key=lambda i: abs(roots[i] - sel))
+    target = nearest_root(roots, root_selector, prec)
     others = [i for i in range(deg) if i != target]
     subsets = [(target,) + extra for k in range(1, deg)
                for extra in itertools.combinations(others, k - 1)]

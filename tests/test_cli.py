@@ -15,6 +15,7 @@ import pytest
 import siclift
 from siclift.cli import main
 from siclift.errors import SicliftError
+from siclift.exactify import symmetry_structure
 from siclift.fidsearch import Fiducial
 
 
@@ -188,6 +189,29 @@ def test_qpoly_output(fidfile, capsys):
         for p in obj["polynomials"]:
             for c in p["coefficients"]:
                 mp.mpf(c)   # every coefficient is plain decimal text
+
+
+def test_qpoly_cube_output(fidfile, capsys):
+    # --cube builds each orbit's polynomial from the cubed overlaps: every
+    # cubed value of the orbit is a root, and the degree is their count
+    rc = main(["qpoly", "--fiducial", fidfile, "--digits", "60", "--cube"])
+    assert rc == 0
+    obj = _stdout_json(capsys)
+    assert obj["config"]["cube"] is True
+    fid = Fiducial.load(fidfile)
+    orbit_of = {o[0]: o for o in symmetry_structure(fid).orbit_list}
+    with mp.workdps(80):
+        for p in obj["polynomials"]:
+            assert p["cubed"] is True
+            coeffs = [mp.mpf(c) for c in p["coefficients"]]
+            cubes = [fid.table.chi(q) ** 3
+                     for q in orbit_of[tuple(p["representative"])]]
+            distinct = []
+            for v in cubes:
+                assert abs(mp.polyval(coeffs[::-1], v)) < mp.mpf(10) ** -45
+                if all(abs(v - w) > mp.mpf(10) ** -45 for w in distinct):
+                    distinct.append(v)
+            assert p["degree"] == len(distinct) == len(coeffs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +617,8 @@ def test_report_to_file(workdir, certfile, capsys):
 
 
 # ---------------------------------------------------------------------------
-# cold start: checking a certificate loads neither numpy nor scipy
+# cold start: checking a certificate, and every command but the seed
+# search, loads neither numpy nor scipy
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(siclift.__file__)))
 
@@ -612,7 +637,11 @@ codes = []
 for argv in (["verify", "--cert", sys.argv[2], "--mode", "exact"],
              ["verify", "--cert", sys.argv[2], "--mode", "certified",
               "--digits", "80"],
-             ["report", "--cert", sys.argv[2]]):
+             ["report", "--cert", sys.argv[2]],
+             ["symmetry", "--fiducial", sys.argv[3]],
+             ["qpoly", "--fiducial", sys.argv[3]],
+             ["orbits", "--dim", "21"],
+             ["exactify", "--fiducial", sys.argv[3]]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(siclift.cli.main(argv))
 print(json.dumps({"after_import": after_import, "codes": codes,
@@ -634,9 +663,10 @@ def _fresh_python(script, *args):
     return got.stdout
 
 
-def test_checking_loads_no_numpy_scipy_or_process_pool(certfile):
-    obj = json.loads(_fresh_python(_CHECK_IN_FRESH_INTERPRETER, certfile))
-    assert obj["codes"] == [0, 0, 0]
+def test_checking_loads_no_numpy_scipy_or_process_pool(certfile, fidfile):
+    obj = json.loads(_fresh_python(_CHECK_IN_FRESH_INTERPRETER, certfile,
+                                   fidfile))
+    assert obj["codes"] == [0] * 7
     assert obj["after_import"] == []
     assert obj["after_checks"] == []
 

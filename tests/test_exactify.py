@@ -38,7 +38,7 @@ from siclift.heisenberg import overlaps
 from siclift.modring import (dprime, fa_matrix, gl2_group, h2_group,
                              symmetry_image)
 from siclift.numfield import FieldTower, _rational_minpoly, \
-    _subset_product_coeffs, adjoin, cyclotomic_polynomial, \
+    _subset_product_coeffs, adjoin, automorphism, cyclotomic_polynomial, \
     factor_over_tower, recognize
 
 
@@ -290,10 +290,73 @@ def test_coset_labels_compose_like_the_rows(fid_name, count, request):
     row_of = {a.images: j for j, a in enumerate(autos)}
     for i, a in enumerate(autos):
         for j, b in enumerate(autos):
-            k = row_of[a.compose(b).images]
+            k = row_of[_compose(a, b).images]
             assert label[k] == conj.cay[label[i]][label[j]]
     assert len(perms) == len(set(perms)) == count
     assert tuple(label) in perms
+
+
+def _compose(a, b):
+    """a after b."""
+    return automorphism(a.tower, [a(x) for x in b.images])
+
+
+def test_conjugates_solve_recovers_coordinates_in_q_zeta5():
+    # Lagrange's dual rows over the conjugates zeta^a, a in (Z/5)^x, give
+    # back the coordinates of x = 3 - t/2 + 5 t^3 / 7 to the working digits
+    with mp.workdps(100):
+        zeta = mp.expjpi(mp.mpf(2) / 5)
+        t_conj = [zeta ** a for a in range(1, 5)]
+    e1 = adjoin(FieldTower.rationals(80), cyclotomic_polynomial(5), zeta)
+    conj = _conjugates_over_q(e1, t_conj, [1, 2, 3, 4], 5)
+    coords = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(5, 7)]
+    with mp.workdps(100):
+        values = [mp.fsum(mp.mpf(c.numerator) / c.denominator * t ** k
+                          for k, c in enumerate(coords)) for t in t_conj]
+    got = conj.solve(values)
+    with mp.workdps(100):
+        assert all(abs(x - mp.mpf(c.numerator) / c.denominator)
+                   < mp.mpf(10) ** -60 for x, c in zip(got, coords))
+    assert conj.lift(values) == e1.element(coords)
+
+
+def test_trivial_extension_conjugates_let_no_float_in():
+    # the trivial extension's one node is the integer t = 1: its dual row
+    # is an mpc at the working precision, so a value keeps all its digits
+    q = FieldTower.rationals(80)
+    conj = exactify._Conjugates(q, q, [1], [[0]])
+    with mp.workdps(100):
+        third = mp.mpf(1) / 3
+    (x,) = conj.solve([third])
+    assert isinstance(x, mp.mpc)
+    with mp.workdps(100):
+        assert abs(x - third) < mp.mpf(10) ** -60
+
+
+@pytest.mark.parametrize("fid_name, cert_name",
+                         [("fid4", "cert4"), ("fid5", "cert5")])
+def test_galois_rows_lift_each_coset_once(fid_name, cert_name, request,
+                                          tmp_path, monkeypatch):
+    # every row but the identity is interpolated from its own coset's
+    # conjugates, once, and the rows come out as the same certificate's
+    # rows do after a save and a reload: one rule builds both
+    fid, cert = (request.getfixturevalue(n) for n in (fid_name, cert_name))
+    real, lifts = exactify._Conjugates.lift, []
+
+    def counted(self, values, precision=None):
+        lifts.append(precision)
+        return real(self, values, precision)
+
+    monkeypatch.setattr(exactify._Conjugates, "lift", counted)
+    *_, conj, _gen, autos, _cosets, _reps, _perms = exactify._prepare(fid,
+                                                                     None)
+    n = len(conj.cay)
+    assert len(lifts) == n - 1 and len(autos) == n
+    path = tmp_path / "cert"
+    cert.save(str(path))
+    back = ExactFiducialCertificate.load(str(path))
+    assert [a.images for a in back.galois_rows()] == \
+        [a.images for a in autos]
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,6 @@ class TestRefine:
 
         monkeypatch.setattr(hb, "_overlap_sums", counted_sums)
         monkeypatch.setattr(bignum, "solve_linear", forbidden)
-        monkeypatch.setattr(bignum, "LUFactors", forbidden)
         fs.refine(seed4, 320)
         assert tables == [dprime(4)]
 

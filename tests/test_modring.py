@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +145,32 @@ def test_centralizer_zauner():
     C8 = mr.centralizer(mr.zauner_matrix(4))
     assert C8.is_abelian()
     assert mr.span_group(mr.zauner_matrix(4)) == C8
+
+
+def _brute_centralizer(F):
+    # every invertible G with all four entries of GF - FG zero mod m
+    m = F.m
+    fa, fb, fc, fd = F.entries
+    return {(a, b, c, d)
+            for a in range(m) for b in range(m)
+            for c in range(m) for d in range(m)
+            if (b * fc - fb * c) % m == 0
+            and (a * fb + b * fd - fa * b - fb * d) % m == 0
+            and (c * fa + d * fc - fc * a - fd * c) % m == 0
+            and (c * fb - fc * b) % m == 0
+            and gcd(a * d - b * c, m) == 1}
+
+
+@pytest.mark.parametrize("F", [
+    *(mr.symmetry_image(mr.zauner_matrix(d)) for d in (4, 5, 6, 7, 15)),
+    mr.fa_matrix(12), mr.fa_matrix(21), mr.fa_bar_matrix(21),
+    ModMatrix.identity(5), ModMatrix(1, 2, 2, 3, 8), ModMatrix(1, 0, 1, 1, 8),
+], ids=repr)
+def test_centralizer_is_the_brute_force_sweep(F):
+    # the moduli the pipeline tests reach (d' = 5, 7, 8, 12, 15, 21, 24),
+    # and off-diagonal entries that are units, non-units and zero
+    C = mr.centralizer(F)
+    assert {M.entries for M in C} == _brute_centralizer(F)
 
 
 def test_symmetry_image():
