@@ -1,5 +1,6 @@
-"""Guarded precision and decimal I/O on top of mpmath, and one dense linear
-solve.
+"""Guarded precision and decimal I/O on top of mpmath, the squared modulus
+and cached powers of ten that numeric decisions compare, and one dense
+linear solve.
 
 Precision is tracked in decimal digits everywhere user-facing. The pipeline
 holds vectors and matrices as tuples of raw mpmath numbers and solves no
@@ -10,6 +11,7 @@ guarded working-precision context.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -26,6 +28,21 @@ MIN_GUARD_DIGITS = 10
 def guarded(digits: int) -> int:
     """Working digits for a stage that must deliver `digits` to its consumer."""
     return digits + max(MIN_GUARD_DIGITS, math.ceil(GUARD_FRACTION * digits))
+
+
+def abs2(z) -> mp.mpf:
+    """|z|^2 = re^2 + im^2, summed exactly and rounded once to the working
+    precision. A closeness test compares it with a squared threshold and so
+    takes no square root."""
+    re, im = z.real, z.imag
+    return mp.fdot(((re, re), (im, im)))
+
+
+@functools.cache
+def ten_to(k: int, digits: int) -> mp.mpf:
+    """10^k rounded to `digits` digits, computed once per pair."""
+    with mp.workdps(digits):
+        return mp.mpf(10) ** k
 
 
 def format_decimal(x, digits: int) -> str:

@@ -27,7 +27,7 @@ from operator import add, mul
 
 from mpmath import mp
 
-from .bignum import guarded
+from .bignum import abs2, guarded, ten_to
 from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
@@ -110,22 +110,24 @@ class OrbitPolynomial:
 def _distinct_values(vals, prec):
     """Cluster numerically equal values. Two values are the same below
     10^(-prec/2) and distinct above 10^(-prec/4); the band between is
-    ambiguous and aborts."""
-    same = mp.mpf(10) ** (-(prec // 2))
-    band = mp.mpf(10) ** (-(prec // 4))
+    ambiguous and aborts. The squared distance re^2 + im^2 is compared with
+    the squared thresholds, so only the error message takes a square
+    root."""
+    same2 = ten_to(-2 * (prec // 2), guarded(prec))
+    band2 = ten_to(-2 * (prec // 4), guarded(prec))
     reps, assign = [], []
     for v in vals:
         hit = None
         for i, r in enumerate(reps):
-            dist = abs(v - r)
-            if dist < same:
+            dist2 = abs2(v - r)
+            if dist2 < same2:
                 hit = i
                 break
-            if dist < band:
+            if dist2 < band2:
                 raise PrecisionError(
-                    f"two overlap values sit {mp.nstr(dist, 5)} apart, inside "
-                    f"the ambiguity band [1e-{prec // 2}, 1e-{prec // 4}); "
-                    "increase precision")
+                    f"two overlap values sit {mp.nstr(abs(v - r), 5)} apart, "
+                    f"inside the ambiguity band [1e-{prec // 2}, "
+                    f"1e-{prec // 4}); increase precision")
         if hit is None:
             reps.append(v)
             assign.append(len(reps) - 1)
@@ -289,7 +291,7 @@ def _extension_field(e0: FieldTower, polys: list[OrbitPolynomial],
 
 
 def _is_real(z, prec) -> bool:
-    return abs(z.imag) <= mp.mpf(10) ** (-(prec // 2))
+    return abs(z.imag) <= ten_to(-(prec // 2), guarded(prec))
 
 
 class _Conjugates:
@@ -759,7 +761,7 @@ class ExactFiducialCertificate:
     @classmethod
     def from_json(cls, text: str) -> "ExactFiducialCertificate":
         obj = json.loads(text)
-        if obj.get("format") != "SIC-CERT v1":
+        if not isinstance(obj, dict) or obj.get("format") != "SIC-CERT v1":
             raise ValueError("not a certificate file")
         return cls(**_check_schema(obj))
 
@@ -957,14 +959,14 @@ def _regenerated(table, polys, autos, rep_overlaps, index_map, prec) -> bool:
     as index_map pairs them, reproduce the numeric table at every index to
     10^-(prec//3), well below the distinct-value separation floor. Each row
     is applied once per (orbit position, row) pair."""
-    tol = mp.mpf(10) ** (-(prec // 3))
+    tol2 = ten_to(-2 * (prec // 3), guarded(prec))
     images = {}
     with mp.workdps(guarded(prec)):
         for idx, src in index_map.items():
             if src not in images:
                 pos, j = src
                 images[src] = autos[j](rep_overlaps[polys[pos].rep]).embed()
-            if abs(images[src] - table.chi(idx)) > tol:
+            if abs2(images[src] - table.chi(idx)) > tol2:
                 return False
     return True
 

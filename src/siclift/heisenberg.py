@@ -27,7 +27,7 @@ from operator import add
 
 import mpmath as mp
 
-from .bignum import guarded
+from .bignum import abs2, guarded
 from .modring import ModMatrix, dprime
 
 
@@ -151,7 +151,7 @@ class OverlapTable:
             for (p1, p2), v in self.values.items():
                 if p1 % d == 0 and p2 % d == 0:
                     continue
-                worst = max(worst, abs((d + 1) * abs(v) ** 2 - 1))
+                worst = max(worst, abs((d + 1) * abs2(v) - 1))
         return worst
 
     def displaced(self, s: tuple) -> "OverlapTable":

@@ -17,7 +17,12 @@ Callers with an acceptance gate stop earlier: once the shortest coefficient
 row is the same on two consecutive rungs and the gate, which checks the
 rows against the full-precision values, accepts that rung. A scoring caller
 with a norm bound also stops once that row's norm reaches the bound. Floating
-point enters only through the scaled columns and those gates.
+point enters only through the scaled columns and those gates, and the gate
+decides on squares: a row's exact integer sum of squared coefficients
+against an integer loose^2, and, only for a row that would beat the best so
+far, its residual's squared modulus against tight^2. The scale and the
+thresholds are computed once per precision (and lattice dimension), so a
+gate call takes no square root and no transcendental power.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .bignum import guarded
+from .bignum import abs2, guarded, ten_to
 
 # Lovasz parameter delta = SWAP_P / SWAP_Q; 0.99 trades a little speed for
 # shorter vectors, which matters when the true relation is barely inside the
@@ -41,7 +46,8 @@ SWAP_Q = 100
 FEED_BITS = 64
 
 # Residual must beat 10^(-TIGHT*prec) while the relation norm stays below
-# 10^(LOOSE*prec); the gap between the two is the spurious-relation margin.
+# 10^(LOOSE*prec); the gap between the two is the spurious-relation margin
+# (_gate_bounds).
 TIGHT = 0.7
 LOOSE = 0.3
 
@@ -78,6 +84,7 @@ def lll_reduce(rows: Sequence[Sequence[int]], *,
     shift = max(abs(x).bit_length() for c in cols for x in c)
     u = [list(r[:n]) for r in rows]
     prev = None
+    bound2 = None if bound is None else bound * bound
     while True:
         shift = max(0, shift - FEED_BITS)
         reduced = _lll_integral(_fed_rows(u, cols, shift))
@@ -87,8 +94,7 @@ def lll_reduce(rows: Sequence[Sequence[int]], *,
         if stop is not None or bound is not None:
             cur = _shortest(u, n)
             if (stop is not None and cur == prev and stop(reduced)) or (
-                    bound is not None
-                    and sum(c * c for c in cur) >= bound * bound):
+                    bound2 is not None and sum(c * c for c in cur) >= bound2):
                 return _fed_rows(u, cols, 0)
             prev = cur
 
@@ -229,12 +235,13 @@ def _prepare(xs, precision):
 
 def _candidate_rows(vals, prec):
     """Relation lattice: identity block plus one (real) or two (complex)
-    scaled value columns."""
-    g = scaling_guard(prec)
+    scaled value columns. The scale is 10^(prec-g); an imaginary part above
+    10^-(prec-g) makes the input complex."""
+    e = prec - scaling_guard(prec)
+    scale, imag_floor = ten_to(e, prec + 10), ten_to(-e, prec + 10)
     n = len(vals)
     with mp.workdps(prec + 10):
-        scale = mp.mpf(10) ** (prec - g)
-        complex_input = any(abs(v.imag) > mp.mpf(10) ** (-(prec - g)) for v in vals)
+        complex_input = any(abs(v.imag) > imag_floor for v in vals)
         rows = []
         for i, v in enumerate(vals):
             row = [1 if j == i else 0 for j in range(n)]
@@ -245,32 +252,50 @@ def _candidate_rows(vals, prec):
     return rows
 
 
-def _scan_reduced(reduced, vals, n, prec):
-    """Pick the smallest acceptable relation among reduced rows.
-
-    Junk relations (they always exist) have height around 10^((prec-g)/n);
-    accepted relations must sit several orders of magnitude below that floor,
-    on top of the blanket 10^(LOOSE*prec) cap. When the floor leaves no room,
-    nothing is accepted and the caller sees an honest None.
-    """
+@functools.cache
+def _gate_bounds(n, prec):
+    """The acceptance gate's thresholds for n values at prec digits: tight^2
+    on a residual's squared modulus, and the integer loose^2, rounded up, on
+    a coefficient row's exact squared norm (for an integer N, N < loose^2
+    exactly when N < ceil(loose^2)). The residual must beat
+    10^(-TIGHT*prec); the norm must stay below 10^(LOOSE*prec) and below the
+    junk-floor cap of _scan_reduced."""
     junk_floor = (prec - scaling_guard(prec)) / n
     cap_digits = junk_floor - max(5.0, 0.15 * junk_floor)
     with mp.workdps(prec + 10):
         tight = mp.mpf(10) ** (-TIGHT * prec)
         loose = min(mp.mpf(10) ** (LOOSE * prec), mp.mpf(10) ** cap_digits)
-        best = None
+        return tight * tight, int(mp.ceil(loose * loose))
+
+
+def _scan_reduced(reduced, vals, n, prec):
+    """Pick the smallest acceptable relation among reduced rows, as (squared
+    norm, coefficients), or None.
+
+    Junk relations (they always exist) have height around 10^((prec-g)/n);
+    accepted relations must sit several orders of magnitude below that floor,
+    on top of the blanket 10^(LOOSE*prec) cap. When the floor leaves no room,
+    nothing is accepted and the caller sees an honest None.
+
+    Rows are compared by their exact integer squared norms against the
+    cached loose^2, so no square root is taken. The residual, the one
+    floating-point sum, is evaluated only for a row whose squared norm beats
+    the best so far, and its squared modulus is compared with tight^2; on
+    a tie the first such row stays.
+    """
+    tight2, loose2 = _gate_bounds(n, prec)
+    best = None
+    with mp.workdps(prec + 10):
         for row in reduced:
             coeffs = row[:n]
-            if not any(coeffs):
+            norm2 = sum(c * c for c in coeffs)
+            if not norm2 or norm2 >= loose2 or (
+                    best is not None and norm2 >= best[0]):
                 continue
-            norm = mp.sqrt(mp.fsum(mp.mpf(c) ** 2 for c in coeffs))
-            if norm >= loose:
-                continue
-            resid = abs(mp.fsum((c * v for c, v in zip(coeffs, vals)), absolute=False))
-            if resid >= tight:
-                continue
-            if best is None or norm < best[0]:
-                best = (norm, coeffs, resid)
+            resid = mp.fsum((c * v for c, v in zip(coeffs, vals)),
+                            absolute=False)
+            if abs2(resid) < tight2:
+                best = (norm2, coeffs)
     return best
 
 

@@ -56,7 +56,7 @@ from operator import add, lshift, mul, sub
 
 import mpmath as mp
 
-from .bignum import format_decimal, guarded, parse_decimal, \
+from .bignum import abs2, format_decimal, guarded, parse_decimal, \
     significant_digits
 from .errors import FieldError, RelationError
 from .lattice import integer_relation
@@ -795,10 +795,10 @@ def _subset_product_coeffs(roots: list, subset, prec: int) -> list:
 
 
 def nearest_root(roots: list, z, prec: int) -> int:
-    """Index of the root nearest z, compared at guarded(prec)."""
+    """Index of the root nearest z, by squared distance at guarded(prec)."""
     with mp.workdps(guarded(prec)):
         z = mp.mpc(z)
-        return min(range(len(roots)), key=lambda i: abs(roots[i] - z))
+        return min(range(len(roots)), key=lambda i: abs2(roots[i] - z))
 
 
 def _guess_precision(tower: FieldTower) -> int:
@@ -841,14 +841,19 @@ def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
     (roots from _poly_roots); the caller vouches for its irreducibility."""
     with mp.workdps(guarded(tower.precision)):
         sel = mp.mpc(root_selector)
-        dists = sorted(range(len(roots)), key=lambda i: abs(roots[i] - sel))
-        idx = dists[0]
-        best = abs(roots[idx] - sel)
-        # the selector must pick one root unambiguously
-        if best > mp.mpf("0.3") * (1 + abs(sel)):
+        dist2 = [abs2(r - sel) for r in roots]
+        order = sorted(range(len(roots)), key=dist2.__getitem__)
+        idx = order[0]
+        # the selector must pick one root unambiguously. Squared, with
+        # c = 0.3 and s = |sel|: dist > c (1 + s) holds exactly when
+        # u = dist^2 - c^2 (1 + s^2) exceeds 2 c^2 s, that is when u > 0 and
+        # u^2 > 4 c^4 s^2, so no square root is taken
+        c2, s2 = mp.mpf("0.09"), abs2(sel)
+        u = dist2[idx] - c2 * (1 + s2)
+        if u > 0 and u * u > 4 * c2 * c2 * s2:
             raise FieldError(
                 f"no root near selector {mp.nstr(sel, 8)}")
-        if len(dists) > 1 and best > mp.mpf("0.5") * abs(roots[dists[1]] - sel):
+        if len(order) > 1 and 4 * dist2[idx] > dist2[order[1]]:
             raise FieldError(
                 f"selector {mp.nstr(sel, 8)} is ambiguous between roots")
     level = FieldLevel(tag or f"g{len(tower.levels) + 1}",
@@ -1191,19 +1196,22 @@ def _squarefree_mod(f, p: int) -> list | None:
     return fp if len(_mgcd(fp, deriv, p)) == 1 else None
 
 
-def factor_mod_p(f, p: int) -> list:
+def factor_mod_p(f, p: int, ddf: list | None = None) -> list:
     """The monic irreducible factors over F_p (ascending residue lists),
     ordered by degree and then coefficients, of the integer polynomial f
     (ascending), for an odd prime p that keeps f's degree and modulo which
     f is squarefree (FieldError otherwise): distinct-degree, then
     equal-degree factorization. For an unramified p, their degrees are the
-    cycle type of Frobenius at p."""
-    fp = _squarefree_mod(f, p)
-    if fp is None:
-        raise FieldError(f"the polynomial is not squarefree of full degree "
-                         f"modulo {p}")
-    return sorted((h for i, g in _distinct_degree(fp, p)
-                   for h in _equal_degree(g, i, p)),
+    cycle type of Frobenius at p. A caller that has already made the
+    distinct-degree split of f modulo p passes it as ddf, and only the
+    equal-degree step runs."""
+    if ddf is None:
+        fp = _squarefree_mod(f, p)
+        if fp is None:
+            raise FieldError(f"the polynomial is not squarefree of full "
+                             f"degree modulo {p}")
+        ddf = _distinct_degree(fp, p)
+    return sorted((h for i, g in ddf for h in _equal_degree(g, i, p)),
                   key=lambda h: (len(h), h))
 
 
@@ -1309,12 +1317,12 @@ def _irreducible(f) -> bool:
             return True
         count = sum((len(g) - 1) // i for i, g in ddf)
         if best is None or count < best[0]:
-            best = (count, p)
+            best = (count, p, ddf)
         good += 1
         if good == ZASSENHAUS_PRIMES:
             break
-    p = best[1]
-    factors = factor_mod_p(f, p)
+    _count, p, ddf = best
+    factors = factor_mod_p(f, p, ddf)
     kmax = max(k for k in degrees if 2 * k <= n)
     k, M = 1, p
     while M <= 2 * comb(kmax, kmax // 2) * norm:

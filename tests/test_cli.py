@@ -548,6 +548,20 @@ def test_verify_missing_file_is_an_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "--mode", "exact"],
+                                     ["verify", "--mode", "certified"],
+                                     ["report"]])
+@pytest.mark.parametrize("text", ["[]", '"abc"', "42", "null"])
+def test_certificate_json_that_is_no_object_is_an_error(workdir, capsys,
+                                                        text, command):
+    # valid JSON, but no object: refused as a file, not a traceback
+    bad = workdir / "not_an_object.cert"
+    bad.write_text(text)
+    assert main([command[0], "--cert", str(bad), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"siclift {command[0]}: error: not a certificate file\n"
+
+
 _BAD_FIDUCIALS = {
     "header_without_dim": "SIC-FIDUCIAL v1 prec=30 symmetry=fz seed=none\n"
                           + "0.5 0.0\n" * 4,

@@ -101,6 +101,23 @@ def test_distinct_values_ambiguity_band_aborts():
             _distinct_values(vals, 320)
 
 
+@pytest.mark.parametrize("prec", [200, 320])
+def test_distinct_values_band_edges(prec):
+    # offsets along (3 + 4i)/5, so the squared distance takes both parts
+    with mp.workdps(guarded(prec)):
+        v, unit = mp.mpc("0.3", "-0.7"), mp.mpc(3, 4) / 5
+
+        def clusters(dist):
+            return _distinct_values([v, v + unit * dist], prec)[1]
+
+        assert clusters(mp.mpf(10) ** -(prec // 2) / 2) == [0, 0]
+        assert clusters(2 * mp.mpf(10) ** -(prec // 4)) == [0, 1]
+        with pytest.raises(PrecisionError) as exc:
+            clusters(mp.mpf(10) ** -(prec // 3))
+    # the message quotes the distance, not its square
+    assert f"sit 1.0e-{prec // 3} apart" in str(exc.value)
+
+
 def test_poly_from_roots():
     with mp.workdps(50):
         coeffs = _subset_product_coeffs([mp.mpf(1), mp.mpf(2)], (0, 1), 50)

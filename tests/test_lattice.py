@@ -330,6 +330,129 @@ class TestRawRelationGate:
             assert [Fraction(mj, m[0]) for mj in m[1:]] == value
 
 
+def sqrt_gate(reduced, vals, n, prec):
+    """The acceptance gate with square-root norms and its thresholds
+    computed per call by non-integer powers of ten: the oracle that the
+    gate on exact squared norms must agree with."""
+    junk_floor = (prec - lat.scaling_guard(prec)) / n
+    cap_digits = junk_floor - max(5.0, 0.15 * junk_floor)
+    with mp.workdps(prec + 10):
+        tight = mp.mpf(10) ** (-lat.TIGHT * prec)
+        loose = min(mp.mpf(10) ** (lat.LOOSE * prec), mp.mpf(10) ** cap_digits)
+        best = None
+        for row in reduced:
+            coeffs = row[:n]
+            if not any(coeffs):
+                continue
+            norm = mp.sqrt(mp.fsum(mp.mpf(c) ** 2 for c in coeffs))
+            if norm >= loose:
+                continue
+            resid = abs(mp.fsum((c * v for c, v in zip(coeffs, vals)),
+                                absolute=False))
+            if resid >= tight:
+                continue
+            if best is None or norm < best[0]:
+                best = (norm, coeffs, resid)
+    return best
+
+
+def random_algebraic_inputs(rng, prec):
+    """(name, value list) pairs: values in the span of an independent
+    algebraic basis, values outside it, relations whose norms sit just
+    inside and just outside the gate's cap, and near-relations whose
+    residuals sit just below and just above its tight bound."""
+    def q():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+
+    def big(digits):
+        return rng.randint(10 ** digits // 2, 10 ** digits)
+
+    k = rng.choice([2, 3, 5, 6, 7, 10, 11])
+    r = mp.sqrt(k)
+    a = mp.root(rng.choice([2, 3, 5]), 4)
+    z = mp.exp(2j * mp.pi / rng.choice([5, 7]))
+    quad, quart, cyc = [mp.mpf(1), r], [a ** j for j in range(3)], \
+        [z ** j for j in range(4)]
+    # the norm cap for three values: 10^(LOOSE*prec), or below the junk floor
+    junk_floor = (prec - lat.scaling_guard(prec)) / 3
+    cap = int(min(lat.LOOSE * prec,
+                  junk_floor - max(5.0, 0.15 * junk_floor)))
+    tight = int(lat.TIGHT * prec)
+    return [
+        ("quadratic", [_field_member(quad, [q(), q()]), *quad]),
+        ("quartic", [_field_member(quart, [q(), q(), q()]), *quart]),
+        ("cyclotomic", [mp.fsum(c * b for c, b in
+                                zip([rng.randint(-9, 9) for _ in cyc], cyc)),
+                        *cyc]),
+        ("outside_quartic", [a ** 3, *quart]),
+        ("outside_quadratic", [mp.cbrt(k), *quad]),
+        ("near", [r, r + mp.mpf(10) ** -200]),
+        ("resid_in", [r, r + mp.mpf(10) ** -(tight + 6)]),
+        ("resid_out", [r, r + mp.mpf(10) ** -(tight - 6)]),
+        ("norm_in", [(big(cap - 4) + big(cap - 4) * r) / big(cap - 4),
+                     *quad]),
+        ("norm_out", [(big(cap + 4) + big(cap + 4) * r) / big(cap + 4),
+                      *quad]),
+    ]
+
+
+class TestSquaredGate:
+    @pytest.mark.parametrize("prec", [160, 320])
+    def test_same_row_as_the_square_root_gate(self, monkeypatch, prec):
+        # every rung of every gradual reduction, gated both ways
+        rng = random.Random(prec)
+        verdicts = {}
+        for _ in range(3):
+            with mp.workdps(prec + 20):
+                cases = random_algebraic_inputs(rng, prec)
+            for name, xs in cases:
+                vals = lat._prepare(xs, prec)
+                rungs = []
+                integral = lat._lll_integral
+                with monkeypatch.context() as m:
+                    m.setattr(lat, "_lll_integral",
+                              lambda rows: rungs.append(integral(rows))
+                              or rungs[-1])
+                    lat.lll_reduce(lat._candidate_rows(vals, prec))
+                for reduced in rungs:
+                    for rows in (reduced, [lat._shortest(reduced, len(vals))]):
+                        old = sqrt_gate(rows, vals, len(vals), prec)
+                        new = lat._scan_reduced(rows, vals, len(vals), prec)
+                        assert (new and new[1]) == (old and old[1]), name
+                        verdicts.setdefault(name, set()).add(old is None)
+        # accepted on some rung (False) or on none (True)
+        for name in ("quadratic", "cyclotomic", "resid_in", "norm_in"):
+            assert False in verdicts[name], name
+        for name in ("outside_quartic", "outside_quadratic", "resid_out",
+                     "norm_out"):
+            assert verdicts[name] == {True}, name
+        if prec == 320:
+            assert verdicts["near"] == {True}
+
+    def test_warm_call_takes_no_root_and_no_fractional_power(self,
+                                                              monkeypatch):
+        with mp.workdps(340):
+            s = mp.sqrt(3)
+            xs = [s, mp.mpf(1), s, 2 * s]
+        assert lat.integer_relation(xs, precision=320) is not None
+
+        def no_sqrt(*args, **kwargs):
+            raise AssertionError("square root taken")
+
+        power = mp.mpf.__pow__
+
+        def integer_power(x, e):
+            if not isinstance(e, int) and not (isinstance(e, mp.mpf)
+                                               and mp.isint(e)):
+                raise AssertionError(f"non-integer power {e} taken")
+            return power(x, e)
+
+        monkeypatch.setattr(mp, "sqrt", no_sqrt)
+        monkeypatch.setattr(mp.mpf, "__pow__", integer_power)
+        rel = lat.integer_relation(xs, precision=320)
+        assert rel.coefficients == (1, 0, 1, 0)
+
+
 class TestMinimalPolynomial:
     def cube_root_real_part(self, re, im, dps):
         with mp.workdps(dps):

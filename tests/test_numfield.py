@@ -163,6 +163,73 @@ class TestAdjoin:
         assert (Q.degree, K3.degree, K35.degree, K15.degree) == (1, 2, 4, 8)
 
 
+def abs_pick(roots, sel, prec):
+    """_new_level's root choice ranked by abs(), with its two refusals:
+    the oracle of the squared comparisons."""
+    with mp.workdps(guarded(prec)):
+        sel = mp.mpc(sel)
+        dists = sorted(range(len(roots)), key=lambda i: abs(roots[i] - sel))
+        best = abs(roots[dists[0]] - sel)
+        if best > mp.mpf("0.3") * (1 + abs(sel)):
+            return "no root near"
+        if len(dists) > 1 and best > mp.mpf("0.5") * abs(roots[dists[1]]
+                                                        - sel):
+            return "ambiguous"
+        return dists[0]
+
+
+class TestRootChoice:
+    # a complex-conjugate pair, two sets of equal moduli, and a conjugate
+    # pair 2e-20 apart
+    @pytest.mark.parametrize("coeffs", [[1, 0, 1], [-2, 0, 0, 0, 1],
+                                        [-5, 0, 0, 0, 0, 0, 1],
+                                        [1 + Fraction(1, 10 ** 40), -2, 1]])
+    def test_new_level_ranks_as_abs_does(self, Q, coeffs):
+        monic = numfield._monic(Q, coeffs)
+        roots = numfield._poly_roots([c.embed() for c in monic], PREC)
+        rng = random.Random(len(coeffs))
+        with mp.workdps(guarded(PREC)):
+            sels = [mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                    for _ in range(30)]
+            sels += [mp.mpc(rng.uniform(-3, 3)) for _ in range(5)]
+            sels += [r + mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                     * abs(roots[0] - roots[1]) / 8 for r in roots]
+        seen = set()
+        for sel in sels:
+            want = abs_pick(roots, sel, PREC)
+            try:
+                got = numfield._new_level(Q, monic, roots, sel,
+                                          None).levels[-1].root_index
+            except FieldError as exc:
+                got = next(m for m in ("no root near", "ambiguous")
+                           if m in str(exc))
+            assert got == want, sel
+            seen.add(type(got))
+        assert seen == {int, str}
+
+    def test_nearest_root_ranks_as_abs_does(self):
+        prec = 80
+        rng = random.Random(5)
+        with mp.workdps(guarded(prec)):
+            pair = [mp.mpc(1, 2), mp.mpc(1, -2)]
+            z0 = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            tiny = mp.mpf(10) ** -60
+            close = [z0 + 1 + tiny, z0 - 1]
+            circle = [mp.mpf("1.5") * mp.expjpi(mp.mpf(k) / 4)
+                      for k in range(8)]
+            cases = [(pair, z) for z in (mp.mpc(1), mp.mpc(7),
+                                         mp.mpc(1, 1e-30), mp.mpc(0, -1))]
+            cases += [(close, z0), (close[::-1], z0)]
+            cases += [(circle, mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+                      for _ in range(20)]
+            for roots, z in cases:
+                want = min(range(len(roots)), key=lambda i: abs(roots[i] - z))
+                assert numfield.nearest_root(roots, z, prec) == want
+        # the tie on the real axis goes to the first root
+        assert numfield.nearest_root(pair, 1, prec) == 0
+        assert numfield.nearest_root(close, z0, prec) == 1
+
+
 def _algebra(*polys):
     """The tower of levels whose monic minimal polynomials are polys
     (ascending, leading 1 included; each coefficient an int or an element of
