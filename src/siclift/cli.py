@@ -290,12 +290,6 @@ def _report_text(cert: ExactFiducialCertificate) -> str:
     with mp.workdps(25):
         levels = " / ".join(f"{lv.tag} (degree {lv.degree})"
                             for lv in cert.tower.levels)
-        e0_deg = 1
-        for lv in cert.tower.levels[:cert.e0_levels]:
-            e0_deg *= lv.degree
-        e1_deg = 1
-        for lv in cert.tower.levels[:cert.e1_levels]:
-            e1_deg *= lv.degree
         ver = cert.verification
         ver_line = "none recorded" if not ver else \
             f"{ver['mode']} {'pass' if ver['pass'] else 'FAIL'}"
@@ -306,8 +300,9 @@ def _report_text(cert: ExactFiducialCertificate) -> str:
             f"index modulus: {dprime(cert.d)}",
             f"tower: {levels}; total degree {cert.tower.degree}",
             f"coefficient field degree over the rationals {_STORED}: "
-            f"{e0_deg}",
-            f"overlap field degree over the rationals {_STORED}: {e1_deg}",
+            f"{cert.e0.degree}",
+            f"overlap field degree over the rationals {_STORED}: "
+            f"{cert.e1.degree}",
             f"phase level appended: {'yes' if cert.tau_level_added else 'no'}",
             f"overlaps recorded: {len(cert.index_map)}",
             f"orbit representatives: " +

@@ -3,13 +3,15 @@
 Pipeline: partition the overlap table into orbits under the centralizer of
 the projector's symmetry image and form one monic polynomial per orbit;
 recognize the coefficients in a small real coefficient field; adjoin a root
-of one orbit polynomial to get the overlap field, whose automorphisms are
-read off their conjugates by Lagrange interpolation (_Conjugates) and built
-by the rule a reloaded certificate uses (_rows_from_images); lift one exact
-overlap per orbit and align the automorphisms with the index-quotient
-cosets by one rule, that they regenerate the numeric table from those
-overlaps; emit a self-contained certificate carrying exact overlaps at orbit
-representatives plus the transport data regenerating the full table.
+of one orbit polynomial to get the overlap field, one level above it, whose
+automorphisms' images of its generator are read off their conjugates by
+Lagrange interpolation (_Conjugates) and built into rows by the rule a
+reloaded certificate uses (_rows_from_images); lift one exact overlap per
+orbit and align the automorphisms with the index-quotient cosets by one
+rule, that they regenerate the numeric table from those overlaps; find tau
+by one ordered search (_extend_with_tau); emit a self-contained certificate
+carrying exact overlaps at orbit representatives plus the transport data
+regenerating the full table.
 Verification either replays everything in exact rational arithmetic or
 encloses all residues in complex balls.
 """
@@ -214,16 +216,17 @@ def lift_coefficients(polys: list[OrbitPolynomial]) -> FieldTower:
     The field is seeded from the next-to-leading coefficient of the
     lowest-degree nontrivial polynomial and rebuilt from any later coefficient
     of higher degree (the cheap seed can land in a proper subfield).
-    Incompatible degrees abort. Sets poly.exact in place; returns the field."""
+    Incompatible degrees, or no orbit with two values, abort. Sets
+    poly.exact in place; returns the field."""
     prec = polys[0].precision
-    nontrivial = [q for q in polys if q.degree >= 2]
-    if not nontrivial:
-        e0 = FieldTower.rationals(prec)
-    else:
-        target = min(nontrivial, key=lambda q: (q.degree, q.orbit_id))
-        with mp.workdps(guarded(prec)):
-            seed = target.coefficients[-2].real
-        e0 = _field_from_seed(seed, prec)
+    target = min((q for q in polys if q.degree >= 2), default=None,
+                 key=lambda q: (q.degree, q.orbit_id))
+    if target is None:
+        raise LiftError("every orbit carries one value, so no orbit "
+                        "polynomial can generate an overlap field")
+    with mp.workdps(guarded(prec)):
+        seed = target.coefficients[-2].real
+    e0 = _field_from_seed(seed, prec)
     for _rebuild in range(4):
         failed = None
         for poly in polys:
@@ -263,15 +266,7 @@ def lift_coefficients(polys: list[OrbitPolynomial]) -> FieldTower:
 def _extension_field(e0: FieldTower, polys: list[OrbitPolynomial],
                      expected: int, prec: int):
     """Adjoin a root of one orbit polynomial of degree == expected, sweeping
-    in orbit order until one is irreducible over e0. Returns (tower, poly);
-    poly is None for the trivial extension."""
-    if expected == 1:
-        bad = [q.orbit_id for q in polys if q.degree > 1]
-        if bad:
-            raise LiftError(
-                f"the index quotient is trivial but orbits {bad} carry more "
-                "than one value; the symmetry data is inconsistent")
-        return e0, None
+    in orbit order until one is irreducible over e0. Returns (tower, poly)."""
     failures = []
     for q in sorted(polys, key=lambda q: q.orbit_id):
         if q.degree != expected:
@@ -302,9 +297,9 @@ class _Conjugates:
     e0 has N-th conjugate V_N = sum_k x_k t_N^k, so by Lagrange's formula
     x_k = sum_N V_N dual[N][k], where dual row N holds the coefficients of
     prod_{M != N} (X - t_M) divided by their value at t_N; each x_k is
-    recognized in e0, at lattice dimension deg(e0) + 1. at_root maps the
-    index of each root of e1's top level to the coset whose t_N lies
-    nearest it."""
+    recognized in e0, at lattice dimension deg(e0) + 1. e1 adds one level
+    to e0, generated by t; at_root maps the index of each root of that
+    level to the coset whose t_N lies nearest it."""
 
     def __init__(self, e0: FieldTower, e1: FieldTower, t_conj, cay):
         self.e0, self.e1, self.cay = e0, e1, cay
@@ -320,12 +315,9 @@ class _Conjugates:
                     + [mp.mpc(1)]
                 at_t = horner(coeffs, t)
                 self.dual.append([c / at_t for c in coeffs])
-        self.t, self.at_root = None, {0: 0}
-        if len(e1.levels) > len(e0.levels):
-            self.t = e1.generator(len(e1.levels))
-            roots = e1.levels[-1].roots
-            self.at_root = {nearest_root(roots, t, prec): N
-                            for N, t in enumerate(t_conj)}
+        self.t = e1.generator(len(e1.levels))
+        self.at_root = {nearest_root(e1.levels[-1].roots, t, prec): N
+                        for N, t in enumerate(t_conj)}
 
     def solve(self, values) -> list:
         """The coordinates x_k of the element whose conjugates are values
@@ -357,28 +349,23 @@ def _galois_rows(conj: _Conjugates) -> list[EmbeddingAutomorphism]:
     conjugates and recognized over e0. The rows are then built from the
     images by the rule a reloaded certificate's are (_rows_from_images),
     whose FieldError is a LiftError here."""
-    e1, cay, n = conj.e1, conj.cay, len(conj.cay)
-    if conj.t is None:  # a trivial extension's one row is the identity
-        images = [tuple(e1.generator(len(e1.levels)).coefficients)
-                  if e1.levels else ()]
-    else:
-        if len(conj.at_root) < n:
-            raise LiftError(f"two of the {n} conjugates of t lie nearest one "
-                            f"root at {conj.prec} digits")
-        images = []
-        for i in range(n):
-            c = conj.at_root[i]
-            img = conj.t if c == conj.identity else conj.lift(
-                [conj.t_conj[cay[N][c]] for N in range(n)])
-            if img is None:
-                raise LiftError(
-                    f"the automorphism of coset {c} was not recognized over "
-                    f"the coefficient field at {conj.prec} digits; either "
-                    "the extension is not normal or precision is "
-                    "insufficient")
-            images.append(tuple(img.coefficients))
+    cay, n = conj.cay, len(conj.cay)
+    if len(conj.at_root) < n:
+        raise LiftError(f"two of the {n} conjugates of t lie nearest one "
+                        f"root at {conj.prec} digits")
+    images = []
+    for i in range(n):
+        c = conj.at_root[i]
+        img = conj.t if c == conj.identity else conj.lift(
+            [conj.t_conj[cay[N][c]] for N in range(n)])
+        if img is None:
+            raise LiftError(
+                f"the automorphism of coset {c} was not recognized over the "
+                f"coefficient field at {conj.prec} digits; either the "
+                "extension is not normal or precision is insufficient")
+        images.append(img)
     try:
-        return _rows_from_images(e1, len(conj.e0.levels), images)
+        return _rows_from_images(conj.e1, images)
     except FieldError as exc:
         raise LiftError(f"lifted {exc}") from exc
 
@@ -398,18 +385,15 @@ def _unit_subgroups(m: int) -> list[frozenset]:
     return sorted(groups, key=lambda H: (len(H), sorted(H)))
 
 
-def _actions(cay, m: int, H: frozenset, H0: frozenset, base) -> list[tuple]:
+def _actions(cay, m: int, H: frozenset) -> list[tuple]:
     """Every homomorphism chi from the index quotient (composition table
-    cay) into (Z/m)^x / H with chi(N) in base[N] * H0 for every coset N,
-    each as one representative per coset."""
+    cay) into (Z/m)^x / H, each as its smallest representative per coset."""
     def canon(a):
         return min(a * h % m for h in H)
 
-    return sorted(chi for chi in _homomorphisms(
-        cay, lambda g: sorted({canon(base[g] * h) for h in H0}),
-        lambda a, b: canon(a * b), 1)
-        if all(chi[N] * pow(base[N], -1, m) % m in H0
-               for N in range(len(cay))))
+    units = sorted({canon(a) for a in range(1, m) if math.gcd(a, m) == 1})
+    return sorted(_homomorphisms(cay, lambda g: units,
+                                 lambda a, b: canon(a * b), 1))
 
 
 def _extend_with_tau(conj: _Conjugates, d: int, guess):
@@ -425,17 +409,13 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
     field (_Conjugates.lift, at the guess precision, then at full), and
     the candidate is accepted when it divides Phi_m exactly over e1.
 
-    First, the proper subgroups by increasing order with chi = guess
-    (scaled so the identity coset acts trivially); Phi_m itself when none
-    divides. The accepted factor, with subgroup H0, has tau as a root, so
-    tau's minimal polynomial divides it, and its level is kept when
-    is_field proves it a field: the factor is then irreducible over e1,
-    tau's minimal polynomial. Otherwise tau's minimal polynomial has its
-    subgroup properly inside H0, and the exact conjugates of the factor's
-    coefficients fix the true action modulo H0, so every H properly inside
-    H0, with every chi agreeing with the accepted action modulo H0, is
-    tried; a hit replaces the factor and is tested in turn. Returns
-    (tower, tau, level_added)."""
+    One stream of candidates is walked in order: the proper subgroups by
+    increasing order with chi = guess (scaled so the identity coset acts
+    trivially), at the guess precision and then at full; Phi_m itself; and
+    only then every other (H, chi), listed by _actions. Every accepted
+    factor has tau as a root, so the first one that is_field proves a
+    field (a linear factor is one) is irreducible over e1, tau's minimal
+    polynomial, whatever the order. Returns (tower, tau, level_added)."""
     e1, prec, n = conj.e1, conj.prec, len(conj.cay)
     m = dprime(d)
     taus = hb.tau_powers(d, prec)
@@ -457,29 +437,26 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
             coeffs.append(c)
         return coeffs if divides(e1, coeffs, phi) else None
 
-    def first_hit(candidates):
+    def stream():
         for precision in ladder:
-            for H, chi in candidates:
-                fac = factor(H, chi, precision)
-                if fac is not None:
-                    return H, chi, fac
-        return None
+            for H in groups[:-1]:
+                yield factor(H, act, precision)
+        yield phi
+        for H in groups[:-1]:
+            guessed = tuple(min(a * h % m for h in H) for a in act)
+            for chi in _actions(conj.cay, m, H):
+                if chi != guessed:
+                    yield from (factor(H, chi, p) for p in ladder)
 
-    H0, chi0, fac = first_hit([(H, act) for H in groups[:-1]]) \
-        or (groups[-1], act, phi)
-    while len(fac) > 1:
+    for fac in filter(None, stream()):
+        if len(fac) == 1:
+            return e1, -fac[0], False
         roots = _poly_roots([c.embed() for c in fac], prec)
         tower = _new_level(e1, fac, roots, taus[1], "tau")
         if is_field(tower):
             return tower, tower.generator(len(tower.levels)), True
-        hit = first_hit([(H, chi) for H in groups if H < H0
-                         for chi in _actions(conj.cay, m, H, H0, chi0)])
-        if hit is None:
-            raise LiftError(
-                f"tau's factor of degree {len(fac)} is reducible over the "
-                "overlap field, and no smaller candidate divides Phi_m")
-        H0, chi0, fac = hit
-    return e1, -fac[0], False
+    raise LiftError("no factor of Phi_m through tau is irreducible over the "
+                    "overlap field")
 
 
 # ---------------------------------------------------------------------------
@@ -588,36 +565,20 @@ def _group_automorphisms(cay) -> list[tuple]:
 # certificate types
 
 
-def _image_coords(a: EmbeddingAutomorphism) -> tuple:
-    """Coordinates of a's image of the tower's top generator: the overlap
-    field's generator, or for a trivial extension the top coefficient-field
-    generator, which a fixes; () when the tower is Q."""
-    return tuple(a.images[-1].coefficients) if a.images else ()
-
-
-def _rows_from_images(e1: FieldTower, e0_levels: int,
-                      images) -> list[EmbeddingAutomorphism]:
-    """The automorphisms of e1 over its first e0_levels levels whose images
-    of the top generator have the coordinates images[j] (as _image_coords
-    gives them), in order. The images must be distinct, and each is checked
-    exactly by automorphism(); when e1 adds no level to the coefficient
-    field, the one row is the identity and its image must be the top
-    generator's own. FieldError otherwise."""
+def _rows_from_images(e1: FieldTower, images) -> list[EmbeddingAutomorphism]:
+    """The automorphisms of e1 over the coefficient field (every level but
+    the top) that send the top generator to the elements images[j], in
+    order. The images must be distinct, and each is checked exactly by
+    automorphism(); FieldError otherwise."""
     if len(set(images)) != len(images):
         raise FieldError("two Galois rows store the same image")
-    fixed = [e1.generator(k + 1) for k in range(e0_levels)]
-    moves = len(e1.levels) > e0_levels
+    fixed = [e1.generator(k + 1) for k in range(len(e1.levels) - 1)]
     rows = []
-    for j, coords in enumerate(images):
+    for j, img in enumerate(images):
         try:
-            row = automorphism(
-                e1, fixed + ([e1.element(coords)] if moves else []))
+            rows.append(automorphism(e1, fixed + [img]))
         except FieldError as exc:
             raise FieldError(f"Galois row {j}: {exc}") from exc
-        if _image_coords(row) != coords:
-            raise FieldError(f"Galois row {j} image does not match the "
-                             "identity of a trivial extension")
-        rows.append(row)
     return rows
 
 
@@ -625,8 +586,8 @@ def _rows_from_images(e1: FieldTower, e0_levels: int,
 class GaloisMatch:
     """Alignment of the overlap-field automorphisms with the index-quotient
     cosets. Row j pairs the automorphism that fixes the coefficient field and
-    sends the overlap-field generator to images[j] (its exact flat
-    coordinates) with the coset of matrices[j]. score is the winning
+    sends the overlap-field generator to images[j], an element of the
+    overlap field, with the coset of matrices[j]. score is the winning
     bijection's worst relation norm, runner_up the best among the losers: a
     lower bound, since scoring stops feeding a junk lattice at the attempt
     floor."""
@@ -641,7 +602,8 @@ class GaloisMatch:
         return {
             "modulus": self.matrices[0].m if self.matrices else 0,
             "matrices": [list(M.entries) for M in self.matrices],
-            "images": [[str(fr) for fr in fp] for fp in self.images],
+            "images": [[str(fr) for fr in img.coefficients]
+                       for img in self.images],
             "score": mp.nstr(self.score, 10),
             "runner_up": mp.nstr(self.runner_up, 10),
             "separation": mp.nstr(self.separation, 10),
@@ -649,13 +611,20 @@ class GaloisMatch:
         }
 
     @classmethod
-    def from_obj(cls, obj):
+    def from_obj(cls, obj, e1: FieldTower):
+        """The match stored in obj, its images read as elements of e1."""
         m = obj["modulus"]
         mats = tuple(ModMatrix(*_mod_ints(row, 4, m, "Galois matrix"), m)
                      for row in obj["matrices"])
-        imgs = tuple(tuple(Fraction(s) for s in fp) for fp in obj["images"])
-        return cls(mats, imgs, mp.mpf(obj["score"]), mp.mpf(obj["runner_up"]),
-                   mp.mpf(obj["separation"]), obj["candidates"])
+        imgs = []
+        for j, fl in enumerate(obj["images"]):
+            try:
+                imgs.append(e1.element([Fraction(s) for s in fl]))
+            except FieldError as exc:
+                raise FieldError(f"Galois image {j}: {exc}") from exc
+        return cls(mats, tuple(imgs), mp.mpf(obj["score"]),
+                   mp.mpf(obj["runner_up"]), mp.mpf(obj["separation"]),
+                   obj["candidates"])
 
 
 def _key(q) -> str:
@@ -680,7 +649,7 @@ class ExactFiducialCertificate:
     e1_levels: int
     tau: AlgebraicNumber
     tau_level_added: bool
-    generator_rep: tuple | None
+    generator_rep: tuple
     orbit_reps: tuple
     rep_overlaps: dict
     index_map: dict
@@ -693,6 +662,11 @@ class ExactFiducialCertificate:
     _table: dict = field(default=None, repr=False, compare=False)
 
     @property
+    def e0(self) -> FieldTower:
+        return FieldTower(self.tower.levels[:self.e0_levels],
+                          self.tower.precision)
+
+    @property
     def e1(self) -> FieldTower:
         return FieldTower(self.tower.levels[:self.e1_levels],
                           self.tower.precision)
@@ -702,8 +676,7 @@ class ExactFiducialCertificate:
         from the stored images by _rows_from_images, the rule the lift
         builds its rows by. No numerics are involved."""
         if self._rows is None:
-            self._rows = _rows_from_images(self.e1, self.e0_levels,
-                                           self.galois.images)
+            self._rows = _rows_from_images(self.e1, self.galois.images)
         return self._rows
 
     def overlap_at(self, q) -> AlgebraicNumber:
@@ -738,8 +711,7 @@ class ExactFiducialCertificate:
             "e1_levels": self.e1_levels,
             "tau": [str(fr) for fr in self.tau.coefficients],
             "tau_level_added": self.tau_level_added,
-            "generator_rep": list(self.generator_rep)
-                             if self.generator_rep else None,
+            "generator_rep": list(self.generator_rep),
             "orbit_reps": [list(r) for r in self.orbit_reps],
             "overlaps": {_key(r): [str(fr) for fr in x.coefficients]
                          for r, x in self.rep_overlaps.items()},
@@ -810,20 +782,19 @@ def _check_schema(obj: dict) -> dict:
         if reps != {_unkey(k) for k in obj["overlaps"]}:
             raise SicliftError("the stored overlaps are not exactly those of "
                                "the orbit representatives")
-        e0, e1 = obj["e0_levels"], obj["e1_levels"]
-        levels = len(obj["tower"]["levels"])
-        if not levels:
-            raise SicliftError("the tower has no level to hold tau")
-        if not (0 <= e0 <= e1 <= levels and e1 - e0 <= 1):
-            raise SicliftError(f"level counts e0={e0}, e1={e1} do not fit a "
-                               f"{levels}-level tower with at most one level "
-                               "between the coefficient and overlap fields")
         method, added, gen = (obj["method"], obj["tau_level_added"],
                               obj["generator_rep"])
         if type(method) is not int or method not in (1, 2):
             raise SicliftError(f"method {method!r} is not 1 or 2")
         if type(added) is not bool:
             raise SicliftError(f"tau_level_added {added!r} is not a boolean")
+        e0, e1 = obj["e0_levels"], obj["e1_levels"]
+        levels = len(obj["tower"]["levels"])
+        if not (type(e0) is int and type(e1) is int
+                and 0 <= e0 and e1 == e0 + 1 == levels - added):
+            raise SicliftError(f"level counts e0={e0!r}, e1={e1!r} are not "
+                               "integers with e1 = e0 + 1 >= 1 and e1 + "
+                               f"tau_level_added = {levels} tower levels")
         if type(galois["candidates"]) is not int:
             raise SicliftError(f"galois candidates {galois['candidates']!r} "
                                "is not an integer")
@@ -843,8 +814,7 @@ def _check_schema(obj: dict) -> dict:
             d=d, method=method, tower=tower, e0_levels=e0, e1_levels=e1,
             tau=tower.element([Fraction(s) for s in obj["tau"]]),
             tau_level_added=added,
-            generator_rep=None if gen is None
-            else _mod_ints(gen, 2, dp, "generator_rep"),
+            generator_rep=_mod_ints(gen, 2, dp, "generator_rep"),
             orbit_reps=tuple(_mod_ints(r, 2, dp, "orbit representative")
                              for r in obj["orbit_reps"]),
             rep_overlaps={_unkey(k): e1_tower.element([Fraction(s)
@@ -852,7 +822,7 @@ def _check_schema(obj: dict) -> dict:
                           for k, fl in obj["overlaps"].items()},
             index_map={_unkey(k): _ints(v, 2, f"index_map entry {k}")
                        for k, v in obj["index_map"].items()},
-            galois=GaloisMatch.from_obj(galois),
+            galois=GaloisMatch.from_obj(galois, e1_tower),
             s_matrices=tuple(ModMatrix(*_mod_ints(row, 4, dp,
                                                   "symmetry matrix"), dp)
                              for row in obj["s_matrices"]),
@@ -893,7 +863,7 @@ def overlap_minimal_polynomials(cert: "ExactFiducialCertificate") -> list:
     return sorted(_rational_minpoly(v) for v in cert.all_overlaps().values())
 
 
-def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, prec) -> dict:
+def _conjectures(d: int, e0: FieldTower, e1, polys, prec) -> dict:
     """Structural expectations that are checked and recorded, never assumed:
     the squarefree discriminant's square root inside the coefficient field
     (decided exactly by is_field), realness defects, and whether the
@@ -914,17 +884,14 @@ def _conjectures(d: int, e0: FieldTower, e1, gen_poly, polys, prec) -> dict:
                        0, sqrt_disc)
     has_sqrt = not is_field(FieldTower(e0.levels + (level,), prec))
     imag_defect = max(p.imag_defect for p in polys)
-    gen_ok = None
-    if gen_poly is not None:
-        gen_ok = len(_rational_minpoly(e1.generator(len(e1.levels)))) \
-            == e1.degree + 1
     out = {
         "discriminant_squarefree": disc,
         "coefficient_field_contains_sqrt_disc": has_sqrt,
         "coefficient_field_imag_defect": mp.nstr(e0_defect, 5),
         "orbit_coefficient_imag_defect": mp.nstr(imag_defect, 5),
         "automorphism_count_matches_quotient": True,
-        "overlap_generator_generates_over_rationals": gen_ok,
+        "overlap_generator_generates_over_rationals": len(_rational_minpoly(
+            e1.generator(len(e1.levels)))) == e1.degree + 1,
     }
     failed = [k for k, v in out.items() if v is False]
     out["nonconforming"] = failed
@@ -1007,17 +974,17 @@ def _assemble_certificate(fid, struct, conj, gen_poly, autos, reps, polys,
         log.info("phase extension added a level (relative degree %d)",
                  tower.levels[-1].degree)
 
-    conj = _conjectures(fid.d, e0, e1, gen_poly, polys, prec)
+    conj = _conjectures(fid.d, e0, e1, polys, prec)
 
     match = GaloisMatch(
         matrices=tuple(reps[c] for c in coset_of_row),
-        images=tuple(_image_coords(a) for a in autos), score=score,
+        images=tuple(a.images[-1] for a in autos), score=score,
         runner_up=runner_up, separation=separation, candidates=candidates)
 
     cert = ExactFiducialCertificate(
         d=fid.d, method=method, tower=tower, e0_levels=len(e0.levels),
         e1_levels=len(e1.levels), tau=tau, tau_level_added=added,
-        generator_rep=gen_poly.rep if gen_poly is not None else None,
+        generator_rep=gen_poly.rep,
         orbit_reps=tuple(q.rep for q in polys), rep_overlaps=rep_overlaps,
         index_map=index_map, galois=match,
         s_matrices=tuple(struct.s_pi.elements),
@@ -1049,13 +1016,16 @@ def _prepare(fid, digits):
                         "interpolation and alignment scoring assume it is")
     cosets, reps, qcay = _coset_structure(struct.cent, struct.s_pi)
     n = len(reps)
+    if n == 1:
+        raise LiftError("the index quotient is trivial, so the overlap field "
+                        "would be the real coefficient field and every "
+                        "overlap real; the lift takes a proper extension")
     if any(qcay[i][j] != qcay[j][i] for i in range(n) for j in range(i)):
         raise LiftError("the index quotient is not commutative; its cosets "
                         "cannot label the Galois conjugates")
     e1, gen_poly = _extension_field(e0, polys, n, prec)
-    t_conj = [1] if gen_poly is None else \
-        [table.chi(M.apply(gen_poly.rep)) for M in reps]
-    conj = _Conjugates(e0, e1, t_conj, qcay)
+    conj = _Conjugates(e0, e1, [table.chi(M.apply(gen_poly.rep))
+                                for M in reps], qcay)
     autos = _galois_rows(conj)
     label = [conj.at_root[j] for j in range(n)]
     perms = [tuple(a[c] for c in label) for a in _group_automorphisms(qcay)]
@@ -1139,9 +1109,7 @@ def method2_exactify(fid,
             if worst == mp.inf:
                 break
         scores[f], rels[f] = worst, found
-        if nontrivial:
-            log.info("bijection %s worst relation norm %s", f,
-                     mp.nstr(worst, 5))
+        log.info("bijection %s worst relation norm %s", f, mp.nstr(worst, 5))
 
     ranked = sorted(perms, key=lambda f: scores[f])
     candidates = [f for f in ranked if scores[f] < _attempt_floor(prec)]
@@ -1340,12 +1308,9 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     automorphism()."""
     tower = cert.tower
     prec = tower.precision
-    images = [tower.generator(k + 1) for k in range(cert.e0_levels)]
-    if cert.e1_levels > cert.e0_levels:
-        if cert.generator_rep is None:
-            raise FieldError("certificate lacks the generator index")
-        neg = cert._norm((-cert.generator_rep[0], -cert.generator_rep[1]))
-        images.append(lift_element(tower, cert.overlap_at(neg)))
+    neg = cert._norm((-cert.generator_rep[0], -cert.generator_rep[1]))
+    images = [tower.generator(k + 1) for k in range(cert.e0_levels)] \
+        + [lift_element(tower, cert.overlap_at(neg))]
     if cert.tau_level_added:
         images.append(cert.tau ** (dprime(cert.d) - 1))
     with mp.workdps(guarded(prec)):

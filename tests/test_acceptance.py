@@ -21,7 +21,7 @@ from siclift.fidsearch import refine, seed_search, strongly_centre
 from siclift.lattice import (integer_relation, minimal_polynomial,
                              verify_relation)
 from siclift.modring import MatGroup, ModMatrix
-from siclift.numfield import FieldTower, recognize
+from siclift.numfield import recognize
 
 STRETCH = bool(os.environ.get("SICLIFT_STRETCH"))
 
@@ -173,8 +173,7 @@ def test_acceptance_5_end_to_end_d5(capsys, accepted_d5):
         ok &= report["checks"].get(name) is True
     ok &= len(cert.all_overlaps()) == mr.dprime(5) ** 2
     ok &= cert.conjectures["discriminant_squarefree"] == 3
-    e0 = FieldTower(cert.tower.levels[:cert.e0_levels], cert.tower.precision)
-    ok &= recognize(e0, mp.mpf(3) ** mp.mpf("0.5")) is not None
+    ok &= recognize(cert.e0, mp.mpf(3) ** mp.mpf("0.5")) is not None
     ok &= accepted_d5["elapsed"] < 3600
     _verdict(capsys, 5, ok,
              f"d=5 exact certificate at 1000 digits: every overlap condition "

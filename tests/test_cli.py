@@ -404,6 +404,24 @@ def _malform(obj, how):
         obj["overlaps"]["9,0"] = list(obj["overlaps"]["0,1"])
     elif how == "generator_rep_plus_modulus":
         obj["generator_rep"][0] += galois["modulus"]
+    # the cases below were a traceback, a pass or a verdict that differed
+    # between the commands: level counts that are no plain integers, a
+    # missing generator index, a phase-level flag that the tower
+    # contradicts, and an image one coefficient short (which only the rows
+    # built from it noticed); counts not one apart were refused only
+    # because the overlaps then had the wrong length
+    elif how == "e0_levels_float":
+        obj["e0_levels"] = float(obj["e0_levels"])
+    elif how == "e0_levels_bool":
+        obj["e0_levels"] = True
+    elif how == "e1_levels_equal_e0":
+        obj["e1_levels"] = obj["e0_levels"]
+    elif how == "generator_rep_null":
+        obj["generator_rep"] = None
+    elif how == "tau_level_added_flipped":
+        obj["tau_level_added"] = not obj["tau_level_added"]
+    elif how == "image_coefficient_dropped":
+        images[0].pop()
     elif how == "tower_without_levels":
         # a consistent certificate over Q: no embedding stores digits that
         # could refuse the huge precision, and exact verification once
@@ -449,6 +467,30 @@ def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
     err = capsys.readouterr().err
     assert "siclift verify: error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--mode", "exact"],
+                                     ["verify", "--mode", "certified",
+                                      "--digits", "80"],
+                                     ["report"]])
+@pytest.mark.parametrize("how", ["e0_levels_float", "e0_levels_bool",
+                                 "e1_levels_equal_e0", "generator_rep_null",
+                                 "tau_level_added_flipped", "images_cut",
+                                 "image_coefficient_dropped"])
+def test_malformed_galois_data_is_an_error_for_every_command(
+        workdir, certfile, capsys, how, command):
+    # the loader refuses these, so every command that reads the file
+    # exits 2 with one message line
+    obj = json.load(open(certfile))
+    _malform(obj, how)
+    bad = workdir / f"malformed_{how}.cert"
+    bad.write_text(json.dumps(obj))
+    assert main([command[0], "--cert", str(bad), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"siclift {command[0]}: error:")
+    assert err.count("\n") == 1
+    if how == "image_coefficient_dropped":
+        assert "Galois image 0: need 8 coefficients, got 7" in err
 
 
 # every top-level certificate field, and five ways to break each

@@ -274,20 +274,21 @@ def test_right_tau_guess_needs_no_sweep_d4(fid4, cert4, monkeypatch):
     assert tower.levels == cert4.tower.levels and tau == cert4.tau
 
 
-def test_tau_actions_agree_with_the_guess_modulo_the_subgroup():
-    # homomorphisms from C2 x C2 into (Z/8)^x / H that agree with a base
-    # action modulo H0 = {1, 7}: one free choice in H0 per generator
+def test_tau_actions_are_every_homomorphism_into_the_quotient():
+    # C2 x C2 into (Z/8)^x, itself C2 x C2: every choice of images of the
+    # two generators is a homomorphism, 4 * 4 of them
     cay = _klein_table()
-    full = exactify._actions(cay, 8, frozenset({1}), frozenset({1, 7}),
-                             (1, 3, 5, 7))
-    assert len(full) == 4
+    full = exactify._actions(cay, 8, frozenset({1}))
+    assert len(full) == len(set(full)) == 16
     for chi in full:
         assert chi[0] == 1
         assert all(chi[i] * chi[j] % 8 == chi[i ^ j]
                    for i in range(4) for j in range(4))
+    # modulo H = {1, 7} the quotient is C2, and each action is listed by
+    # its smallest representatives
+    assert len(exactify._actions(cay, 8, frozenset({1, 7}))) == 4
     # C3 into (Z/7)^x: only a cube root of 1 respects the products
-    assert exactify._actions(_cyclic_table(3), 7, frozenset({1}),
-                             frozenset(range(1, 7)), (1, 1, 1)) == \
+    assert exactify._actions(_cyclic_table(3), 7, frozenset({1})) == \
         [(1, 1, 1), (1, 2, 4), (1, 4, 2)]
     assert [len(H) for H in exactify._unit_subgroups(8)] == [1, 2, 2, 2, 4]
     assert [len(H) for H in exactify._unit_subgroups(7)] == [1, 2, 3, 6]
@@ -337,17 +338,20 @@ def test_conjugates_solve_recovers_coordinates_in_q_zeta5():
     assert conj.lift(values) == e1.element(coords)
 
 
-def test_trivial_extension_conjugates_let_no_float_in():
-    # the trivial extension's one node is the integer t = 1: its dual row
-    # is an mpc at the working precision, so a value keeps all its digits
-    q = FieldTower.rationals(80)
-    conj = exactify._Conjugates(q, q, [1], [[0]])
-    with mp.workdps(100):
-        third = mp.mpf(1) / 3
-    (x,) = conj.solve([third])
-    assert isinstance(x, mp.mpc)
-    with mp.workdps(100):
-        assert abs(x - third) < mp.mpf(10) ** -60
+def test_trivial_index_quotient_is_refused_before_the_overlap_field(
+        fid4, monkeypatch):
+    # one coset would make the overlap field the real coefficient field;
+    # the lift refuses it before it adjoins anything
+    def one_coset(cent, s_pi):
+        return [list(cent.elements)], [cent.elements[0]], [[0]]
+
+    def no_extension(*args):
+        raise AssertionError("the overlap field was adjoined")
+
+    monkeypatch.setattr(exactify, "_coset_structure", one_coset)
+    monkeypatch.setattr(exactify, "_extension_field", no_extension)
+    with pytest.raises(LiftError, match="index quotient is trivial"):
+        exactify._prepare(fid4, None)
 
 
 @pytest.mark.parametrize("fid_name, cert_name",
@@ -442,9 +446,7 @@ def test_e0_contains_sqrt_disc_d5(cert5):
     assert conj["discriminant_squarefree"] == 3
     assert conj["coefficient_field_contains_sqrt_disc"] is True
     assert conj["nonconforming"] == []
-    e0 = FieldTower(cert5.tower.levels[:cert5.e0_levels],
-                    cert5.tower.precision)
-    assert recognize(e0, mp.mpf(3) ** mp.mpf("0.5")) is not None
+    assert recognize(cert5.e0, mp.mpf(3) ** mp.mpf("0.5")) is not None
 
 
 def test_verify_exact_d5(report5):
