@@ -37,10 +37,11 @@ from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
 from .modring import MatGroup, ModMatrix, centralizer, dprime, orbits, \
     symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
-    FieldTower, adjoin, automorphism, cyclotomic_polynomial, divides, horner, \
-    is_field, lift_element, nearest_root, squarefree_part, _guess_precision, \
-    _monic, _new_level, _poly_roots, _rational_minpoly, \
-    _subset_product_coeffs, recognize, relation_element
+    FieldTower, adjoin, automorphism, cyclotomic_polynomial, \
+    degree_one_primes, divides, horner, is_field, lift_element, \
+    nearest_root, squarefree_part, _guess_precision, _monic, _new_level, \
+    _poly_roots, _rational_minpoly, _subset_product_coeffs, recognize, \
+    relation_element
 
 log = logging.getLogger("siclift.exactify")
 
@@ -114,13 +115,22 @@ def _distinct_values(vals, prec):
     10^(-prec/2) and distinct above 10^(-prec/4); the band between is
     ambiguous and aborts. The squared distance re^2 + im^2 is compared with
     the squared thresholds, so only the error message takes a square
-    root."""
+    root. A double-precision screen sends only close pairs to that test:
+    converting a value to double moves it by at most 2^-53 of its modulus
+    (or 2^-1074 below the normal range), so a pair whose double distance is
+    above twice the band's edge and above 10^-10 of 1 + both moduli is
+    farther apart than the band, and distinct, at any precision."""
     same2 = ten_to(-2 * (prec // 2), guarded(prec))
     band2 = ten_to(-2 * (prec // 4), guarded(prec))
-    reps, assign = [], []
+    far = 2 * 10.0 ** -(prec // 4)
+    reps, near, assign = [], [], []
     for v in vals:
+        z = complex(v)
         hit = None
-        for i, r in enumerate(reps):
+        for i, (r, w) in enumerate(zip(reps, near)):
+            gap = abs(z - w)
+            if gap > far and gap > 1e-10 * (1 + abs(z) + abs(w)):
+                continue
             dist2 = abs2(v - r)
             if dist2 < same2:
                 hit = i
@@ -132,6 +142,7 @@ def _distinct_values(vals, prec):
                     f"1e-{prec // 4}); increase precision")
         if hit is None:
             reps.append(v)
+            near.append(z)
             assign.append(len(reps) - 1)
         else:
             assign.append(hit)
@@ -370,6 +381,12 @@ def _galois_rows(conj: _Conjugates) -> list[EmbeddingAutomorphism]:
         raise LiftError(f"lifted {exc}") from exc
 
 
+def _generated(H: frozenset, a: int, m: int) -> frozenset:
+    """The subgroup of (Z/m)^x generated by its subgroup H and the unit a:
+    the union of the cosets a^k H."""
+    return frozenset(h * pow(a, k, m) % m for h in H for k in range(m))
+
+
 def _unit_subgroups(m: int) -> list[frozenset]:
     """Every subgroup of (Z/m)^x, by increasing order (ties by elements)."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
@@ -377,8 +394,7 @@ def _unit_subgroups(m: int) -> list[frozenset]:
     while frontier:
         H = frontier.pop()
         for a in units:
-            # the group generated by H and a is the union of the a^k H
-            K = frozenset(h * pow(a, k, m) % m for h in H for k in range(m))
+            K = _generated(H, a, m)
             if K not in groups:
                 groups.add(K)
                 frontier.append(K)
@@ -396,10 +412,38 @@ def _actions(cay, m: int, H: frozenset) -> list[tuple]:
                                  lambda a, b: canon(a * b), 1))
 
 
-def _extend_with_tau(conj: _Conjugates, d: int, guess):
-    """Make the phase tau = -exp(i pi / d) available: find its minimal
-    polynomial over the overlap field e1 among the factors of the
-    cyclotomic polynomial Phi_m, m its order d'.
+# Degree-one primes of the overlap field whose Frobenius residues are read
+# before tau's level falls back to is_field.
+FROBENIUS_PRIMES = 8
+
+
+def _frobenius_proof(e1: FieldTower, m: int):
+    """The test proves(k): whether the residues mod m of the first
+    FROBENIUS_PRIMES degree-one primes of the field e1 that do not divide m
+    generate a subgroup of (Z/m)^x of order at least k. By Frobenius (see
+    _extend_with_tau), a factor of Phi_m of degree k through tau that it
+    proves is tau's minimal polynomial over e1. The primes are read lazily,
+    once for every call."""
+    residues = itertools.islice(
+        (p % m for p in degree_one_primes(e1) if m % p), FROBENIUS_PRIMES)
+    group = frozenset({1})
+
+    def proves(k: int) -> bool:
+        nonlocal group
+        while len(group) < k:
+            r = next(residues, None)
+            if r is None:
+                return False
+            group = _generated(group, r, m)
+        return True
+
+    return proves
+
+
+def _tau_factors(conj: _Conjugates, d: int, guess):
+    """The candidate factors of Phi_m through tau, m = d', that divide it
+    exactly over the overlap field e1, in the order _extend_with_tau walks
+    them (ascending coefficients below the leading 1, elements of e1).
 
     tau's conjugates over e1 are tau^h for h in a subgroup H of (Z/m)^x,
     and coset N acts on tau as tau -> tau^chi(N), chi a homomorphism into
@@ -407,15 +451,12 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
     N-th conjugate has the roots tau^(chi(N) h), so each coefficient is
     interpolated from those conjugates and recognized over the coefficient
     field (_Conjugates.lift, at the guess precision, then at full), and
-    the candidate is accepted when it divides Phi_m exactly over e1.
+    the candidate is kept when it divides Phi_m exactly over e1.
 
-    One stream of candidates is walked in order: the proper subgroups by
-    increasing order with chi = guess (scaled so the identity coset acts
-    trivially), at the guess precision and then at full; Phi_m itself; and
-    only then every other (H, chi), listed by _actions. Every accepted
-    factor has tau as a root, so the first one that is_field proves a
-    field (a linear factor is one) is irreducible over e1, tau's minimal
-    polynomial, whatever the order. Returns (tower, tau, level_added)."""
+    The stream runs: the proper subgroups by increasing order with
+    chi = guess (scaled so the identity coset acts trivially), at the
+    guess precision and then at full; Phi_m itself; and only then every
+    other (H, chi), listed by _actions."""
     e1, prec, n = conj.e1, conj.prec, len(conj.cay)
     m = dprime(d)
     taus = hb.tau_powers(d, prec)
@@ -448,12 +489,33 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
                 if chi != guessed:
                     yield from (factor(H, chi, p) for p in ladder)
 
-    for fac in filter(None, stream()):
+    return filter(None, stream())
+
+
+def _extend_with_tau(conj: _Conjugates, d: int, guess):
+    """Make the phase tau = -exp(i pi / d) available: find its minimal
+    polynomial over the overlap field e1 among the factors of the
+    cyclotomic polynomial Phi_m, m its order d', that _tau_factors lists.
+    Every one has tau as a root, so the first one proven irreducible over
+    e1 (a linear factor is) is tau's minimal polynomial, whatever the
+    order.
+
+    The proof is by Frobenius. At an odd prime p not dividing m over which
+    e1 has a prime of degree one (numfield.degree_one_primes), that prime's
+    Frobenius maps tau to tau^p, so p mod m lies in the Galois group of
+    e1(tau) over e1, whose order is the degree of tau's minimal polynomial;
+    a factor whose degree the residues' subgroup reaches is that
+    polynomial (_frobenius_proof). The primes are read once for the whole
+    stream, and only a factor they leave unproven goes to is_field.
+    Returns (tower, tau, level_added)."""
+    e1, prec = conj.e1, conj.prec
+    proves = _frobenius_proof(e1, dprime(d))
+    for fac in _tau_factors(conj, d, guess):
         if len(fac) == 1:
             return e1, -fac[0], False
         roots = _poly_roots([c.embed() for c in fac], prec)
-        tower = _new_level(e1, fac, roots, taus[1], "tau")
-        if is_field(tower):
+        tower = _new_level(e1, fac, roots, hb.tau_powers(d, prec)[1], "tau")
+        if proves(len(fac)) or is_field(tower):
             return tower, tower.generator(len(tower.levels)), True
     raise LiftError("no factor of Phi_m through tau is irreducible over the "
                     "overlap field")

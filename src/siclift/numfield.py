@@ -13,8 +13,10 @@ packed (Kronecker substitution) into the box of exponent sums, where level
 k's digit runs over 2 m_k - 1 values, so no slot carries into the next. The
 product's box slots are then sent to the basis by an integer matrix over one
 denominator, built once per tower prefix and held on the prefix's top level.
-An automorphism is likewise an integer matrix, built from the images of the
-generators.
+When both factors lie in level L-1, the product is taken there and placed
+back, recursively, so arithmetic in a subfield costs the subfield's degree,
+not the tower's. An automorphism is likewise an integer matrix, built from
+the images of the generators.
 
 Every element also has a complex embedding fixed by the root choices, so
 numeric and exact computations can cross-check each other; `nearest_root`
@@ -42,6 +44,14 @@ polynomial over the rationals, which Zassenhaus's algorithm proves or
 refutes over the integers (`factor_mod_p` modulo small primes, Hensel
 lifting, recombination by exact division). `adjoin` rejects every
 extension that is not a field this way.
+
+`degree_one_primes` lists the odd primes p over which a field tower has a
+prime of degree one, found as a chain of simple roots modulo p through its
+levels, which Hensel's lemma lifts to an embedding into the p-adic numbers.
+The Frobenius of such a prime maps an m-th root of unity zeta, for p not
+dividing m, to zeta^p, so p mod m lies in the Galois group of the tower's
+extension by zeta; `exactify` reads tau's degree over the overlap field off
+these residues and calls `is_field` only when they fall short.
 """
 
 from __future__ import annotations
@@ -245,7 +255,10 @@ class _Box:
                 for c, p in zip((zero, *rest), lv.minpoly)))
         self.dim, self.size = low.dim * m, low.size * radix
         self.pos = tuple(p * radix + j for p in low.pos for j in range(m))
-        self.cols = [_join([tower._mul(col, c, L - 1) for c in powers[s]])
+        # box monomial col * g^s: for s < m, g^s is a basis monomial and
+        # col sits at its slot; above, col times each coefficient of g^s
+        self.cols = [_join([zero] * s + [col] + [zero] * (m - 1 - s)) if s < m
+                     else _join([tower._mul(col, c, L - 1) for c in powers[s]])
                      for col in low.cols for s in range(radix)]
         rows, self.den = _columns(self.cols)
         self.rows = tuple((tuple(p for p, x in enumerate(row) if x),
@@ -328,11 +341,17 @@ class FieldTower:
         return lv.box
 
     def _mul(self, a, b, L: int):
+        """a * b at level L; when both lie in level L-1 (no power of g_L
+        above the zeroth), the product is taken there and placed back."""
         (u, du), (v, dv) = a, b
         if not (any(u) and any(v)):
             return self._zero(L)
         if L == 0:
             return _reduced((u[0] * v[0],), du * dv)
+        m = self.levels[L - 1].degree
+        if not any(any(w[j::m]) for w in (u, v) for j in range(1, m)):
+            return self._lift(self._mul((u[::m], du), (v[::m], dv), L - 1),
+                              L - 1, L)
         box = self._box(L)
         return _reduced(box.product(u, v), du * dv * box.den)
 
@@ -1383,6 +1402,51 @@ def is_field(tower: FieldTower) -> bool:
     over the rationals (_irreducible)."""
     got = _primitive_element(tower)
     return got is not None and _irreducible(got[1])
+
+
+def _simple_roots(f, p: int) -> list:
+    """The monic product over F_p of (x - r) for the simple roots r of the
+    monic f: the gcd of f with x^p - x, less its common factor with f'."""
+    g = _mgcd(f, _mop(_mpowmod([0, 1], p, f, p), [0, 1], p, sub), p)
+    if len(g) == 1:
+        return g
+    deriv = _mtrim([i * c % p for i, c in enumerate(f) if i])
+    return _mdivmod(g, _mgcd(g, deriv, p), p)[0]
+
+
+def _root_chain(tower: FieldTower, p: int, roots: tuple = ()) -> bool:
+    """Whether the residues `roots` of the generators of the first
+    len(roots) levels extend to a chain of simple roots modulo p through
+    every level's minimal polynomial, each with coefficients p-integral at
+    the chain below it. Each lower level's simple roots are split by
+    _equal_degree and tried in turn; the top level needs only that one
+    exists."""
+    L = len(roots)
+    if L == len(tower.levels):
+        return True
+    f = []
+    for u, den in tower.levels[L].minpoly:
+        if not den % p:
+            return False
+        f.append(tower.evaluate(u, L, lambda n: n % p, roots)
+                 * pow(den, -1, p) % p)
+    simple = _simple_roots(f + [1], p)
+    if L + 1 == len(tower.levels):
+        return len(simple) > 1
+    return len(simple) > 1 and any(
+        _root_chain(tower, p, roots + (-h[0] % p,))
+        for h in _equal_degree(simple, 1, p))
+
+
+def degree_one_primes(tower: FieldTower):
+    """The odd primes p, increasing, for which a chain of simple roots
+    modulo p runs through the levels of the tower, a field, with every
+    level's minimal polynomial p-integral along it (_root_chain). Hensel's
+    lemma lifts such a chain to an embedding of the tower into the p-adic
+    numbers, so the tower has a prime of degree one over p. A prime that
+    divides a denominator or an index may be passed over. An endless
+    generator."""
+    return (p for p in _odd_primes() if _root_chain(tower, p))
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:

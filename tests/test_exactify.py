@@ -11,6 +11,7 @@ which most predict non-real coefficients.
 """
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -258,7 +259,8 @@ def test_wrong_tau_guess_finds_the_same_level_d4(fid4, cert4):
 
 def test_right_tau_guess_needs_no_sweep_d4(fid4, cert4, monkeypatch):
     # with the guess det(M_N), the first factor found is irreducible over
-    # the overlap field, and is_field proves it: no action is enumerated
+    # the overlap field, and Frobenius residues prove it: no action is
+    # enumerated
     *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid4,
                                                                       None)
     calls = []
@@ -272,6 +274,71 @@ def test_right_tau_guess_needs_no_sweep_d4(fid4, cert4, monkeypatch):
     assert calls == []
     assert added is True
     assert tower.levels == cert4.tower.levels and tau == cert4.tau
+
+
+def test_tau_level_needs_no_zassenhaus_d4(fid4, cert4, monkeypatch):
+    # the residues mod 8 of degree-one primes of the overlap field prove
+    # tau's level irreducible, so Zassenhaus's algorithm never runs on it
+    *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid4,
+                                                                      None)
+
+    def no_zassenhaus(f):
+        raise AssertionError("is_field factored tau's level")
+
+    monkeypatch.setattr(numfield, "_irreducible", no_zassenhaus)
+    tower, tau, added = _extend_with_tau(conj, 4, [M.det() for M in reps])
+    assert added is True
+    assert tower.levels == cert4.tower.levels and tau == cert4.tau
+
+
+@pytest.mark.parametrize("fid_name", ["fid4", "fid5"])
+def test_frobenius_accepts_only_fields(fid_name, request):
+    # the stream offers every factor of Phi_d' through tau that divides
+    # it, under every action; each one the shared residues accept is one
+    # that is_field accepts, the certificate's among them, and Phi_d'
+    # itself, reducible here, is offered and not accepted
+    fid = request.getfixturevalue(fid_name)
+    *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid,
+                                                                      None)
+    m = dprime(fid.d)
+    tau = heisenberg.tau_powers(fid.d, conj.prec)[1]
+    proves = exactify._frobenius_proof(conj.e1, m)
+    verdicts = []
+    for fac in exactify._tau_factors(conj, fid.d, [M.det() for M in reps]):
+        proven = proves(len(fac))
+        if proven:
+            roots = numfield._poly_roots([c.embed() for c in fac],
+                                         conj.prec)
+            tower = numfield._new_level(conj.e1, fac, roots, tau, "tau")
+            assert numfield.is_field(tower)
+        verdicts.append((len(fac), proven))
+    assert (2, True) in verdicts
+    assert (len(cyclotomic_polynomial(m)) - 1, False) in verdicts
+
+
+def test_frobenius_never_accepts_phi8_d4(fid4, monkeypatch):
+    # with every coset guessed to fix tau, the first factor offered is
+    # Phi_8 itself, reducible over the overlap field: tau has degree 2
+    # over it, so every degree-one prime's residue mod 8 lies in a
+    # subgroup of order 2, however many are read
+    *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid4,
+                                                                      None)
+    first = next(exactify._tau_factors(conj, 4, [1] * len(reps)))
+    assert [c.vec for c in first] == [
+        conj.e1.rational(c).vec for c in cyclotomic_polynomial(8)[:-1]]
+    monkeypatch.setattr(exactify, "FROBENIUS_PRIMES", 64)
+    proves = exactify._frobenius_proof(conj.e1, 8)
+    assert proves(2) and not proves(4)
+
+
+def test_frobenius_skips_primes_dividing_the_order():
+    # 7 is a degree-one prime of Q(sqrt 2), but Frobenius at 7 does not act
+    # on 7th roots of unity, so it gives no residue; the others generate
+    # the whole of (Z/7)^x, over which a 7th root of unity has degree 6
+    K = adjoin(FieldTower.rationals(80), [-2, 0, 1], 1.4)
+    assert 7 in itertools.islice(numfield.degree_one_primes(K), 3)
+    proves = exactify._frobenius_proof(K, 7)
+    assert proves(6) and not proves(7)
 
 
 def test_tau_actions_are_every_homomorphism_into_the_quotient():

@@ -5,6 +5,7 @@ conjugation), embedding cross-checks at working precision, and exact
 zero tests that need no numerics at all.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -312,6 +313,42 @@ class TestIsField:
         with mp.workdps(40):
             sel = mp.sqrt(2) + mp.sqrt(3) + mp.sqrt(5)
         assert adjoin(Q, SWINNERTON_DYER, sel).degree == 8
+
+
+def _odd_primes_below(n):
+    return [p for p in range(3, n, 2) if all(p % q for q in range(3, p, 2))]
+
+
+class TestDegreeOnePrimes:
+    @pytest.mark.parametrize("polys, qualifies", [
+        # 2 is a square modulo an odd prime p exactly when p = +-1 mod 8
+        ([[-2, 0, 1]], lambda p: p % 8 in (1, 7)),
+        # and 3 exactly when p = +-1 mod 12, so both when p = +-1 mod 24
+        ([[-2, 0, 1], [-3, 0, 1]], lambda p: p % 24 in (1, 23)),
+    ], ids=["Q(sqrt2)", "Q(sqrt2)(sqrt3)"])
+    def test_quadratic_reciprocity(self, Q, polys, qualifies):
+        tower = Q
+        for poly, sel in zip(polys, (1.4, 1.7)):
+            tower = adjoin(tower, poly, sel)
+        want = [p for p in _odd_primes_below(600) if qualifies(p)]
+        got = list(itertools.islice(numfield.degree_one_primes(tower),
+                                    len(want)))
+        assert got == want
+
+    def test_chain_tries_every_lower_root(self, Q):
+        # Q(sqrt(1 + r)), r^2 = 2, as y^2 = 1 + r over Q(r): p qualifies
+        # when some y has y^4 - 2 y^2 - 1 = 0 modulo p. For p = 7 mod 8,
+        # -1 = (1 + r)(1 - r) is not a square, so only one of the two
+        # square roots r of 2 continues the chain, whichever the
+        # equal-degree split finds first
+        K = adjoin(Q, [-2, 0, 1], 1.4)
+        tower = adjoin(K, [-(K.generator(1) + 1), 0, 1], 1.55)
+        want = [p for p in _odd_primes_below(600)
+                if any((y ** 4 - 2 * y * y - 1) % p == 0 for y in range(p))]
+        got = list(itertools.islice(numfield.degree_one_primes(tower),
+                                    len(want)))
+        assert got == want
+        assert sum(p % 8 == 7 for p in want) >= 10
 
 
 class TestArithmetic:
@@ -750,6 +787,53 @@ class TestIntegerRepresentation:
             half = K.rational(Fraction(2, 4))
             assert half.vec[1] == 2 and half == Fraction(1, 2)
             assert K.zero().vec[1] == 1 and (x - x).vec == K.zero().vec
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["e0", "e1"]), st.sampled_from(["e0", "e1"]),
+           st.sampled_from(["zero", "one", "wide", "wide"]),
+           st.sampled_from(["zero", "one", "wide", "wide"]),
+           st.integers(0, 10 ** 6))
+    def test_subfield_products_equal_the_box_product_d4(
+            self, cert4, left, right, left_kind, right_kind, seed):
+        # elements of e0 and e1 lifted into the seed-11 d=4 tower multiply
+        # in their own subfield and are placed back; the result must be
+        # the product through the whole tower's box
+        T = cert4.tower
+        rng = random.Random(seed)
+        sub = {"e0": cert4.e0, "e1": cert4.e1}
+
+        def draw(name, kind):
+            K = sub[name]
+            x = {"zero": K.zero, "one": K.one,
+                 "wide": lambda: _random_element(K, rng)}[kind]()
+            return lift_element(T, x)
+
+        x, y = draw(left, left_kind), draw(right, right_kind)
+        box = T._box(len(T.levels))
+        (u, du), (v, dv) = x.vec, y.vec
+        want = numfield._reduced(box.product(u, v), du * dv * box.den)
+        got = x * y
+        assert got.vec == want
+        _assert_reduced(got)
+
+    def test_box_places_its_low_columns_d4(self, cert4):
+        # for s below the level degree m, g^s is a basis monomial, and the
+        # box monomial col * g^s is col placed at slot s: equal to col
+        # multiplied by each coordinate of g^s over the level below
+        T = cert4.tower
+        for L in range(1, len(T.levels) + 1):
+            m = T.levels[L - 1].degree
+            zero, one = T._zero(L - 1), T._const(1, L - 1)
+            box, low = numfield._Box(T, L), T._box(L - 1)
+            cols = iter(box.cols)
+            for col in low.cols:
+                for s in range(2 * m - 1):
+                    placed = next(cols)
+                    if s < m:
+                        assert placed == numfield._join(
+                            [T._mul(col, one if j == s else zero, L - 1)
+                             for j in range(m)])
+            assert box.rows == T._box(L).rows and box.den == T._box(L).den
 
     def test_loads_share_no_product_data(self, cert4, tmp_path):
         # product data is held on a tower's levels: shared by the towers
