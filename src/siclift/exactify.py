@@ -39,9 +39,9 @@ from .modring import MatGroup, ModMatrix, centralizer, dprime, orbits, \
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
     FieldTower, adjoin, automorphism, cyclotomic_polynomial, \
     degree_one_primes, divides, horner, is_field, lift_element, \
-    nearest_root, squarefree_part, _guess_precision, _monic, _new_level, \
-    _poly_roots, _rational_minpoly, _subset_product_coeffs, recognize, \
-    relation_element
+    nearest_root, parse_rational, squarefree_part, _guess_precision, \
+    _monic, _new_level, _poly_roots, _rational_minpoly, \
+    _subset_product_coeffs, recognize, relation_element
 
 log = logging.getLogger("siclift.exactify")
 
@@ -681,7 +681,7 @@ class GaloisMatch:
         imgs = []
         for j, fl in enumerate(obj["images"]):
             try:
-                imgs.append(e1.element([Fraction(s) for s in fl]))
+                imgs.append(e1.element(map(parse_rational, fl)))
             except FieldError as exc:
                 raise FieldError(f"Galois image {j}: {exc}") from exc
         return cls(mats, tuple(imgs), mp.mpf(obj["score"]),
@@ -740,11 +740,6 @@ class ExactFiducialCertificate:
         if self._rows is None:
             self._rows = _rows_from_images(self.e1, self.galois.images)
         return self._rows
-
-    def overlap_at(self, q) -> AlgebraicNumber:
-        """Exact overlap at index q (mod the index modulus), as an element of
-        the overlap field."""
-        return self.all_overlaps()[self._norm(q)]
 
     def _norm(self, q):
         dp = dprime(self.d)
@@ -810,8 +805,9 @@ def _check_schema(obj: dict) -> dict:
     so that a malformed file is reported as an error rather than as a
     verification verdict. Returns every certificate field built from the
     file and checked for its type; index pairs, shifts and matrix entries
-    must be canonical residues, so each stored group element has one
-    spelling."""
+    must be canonical residues and rationals spelled as written, so each
+    stored value has one spelling; representatives and group data are sets,
+    and generator_rep is one of the representatives."""
     try:
         d = obj["d"]
         if type(d) is not int or d < 4:
@@ -872,15 +868,14 @@ def _check_schema(obj: dict) -> dict:
                                f">= {MIN_LIFT_DIGITS}")
         tower = FieldTower.from_json(json.dumps(obj["tower"]))
         e1_tower = FieldTower(tower.levels[:e1], tower.precision)
-        return dict(
+        out = dict(
             d=d, method=method, tower=tower, e0_levels=e0, e1_levels=e1,
-            tau=tower.element([Fraction(s) for s in obj["tau"]]),
+            tau=tower.element(map(parse_rational, obj["tau"])),
             tau_level_added=added,
             generator_rep=_mod_ints(gen, 2, dp, "generator_rep"),
             orbit_reps=tuple(_mod_ints(r, 2, dp, "orbit representative")
                              for r in obj["orbit_reps"]),
-            rep_overlaps={_unkey(k): e1_tower.element([Fraction(s)
-                                                       for s in fl])
+            rep_overlaps={_unkey(k): e1_tower.element(map(parse_rational, fl))
                           for k, fl in obj["overlaps"].items()},
             index_map={_unkey(k): _ints(v, 2, f"index_map entry {k}")
                        for k, v in obj["index_map"].items()},
@@ -894,6 +889,13 @@ def _check_schema(obj: dict) -> dict:
                              for p, row in obj["stabilizer"]),
             conjectures=obj["conjectures"],
             verification=ver)
+        for key in ("orbit_reps", "s_matrices", "stabilizer"):
+            if len(set(out[key])) != len(out[key]):
+                raise SicliftError(f"{key} lists an entry twice")
+        if out["generator_rep"] not in out["rep_overlaps"]:
+            raise SicliftError(f"generator_rep {gen} is not an orbit "
+                               "representative")
+        return out
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SicliftError(f"malformed certificate: {exc!r}") from exc
 
@@ -1295,7 +1297,7 @@ def _transported(cert: ExactFiducialCertificate, i: int) -> dict:
     for q, src in cert.index_map.items():
         if src not in images:
             images[src] = row(table[q])
-        if images[src] != table[cert._norm(G.apply(q))]:
+        if images[src] != table[G.apply(q)]:
             raise LiftError(f"transport identity of Galois row {i} failed at "
                             f"index {q}; the certificate is inconsistent")
         out[q] = images[src]
@@ -1303,15 +1305,21 @@ def _transported(cert: ExactFiducialCertificate, i: int) -> dict:
 
 
 def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
-    """Exact checks of the stored group data against the exact overlap
-    table: every Galois row transports the table as its matrix relabels it,
-    every symmetry matrix fixes the table, the symmetry matrices are the
-    group that the stored stabilizer's matrix parts F generate through
-    F -> (det F) F, and every stabilizer element (p, F) fixes the table:
-    chi_q = tau^(2<q,p>) chi_x with x = F^-1 q, negated when det F = -1
-    (conjugation negates indices). Returns the named results and the first
-    failure's description (None on a pass)."""
-    checks = {}
+    """Exact checks, after equiangularity has passed, of the stored claims
+    the residues do not cover: the overlap at generator_rep is the overlap
+    field's generator, each Galois row transports the table as its matrix
+    relabels it, each stabilizer shift p is 0, and the images (det F) F of
+    the stabilizer's matrices generate exactly the symmetry matrices and fix
+    the table. So does every symmetry matrix, a product of them; and as no
+    off-lattice overlap is 0, chi_q = tau^(2<q,p>) chi_q at q = (1, 0) and
+    (0, 1) gives p = 0. Returns the named results and the first failure
+    (None on a pass)."""
+    gen = cert.generator_rep
+    checks = {"generator_overlap": cert.rep_overlaps[gen]
+              == cert.e1.generator(cert.e1_levels)}
+    if not checks["generator_overlap"]:
+        return checks, (f"the overlap at generator_rep {list(gen)} is not "
+                        "the overlap field's generator")
     try:
         for i in range(len(cert.galois.matrices)):
             _transported(cert, i)
@@ -1319,12 +1327,10 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
         checks["galois_transport"] = False
         return checks, str(exc)
     checks["galois_transport"] = True
-    table = cert.all_overlaps()
-    moved = next((F for F in cert.s_matrices for q in table
-                  if table[cert._norm(F.apply(q))] != table[q]), None)
-    checks["symmetry_fixes_table"] = moved is None
-    if moved is not None:
-        return checks, f"symmetry matrix {moved} does not fix the overlaps"
+    shifted = next((p for p, _F in cert.stabilizer if p != (0, 0)), None)
+    checks["stabilizer_shifts"] = shifted is None
+    if shifted is not None:
+        return checks, f"stabilizer shift {list(shifted)} is not 0"
     try:
         gens = [symmetry_image(F) for _p, F in cert.stabilizer]
         ok = set(MatGroup.generated(
@@ -1335,26 +1341,12 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
     checks["stabilizer_generates_symmetry"] = ok
     if not ok:
         return checks, "the stabilizer does not generate the symmetry matrices"
-    d, tower = cert.d, cert.tower
-    w = _powers(cert.tau * cert.tau, tower.one(), d)
-    for p, F in cert.stabilizer:
-        Finv, anti = F.inv(), F.det() == F.m - 1
-        for q in table:
-            x = Finv.apply(q)
-            if anti:
-                x = cert._norm((-x[0], -x[1]))
-            e = (q[1] * p[0] - q[0] * p[1]) % d
-            if e == 0:
-                ok = table[q] == table[x]
-            else:
-                ok = lift_element(tower, table[q]) \
-                    == w[e] * lift_element(tower, table[x])
-            if not ok:
-                checks["stabilizer_shifts"] = False
-                return checks, (f"stabilizer element {list(p)}, {F} does not "
-                                f"fix the overlap at {q}")
-    checks["stabilizer_shifts"] = True
-    return checks, None
+    table = cert.all_overlaps()
+    moved = next((G for G in gens for q in table
+                  if table[G.apply(q)] != table[q]), None)
+    checks["symmetry_fixes_table"] = moved is None
+    return checks, (None if moved is None
+                    else f"symmetry matrix {moved} does not fix the overlaps")
 
 
 # ---------------------------------------------------------------------------
@@ -1372,7 +1364,7 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     prec = tower.precision
     neg = cert._norm((-cert.generator_rep[0], -cert.generator_rep[1]))
     images = [tower.generator(k + 1) for k in range(cert.e0_levels)] \
-        + [lift_element(tower, cert.overlap_at(neg))]
+        + [lift_element(tower, cert.all_overlaps()[neg])]
     if cert.tau_level_added:
         images.append(cert.tau ** (dprime(cert.d) - 1))
     with mp.workdps(guarded(prec)):
@@ -1436,11 +1428,9 @@ def _powers(x, one, count):
 def verify_exact(cert: ExactFiducialCertificate) -> dict:
     """Replay the checklist of _residues in exact rational arithmetic, after
     building the conjugation map and up to the first residue that is not
-    zero; then check the stored group data against the exact table. Stores
-    and returns the report."""
-    d = cert.d
-    tower = cert.tower
-    prec = tower.precision
+    zero; then check the stored claims of _group_data_checks. Stores and
+    returns the report."""
+    d, tower, prec = cert.d, cert.tower, cert.tower.precision
     checks: dict = {}
     offending = None
 
@@ -1601,8 +1591,8 @@ def verify_certified(cert: ExactFiducialCertificate,
                      digits: int = 120) -> dict:
     """Enclose every residue of the _residues checklist in a complex ball on
     the grid 2^-w, w = ceil((digits + 25) log2 10). Passes when all residue
-    balls contain 0 with radius below 10^(-digits/2) and the stored group
-    data passes the exact checks of verify_exact; a ball excluding 0 is a
+    balls contain 0 with radius below 10^(-digits/2) and the stored claims
+    pass the exact _group_data_checks of verify_exact; a ball excluding 0 is a
     definitive failure. The verdicts are exact integer comparisons, but
     which root each generator ball holds is evidence, not proof (see
     _generator_balls). digits must be a positive integer; SicliftError

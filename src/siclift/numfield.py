@@ -96,9 +96,21 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
+
+
+def _ratio(x: Fraction) -> str:
+    """A tower document's spelling of a rational: n/d, also when d = 1."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_rational(s, spell=str) -> Fraction:
+    """The rational that the string s spells exactly as spell writes it: str
+    for certificate coordinates, _ratio for a tower's minimal-polynomial
+    leaves. Any other text is FieldError, so each value has one spelling."""
+    if not isinstance(s, str) or spell(x := Fraction(s)) != s:
+        raise FieldError(f"{s!r} is not the written spelling of a rational")
+    return x
 
 
 # -- vectors: (integer numerator tuple, positive denominator), reduced -------
@@ -486,7 +498,7 @@ class FieldTower:
     def to_json(self) -> str:
         def enc(u, L):
             if L == 0:
-                return f"{u[0].numerator}/{u[0].denominator}"
+                return _ratio(u[0])
             m = self.levels[L - 1].degree
             return [enc(u[j::m], L - 1) for j in range(m)]
 
@@ -523,10 +535,7 @@ class FieldTower:
 
         def dec(node, L):
             if L == 0:
-                if not isinstance(node, str):
-                    raise FieldError(f"level {len(levels) + 1} minimal "
-                                     f"polynomial has a leaf {node!r}")
-                return (Fraction(node),)
+                return (parse_rational(node, _ratio),)
             if not (isinstance(node, list)
                     and len(node) == levels[L - 1].degree):
                 raise FieldError(f"level {len(levels) + 1} minimal polynomial "

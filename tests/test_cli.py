@@ -433,6 +433,34 @@ def _malform(obj, how):
         galois.update(matrices=galois["matrices"][:1], images=[[]])
         for entry in imap.values():
             entry[1] = 0
+    # the cases below were a pass in certified mode, and all but the first
+    # in exact mode too: a generator index that is no orbit representative,
+    # a representative or group element listed twice, and a stored rational
+    # in a second spelling of its value
+    elif how == "generator_rep_not_a_rep":
+        obj["generator_rep"] = next([a, b] for a in range(galois["modulus"])
+                                    for b in range(galois["modulus"])
+                                    if [a, b] not in obj["orbit_reps"])
+    elif how == "orbit_rep_repeated":
+        obj["orbit_reps"].append(obj["orbit_reps"][-1])
+    elif how == "s_matrix_repeated":
+        obj["s_matrices"].append(obj["s_matrices"][0])
+    elif how == "stabilizer_matrix_identity":
+        # the identity is listed already, so it is now listed twice
+        assert [[0, 0], [1, 0, 0, 1]] in obj["stabilizer"]
+        next(e for e in obj["stabilizer"] if e[1] != [1, 0, 0, 1])[1] = \
+            [1, 0, 0, 1]
+    elif how == "minpoly_leaf_respelled":
+        coeff = next(c for c in obj["tower"]["levels"][1]["minpoly"]
+                     if "0/1" in c)
+        coeff[coeff.index("0/1")] = "0/11"
+    elif how == "tau_respelled":
+        obj["tau"][obj["tau"].index("0")] = "0/1"
+    elif how == "overlap_respelled":
+        # the lattice overlap 1, written 1/1
+        obj["overlaps"]["0,0"][0] += "/1"
+    elif how == "image_respelled":
+        images[0][0] = " " + images[0][0]
 
 
 @pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
@@ -476,7 +504,12 @@ def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
 @pytest.mark.parametrize("how", ["e0_levels_float", "e0_levels_bool",
                                  "e1_levels_equal_e0", "generator_rep_null",
                                  "tau_level_added_flipped", "images_cut",
-                                 "image_coefficient_dropped"])
+                                 "image_coefficient_dropped",
+                                 "generator_rep_not_a_rep",
+                                 "orbit_rep_repeated", "s_matrix_repeated",
+                                 "stabilizer_matrix_identity",
+                                 "minpoly_leaf_respelled", "tau_respelled",
+                                 "overlap_respelled", "image_respelled"])
 def test_malformed_galois_data_is_an_error_for_every_command(
         workdir, certfile, capsys, how, command):
     # the loader refuses these, so every command that reads the file
@@ -583,6 +616,64 @@ def test_verify_checks_group_data(workdir, certfile, capsys, field, mode):
                "--digits", "80"])
     assert rc == 1
     assert _stdout_json(capsys)["pass"] is False
+
+
+@pytest.mark.parametrize("mode", ["exact", "certified"])
+def test_group_data_mutations_are_refused(workdir, certfile, capsys, mode):
+    # by rule: each stabilizer element's shift set to (1, 0) and to (0, 1)
+    # and its matrix to the identity, a shear and -I, and each symmetry
+    # matrix set to the shear and to -I; an edit that leaves the entry as
+    # it was is no mutation and is skipped
+    base = json.load(open(certfile))
+    m = base["galois"]["modulus"]
+    mats = ([1, 0, 0, 1], [1, 1, 0, 1], [m - 1, 0, 0, m - 1])
+    edits = [(["stabilizer", i], 0, value)
+             for i in range(len(base["stabilizer"]))
+             for value in ([1, 0], [0, 1])]
+    edits += [(["stabilizer", i], 1, M)
+              for i in range(len(base["stabilizer"])) for M in mats]
+    edits += [(["s_matrices"], i, M)
+              for i in range(len(base["s_matrices"])) for M in mats[1:]]
+    bad = workdir / f"group_mutation_{mode}.cert"
+    passed = []
+    for path, slot, value in edits:
+        obj = json.load(open(certfile))
+        entry = obj
+        for key in path:
+            entry = entry[key]
+        if entry[slot] == value:
+            continue
+        entry[slot] = value
+        bad.write_text(json.dumps(obj))
+        rc = main(["verify", "--cert", str(bad), "--mode", mode,
+                   "--digits", "80"])
+        if rc not in (1, 2):
+            passed.append((path, slot, value, rc))
+    assert passed == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "certified"])
+def test_verify_checks_the_generator_overlap(workdir, certfile, capsys,
+                                             mode):
+    # generator_rep moved to another orbit representative, whose overlap
+    # is not the overlap field's generator: certified mode, which never
+    # reads the index, once passed it
+    obj = json.load(open(certfile))
+    gen = obj["generator_rep"]
+    for rep in obj["orbit_reps"]:
+        if rep == gen:
+            continue
+        obj["generator_rep"] = rep
+        bad = workdir / f"generator_{mode}.cert"
+        bad.write_text(json.dumps(obj))
+        rc = main(["verify", "--cert", str(bad), "--mode", mode,
+                   "--digits", "80"])
+        assert rc == 1, rep
+        out = _stdout_json(capsys)
+        assert out["pass"] is False
+        if mode == "certified":
+            assert out["group_checks"] == {"generator_overlap": False}
 
 
 def test_verify_missing_file_is_an_error(capsys):

@@ -585,6 +585,26 @@ class TestSerialization:
         with pytest.raises(FieldError, match="significant digits"):
             FieldTower.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("leaf", ["0/11", "0", "0/1 ", "-0/1", 0])
+    def test_minpoly_leaf_has_one_spelling(self, K3, leaf):
+        # each is the leaf "0/1" in other text, or no text at all
+        import json
+        doc = json.loads(K3.to_json())
+        assert doc["levels"][0]["minpoly"] == ["-3/1", "0/1"]
+        doc["levels"][0]["minpoly"][1] = leaf
+        with pytest.raises(FieldError, match="written spelling"):
+            FieldTower.from_json(json.dumps(doc))
+
+    def test_parse_rational_takes_the_written_spelling(self):
+        assert numfield.parse_rational("-3/4") == Fraction(-3, 4)
+        assert numfield.parse_rational("5") == 5
+        assert numfield.parse_rational("5/1", numfield._ratio) == 5
+        for s in ("6/8", "5/1", "+5", " 5", "1.5", "-0", 5, None):
+            with pytest.raises(FieldError, match="written spelling"):
+                numfield.parse_rational(s)
+        with pytest.raises(FieldError, match="written spelling"):
+            numfield.parse_rational("5", numfield._ratio)
+
 
 class TestCyclotomic:
     def test_small_cases(self):
