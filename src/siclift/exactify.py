@@ -7,11 +7,11 @@ of one orbit polynomial to get the overlap field, one level above it, whose
 automorphisms' images of its generator are read off their conjugates by
 Lagrange interpolation (_Conjugates) and built into rows by the rule a
 reloaded certificate uses (_rows_from_images); lift one exact overlap per
-orbit and align the automorphisms with the index-quotient cosets by one
-rule, that they regenerate the numeric table from those overlaps; find tau
-by one ordered search (_extend_with_tau); emit a self-contained certificate
-carrying exact overlaps at orbit representatives plus the transport data
-regenerating the full table.
+orbit and check that the rows, aligned with the index-quotient cosets by
+the labelling they were built from, regenerate the numeric table from those
+overlaps; find tau by one ordered search (_extend_with_tau); emit a
+self-contained certificate carrying exact overlaps at orbit representatives
+plus the transport data regenerating the full table.
 Verification either replays everything in exact rational arithmetic or
 encloses all residues in complex balls.
 """
@@ -112,14 +112,15 @@ class OrbitPolynomial:
 
 def _distinct_values(vals, prec):
     """Cluster numerically equal values. Two values are the same below
-    10^(-prec/2) and distinct above 10^(-prec/4); the band between is
-    ambiguous and aborts. The squared distance re^2 + im^2 is compared with
-    the squared thresholds, so only the error message takes a square
-    root. A double-precision screen sends only close pairs to that test:
-    converting a value to double moves it by at most 2^-53 of its modulus
-    (or 2^-1074 below the normal range), so a pair whose double distance is
-    above twice the band's edge and above 10^-10 of 1 + both moduli is
-    farther apart than the band, and distinct, at any precision."""
+    10^(-prec/2) and distinct above 10^(-prec/4); a distance in the band
+    between decides neither and aborts. The squared distance re^2 + im^2 is
+    compared with the squared thresholds, so only the error message takes
+    a square root. A double-precision screen sends only close pairs to that
+    test: converting a value to double moves it by at most 2^-53 of its
+    modulus (or 2^-1074 below the normal range), so a pair whose double
+    distance is above twice the band's edge and above 10^-10 of 1 + both
+    moduli is farther apart than the band, and distinct, at any
+    precision."""
     same2 = ten_to(-2 * (prec // 2), guarded(prec))
     band2 = ten_to(-2 * (prec // 4), guarded(prec))
     far = 2 * 10.0 ** -(prec // 4)
@@ -644,15 +645,25 @@ def _rows_from_images(e1: FieldTower, images) -> list[EmbeddingAutomorphism]:
     return rows
 
 
+def _lifted_table(rows, reps, rep_overlaps, index_map) -> dict:
+    """Index -> rows[j] applied to the overlap at reps[pos], for its
+    index_map entry (pos, j), each row applied once per such pair: the one
+    rule by which the lift checks its table and a certificate reads its."""
+    images = {(pos, j): rows[j](rep_overlaps[reps[pos]])
+              for pos, j in set(index_map.values())}
+    return {q: images[src] for q, src in index_map.items()}
+
+
 @dataclass
 class GaloisMatch:
     """Alignment of the overlap-field automorphisms with the index-quotient
     cosets. Row j pairs the automorphism that fixes the coefficient field and
     sends the overlap-field generator to images[j], an element of the
-    overlap field, with the coset of matrices[j]. score is the winning
-    bijection's worst relation norm, runner_up the best among the losers: a
-    lower bound, since scoring stops feeding a junk lattice at the attempt
-    floor."""
+    overlap field, with the coset of matrices[j], the coset whose conjugate
+    row j was interpolated from. score is that labelling's worst relation
+    norm under method 2, runner_up the best of the quotient's other
+    isomorphisms: a lower bound, since scoring stops feeding a junk lattice
+    at the attempt floor."""
     matrices: tuple
     images: tuple
     score: object
@@ -747,15 +758,8 @@ class ExactFiducialCertificate:
 
     def all_overlaps(self) -> dict:
         if self._table is None:
-            rows = self.galois_rows()
-            cache = {}
-            table = {}
-            for q, (pos, j) in self.index_map.items():
-                rep = self.orbit_reps[pos]
-                if (pos, j) not in cache:
-                    cache[(pos, j)] = rows[j](self.rep_overlaps[rep])
-                table[q] = cache[(pos, j)]
-            self._table = table
+            self._table = _lifted_table(self.galois_rows(), self.orbit_reps,
+                                        self.rep_overlaps, self.index_map)
         return self._table
 
     def to_json(self) -> str:
@@ -807,7 +811,9 @@ def _check_schema(obj: dict) -> dict:
     file and checked for its type; index pairs, shifts and matrix entries
     must be canonical residues and rationals spelled as written, so each
     stored value has one spelling; representatives and group data are sets,
-    and generator_rep is one of the representatives."""
+    generator_rep is one of the representatives, and an index whose
+    representative's overlap lies in the coefficient field takes the
+    identity row."""
     try:
         d = obj["d"]
         if type(d) is not int or d < 4:
@@ -895,6 +901,17 @@ def _check_schema(obj: dict) -> dict:
         if out["generator_rep"] not in out["rep_overlaps"]:
             raise SicliftError(f"generator_rep {gen} is not an orbit "
                                "representative")
+        # every row fixes an overlap in the coefficient field, so its
+        # indices are written with the identity row alone
+        m, t = e1_tower.levels[-1].degree, e1_tower.generator(e1)
+        fixed = [not any(u[i] for i in range(len(u)) if i % m)
+                 for u, _den in (out["rep_overlaps"][r].vec
+                                 for r in out["orbit_reps"])]
+        for k, (pos, row) in out["index_map"].items():
+            if fixed[pos] and out["galois"].images[row] != t:
+                raise SicliftError(f"index_map entry {_key(k)} names row "
+                                   f"{row}, not the identity row, for an "
+                                   "overlap in the coefficient field")
         return out
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SicliftError(f"malformed certificate: {exc!r}") from exc
@@ -964,74 +981,52 @@ def _conjectures(d: int, e0: FieldTower, e1, polys, prec) -> dict:
     return out
 
 
-def _index_map(polys, cosets, coset_of_row, ident_row) -> dict:
+def _index_map(polys, cosets, label, identity) -> dict:
     """Index -> (orbit position, Galois row): every index of a one-value
-    orbit takes the identity row, and on any other orbit row j takes the
-    representative's images under the matrices of coset coset_of_row[j]."""
+    orbit takes the row labelled with the identity coset, and on any other
+    orbit row j takes the representative's images under the matrices of
+    coset label[j]. The label is a bijection onto the cosets, which cover
+    the centralizer, so every index of the orbit is reached."""
+    ident_row = label.index(identity)
     index_map = {}
     for pos, q in enumerate(polys):
         if q.degree == 1:
             for idx in q.indices:
                 index_map[idx] = (pos, ident_row)
             continue
-        for j, c in enumerate(coset_of_row):
+        for j, c in enumerate(label):
             for M in cosets[c]:
                 index_map[M.apply(q.rep)] = (pos, j)
-        missing = [idx for idx in q.indices if idx not in index_map]
-        if missing:
-            raise LiftError(f"orbit {q.orbit_id} indices {missing} were not "
-                            "reached by any coset; transport data is "
-                            "inconsistent")
     return index_map
 
 
-def _regenerated(table, polys, autos, rep_overlaps, index_map, prec) -> bool:
-    """Whether the Galois rows, applied to the lifted orbit representatives
-    as index_map pairs them, reproduce the numeric table at every index to
-    10^-(prec//3), well below the distinct-value separation floor. Each row
-    is applied once per (orbit position, row) pair."""
+def _regenerated(table, lifted, prec) -> bool:
+    """Whether the lifted table (index -> overlap-field element) reproduces
+    the numeric table at every index to 10^-(prec//3), well below the
+    distinct-value separation floor. Each distinct value is embedded once."""
     tol2 = ten_to(-2 * (prec // 3), guarded(prec))
-    images = {}
     with mp.workdps(guarded(prec)):
-        for idx, src in index_map.items():
-            if src not in images:
-                pos, j = src
-                images[src] = autos[j](rep_overlaps[polys[pos].rep]).embed()
-            if abs2(images[src] - table.chi(idx)) > tol2:
-                return False
-    return True
+        near = {x: x.embed() for x in set(lifted.values())}
+        return all(abs2(near[x] - table.chi(q)) <= tol2
+                   for q, x in lifted.items())
 
 
-def _select_alignment(candidates, lift, table, polys, autos, cosets, prec):
-    """The one alignment rule of both routes: of the candidate isomorphisms
-    (each row's coset), walked in order, the one under which the rows
-    regenerate the table from the representatives lift(f) returns (None
-    skips f). Returns (f, representatives, index map), or None when no
-    candidate does; LiftError when two do."""
-    ident_row = next(i for i, a in enumerate(autos) if a.is_identity())
-    found = None
-    for f in candidates:
-        rep_overlaps = lift(f)
-        index_map = _index_map(polys, cosets, f, ident_row)
-        if rep_overlaps is None or not _regenerated(
-                table, polys, autos, rep_overlaps, index_map, prec):
-            continue
-        if found is not None:
-            raise LiftError(f"alignment ambiguous: bijections {found[0]} and "
-                            f"{f} both lift exactly and regenerate the table")
-        found = (f, rep_overlaps, index_map)
-    return found
-
-
-def _assemble_certificate(fid, struct, conj, gen_poly, autos, reps, polys,
-                          aligned, method, score, runner_up, separation,
-                          candidates, prec) -> ExactFiducialCertificate:
-    """Common tail of both lifting routes, given the alignment
-    _select_alignment chose: tau extension, structural-expectation record,
-    certificate. Coset N's guessed action on tau is tau -> tau^det(M_N),
-    the Galois-Clifford correspondence."""
+def _assemble_certificate(fid, struct, table, conj, gen_poly, autos, cosets,
+                          reps, polys, label, rep_overlaps, method, score,
+                          runner_up, separation, candidates, prec):
+    """Common tail of both lifting routes: the one alignment check, then
+    the tau extension, the structural-expectation record and the
+    certificate. The rows are aligned with the cosets by the labelling they
+    were built from (_prepare), and the table they lift from rep_overlaps
+    through its index map must regenerate the numeric one (_regenerated);
+    None when it does not, before tau is sought. Coset N's guessed action
+    on tau is tau -> tau^det(M_N), the Galois-Clifford correspondence."""
     e0, e1 = conj.e0, conj.e1
-    coset_of_row, rep_overlaps, index_map = aligned
+    orbit_reps = tuple(q.rep for q in polys)
+    index_map = _index_map(polys, cosets, label, conj.identity)
+    lifted = _lifted_table(autos, orbit_reps, rep_overlaps, index_map)
+    if not _regenerated(table, lifted, prec):
+        return None
     tower, tau, added = _extend_with_tau(conj, fid.d,
                                          [M.det() for M in reps])
     if added:
@@ -1041,30 +1036,30 @@ def _assemble_certificate(fid, struct, conj, gen_poly, autos, reps, polys,
     conj = _conjectures(fid.d, e0, e1, polys, prec)
 
     match = GaloisMatch(
-        matrices=tuple(reps[c] for c in coset_of_row),
+        matrices=tuple(reps[c] for c in label),
         images=tuple(a.images[-1] for a in autos), score=score,
         runner_up=runner_up, separation=separation, candidates=candidates)
 
     cert = ExactFiducialCertificate(
         d=fid.d, method=method, tower=tower, e0_levels=len(e0.levels),
         e1_levels=len(e1.levels), tau=tau, tau_level_added=added,
-        generator_rep=gen_poly.rep,
-        orbit_reps=tuple(q.rep for q in polys), rep_overlaps=rep_overlaps,
-        index_map=index_map, galois=match,
+        generator_rep=gen_poly.rep, orbit_reps=orbit_reps,
+        rep_overlaps=rep_overlaps, index_map=index_map, galois=match,
         s_matrices=tuple(struct.s_pi.elements),
         stabilizer=struct.stabilizer, conjectures=conj)
-    cert._rows = list(autos)
+    cert._rows, cert._table = list(autos), lifted
     return cert
 
 
 def _prepare(fid, digits):
     """Common head of both lifting routes: the overlap field, its
     automorphisms over the coefficient field, one interpolated from each
-    coset's conjugates (_galois_rows), and every isomorphism of their group
-    onto the quotient (a tuple giving each row's coset), the alignment
-    candidates. Row j sends t to the root at index j, the conjugate t_c of
-    coset c = conj.at_root[j], so this labelling is one such isomorphism,
-    and the others are the quotient's own automorphisms after it."""
+    coset's conjugates (_galois_rows), and their labelling by those cosets,
+    the alignment both routes check (a tuple giving each row's coset). Row j
+    sends t to the root at index j, the conjugate t_c of coset
+    c = conj.at_root[j]; as the t_N are distinct, under any other
+    isomorphism onto the quotient row j would have to send t to another
+    conjugate, so no other alignment can regenerate the table."""
     prec = digits or fid.precision
     if prec > fid.precision:
         raise PrecisionError(f"fiducial carries {fid.precision} digits, "
@@ -1091,10 +1086,9 @@ def _prepare(fid, digits):
     conj = _Conjugates(e0, e1, [table.chi(M.apply(gen_poly.rep))
                                 for M in reps], qcay)
     autos = _galois_rows(conj)
-    label = [conj.at_root[j] for j in range(n)]
-    perms = [tuple(a[c] for c in label) for a in _group_automorphisms(qcay)]
+    label = tuple(conj.at_root[j] for j in range(n))
     return prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
-        perms
+        label
 
 
 # ---------------------------------------------------------------------------
@@ -1129,31 +1123,57 @@ def _relation_score(comps, basis, prec, reduced):
     return max([mp.mpf(1), *map(relation_norm, found)]), found
 
 
+def _relation_lift(e0, e1, polys, rels) -> dict | None:
+    """Exact representatives from the relations that scored an alignment:
+    each solution component in the coefficient field, read off its relation
+    (m_0*comp = sum m_j*basis_j), summed against the powers of the
+    overlap-field generator, and a one-value orbit's constant value. None
+    when a relation is not accepted or does not involve its component."""
+    rep_overlaps = {}
+    t = e1.generator(len(e1.levels))
+    for q in polys:
+        if q.degree == 1:
+            rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
+            continue
+        sk = []
+        for rel in rels[q.orbit_id]:
+            m = rel.coefficients
+            if not rel.accepted or m[0] == 0:
+                return None
+            sk.append(relation_element(e0, m))
+        rep_overlaps[q.rep] = horner([lift_element(e1, c) for c in sk], t)
+    return rep_overlaps
+
+
 def method2_exactify(fid,
                      digits: int | None = None) -> ExactFiducialCertificate:
-    """Lift by aligning automorphisms with index cosets.
+    """Lift by scoring the alignments of automorphisms with index cosets.
 
     Every bijection between the overlap-field automorphisms and the quotient
-    cosets that respects the group structure is scored: the overlap vector
-    it predicts is read as the conjugates of one element, whose coordinates
-    _Conjugates.solve interpolates. The coefficient field is real, so a
-    solution component with an imaginary part above 10^-(prec//2) cannot lie
-    in it, and its bijection scores +inf with no lattice reduction. Every
-    other component is fed to an integer-relation search over the
-    coefficient-field basis, one reduction per distinct relation lattice,
-    which stops at the rung where its relation is accepted or its norm
-    reaches the attempt floor. The true
-    bijection's components lie in the coefficient field, so its relation
-    norms sit many orders of magnitude below every competitor's. The low
-    scorers, best first, are lifted exactly from the relations that scored
-    them, and _select_alignment keeps the one whose lift regenerates the
-    numeric table."""
+    cosets that respects the group structure, the labelling the rows were
+    built from composed with each automorphism of the quotient, is scored:
+    the overlap vector it predicts is read as the conjugates of one element,
+    whose coordinates _Conjugates.solve interpolates. The coefficient field
+    is real, so a solution component with an imaginary part above
+    10^-(prec//2) cannot lie in it, and its bijection scores +inf with no
+    lattice reduction. Every other component is fed to an integer-relation
+    search over the coefficient-field basis, one reduction per distinct
+    relation lattice, which stops at the rung where its relation is
+    accepted or its norm reaches the attempt floor. The labelling's
+    components lie in the coefficient field, so its relation norms sit many
+    orders of magnitude below every other isomorphism's: score and
+    runner_up compare the two. The labelling is lifted exactly from the
+    relations that scored it, and its rows must regenerate the numeric
+    table from that lift (_assemble_certificate); PrecisionError when it
+    scores at the attempt floor or its lift fails that check."""
     if fid.d % 3 == 0:
         from .fidsearch import strongly_centre
         fid = strongly_centre(fid)
     prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
-        perms = _prepare(fid, digits)
-    e0, e1, n = conj.e0, conj.e1, len(autos)
+        label = _prepare(fid, digits)
+    e0, n = conj.e0, len(autos)
+    perms = [tuple(a[c] for c in label)
+             for a in _group_automorphisms(conj.cay)]
     log.info("scoring %d structure-respecting bijections", len(perms))
 
     nontrivial = [q for q in polys if q.degree >= 2]
@@ -1175,58 +1195,25 @@ def method2_exactify(fid,
         scores[f], rels[f] = worst, found
         log.info("bijection %s worst relation norm %s", f, mp.nstr(worst, 5))
 
-    ranked = sorted(perms, key=lambda f: scores[f])
-    candidates = [f for f in ranked if scores[f] < _attempt_floor(prec)]
-    if not candidates:
+    score = scores[label]
+    runner_up = min((scores[f] for f in perms if f != label), default=mp.inf)
+    if runner_up <= score:
+        log.warning("score ranking was not decisive (the labelling scored "
+                    "%s, another isomorphism %s); the labelling is lifted "
+                    "and checked all the same", mp.nstr(score, 5),
+                    mp.nstr(runner_up, 5))
+    rep_overlaps = _relation_lift(e0, conj.e1, polys, rels[label]) \
+        if score < _attempt_floor(prec) else None
+    cert = None if rep_overlaps is None else _assemble_certificate(
+        fid, struct, table, conj, gen_poly, autos, cosets, reps, polys,
+        label, rep_overlaps, 2, score, runner_up, runner_up / score,
+        len(perms), prec)
+    if cert is None:
         raise PrecisionError(
-            f"every bijection's relation norms sit at the junk floor (best "
-            f"{mp.nstr(scores[ranked[0]], 5)} at {prec} digits); increase "
-            "precision")
-
-    def lift(f):
-        """Exact lift of the bijection's solution: each component in the
-        coefficient field, read off the relation that scored it
-        (m_0*comp = sum m_j*basis_j), summed against the powers of the
-        overlap-field generator; None when a relation is not accepted or
-        does not involve its component."""
-        rep_overlaps = {}
-        t = e1.generator(len(e1.levels))
-        for q in polys:
-            if q.degree == 1:
-                rep_overlaps[q.rep] = lift_element(e1, -q.exact[0])
-                continue
-            sk = []
-            for rel in rels[f][q.orbit_id]:
-                m = rel.coefficients
-                if not rel.accepted or m[0] == 0:
-                    return None
-                sk.append(relation_element(e0, m))
-            rep_overlaps[q.rep] = horner([lift_element(e1, c) for c in sk],
-                                         t)
-        return rep_overlaps
-
-    aligned = _select_alignment(candidates, lift, table, polys, autos, cosets,
-                                prec)
-    if aligned is None:
-        raise PrecisionError(
-            f"none of the {len(candidates)} low-scoring bijections passed "
-            f"the gated exact lift and table cross-check at {prec} digits; "
-            "increase precision")
-
-    best = aligned[0]
-    best_score = scores[best]
-    others = [scores[f] for f in perms if f != best]
-    runner_up = min(others) if others else mp.inf
-    separation = runner_up / best_score if others else mp.inf
-    if best != ranked[0]:
-        log.warning("score ranking was not decisive (winner %s scored %s, "
-                    "best score %s); the exact cross-check selected the "
-                    "winner", best, mp.nstr(best_score, 5),
-                    mp.nstr(scores[ranked[0]], 5))
-
-    return _assemble_certificate(
-        fid, struct, conj, gen_poly, autos, reps, polys, aligned, 2,
-        best_score, runner_up, separation, len(perms), prec)
+            f"the coset labelling scored {mp.nstr(score, 5)} and did not "
+            "pass the gated exact lift and table cross-check at "
+            f"{prec} digits; increase precision")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -1238,10 +1225,10 @@ def method1_exactify(fid,
     """Lift by recognizing each nontrivial orbit's representative value
     directly in the overlap field and certifying it as an exact root of its
     lifted orbit polynomial. The orbit's other values are Galois images of
-    that one, so they need no recognition of their own: the alignment is the
-    one isomorphism onto the index quotient, among those _prepare
-    enumerated, under which _select_alignment finds the rows regenerate the
-    numeric table. No relation scoring is involved.
+    that one, so they need no recognition of their own: the rows are aligned
+    with the cosets by the labelling _prepare returns, and
+    _assemble_certificate checks once that they regenerate the numeric
+    table (LiftError otherwise). No relation scoring is involved.
 
     Dimensions divisible by 3 would need the cubed-value variant and a
     factoring step over a larger tower; that is out of scope here, use the
@@ -1251,7 +1238,7 @@ def method1_exactify(fid,
                         "by 3; use the alignment route (method 2) for "
                         "d = 0 mod 3")
     prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
-        perms = _prepare(fid, digits)
+        label = _prepare(fid, digits)
     e1 = conj.e1
 
     rep_overlaps = {}
@@ -1271,15 +1258,14 @@ def method1_exactify(fid,
                 "root of its orbit polynomial")
         rep_overlaps[q.rep] = cand
 
-    aligned = _select_alignment(perms, lambda f: rep_overlaps, table, polys,
-                                autos, cosets, prec)
-    if aligned is None:
-        raise LiftError("no isomorphism of the automorphism group onto the "
-                        "index quotient regenerates the numeric table from "
-                        "the recognized values")
-    return _assemble_certificate(
-        fid, struct, conj, gen_poly, autos, reps, polys, aligned, 1,
-        mp.mpf(0), mp.inf, mp.inf, 0, prec)
+    cert = _assemble_certificate(
+        fid, struct, table, conj, gen_poly, autos, cosets, reps, polys,
+        label, rep_overlaps, 1, mp.mpf(0), mp.inf, mp.inf, 0, prec)
+    if cert is None:
+        raise LiftError("the rows, aligned with the cosets by their "
+                        "labelling, do not regenerate the numeric table "
+                        "from the recognized values")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -1308,12 +1294,12 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
     """Exact checks, after equiangularity has passed, of the stored claims
     the residues do not cover: the overlap at generator_rep is the overlap
     field's generator, each Galois row transports the table as its matrix
-    relabels it, each stabilizer shift p is 0, and the images (det F) F of
-    the stabilizer's matrices generate exactly the symmetry matrices and fix
-    the table. So does every symmetry matrix, a product of them; and as no
-    off-lattice overlap is 0, chi_q = tau^(2<q,p>) chi_q at q = (1, 0) and
-    (0, 1) gives p = 0. Returns the named results and the first failure
-    (None on a pass)."""
+    relabels it, each stabilizer shift p is 0, the stabilizer's matrices
+    are a group, and their images (det F) F are exactly the symmetry
+    matrices and fix the table. So does every symmetry matrix, a product of
+    them; and as no off-lattice overlap is 0, chi_q = tau^(2<q,p>) chi_q at
+    q = (1, 0) and (0, 1) gives p = 0. Returns the named results and the
+    first failure (None on a pass)."""
     gen = cert.generator_rep
     checks = {"generator_overlap": cert.rep_overlaps[gen]
               == cert.e1.generator(cert.e1_levels)}
@@ -1331,13 +1317,19 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
     checks["stabilizer_shifts"] = shifted is None
     if shifted is not None:
         return checks, f"stabilizer shift {list(shifted)} is not 0"
+    mats = [F for _p, F in cert.stabilizer]
     try:
-        gens = [symmetry_image(F) for _p, F in cert.stabilizer]
-        ok = set(MatGroup.generated(
-            [ModMatrix.identity(dprime(cert.d))] + gens)) \
-            == set(cert.s_matrices)
+        closed = set(MatGroup.generated(
+            [ModMatrix.identity(dprime(cert.d))] + mats)) == set(mats)
+        gens = [symmetry_image(F) for F in mats]
     except ValueError:
-        ok = False
+        closed = False
+    checks["stabilizer_is_a_group"] = closed
+    if not closed:
+        return checks, ("the stabilizer matrices are not a group with "
+                        "determinants +-1")
+    # the images of a group are a group: they generate no more than these
+    ok = set(gens) == set(cert.s_matrices)
     checks["stabilizer_generates_symmetry"] = ok
     if not ok:
         return checks, "the stabilizer does not generate the symmetry matrices"

@@ -553,9 +553,14 @@ class FieldTower:
             if not 0 <= root < len(minpoly):
                 raise FieldError(f"level {k + 1} root index {root} is "
                                  f"outside [0, {len(minpoly)})")
-            re_s, im_s = emb.split()
+            parts = [parse_decimal(s, prec) for s in emb.split()]
+            # the writer's spelling alone, as parse_rational asks of a leaf
+            if " ".join(format_decimal(x, prec) for x in parts) != emb:
+                raise FieldError(f"level {k + 1} embedding is not written "
+                                 f"to {prec} digits")
+            re_x, im_x = parts
             with mp.workdps(guarded(prec)):
-                emb = mp.mpc(parse_decimal(re_s, prec), parse_decimal(im_s, prec))
+                emb = mp.mpc(re_x, im_x)
             levels.append(FieldLevel(
                 tag, tuple(_from_fractions(dec(c, k)) for c in minpoly),
                 root, emb))

@@ -653,6 +653,68 @@ def test_group_data_mutations_are_refused(workdir, certfile, capsys, mode):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _second_spellings(base):
+    """By rule, files that each verifier once passed though they do not
+    re-serialize to the file they came from: each stabilizer entry dropped
+    (the rest still generate the symmetry matrices); the index (0, 0),
+    whose overlap 1 every Galois row fixes, given each row but its own; and
+    each tower embedding part with a digit appended, a 0 to every part and
+    a 1 to every nonzero one, at or below the stated precision."""
+    out = []
+
+    def mutated(name, edit):
+        obj = json.loads(json.dumps(base))
+        edit(obj)
+        out.append((name, obj))
+
+    for i in range(len(base["stabilizer"])):
+        mutated(f"stabilizer_{i}_dropped",
+                lambda obj, i=i: obj["stabilizer"].pop(i))
+    own = base["index_map"]["0,0"][1]
+    for row in range(len(base["galois"]["images"])):
+        if row != own:
+            mutated(f"index_0_0_row_{row}",
+                    lambda obj, row=row: obj["index_map"]["0,0"].__setitem__(
+                        1, row))
+    for k, level in enumerate(base["tower"]["levels"]):
+        parts = level["embedding"].split()
+        for p, part in enumerate(parts):
+            mant, e, exp = part.partition("e")
+            for digit in "01" if float(part) else "0":
+                longer = parts[:p] + [mant + digit + e + exp] + parts[p + 1:]
+                mutated(f"level_{k}_part_{p}_plus_{digit}",
+                        lambda obj, k=k, longer=longer:
+                        obj["tower"]["levels"][k].__setitem__(
+                            "embedding", " ".join(longer)))
+    return out
+
+
+@pytest.mark.parametrize("command", [["verify", "--mode", "exact"],
+                                     ["verify", "--mode", "certified",
+                                      "--digits", "80"],
+                                     ["report"]])
+def test_second_spellings_are_refused(workdir, certfile, capsys, command):
+    # a dropped stabilizer entry fails the exact group checks (exit 1); a
+    # moved identity row and a longer embedding are refused at load (exit
+    # 2), so report, which verifies nothing, exits 0 only on the first
+    base = json.load(open(certfile))
+    bad = workdir / f"second_spelling_{command[-1]}.cert"
+    mutations = _second_spellings(base)
+    assert len(mutations) >= len(base["stabilizer"]) + 3
+    wrong = []
+    for name, obj in mutations:
+        bad.write_text(json.dumps(obj))
+        rc = main([command[0], "--cert", str(bad), *command[1:]])
+        if name.startswith("stabilizer"):
+            expected = 0 if command[0] == "report" else 1
+        else:
+            expected = 2
+        if rc != expected:
+            wrong.append((name, rc))
+    assert wrong == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["exact", "certified"])
 def test_verify_checks_the_generator_overlap(workdir, certfile, capsys,
                                              mode):

@@ -11,6 +11,7 @@ which most predict non-real coefficients.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import logging
@@ -20,6 +21,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -364,21 +366,49 @@ def test_tau_actions_are_every_homomorphism_into_the_quotient():
 @pytest.mark.parametrize("fid_name, count", [("fid4", 6), ("fid5", 4)])
 def test_coset_labels_compose_like_the_rows(fid_name, count, request):
     # row j sends t to the root at index j, the conjugate of coset
-    # at_root[j]; the alignment candidates rest on this labelling being an
-    # isomorphism, so it is checked here by exact composition of the rows
-    fid = request.getfixturevalue(fid_name)
-    *_, conj, _gen, autos, _cosets, _reps, perms = exactify._prepare(fid,
+    # at_root[j]; both routes align the rows by this labelling, and method
+    # 2 scores it against the quotient's other isomorphisms, so it is
+    # checked here to be one by exact composition of the rows
+    fid, cert = (request.getfixturevalue(n)
+                 for n in (fid_name, fid_name.replace("fid", "cert")))
+    *_, conj, _gen, autos, _cosets, _reps, label = exactify._prepare(fid,
                                                                      None)
     n = len(autos)
-    label = [conj.at_root[j] for j in range(n)]
+    assert label == tuple(conj.at_root[j] for j in range(n))
     assert sorted(label) == list(range(n))
     row_of = {a.images: j for j, a in enumerate(autos)}
     for i, a in enumerate(autos):
         for j, b in enumerate(autos):
             k = row_of[_compose(a, b).images]
             assert label[k] == conj.cay[label[i]][label[j]]
-    assert len(perms) == len(set(perms)) == count
-    assert tuple(label) in perms
+    # method 2's isomorphisms: the quotient's automorphisms after the label
+    perms = [tuple(a[c] for c in label)
+             for a in _group_automorphisms(conj.cay)]
+    assert len(perms) == len(set(perms)) == count == cert.galois.candidates
+    assert label in perms
+
+
+@pytest.mark.parametrize("fid_name, cert_name",
+                         [("fid4", "cert4"), ("fid5", "cert5")])
+def test_only_the_labelling_regenerates_the_table(fid_name, cert_name,
+                                                  request):
+    # row j sends t to t_c, c = label[j], and the t_N are distinct, so under
+    # any other isomorphism onto the quotient some row meets another
+    # conjugate on the generator's orbit: of all of them, only the
+    # labelling regenerates the numeric table from the exact overlaps
+    fid, cert = (request.getfixturevalue(n) for n in (fid_name, cert_name))
+    prec, _struct, table, polys, conj, _gen, autos, cosets, _reps, label = \
+        exactify._prepare(fid, None)
+    reps = [q.rep for q in polys]
+    regenerating = []
+    for a in _group_automorphisms(conj.cay):
+        f = tuple(a[c] for c in label)
+        index_map = exactify._index_map(polys, cosets, f, conj.identity)
+        lifted = exactify._lifted_table(autos, reps, cert.rep_overlaps,
+                                        index_map)
+        if exactify._regenerated(table, lifted, prec):
+            regenerating.append(f)
+    assert regenerating == [label]
 
 
 def _compose(a, b):
@@ -523,7 +553,8 @@ def test_verify_exact_d5(report5):
                  "conjugation_negates_indices", "equiangularity",
                  "tau_is_the_phase", "trace_is_one", "hermitian",
                  "idempotent", "galois_transport", "symmetry_fixes_table",
-                 "stabilizer_generates_symmetry", "stabilizer_shifts"):
+                 "stabilizer_generates_symmetry", "stabilizer_is_a_group",
+                 "stabilizer_shifts"):
         assert report5["checks"][name] is True, name
 
 
@@ -702,8 +733,8 @@ def test_generator_balls_hold_the_embedding_d4(cert4, digits):
 
 
 def test_alignment_degeneracy_is_recorded_d4(cert4):
-    # several bijections tie near the floor; the exact cross-check decides,
-    # and the certificate keeps the honest score record rather than a gap
+    # method 2 scores the labelling against several isomorphisms, and the
+    # certificate keeps the labelling's score and how many were scored
     assert cert4.galois.candidates >= 2
     assert cert4.galois.score < 10
 
@@ -747,38 +778,54 @@ def test_method1_recognizes_one_value_per_orbit_d4(fid4, monkeypatch):
 
 
 def test_alignment_runs_no_lll_d4(fid4, monkeypatch):
-    # method 1 aligns values it has already recognized, and method 2 lifts
-    # each candidate from the relations that scored it: choosing the
-    # alignment reduces no lattice in either route
-    active = []
-    select, reduce = exactify._select_alignment, lattice.lll_reduce
+    # method 1 checks values it has already recognized, and method 2 lifts
+    # the labelling from the relations that scored it: the one alignment
+    # check, run once per route, reduces no lattice
+    calls, active = [], []
+    reduce = lattice.lll_reduce
 
-    def watched(*args):
-        active.append(1)
-        try:
-            return select(*args)
-        finally:
-            active.pop()
+    def watch(name):
+        real = getattr(exactify, name)
+
+        def watched(*args):
+            calls.append(name)
+            active.append(1)
+            try:
+                return real(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(exactify, name, watched)
 
     def refusing(rows, **kw):
-        assert not active, "LLL ran while the alignment was being chosen"
+        assert not active, "LLL ran while the alignment was being checked"
         return reduce(rows, **kw)
 
-    monkeypatch.setattr(exactify, "_select_alignment", watched)
+    for name in ("_relation_lift", "_index_map", "_lifted_table",
+                 "_regenerated"):
+        watch(name)
     monkeypatch.setattr(lattice, "lll_reduce", refusing)
-    for route in (method1_exactify, method2_exactify):
-        route(fid4)
+    check = ["_index_map", "_lifted_table", "_regenerated"]
+    method1_exactify(fid4)
+    assert calls == check
+    del calls[:]
+    method2_exactify(fid4)
+    assert calls == ["_relation_lift"] + check
+
+
+DIGEST_D4_METHOD1 = \
+    "487f3a25931eeb4140100f40855c657ecfe8ba3ca5839ffc303d415d6d3bffb8"
 
 
 def test_alignment_is_chosen_by_regeneration_d4(fid4, monkeypatch):
-    # both routes keep the one isomorphism whose rows regenerate the table:
-    # at d=4 there are several isomorphisms, so accepting all is ambiguous,
-    # and rejecting all leaves no alignment
+    # both routes check the one labelling: a check that accepts everything
+    # leaves both certificates as they are, and one that rejects everything
+    # leaves no alignment
     monkeypatch.setattr(exactify, "_regenerated", lambda *a: True)
-    with pytest.raises(LiftError, match="ambiguous"):
-        method1_exactify(fid4)
+    assert _content_digest(method1_exactify(fid4)) == DIGEST_D4_METHOD1
+    assert _content_digest(method2_exactify(fid4)) == DIGEST_D4
     monkeypatch.setattr(exactify, "_regenerated", lambda *a: False)
-    with pytest.raises(LiftError, match="regenerates"):
+    with pytest.raises(LiftError, match="do not regenerate"):
         method1_exactify(fid4)
     with pytest.raises(PrecisionError):
         method2_exactify(fid4)
@@ -920,6 +967,22 @@ def test_certificate_content_is_pinned(cert4, cert5):
     # that alters one coordinate, tag or level shows here
     assert _content_digest(cert4) == DIGEST_D4
     assert _content_digest(cert5) == DIGEST_D5
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_digest_recipe_and_pin_match(cert4):
+    # the benchmark checks its lifts by its own digest recipe against its
+    # own pins; a drift from this file's recipe or pin fails here, not
+    # first in a benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", _PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((_PERFBENCH / "reference.json").read_text())
+    assert workloads.digest(cert4) == _content_digest(cert4)
+    assert reference["digests"]["lift-d4-320"]["11"] == DIGEST_D4
 
 
 def test_method2_recognizes_nothing_above_the_coefficient_field(

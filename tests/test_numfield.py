@@ -577,12 +577,30 @@ class TestSerialization:
     def test_tampered_embedding_rejected(self, K3):
         import json
         doc = json.loads(K3.to_json())
-        doc["levels"][0]["embedding"] = f"{format_decimal(1.5, PREC)} 0"
+        doc["levels"][0]["embedding"] = \
+            f"{format_decimal(1.5, PREC)} {format_decimal(0, PREC)}"
         with pytest.raises(FieldError, match="violates"):
             FieldTower.from_json(json.dumps(doc))
         # written short, it claims more digits than it stores
         doc["levels"][0]["embedding"] = "1.5 0"
         with pytest.raises(FieldError, match="significant digits"):
+            FieldTower.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", ["real_digit", "imag_digit", "imag_0",
+                                      "double_space"])
+    def test_embedding_has_one_spelling(self, K3, edit):
+        # each is the written embedding, or one within a digit of it, in
+        # other text: only the writer's own spelling loads
+        import json
+        doc = json.loads(K3.to_json())
+        level = doc["levels"][0]
+        re_s, im_s = level["embedding"].split()
+        assert FieldTower.from_json(json.dumps(doc)) == K3
+        level["embedding"] = {"real_digit": f"{re_s}1 {im_s}",
+                              "imag_digit": f"{re_s} {im_s}0",
+                              "imag_0": f"{re_s} 0",
+                              "double_space": f"{re_s}  {im_s}"}[edit]
+        with pytest.raises(FieldError, match="not written to"):
             FieldTower.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("leaf", ["0/11", "0", "0/1 ", "-0/1", 0])
