@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification reported failure, 2 error.
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -296,7 +297,7 @@ def _report_text(cert: ExactFiducialCertificate) -> str:
         lines = [
             "SIC-REPORT v1",
             f"dimension: {cert.d}",
-            f"method: {cert.method}",
+            f"method {_STORED}: {cert.method}",
             f"index modulus: {dprime(cert.d)}",
             f"tower: {levels}; total degree {cert.tower.degree}",
             f"coefficient field degree over the rationals {_STORED}: "
@@ -338,7 +339,12 @@ def cmd_report(ns) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process: it is static, since
+    SICLIFT_DIGITS is read when a command runs and argparse looks up
+    sys.stderr when it prints, and parse_args fills a fresh namespace on
+    every call."""
     top = argparse.ArgumentParser(
         prog="siclift",
         description="Search, refine, exactify, and verify SIC fiducials.",

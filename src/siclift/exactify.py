@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import add, mul
 
 from mpmath import mp
@@ -74,9 +74,14 @@ def symmetry_structure(fid, full: bool = False) -> SymmetryStructure:
     if len(s_pi) == 1:
         raise LiftError("no symmetry beyond the identity was detected; orbit "
                         "polynomials would not compress the overlap table")
+    # a matrix commutes with s_pi when it commutes with generators of it,
+    # taken greedily in order
     m = s_pi.modulus
-    ident = ModMatrix.identity(m)
-    gens = [F for F in s_pi.elements if F != ident]
+    gens, span = [], MatGroup([ModMatrix.identity(m)])
+    for F in s_pi.elements:
+        if F not in span:
+            gens.append(F)
+            span = MatGroup.generated(gens)
     cent = MatGroup(M for M in centralizer(gens[0])
                     if all(M * F == F * M for F in gens[1:]))
     orbs = orbits(cent)
@@ -813,7 +818,8 @@ def _check_schema(obj: dict) -> dict:
     stored value has one spelling; representatives and group data are sets,
     generator_rep is one of the representatives, and an index whose
     representative's overlap lies in the coefficient field takes the
-    identity row."""
+    identity row. Each level carries the tag the writer gives its
+    position."""
     try:
         d = obj["d"]
         if type(d) is not int or d < 4:
@@ -873,6 +879,11 @@ def _check_schema(obj: dict) -> dict:
             raise SicliftError(f"tower precision {tprec!r} is not an integer "
                                f">= {MIN_LIFT_DIGITS}")
         tower = FieldTower.from_json(json.dumps(obj["tower"]))
+        tags = [lv.tag for lv in tower.levels]
+        if tags != ["a"] * e0 + ["t"] + ["tau"] * added:
+            raise SicliftError(f"level tags {tags} are not a for the "
+                               "coefficient level, t for the overlap level "
+                               "and tau for an added level")
         e1_tower = FieldTower(tower.levels[:e1], tower.precision)
         out = dict(
             d=d, method=method, tower=tower, e0_levels=e0, e1_levels=e1,
@@ -1369,15 +1380,29 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     return automorphism(tower, images)
 
 
-def _residues(chi, d, one, conj, tau, inv_d, tau_residue):
+def _residues(chi, d, one, conj, lift, op_conj, tau, tau_residue,
+              exact=False):
     """The checklist that defines a SIC projector, as (check name, failure
     message, residue) triples in report order; every residue is zero for a
-    SIC. It runs in any arithmetic with +, - and * and the given conjugation,
-    exact tower elements or complex balls alike. chi maps every index mod d'
-    to its overlap. tau_residue takes tau^0 .. tau^(2d-1) and returns the
-    (failure message, residue) pair of the phase check, which each
-    arithmetic states its own way. Nothing is computed before the previous
-    residue has been taken, so a driver that stops early saves the rest."""
+    SIC. It runs in any arithmetic with +, - and * and the given
+    conjugations, exact tower elements or complex balls alike. chi maps
+    every index mod d' to its overlap, and one and conj are the unit and
+    the complex conjugation of the overlaps' arithmetic: the lattice,
+    conjugation and equiangularity residues are taken there. lift carries
+    an overlap into the arithmetic of tau, where the operator is rebuilt
+    and op_conj conjugates. tau_residue takes tau^0 .. tau^(2d-1) and
+    returns the (failure message, residue) pair of the phase check, which
+    each arithmetic states its own way. Nothing is computed before the
+    previous residue has been taken, so a driver that stops early saves
+    the rest.
+
+    exact says that a zero residue is exactly zero, as it is in the tower
+    and not for a ball. Then, once every Hermitian residue is zero, A = A^+
+    gives (A^2 - A)[s][r] = conj((A^2 - A)[r][s]), and conjugation is
+    injective, so an entry below the diagonal is zero exactly when its
+    mirror above it is; the mirror also comes first in row-major order, so
+    the first nonzero entry is the same. Only the entries with r <= s are
+    computed."""
     dp = dprime(d)
     lattice = [q for q in chi if q[0] % d == 0 and q[1] % d == 0]
     for q in lattice:
@@ -1394,18 +1419,20 @@ def _residues(chi, d, one, conj, tau, inv_d, tau_residue):
         if q not in lattice:
             yield ("equiangularity", f"overlap modulus condition fails at {q}",
                    (d + 1) * x * conj_chi[q] - one)
+    one = lift(one)
     tau_powers = _powers(tau, one, 2 * d)
     yield ("tau_is_the_phase", *tau_residue(tau_powers))
-    A = hb.operator_rows(chi, d, tau_powers, inv_d)
+    A = hb.operator_rows({q: lift(x) for q, x in chi.items()}, d, tau_powers,
+                         Fraction(1, d))
     yield ("trace_is_one", "reconstructed operator trace is not 1",
            reduce(add, (A[r][r] for r in range(d))) - one)
     for r in range(d):
         for s in range(d):
             yield ("hermitian",
                    f"reconstructed operator is not Hermitian at {(r, s)}",
-                   conj(A[s][r]) - A[r][s])
+                   op_conj(A[s][r]) - A[r][s])
     for r in range(d):
-        for s in range(d):
+        for s in range(r if exact else 0, d):
             yield ("idempotent",
                    f"reconstructed operator is not idempotent at {(r, s)}",
                    reduce(add, (A[r][k] * A[k][s] for k in range(d)))
@@ -1421,7 +1448,14 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
     """Replay the checklist of _residues in exact rational arithmetic, after
     building the conjugation map and up to the first residue that is not
     zero; then check the stored claims of _group_data_checks. Stores and
-    returns the report."""
+    returns the report.
+
+    The overlaps stay in the overlap field e1, where the lattice,
+    conjugation and equiangularity residues are taken, with conjugation as
+    the block of the tower's conjugation matrix that acts on e1 (the map
+    sends e1 into itself); only the operator identities lift them into the
+    tower, where tau lives. As the residues are exact, the idempotent check
+    takes the upper triangle of A^2 - A (see _residues)."""
     d, tower, prec = cert.d, cert.tower, cert.tower.precision
     checks: dict = {}
     offending = None
@@ -1432,17 +1466,17 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
         cert.verification = report
         return report
 
-    chi = {q: lift_element(tower, val)
-           for q, val in cert.all_overlaps().items()}
+    # the Galois rows are built before the conjugation map: a FieldError
+    # from them is an error in the file, not a verdict
+    chi = cert.all_overlaps()
     try:
         conj = _conjugation_map(cert)
+        conj_e1 = conj.restricted(cert.e1_levels)
         checks["conjugation_closed"] = True
     except FieldError as exc:
         checks["conjugation_closed"] = False
         offending = f"conjugation map: {exc}"
         return done(False)
-
-    one = tower.one()
 
     def tau_residue(taupow):
         phi = reduce(add, map(mul, cyclotomic_polynomial(dprime(d)), taupow))
@@ -1453,10 +1487,13 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
             near = off < mp.mpf(10) ** (-(prec // 2))
         # a root of the right order at another embedding: the residue 1
         # stands for the failed comparison
-        return "tau embeds as a different primitive root", phi if near else one
+        return ("tau embeds as a different primitive root",
+                phi if near else tower.one())
 
     for name, message, residue in _residues(
-            chi, d, one, conj, cert.tau, Fraction(1, d), tau_residue):
+            chi, d, cert.e1.one(), conj_e1,
+            partial(lift_element, tower), conj, cert.tau, tau_residue,
+            exact=True):
         checks[name] = residue.is_zero()
         if not checks[name]:
             offending = message
@@ -1608,9 +1645,9 @@ def verify_certified(cert: ExactFiducialCertificate,
     with mp.workprec(w + 16):
         phase = _Ball.near(-mp.expjpi(mp.mpf(1) / d), 2, w)
     residues = [(message, b) for _name, message, b in _residues(
-        chi, d, _Ball(1 << w, 0, 0, w), _Ball.conj, taub, Fraction(1, d),
-        lambda _powers: ("tau is not the phase -exp(i pi/d)",
-                         taub - phase))]
+        chi, d, _Ball(1 << w, 0, 0, w), _Ball.conj, lambda b: b, _Ball.conj,
+        taub, lambda _powers: ("tau is not the phase -exp(i pi/d)",
+                               taub - phase))]
 
     def nstr(n):
         return mp.nstr(mp.ldexp(n, -w), 5)

@@ -714,21 +714,25 @@ def _poly_roots(values: list, prec: int) -> list:
     """Roots of a monic polynomial given numeric coefficients (ascending,
     without the leading 1), sorted by (re, im) for determinism.
 
-    mpmath's Durand-Kerner iteration starts from roots already found in
-    double precision (_double_roots) instead of its fixed cold start, which
-    saves most of its sweeps at full precision. The routine, its stopping
-    rule, its cleanup and its final rounding are the same, and from either
-    start it runs until a correction falls below 2^-bits, with `prec` bits
-    beyond the call's `bits`: the quadratic last step leaves both iterates
-    within a few units of 2^-(bits+prec) of the true roots, relative to
-    their modulus. So rounding to the call's precision gives the cold
-    start's bits, unless a component lies within about 2^-(bits+prec) times
-    the modulus of a rounding boundary. A component below 2^-prec of its
-    root's modulus always may: its last bits are noise from either start.
-    Such a component is, for example, the imaginary part that rounding
-    complex coefficients leaves on a real root, when it is above polyroots'
-    cleanup tolerance. When the double-precision start is not finite, the
-    call starts cold.
+    The roots found in double precision (_double_roots) are polished by
+    Newton steps at doubling precision, up to the working bits plus `prec`
+    bits (_polished), and accepted when one last Durand-Kerner sweep at
+    that precision moves no root by eps or more: mpmath polyroots' own
+    stopping rule, after which its cleanup of small parts and its rounding
+    to the working precision follow. When that sweep does not pass, or the
+    start is not finite, mpmath's polyroots runs as before: Durand-Kerner
+    at the working bits plus `prec` from the double-precision start (or
+    from its fixed cold start), until a correction falls below eps.
+
+    Either way the last step is quadratic and below eps = 2^(1 - bits), so
+    the roots are within a few units of 2^-(bits+prec) of the true roots,
+    relative to their modulus, and rounding to the call's bits gives the
+    same bits from either route, unless a component lies within about
+    2^-(bits+prec) times the modulus of a rounding boundary. A component
+    below 2^-prec of its root's modulus always may: its last bits are
+    noise. Such a component is, for example, the imaginary part that
+    rounding complex coefficients leaves on a real root, when it is above
+    the cleanup tolerance.
 
     The order of two roots with equal real parts is decided by rounding
     noise: complex-conjugate pairs, such as tau and its conjugate or pairs
@@ -741,10 +745,55 @@ def _poly_roots(values: list, prec: int) -> list:
     root_index 1."""
     with mp.workdps(guarded(prec) + 20):
         coeffs = [mp.mpc(1)] + [mp.mpc(v) for v in reversed(values)]
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec,
-                             roots_init=_double_roots(coeffs))
+        start = _double_roots(coeffs)
+        roots = start and _polished(coeffs, start, prec)
+        if not roots:
+            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec,
+                                 roots_init=start)
         return sorted((mp.mpc(r) for r in roots),
                       key=lambda z: (z.real, z.imag))
+
+
+def _polished(coeffs: list, roots: list, extra: int) -> list | None:
+    """The roots of the monic polynomial with descending coefficients
+    `coeffs`, from the approximations `roots` good to double precision, as
+    mpmath polyroots would return them at the working precision with
+    extraprec `extra`: one Newton step at each of 106, 212, ... bits, up to
+    the working bits plus `extra`, then one Durand-Kerner sweep there,
+    whose corrections must all be below the working eps (else None, also
+    when a step divides by zero); then polyroots' cleanup and rounding. The
+    sweep divides by the distances to the other roots, so two roots that
+    converged to one would fail it."""
+    tol = +mp.eps
+    bits = mp.mp.prec + extra
+    roots = list(roots)
+    try:
+        p = 53
+        while p < bits:
+            p = min(2 * p, bits)
+            with mp.workprec(p):
+                for i, z in enumerate(roots):
+                    f, df = mp.polyval(coeffs, z, derivative=True)
+                    roots[i] = z - f / df
+        with mp.workprec(bits):
+            for i, z in enumerate(roots):
+                x = mp.polyval(coeffs, z)
+                for j, r in enumerate(roots):
+                    if j != i:
+                        x /= z - r
+                if not abs(x) < tol:
+                    return None
+                roots[i] = z - x
+            for i, z in enumerate(roots):
+                if abs(z) < tol:
+                    roots[i] = mp.zero
+                elif abs(z.imag) < tol:
+                    roots[i] = z.real
+                elif abs(z.real) < tol:
+                    roots[i] = z.imag * 1j
+    except ZeroDivisionError:
+        return None
+    return [+r for r in roots]
 
 
 # Durand-Kerner sweeps in double precision before the full-precision call.
@@ -930,13 +979,17 @@ class EmbeddingAutomorphism:
     generators, and held as an integer N x N matrix over one denominator:
     column i is the image of basis monomial i, the generator images raised
     to its exponents and multiplied out. Application is one mat-vec, so it
-    commutes with arithmetic exactly. Built only by automorphism()."""
+    commutes with arithmetic exactly. Built only by automorphism(), and by
+    restricted() from the matrix of a map it restricts."""
 
     __slots__ = ("tower", "images", "_rows", "_den")
 
-    def __init__(self, tower: FieldTower, images):
+    def __init__(self, tower: FieldTower, images, matrix=None):
         self.tower = tower
         self.images = tuple(images)
+        if matrix is not None:
+            self._rows, self._den = matrix
+            return
         n = len(tower.levels)
         one = tower._const(1, n)
         cols = [one]
@@ -955,6 +1008,24 @@ class EmbeddingAutomorphism:
         return AlgebraicNumber(self.tower, _reduced(
             tuple([sum(map(mul, row, u)) for row in self._rows]),
             den * self._den))
+
+    def restricted(self, k: int) -> "EmbeddingAutomorphism":
+        """The automorphism of the sub-tower of the first k levels that this
+        one restricts to. When the first k images lie in that sub-tower, the
+        map sends it into itself, so the block of the matrix at the rows and
+        columns ::m, where m is the degree of the levels above k, is exactly
+        its matrix; FieldError otherwise."""
+        sub = FieldTower(self.tower.levels[:k], self.tower.precision)
+        m = self.tower.degree // sub.degree
+        images = []
+        for img in self.images[:k]:
+            u, den = img.vec
+            if any(any(u[j::m]) for j in range(1, m)):
+                raise FieldError(f"the images of the first {k} generators "
+                                 "do not lie in their sub-tower")
+            images.append(AlgebraicNumber(sub, (u[::m], den)))
+        block = tuple(row[::m] for row in self._rows[::m])
+        return EmbeddingAutomorphism(sub, images, (block, self._den))
 
     def is_identity(self) -> bool:
         return all(img == self.tower.generator(k + 1)

@@ -2,7 +2,8 @@
 line on the terminal (bypassing capture) and then asserts, so a red run
 still shows every verdict reached.
 
-The d=5 run at 1000 digits is shared: checks 5, 6, and 8 all read it.
+The d=5 run at 1000 digits is shared: checks 5, 6, and 8 all read it, and
+so does the pin of its exact content.
 Stretch runs (d=7 end-to-end, d=15 shift selection) only execute when
 SICLIFT_STRETCH is set; they are large and not part of the default bar.
 """
@@ -14,6 +15,7 @@ import time
 import mpmath as mp
 import pytest
 
+from content_digest import content_digest
 import siclift.modring as mr
 from siclift.exactify import (method1_exactify, method2_exactify,
                               overlap_minimal_polynomials, verify_exact)
@@ -180,6 +182,14 @@ def test_acceptance_5_end_to_end_d5(capsys, accepted_d5):
              f"and the projector identity hold with zero residue, the "
              f"coefficient field contains sqrt(3), in "
              f"{accepted_d5['elapsed']:.0f}s (budget 3600s)")
+
+
+def test_content_is_pinned_d5_1000(accepted_d5):
+    # seed 11, method 2: the degree-8 overlap level at 1000 digits is the
+    # costliest root finding of the lift, and a root that rounds otherwise
+    # moves the stored embedding
+    assert content_digest(accepted_d5["cert"]) == \
+        "e295f49927e10a540da98566436365639e2b0ddc722d1d7184538a675908a33f"
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch run, set SICLIFT_STRETCH=1")

@@ -3,20 +3,28 @@ codes, and error surfacing. The entry point runs in-process, except where a
 test needs a fresh interpreter; files land in a per-module temp directory.
 The d=4 pipeline keeps these fast."""
 
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import mpmath as mp
 import pytest
 
 import siclift
+from siclift import cli, exactify
 from siclift.cli import main
-from siclift.errors import SicliftError
-from siclift.exactify import symmetry_structure
+from siclift.errors import FieldError, SicliftError
+from siclift.exactify import (ExactFiducialCertificate, symmetry_structure,
+                              verify_exact)
 from siclift.fidsearch import Fiducial
+from siclift.modring import dprime
+from siclift.numfield import cyclotomic_polynomial, lift_element
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +323,34 @@ def test_verify_certified_digits_must_be_positive(certfile, capsys, digits):
                          digits=int(digits))
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the grammar is static, so a process builds it once, not per call
+    assert main(["orbits", "--dim", "4"]) == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["orbits", "--dim", "4"]) == 0
+    assert built == []
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+
+
+def test_verify_flags_reset_between_calls(certfile, capsys):
+    # one parser serves every call, and each call starts from the defaults
+    assert main(["verify", "--cert", certfile, "--mode", "certified",
+                 "--digits", "60"]) == 0
+    assert _stdout_json(capsys)["digits"] == 60
+    assert main(["verify", "--cert", certfile]) == 0
+    assert _stdout_json(capsys)["mode"] == "exact"
+    assert main(["verify", "--cert", certfile, "--mode", "certified"]) == 0
+    assert _stdout_json(capsys)["digits"] == 120
+
+
 def test_verify_tampered_certificate_fails(workdir, certfile, capsys):
     obj = json.load(open(certfile))
     key = sorted(k for k in obj["overlaps"] if k != "0,0")[0]
@@ -461,6 +497,15 @@ def _malform(obj, how):
         obj["overlaps"]["0,0"][0] += "/1"
     elif how == "image_respelled":
         images[0][0] = " " + images[0][0]
+    # the cases below were a pass in both modes: a level tag is written as
+    # the writer gives its position, a for the coefficient level, t for the
+    # overlap level and tau for an added level
+    elif how.startswith("level_tag_"):
+        k = ("a", "t", "tau").index(how[10:])
+        obj["tower"]["levels"][k]["tag"] = "zz"
+    elif how == "level_tags_swapped":
+        levels = obj["tower"]["levels"]
+        levels[1]["tag"], levels[2]["tag"] = levels[2]["tag"], levels[1]["tag"]
 
 
 @pytest.mark.parametrize("how", ["index_key_dropped", "row_out_of_range",
@@ -509,7 +554,9 @@ def test_verify_malformed_certificate_is_an_error(workdir, certfile, capsys,
                                  "orbit_rep_repeated", "s_matrix_repeated",
                                  "stabilizer_matrix_identity",
                                  "minpoly_leaf_respelled", "tau_respelled",
-                                 "overlap_respelled", "image_respelled"])
+                                 "overlap_respelled", "image_respelled",
+                                 "level_tag_a", "level_tag_t",
+                                 "level_tag_tau", "level_tags_swapped"])
 def test_malformed_galois_data_is_an_error_for_every_command(
         workdir, certfile, capsys, how, command):
     # the loader refuses these, so every command that reads the file
@@ -573,12 +620,9 @@ def test_verify_rejects_another_primitive_root_as_tau(workdir, certfile,
     assert _stdout_json(capsys)["pass"] is False
 
 
-@pytest.mark.parametrize("mode", ["exact", "certified"])
-def test_verify_rejects_orbit_negated(workdir, certfile, capsys, mode):
-    # negating the stored overlap of the 12-index orbit negates the orbit
-    # everywhere, inside the operator's period and outside it; conjugation,
-    # equiangularity, transport, symmetry and stabilizer shifts all still
-    # hold, and only the projector identity sees the edit
+def _orbit_negated(certfile, path):
+    """The certificate with the stored overlap of its 12-index orbit
+    negated, written to path."""
     obj = json.load(open(certfile))
     sizes = [0] * len(obj["orbit_reps"])
     for pos, _row in obj["index_map"].values():
@@ -586,14 +630,92 @@ def test_verify_rejects_orbit_negated(workdir, certfile, capsys, mode):
     rep = obj["orbit_reps"][sizes.index(12)]
     key = f"{rep[0]},{rep[1]}"
     obj["overlaps"][key] = [str(-Fraction(s)) for s in obj["overlaps"][key]]
-    bad = workdir / f"orbit_negated_{mode}.cert"
-    bad.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["exact", "certified"])
+def test_verify_rejects_orbit_negated(workdir, certfile, capsys, mode):
+    # negating the stored overlap of the 12-index orbit negates the orbit
+    # everywhere, inside the operator's period and outside it; conjugation,
+    # equiangularity, transport, symmetry and stabilizer shifts all still
+    # hold, and only the projector identity sees the edit
+    bad = _orbit_negated(certfile, workdir / f"orbit_negated_{mode}.cert")
     rc = main(["verify", "--cert", str(bad), "--mode", mode,
                "--digits", "80"])
     assert rc == 1
     out = _stdout_json(capsys)
     assert out["pass"] is False
     assert "not idempotent" in (out.get("offending") or out["reason"])
+
+
+def _full_scan_report(cert):
+    """verify_exact's report as the whole tower gives it: every overlap
+    lifted into the tower and conjugated by the tower's map, every entry of
+    A^2 - A taken and the first nonzero one, in row-major order, named."""
+    tower, d = cert.tower, cert.d
+    chi = {q: lift_element(tower, x) for q, x in cert.all_overlaps().items()}
+    try:
+        conj = exactify._conjugation_map(cert)
+    except FieldError as exc:
+        return {"mode": "exact", "pass": False,
+                "checks": {"conjugation_closed": False},
+                "offending": f"conjugation map: {exc}"}
+    checks = {"conjugation_closed": True}
+
+    def order(powers):
+        return "tau is not a primitive root of the expected order", reduce(
+            add, map(mul, cyclotomic_polynomial(dprime(d)), powers))
+
+    for name, message, residue in exactify._residues(
+            chi, d, tower.one(), conj, lambda x: x, conj, cert.tau, order):
+        checks[name] = residue.is_zero()
+        if not checks[name]:
+            return {"mode": "exact", "pass": False, "checks": checks,
+                    "offending": message}
+    group, offending = exactify._group_data_checks(cert)
+    return {"mode": "exact", "pass": offending is None,
+            "checks": {**checks, **group}, "offending": offending}
+
+
+def test_verify_exact_report_equals_the_full_scan(workdir, certfile):
+    # verify_exact takes the overlap identities in the overlap field and
+    # only the upper triangle of A^2 - A. The saved file, its tampered
+    # copies (test_verify_tampered_certificate_fails's edit and the
+    # benchmark's) and each orbit's overlap negated, the 12-index one as in
+    # test_verify_rejects_orbit_negated, give the report of the full-tower,
+    # full-square checklist, key for key and in order
+    base = json.load(open(certfile))
+    edits = {"good": lambda obj: None}
+
+    def bump(obj, key, k, by):
+        obj["overlaps"][key][k] = str(Fraction(obj["overlaps"][key][k]) + by)
+
+    first = sorted(k for k in base["overlaps"] if k != "0,0")[0]
+    edits["tampered"] = lambda obj: bump(obj, first, 0, Fraction(1, 11))
+    nonzero = [(key, k) for key, coeffs in base["overlaps"].items()
+               for k, c in enumerate(coeffs) if Fraction(c) != 0]
+    # the benchmark's tamper, drawn with this file's search seed
+    edits["unit_tamper"] = lambda obj: bump(
+        obj, *random.Random(7).choice(nonzero), 1)
+    for key in base["overlaps"]:
+        edits[f"negated_{key}"] = lambda obj, key=key: obj["overlaps"].update(
+            {key: [str(-Fraction(c)) for c in obj["overlaps"][key]]})
+    path = workdir / "full_scan.cert"
+    seen = {}
+    for name, edit in edits.items():
+        obj = json.loads(json.dumps(base))
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        got = verify_exact(ExactFiducialCertificate.load(str(path)))
+        want = _full_scan_report(ExactFiducialCertificate.load(str(path)))
+        assert list(got["checks"].items()) == list(want["checks"].items())
+        assert got == want, name
+        seen[name] = [check for check, ok in got["checks"].items() if not ok]
+    assert seen.pop("good") == []
+    assert {check for failed in seen.values() for check in failed} == {
+        "conjugation_closed", "lattice_overlaps_are_one", "equiangularity",
+        "idempotent"}
 
 
 @pytest.mark.parametrize("mode", ["exact", "certified"])
@@ -814,6 +936,7 @@ def test_report_labels_stored_claims(workdir, certfile, capsys):
     assert "verification: exact pass" not in text
     assert "verification (stored, not re-checked): exact pass" in text
     assert "alignment candidates (stored, not re-checked): " in text
+    assert "method (stored, not re-checked): 2\n" in text
     assert main(["verify", "--cert", str(bad), "--mode", "exact"]) == 1
 
 

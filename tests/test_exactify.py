@@ -10,7 +10,6 @@ modulus) and an alignment among several structure-respecting bijections, of
 which most predict non-real coefficients.
 """
 
-import hashlib
 import importlib.util
 import itertools
 import json
@@ -26,6 +25,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+from content_digest import content_digest
 from siclift import cli, exactify, heisenberg, lattice, numfield
 from siclift.bignum import guarded
 from siclift.errors import LiftError, PrecisionError
@@ -655,6 +655,50 @@ def test_certificate_d4(cert4):
     assert conj["nonconforming"] == []
 
 
+def test_overlap_field_conjugation_is_a_block_d4(cert4):
+    # conjugation sends the overlap field into itself, so the block of the
+    # tower's conjugation matrix at the overlap field's slots is the
+    # overlap field's own conjugation, built from its generator images
+    e1, k = cert4.e1, cert4.e1_levels
+    block = exactify._conjugation_map(cert4).restricted(k)
+    neg = tuple(-x % dprime(4) for x in cert4.generator_rep)
+    direct = automorphism(e1, [e1.generator(j + 1) for j in range(k - 1)]
+                          + [cert4.all_overlaps()[neg]])
+
+    def matrix(aut):
+        return [[Fraction(x, aut._den) for x in row] for row in aut._rows]
+
+    assert len(block._rows) == e1.degree == 8
+    assert matrix(block) == matrix(direct)
+    assert block.images == direct.images
+
+
+def test_verify_exact_works_at_the_degree_it_needs_d4(cert4, monkeypatch):
+    # the overlap identities are taken in the overlap field, and with
+    # A = A^+ proven exactly the entries r <= s of A^2 - A decide A^2 = A:
+    # 10 of 16 at d=4
+    degrees, idempotent = {}, []
+    residues = exactify._residues
+
+    def recorded(*args, **kwargs):
+        for name, message, residue in residues(*args, **kwargs):
+            degrees.setdefault(name, set()).add(residue.tower.degree)
+            if name == "idempotent":
+                idempotent.append(message)
+            yield name, message, residue
+
+    monkeypatch.setattr(exactify, "_residues", recorded)
+    assert verify_exact(ExactFiducialCertificate.from_json(
+        cert4.to_json()))["pass"] is True
+    assert degrees == {"lattice_overlaps_are_one": {8},
+                       "conjugation_negates_indices": {8},
+                       "equiangularity": {8}, "tau_is_the_phase": {16},
+                       "trace_is_one": {16}, "hermitian": {16},
+                       "idempotent": {16}}
+    assert idempotent == [f"reconstructed operator is not idempotent at "
+                          f"{(r, s)}" for r in range(4) for s in range(r, 4)]
+
+
 def test_verify_exact_d4(cert4):
     rep = verify_exact(cert4)
     assert rep["pass"] is True, rep["offending"]
@@ -822,8 +866,8 @@ def test_alignment_is_chosen_by_regeneration_d4(fid4, monkeypatch):
     # leaves both certificates as they are, and one that rejects everything
     # leaves no alignment
     monkeypatch.setattr(exactify, "_regenerated", lambda *a: True)
-    assert _content_digest(method1_exactify(fid4)) == DIGEST_D4_METHOD1
-    assert _content_digest(method2_exactify(fid4)) == DIGEST_D4
+    assert content_digest(method1_exactify(fid4)) == DIGEST_D4_METHOD1
+    assert content_digest(method2_exactify(fid4)) == DIGEST_D4
     monkeypatch.setattr(exactify, "_regenerated", lambda *a: False)
     with pytest.raises(LiftError, match="do not regenerate"):
         method1_exactify(fid4)
@@ -947,17 +991,6 @@ def test_lift_reuses_table_and_roots_d4(fid4, monkeypatch):
     assert solved and len(set(solved)) == len(solved)
 
 
-def _content_digest(cert) -> str:
-    # the benchmark's recipe: the exact content, without the stored report
-    # and the float alignment scores
-    obj = json.loads(cert.to_json())
-    obj.pop("verification", None)
-    for key in ("score", "runner_up", "separation"):
-        obj["galois"].pop(key, None)
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 DIGEST_D4 = "7b73fb421b06b76a234c21685011238d0d8cca837654f95ab84f0d686b87ca44"
 DIGEST_D5 = "1c49555c8b4ac42a7c3304e047be70eaeb0f9000fa7d8c57634d5717b668e299"
 
@@ -965,8 +998,8 @@ DIGEST_D5 = "1c49555c8b4ac42a7c3304e047be70eaeb0f9000fa7d8c57634d5717b668e299"
 def test_certificate_content_is_pinned(cert4, cert5):
     # seed 11 at 320 digits; a change to the exact arithmetic or the lift
     # that alters one coordinate, tag or level shows here
-    assert _content_digest(cert4) == DIGEST_D4
-    assert _content_digest(cert5) == DIGEST_D5
+    assert content_digest(cert4) == DIGEST_D4
+    assert content_digest(cert5) == DIGEST_D5
 
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -981,7 +1014,7 @@ def test_benchmark_digest_recipe_and_pin_match(cert4):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     reference = json.loads((_PERFBENCH / "reference.json").read_text())
-    assert workloads.digest(cert4) == _content_digest(cert4)
+    assert workloads.digest(cert4) == content_digest(cert4)
     assert reference["digests"]["lift-d4-320"]["11"] == DIGEST_D4
 
 
@@ -998,8 +1031,8 @@ def test_method2_recognizes_nothing_above_the_coefficient_field(
 
     monkeypatch.setattr(numfield, "recognize", e0_only)
     monkeypatch.setattr(exactify, "recognize", e0_only)
-    assert _content_digest(method2_exactify(fid4)) == DIGEST_D4
-    assert _content_digest(method2_exactify(fid5)) == DIGEST_D5
+    assert content_digest(method2_exactify(fid4)) == DIGEST_D4
+    assert content_digest(method2_exactify(fid5)) == DIGEST_D5
 
 
 _LIFT_IN_FRESH_INTERPRETER = """
@@ -1029,7 +1062,7 @@ def test_end_to_end_d6(tmp_path):
     fid = refine(seed_search(6, "fz", attempts=24, seed=11), 400)
     cert = method2_exactify(fid)
     assert cert.tower.degree == 48
-    assert _content_digest(cert) == \
+    assert content_digest(cert) == \
         "72ddb199ec1374960ab4f8b8564d18b762c5e1c10ada6859b32e29189e510fba"
     assert verify_exact(cert)["pass"] is True
     assert verify_certified(cert, digits=120)["pass"] is True

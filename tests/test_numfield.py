@@ -547,6 +547,22 @@ class TestAutomorphisms:
             automorphism(K35, [a + 1, r1])
 
 
+def test_restriction_needs_the_subtower_kept():
+    # Q(2^(1/3)) is not normal: the automorphism of its normal closure that
+    # sends 2^(1/3) to w 2^(1/3) does not restrict to it, and the identity
+    # restricts to the identity
+    cube = adjoin(FieldTower.rationals(PREC), [-2, 0, 0, 1], mp.cbrt(2),
+                  tag="a")
+    closure = adjoin(cube, [1, 1, 1], mp.expjpi(mp.mpf(2) / 3))
+    a, w = closure.generator(1), closure.generator(2)
+    with pytest.raises(FieldError, match="do not lie in their sub-tower"):
+        automorphism(closure, [w * a, w]).restricted(1)
+    ident = automorphism(closure, [a, w]).restricted(1)
+    assert ident.images == (cube.generator(1),)
+    x = cube.element([1, 2, 3])
+    assert ident(x) == x
+
+
 def _compose(a, b):
     """a after b."""
     return automorphism(a.tower, [a(x) for x in b.images])
@@ -1012,6 +1028,28 @@ class TestPolyRoots:
         assert len(seen) >= 3 and {len(v) for v, _ in seen} == {2, 4}
         for values, prec in seen:
             _assert_same_bits(values, prec)
+
+    def test_lift_levels_are_polished_without_polyroots_d4(self, fid4,
+                                                           monkeypatch):
+        # every level of the lift passes the last Durand-Kerner sweep after
+        # the Newton ladder, so mpmath's polyroots, the fallback, never runs
+        def refusing(*args, **kwargs):
+            raise AssertionError("polyroots ran")
+
+        monkeypatch.setattr(mp, "polyroots", refusing)
+        exactify.method2_exactify(fid4)
+
+    def test_merged_roots_fail_the_last_sweep(self):
+        # two starts at one root of x^2 - 1: Newton keeps both there, and
+        # the sweep, dividing by their distance, refuses them; starts good
+        # to double precision at both roots pass
+        with mp.workdps(60):
+            coeffs = [mp.mpc(1), mp.mpc(0), mp.mpc(-1)]
+            assert numfield._polished(coeffs, [mp.mpc(1), mp.mpc(1)],
+                                      60) is None
+            ok = numfield._polished(coeffs, [mp.mpc(1 + 2 ** -50),
+                                             mp.mpc(-1 - 2 ** -50)], 60)
+            assert sorted(ok) == [-1, 1]
 
     @pytest.mark.parametrize("g", [3, 8, 30, 60])
     def test_clustered_quartic(self, g):
