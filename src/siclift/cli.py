@@ -344,7 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command-line grammar, built once per process: it is static, since
     SICLIFT_DIGITS is read when a command runs and argparse looks up
     sys.stderr when it prints, and parse_args fills a fresh namespace on
-    every call."""
+    every call. Only a process that calls main() more than once, such as
+    an in-process harness or the tests, saves anything by it; a one-shot
+    `siclift` command builds the grammar once either way."""
     top = argparse.ArgumentParser(
         prog="siclift",
         description="Search, refine, exactify, and verify SIC fiducials.",

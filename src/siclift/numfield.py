@@ -716,13 +716,15 @@ def _poly_roots(values: list, prec: int) -> list:
 
     The roots found in double precision (_double_roots) are polished by
     Newton steps at doubling precision, up to the working bits plus `prec`
-    bits (_polished), and accepted when one last Durand-Kerner sweep at
-    that precision moves no root by eps or more: mpmath polyroots' own
-    stopping rule, after which its cleanup of small parts and its rounding
-    to the working precision follow. When that sweep does not pass, or the
-    start is not finite, mpmath's polyroots runs as before: Durand-Kerner
-    at the working bits plus `prec` from the double-precision start (or
-    from its fixed cold start), until a correction falls below eps.
+    bits (_newton_ladder), and handed to mpmath's polyroots for one
+    Durand-Kerner sweep at that precision (maxsteps=1). It accepts them
+    when the sweep moves no root by eps or more, its own stopping rule,
+    and then applies its cleanup of small parts and its rounding to the
+    working precision. When the sweep does not pass, or the ladder has
+    no start (not finite, a zero derivative, two roots coinciding),
+    polyroots runs as before: Durand-Kerner at the working bits plus
+    `prec` from the double-precision start (or from its fixed cold start),
+    until a correction falls below eps.
 
     Either way the last step is quadratic and below eps = 2^(1 - bits), so
     the roots are within a few units of 2^-(bits+prec) of the true roots,
@@ -746,54 +748,43 @@ def _poly_roots(values: list, prec: int) -> list:
     with mp.workdps(guarded(prec) + 20):
         coeffs = [mp.mpc(1)] + [mp.mpc(v) for v in reversed(values)]
         start = _double_roots(coeffs)
-        roots = start and _polished(coeffs, start, prec)
-        if not roots:
+        ladder = start and _newton_ladder(coeffs, start, prec)
+        roots = None
+        if ladder:
+            try:
+                roots = mp.polyroots(coeffs, maxsteps=1, extraprec=prec,
+                                     roots_init=ladder)
+            except mp.mp.NoConvergence:
+                pass
+        if roots is None:
             roots = mp.polyroots(coeffs, maxsteps=200, extraprec=prec,
                                  roots_init=start)
         return sorted((mp.mpc(r) for r in roots),
                       key=lambda z: (z.real, z.imag))
 
 
-def _polished(coeffs: list, roots: list, extra: int) -> list | None:
-    """The roots of the monic polynomial with descending coefficients
-    `coeffs`, from the approximations `roots` good to double precision, as
-    mpmath polyroots would return them at the working precision with
-    extraprec `extra`: one Newton step at each of 106, 212, ... bits, up to
-    the working bits plus `extra`, then one Durand-Kerner sweep there,
-    whose corrections must all be below the working eps (else None, also
-    when a step divides by zero); then polyroots' cleanup and rounding. The
-    sweep divides by the distances to the other roots, so two roots that
-    converged to one would fail it."""
-    tol = +mp.eps
+def _newton_ladder(coeffs: list, roots: list, extra: int) -> list | None:
+    """The approximations `roots`, good to double precision, of the roots of
+    the monic polynomial with descending coefficients `coeffs`, after one
+    Newton step at each of 106, 212, ... bits, up to the working bits plus
+    `extra`; None when a step divides by zero or two of them coincide.
+    polyroots' sweep skips a zero distance between two roots, so without
+    that check two starts merged on one root could pass it."""
     bits = mp.mp.prec + extra
     roots = list(roots)
+    p = 53
     try:
-        p = 53
         while p < bits:
             p = min(2 * p, bits)
             with mp.workprec(p):
                 for i, z in enumerate(roots):
                     f, df = mp.polyval(coeffs, z, derivative=True)
                     roots[i] = z - f / df
-        with mp.workprec(bits):
-            for i, z in enumerate(roots):
-                x = mp.polyval(coeffs, z)
-                for j, r in enumerate(roots):
-                    if j != i:
-                        x /= z - r
-                if not abs(x) < tol:
-                    return None
-                roots[i] = z - x
-            for i, z in enumerate(roots):
-                if abs(z) < tol:
-                    roots[i] = mp.zero
-                elif abs(z.imag) < tol:
-                    roots[i] = z.real
-                elif abs(z.real) < tol:
-                    roots[i] = z.imag * 1j
     except ZeroDivisionError:
         return None
-    return [+r for r in roots]
+    if len(set(roots)) < len(roots):
+        return None
+    return roots
 
 
 # Durand-Kerner sweeps in double precision before the full-precision call.

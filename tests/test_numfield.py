@@ -1029,27 +1029,44 @@ class TestPolyRoots:
         for values, prec in seen:
             _assert_same_bits(values, prec)
 
-    def test_lift_levels_are_polished_without_polyroots_d4(self, fid4,
+    def test_lift_levels_pass_one_sweep_d4(self, fid4,
                                                            monkeypatch):
-        # every level of the lift passes the last Durand-Kerner sweep after
-        # the Newton ladder, so mpmath's polyroots, the fallback, never runs
-        def refusing(*args, **kwargs):
-            raise AssertionError("polyroots ran")
+        # every level of the lift passes the one Durand-Kerner sweep after
+        # the Newton ladder, so polyroots' full iteration, the fallback,
+        # never runs
+        polyroots = mp.polyroots
 
-        monkeypatch.setattr(mp, "polyroots", refusing)
+        def one_sweep(*args, maxsteps, **kwargs):
+            assert maxsteps == 1, "the fallback ran"
+            return polyroots(*args, maxsteps=maxsteps, **kwargs)
+
+        monkeypatch.setattr(mp, "polyroots", one_sweep)
         exactify.method2_exactify(fid4)
 
-    def test_merged_roots_fail_the_last_sweep(self):
+    def test_merged_roots_leave_the_ladder(self):
         # two starts at one root of x^2 - 1: Newton keeps both there, and
-        # the sweep, dividing by their distance, refuses them; starts good
-        # to double precision at both roots pass
+        # the ladder refuses them, since polyroots' last sweep would skip
+        # their zero distance; starts good to double precision at both
+        # roots pass that sweep
         with mp.workdps(60):
             coeffs = [mp.mpc(1), mp.mpc(0), mp.mpc(-1)]
-            assert numfield._polished(coeffs, [mp.mpc(1), mp.mpc(1)],
-                                      60) is None
-            ok = numfield._polished(coeffs, [mp.mpc(1 + 2 ** -50),
-                                             mp.mpc(-1 - 2 ** -50)], 60)
-            assert sorted(ok) == [-1, 1]
+            assert numfield._newton_ladder(coeffs, [mp.mpc(1), mp.mpc(1)],
+                                           60) is None
+            ladder = numfield._newton_ladder(
+                coeffs, [mp.mpc(1 + 2 ** -50), mp.mpc(-1 - 2 ** -50)], 60)
+            roots = mp.polyroots(coeffs, maxsteps=1, extraprec=60,
+                                 roots_init=ladder)
+            assert sorted(roots) == [-1, 1]
+
+    def test_root_at_zero(self, Q):
+        # x^2 - 2x: the root 0 goes through polyroots' cleanup of small
+        # parts; squarefree, so adjoin reaches the roots and refuses the
+        # polynomial as reducible
+        values = [mp.mpc(0), mp.mpc(-2)]
+        _assert_same_bits(values, PREC)
+        assert numfield._poly_roots(values, PREC) == [0, 2]
+        with pytest.raises(FieldError, match="reducible"):
+            adjoin(Q, [0, -2, 1], 2.0)
 
     @pytest.mark.parametrize("g", [3, 8, 30, 60])
     def test_clustered_quartic(self, g):
