@@ -58,11 +58,17 @@ def parse_decimal(s: str, digits: int) -> mp.mpf:
 
 
 def significant_digits(s: str) -> int:
-    """Digits of a decimal string's mantissa from its first nonzero one; 0
-    for zero and for text that is no decimal. A loader refuses a declared
-    precision above what its decimals store before parsing at it."""
+    """Digits of a decimal string's mantissa from its first nonzero one, 0
+    for zero; for other text, its digit characters before any e, from the
+    first nonzero one. A loader refuses a declared precision above what its
+    decimals store before parsing at it."""
     mantissa = s.lower().partition("e")[0]
-    return len("".join(c for c in mantissa if c.isdigit()).lstrip("0"))
+    # a sign, one point and leading zeros off a decimal leave its digits
+    digits = mantissa.lstrip("+-").replace(".", "", 1).lstrip("0")
+    if digits.isdigit() or not digits:
+        return len(digits)
+    # other text: every digit character, as for a decimal
+    return len("".join(filter(str.isdigit, mantissa)).lstrip("0"))
 
 
 class CVector:

@@ -38,7 +38,7 @@ from .modring import MatGroup, ModMatrix, centralizer, dprime, orbits, \
     symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
     FieldTower, adjoin, automorphism, cyclotomic_polynomial, \
-    degree_one_primes, divides, horner, is_field, lift_element, \
+    degree_one_primes, divides, dot, horner, is_field, lift_element, \
     nearest_root, parse_rational, squarefree_part, _guess_precision, \
     _monic, _new_level, _poly_roots, _rational_minpoly, \
     _subset_product_coeffs, recognize, relation_element
@@ -1361,8 +1361,10 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     what the certificate pins down: coefficient-field generators are real,
     the overlap generator conjugates to the overlap at the negated index, and
     tau conjugates to its inverse power. Each image is checked numerically
-    to embed at the conjugate of its generator, and exactly by
-    automorphism()."""
+    to embed at the conjugate of its generator, whose value is its level's
+    embedding: a coefficient-field generator is its own image, so that
+    embedding is compared with its own conjugate, and only the overlap and
+    tau images are embedded. automorphism() then checks them exactly."""
     tower = cert.tower
     prec = tower.precision
     neg = cert._norm((-cert.generator_rep[0], -cert.generator_rep[1]))
@@ -1372,9 +1374,12 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
         images.append(cert.tau ** (dprime(cert.d) - 1))
     with mp.workdps(guarded(prec)):
         tol = mp.mpf(10) ** (-(prec // 2))
-        for k, img in enumerate(images):
-            if abs(img.embed() - mp.conj(tower.generator(k + 1).embed())) \
-                    > tol:
+        for k, (lv, img) in enumerate(zip(tower.levels, images)):
+            # the generator's embedded value: its embedding, rounded to
+            # the working precision as the evaluation rounds it
+            g = +lv.embedding
+            z = g if k < cert.e0_levels else img.embed()
+            if abs(z - mp.conj(g)) > tol:
                 raise FieldError(f"the level-{k + 1} image does not embed at "
                                  "the conjugate of its generator")
     return automorphism(tower, images)
@@ -1435,8 +1440,7 @@ def _residues(chi, d, one, conj, lift, op_conj, tau, tau_residue,
         for s in range(r if exact else 0, d):
             yield ("idempotent",
                    f"reconstructed operator is not idempotent at {(r, s)}",
-                   reduce(add, (A[r][k] * A[k][s] for k in range(d)))
-                   - A[r][s])
+                   dot(A[r], [A[k][s] for k in range(d)]) - A[r][s])
 
 
 def _powers(x, one, count):

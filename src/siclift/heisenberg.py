@@ -22,13 +22,13 @@ uses.
 from __future__ import annotations
 
 import math
-from functools import cache, reduce
-from operator import add
+from functools import cache
 
 import mpmath as mp
 
 from .bignum import abs2, guarded
 from .modring import ModMatrix, dprime
+from .numfield import dot
 
 
 @cache
@@ -198,15 +198,16 @@ def operator_rows(chi, d: int, taus, inv_d) -> list:
     """Rows of A = (1/d) sum_{p in (Z/d)^2} chi_{-p} D_p, one period only, in
     any arithmetic with + and *: chi maps indices mod d' to values, taus holds
     tau^0 .. tau^{2d-1} and inv_d is 1/d. Entry (r, s) is the sum of the d
-    terms with p1 = r - s mod d."""
+    terms with p1 = r - s mod d, taken by numfield.dot: reduced once for
+    tower elements."""
     dp, n = dprime(d), 2 * d
     rows = []
     for r in range(d):
         row = []
         for s in range(d):
             p1 = (r - s) % d
-            row.append(reduce(add, (chi[(-p1 % dp, -p2 % dp)]
-                                    * taus[(p1 * p2 + 2 * p2 * s) % n]
-                                    for p2 in range(d))) * inv_d)
+            row.append(dot([chi[(-p1 % dp, -p2 % dp)] for p2 in range(d)],
+                           [taus[(p1 * p2 + 2 * p2 * s) % n]
+                            for p2 in range(d)]) * inv_d)
         rows.append(row)
     return rows

@@ -11,12 +11,18 @@ rational coordinates are AlgebraicNumber.coefficients.
 A level-L product is one big-integer multiply: both numerator tuples are
 packed (Kronecker substitution) into the box of exponent sums, where level
 k's digit runs over 2 m_k - 1 values, so no slot carries into the next. The
-product's box slots are then sent to the basis by an integer matrix over one
-denominator, built once per tower prefix and held on the prefix's top level.
-When both factors lie in level L-1, the product is taken there and placed
-back, recursively, so arithmetic in a subfield costs the subfield's degree,
-not the tower's. An automorphism is likewise an integer matrix, built from
-the images of the generators.
+product's box slots are then unpacked and sent to the basis by an integer
+matrix over one denominator, built once per tower prefix and held on the
+prefix's top level with its packing plans. A sum of products (`dot`) is
+reduced once: each product is taken packed, scaled to the terms' common
+denominator and summed while still packed, and only the sum is unpacked
+and sent to the basis. When both factors (for a sum, all of them) lie in
+level L-1, the product is taken there and placed back, recursively, so
+arithmetic in a subfield costs the subfield's degree, not the tower's. An
+automorphism is likewise an integer matrix, built from the images of the
+generators level by level, and each image is checked with the columns
+already built: the transported minimal-polynomial coefficients are integer
+combinations of them.
 
 Every element also has a complex embedding fixed by the root choices, so
 numeric and exact computations can cross-check each other; `nearest_root`
@@ -27,9 +33,9 @@ coefficient field (`exactify`); `automorphisms` proposes them by
 recognizing each conjugate root in the whole tower.
 
 The exact polynomial algebra over a tower is written once, here: `horner`
-evaluates a polynomial in any arithmetic (tower elements, embeddings,
-enclosure balls), `FieldTower._euclid` is the one remainder sequence over
-a tower (inverses, and the squarefree test of `adjoin`), and
+evaluates a polynomial in any arithmetic (embeddings, enclosure balls, the
+lift's tower elements), `FieldTower._euclid` is the one remainder sequence
+over a tower (inverses, and the squarefree test of `adjoin`), and
 `_rational_minpoly` is the one elimination, fraction-free over the integer
 coordinate vectors of the powers of an element.
 
@@ -62,7 +68,7 @@ import struct
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, isfinite, isqrt, lcm
-from operator import add, lshift, mul, sub
+from operator import add, itemgetter, lshift, mul, sub
 
 import mpmath as mp
 
@@ -242,18 +248,29 @@ class _Box:
     level-k digit runs over 2 m_k - 1 values (level 1 most significant);
     cols[p] is box monomial p as a reduced vector, and rows, den the same
     matrix over one denominator, each row as the indices and values of its
-    nonzero entries. A level's box is built from the one below it, its
-    minimal polynomial and products one level down."""
+    nonzero entries; reads holds each row as a getter of its slots and its
+    values. A level's box is built from the one below it, its minimal
+    polynomial and products one level down. plans holds the packing plan of
+    each slot width used so far (see _plan)."""
 
-    __slots__ = ("below", "dim", "size", "pos", "cols", "rows", "den")
+    __slots__ = ("below", "dim", "size", "pos", "cols", "rows", "den",
+                 "reads", "plans")
 
     def __init__(self, tower: "FieldTower | None", L: int):
         self.below = tower.levels[:L - 1] if L else ()
+        self.plans = {}
         if L == 0:
             self.dim = self.size = 1
             self.pos, self.cols = (0,), [((1,), 1)]
             self.rows, self.den = (((0,), (1,)),), 1
-            return
+        else:
+            self._build(tower, L)
+        # a second index keeps a getter's result a tuple for a row of one
+        # entry; map(mul, vals, ...) stops at the end of vals
+        self.reads = tuple((itemgetter(*idx, idx[0]), vals)
+                           for idx, vals in self.rows)
+
+    def _build(self, tower: "FieldTower", L: int):
         low, lv = tower._box(L - 1), tower.levels[L - 1]
         m, radix = lv.degree, 2 * lv.degree - 1
         zero, one = tower._zero(L - 1), tower._const(1, L - 1)
@@ -276,28 +293,60 @@ class _Box:
         self.rows = tuple((tuple(p for p, x in enumerate(row) if x),
                            tuple(x for x in row if x)) for row in rows)
 
+    def _plan(self, k: int) -> tuple:
+        """The packing for slots of 64 k bits, built on first use: each
+        basis monomial's shift, the offset that raises every slot by the
+        half-word 2^(64 k - 1), so that a slot of absolute value below it
+        reads as a nonnegative number, the Struct that unpacks the words,
+        and the half-word."""
+        plan = self.plans.get(k)
+        if plan is None:
+            plan = self.plans[k] = (
+                [64 * k * p for p in self.pos],
+                int.from_bytes((bytes(8 * k - 1) + b"\x80") * self.size,
+                               "little"),
+                struct.Struct(f"<{k * self.size}Q"),
+                1 << (64 * k - 1))
+        return plan
+
     def product(self, u, v) -> tuple:
         """Numerators of u * v over self.den: u and v are packed, one slot
-        of 64 k bits per box monomial, multiplied once, unpacked with every
-        slot offset by 2^(64 k - 1) so that each reads as a nonnegative
-        number, and reduced to the basis."""
-        bits = (max(map(int.bit_length, u)) + max(map(int.bit_length, v))
-                + self.dim.bit_length())
-        k = bits // 64 + 1             # |slot| < 2^bits <= 2^(64 k - 1)
-        width = 64 * k
-        shifts = [width * p for p in self.pos]
-        packed = sum(map(lshift, u, shifts)) * sum(map(lshift, v, shifts))
-        offset = int.from_bytes((bytes(8 * k - 1) + b"\x80") * self.size,
-                                "little")
-        words = struct.unpack(f"<{k * self.size}Q", (packed + offset).to_bytes(
-            8 * k * self.size, "little"))
-        slots = words[::k]
-        for j in range(1, k):
-            slots = map(add, slots, map(lshift, words[j::k],
-                                        itertools.repeat(64 * j)))
-        slots = list(map(sub, slots, itertools.repeat(1 << (width - 1))))
-        return tuple([sum(map(mul, vals, map(slots.__getitem__, idx)))
-                      for idx, vals in self.rows])
+        of 64 k bits per box monomial, and multiplied once (_reduce)."""
+        k = (max(map(int.bit_length, u)) + max(map(int.bit_length, v))
+             + self.dim.bit_length()) // 64 + 1  # |slot| < 2^(64 k - 1)
+        shifts = self._plan(k)[0]
+        return self._reduce(sum(map(lshift, u, shifts))
+                            * sum(map(lshift, v, shifts)), k)
+
+    def dot(self, terms) -> tuple:
+        """Numerators of sum c u v over self.den, for the triples (u, v, c)
+        with c a positive integer: each product is packed and multiplied
+        once, scaled by its c and summed while still packed, and the sum is
+        reduced once (_reduce)."""
+        k = (max(max(map(int.bit_length, u)) + max(map(int.bit_length, v))
+                 + c.bit_length() for u, v, c in terms)
+             + self.dim.bit_length() + len(terms).bit_length()) // 64 + 1
+        shifts = self._plan(k)[0]
+        return self._reduce(sum([sum(map(lshift, u, shifts)) * c
+                                 * sum(map(lshift, v, shifts))
+                                 for u, v, c in terms]), k)
+
+    def _reduce(self, packed: int, k: int) -> tuple:
+        """Numerators over self.den of the element whose box slots, each of
+        absolute value below the half-word 2^(64 k - 1), are packed in slots
+        of 64 k bits: unpacked with the plan's offset added, taken back
+        slot by slot, and sent to the basis by the rows."""
+        _shifts, offset, words, half = self.plans[k]
+        slots = words.unpack((packed + offset).to_bytes(words.size, "little"))
+        if k > 1:
+            joined = slots[::k]
+            for j in range(1, k):
+                joined = map(add, joined, map(lshift, slots[j::k],
+                                              itertools.repeat(64 * j)))
+            slots = joined
+        slots = list(map(sub, slots, itertools.repeat(half)))
+        return tuple([sum(map(mul, vals, read(slots)))
+                      for read, vals in self.reads])
 
 
 _Q_BOX = _Box(None, 0)
@@ -366,6 +415,26 @@ class FieldTower:
                               L - 1, L)
         box = self._box(L)
         return _reduced(box.product(u, v), du * dv * box.den)
+
+    def _dot(self, pairs, L: int):
+        """sum a * b over the pairs (a, b) of level-L vectors, reduced once:
+        the products are summed packed over the least common denominator of
+        their factors (_Box.dot). When every factor lies in level L-1, the
+        sum is taken there and placed back."""
+        pairs = [(a, b) for a, b in pairs if any(a[0]) and any(b[0])]
+        if not pairs:
+            return self._zero(L)
+        m = self.levels[L - 1].degree if L else 1
+        if m > 1 and not any(any(w[j::m]) for a, b in pairs
+                             for w in (a[0], b[0]) for j in range(1, m)):
+            return self._lift(self._dot([((u[::m], du), (v[::m], dv))
+                                         for (u, du), (v, dv) in pairs],
+                                        L - 1), L - 1, L)
+        den = lcm(*(du * dv for (_u, du), (_v, dv) in pairs))
+        box = self._box(L)
+        return _reduced(box.dot([(u, v, den // (du * dv))
+                                 for (u, du), (v, dv) in pairs]),
+                        den * box.den)
 
     def _inv(self, a, L: int):
         u, den = a
@@ -688,6 +757,23 @@ class AlgebraicNumber:
         return f"AlgebraicNumber([{', '.join(vals)}])"
 
 
+def dot(xs, ys):
+    """sum x_i y_i over the pairs of the sequences xs and ys, of which there
+    is at least one. Elements of one tower take one reduction to the basis
+    (FieldTower._dot); any other arithmetic takes the plain sum
+    reduce(add, map(mul, xs, ys)). Elements of different towers are a
+    FieldError, as their product is."""
+    x0 = xs[0]
+    if type(x0) is not AlgebraicNumber or not all(
+            type(z) is AlgebraicNumber for z in itertools.chain(xs, ys)):
+        return reduce(add, map(mul, xs, ys))
+    for z in itertools.chain(xs, ys):
+        x0._peer(z)
+    tower = x0.tower
+    return AlgebraicNumber(tower, tower._dot(
+        [(x.vec, y.vec) for x, y in zip(xs, ys)], len(tower.levels)))
+
+
 # ---------------------------------------------------------------------------
 # adjoining roots
 
@@ -971,26 +1057,15 @@ class EmbeddingAutomorphism:
     column i is the image of basis monomial i, the generator images raised
     to its exponents and multiplied out. Application is one mat-vec, so it
     commutes with arithmetic exactly. Built only by automorphism(), and by
-    restricted() from the matrix of a map it restricts."""
+    restricted() from the matrix of a map it restricts: matrix is the pair
+    (rows, den)."""
 
     __slots__ = ("tower", "images", "_rows", "_den")
 
-    def __init__(self, tower: FieldTower, images, matrix=None):
+    def __init__(self, tower: FieldTower, images, matrix):
         self.tower = tower
         self.images = tuple(images)
-        if matrix is not None:
-            self._rows, self._den = matrix
-            return
-        n = len(tower.levels)
-        one = tower._const(1, n)
-        cols = [one]
-        for lv, img in zip(tower.levels, self.images):
-            powers = [one]
-            for _ in range(lv.degree - 1):
-                powers.append(tower._mul(powers[-1], img.vec, n))
-            cols = [c if j == 0 else tower._mul(c, p, n)
-                    for c in cols for j, p in enumerate(powers)]
-        self._rows, self._den = _columns(cols)
+        self._rows, self._den = matrix
 
     def __call__(self, x: AlgebraicNumber) -> AlgebraicNumber:
         if x.tower.levels != self.tower.levels:
@@ -1041,18 +1116,39 @@ def automorphism(tower: FieldTower, images) -> EmbeddingAutomorphism:
     """The automorphism sending the level-k generator to images[k-1]. Each
     image is checked exactly to be a root of its level's minimal polynomial
     with the earlier images substituted, so the map is a field embedding of
-    the tower into itself, hence onto; FieldError otherwise."""
+    the tower into itself, hence onto; FieldError otherwise.
+
+    The matrix's columns are built level by level: before level k, they are
+    the images of the basis monomials of the first k-1 levels, so each
+    coefficient of level k's minimal polynomial is carried over as one
+    integer combination of them, and the check of the image x is
+    x^m + dot(coefficients, [1, x, ..., x^(m-1)]), with the powers that the
+    next columns are built from."""
     images = tuple(images)
     if len(images) != len(tower.levels):
         raise FieldError(f"{len(images)} generator images for a "
                          f"{len(tower.levels)}-level tower")
+    # elements of this tower, with a rational image made one
+    images = tuple(map(tower.one()._peer, images))
+    n = len(tower.levels)
+    one = tower._const(1, n)
+    cols = [one]
     for k, (lv, img) in enumerate(zip(tower.levels, images), 1):
-        coeffs = [tower.evaluate(u, k - 1, tower.rational, images)
-                  * Fraction(1, den) for u, den in lv.minpoly]
-        if not horner(coeffs + [tower.one()], img).is_zero():
+        x = img.vec
+        powers = [one]
+        for _ in range(lv.degree - 1):
+            powers.append(tower._mul(powers[-1], x, n))
+        rows, den = _columns(cols)
+        coeffs = [_reduced(tuple([sum(map(mul, row, u)) for row in rows]),
+                           den * du) for u, du in lv.minpoly]
+        residue = _combine(tower._mul(powers[-1], x, n),
+                           tower._dot(zip(coeffs, powers), n), add)
+        if any(residue[0]):
             raise FieldError(f"the level-{k} image is not a root of its "
                              "transported minimal polynomial")
-    return EmbeddingAutomorphism(tower, images)
+        cols = [c if j == 0 else tower._mul(c, p, n)
+                for c in cols for j, p in enumerate(powers)]
+    return EmbeddingAutomorphism(tower, images, _columns(cols))
 
 
 def automorphisms(tower: FieldTower,

@@ -86,3 +86,20 @@ class TestVectorsMatrices:
     def test_guarded(self):
         assert bn.guarded(100) == 120
         assert bn.guarded(10) == 20  # floor of MIN_GUARD_DIGITS
+
+
+def _significant_digits_by_scan(s):
+    """significant_digits as first written, one character at a time: its
+    oracle."""
+    mantissa = s.lower().partition("e")[0]
+    return len("".join(c for c in mantissa if c.isdigit()).lstrip("0"))
+
+
+@pytest.mark.parametrize("s", [
+    "3.14159", "-0.000123", "+0.5", "-0.5e-10", "1.2300E+5", "12345",
+    "007", "0", "0.0", "-0.000", "0e5", "", "-", ".", "-.", "e", "1e",
+    ".5", "5.", "1..2", "1.2.3", "--5", "+-0.07", "0-0.05", "12ab",
+    "abc", "nan", "inf", "1_000", " 12", "١٢٣", "0.0²5", "1E5.3",
+    "-0." + "1234567890" * 33 + "e-3"])
+def test_significant_digits_matches_the_scan(s):
+    assert bn.significant_digits(s) == _significant_digits_by_scan(s)

@@ -28,7 +28,7 @@ import pytest
 from content_digest import content_digest
 from siclift import cli, exactify, heisenberg, lattice, numfield
 from siclift.bignum import guarded
-from siclift.errors import LiftError, PrecisionError
+from siclift.errors import FieldError, LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
                               _extend_with_tau, _group_automorphisms,
                               _transported,
@@ -653,6 +653,40 @@ def test_certificate_d4(cert4):
     assert conj["discriminant_squarefree"] == 5
     assert conj["coefficient_field_contains_sqrt_disc"] is True
     assert conj["nonconforming"] == []
+
+
+def test_conjugation_map_embeds_two_images_d4(cert4, monkeypatch):
+    # the coefficient-field generator is its own image, so its embedding is
+    # compared with its own conjugate; only the overlap image and the tau
+    # image are embedded
+    calls = []
+    embed = numfield.AlgebraicNumber.embed
+
+    def counting(self):
+        calls.append(self)
+        return embed(self)
+
+    monkeypatch.setattr(numfield.AlgebraicNumber, "embed", counting)
+    conj = exactify._conjugation_map(
+        ExactFiducialCertificate.from_json(cert4.to_json()))
+    assert len(calls) == 2
+    assert conj.images == exactify._conjugation_map(cert4).images
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_conjugation_map_refuses_an_image_off_the_conjugate_d4(cert4, level):
+    # a generator embedding moved by (1 + i) 10^-100, far above the
+    # tolerance 10^-(prec // 2): off the real axis at level 1, away from
+    # its image's conjugate at the overlap and tau levels. The exact check
+    # is not reached
+    cert = ExactFiducialCertificate.from_json(cert4.to_json())
+    lv = cert.tower.levels[level]
+    with mp.workdps(guarded(cert.tower.precision)):
+        lv.embedding += mp.mpc(1, 1) * mp.mpf(10) ** -100
+    with pytest.raises(FieldError, match=(
+            f"the level-{level + 1} image does not embed at the conjugate "
+            "of its generator")):
+        exactify._conjugation_map(cert)
 
 
 def test_overlap_field_conjugation_is_a_block_d4(cert4):

@@ -8,7 +8,10 @@ zero tests that need no numerics at all.
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import mpmath as mp
 import pytest
@@ -908,6 +911,168 @@ class TestIntegerRepresentation:
         assert all(a.e1._box(L) is a.tower._box(L) for L in range(1, e1 + 1))
         rows = a.galois_rows()
         assert all(r.tower._box(e1) is a.tower._box(e1) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# sums of products with one reduction, and the box's packing plans
+
+
+def _draw_factor(K, kind, rng):
+    """A factor of the given kind in K: zero; one of a lower level, drawn in
+    a proper prefix of K and lifted; or numerators of 3 bits, or of 70 to
+    200 bits, so that a product needs slots of at least two words, over a
+    denominator of up to as many bits."""
+    if kind == "zero":
+        return K.zero()
+    if kind == "lower":
+        sub = FieldTower(K.levels[:rng.randrange(len(K.levels))],
+                         K.precision)
+        return lift_element(K, _random_element(sub, rng))
+    bits = 3 if kind == "small" else rng.randint(70, 200)
+    den = rng.randint(1, 2 ** bits)
+    return K.element([Fraction(rng.randint(-(2 ** bits), 2 ** bits), den)
+                      for _ in range(K.degree)])
+
+
+_KINDS = st.sampled_from(["zero", "lower", "small", "wide"])
+
+
+class TestDot:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["K3", "Kz", "K35", "K15"]),
+           st.lists(st.tuples(_KINDS, _KINDS), min_size=1, max_size=5),
+           st.integers(0, 10 ** 6))
+    def test_equals_the_sum_of_products(self, request, name, kinds, seed):
+        # towers of depth 1 to 3; the terms mix zeros, factors of lower
+        # levels, unequal denominators and wide numerators
+        K = request.getfixturevalue(name)
+        rng = random.Random(seed)
+        xs, ys = [], []
+        for a, b in kinds:
+            xs.append(_draw_factor(K, a, rng))
+            ys.append(_draw_factor(K, b, rng))
+        got = numfield.dot(xs, ys)
+        assert got.vec == reduce(add, map(mul, xs, ys)).vec
+        _assert_reduced(got)
+
+    def test_wide_terms_take_wide_slots(self, K15):
+        # numerators of 70 to 200 bits: the packed sum needs slots of two
+        # words or more
+        rng = random.Random(2)
+        xs = [_draw_factor(K15, "wide", rng) for _ in range(3)]
+        K15.levels[-1].box = None  # a fresh box, which holds no plan yet
+        got = numfield.dot(xs, xs[::-1])
+        assert min(K15._box(len(K15.levels)).plans) >= 2
+        assert got == reduce(add, map(mul, xs, xs[::-1]))
+
+    def test_terms_and_scales_widen_the_slots(self, K3):
+        # one product of (a + a g)^2, a = 2^30 - 1, fits a slot of one
+        # word (slots up to 2 a^2 < 2^61); 16 of them sum past 2^63, so the
+        # count of terms must widen the slots to two words
+        a = 2 ** 30 - 1
+        x = K3.element([a, a])
+        assert numfield.dot([x] * 16, [x] * 16) == 16 * (x * x)
+        # z * z, z = b + b g with b = 2^28 - 1, fits one word with room
+        # for two terms, but not once it is scaled by 2^20 to the common
+        # denominator of z * z and (z / 2^20) * z
+        z = K3.element([2 ** 28 - 1] * 2)
+        w = z / 2 ** 20
+        assert numfield.dot([z, w], [z, z]) == z * z + w * z
+
+    def test_other_arithmetic_takes_the_plain_sum(self, K3):
+        xs = [Fraction(1, 3), 2, Fraction(-5, 7)]
+        ys = [4, Fraction(3, 2), Fraction(7, 5)]
+        assert numfield.dot(xs, ys) == reduce(add, map(mul, xs, ys))
+        zs = [1 + 2j, -3j]
+        assert numfield.dot(zs, zs) == zs[0] * zs[0] + zs[1] * zs[1]
+        # a rational among tower elements is scaled as in the plain sum
+        a = K3.generator(1)
+        assert numfield.dot([a, 2], [a, a]) == a * a + 2 * a
+
+    def test_elements_of_two_towers_are_refused(self, K3, K35):
+        with pytest.raises(FieldError, match="different towers"):
+            numfield.dot([K3.one(), K35.one()], [K3.one(), K35.one()])
+
+
+def _unpacked_product(box, u, v):
+    """The box product with its packing built afresh for this one call, as
+    it was before the plans were kept: the oracle of the cached plans."""
+    bits = (max(map(int.bit_length, u)) + max(map(int.bit_length, v))
+            + box.dim.bit_length())
+    k = bits // 64 + 1
+    width = 64 * k
+    shifts = [width * p for p in box.pos]
+    packed = sum(x << s for x, s in zip(u, shifts)) \
+        * sum(x << s for x, s in zip(v, shifts))
+    offset = int.from_bytes((bytes(8 * k - 1) + b"\x80") * box.size,
+                            "little")
+    words = struct.unpack(f"<{k * box.size}Q", (packed + offset).to_bytes(
+        8 * k * box.size, "little"))
+    slots = [sum(words[p * k + j] << (64 * j) for j in range(k))
+             - (1 << (width - 1)) for p in range(box.size)]
+    return k, tuple(sum(x * slots[p] for p, x in zip(idx, vals))
+                    for idx, vals in box.rows)
+
+
+@pytest.mark.parametrize("bits", [3, 40, 70])
+def test_cached_plans_give_the_fresh_product_d4(cert4, bits):
+    # 3-, 40- and 70-bit numerators at degree 16 need slots of 1, 2 and 3
+    # words; the second product reuses the plan the first one built
+    T = cert4.tower
+    L = len(T.levels)
+    rng = random.Random(bits)
+    box = numfield._Box(T, L)
+    u, v = ([rng.randint(-(2 ** bits), 2 ** bits) for _ in range(T.degree)]
+            for _ in range(2))
+    k, want = _unpacked_product(box, u, v)
+    assert k == {3: 1, 40: 2, 70: 3}[bits] and k not in box.plans
+    assert box.product(u, v) == want and k in box.plans
+    assert box.product(u, v) == want
+    assert T._box(L).product(u, v) == want
+
+
+# ---------------------------------------------------------------------------
+# automorphisms checked from the columns they build
+
+
+def _first_failing_level(tower, images):
+    """The first level whose image the substitution rule refuses, or None:
+    the check that automorphism() made before it used its own columns, kept
+    as its oracle. test_arithmetic_properties compares the maps themselves
+    with the substitution rule."""
+    for k, lv in enumerate(tower.levels, 1):
+        coeffs = [tower.evaluate(u, k - 1, tower.rational, images)
+                  * Fraction(1, den) for u, den in lv.minpoly]
+        if not numfield.horner(coeffs + [tower.one()],
+                               images[k - 1]).is_zero():
+            return k
+    return None
+
+
+def test_wrong_images_are_refused_as_before_d4(cert4):
+    # the identity and the conjugation pass; an image moved by 1 or
+    # negated is refused at the level the substitution rule refuses
+    T = cert4.tower
+    n = len(T.levels)
+    ident = [T.generator(k + 1) for k in range(n)]
+    conj = list(exactify._conjugation_map(cert4).images)
+    candidates = [ident, conj]
+    for k in range(n):
+        for edit in (lambda x: x + 1, lambda x: -x):
+            for base in (ident, conj):
+                candidates.append(base[:k] + [edit(base[k])] + base[k + 1:])
+    refused = set()
+    for images in candidates:
+        level = _first_failing_level(T, images)
+        if level is None:
+            assert automorphism(T, images).images == tuple(images)
+            continue
+        refused.add(level)
+        with pytest.raises(FieldError, match=(
+                f"^the level-{level} image is not a root of its "
+                "transported minimal polynomial$")):
+            automorphism(T, images)
+    assert {1, n} <= refused
 
 
 # ---------------------------------------------------------------------------
