@@ -288,38 +288,28 @@ _STORED = "(stored, not re-checked)"
 
 
 def _report_text(cert: ExactFiducialCertificate) -> str:
-    with mp.workdps(25):
-        levels = " / ".join(f"{lv.tag} (degree {lv.degree})"
-                            for lv in cert.tower.levels)
-        ver = cert.verification
-        ver_line = "none recorded" if not ver else \
-            f"{ver['mode']} {'pass' if ver['pass'] else 'FAIL'}"
-        lines = [
-            "SIC-REPORT v1",
-            f"dimension: {cert.d}",
-            f"method {_STORED}: {cert.method}",
-            f"index modulus: {dprime(cert.d)}",
-            f"tower: {levels}; total degree {cert.tower.degree}",
-            f"coefficient field degree over the rationals {_STORED}: "
-            f"{cert.e0.degree}",
-            f"overlap field degree over the rationals {_STORED}: "
-            f"{cert.e1.degree}",
-            f"phase level appended: {'yes' if cert.tau_level_added else 'no'}",
-            f"overlaps recorded: {len(cert.index_map)}",
-            f"orbit representatives: " +
-            " ".join(f"({r[0]},{r[1]})" for r in cert.orbit_reps),
-            f"galois rows: {len(cert.galois.matrices)}",
-            f"alignment score {_STORED}: {mp.nstr(cert.galois.score, 8)}",
-            f"alignment runner-up {_STORED}: "
-            f"{mp.nstr(cert.galois.runner_up, 8)}",
-            f"alignment separation {_STORED}: "
-            f"{mp.nstr(cert.galois.separation, 8)}",
-            f"alignment candidates {_STORED}: {cert.galois.candidates}",
-            f"conjectures {_STORED}:",
-        ]
-        for key in sorted(cert.conjectures):
-            lines.append(f"  {key}: {cert.conjectures[key]}")
-        lines.append(f"verification {_STORED}: {ver_line}")
+    levels = " / ".join(f"{lv.tag} (degree {lv.degree})"
+                        for lv in cert.tower.levels)
+    lines = [
+        "SIC-REPORT v1",
+        f"dimension: {cert.d}",
+        f"method {_STORED}: {cert.method}",
+        f"index modulus: {dprime(cert.d)}",
+        f"tower: {levels}; total degree {cert.tower.degree}",
+        f"coefficient field degree over the rationals {_STORED}: "
+        f"{cert.e0.degree}",
+        f"overlap field degree over the rationals {_STORED}: "
+        f"{cert.e1.degree}",
+        f"phase level appended: {'yes' if cert.tau_level_added else 'no'}",
+        f"overlaps recorded: {len(cert.index_map)}",
+        f"orbit representatives: " +
+        " ".join(f"({r[0]},{r[1]})" for r in cert.orbit_reps),
+        f"galois rows: {len(cert.galois.matrices)}",
+        f"alignment candidates {_STORED}: {cert.galois.candidates}",
+        f"conjectures {_STORED}:",
+    ]
+    for key in sorted(cert.conjectures):
+        lines.append(f"  {key}: {cert.conjectures[key]}")
     return "\n".join(lines) + "\n"
 
 

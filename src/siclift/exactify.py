@@ -665,16 +665,17 @@ class GaloisMatch:
     cosets. Row j pairs the automorphism that fixes the coefficient field and
     sends the overlap-field generator to images[j], an element of the
     overlap field, with the coset of matrices[j], the coset whose conjugate
-    row j was interpolated from. score is that labelling's worst relation
-    norm under method 2, runner_up the best of the quotient's other
-    isomorphisms: a lower bound, since scoring stops feeding a junk lattice
-    at the attempt floor."""
+    row j was interpolated from. score, runner_up and separation are the
+    lift's diagnostics, which no file stores, so they are None after a
+    load: the labelling's worst relation norm under method 2, the best of
+    the quotient's other isomorphisms (a lower bound, since scoring stops
+    feeding a junk lattice at the attempt floor), and their ratio."""
     matrices: tuple
     images: tuple
-    score: object
-    runner_up: object
-    separation: object
     candidates: int
+    score: object = None
+    runner_up: object = None
+    separation: object = None
 
     def to_obj(self):
         return {
@@ -682,9 +683,6 @@ class GaloisMatch:
             "matrices": [list(M.entries) for M in self.matrices],
             "images": [[str(fr) for fr in img.coefficients]
                        for img in self.images],
-            "score": mp.nstr(self.score, 10),
-            "runner_up": mp.nstr(self.runner_up, 10),
-            "separation": mp.nstr(self.separation, 10),
             "candidates": self.candidates,
         }
 
@@ -700,9 +698,7 @@ class GaloisMatch:
                 imgs.append(e1.element(map(parse_rational, fl)))
             except FieldError as exc:
                 raise FieldError(f"Galois image {j}: {exc}") from exc
-        return cls(mats, tuple(imgs), mp.mpf(obj["score"]),
-                   mp.mpf(obj["runner_up"]), mp.mpf(obj["separation"]),
-                   obj["candidates"])
+        return cls(mats, tuple(imgs), obj["candidates"])
 
 
 def _key(q) -> str:
@@ -710,8 +706,26 @@ def _key(q) -> str:
 
 
 def _unkey(s: str) -> tuple:
+    """The index pair that _key writes as s, its one spelling."""
     a, b = s.split(",")
-    return int(a), int(b)
+    q = int(a), int(b)
+    if _key(q) != s:
+        raise SicliftError(f"index key {s!r} is not written as {_key(q)!r}")
+    return q
+
+
+def _known_keys(obj, part: str, keys: str) -> dict:
+    """obj, a mapping with no key but the space-separated keys: those the
+    writer gives the part, then any legacy keys of files written before the
+    alignment scores and the verification report left the format, which no
+    verifier read and the loader skips. SicliftError names another key."""
+    if not isinstance(obj, dict):
+        raise SicliftError(f"{part} is not a mapping")
+    unknown = sorted(set(obj) - set(keys.split()))
+    if unknown:
+        raise SicliftError(f"{part} has the key {unknown[0]!r}, which no "
+                           "certificate is written with")
+    return obj
 
 
 @dataclass
@@ -719,7 +733,7 @@ class ExactFiducialCertificate:
     """Self-contained exact description of one fiducial projector: the field
     tower, the phase tau inside it, exact overlaps at orbit representatives,
     and the transport data (index map + Galois alignment) regenerating the
-    whole overlap table. verification holds the latest verification report."""
+    whole overlap table."""
     d: int
     method: int
     tower: FieldTower
@@ -735,7 +749,6 @@ class ExactFiducialCertificate:
     s_matrices: tuple
     stabilizer: tuple
     conjectures: dict
-    verification: dict | None = None
     _rows: list = field(default=None, repr=False, compare=False)
     _table: dict = field(default=None, repr=False, compare=False)
 
@@ -788,7 +801,6 @@ class ExactFiducialCertificate:
             "stabilizer": [[list(p), list(M.entries)]
                            for p, M in self.stabilizer],
             "conjectures": self.conjectures,
-            "verification": self.verification,
         }
         return json.dumps(obj, indent=1)
 
@@ -819,15 +831,18 @@ def _check_schema(obj: dict) -> dict:
     generator_rep is one of the representatives, and an index whose
     representative's overlap lies in the coefficient field takes the
     identity row. Each level carries the tag the writer gives its
-    position."""
+    position, and each part only the keys of _known_keys."""
     try:
+        _known_keys(obj, "certificate", "format d method tower e0_levels "
+                    "e1_levels tau tau_level_added generator_rep orbit_reps "
+                    "overlaps index_map galois s_matrices stabilizer "
+                    "conjectures verification")
         d = obj["d"]
         if type(d) is not int or d < 4:
             raise SicliftError(f"dimension {d!r} is not an integer >= 4")
         dp = dprime(d)
         for key, kind in (("overlaps", dict), ("index_map", dict),
-                          ("galois", dict), ("conjectures", dict),
-                          ("tau", list)):
+                          ("conjectures", dict), ("tau", list)):
             if not isinstance(obj[key], kind):
                 raise SicliftError(f"{key} is not a {kind.__name__}")
         # count the keys before enumerating (Z/d')^2, which a huge d forbids
@@ -835,7 +850,8 @@ def _check_schema(obj: dict) -> dict:
         if len(imap) != dp * dp or sorted(map(_unkey, imap)) != [
                 (a, b) for a in range(dp) for b in range(dp)]:
             raise SicliftError(f"index_map keys are not exactly (Z/{dp})^2")
-        galois = obj["galois"]
+        galois = _known_keys(obj["galois"], "galois", "modulus matrices "
+                             "images candidates score runner_up separation")
         if type(galois["modulus"]) is not int or galois["modulus"] != dp:
             raise SicliftError(f"Galois modulus {galois['modulus']!r} is not "
                                f"d' = {dp}")
@@ -859,7 +875,10 @@ def _check_schema(obj: dict) -> dict:
         if type(added) is not bool:
             raise SicliftError(f"tau_level_added {added!r} is not a boolean")
         e0, e1 = obj["e0_levels"], obj["e1_levels"]
-        levels = len(obj["tower"]["levels"])
+        tdoc = _known_keys(obj["tower"], "tower", "format precision levels")
+        for lv in tdoc["levels"]:
+            _known_keys(lv, "tower level", "tag minpoly root_index embedding")
+        levels = len(tdoc["levels"])
         if not (type(e0) is int and type(e1) is int
                 and 0 <= e0 and e1 == e0 + 1 == levels - added):
             raise SicliftError(f"level counts e0={e0!r}, e1={e1!r} are not "
@@ -868,17 +887,11 @@ def _check_schema(obj: dict) -> dict:
         if type(galois["candidates"]) is not int:
             raise SicliftError(f"galois candidates {galois['candidates']!r} "
                                "is not an integer")
-        ver = obj["verification"]
-        if ver is not None and not (isinstance(ver, dict)
-                                    and isinstance(ver.get("mode"), str)
-                                    and type(ver.get("pass")) is bool):
-            raise SicliftError("verification is neither null nor a report "
-                               "with a mode and a verdict")
-        tprec = obj["tower"]["precision"]
+        tprec = tdoc["precision"]
         if type(tprec) is not int or tprec < MIN_LIFT_DIGITS:
             raise SicliftError(f"tower precision {tprec!r} is not an integer "
                                f">= {MIN_LIFT_DIGITS}")
-        tower = FieldTower.from_json(json.dumps(obj["tower"]))
+        tower = FieldTower.from_json(json.dumps(tdoc))
         tags = [lv.tag for lv in tower.levels]
         if tags != ["a"] * e0 + ["t"] + ["tau"] * added:
             raise SicliftError(f"level tags {tags} are not a for the "
@@ -904,8 +917,7 @@ def _check_schema(obj: dict) -> dict:
                               ModMatrix(*_mod_ints(row, 4, dp,
                                                    "stabilizer matrix"), dp))
                              for p, row in obj["stabilizer"]),
-            conjectures=obj["conjectures"],
-            verification=ver)
+            conjectures=obj["conjectures"])
         for key in ("orbit_reps", "s_matrices", "stabilizer"):
             if len(set(out[key])) != len(out[key]):
                 raise SicliftError(f"{key} lists an entry twice")
@@ -1451,8 +1463,8 @@ def _powers(x, one, count):
 def verify_exact(cert: ExactFiducialCertificate) -> dict:
     """Replay the checklist of _residues in exact rational arithmetic, after
     building the conjugation map and up to the first residue that is not
-    zero; then check the stored claims of _group_data_checks. Stores and
-    returns the report.
+    zero; then check the stored claims of _group_data_checks. Returns the
+    report and leaves the certificate unchanged.
 
     The overlaps stay in the overlap field e1, where the lattice,
     conjugation and equiangularity residues are taken, with conjugation as
@@ -1464,11 +1476,9 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
     checks: dict = {}
     offending = None
 
-    def done(ok):
-        report = {"mode": "exact", "pass": bool(ok), "checks": checks,
-                  "offending": offending}
-        cert.verification = report
-        return report
+    def done():
+        return {"mode": "exact", "pass": offending is None, "checks": checks,
+                "offending": offending}
 
     # the Galois rows are built before the conjugation map: a FieldError
     # from them is an error in the file, not a verdict
@@ -1480,7 +1490,7 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
     except FieldError as exc:
         checks["conjugation_closed"] = False
         offending = f"conjugation map: {exc}"
-        return done(False)
+        return done()
 
     def tau_residue(taupow):
         phi = reduce(add, map(mul, cyclotomic_polynomial(dprime(d)), taupow))
@@ -1501,11 +1511,11 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
         checks[name] = residue.is_zero()
         if not checks[name]:
             offending = message
-            return done(False)
+            return done()
 
     group, offending = _group_data_checks(cert)
     checks.update(group)
-    return done(offending is None)
+    return done()
 
 
 # ---------------------------------------------------------------------------
@@ -1628,8 +1638,8 @@ def verify_certified(cert: ExactFiducialCertificate,
     pass the exact _group_data_checks of verify_exact; a ball excluding 0 is a
     definitive failure. The verdicts are exact integer comparisons, but
     which root each generator ball holds is evidence, not proof (see
-    _generator_balls). digits must be a positive integer; SicliftError
-    otherwise."""
+    _generator_balls). Returns the report and leaves the certificate
+    unchanged. digits must be a positive integer; SicliftError otherwise."""
     if type(digits) is not int or digits < 1:
         raise SicliftError(f"certified digits {digits!r} is not a positive "
                            "integer")
@@ -1668,7 +1678,7 @@ def verify_certified(cert: ExactFiducialCertificate,
     else:
         group, why = _group_data_checks(cert)
         outcome = why is None
-    report = {
+    return {
         "mode": "certified", "digits": digits, "pass": outcome,
         "max_radius": nstr(max_r),
         "max_center": nstr(mp.sqrt(max(b.re ** 2 + b.im ** 2
@@ -1678,5 +1688,3 @@ def verify_certified(cert: ExactFiducialCertificate,
         "reason": why,
         "note": "defect-based enclosures; evidence, not proof",
     }
-    cert.verification = report
-    return report

@@ -351,12 +351,16 @@ def test_verify_flags_reset_between_calls(certfile, capsys):
     assert _stdout_json(capsys)["digits"] == 120
 
 
-def test_verify_tampered_certificate_fails(workdir, certfile, capsys):
-    obj = json.load(open(certfile))
+def _tamper(obj):
+    """One overlap coordinate of obj changed by 1/11."""
     key = sorted(k for k in obj["overlaps"] if k != "0,0")[0]
     obj["overlaps"][key][0] = str(Fraction(obj["overlaps"][key][0])
                                   + Fraction(1, 11))
-    obj["verification"] = None
+
+
+def test_verify_tampered_certificate_fails(workdir, certfile, capsys):
+    obj = json.load(open(certfile))
+    _tamper(obj)
     bad = workdir / "tampered.cert"
     bad.write_text(json.dumps(obj))
     rc = main(["verify", "--cert", str(bad), "--mode", "certified",
@@ -581,26 +585,127 @@ _FIELDS = ("format", "d", "method", "tower", "e0_levels", "e1_levels", "tau",
 _MUTATIONS = {"int": 7, "string": "x", "list": [1], "mapping": {"a": 1}}
 
 
+def _written(workdir, obj, stem) -> str:
+    path = workdir / f"{stem}.cert"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# each command that reads a certificate: the words before --cert and after
+_COMMANDS = {"exact": (["verify"], ["--mode", "exact"]),
+             "certified": (["verify"], ["--mode", "certified", "--digits",
+                                        "80"]),
+             "report": (["report"], [])}
+
+
+def _run(path, command, capsys):
+    head, tail = _COMMANDS[command]
+    rc = main(head + ["--cert", path] + tail)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return rc, out, err
+
+
 @pytest.mark.parametrize("mutation", ["dropped", *_MUTATIONS])
 @pytest.mark.parametrize("key", _FIELDS)
 def test_field_mutation_is_a_failure_or_an_error(workdir, certfile, capsys,
                                                  key, mutation):
-    # only the informational conjectures may hold any mapping and still pass
+    # only the informational conjectures may hold any mapping and still
+    # pass. The writer no longer writes verification, and the loader skips
+    # it as a legacy key: set to a stored pass on a tampered file, then
+    # mutated, it leaves verify failing and report unchanged
     obj = json.load(open(certfile))
+    if key == "verification":
+        _tamper(obj)
+        plain = _run(_written(workdir, obj, "tampered"), "report", capsys)
+        obj[key] = {"mode": "exact", "pass": True}
     if mutation == "dropped":
         del obj[key]
     else:
         obj[key] = _MUTATIONS[mutation]
-    bad = workdir / f"mutated_{key}_{mutation}.cert"
-    bad.write_text(json.dumps(obj))
+    bad = _written(workdir, obj, f"mutated_{key}_{mutation}")
     allowed = {0, 1, 2} if (key, mutation) == ("conjectures", "mapping") \
         else {1, 2}
-    for args in (["verify", "--mode", "exact"],
-                 ["verify", "--mode", "certified", "--digits", "80"],
-                 ["report"]):
-        rc = main(args[:1] + ["--cert", str(bad)] + args[1:])
-        assert rc in allowed, (args, rc)
-    assert "Traceback" not in capsys.readouterr().err
+    for command in ("exact", "certified", "report"):
+        got = _run(bad, command, capsys)
+        if key != "verification":
+            assert got[0] in allowed, (command, got)
+        elif command == "report":
+            assert got == plain
+        else:
+            assert got[0] == 1, (command, got)
+
+
+# what the writer wrote before the alignment scores and the verification
+# report left the format: a stored verdict, and the scores as mpmath text
+_LEGACY = {"verification": {"mode": "exact", "pass": True, "checks": {},
+                            "offending": None},
+           "score": "1.414213562", "runner_up": "1.0e+32",
+           "separation": "7.071067812e+31"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("tampered", [False, True])
+def test_legacy_keys_change_nothing(workdir, certfile, capsys, command,
+                                    tampered):
+    # a file in the format before the change carries the four keys; it
+    # loads, and every command answers as it does on the file without
+    # them, down to the report's text and a stored pass on a tampered file
+    obj = json.load(open(certfile))
+    assert not set(_LEGACY) & (set(obj) | set(obj["galois"]))
+    if tampered:
+        _tamper(obj)
+    plain = _run(_written(workdir, obj, f"plain_{tampered}"), command, capsys)
+    obj["verification"] = _LEGACY["verification"]
+    obj["galois"].update((k, _LEGACY[k])
+                         for k in ("score", "runner_up", "separation"))
+    legacy = _run(_written(workdir, obj, f"legacy_{tampered}"), command,
+                  capsys)
+    assert legacy == plain
+    assert plain[0] == (1 if tampered and command != "report" else 0)
+
+
+def _respelled_key(mapping, spell):
+    """mapping with its first key "a,b" spelled by spell(a, b)."""
+    key = next(iter(mapping))
+    return {(spell(*key.split(",")) if k == key else k): v
+            for k, v in mapping.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("field", ["index_map", "overlaps"])
+@pytest.mark.parametrize("spell", ["{},+{}", " {},{}", "{},0{}", "{}, {}"])
+def test_respelled_index_keys_are_refused(workdir, certfile, capsys, command,
+                                          field, spell):
+    # int() reads each of these as the index the writer writes as "a,b";
+    # only that spelling is a key
+    obj = json.load(open(certfile))
+    obj[field] = _respelled_key(obj[field], spell.format)
+    rc, _out, err = _run(_written(workdir, obj, "respelled"), command,
+                         capsys)
+    assert rc == 2
+    assert "is not written as" in err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("part", ["certificate", "galois", "tower",
+                                  "tower level"])
+def test_unknown_keys_are_refused(workdir, certfile, capsys, command, part):
+    obj = json.load(open(certfile))
+    doc = {"certificate": obj, "galois": obj["galois"], "tower": obj["tower"],
+           "tower level": obj["tower"]["levels"][1]}[part]
+    doc["foo"] = 1
+    rc, _out, err = _run(_written(workdir, obj, "unknown_key"), command,
+                         capsys)
+    assert rc == 2
+    assert f"{part} has the key 'foo'" in err
+
+
+def test_conjectures_stay_free_form(workdir, certfile, capsys):
+    obj = json.load(open(certfile))
+    obj["conjectures"]["foo"] = {"bar": [1]}
+    path = _written(workdir, obj, "free_conjectures")
+    assert [_run(path, c, capsys)[0] for c in sorted(_COMMANDS)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("mode", ["exact", "certified"])
@@ -922,22 +1027,18 @@ def test_report_is_a_pure_function_of_the_certificate(certfile, capsys):
     assert "dimension: 4" in first
 
 
-def test_report_labels_stored_claims(workdir, certfile, capsys):
-    # a stored pass is echoed, never presented as a fresh verdict
-    obj = json.load(open(certfile))
-    key = sorted(k for k in obj["overlaps"] if k != "0,0")[0]
-    obj["overlaps"][key][0] = str(Fraction(obj["overlaps"][key][0])
-                                  + Fraction(1, 11))
-    obj["verification"] = {"mode": "exact", "pass": True}
-    bad = workdir / "stale_pass.cert"
-    bad.write_text(json.dumps(obj))
-    assert main(["report", "--cert", str(bad)]) == 0
+def test_report_labels_stored_claims(certfile, capsys):
+    # the report echoes five stored claims, each labelled as such, and no
+    # score or verdict, which the file no longer stores
+    assert main(["report", "--cert", certfile]) == 0
     text = capsys.readouterr().out
-    assert "verification: exact pass" not in text
-    assert "verification (stored, not re-checked): exact pass" in text
-    assert "alignment candidates (stored, not re-checked): " in text
+    labelled = [line.split(" (stored")[0] for line in text.splitlines()
+                if "(stored, not re-checked)" in line]
+    assert labelled == ["method", "coefficient field degree over the "
+                        "rationals", "overlap field degree over the "
+                        "rationals", "alignment candidates", "conjectures"]
     assert "method (stored, not re-checked): 2\n" in text
-    assert main(["verify", "--cert", str(bad), "--mode", "exact"]) == 1
+    assert "score" not in text and "verification" not in text
 
 
 def test_report_to_file(workdir, certfile, capsys):

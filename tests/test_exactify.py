@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -559,20 +560,27 @@ def test_verify_exact_d5(report5):
 
 
 def test_certificate_roundtrip_d5(cert5, report5, tmp_path):
+    # the file stores no verdict and no alignment score: a reloaded
+    # certificate writes the same bytes, has no scores, and neither
+    # verifier changes what it writes
     path = tmp_path / "d5.cert"
     cert5.save(str(path))
+    obj = json.loads(path.read_text())
+    assert not {"verification", "score", "runner_up", "separation"} & (
+        set(obj) | set(obj["galois"]))
     back = ExactFiducialCertificate.load(str(path))
-    assert back.d == cert5.d
-    assert back.e1_levels == cert5.e1_levels
-    assert [lv.minpoly for lv in back.tower.levels] == \
-           [lv.minpoly for lv in cert5.tower.levels]
+    text = back.to_json()
+    assert text == cert5.to_json()
+    assert (back.galois.score, back.galois.runner_up,
+            back.galois.separation) == (None, None, None)
+    for verify in (verify_exact, verify_certified):
+        assert verify(back)["pass"] is True
+        assert back.to_json() == text
     ours = cert5.all_overlaps()
     theirs = back.all_overlaps()
     assert set(ours) == set(theirs)
     for q in ours:
         assert ours[q].coefficients == theirs[q].coefficients
-    # verification report travels with the file
-    assert back.verification and back.verification["pass"] is True
 
 
 def test_embeddings_match_numeric_table_d5(cert5, fid5):
@@ -616,7 +624,6 @@ def _tampered(cert, bump):
     key = sorted(k for k in obj["overlaps"] if k != "0,0")[0]
     val = Fraction(obj["overlaps"][key][0]) + bump
     obj["overlaps"][key][0] = str(val)
-    obj["verification"] = None
     return ExactFiducialCertificate.from_json(json.dumps(obj))
 
 
@@ -771,6 +778,72 @@ def test_checking_never_finds_roots_or_scores_d4(cert4, tmp_path,
     assert verify_certified(back, digits=120)["pass"] is True
 
 
+# Field paths of the certificate that no verifier reads, written down from
+# the loader and both verifiers (never from which mutations pass): a
+# mutation there may leave both verdicts a pass.
+_UNREAD = ("method", "conjectures.", "galois.candidates",
+           "tower.levels[].root_index")
+
+
+def _leaves(node, path=""):
+    """(field path, container, key) of every leaf in document order. A path
+    names keys and writes [] for a list index, and * for a key of the
+    overlaps or index_map, which are keyed by index."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, child in items:
+        step = "[]" if isinstance(node, list) else \
+            "." + ("*" if path in ("overlaps", "index_map") else key)
+        sub = (path + step).lstrip(".")
+        if isinstance(child, (list, dict)):
+            yield from _leaves(child, sub)
+        else:
+            yield sub, node, key
+
+
+def _mutated(v):
+    """(kind, v changed once by its kind): a bool flipped, an int + 1, a
+    rational + 1 in its own spelling, a decimal's leading digit changed,
+    any other string with x appended."""
+    if isinstance(v, bool):
+        return "bool", not v
+    if isinstance(v, int):
+        return "int", v + 1
+    if "." in v:
+        i = re.search(r"\d", v).start()
+        return "decimal", f"{v[:i]}{(int(v[i]) + 1) % 10}{v[i + 1:]}"
+    if re.fullmatch(r"-?\d+(/\d+)?", v):
+        x = Fraction(v) + 1
+        return "rational", f"{x.numerator}/{x.denominator}" if "/" in v \
+            else str(x)
+    return "string", v + "x"
+
+
+def test_one_mutation_per_field_path_d4(cert4, tmp_path, capsys):
+    # the middle leaf of every field path of the saved file, changed once:
+    # both verify modes give one exit code, 1 or 2 but where no verifier
+    # reads the field, and report never gives a traceback
+    saved, bad = tmp_path / "d4.cert", tmp_path / "mutated.cert"
+    cert4.save(str(saved))
+    text = saved.read_text()
+    paths = dict.fromkeys(path for path, _n, _k in _leaves(json.loads(text)))
+    kinds = set()
+    for path in paths:
+        obj = json.loads(text)
+        leaves = [(n, k) for p, n, k in _leaves(obj) if p == path]
+        node, key = leaves[len(leaves) // 2]
+        kind, node[key] = _mutated(node[key])
+        kinds.add(kind)
+        bad.write_text(json.dumps(obj))
+        codes = {cli.main(["verify", "--cert", str(bad), "--mode", mode])
+                 for mode in ("exact", "certified")}
+        allowed = {0, 1, 2} if path.startswith(_UNREAD) else {1, 2}
+        assert len(codes) == 1 and codes <= allowed, (path, codes)
+        assert cli.main(["report", "--cert", str(bad)]) in (0, 2), path
+    assert len(paths) >= 30
+    assert kinds == {"bool", "int", "rational", "decimal", "string"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 CERTIFIED_KEYS = {"mode", "digits", "pass", "max_radius", "max_center",
                   "residues", "group_checks", "reason", "note"}
 
@@ -783,7 +856,6 @@ def test_verify_certified_rejects_unit_tamper_d4(cert4):
                for k, c in enumerate(coeffs) if Fraction(c) != 0]
     rep, k = random.Random(11).choice(nonzero)
     obj["overlaps"][rep][k] = str(Fraction(obj["overlaps"][rep][k]) + 1)
-    obj["verification"] = None
     bad = ExactFiducialCertificate.from_json(json.dumps(obj))
     good = ExactFiducialCertificate.from_json(cert4.to_json())
     assert verify_exact(good)["pass"] is True
