@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import add, mul
 
 from mpmath import mp
@@ -34,8 +34,8 @@ from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
     relation_norm
-from .modring import MatGroup, ModMatrix, centralizer, dprime, orbits, \
-    symmetry_image
+from .modring import MatGroup, ModMatrix, centralizer, dprime, \
+    greedy_generators, orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
     FieldTower, adjoin, automorphism, cyclotomic_polynomial, \
     degree_one_primes, divides, dot, horner, is_field, lift_element, \
@@ -74,14 +74,9 @@ def symmetry_structure(fid, full: bool = False) -> SymmetryStructure:
     if len(s_pi) == 1:
         raise LiftError("no symmetry beyond the identity was detected; orbit "
                         "polynomials would not compress the overlap table")
-    # a matrix commutes with s_pi when it commutes with generators of it,
-    # taken greedily in order
+    # a matrix commutes with s_pi when it commutes with generators of it
     m = s_pi.modulus
-    gens, span = [], MatGroup([ModMatrix.identity(m)])
-    for F in s_pi.elements:
-        if F not in span:
-            gens.append(F)
-            span = MatGroup.generated(gens)
+    gens, _span = greedy_generators(s_pi.elements, m)
     cent = MatGroup(M for M in centralizer(gens[0])
                     if all(M * F == F * M for F in gens[1:]))
     orbs = orbits(cent)
@@ -1322,7 +1317,14 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
     matrices and fix the table. So does every symmetry matrix, a product of
     them; and as no off-lattice overlap is 0, chi_q = tau^(2<q,p>) chi_q at
     q = (1, 0) and (0, 1) gives p = 0. Returns the named results and the
-    first failure (None on a pass)."""
+    first failure (None on a pass).
+
+    Both group claims are settled on the stabilizer's generators, taken
+    greedily in stored order: the matrices are a group exactly when they
+    are the group those generate, and as F -> (det F) F is a homomorphism,
+    the generators' images generate the symmetry matrices, so they alone
+    are tested against the table, by value ids. Only when one moves it are
+    all images scanned in stored order, so the message names the first."""
     gen = cert.generator_rep
     checks = {"generator_overlap": cert.rep_overlaps[gen]
               == cert.e1.generator(cert.e1_levels)}
@@ -1342,23 +1344,28 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
         return checks, f"stabilizer shift {list(shifted)} is not 0"
     mats = [F for _p, F in cert.stabilizer]
     try:
-        closed = set(MatGroup.generated(
-            [ModMatrix.identity(dprime(cert.d))] + mats)) == set(mats)
-        gens = [symmetry_image(F) for F in mats]
+        gens, span = greedy_generators(mats, dprime(cert.d))
+        closed = set(span) == set(mats)
+        images = [symmetry_image(F) for F in mats]
     except ValueError:
         closed = False
     checks["stabilizer_is_a_group"] = closed
     if not closed:
         return checks, ("the stabilizer matrices are not a group with "
                         "determinants +-1")
-    # the images of a group are a group: they generate no more than these
-    ok = set(gens) == set(cert.s_matrices)
+    ok = set(images) == set(cert.s_matrices)
     checks["stabilizer_generates_symmetry"] = ok
     if not ok:
         return checks, "the stabilizer does not generate the symmetry matrices"
-    table = cert.all_overlaps()
-    moved = next((G for G in gens for q in table
-                  if table[G.apply(q)] != table[q]), None)
+    ids = {}
+    value_id = {q: ids.setdefault(x, len(ids))
+                for q, x in cert.all_overlaps().items()}
+
+    def moves(G):
+        return any(value_id[G.apply(q)] != value_id[q] for q in value_id)
+
+    fixed = not any(moves(symmetry_image(F)) for F in gens)
+    moved = None if fixed else next(G for G in images if moves(G))
     checks["symmetry_fixes_table"] = moved is None
     return checks, (None if moved is None
                     else f"symmetry matrix {moved} does not fix the overlaps")
@@ -1413,6 +1420,11 @@ def _residues(chi, d, one, conj, lift, op_conj, tau, tau_residue,
     previous residue has been taken, so a driver that stops early saves
     the rest.
 
+    The table holds few distinct values (6 of 64 at the seed-11 d=4
+    certificate), so the conjugate, the modulus residue and the lift are
+    taken once per value, keyed by it: a tower element by value, a ball by
+    identity. One residue is still yielded per index.
+
     exact says that a zero residue is exactly zero, as it is in the tower
     and not for a ball. Then, once every Hermitian residue is zero, A = A^+
     gives (A^2 - A)[s][r] = conj((A^2 - A)[r][s]), and conjugation is
@@ -1425,24 +1437,24 @@ def _residues(chi, d, one, conj, lift, op_conj, tau, tau_residue,
     for q in lattice:
         yield ("lattice_overlaps_are_one",
                f"overlap at lattice index {q} is not 1", chi[q] - one)
-    conj_chi = {}
+    conj, lift = cache(conj), cache(lift)
     for q, x in chi.items():
         neg = ((-q[0]) % dp, (-q[1]) % dp)
-        conj_chi[q] = conj(x)
         yield ("conjugation_negates_indices",
                f"conjugate of overlap {q} is not the overlap at {neg}",
-               conj_chi[q] - chi[neg])
+               conj(x) - chi[neg])
+    modulus = cache(lambda x: (d + 1) * x * conj(x) - one)
     for q, x in chi.items():
         if q not in lattice:
             yield ("equiangularity", f"overlap modulus condition fails at {q}",
-                   (d + 1) * x * conj_chi[q] - one)
-    one = lift(one)
-    tau_powers = _powers(tau, one, 2 * d)
+                   modulus(x))
+    unit = lift(one)
+    tau_powers = _powers(tau, unit, 2 * d)
     yield ("tau_is_the_phase", *tau_residue(tau_powers))
     A = hb.operator_rows({q: lift(x) for q, x in chi.items()}, d, tau_powers,
                          Fraction(1, d))
     yield ("trace_is_one", "reconstructed operator trace is not 1",
-           reduce(add, (A[r][r] for r in range(d))) - one)
+           reduce(add, (A[r][r] for r in range(d))) - unit)
     for r in range(d):
         for s in range(d):
             yield ("hermitian",
@@ -1639,7 +1651,11 @@ def verify_certified(cert: ExactFiducialCertificate,
     definitive failure. The verdicts are exact integer comparisons, but
     which root each generator ball holds is evidence, not proof (see
     _generator_balls). Returns the report and leaves the certificate
-    unchanged. digits must be a positive integer; SicliftError otherwise."""
+    unchanged. digits must be a positive integer; SicliftError otherwise.
+
+    Each distinct table value is enclosed once and its ball shared by the
+    indices that hold it (see _residues); equal values would give
+    bit-identical balls anyway, so no residue or radius changes."""
     if type(digits) is not int or digits < 1:
         raise SicliftError(f"certified digits {digits!r} is not a positive "
                            "integer")
@@ -1647,6 +1663,7 @@ def verify_certified(cert: ExactFiducialCertificate,
     w = math.ceil((digits + 25) * math.log2(10))
     gballs = _generator_balls(tower, w)
 
+    @cache
     def ball(x: AlgebraicNumber):
         return _ball_of(tower, x.vec, len(x.tower.levels), gballs, w)
 

@@ -203,6 +203,19 @@ class MatGroup:
         return f"MatGroup(|G|={len(self)}, mod {self.modulus})"
 
 
+def greedy_generators(elements: Iterable[ModMatrix],
+                      m: int) -> tuple[list[ModMatrix], MatGroup]:
+    """Generators, taken greedily in order, of the group mod m that the
+    elements generate, and that group: an element joins when the ones
+    before it do not generate it. No elements give the identity alone."""
+    gens, span = [], MatGroup([ModMatrix.identity(m)])
+    for F in elements:
+        if F not in span:
+            gens.append(F)
+            span = MatGroup.generated(gens)
+    return gens, span
+
+
 def zauner_matrix(d: int) -> ModMatrix:
     """F_z = [[0, d-1], [d+1, d-1]] mod d'; order 3 for odd d, 6 for even."""
     m = dprime(d)

@@ -10,6 +10,7 @@ modulus) and an alignment among several structure-respecting bijections, of
 which most predict non-real coefficients.
 """
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -39,8 +40,8 @@ from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
                               verify_certified, verify_exact)
 from siclift.fidsearch import refine, seed_search
 from siclift.heisenberg import overlaps
-from siclift.modring import (dprime, fa_matrix, gl2_group, h2_group,
-                             symmetry_image)
+from siclift.modring import (ModMatrix, dprime, fa_matrix, gl2_group,
+                             h2_group, symmetry_image)
 from siclift.numfield import FieldTower, _rational_minpoly, \
     _subset_product_coeffs, adjoin, automorphism, cyclotomic_polynomial, \
     factor_over_tower, recognize
@@ -818,10 +819,21 @@ def _mutated(v):
     return "string", v + "x"
 
 
+def _check_mutation(obj, path, bad):
+    """The sweep's oracle on obj, written to bad, with one leaf at the field
+    path changed: both verify modes give one exit code, 1 or 2 but where no
+    verifier reads the field, and report exits 0 or 2."""
+    bad.write_text(json.dumps(obj))
+    codes = {cli.main(["verify", "--cert", str(bad), "--mode", mode])
+             for mode in ("exact", "certified")}
+    allowed = {0, 1, 2} if path.startswith(_UNREAD) else {1, 2}
+    assert len(codes) == 1 and codes <= allowed, (path, codes)
+    assert cli.main(["report", "--cert", str(bad)]) in (0, 2), path
+
+
 def test_one_mutation_per_field_path_d4(cert4, tmp_path, capsys):
-    # the middle leaf of every field path of the saved file, changed once:
-    # both verify modes give one exit code, 1 or 2 but where no verifier
-    # reads the field, and report never gives a traceback
+    # the middle leaf of every field path of the saved file, changed once,
+    # meets the sweep's oracle, and nothing gives a traceback
     saved, bad = tmp_path / "d4.cert", tmp_path / "mutated.cert"
     cert4.save(str(saved))
     text = saved.read_text()
@@ -833,13 +845,29 @@ def test_one_mutation_per_field_path_d4(cert4, tmp_path, capsys):
         node, key = leaves[len(leaves) // 2]
         kind, node[key] = _mutated(node[key])
         kinds.add(kind)
-        bad.write_text(json.dumps(obj))
-        codes = {cli.main(["verify", "--cert", str(bad), "--mode", mode])
-                 for mode in ("exact", "certified")}
-        allowed = {0, 1, 2} if path.startswith(_UNREAD) else {1, 2}
-        assert len(codes) == 1 and codes <= allowed, (path, codes)
-        assert cli.main(["report", "--cert", str(bad)]) in (0, 2), path
+        _check_mutation(obj, path, bad)
     assert len(paths) >= 30
+    assert kinds == {"bool", "int", "rational", "decimal", "string"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.environ.get("SICLIFT_STRETCH"),
+                    reason="stretch run, set SICLIFT_STRETCH=1")
+def test_every_leaf_mutated_d4(cert4, tmp_path, capsys):
+    # the full sweep: every leaf of the saved file, changed once by its
+    # kind, meets the oracle of the Tier-1 subset above
+    saved, bad = tmp_path / "d4.cert", tmp_path / "mutated.cert"
+    cert4.save(str(saved))
+    text = saved.read_text()
+    count = sum(1 for _leaf in _leaves(json.loads(text)))
+    kinds = set()
+    for i in range(count):
+        obj = json.loads(text)
+        path, node, key = next(itertools.islice(_leaves(obj), i, None))
+        kind, node[key] = _mutated(node[key])
+        kinds.add(kind)
+        _check_mutation(obj, path, bad)
+    assert count >= 400
     assert kinds == {"bool", "int", "rational", "decimal", "string"}
     assert "Traceback" not in capsys.readouterr().err
 
@@ -1095,6 +1123,142 @@ def test_lift_reuses_table_and_roots_d4(fid4, monkeypatch):
     method2_exactify(fid4)
     assert guarded(fid4.precision) not in table_dps
     assert solved and len(set(solved)) == len(solved)
+
+
+def _verdicts(path, capsys):
+    """(exit code, failure message) of verify in exact and certified mode."""
+    out = []
+    for mode in ("exact", "certified"):
+        code = cli.main(["verify", "--cert", str(path), "--mode", mode])
+        report = json.loads(capsys.readouterr().out)
+        out.append((code, report.get("offending") or report.get("reason")))
+    return out
+
+
+def test_empty_stabilizer_is_no_group_d4(cert4, tmp_path, capsys):
+    # with no stored matrix at all, the generated group still holds the
+    # identity, so the empty list is not a group
+    obj = json.loads(cert4.to_json())
+    obj["stabilizer"], obj["s_matrices"] = [], []
+    bad = tmp_path / "empty.cert"
+    bad.write_text(json.dumps(obj))
+    assert _verdicts(bad, capsys) == [
+        (1, "the stabilizer matrices are not a group with determinants "
+            "+-1")] * 2
+
+
+def test_conjugated_stabilizer_names_its_first_mover_d4(cert4, tmp_path,
+                                                       capsys):
+    # every stabilizer matrix conjugated by the shear M, written sorted as
+    # the writer writes it, with its images as the symmetry matrices: a
+    # group with determinants +-1 that generates them, so only the table
+    # check fails, and the message names the first image in stored order
+    # that moves the table
+    obj = json.loads(cert4.to_json())
+    M = ModMatrix(1, 1, 0, 1, 8)
+    assert all(p == [0, 0] for p, _F in obj["stabilizer"])
+    mats = sorted(M * ModMatrix(*F, 8) * M.inv()
+                  for _p, F in obj["stabilizer"])
+    obj["stabilizer"] = [[[0, 0], list(F.entries)] for F in mats]
+    obj["s_matrices"] = [list(G.entries)
+                         for G in sorted(map(symmetry_image, mats))]
+    bad = tmp_path / "conjugated.cert"
+    bad.write_text(json.dumps(obj))
+    assert _verdicts(bad, capsys) == [
+        (1, "symmetry matrix [[7,5],[1,4]] mod 8 does not fix the "
+            "overlaps")] * 2
+
+
+# Exit code and SHA-256 of the standard output of each command on the
+# seed-11 files at 320 digits, taken before the checkers did their
+# per-index work once per distinct value and their group checks on
+# generators: that change moves no byte of any verdict or report.
+_OUTPUTS = {
+    ("d4", "verify --mode exact"): (0, "d423bc03bb3a983eaebcbe6bd3ae7a99"
+                                       "19772f9fc91554cfe5f287bc907c8eb3"),
+    ("d4", "verify --mode certified --digits 120"): (
+        0, "2f66bd750bb099b712b90d380c736c7d5f9e08851a14c0774331bb3111aca889"),
+    ("d4", "report"): (0, "2cbd04c233c5925181356de7093da57c"
+                          "5675e6643f68d2768ab3d6cb861610ee"),
+    ("d4_tampered", "verify --mode exact"): (
+        1, "6186fa35eeceab756589664f4ed9b853d9a41e19f8a13f6efbe4d1394e6a39d5"),
+    ("d4_tampered", "verify --mode certified --digits 120"): (
+        1, "071da85241976b830a9d1d1882b9dc07df857ef5b49bbdb9fd4d4fe57921e23f"),
+    ("d4_tampered", "report"): (0, "2cbd04c233c5925181356de7093da57c"
+                                   "5675e6643f68d2768ab3d6cb861610ee"),
+    ("d5", "verify --mode exact"): (0, "d423bc03bb3a983eaebcbe6bd3ae7a99"
+                                       "19772f9fc91554cfe5f287bc907c8eb3"),
+    ("d5", "verify --mode certified --digits 120"): (
+        0, "fb3921955b97893b1089c40fb2e8ca8c72297763763b9ae10341af8741acdb12"),
+    ("d5", "report"): (0, "a906d568807ddf0a09b76fcf246fe618"
+                          "5fe2900747ac8bc06ebd83f10082aff9"),
+}
+
+
+def test_verify_and_report_output_is_pinned(cert4, cert5, tmp_path, capsys):
+    # the saved files, and the d=4 one with one nonzero overlap coefficient
+    # bumped by +1, chosen as the benchmark's reverify workload chooses it
+    files = {name: tmp_path / f"{name}.cert"
+             for name in ("d4", "d4_tampered", "d5")}
+    cert4.save(str(files["d4"]))
+    cert5.save(str(files["d5"]))
+    obj = json.loads(cert4.to_json())
+    nonzero = [(rep, k) for rep, coeffs in obj["overlaps"].items()
+               for k, c in enumerate(coeffs) if Fraction(c) != 0]
+    rep, k = random.Random(11).choice(nonzero)
+    obj["overlaps"][rep][k] = str(Fraction(obj["overlaps"][rep][k]) + 1)
+    files["d4_tampered"].write_text(json.dumps(obj))
+    got = {}
+    for name, command in _OUTPUTS:
+        verb, *flags = command.split()
+        code = cli.main([verb, "--cert", str(files[name]), *flags])
+        got[name, command] = (code, hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest())
+    assert got == _OUTPUTS
+
+
+@pytest.mark.parametrize("cert_name, distinct", [("cert4", 6), ("cert5", 9)])
+def test_checkers_work_once_per_distinct_value(cert_name, distinct, request,
+                                               monkeypatch):
+    # verify_certified encloses each distinct table value once, and tau;
+    # verify_exact conjugates each distinct value once in the conjugation
+    # residues. The enclosures of the generator balls are not counted
+    cert = ExactFiducialCertificate.from_json(
+        request.getfixturevalue(cert_name).to_json())
+    table = cert.all_overlaps()
+    values = set(table.values())
+    assert len(table) > len(values) == distinct
+    ball_of, generator_balls = exactify._ball_of, exactify._generator_balls
+    enclosed, inside = [], []
+
+    def counted_ball_of(tower, vec, *args):
+        if not inside:
+            enclosed.append(vec)
+        return ball_of(tower, vec, *args)
+
+    def counted_generator_balls(*args):
+        inside.append(True)
+        try:
+            return generator_balls(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(exactify, "_ball_of", counted_ball_of)
+    monkeypatch.setattr(exactify, "_generator_balls", counted_generator_balls)
+    assert verify_certified(cert, digits=120)["pass"] is True
+    assert sorted(enclosed) == sorted([x.vec for x in values] + [cert.tau.vec])
+
+    residues, conjugated = exactify._residues, []
+
+    def counted_residues(chi, d, one, conj, *rest, **kwargs):
+        def counted(x):
+            conjugated.append(x)
+            return conj(x)
+        return residues(chi, d, one, counted, *rest, **kwargs)
+
+    monkeypatch.setattr(exactify, "_residues", counted_residues)
+    assert verify_exact(cert)["pass"] is True
+    assert len(conjugated) == distinct and set(conjugated) == values
 
 
 DIGEST_D4 = "7b73fb421b06b76a234c21685011238d0d8cca837654f95ab84f0d686b87ca44"

@@ -220,3 +220,18 @@ def test_matgroup_cosets():
     assert all(len(c) == 3 for c in cosets)
     flat = {x for c in cosets for x in c}
     assert len(flat) == 24
+
+
+def test_greedy_generators():
+    # an element joins only when the ones before it do not generate it,
+    # and the returned group is what they generate; none gives the
+    # identity alone
+    F = mr.zauner_matrix(4)
+    J = ModMatrix(1, 0, 0, 7, 8)
+    gens, span = mr.greedy_generators([F ** 2, F, F ** 3, J, F * J], 8)
+    assert gens == [F ** 2, F, J]
+    assert span == MatGroup.generated([F, J])
+    assert mr.greedy_generators([], 8) == ([], MatGroup([ModMatrix.identity(8)]))
+    G = mr.centralizer(mr.zauner_matrix(5))
+    gens, span = mr.greedy_generators(G.elements, 5)
+    assert span == G and len(gens) < len(G)
