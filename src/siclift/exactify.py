@@ -39,9 +39,9 @@ from .modring import MatGroup, ModMatrix, centralizer, dprime, \
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
     FieldTower, adjoin, automorphism, cyclotomic_polynomial, \
     degree_one_primes, divides, dot, horner, is_field, lift_element, \
-    nearest_root, parse_rational, squarefree_part, _guess_precision, \
-    _monic, _new_level, _poly_roots, _rational_minpoly, \
-    _subset_product_coeffs, recognize, relation_element
+    nearest_root, one_spelling, parse_rational, squarefree_part, \
+    unique_keys, _guess_precision, _monic, _new_level, _poly_roots, \
+    _rational_minpoly, _subset_product_coeffs, recognize, relation_element
 
 log = logging.getLogger("siclift.exactify")
 
@@ -701,26 +701,8 @@ def _key(q) -> str:
 
 
 def _unkey(s: str) -> tuple:
-    """The index pair that _key writes as s, its one spelling."""
     a, b = s.split(",")
-    q = int(a), int(b)
-    if _key(q) != s:
-        raise SicliftError(f"index key {s!r} is not written as {_key(q)!r}")
-    return q
-
-
-def _known_keys(obj, part: str, keys: str) -> dict:
-    """obj, a mapping with no key but the space-separated keys: those the
-    writer gives the part, then any legacy keys of files written before the
-    alignment scores and the verification report left the format, which no
-    verifier read and the loader skips. SicliftError names another key."""
-    if not isinstance(obj, dict):
-        raise SicliftError(f"{part} is not a mapping")
-    unknown = sorted(set(obj) - set(keys.split()))
-    if unknown:
-        raise SicliftError(f"{part} has the key {unknown[0]!r}, which no "
-                           "certificate is written with")
-    return obj
+    return int(a), int(b)
 
 
 @dataclass
@@ -775,12 +757,13 @@ class ExactFiducialCertificate:
                                         self.rep_overlaps, self.index_map)
         return self._table
 
-    def to_json(self) -> str:
-        obj = {
+    def to_obj(self) -> dict:
+        """The certificate document the writer writes, as a JSON value."""
+        return {
             "format": "SIC-CERT v1",
             "d": self.d,
             "method": self.method,
-            "tower": json.loads(self.tower.to_json()),
+            "tower": self.tower.to_obj(),
             "e0_levels": self.e0_levels,
             "e1_levels": self.e1_levels,
             "tau": [str(fr) for fr in self.tau.coefficients],
@@ -797,7 +780,9 @@ class ExactFiducialCertificate:
                            for p, M in self.stabilizer],
             "conjectures": self.conjectures,
         }
-        return json.dumps(obj, indent=1)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), indent=1)
 
     def save(self, path: str):
         with open(path, "w") as fh:
@@ -805,10 +790,17 @@ class ExactFiducialCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ExactFiducialCertificate":
-        obj = json.loads(text)
+        """The certificate of a document that is what to_json writes for
+        it, but for the keys no verifier read, which older files carry."""
+        obj = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(obj, dict) or obj.get("format") != "SIC-CERT v1":
             raise ValueError("not a certificate file")
-        return cls(**_check_schema(obj))
+        cert = cls(**_check_schema(obj))
+        obj.pop("verification", None)
+        for key in ("score", "runner_up", "separation"):
+            obj["galois"].pop(key, None)
+        one_spelling(obj, cert.to_obj(), "certificate")
+        return cert
 
     @classmethod
     def load(cls, path: str) -> "ExactFiducialCertificate":
@@ -817,21 +809,13 @@ class ExactFiducialCertificate:
 
 
 def _check_schema(obj: dict) -> dict:
-    """Structural checks on a parsed certificate, made before any arithmetic
-    so that a malformed file is reported as an error rather than as a
-    verification verdict. Returns every certificate field built from the
-    file and checked for its type; index pairs, shifts and matrix entries
-    must be canonical residues and rationals spelled as written, so each
-    stored value has one spelling; representatives and group data are sets,
-    generator_rep is one of the representatives, and an index whose
-    representative's overlap lies in the coefficient field takes the
-    identity row. Each level carries the tag the writer gives its
-    position, and each part only the keys of _known_keys."""
+    """Checks on a parsed certificate that must come before any arithmetic,
+    so that a malformed file is an error and not a verdict: types and sizes,
+    residue ranges, the index_map grid, the tower's stored precision, level
+    tags, generator_rep among the representatives and the identity row for
+    an overlap in the coefficient field. Returns every certificate field
+    built from the file, set entries once each in stored order."""
     try:
-        _known_keys(obj, "certificate", "format d method tower e0_levels "
-                    "e1_levels tau tau_level_added generator_rep orbit_reps "
-                    "overlaps index_map galois s_matrices stabilizer "
-                    "conjectures verification")
         d = obj["d"]
         if type(d) is not int or d < 4:
             raise SicliftError(f"dimension {d!r} is not an integer >= 4")
@@ -845,12 +829,12 @@ def _check_schema(obj: dict) -> dict:
         if len(imap) != dp * dp or sorted(map(_unkey, imap)) != [
                 (a, b) for a in range(dp) for b in range(dp)]:
             raise SicliftError(f"index_map keys are not exactly (Z/{dp})^2")
-        galois = _known_keys(obj["galois"], "galois", "modulus matrices "
-                             "images candidates score runner_up separation")
+        galois = obj["galois"]
         if type(galois["modulus"]) is not int or galois["modulus"] != dp:
             raise SicliftError(f"Galois modulus {galois['modulus']!r} is not "
                                f"d' = {dp}")
-        n_reps, n_rows = len(obj["orbit_reps"]), len(galois["matrices"])
+        reps = {tuple(r) for r in obj["orbit_reps"]}
+        n_reps, n_rows = len(reps), len(galois["matrices"])
         for k, (pos, row) in imap.items():
             if pos not in range(n_reps) or row not in range(n_rows):
                 raise SicliftError(f"index_map entry {k} -> {[pos, row]} is "
@@ -859,7 +843,6 @@ def _check_schema(obj: dict) -> dict:
         if len(galois["images"]) != n_rows:
             raise SicliftError(f"{len(galois['images'])} Galois images for "
                                f"{n_rows} Galois rows")
-        reps = {tuple(r) for r in obj["orbit_reps"]}
         if reps != {_unkey(k) for k in obj["overlaps"]}:
             raise SicliftError("the stored overlaps are not exactly those of "
                                "the orbit representatives")
@@ -870,9 +853,7 @@ def _check_schema(obj: dict) -> dict:
         if type(added) is not bool:
             raise SicliftError(f"tau_level_added {added!r} is not a boolean")
         e0, e1 = obj["e0_levels"], obj["e1_levels"]
-        tdoc = _known_keys(obj["tower"], "tower", "format precision levels")
-        for lv in tdoc["levels"]:
-            _known_keys(lv, "tower level", "tag minpoly root_index embedding")
+        tdoc = obj["tower"]
         levels = len(tdoc["levels"])
         if not (type(e0) is int and type(e1) is int
                 and 0 <= e0 and e1 == e0 + 1 == levels - added):
@@ -886,7 +867,7 @@ def _check_schema(obj: dict) -> dict:
         if type(tprec) is not int or tprec < MIN_LIFT_DIGITS:
             raise SicliftError(f"tower precision {tprec!r} is not an integer "
                                f">= {MIN_LIFT_DIGITS}")
-        tower = FieldTower.from_json(json.dumps(tdoc))
+        tower = FieldTower.from_obj(tdoc)
         tags = [lv.tag for lv in tower.levels]
         if tags != ["a"] * e0 + ["t"] + ["tau"] * added:
             raise SicliftError(f"level tags {tags} are not a for the "
@@ -898,24 +879,22 @@ def _check_schema(obj: dict) -> dict:
             tau=tower.element(map(parse_rational, obj["tau"])),
             tau_level_added=added,
             generator_rep=_mod_ints(gen, 2, dp, "generator_rep"),
-            orbit_reps=tuple(_mod_ints(r, 2, dp, "orbit representative")
-                             for r in obj["orbit_reps"]),
+            orbit_reps=tuple(dict.fromkeys(
+                _mod_ints(r, 2, dp, "orbit representative")
+                for r in obj["orbit_reps"])),
             rep_overlaps={_unkey(k): e1_tower.element(map(parse_rational, fl))
                           for k, fl in obj["overlaps"].items()},
             index_map={_unkey(k): _ints(v, 2, f"index_map entry {k}")
                        for k, v in obj["index_map"].items()},
             galois=GaloisMatch.from_obj(galois, e1_tower),
-            s_matrices=tuple(ModMatrix(*_mod_ints(row, 4, dp,
-                                                  "symmetry matrix"), dp)
-                             for row in obj["s_matrices"]),
-            stabilizer=tuple((_mod_ints(p, 2, d, "stabilizer shift"),
-                              ModMatrix(*_mod_ints(row, 4, dp,
-                                                   "stabilizer matrix"), dp))
-                             for p, row in obj["stabilizer"]),
+            s_matrices=tuple(dict.fromkeys(
+                ModMatrix(*_mod_ints(row, 4, dp, "symmetry matrix"), dp)
+                for row in obj["s_matrices"])),
+            stabilizer=tuple(dict.fromkeys(
+                (_mod_ints(p, 2, d, "stabilizer shift"),
+                 ModMatrix(*_mod_ints(row, 4, dp, "stabilizer matrix"), dp))
+                for p, row in obj["stabilizer"])),
             conjectures=obj["conjectures"])
-        for key in ("orbit_reps", "s_matrices", "stabilizer"):
-            if len(set(out[key])) != len(out[key]):
-                raise SicliftError(f"{key} lists an entry twice")
         if out["generator_rep"] not in out["rep_overlaps"]:
             raise SicliftError(f"generator_rep {gen} is not an orbit "
                                "representative")
@@ -1375,22 +1354,24 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
 # exact verification
 
 
-def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
+def _conjugation_map(cert: ExactFiducialCertificate,
+                     tau_conj: AlgebraicNumber) -> EmbeddingAutomorphism:
     """Entrywise complex conjugation on the certificate tower, assembled from
     what the certificate pins down: coefficient-field generators are real,
     the overlap generator conjugates to the overlap at the negated index, and
-    tau conjugates to its inverse power. Each image is checked numerically
-    to embed at the conjugate of its generator, whose value is its level's
-    embedding: a coefficient-field generator is its own image, so that
-    embedding is compared with its own conjugate, and only the overlap and
-    tau images are embedded. automorphism() then checks them exactly."""
+    tau conjugates to its inverse power tau_conj = tau^(d'-1). Each image
+    is checked numerically to embed at the conjugate of its generator, whose
+    value is its level's embedding: a coefficient-field generator is its own
+    image, so that embedding is compared with its own conjugate, and only
+    the overlap and tau images are embedded. automorphism() then checks them
+    exactly."""
     tower = cert.tower
     prec = tower.precision
     neg = cert._norm((-cert.generator_rep[0], -cert.generator_rep[1]))
     images = [tower.generator(k + 1) for k in range(cert.e0_levels)] \
         + [lift_element(tower, cert.all_overlaps()[neg])]
     if cert.tau_level_added:
-        images.append(cert.tau ** (dprime(cert.d) - 1))
+        images.append(tau_conj)
     with mp.workdps(guarded(prec)):
         tol = mp.mpf(10) ** (-(prec // 2))
         for k, (lv, img) in enumerate(zip(tower.levels, images)):
@@ -1404,7 +1385,7 @@ def _conjugation_map(cert: ExactFiducialCertificate) -> EmbeddingAutomorphism:
     return automorphism(tower, images)
 
 
-def _residues(chi, d, one, conj, lift, op_conj, tau, tau_residue,
+def _residues(chi, d, one, conj, lift, op_conj, tau_powers, tau_residue,
               exact=False):
     """The checklist that defines a SIC projector, as (check name, failure
     message, residue) triples in report order; every residue is zero for a
@@ -1414,11 +1395,11 @@ def _residues(chi, d, one, conj, lift, op_conj, tau, tau_residue,
     the complex conjugation of the overlaps' arithmetic: the lattice,
     conjugation and equiangularity residues are taken there. lift carries
     an overlap into the arithmetic of tau, where the operator is rebuilt
-    and op_conj conjugates. tau_residue takes tau^0 .. tau^(2d-1) and
-    returns the (failure message, residue) pair of the phase check, which
-    each arithmetic states its own way. Nothing is computed before the
-    previous residue has been taken, so a driver that stops early saves
-    the rest.
+    and op_conj conjugates; tau_powers is tau^0 .. tau^(2d-1) there, its
+    first entry the unit. tau_residue takes tau_powers and returns the
+    (failure message, residue) pair of the phase check, which each
+    arithmetic states its own way. Nothing is computed before the previous
+    residue has been taken, so a driver that stops early saves the rest.
 
     The table holds few distinct values (6 of 64 at the seed-11 d=4
     certificate), so the conjugate, the modulus residue and the lift are
@@ -1448,13 +1429,11 @@ def _residues(chi, d, one, conj, lift, op_conj, tau, tau_residue,
         if q not in lattice:
             yield ("equiangularity", f"overlap modulus condition fails at {q}",
                    modulus(x))
-    unit = lift(one)
-    tau_powers = _powers(tau, unit, 2 * d)
     yield ("tau_is_the_phase", *tau_residue(tau_powers))
     A = hb.operator_rows({q: lift(x) for q, x in chi.items()}, d, tau_powers,
                          Fraction(1, d))
     yield ("trace_is_one", "reconstructed operator trace is not 1",
-           reduce(add, (A[r][r] for r in range(d))) - unit)
+           reduce(add, (A[r][r] for r in range(d))) - tau_powers[0])
     for r in range(d):
         for s in range(d):
             yield ("hermitian",
@@ -1495,8 +1474,9 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
     # the Galois rows are built before the conjugation map: a FieldError
     # from them is an error in the file, not a verdict
     chi = cert.all_overlaps()
+    taupow = _powers(cert.tau, tower.one(), 2 * d)
     try:
-        conj = _conjugation_map(cert)
+        conj = _conjugation_map(cert, taupow[dprime(d) - 1])
         conj_e1 = conj.restricted(cert.e1_levels)
         checks["conjugation_closed"] = True
     except FieldError as exc:
@@ -1518,7 +1498,7 @@ def verify_exact(cert: ExactFiducialCertificate) -> dict:
 
     for name, message, residue in _residues(
             chi, d, cert.e1.one(), conj_e1,
-            partial(lift_element, tower), conj, cert.tau, tau_residue,
+            partial(lift_element, tower), conj, taupow, tau_residue,
             exact=True):
         checks[name] = residue.is_zero()
         if not checks[name]:
@@ -1675,10 +1655,11 @@ def verify_certified(cert: ExactFiducialCertificate,
     # assumes a centre good to w + 16 bits
     with mp.workprec(w + 16):
         phase = _Ball.near(-mp.expjpi(mp.mpf(1) / d), 2, w)
+    one = _Ball(1 << w, 0, 0, w)
     residues = [(message, b) for _name, message, b in _residues(
-        chi, d, _Ball(1 << w, 0, 0, w), _Ball.conj, lambda b: b, _Ball.conj,
-        taub, lambda _powers: ("tau is not the phase -exp(i pi/d)",
-                               taub - phase))]
+        chi, d, one, _Ball.conj, lambda b: b, _Ball.conj,
+        _powers(taub, one, 2 * d),
+        lambda _taupow: ("tau is not the phase -exp(i pi/d)", taub - phase))]
 
     def nstr(n):
         return mp.nstr(mp.ldexp(n, -w), 5)

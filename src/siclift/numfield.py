@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import struct
 from fractions import Fraction
 from functools import reduce
@@ -110,13 +111,44 @@ def _ratio(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s, spell=str) -> Fraction:
-    """The rational that the string s spells exactly as spell writes it: str
-    for certificate coordinates, _ratio for a tower's minimal-polynomial
-    leaves. Any other text is FieldError, so each value has one spelling."""
-    if not isinstance(s, str) or spell(x := Fraction(s)) != s:
-        raise FieldError(f"{s!r} is not the written spelling of a rational")
-    return x
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(s) -> Fraction:
+    """The rational that s writes as n or n/d in ASCII digits, FieldError
+    for any other value, so no exponent, underscore or space reaches
+    Fraction. Whether s is the writer's spelling is one_spelling's check."""
+    if not (isinstance(s, str) and _RATIONAL.fullmatch(s)):
+        raise FieldError(f"{s!r} is not a rational written n or n/d")
+    return Fraction(s)
+
+
+def one_spelling(doc, written, path: str):
+    """FieldError naming the first path at which doc, a parsed JSON value,
+    differs from written, the writer's value for what was loaded from doc.
+    Scalars compare by == (1 == 1.0 == true): the loader checks types."""
+    if doc == written:
+        return
+    kind = type(doc)
+    if kind is not type(written) or kind not in (dict, list):
+        raise FieldError(f"{path} is not written as the writer writes it")
+    if kind is list:
+        doc, written = dict(enumerate(doc)), dict(enumerate(written))
+    # ... stands for a missing entry, as no JSON value is Ellipsis
+    key = next(k for k in {**doc, **written}
+               if doc.get(k, ...) != written.get(k, ...))
+    one_spelling(doc.get(key, ...), written.get(key, ...),
+                 path + (f"[{key}]" if kind is list else f".{key}"))
+
+
+def unique_keys(pairs) -> dict:
+    """json's object_pairs_hook: the object, FieldError if a key repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FieldError(f"the key {key!r} is written twice in one object")
+        obj[key] = value
+    return obj
 
 
 # -- vectors: (integer numerator tuple, positive denominator), reduced -------
@@ -564,7 +596,8 @@ class FieldTower:
     # SIC-TOWER v1 writes a level-L coordinate tuple as nested lists, one
     # list per level, the coefficient of g_L^j at position j
 
-    def to_json(self) -> str:
+    def to_obj(self) -> dict:
+        """The tower document the writer writes, as a JSON value."""
         def enc(u, L):
             if L == 0:
                 return _ratio(u[0])
@@ -581,12 +614,24 @@ class FieldTower:
                                        for c in lv.minpoly],
                            "root_index": lv.root_index,
                            "embedding": emb})
-        return json.dumps({"format": "SIC-TOWER v1",
-                           "precision": self.precision, "levels": levels})
+        return {"format": "SIC-TOWER v1", "precision": self.precision,
+                "levels": levels}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj())
 
     @classmethod
     def from_json(cls, text: str) -> "FieldTower":
-        doc = json.loads(text)
+        """The tower of a document that is what to_json writes for it."""
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+        tower = cls.from_obj(doc)
+        one_spelling(doc, tower.to_obj(), "tower")
+        return tower
+
+    @classmethod
+    def from_obj(cls, doc) -> "FieldTower":
+        """The tower a parsed document describes, checked as arithmetic needs
+        it; its spelling is the caller's to check (one_spelling)."""
         if doc.get("format") != "SIC-TOWER v1":
             raise ValueError("not a tower document")
         prec = doc["precision"]
@@ -604,7 +649,7 @@ class FieldTower:
 
         def dec(node, L):
             if L == 0:
-                return (parse_rational(node, _ratio),)
+                return (parse_rational(node),)
             if not (isinstance(node, list)
                     and len(node) == levels[L - 1].degree):
                 raise FieldError(f"level {len(levels) + 1} minimal polynomial "
@@ -622,12 +667,7 @@ class FieldTower:
             if not 0 <= root < len(minpoly):
                 raise FieldError(f"level {k + 1} root index {root} is "
                                  f"outside [0, {len(minpoly)})")
-            parts = [parse_decimal(s, prec) for s in emb.split()]
-            # the writer's spelling alone, as parse_rational asks of a leaf
-            if " ".join(format_decimal(x, prec) for x in parts) != emb:
-                raise FieldError(f"level {k + 1} embedding is not written "
-                                 f"to {prec} digits")
-            re_x, im_x = parts
+            re_x, im_x = (parse_decimal(s, prec) for s in emb.split())
             with mp.workdps(guarded(prec)):
                 emb = mp.mpc(re_x, im_x)
             levels.append(FieldLevel(

@@ -17,7 +17,7 @@ import mpmath as mp
 import pytest
 
 import siclift
-from siclift import cli, exactify
+from siclift import cli, exactify, numfield
 from siclift.cli import main
 from siclift.errors import FieldError, SicliftError
 from siclift.exactify import (ExactFiducialCertificate, symmetry_structure,
@@ -691,14 +691,94 @@ def test_respelled_index_keys_are_refused(workdir, certfile, capsys, command,
 @pytest.mark.parametrize("part", ["certificate", "galois", "tower",
                                   "tower level"])
 def test_unknown_keys_are_refused(workdir, certfile, capsys, command, part):
+    # the message names the key by its path in the file
     obj = json.load(open(certfile))
-    doc = {"certificate": obj, "galois": obj["galois"], "tower": obj["tower"],
-           "tower level": obj["tower"]["levels"][1]}[part]
+    doc, path = {"certificate": (obj, "certificate"),
+                 "galois": (obj["galois"], "certificate.galois"),
+                 "tower": (obj["tower"], "certificate.tower"),
+                 "tower level": (obj["tower"]["levels"][1],
+                                 "certificate.tower.levels[1]")}[part]
     doc["foo"] = 1
     rc, _out, err = _run(_written(workdir, obj, "unknown_key"), command,
                          capsys)
     assert rc == 2
-    assert f"{part} has the key 'foo'" in err
+    assert f"{path}.foo is not written as the writer writes it" in err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("key, junk", [("method", '"junk"'),
+                                       ("tau", '["0"]')])
+def test_repeated_keys_are_refused(workdir, certfile, capsys, command, key,
+                                   junk):
+    # a key written twice in one object, junk first: json keeps the last
+    # value, so the file read as the writer's until the loader saw pairs
+    text = open(certfile).read()
+    line = f'\n "{key}": '
+    assert text.count(line) == 1
+    bad = workdir / "repeated_key.cert"
+    bad.write_text(text.replace(line, f"{line}{junk},{line}"))
+    rc, _out, err = _run(str(bad), command, capsys)
+    assert rc == 2
+    assert f"the key '{key}' is written twice in one object" in err
+
+
+class _DigitsOnly(type(Fraction)):
+    def __instancecheck__(cls, x):
+        return isinstance(x, Fraction)
+
+
+class _FractionOfDigits(Fraction, metaclass=_DigitsOnly):
+    """Fraction for numfield, failing the test when it is handed text with
+    an exponent, an underscore or a space."""
+
+    def __new__(cls, *args):
+        assert not any(isinstance(a, str) and set(a) & set("eE_ ")
+                       for a in args), args
+        return Fraction(*args)
+
+
+def test_parse_rational_hands_fraction_digits_alone(monkeypatch):
+    monkeypatch.setattr(numfield, "Fraction", _FractionOfDigits)
+    assert numfield.parse_rational("-3/4") == Fraction(-3, 4)
+    for s in ("1e5", "1E5", "1_0", " 5", "5 ", "1e999999999", "+5", "1.5",
+              "6/8 ", 5, None):
+        with pytest.raises(FieldError, match="is not a rational"):
+            numfield.parse_rational(s)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("where", ["overlap", "tau", "minpoly"])
+def test_exponent_coordinate_is_refused_unparsed(workdir, certfile, capsys,
+                                                 monkeypatch, command, where):
+    # 11 characters that Fraction would expand to a billion digits
+    monkeypatch.setattr(numfield, "Fraction", _FractionOfDigits)
+    obj = json.load(open(certfile))
+    leaf = {"overlap": obj["overlaps"]["0,1"],
+            "tau": obj["tau"],
+            "minpoly": obj["tower"]["levels"][0]["minpoly"]}[where]
+    leaf[0] = "1e999999999"
+    rc, _out, err = _run(_written(workdir, obj, "exponent"), command, capsys)
+    assert rc == 2
+    assert "'1e999999999' is not a rational" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "certified"])
+@pytest.mark.parametrize("path", [("d",), ("e0_levels",),
+                                  ("galois", "candidates"),
+                                  ("s_matrices", 0, 0),
+                                  ("tower", "levels", 1, "root_index")])
+@pytest.mark.parametrize("spell", [float, lambda _v: True])
+def test_integer_in_another_type_is_refused(workdir, certfile, capsys, mode,
+                                            path, spell):
+    # the loader compares with ==, under which 1 == 1.0 == true, so each
+    # integer the writer writes is type-checked first
+    obj = json.load(open(certfile))
+    *outer, last = path
+    node = reduce(lambda n, k: n[k], outer, obj)
+    assert type(node[last]) is int
+    node[last] = spell(node[last])
+    rc, _out, err = _run(_written(workdir, obj, "typed"), mode, capsys)
+    assert rc == 2, err
 
 
 def test_conjectures_stay_free_form(workdir, certfile, capsys):
@@ -760,8 +840,9 @@ def _full_scan_report(cert):
     A^2 - A taken and the first nonzero one, in row-major order, named."""
     tower, d = cert.tower, cert.d
     chi = {q: lift_element(tower, x) for q, x in cert.all_overlaps().items()}
+    powers = exactify._powers(cert.tau, tower.one(), 2 * d)
     try:
-        conj = exactify._conjugation_map(cert)
+        conj = exactify._conjugation_map(cert, powers[dprime(d) - 1])
     except FieldError as exc:
         return {"mode": "exact", "pass": False,
                 "checks": {"conjugation_closed": False},
@@ -773,7 +854,7 @@ def _full_scan_report(cert):
             add, map(mul, cyclotomic_polynomial(dprime(d)), powers))
 
     for name, message, residue in exactify._residues(
-            chi, d, tower.one(), conj, lambda x: x, conj, cert.tau, order):
+            chi, d, tower.one(), conj, lambda x: x, conj, powers, order):
         checks[name] = residue.is_zero()
         if not checks[name]:
             return {"mode": "exact", "pass": False, "checks": checks,

@@ -560,6 +560,26 @@ def test_verify_exact_d5(report5):
         assert report5["checks"][name] is True, name
 
 
+@pytest.mark.parametrize("d, seed", [(4, 11), (4, 13), (4, 4), (5, 11)])
+def test_written_certificates_reload_to_their_bytes(d, seed, request):
+    # what the lift writes at 320 digits loads under the one-spelling rule
+    # and writes the same bytes again, also with the four legacy keys of
+    # older files added, which the loader drops
+    if seed == 11:
+        cert = request.getfixturevalue(f"cert{d}")
+    else:
+        cert = method2_exactify(refine(seed_search(d, "fz", attempts=24,
+                                                   seed=seed), 320))
+    text = cert.to_json()
+    assert ExactFiducialCertificate.from_json(text).to_json() == text
+    obj = json.loads(text)
+    obj["verification"] = {"mode": "exact", "pass": True}
+    obj["galois"].update(score="1.4", runner_up="1.0e+32",
+                         separation="7.1e+31")
+    legacy = ExactFiducialCertificate.from_json(json.dumps(obj))
+    assert legacy.to_json() == text
+
+
 def test_certificate_roundtrip_d5(cert5, report5, tmp_path):
     # the file stores no verdict and no alignment score: a reloaded
     # certificate writes the same bytes, has no scores, and neither
@@ -663,6 +683,11 @@ def test_certificate_d4(cert4):
     assert conj["nonconforming"] == []
 
 
+def _conjugation(cert):
+    """The conjugation map, given tau^(d'-1) taken by __pow__."""
+    return exactify._conjugation_map(cert, cert.tau ** (dprime(cert.d) - 1))
+
+
 def test_conjugation_map_embeds_two_images_d4(cert4, monkeypatch):
     # the coefficient-field generator is its own image, so its embedding is
     # compared with its own conjugate; only the overlap image and the tau
@@ -675,10 +700,9 @@ def test_conjugation_map_embeds_two_images_d4(cert4, monkeypatch):
         return embed(self)
 
     monkeypatch.setattr(numfield.AlgebraicNumber, "embed", counting)
-    conj = exactify._conjugation_map(
-        ExactFiducialCertificate.from_json(cert4.to_json()))
+    conj = _conjugation(ExactFiducialCertificate.from_json(cert4.to_json()))
     assert len(calls) == 2
-    assert conj.images == exactify._conjugation_map(cert4).images
+    assert conj.images == _conjugation(cert4).images
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -694,7 +718,7 @@ def test_conjugation_map_refuses_an_image_off_the_conjugate_d4(cert4, level):
     with pytest.raises(FieldError, match=(
             f"the level-{level + 1} image does not embed at the conjugate "
             "of its generator")):
-        exactify._conjugation_map(cert)
+        _conjugation(cert)
 
 
 def test_overlap_field_conjugation_is_a_block_d4(cert4):
@@ -702,7 +726,7 @@ def test_overlap_field_conjugation_is_a_block_d4(cert4):
     # tower's conjugation matrix at the overlap field's slots is the
     # overlap field's own conjugation, built from its generator images
     e1, k = cert4.e1, cert4.e1_levels
-    block = exactify._conjugation_map(cert4).restricted(k)
+    block = _conjugation(cert4).restricted(k)
     neg = tuple(-x % dprime(4) for x in cert4.generator_rep)
     direct = automorphism(e1, [e1.generator(j + 1) for j in range(k - 1)]
                           + [cert4.all_overlaps()[neg]])

@@ -8,6 +8,7 @@ zero tests that need no numerics at all.
 import itertools
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 from functools import reduce
@@ -619,28 +620,41 @@ class TestSerialization:
                               "imag_digit": f"{re_s} {im_s}0",
                               "imag_0": f"{re_s} 0",
                               "double_space": f"{re_s}  {im_s}"}[edit]
-        with pytest.raises(FieldError, match="not written to"):
+        with pytest.raises(FieldError, match=re.escape(
+                "tower.levels[0].embedding is not written as")):
             FieldTower.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("leaf", ["0/11", "0", "0/1 ", "-0/1", 0])
     def test_minpoly_leaf_has_one_spelling(self, K3, leaf):
-        # each is the leaf "0/1" in other text, or no text at all
+        # each is the leaf "0/1" in other text, or no text at all: text in
+        # digits reads as the leaf's value, which the writer writes "0/1"
         import json
         doc = json.loads(K3.to_json())
         assert doc["levels"][0]["minpoly"] == ["-3/1", "0/1"]
         doc["levels"][0]["minpoly"][1] = leaf
-        with pytest.raises(FieldError, match="written spelling"):
+        message = ("tower.levels[0].minpoly[1] is not written as"
+                   if leaf in ("0/11", "0", "-0/1")
+                   else f"{leaf!r} is not a rational")
+        with pytest.raises(FieldError, match=re.escape(message)):
             FieldTower.from_json(json.dumps(doc))
 
     def test_parse_rational_takes_the_written_spelling(self):
+        # parse_rational reads digits alone; a second spelling of a value
+        # reads, and one_spelling refuses it in place of the writer's
         assert numfield.parse_rational("-3/4") == Fraction(-3, 4)
         assert numfield.parse_rational("5") == 5
-        assert numfield.parse_rational("5/1", numfield._ratio) == 5
-        for s in ("6/8", "5/1", "+5", " 5", "1.5", "-0", 5, None):
-            with pytest.raises(FieldError, match="written spelling"):
+        assert numfield.parse_rational("5/1") == 5
+        for s in ("+5", " 5", "1.5", 5, None):
+            with pytest.raises(FieldError, match=re.escape(
+                    f"{s!r} is not a rational written n or n/d")):
                 numfield.parse_rational(s)
-        with pytest.raises(FieldError, match="written spelling"):
-            numfield.parse_rational("5", numfield._ratio)
+        for s, written in (("6/8", "3/4"), ("5/1", "5"), ("-0", "0"),
+                           ("5", "5/1")):
+            spell = numfield._ratio if "/" in written else str
+            assert spell(numfield.parse_rational(s)) == written
+            with pytest.raises(FieldError, match=re.escape(
+                    "coordinates[1] is not written as")):
+                numfield.one_spelling(["1", s], ["1", written], "coordinates")
 
 
 class TestCyclotomic:
@@ -763,7 +777,9 @@ def fields(K35, K3p5, Kz, K15, cert4):
         "Kz": (Kz, automorphisms(Kz)),
         "K15": (K15, automorphisms(K15, fixing_level=2)),
         "d4-e1": (cert4.e1, cert4.galois_rows()),
-        "d4": (cert4.tower, [exactify._conjugation_map(cert4)]),
+        # the conjugation map sends tau to tau^(d'-1), d' = 8
+        "d4": (cert4.tower,
+               [exactify._conjugation_map(cert4, cert4.tau ** 7)]),
     }
 
 
@@ -1055,7 +1071,7 @@ def test_wrong_images_are_refused_as_before_d4(cert4):
     T = cert4.tower
     n = len(T.levels)
     ident = [T.generator(k + 1) for k in range(n)]
-    conj = list(exactify._conjugation_map(cert4).images)
+    conj = list(exactify._conjugation_map(cert4, cert4.tau ** 7).images)
     candidates = [ident, conj]
     for k in range(n):
         for edit in (lambda x: x + 1, lambda x: -x):
