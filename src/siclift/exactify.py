@@ -36,11 +36,11 @@ from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
     relation_norm
 from .modring import MatGroup, ModMatrix, centralizer, dprime, \
     greedy_generators, orbits, symmetry_image
-from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldLevel, \
-    FieldTower, adjoin, automorphism, cyclotomic_polynomial, \
-    degree_one_primes, divides, dot, horner, is_field, lift_element, \
-    nearest_root, one_spelling, parse_rational, squarefree_part, \
-    unique_keys, _guess_precision, _monic, _new_level, _poly_roots, \
+from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
+    adjoin, automorphism, cyclotomic_polynomial, degree_one_primes, \
+    divides, dot, horner, is_field, lift_element, nearest_root, \
+    one_spelling, parse_rational, squarefree_part, unique_keys, \
+    _guess_precision, _monic, _new_level, _poly_roots, _probe, \
     _rational_minpoly, _subset_product_coeffs, recognize, relation_element
 
 log = logging.getLogger("siclift.exactify")
@@ -951,16 +951,13 @@ def _conjectures(d: int, e0: FieldTower, e1, polys, prec) -> dict:
     format's key, since _prepare raises LiftError on any other count."""
     disc = squarefree_part((d - 3) * (d + 1))
     with mp.workdps(guarded(prec)):
-        sqrt_disc = mp.sqrt(disc) if disc >= 0 else mp.mpc(0, mp.sqrt(-disc))
         e0_defect = mp.mpf(0)
         for k in range(len(e0.levels)):
             e0_defect = max(e0_defect,
                             abs(e0.generator(k + 1).embed().imag))
     # e0 extended by x^2 - disc is a field exactly when sqrt(disc) is not
-    # in e0; only the level's minimal polynomial matters to is_field
-    level = FieldLevel("s", tuple(c.vec for c in _monic(e0, [-disc, 0, 1])),
-                       0, sqrt_disc)
-    has_sqrt = not is_field(FieldTower(e0.levels + (level,), prec))
+    # in e0
+    has_sqrt = not is_field(_probe(e0, _monic(e0, [-disc, 0, 1])))
     imag_defect = max(p.imag_defect for p in polys)
     out = {
         "discriminant_squarefree": disc,

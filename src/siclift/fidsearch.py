@@ -322,8 +322,9 @@ def _solve_grid(a: list, b: list, w: int) -> list:
     """x with a x = b on the grid 2^-w (w > 32), by Gaussian elimination
     with partial pivoting; a and b are left as they are. Each multiplier,
     update and unknown is floored onto the grid once. A pivot below
-    2^(32-w) times the largest entry (or one) raises SingularMatrixError,
-    as solve_linear's floor of 10^-(digits-5) does."""
+    2^(32-w) times the largest entry (or one), which leaves its quotients
+    fewer than 32 bits above the grid's rounding, raises
+    SingularMatrixError."""
     n = len(b)
     a, b = [list(row) for row in a], list(b)
     scale = max(1 << w, max(abs(x) for row in a for x in row))

@@ -32,12 +32,13 @@ lift proposes one image per conjugate root by interpolation over its
 coefficient field (`exactify`); `automorphisms` proposes them by
 recognizing each conjugate root in the whole tower.
 
-The exact polynomial algebra over a tower is written once, here: `horner`
-evaluates a polynomial in any arithmetic (embeddings, enclosure balls, the
-lift's tower elements), `FieldTower._euclid` is the one remainder sequence
-over a tower (inverses, and the squarefree test of `adjoin`), and
-`_rational_minpoly` is the one elimination, fraction-free over the integer
-coordinate vectors of the powers of an element.
+The exact algebra over a tower is written once, here: `horner` evaluates a
+polynomial in any arithmetic (embeddings, enclosure balls, the lift's tower
+elements), `divides` is monic long division, and `_first_dependency` is the
+one exact elimination, fraction-free over integer coordinate vectors: it
+finds an element's rational minimal polynomial among its powers
+(`_rational_minpoly`), and its inverse among its products with the basis
+(`FieldTower._inv`, after descending to the least level that holds it).
 
 A numeric value becomes an element through one integer relation
 m_0 x = sum m_j b_j over the tower's basis values b: `relation_element`
@@ -49,7 +50,8 @@ Whether a tower is a field is decided exactly, with no numerics, by
 polynomial over the rationals, which Zassenhaus's algorithm proves or
 refutes over the integers (`factor_mod_p` modulo small primes, Hensel
 lifting, recombination by exact division). `adjoin` rejects every
-extension that is not a field this way.
+extension that is not a field this way, on the extension with no root
+chosen (`_probe`), before it seeks the roots numerically.
 
 `degree_one_primes` lists the odd primes p over which a field tower has a
 prime of degree one, found as a chain of simple roots modulo p through its
@@ -203,15 +205,6 @@ def horner(coeffs, z):
     return acc
 
 
-def _trimmed(poly) -> list:
-    """The polynomial (ascending list of vectors) without its zero leading
-    coefficients."""
-    poly = list(poly)
-    while poly and not any(poly[-1][0]):
-        poly.pop()
-    return poly
-
-
 def _interleave(parts):
     """The coordinate tuple u with u[j::len(parts)] == parts[j]."""
     return tuple(itertools.chain.from_iterable(zip(*parts)))
@@ -230,11 +223,6 @@ def _join(parts):
     one-level-down vector parts[j]."""
     nums, den = _common(parts)
     return _reduced(_interleave(nums), den)
-
-
-def _part(a, j: int, m: int):
-    """The coefficient of g^j of a vector over a level of degree m."""
-    return _reduced(a[0][j::m], a[1])
 
 
 def _columns(cols):
@@ -469,61 +457,28 @@ class FieldTower:
                         den * box.den)
 
     def _inv(self, a, L: int):
+        """1/a at level L. When a lies in level L-1 it is inverted there and
+        placed back; otherwise the inverse is read off the first dependence
+        among a b_0, ..., a b_(n-1), 1, for the basis monomials b_j, from the
+        regular representation (Cohen, GTM 138, ch. 4): a sum c_j b_j = -c_n.
+        A dependence that misses 1 makes a a zero divisor, a FieldError."""
         u, den = a
         if not any(u):
             raise ZeroDivisionError("division by zero field element")
         if L == 0:
             return (den if u[0] > 0 else -den,), abs(u[0])
         m = self.levels[L - 1].degree
-        P = list(self.levels[L - 1].minpoly) + [self._const(1, L - 1)]
-        r, s = self._euclid(P, [_part(a, j, m) for j in range(m)], L - 1)
-        if len(r) > 1:
-            raise FieldError("minimal polynomial is not irreducible "
-                             "(gcd with element is nontrivial)")
-        c = self._inv(r[0], L - 1)
-        inv = [self._mul(c, x, L - 1) for x in s]
-        return _join(inv + [self._zero(L - 1)] * (m - len(inv)))
-
-    def _euclid(self, A, B, L: int):
-        """Euclid's remainder sequence on the polynomials A and B over the
-        level-L field (ascending lists of vectors, B nonzero), stopped at a
-        constant remainder: the last nonzero remainder r, a gcd of A and B,
-        and its cofactor s, with r = s B mod A."""
-        zero = self._zero(L)
-        r0, r1 = A, _trimmed(B)
-        s0, s1 = [zero], [self._const(1, L)]
-        while len(r1) > 1:
-            q, r = self._pdivmod(r0, r1, L)
-            r = _trimmed(r)
-            if not r:
-                break
-            # s_{k+1} = s_{k-1} - q s_k
-            qs = self._pmul(q, s1, L)
-            s0, s1 = s1, [_combine(x, y, sub) for x, y in
-                          itertools.zip_longest(s0, qs, fillvalue=zero)]
-            r0, r1 = r1, r
-        return r1, s1
-
-    def _pmul(self, A, B, L: int):
-        out = [self._zero(L) for _ in range(len(A) + len(B) - 1)]
-        for i, a in enumerate(A):
-            for j, b in enumerate(B):
-                out[i + j] = _combine(out[i + j], self._mul(a, b, L), add)
-        return out
-
-    def _pdivmod(self, A, B, L: int):
-        """Polynomial division over the level-L field; B nonzero."""
-        A = list(A)
-        binv = self._inv(B[-1], L)
-        q = [self._zero(L)] * max(0, len(A) - len(B) + 1)
-        for i in range(len(A) - len(B), -1, -1):
-            c = self._mul(A[i + len(B) - 1], binv, L)
-            q[i] = c
-            if not any(c[0]):
-                continue
-            for j, b in enumerate(B):
-                A[i + j] = _combine(A[i + j], self._mul(c, b, L), sub)
-        return q, A[:len(B) - 1]
+        if not any(any(u[j::m]) for j in range(1, m)):
+            return self._lift(self._inv((u[::m], den), L - 1), L - 1, L)
+        n = self._dims[L]
+        products = (self._mul(a, ((0,) * j + (1,) + (0,) * (n - 1 - j), 1), L)
+                    for j in range(n))
+        *c, cn = _first_dependency(
+            itertools.chain(products, [self._const(1, L)]), n)
+        if len(c) < n:
+            raise FieldError("the element is a zero divisor: the level's "
+                             "minimal polynomial is not irreducible")
+        return _reduced(tuple([-x for x in c]), cn)
 
     def evaluate(self, u, L: int, leaf, gens):
         """Value of the level-L numerator tuple u in any arithmetic with +
@@ -971,12 +926,16 @@ def divides(tower: FieldTower, factor: list[AlgebraicNumber],
             monic: list[AlgebraicNumber]) -> bool:
     """Whether the monic polynomial `factor` divides the monic polynomial
     `monic` exactly over the tower (both ascending, without the leading
-    1)."""
+    1), by monic long division."""
     L = len(tower.levels)
-    one = tower._const(1, L)
-    _q, rem = tower._pdivmod([c.vec for c in monic] + [one],
-                             [c.vec for c in factor] + [one], L)
-    return not any(any(u) for u, _den in rem)
+    rem = [c.vec for c in monic] + [tower._const(1, L)]
+    n = len(factor)
+    for i in range(len(rem) - 1 - n, -1, -1):
+        # take lead x^i times factor away, lead the coefficient of x^(i+n)
+        lead = rem[i + n]
+        rem[i:i + n] = [_combine(r, tower._mul(lead, c.vec, L), sub)
+                        for r, c in zip(rem[i:i + n], factor)]
+    return not any(any(u) for u, _den in rem[:n])
 
 
 def _subset_product_coeffs(roots: list, subset, prec: int) -> list:
@@ -1010,34 +969,38 @@ def adjoin(tower: FieldTower, coeffs, root_selector,
            tag: str | None = None) -> FieldTower:
     """Extend the tower by a root of the given polynomial (coefficients over
     the tower, ascending; non-monic input is monicized), which must be
-    irreducible over it: a repeated factor, or an extended tower that
-    is_field proves is not a field, raises FieldError. Both decisions are
-    exact. root_selector is an approximate complex value choosing the
+    irreducible over it, else FieldError. is_field decides so exactly on
+    the extension with no root chosen (_probe), before any root is sought,
+    so a repeated or reducible factor never reaches the numeric root
+    finder. root_selector is an approximate complex value choosing the
     embedding: the nearest root must lie within 0.3 * (1 + |root_selector|)
     of it and at most half as far from it as the second nearest root."""
     monic = _monic(tower, coeffs)
     if len(monic) == 1:
         raise FieldError("a linear polynomial adds no level: its root is "
                          "already in the tower")
-    # a repeated factor shows as a common factor of P and P'
-    L = len(tower.levels)
-    P = [c.vec for c in monic] + [tower._const(1, L)]
-    gcd_pdp, _s = tower._euclid(P, [_scale(c, i) for i, c in enumerate(P)
-                                    if i], L)
-    if len(gcd_pdp) > 1:
-        raise FieldError("polynomial is reducible: repeated factor")
-    roots = _poly_roots([c.embed() for c in monic], tower.precision)
-    out = _new_level(tower, monic, roots, root_selector, tag)
-    if not is_field(out):
+    probe = _probe(tower, monic)
+    if not is_field(probe):
         raise FieldError("polynomial is reducible: the extended tower is not "
                          "a field")
-    return out
+    roots = _poly_roots([c.embed() for c in monic], tower.precision)
+    return _new_level(tower, monic, roots, root_selector, tag,
+                      probe.levels[-1].box)
+
+
+def _probe(tower: FieldTower, monic: list[AlgebraicNumber]) -> FieldTower:
+    """The tower extended by a root of monic with none chosen: the level has
+    no root index and no embedding, which neither is_field nor exact
+    arithmetic reads."""
+    level = FieldLevel("probe", tuple(c.vec for c in monic), None, None)
+    return FieldTower(tower.levels + (level,), tower.precision)
 
 
 def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
-               root_selector, tag: str | None) -> FieldTower:
+               root_selector, tag: str | None, box=None) -> FieldTower:
     """The tower extended by the root of monic that root_selector picks
-    (roots from _poly_roots); the caller vouches for its irreducibility."""
+    (roots from _poly_roots); the caller vouches for its irreducibility.
+    box, the product data of a _probe of the same polynomial, is kept."""
     with mp.workdps(guarded(tower.precision)):
         sel = mp.mpc(root_selector)
         dist2 = [abs2(r - sel) for r in roots]
@@ -1057,6 +1020,7 @@ def _new_level(tower: FieldTower, monic: list[AlgebraicNumber], roots: list,
                 f"selector {mp.nstr(sel, 8)} is ambiguous between roots")
     level = FieldLevel(tag or f"g{len(tower.levels) + 1}",
                        tuple(c.vec for c in monic), idx, roots[idx], roots)
+    level.box = box
     return FieldTower(tower.levels + (level,), tower.precision)
 
 
@@ -1236,19 +1200,18 @@ def lift_element(tower: FieldTower, x: AlgebraicNumber) -> AlgebraicNumber:
     return AlgebraicNumber(tower, tower._lift(x.vec, k, len(tower.levels)))
 
 
-def _rational_minpoly(x: AlgebraicNumber) -> tuple:
-    """Exact minimal polynomial of x over the rationals: ascending integer
-    coefficients, primitive, positive leading. One fraction-free elimination
-    over the integer coordinate vectors of 1, x, x^2, ...: each row is a
-    power's numerators followed by its combination of powers, reduced
-    against the earlier rows by cross-multiplication and divided by its
-    content; the first power whose coordinates reduce to zero gives the
-    dependence, and the power x^i enters scaled by its denominator."""
-    n = x.tower.degree
-    rows, dens = [], []       # (pivot column, row); denominators of powers
-    acc = x.tower.one()
-    for k in range(n + 1):
-        u, den = acc.vec
+def _first_dependency(vectors, n: int) -> tuple:
+    """The first integer dependence among a stream of vectors (u, den) of n
+    coordinates, endless or of at least n + 1 vectors, so that one exists:
+    integers c_0, ..., c_k, primitive with c_k > 0, such that
+    sum c_i u_i / den_i = 0 while the first k vectors are independent, which
+    makes it unique. The one exact elimination, fraction-free: each row is a
+    vector's numerators followed by its combination of the vectors read so
+    far, reduced against the earlier rows by cross-multiplication and
+    divided by its content; the first row whose coordinates reduce to zero
+    gives the dependence, and the vector i enters scaled by den_i."""
+    rows, dens = [], []       # (pivot column, row); denominators of vectors
+    for k, (u, den) in enumerate(vectors):
         dens.append(den)
         row = list(u) + [0] * k + [1] + [0] * (n - k)
         for piv, b in rows:
@@ -1261,14 +1224,19 @@ def _rational_minpoly(x: AlgebraicNumber) -> tuple:
                     row = [y // g for y in row]
         piv = next((col for col in range(n) if row[col]), None)
         if piv is None:
-            # sum_i row[n + i] x^i den_i = 0, and the coefficient of x^k is
-            # nonzero while 1, ..., x^(k-1) are independent: minimal
-            poly = [c * d for c, d in zip(row[n:n + k + 1], dens)]
-            g = gcd(*poly) * (1 if poly[-1] > 0 else -1)
-            return tuple(c // g for c in poly)
+            dep = [c * d for c, d in zip(row[n:n + k + 1], dens)]
+            g = gcd(*dep) * (1 if dep[-1] > 0 else -1)
+            return tuple(c // g for c in dep)
         rows.append((piv, row))
-        acc = acc * x
-    raise FieldError("element satisfies no dependence up to the tower degree")
+
+
+def _rational_minpoly(x: AlgebraicNumber) -> tuple:
+    """Exact minimal polynomial of x over the rationals: ascending integer
+    coefficients, primitive, positive leading; the first dependence among
+    1, x, x^2, ..."""
+    powers = itertools.accumulate(itertools.repeat(x), mul,
+                                  initial=x.tower.one())
+    return _first_dependency((p.vec for p in powers), x.tower.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -136,19 +136,30 @@ class TestAdjoin:
         assert (t * t + c1 * t + c0).is_zero()
 
     def test_repeated_factor_needs_no_lll(self, Q, K3, monkeypatch):
-        # (x - sqrt3)^2: the gcd with the derivative proves it reducible
-        # before any numeric screen runs
-        def no_lll(*args, **kwargs):
-            raise AssertionError("lll_reduce called")
+        # (x - sqrt3)^2: is_field proves it reducible before any numeric
+        # screen or root search runs
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("numerics called")
 
-        monkeypatch.setattr(lattice, "lll_reduce", no_lll)
+        monkeypatch.setattr(lattice, "lll_reduce", no_numerics)
+        monkeypatch.setattr(numfield, "_poly_roots", no_numerics)
         a = K3.generator(1)
-        with pytest.raises(FieldError, match="repeated factor"):
+        with pytest.raises(FieldError, match="not a field"):
             adjoin(K3, [3, -2 * a, 1], 1.7)
         # (x^2 - 3)^2: the numeric root finder does not converge on its
         # double roots, so the exact test must come before it
-        with pytest.raises(FieldError, match="repeated factor"):
+        with pytest.raises(FieldError, match="not a field"):
             adjoin(Q, [9, 0, -6, 0, 1], 1.7)
+
+    def test_reducible_squarefree_is_refused_before_roots(self, Q,
+                                                          monkeypatch):
+        # (x^2 - 2)(x^2 - 3) has no repeated factor, yet is reducible
+        def no_roots(*args, **kwargs):
+            raise AssertionError("_poly_roots called")
+
+        monkeypatch.setattr(numfield, "_poly_roots", no_roots)
+        with pytest.raises(FieldError, match="not a field"):
+            adjoin(Q, [6, 0, -5, 0, 1], 1.4)
 
     def test_linear_polynomial_rejected(self, K3):
         # a degree-1 level adds nothing to the tower
@@ -374,22 +385,30 @@ class TestArithmetic:
         assert y * (r1 - 1) == a + 1
         assert (1 / y) * y == 1
 
-    def test_reducible_level_division_raises(self, monkeypatch):
+    def test_reducible_level_division_raises(self):
         # a level built directly from x^2 - 4 = (x - 2)(x + 2): g - 2 is a
-        # zero divisor, and the remainder sequence finds the common factor
+        # zero divisor, while g + 3 is a unit
         lv = FieldLevel("r", (((-4,), 1), ((0,), 1)), 0, mp.mpc(2))
         K = FieldTower((lv,), PREC)
-        calls = []
-        euclid = FieldTower._euclid
+        g = K.generator(1)
+        with pytest.raises(FieldError, match="zero divisor"):
+            _ = K.one() / (g - 2)
+        assert (g + 3) * (1 / (g + 3)) == 1
 
-        def spy(self, A, B, L):
-            calls.append(L)
-            return euclid(self, A, B, L)
-
-        monkeypatch.setattr(FieldTower, "_euclid", spy)
-        with pytest.raises(FieldError, match="not irreducible"):
-            _ = K.one() / (K.generator(1) - 2)
-        assert calls == [0]
+    def test_divides_by_long_division(self, K15):
+        rng = random.Random(3)
+        f, g = ([K15.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                              for _ in range(8)]) for _ in range(k)]
+                for k in (2, 3))
+        # (x^2 + f1 x + f0)(x^3 + g2 x^2 + g1 x + g0), ascending, monic
+        prod = [K15.zero()] * 5
+        for i, a in enumerate(f + [K15.one()]):
+            for j, b in enumerate(g + [K15.one()]):
+                if i + j < 5:
+                    prod[i + j] = prod[i + j] + a * b
+        assert numfield.divides(K15, g, prod)
+        assert numfield.divides(K15, f, prod)
+        assert not numfield.divides(K15, g, [prod[0] + 1] + prod[1:])
 
     def test_zero_division_raises(self, K3):
         with pytest.raises(ZeroDivisionError):
@@ -888,6 +907,18 @@ class TestIntegerRepresentation:
         got = x * y
         assert got.vec == want
         _assert_reduced(got)
+
+    def test_subfield_inverse_is_the_lifted_inverse_d4(self, cert4):
+        # 1/x for x of the coefficient field, seen inside the seed-11 d=4
+        # tower, is the inverse taken in e0 and placed back
+        T, e0 = cert4.tower, cert4.e0
+        rng = random.Random(17)
+        for x in [e0.generator(len(e0.levels))] + [
+                _random_element(e0, rng) + 1 for _ in range(3)]:
+            inv = 1 / lift_element(T, x)
+            _assert_reduced(inv)
+            assert inv == lift_element(T, 1 / x)
+            assert inv * lift_element(T, x) == 1
 
     def test_box_places_its_low_columns_d4(self, cert4):
         # for s below the level degree m, g^s is a basis monomial, and the
