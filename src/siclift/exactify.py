@@ -34,7 +34,7 @@ from .errors import FieldError, LiftError, PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
     relation_norm
-from .modring import MatGroup, ModMatrix, centralizer, dprime, \
+from .modring import MatGroup, ModMatrix, centralizer, closure, dprime, \
     greedy_generators, orbits, symmetry_image
 from .numfield import AlgebraicNumber, EmbeddingAutomorphism, FieldTower, \
     adjoin, automorphism, cyclotomic_polynomial, degree_one_primes, \
@@ -76,7 +76,7 @@ def symmetry_structure(fid, full: bool = False) -> SymmetryStructure:
                         "polynomials would not compress the overlap table")
     # a matrix commutes with s_pi when it commutes with generators of it
     m = s_pi.modulus
-    gens, _span = greedy_generators(s_pi.elements, m)
+    gens, _span = greedy_generators(s_pi.elements, mul, ModMatrix.identity(m))
     cent = MatGroup(M for M in centralizer(gens[0])
                     if all(M * F == F * M for F in gens[1:]))
     orbs = orbits(cent)
@@ -389,16 +389,10 @@ def _generated(H: frozenset, a: int, m: int) -> frozenset:
 
 
 def _unit_subgroups(m: int) -> list[frozenset]:
-    """Every subgroup of (Z/m)^x, by increasing order (ties by elements)."""
+    """Every subgroup of (Z/m)^x, by increasing order (ties by elements):
+    the closure of {1} under adjoining a unit."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    groups, frontier = {frozenset({1})}, [frozenset({1})]
-    while frontier:
-        H = frontier.pop()
-        for a in units:
-            K = _generated(H, a, m)
-            if K not in groups:
-                groups.add(K)
-                frontier.append(K)
+    groups = closure(units, partial(_generated, m=m), frozenset({1}))
     return sorted(groups, key=lambda H: (len(H), sorted(H)))
 
 
@@ -548,64 +542,23 @@ def _cayley_identity(cay):
     raise ValueError("composition table has no identity")
 
 
-def _cayley_orders(cay, e):
-    out = []
-    for g in range(len(cay)):
-        k, x = 1, g
-        while x != e:
-            x = cay[x][g]
-            k += 1
-            if k > len(cay):
-                raise ValueError("composition table is not a group")
-        out.append(k)
-    return out
-
-
-def _spanning(cay):
-    """Generators of a finite group given by its composition table, each
-    the smallest element not yet generated, and a derivation of the whole
-    group from them: the elements in order of discovery from the identity,
-    and for each later one y a pair (x, g) with y = cay[x][g]."""
-    n = len(cay)
-    e = _cayley_identity(cay)
-
-    def close(gens):
-        known, seen, deriv = [e], {e}, {}
-        i = 0
-        while i < len(known):
-            x = known[i]
-            i += 1
-            for g in gens:
-                y = cay[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    deriv[y] = (x, g)
-                    known.append(y)
-        return known, seen, deriv
-
-    gens = []
-    known, seen, deriv = close(gens)
-    while len(seen) < n:
-        gens.append(min(x for x in range(n) if x not in seen))
-        known, seen, deriv = close(gens)
-    return gens, known, deriv
-
-
 def _homomorphisms(cay, choices, op, unit) -> list[tuple]:
     """Every homomorphism out of the finite group with composition table
-    cay, as the tuple of its images of the elements in order. Each of
-    _spanning's generators g goes to one of choices(g), the rest of the
-    group follows through its derivation under the target's product op
-    (identity unit), and the map is kept when it respects every product."""
-    gens, known, deriv = _spanning(cay)
+    cay, as the tuple of its images of the elements in order. Each of the
+    greedy generators g (modring.greedy_generators over the elements in
+    order, so each is the smallest element not yet generated) goes to one
+    of choices(g), the rest of the group follows through its closure's
+    derivation y = x g under the target's product op (identity unit), and
+    the map is kept when it respects every product."""
     n = len(cay)
+    gens, tree = greedy_generators(range(n), lambda x, g: cay[x][g],
+                                   _cayley_identity(cay))
     out = []
     for pick in itertools.product(*map(choices, gens)):
         img = dict(zip(gens, pick))
-        f = {known[0]: unit}
-        for y in known[1:]:
-            x, g = deriv[y]
-            f[y] = op(f[x], img[g])
+        f = {}
+        for y, step in tree.items():
+            f[y] = unit if step is None else op(f[step[0]], img[step[1]])
         if all(f[cay[a][b]] == op(f[a], f[b])
                for a in range(n) for b in range(n)):
             out.append(tuple(f[N] for N in range(n)))
@@ -615,13 +568,17 @@ def _homomorphisms(cay, choices, op, unit) -> list[tuple]:
 def _group_automorphisms(cay) -> list[tuple]:
     """Every automorphism of the finite group with composition table cay,
     as a permutation tuple (image of element i at position i): each
-    generator goes to an element of its own order, and bijections are
-    kept."""
+    generator goes to an element of its own order, the size of the closure
+    of {g}, and bijections are kept."""
     n, e = len(cay), _cayley_identity(cay)
-    order = _cayley_orders(cay, e)
+
+    def table(a, b):
+        return cay[a][b]
+
+    order = [len(closure([g], table, e)) for g in range(n)]
     return [f for f in _homomorphisms(
         cay, lambda g: [h for h in range(n) if order[h] == order[g]],
-        lambda a, b: cay[a][b], e) if len(set(f)) == n]
+        table, e) if len(set(f)) == n]
 
 
 # ---------------------------------------------------------------------------
@@ -1320,7 +1277,8 @@ def _group_data_checks(cert: ExactFiducialCertificate) -> tuple:
         return checks, f"stabilizer shift {list(shifted)} is not 0"
     mats = [F for _p, F in cert.stabilizer]
     try:
-        gens, span = greedy_generators(mats, dprime(cert.d))
+        gens, span = greedy_generators(mats, mul,
+                                       ModMatrix.identity(dprime(cert.d)))
         closed = set(span) == set(mats)
         images = [symmetry_image(F) for F in mats]
     except ValueError:

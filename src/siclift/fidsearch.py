@@ -102,7 +102,15 @@ class Fiducial:
             header = fh.readline().split()
             if header[:2] != ["SIC-FIDUCIAL", "v1"]:
                 raise ValueError("not a fiducial file")
-            fields = dict(kv.split("=") for kv in header[2:])
+            fields = {}
+            for token in header[2:]:
+                key, eq, value = token.partition("=")
+                if not (key and eq):
+                    raise ValueError(f"fiducial header token {token!r} is "
+                                     "not key=value")
+                if key in fields:
+                    raise ValueError(f"fiducial header repeats key {key!r}")
+                fields[key] = value
             if "d" not in fields or "prec" not in fields:
                 raise ValueError("fiducial header needs d= and prec=")
             d, prec = int(fields["d"]), int(fields["prec"])

@@ -1096,6 +1096,22 @@ def test_malformed_fiducial_is_an_error(workdir, capsys, how, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("header,message", [
+    ("SIC-FIDUCIAL v1 d=4 prec=20 junk",
+     "fiducial header token 'junk' is not key=value"),
+    ("SIC-FIDUCIAL v1 d=4 prec=20 symmetry=fz symmetry=none",
+     "fiducial header repeats key 'symmetry'"),
+], ids=["no_equals", "repeated_key"])
+def test_malformed_fiducial_header_names_the_token(workdir, capsys, header,
+                                                   message):
+    # a header token that is not key=value, and a key given twice, are
+    # refused by name; a repeated key never silently takes its last value
+    bad = workdir / "bad_header.fid"
+    bad.write_text(header + "\n" + "0.5 0.0\n" * 4)
+    assert main(["refine", "--fiducial", str(bad), "--digits", "40"]) == 2
+    assert capsys.readouterr().err == f"siclift refine: error: {message}\n"
+
+
 def test_report_is_a_pure_function_of_the_certificate(certfile, capsys):
     rc = main(["report", "--cert", certfile])
     assert rc == 0

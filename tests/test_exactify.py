@@ -28,7 +28,7 @@ import mpmath as mp
 import pytest
 
 from content_digest import content_digest
-from siclift import cli, exactify, heisenberg, lattice, numfield
+from siclift import cli, exactify, heisenberg, lattice, modring, numfield
 from siclift.bignum import guarded
 from siclift.errors import FieldError, LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
@@ -801,6 +801,20 @@ def test_checking_never_finds_roots_or_scores_d4(cert4, tmp_path,
     back = ExactFiducialCertificate.load(str(path))
     assert verify_exact(back)["pass"] is True
     assert verify_certified(back, digits=120)["pass"] is True
+
+
+def test_group_past_the_closure_limit_is_not_a_group_d4(cert4, tmp_path,
+                                                        monkeypatch):
+    # a stabilizer whose closure passes modring.MAX_GENERATED_ORDER is
+    # refused as a group, not raised
+    path = tmp_path / "d4.cert"
+    cert4.save(str(path))
+    back = ExactFiducialCertificate.load(str(path))
+    monkeypatch.setattr(modring, "MAX_GENERATED_ORDER", 2)
+    checks, offending = exactify._group_data_checks(back)
+    assert checks["stabilizer_is_a_group"] is False
+    assert offending == ("the stabilizer matrices are not a group with "
+                         "determinants +-1")
 
 
 # Field paths of the certificate that no verifier reads, written down from

@@ -1,5 +1,7 @@
+import itertools
 import random
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,16 +224,80 @@ def test_matgroup_cosets():
     assert len(flat) == 24
 
 
+def _check_closure(tree, op, one, group):
+    # every element once, one first with no step, and every other element
+    # the product of one found before it with a generator
+    assert set(tree) == set(group) and len(tree) == len(group)
+    order = list(tree)
+    assert order[0] == one and tree[one] is None
+    for i, y in enumerate(order[1:], 1):
+        x, g = tree[y]
+        assert op(x, g) == y and order.index(x) < i
+
+
+def test_closure_of_a_matrix_group():
+    F = mr.zauner_matrix(4)
+    one = ModMatrix.identity(8)
+    _check_closure(mr.closure([F], mul, one), mul, one,
+                   {F ** k for k in range(6)})
+    G = mr.centralizer(mr.zauner_matrix(5))
+    one = ModMatrix.identity(5)
+    _check_closure(mr.closure(G.elements[::5], mul, one), mul, one, G)
+
+
+@pytest.mark.parametrize("table,gens", [
+    ([[(i + j) % 4 for j in range(4)] for i in range(4)], [1]),
+    ([[i ^ j for j in range(4)] for i in range(4)], [1, 2]),
+], ids=["cyclic4", "klein"])
+def test_closure_of_a_table(table, gens):
+    def op(x, g):
+        return table[x][g]
+
+    tree = mr.closure(gens, op, 0)
+    _check_closure(tree, op, 0, range(4))
+
+
+def test_closure_limit(monkeypatch):
+    monkeypatch.setattr(mr, "MAX_GENERATED_ORDER", 2)
+    F = mr.zauner_matrix(4)
+    with pytest.raises(ValueError, match="exceeds limit"):
+        mr.closure([F], mul, ModMatrix.identity(8))
+    with pytest.raises(ValueError, match="exceeds limit"):
+        MatGroup.generated([F])
+    # a group of order 2 is still within it
+    assert len(MatGroup.generated([F ** 3])) == 2
+
+
 def test_greedy_generators():
     # an element joins only when the ones before it do not generate it,
     # and the returned group is what they generate; none gives the
     # identity alone
     F = mr.zauner_matrix(4)
     J = ModMatrix(1, 0, 0, 7, 8)
-    gens, span = mr.greedy_generators([F ** 2, F, F ** 3, J, F * J], 8)
+    one = ModMatrix.identity(8)
+    gens, span = mr.greedy_generators([F ** 2, F, F ** 3, J, F * J], mul, one)
     assert gens == [F ** 2, F, J]
-    assert span == MatGroup.generated([F, J])
-    assert mr.greedy_generators([], 8) == ([], MatGroup([ModMatrix.identity(8)]))
+    assert MatGroup(span) == MatGroup.generated([F, J])
+    assert mr.greedy_generators([], mul, one) == ([], {one: None})
     G = mr.centralizer(mr.zauner_matrix(5))
-    gens, span = mr.greedy_generators(G.elements, 5)
-    assert span == G and len(gens) < len(G)
+    gens, span = mr.greedy_generators(G.elements, mul,
+                                      ModMatrix.identity(5))
+    assert MatGroup(span) == G and len(gens) < len(G)
+
+
+def test_greedy_generators_of_a_table():
+    # pinned generators and breadth-first discovery order on composition
+    # tables: S3 as permutations of (0, 1, 2) in lexicographic order, and
+    # Z/6 relabelled so that the identity is 3
+    perms = list(itertools.permutations(range(3)))
+    s3 = [[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms]
+          for a in perms]
+    z6 = [[(i + j + 3) % 6 for j in range(6)] for i in range(6)]
+    for table, one, gens, order in [(s3, 0, [1, 2], [0, 1, 2, 4, 3, 5]),
+                                    (z6, 3, [0, 1], [3, 0, 1, 4, 5, 2])]:
+        def op(x, g):
+            return table[x][g]
+
+        got, tree = mr.greedy_generators(range(6), op, one)
+        assert got == gens and list(tree) == order
+        _check_closure(tree, op, one, range(6))
