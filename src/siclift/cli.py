@@ -267,8 +267,7 @@ def cmd_exactify(ns) -> int:
     with mp.workdps(20):
         print(f"wrote {out}: d={cert.d} method={cert.method} "
               f"tower_degree={cert.tower.degree} "
-              f"score={mp.nstr(cert.galois.score, 5)} "
-              f"separation={mp.nstr(cert.galois.separation, 5)}")
+              f"score={mp.nstr(cert.galois.score, 5)}")
     return 0
 
 

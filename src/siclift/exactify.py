@@ -216,8 +216,12 @@ def _field_from_seed(seed, prec) -> FieldTower:
             f"the seed coefficient at {prec} digits")
     if mpoly.degree == 1:
         return FieldTower.rationals(prec)
-    e0 = adjoin(FieldTower.rationals(prec), list(mpoly.coeffs),
-                root_selector=seed, tag="a")
+    try:
+        e0 = adjoin(FieldTower.rationals(prec), list(mpoly.coeffs),
+                    root_selector=seed, tag="a")
+    except FieldError as exc:
+        # the relation was recognized from digits that do not hold it
+        raise PrecisionError(str(exc)) from exc
     log.info("coefficient field has degree %d", e0.degree)
     return e0
 
@@ -617,17 +621,16 @@ class GaloisMatch:
     cosets. Row j pairs the automorphism that fixes the coefficient field and
     sends the overlap-field generator to images[j], an element of the
     overlap field, with the coset of matrices[j], the coset whose conjugate
-    row j was interpolated from. score, runner_up and separation are the
-    lift's diagnostics, which no file stores, so they are None after a
-    load: the labelling's worst relation norm under method 2, the best of
-    the quotient's other isomorphisms (a lower bound, since scoring stops
-    feeding a junk lattice at the attempt floor), and their ratio."""
+    row j was interpolated from. candidates counts the automorphisms of
+    the quotient under method 2, and is 0 under method 1. score is the
+    lift's diagnostic, which no file stores, so it is None after a load:
+    the labelling's worst relation norm under method 2, 0 under method 1.
+    How far the quotient's other isomorphisms score behind the labelling is
+    alignment_gap's to report."""
     matrices: tuple
     images: tuple
     candidates: int
     score: object = None
-    runner_up: object = None
-    separation: object = None
 
     def to_obj(self):
         return {
@@ -964,7 +967,7 @@ def _regenerated(table, lifted, prec) -> bool:
 
 def _assemble_certificate(fid, struct, table, conj, gen_poly, autos, cosets,
                           reps, polys, label, rep_overlaps, method, score,
-                          runner_up, separation, candidates, prec):
+                          candidates, prec):
     """Common tail of both lifting routes: the one alignment check, then
     the tau extension, the structural-expectation record and the
     certificate. The rows are aligned with the cosets by the labelling they
@@ -989,7 +992,7 @@ def _assemble_certificate(fid, struct, table, conj, gen_poly, autos, cosets,
     match = GaloisMatch(
         matrices=tuple(reps[c] for c in label),
         images=tuple(a.images[-1] for a in autos), score=score,
-        runner_up=runner_up, separation=separation, candidates=candidates)
+        candidates=candidates)
 
     cert = ExactFiducialCertificate(
         d=fid.d, method=method, tower=tower, e0_levels=len(e0.levels),
@@ -1017,6 +1020,11 @@ def _prepare(fid, digits):
                              f"{prec} were requested")
     if prec < MIN_LIFT_DIGITS:
         raise PrecisionError(f"lifting needs at least {MIN_LIFT_DIGITS} digits")
+    if fid.error > ten_to(10 - prec, 30):  # the bound refine stops below
+        raise PrecisionError(
+            f"{prec} digits were requested, but the fiducial's SIC error "
+            f"{mp.nstr(fid.error, 3)} supports only "
+            f"{int(10 - mp.log10(fid.error))}")
     struct = symmetry_structure(fid)
     table = fid.overlaps(prec)
     polys = build_orbit_polynomials(table, struct.cent)
@@ -1096,75 +1104,83 @@ def _relation_lift(e0, e1, polys, rels) -> dict | None:
     return rep_overlaps
 
 
+def _alignment_score(conj, table, mats, polys, prec, reduced):
+    """The worst relation norm (at least 1) of the alignment under which
+    coset c's conjugate of each nontrivial orbit's representative value is
+    the overlap at mats[c] applied to it, and each orbit's relations;
+    +inf, and no later orbit scored, at the first non-real component."""
+    basis = conj.e0.basis_values()
+    worst, rels = mp.mpf(1), {}
+    for q in polys:
+        if q.degree < 2:
+            continue
+        V = [table.chi(M.apply(q.rep)) for M in mats]
+        norm, rels[q.orbit_id] = _relation_score(conj.solve(V), basis, prec,
+                                                 reduced)
+        worst = max(worst, norm)
+        if worst == mp.inf:
+            break
+    return worst, rels
+
+
 def method2_exactify(fid,
                      digits: int | None = None) -> ExactFiducialCertificate:
-    """Lift by scoring the alignments of automorphisms with index cosets.
-
-    Every bijection between the overlap-field automorphisms and the quotient
-    cosets that respects the group structure, the labelling the rows were
-    built from composed with each automorphism of the quotient, is scored:
-    the overlap vector it predicts is read as the conjugates of one element,
-    whose coordinates _Conjugates.solve interpolates. The coefficient field
-    is real, so a solution component with an imaginary part above
-    10^-(prec//2) cannot lie in it, and its bijection scores +inf with no
-    lattice reduction. Every other component is fed to an integer-relation
-    search over the coefficient-field basis, one reduction per distinct
-    relation lattice, which stops at the rung where its relation is
-    accepted or its norm reaches the attempt floor. The labelling's
-    components lie in the coefficient field, so its relation norms sit many
-    orders of magnitude below every other isomorphism's: score and
-    runner_up compare the two. The labelling is lifted exactly from the
-    relations that scored it, and its rows must regenerate the numeric
-    table from that lift (_assemble_certificate); PrecisionError when it
-    scores at the attempt floor or its lift fails that check."""
-    if fid.d % 3 == 0:
-        from .fidsearch import strongly_centre
-        fid = strongly_centre(fid)
+    """Lift by relation scoring of the coset labelling, the one alignment
+    that can regenerate the table (_prepare): each nontrivial orbit's
+    overlap vector it predicts, coset c's conjugate at reps[c], is read as
+    the conjugates of one element, whose coordinates _Conjugates.solve
+    interpolates. The coefficient field is real, so a component with an
+    imaginary part above 10^-(prec//2) scores +inf with no lattice
+    reduction; every other is fed to an integer-relation search over the
+    coefficient-field basis, one reduction per distinct relation lattice,
+    which stops at the rung where its relation is accepted or its norm
+    reaches the attempt floor. The labelling is lifted exactly from those
+    relations, and its rows must regenerate the numeric table from that
+    lift (_assemble_certificate); PrecisionError when it scores at the
+    attempt floor or its lift fails that check. alignment_gap reports how
+    far the quotient's other isomorphisms score behind it."""
+    from .fidsearch import strongly_centre
+    fid = strongly_centre(fid)
     prec, struct, table, polys, conj, gen_poly, autos, cosets, reps, \
         label = _prepare(fid, digits)
-    e0, n = conj.e0, len(autos)
-    perms = [tuple(a[c] for c in label)
-             for a in _group_automorphisms(conj.cay)]
-    log.info("scoring %d structure-respecting bijections", len(perms))
-
-    nontrivial = [q for q in polys if q.degree >= 2]
-    e0_basis = e0.basis_values()
-    scores, rels, reduced = {}, {}, {}
-    for f in perms:
-        worst = mp.mpf(1)
-        found = {}
-        for q in nontrivial:
-            # row j sends t to the root at index j, whose coset is at_root[j]
-            V = [None] * n
-            for j in range(n):
-                V[conj.at_root[j]] = table.chi(reps[f[j]].apply(q.rep))
-            norm, found[q.orbit_id] = _relation_score(
-                conj.solve(V), e0_basis, prec, reduced)
-            worst = max(worst, norm)
-            if worst == mp.inf:
-                break
-        scores[f], rels[f] = worst, found
-        log.info("bijection %s worst relation norm %s", f, mp.nstr(worst, 5))
-
-    score = scores[label]
-    runner_up = min((scores[f] for f in perms if f != label), default=mp.inf)
-    if runner_up <= score:
-        log.warning("score ranking was not decisive (the labelling scored "
-                    "%s, another isomorphism %s); the labelling is lifted "
-                    "and checked all the same", mp.nstr(score, 5),
-                    mp.nstr(runner_up, 5))
-    rep_overlaps = _relation_lift(e0, conj.e1, polys, rels[label]) \
+    score, rels = _alignment_score(conj, table, reps, polys, prec, {})
+    log.info("the coset labelling's worst relation norm is %s",
+             mp.nstr(score, 5))
+    rep_overlaps = _relation_lift(conj.e0, conj.e1, polys, rels) \
         if score < _attempt_floor(prec) else None
     cert = None if rep_overlaps is None else _assemble_certificate(
         fid, struct, table, conj, gen_poly, autos, cosets, reps, polys,
-        label, rep_overlaps, 2, score, runner_up, runner_up / score,
-        len(perms), prec)
+        label, rep_overlaps, 2, score, len(_group_automorphisms(conj.cay)),
+        prec)
     if cert is None:
         raise PrecisionError(
             f"the coset labelling scored {mp.nstr(score, 5)} and did not "
             "pass the gated exact lift and table cross-check at "
             f"{prec} digits; increase precision")
     return cert
+
+
+def alignment_gap(fid, digits: int | None = None) -> tuple:
+    """A diagnostic no lift depends on: (score, runner_up, separation), the
+    coset labelling's score as method2_exactify computes it, the best score
+    of the index quotient's other automorphisms composed with it (a lower
+    bound, as scoring stops at the attempt floor), and their ratio. Logs a
+    warning when the labelling does not score strictly best."""
+    from .fidsearch import strongly_centre
+    prec, _, table, polys, conj, *_, reps, _ = _prepare(strongly_centre(fid),
+                                                        digits)
+    reduced = {}
+    score = _alignment_score(conj, table, reps, polys, prec, reduced)[0]
+    ident = tuple(range(len(reps)))
+    runner_up = min((_alignment_score(conj, table, [reps[c] for c in a],
+                                      polys, prec, reduced)[0]
+                     for a in _group_automorphisms(conj.cay) if a != ident),
+                    default=mp.inf)
+    if runner_up <= score:
+        log.warning("score ranking was not decisive (the labelling scored "
+                    "%s, another isomorphism %s)", mp.nstr(score, 5),
+                    mp.nstr(runner_up, 5))
+    return score, runner_up, runner_up / score
 
 
 # ---------------------------------------------------------------------------
@@ -1211,7 +1227,7 @@ def method1_exactify(fid,
 
     cert = _assemble_certificate(
         fid, struct, table, conj, gen_poly, autos, cosets, reps, polys,
-        label, rep_overlaps, 1, mp.mpf(0), mp.inf, mp.inf, 0, prec)
+        label, rep_overlaps, 1, mp.mpf(0), 0, prec)
     if cert is None:
         raise LiftError("the rows, aligned with the cosets by their "
                         "labelling, do not regenerate the numeric table "

@@ -402,18 +402,6 @@ def relation_norm(rel: RelationResult) -> mp.mpf:
     return mp.sqrt(mp.fsum(mp.mpf(c) ** 2 for c in rel.coefficients))
 
 
-def verify_relation(rel: RelationResult, xs, precision: int) -> bool:
-    """Re-check a relation against (higher-precision) values of the same
-    numbers; threshold scales with the verification precision."""
-    vals = _prepare(xs, precision)
-    m = rel.coefficients
-    with mp.workdps(precision + 10):
-        resid = abs(mp.fsum([m[0] * vals[0]] + [-c * v for c, v in zip(m[1:], vals[1:])],
-                            absolute=False))
-        bound = mp.mpf(10) ** (-TIGHT * precision) * max(1, max(abs(c) for c in m))
-    return resid < bound
-
-
 def minimal_polynomial(a, max_degree: int, precision: int
                        ) -> IntPolynomial | None:
     """Lowest-degree integer polynomial vanishing at `a`, or None.

@@ -69,9 +69,6 @@ class ModMatrix:
     def trace(self) -> int:
         return (self.a + self.d) % self.m
 
-    def is_identity(self) -> bool:
-        return self.entries == (1 % self.m, 0, 0, 1 % self.m)
-
     def is_invertible(self) -> bool:
         return gcd(self.det(), self.m) == 1
 

@@ -1097,10 +1097,6 @@ class EmbeddingAutomorphism:
         block = tuple(row[::m] for row in self._rows[::m])
         return EmbeddingAutomorphism(sub, images, (block, self._den))
 
-    def is_identity(self) -> bool:
-        return all(img == self.tower.generator(k + 1)
-                   for k, img in enumerate(self.images))
-
     def __eq__(self, other):
         return (isinstance(other, EmbeddingAutomorphism)
                 and self.tower.levels == other.tower.levels

@@ -292,6 +292,15 @@ def test_exactify_writes_certificate(certfile):
     assert cert.d == 4 and cert.method == 2
 
 
+def test_exactify_prints_one_summary_line(workdir, fidfile, capsys):
+    # where the certificate went, d, method, tower degree and the
+    # labelling's score, which no file stores; nothing else is printed
+    out = str(workdir / "summary.cert")
+    assert main(["exactify", "--fiducial", fidfile, "--out", out]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out}: d=4 method=2 tower_degree=16 score=1.4142\n")
+
+
 def test_verify_exact_passes(certfile, capsys):
     rc = main(["verify", "--cert", certfile, "--mode", "exact"])
     assert rc == 0

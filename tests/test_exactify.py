@@ -33,12 +33,12 @@ from siclift.bignum import guarded
 from siclift.errors import FieldError, LiftError, PrecisionError
 from siclift.exactify import (ExactFiducialCertificate, _distinct_values,
                               _extend_with_tau, _group_automorphisms,
-                              _transported,
+                              _transported, alignment_gap,
                               build_orbit_polynomials,
                               method1_exactify, method2_exactify,
                               orbit_coefficient_values, symmetry_structure,
                               verify_certified, verify_exact)
-from siclift.fidsearch import refine, seed_search
+from siclift.fidsearch import Fiducial, refine, seed_search
 from siclift.heisenberg import overlaps
 from siclift.modring import (ModMatrix, dprime, fa_matrix, gl2_group,
                              h2_group, symmetry_image)
@@ -530,13 +530,13 @@ def test_orbit_coefficient_values_d5(fid5):
     assert all(mp.isfinite(v) for v in vals)
 
 
-def test_certificate_shape_d5(cert5):
+def test_certificate_shape_d5(fid5, cert5):
     assert cert5.d == 5 and cert5.method == 2
     assert cert5.tower.degree == 32
     assert len(cert5.all_overlaps()) == 25
     assert cert5.galois.candidates >= 1
     # scoring was decisive by many orders of magnitude
-    assert cert5.galois.separation > mp.mpf(10) ** 20
+    assert alignment_gap(fid5)[2] > mp.mpf(10) ** 20
     assert cert5.galois.score < 10
 
 
@@ -592,8 +592,7 @@ def test_certificate_roundtrip_d5(cert5, report5, tmp_path):
     back = ExactFiducialCertificate.load(str(path))
     text = back.to_json()
     assert text == cert5.to_json()
-    assert (back.galois.score, back.galois.runner_up,
-            back.galois.separation) == (None, None, None)
+    assert back.galois.score is None
     for verify in (verify_exact, verify_certified):
         assert verify(back)["pass"] is True
         assert back.to_json() == text
@@ -1066,8 +1065,8 @@ def test_alignment_score_is_decisive_d4(fid4, reductions, caplog):
     # real coefficient field and scores +inf unreduced; of the rest only the
     # true one has short relations, so the score alone picks the winner
     with caplog.at_level(logging.WARNING, logger="siclift.exactify"):
-        cert = method2_exactify(fid4)
-    assert cert.galois.separation > mp.mpf(10) ** 20
+        _score, _runner_up, separation = alignment_gap(fid4)
+    assert separation > mp.mpf(10) ** 20
     assert "not decisive" not in caplog.text
     assert len(reductions) <= 8
 
@@ -1095,12 +1094,11 @@ def test_scoring_stops_at_its_verdict_d4(fid4, monkeypatch):
 
     monkeypatch.setattr(exactify, "raw_relation", recorded)
     monkeypatch.setattr(lattice, "_lll_integral", counted)
-    cert = method2_exactify(fid4)
+    score, runner_up, _ = alignment_gap(fid4)
     monkeypatch.undo()
-    prec = cert.tower.precision
-    floor = mp.mpf(10) ** (prec / 10)
-    assert mp.almosteq(cert.galois.score, mp.sqrt(2))
-    assert cert.galois.runner_up >= floor
+    floor = mp.mpf(10) ** (fid4.precision / 10)
+    assert mp.almosteq(score, mp.sqrt(2))
+    assert runner_up >= floor
     assert rungs[0] <= 30
     accepted = [c for c in calls if c[3].accepted]
     assert accepted and all(bound == floor for _, _, bound, _ in calls)
@@ -1137,6 +1135,66 @@ def test_equal_relation_lattices_reduce_once(reductions):
     assert exactify._relation_score([phi], basis, 100, reduced)[1] == \
         [rels[0]]
     assert len(reductions) == 2
+
+
+def test_lift_scores_the_labelling_alone_d4(fid4, monkeypatch):
+    # one relation score per nontrivial orbit, on the components the coset
+    # labelling predicts (coset c's conjugate is the overlap at reps[c]);
+    # the quotient's other isomorphisms are alignment_gap's, and the
+    # certificate still counts them all
+    calls = []
+    score = exactify._relation_score
+
+    def recorded(comps, basis, prec, reduced):
+        calls.append(comps)
+        return score(comps, basis, prec, reduced)
+
+    monkeypatch.setattr(exactify, "_relation_score", recorded)
+    cert = method2_exactify(fid4)
+    monkeypatch.undo()
+    _, _, table, polys, conj, *_, reps, _ = exactify._prepare(fid4, None)
+    assert calls == [conj.solve([table.chi(M.apply(q.rep)) for M in reps])
+                     for q in polys if q.degree >= 2]
+    assert cert.galois.candidates == len(_group_automorphisms(conj.cay)) == 6
+
+
+def test_perturbed_fiducial_is_a_precision_error_d4(fid4):
+    # one entry moved by 10^-200 leaves a SIC to about 200 digits that
+    # claims 320, where recognition could accept a spurious relation and
+    # end in FieldError; both methods refuse it first by its error, naming
+    # the digits that error supports
+    rng = random.Random(5)
+    for _ in range(3):
+        i = rng.randrange(fid4.d)
+        with mp.workdps(guarded(320)):
+            vec = list(fid4.vector)
+            vec[i] += mp.mpf(10) ** -200 * mp.expjpi(2 * mp.mpf(rng.random()))
+        bad = Fiducial.create(fid4.d, vec, 320, symmetry=fid4.symmetry,
+                              seed=fid4.seed)
+        for lift in (method1_exactify, method2_exactify):
+            with pytest.raises(PrecisionError,
+                               match=r"320 digits .* supports only 2\d\d$"):
+                lift(bad)
+
+
+def test_spurious_relation_is_a_precision_error_d4(fid4, monkeypatch):
+    # a minimal polynomial recognized from digits that do not hold it can
+    # be reducible: adjoin's FieldError leaves the lift as PrecisionError
+    # with its message
+    found = exactify.minimal_polynomial
+
+    def spurious(a, max_degree, precision):
+        c = found(a, max_degree, precision=precision).coeffs
+        # times x^2 - 2
+        return lattice.IntPolynomial(tuple(
+            (c[k - 2] if k >= 2 else 0) - 2 * (c[k] if k < len(c) else 0)
+            for k in range(len(c) + 2)))
+
+    monkeypatch.setattr(exactify, "minimal_polynomial", spurious)
+    for lift in (method1_exactify, method2_exactify):
+        with pytest.raises(PrecisionError, match="reducible") as exc:
+            lift(fid4)
+        assert isinstance(exc.value.__cause__, FieldError)
 
 
 def test_lift_reuses_table_and_roots_d4(fid4, monkeypatch):

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relation_check import verify_relation
 from siclift import lattice as lat
 
 
@@ -243,11 +244,11 @@ class TestIntegerRelation:
         with mp.workdps(200):
             s = mp.sqrt(2)
             rel = lat.integer_relation([s, mp.mpf(1), s], precision=50)
-            assert lat.verify_relation(rel, [mp.sqrt(2), mp.mpf(1), mp.sqrt(2)], 180)
+            assert verify_relation(rel, [mp.sqrt(2), mp.mpf(1), mp.sqrt(2)], 180)
             # junk relation fails verification
             junk = lat.RelationResult((3, 1, 2), mp.mpf(0), 50)
-            assert not lat.verify_relation(junk, [mp.sqrt(2), mp.mpf(1), mp.sqrt(2)],
-                                           180)
+            assert not verify_relation(junk, [mp.sqrt(2), mp.mpf(1), mp.sqrt(2)],
+                                       180)
 
 
 class TestRawRelation:
