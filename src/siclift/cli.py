@@ -19,7 +19,7 @@ import sys
 import mpmath as mp
 
 from .bignum import format_decimal, parse_decimal
-from .errors import PrecisionError, SicliftError
+from .errors import FiducialPrecisionError, PrecisionError, SicliftError
 from .exactify import (ExactFiducialCertificate, build_orbit_polynomials,
                        method1_exactify, method2_exactify, symmetry_structure,
                        verify_certified, verify_exact)
@@ -428,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_HINTS = {
+_HINTS = {  # the first type that matches gives the hint
+    FiducialPrecisionError: "refine the fiducial, or pass fewer --digits",
     PrecisionError: "rerun with a larger --digits",
 }
 

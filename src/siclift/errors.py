@@ -12,6 +12,10 @@ class PrecisionError(SicliftError):
     """
 
 
+class FiducialPrecisionError(PrecisionError):
+    """The fiducial supports fewer digits than requested; more cannot help."""
+
+
 class SingularMatrixError(SicliftError):
     """Linear solve hit a (numerically) singular matrix."""
 

@@ -5,8 +5,9 @@ the projector's symmetry image and form one monic polynomial per orbit;
 recognize the coefficients in a small real coefficient field; adjoin a root
 of one orbit polynomial to get the overlap field, one level above it, whose
 automorphisms' images of its generator are read off their conjugates by
-Lagrange interpolation (_Conjugates) and built into rows by the rule a
-reloaded certificate uses (_rows_from_images); lift one exact overlap per
+Lagrange interpolation (_Conjugates) at the index quotient's generators,
+composed for the rest, and built into rows by the rule a reloaded
+certificate uses (_rows_from_images); lift one exact overlap per
 orbit and check that the rows, aligned with the index-quotient cosets by
 the labelling they were built from, regenerate the numeric table from those
 overlaps; find tau by one ordered search (_extend_with_tau); emit a
@@ -30,7 +31,8 @@ from operator import add, mul
 from mpmath import mp
 
 from .bignum import abs2, guarded, ten_to
-from .errors import FieldError, LiftError, PrecisionError, SicliftError
+from .errors import FiducialPrecisionError, FieldError, LiftError, \
+    PrecisionError, SicliftError
 from . import heisenberg as hb
 from .lattice import minimal_polynomial, raw_relation, relation_lattice, \
     relation_norm
@@ -208,8 +210,8 @@ MAX_E0_DEGREE = 8
 MIN_LIFT_DIGITS = 200
 
 
-def _field_from_seed(seed, prec) -> FieldTower:
-    mpoly = minimal_polynomial(seed, MAX_E0_DEGREE, precision=prec)
+def _field_from_seed(seed, prec, mpoly) -> FieldTower:
+    """The field that seed generates, from its minimal polynomial mpoly."""
     if mpoly is None:
         raise PrecisionError(
             f"no minimal polynomial of degree <= {MAX_E0_DEGREE} found for "
@@ -231,7 +233,8 @@ def lift_coefficients(polys: list[OrbitPolynomial]) -> FieldTower:
 
     The field is seeded from the next-to-leading coefficient of the
     lowest-degree nontrivial polynomial and rebuilt from any later coefficient
-    of higher degree (the cheap seed can land in a proper subfield).
+    of higher degree (the cheap seed can land in a proper subfield). While
+    it is the rationals, a coefficient's one test is its minimal polynomial.
     Incompatible degrees, or no orbit with two values, abort. Sets
     poly.exact in place; returns the field."""
     prec = polys[0].precision
@@ -242,7 +245,9 @@ def lift_coefficients(polys: list[OrbitPolynomial]) -> FieldTower:
                         "polynomial can generate an overlap field")
     with mp.workdps(guarded(prec)):
         seed = target.coefficients[-2].real
-    e0 = _field_from_seed(seed, prec)
+    seek = partial(minimal_polynomial, max_degree=MAX_E0_DEGREE,
+                   precision=prec)
+    e0 = _field_from_seed(seed, prec, seek(seed))
     for _rebuild in range(4):
         failed = None
         for poly in polys:
@@ -250,9 +255,15 @@ def lift_coefficients(polys: list[OrbitPolynomial]) -> FieldTower:
             for k, c in enumerate(poly.coefficients[:-1]):
                 with mp.workdps(guarded(prec)):
                     cr = c.real
-                got = recognize(e0, cr)
+                if e0.degree == 1:
+                    mpoly = seek(cr)
+                    got = relation_element(e0, (mpoly.coeffs[1],
+                                                -mpoly.coeffs[0])) \
+                        if mpoly is not None and mpoly.degree == 1 else None
+                else:
+                    mpoly, got = None, recognize(e0, cr)
                 if got is None:
-                    failed = (poly.orbit_id, k, cr)
+                    failed = (poly.orbit_id, k, cr, mpoly)
                     break
                 exact.append(got)
             if failed:
@@ -261,8 +272,9 @@ def lift_coefficients(polys: list[OrbitPolynomial]) -> FieldTower:
             poly.exact = exact
         if failed is None:
             return e0
-        oid, k, cr = failed
-        bigger = _field_from_seed(cr, prec)
+        oid, k, cr, mpoly = failed
+        bigger = _field_from_seed(cr, prec, mpoly if e0.degree == 1 else
+                                  seek(cr))
         if bigger.degree <= e0.degree:
             raise LiftError(
                 f"orbit {oid} coefficient of x^{k} generates a degree-"
@@ -358,30 +370,41 @@ class _Conjugates:
 
 def _galois_rows(conj: _Conjugates) -> list[EmbeddingAutomorphism]:
     """The automorphisms of the overlap field over the coefficient field,
-    ordered by the index of the root they send t to. The row of root i
-    sends t to t_c, c = at_root[i], so its image's N-th conjugate is
-    t_(N c) (the quotient is abelian): the identity coset's image is t
-    itself, and every other image is interpolated from its own coset's
-    conjugates and recognized over e0. The rows are then built from the
-    images by the rule a reloaded certificate's are (_rows_from_images),
-    whose FieldError is a LiftError here."""
-    cay, n = conj.cay, len(conj.cay)
-    if len(conj.at_root) < n:
-        raise LiftError(f"two of the {n} conjugates of t lie nearest one "
-                        f"root at {conj.prec} digits")
-    images = []
-    for i in range(n):
-        c = conj.at_root[i]
-        img = conj.t if c == conj.identity else conj.lift(
-            [conj.t_conj[cay[N][c]] for N in range(n)])
-        if img is None:
-            raise LiftError(
-                f"the automorphism of coset {c} was not recognized over the "
-                f"coefficient field at {conj.prec} digits; either the "
-                "extension is not normal or precision is insufficient")
-        images.append(img)
+    ordered by the index of the root they send t to. The row of coset c
+    sends t to t_c, so its image's N-th conjugate is t_(N c) (the quotient
+    is abelian). Only the quotient's greedy generators, by decreasing
+    order, have their images interpolated and recognized over e0; for
+    y = x g in the closure's derivation, the row of g sends x's image to
+    y's (an exact mat-vec). Each image must embed at its own t_y, so no two
+    t_y lie nearest one root. The rows are built by the rule a reloaded
+    certificate's are (_rows_from_images), the generators' once; a
+    FieldError is a LiftError here."""
+    cay, n, e, e1 = conj.cay, len(conj.cay), conj.identity, conj.e1
+
+    def table(a, b):
+        return cay[a][b]
+
+    gens, tree = greedy_generators(
+        sorted(range(n), key=lambda g: -len(closure([g], table, e))), table, e)
+    fixed = [e1.generator(k + 1) for k in range(len(e1.levels) - 1)]
+    rows, images = {}, {}
     try:
-        return _rows_from_images(conj.e1, images)
+        for g in gens:
+            img = conj.lift([conj.t_conj[cay[N][g]] for N in range(n)])
+            if img is None:
+                raise LiftError(
+                    f"the automorphism of coset {g} was not recognized over "
+                    f"the coefficient field at {conj.prec} digits; either the "
+                    "extension is not normal or precision is insufficient")
+            rows[g] = automorphism(e1, fixed + [img])
+        for y, step in tree.items():
+            images[y] = conj.t if step is None else \
+                rows[step[1]](images[step[0]])
+            if y != conj.at_root.get(nearest_root(
+                    e1.levels[-1].roots, images[y].embed(), conj.prec)):
+                raise LiftError(f"the image of coset {y} is off its conjugate")
+        return _rows_from_images(e1, [images[conj.at_root[i]]
+                                      for i in range(n)], rows.values())
     except FieldError as exc:
         raise LiftError(f"lifted {exc}") from exc
 
@@ -417,29 +440,29 @@ FROBENIUS_PRIMES = 8
 
 
 def _frobenius_proof(e1: FieldTower, m: int):
-    """The test proves(k): whether the residues mod m of the first
-    FROBENIUS_PRIMES degree-one primes of the field e1 that do not divide m
-    generate a subgroup of (Z/m)^x of order at least k. By Frobenius (see
-    _extend_with_tau), a factor of Phi_m of degree k through tau that it
-    proves is tau's minimal polynomial over e1. The primes are read lazily,
-    once for every call."""
+    """The test proves(k): the subgroup of (Z/m)^x that the residues mod m
+    of the first FROBENIUS_PRIMES degree-one primes of the field e1 not
+    dividing m generate, read until its order is k or more, else None. By
+    Frobenius (see _extend_with_tau), a factor of Phi_m of degree k through
+    tau that it proves is tau's minimal polynomial over e1. The primes are
+    read lazily, once for every call, so proves(1) reads none."""
     residues = itertools.islice(
         (p % m for p in degree_one_primes(e1) if m % p), FROBENIUS_PRIMES)
     group = frozenset({1})
 
-    def proves(k: int) -> bool:
+    def proves(k: int) -> frozenset | None:
         nonlocal group
         while len(group) < k:
             r = next(residues, None)
             if r is None:
-                return False
+                return None
             group = _generated(group, r, m)
-        return True
+        return group
 
     return proves
 
 
-def _tau_factors(conj: _Conjugates, d: int, guess):
+def _tau_factors(conj: _Conjugates, d: int, guess, proves):
     """The candidate factors of Phi_m through tau, m = d', that divide it
     exactly over the overlap field e1, in the order _extend_with_tau walks
     them (ascending coefficients below the leading 1, elements of e1).
@@ -450,7 +473,10 @@ def _tau_factors(conj: _Conjugates, d: int, guess):
     N-th conjugate has the roots tau^(chi(N) h), so each coefficient is
     interpolated from those conjugates and recognized over the coefficient
     field (_Conjugates.lift, at the guess precision, then at full), and
-    the candidate is kept when it divides Phi_m exactly over e1.
+    the candidate is kept when it divides Phi_m exactly over e1. Such a
+    factor holds tau's minimal polynomial, so H holds every residue proves
+    has read: no other H is lifted, and the first residue is read before
+    the first H of order 2 or more.
 
     The stream runs: the proper subgroups by increasing order with
     chi = guess (scaled so the identity coset acts trivially), at the
@@ -466,6 +492,9 @@ def _tau_factors(conj: _Conjugates, d: int, guess):
     ladder = sorted({_guess_precision(conj.e0), prec})
 
     def factor(H, chi, precision):
+        proves(min(len(H), 2))
+        if not proves(1) <= H:
+            return None
         conjugates = [_subset_product_coeffs(
             [taus[chi[N] * h % m] for h in sorted(H)], range(len(H)), prec)
             for N in range(n)]
@@ -509,7 +538,7 @@ def _extend_with_tau(conj: _Conjugates, d: int, guess):
     Returns (tower, tau, level_added)."""
     e1, prec = conj.e1, conj.prec
     proves = _frobenius_proof(e1, dprime(d))
-    for fac in _tau_factors(conj, d, guess):
+    for fac in _tau_factors(conj, d, guess, proves):
         if len(fac) == 1:
             return e1, -fac[0], False
         roots = _poly_roots([c.embed() for c in fac], prec)
@@ -589,18 +618,21 @@ def _group_automorphisms(cay) -> list[tuple]:
 # certificate types
 
 
-def _rows_from_images(e1: FieldTower, images) -> list[EmbeddingAutomorphism]:
+def _rows_from_images(e1: FieldTower, images,
+                      built=()) -> list[EmbeddingAutomorphism]:
     """The automorphisms of e1 over the coefficient field (every level but
     the top) that send the top generator to the elements images[j], in
     order. The images must be distinct, and each is checked exactly by
-    automorphism(); FieldError otherwise."""
+    automorphism(), unless a row of `built`, made by this rule, has it
+    already; FieldError otherwise."""
     if len(set(images)) != len(images):
         raise FieldError("two Galois rows store the same image")
     fixed = [e1.generator(k + 1) for k in range(len(e1.levels) - 1)]
+    known = {row.images[-1]: row for row in built}
     rows = []
     for j, img in enumerate(images):
         try:
-            rows.append(automorphism(e1, fixed + [img]))
+            rows.append(known.get(img) or automorphism(e1, fixed + [img]))
         except FieldError as exc:
             raise FieldError(f"Galois row {j}: {exc}") from exc
     return rows
@@ -621,7 +653,7 @@ class GaloisMatch:
     cosets. Row j pairs the automorphism that fixes the coefficient field and
     sends the overlap-field generator to images[j], an element of the
     overlap field, with the coset of matrices[j], the coset whose conjugate
-    row j was interpolated from. candidates counts the automorphisms of
+    row j sends the generator to. candidates counts the automorphisms of
     the quotient under method 2, and is 0 under method 1. score is the
     lift's diagnostic, which no file stores, so it is None after a load:
     the labelling's worst relation norm under method 2, 0 under method 1.
@@ -1007,8 +1039,8 @@ def _assemble_certificate(fid, struct, table, conj, gen_poly, autos, cosets,
 
 def _prepare(fid, digits):
     """Common head of both lifting routes: the overlap field, its
-    automorphisms over the coefficient field, one interpolated from each
-    coset's conjugates (_galois_rows), and their labelling by those cosets,
+    automorphisms over the coefficient field, each sending t to one coset's
+    conjugate (_galois_rows), and their labelling by those cosets,
     the alignment both routes check (a tuple giving each row's coset). Row j
     sends t to the root at index j, the conjugate t_c of coset
     c = conj.at_root[j]; as the t_N are distinct, under any other
@@ -1016,12 +1048,12 @@ def _prepare(fid, digits):
     conjugate, so no other alignment can regenerate the table."""
     prec = digits or fid.precision
     if prec > fid.precision:
-        raise PrecisionError(f"fiducial carries {fid.precision} digits, "
-                             f"{prec} were requested")
+        raise FiducialPrecisionError(
+            f"fiducial carries {fid.precision} digits, {prec} were requested")
     if prec < MIN_LIFT_DIGITS:
         raise PrecisionError(f"lifting needs at least {MIN_LIFT_DIGITS} digits")
     if fid.error > ten_to(10 - prec, 30):  # the bound refine stops below
-        raise PrecisionError(
+        raise FiducialPrecisionError(
             f"{prec} digits were requested, but the fiducial's SIC error "
             f"{mp.nstr(fid.error, 3)} supports only "
             f"{int(10 - mp.log10(fid.error))}")

@@ -28,9 +28,9 @@ Every element also has a complex embedding fixed by the root choices, so
 numeric and exact computations can cross-check each other; `nearest_root`
 is the one rule that matches a value to a root. Every automorphism is
 built by `automorphism`, which checks its generator images exactly. The
-lift proposes one image per conjugate root by interpolation over its
-coefficient field (`exactify`); `automorphisms` proposes them by
-recognizing each conjugate root in the whole tower.
+lift interpolates the images of its Galois group's generators over its
+coefficient field and composes the rest (`exactify`); `automorphisms`
+proposes them by recognizing each conjugate root in the whole tower.
 
 The exact algebra over a tower is written once, here: `horner` evaluates a
 polynomial in any arithmetic (embeddings, enclosure balls, the lift's tower
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import re
 import struct
 from fractions import Fraction
@@ -1353,21 +1354,24 @@ def _distinct_degree(f, p: int) -> list:
 def _equal_degree(g, i: int, p: int) -> list:
     """The monic irreducible factors of g over F_p, for an odd prime p and
     g monic, squarefree and a product of factors of degree i: the first
-    trial polynomial t, in the fixed order x, x + 1, ..., x + p - 1, then
-    the monic quadratics, ..., for which gcd(t^((p^i - 1)/2) - 1, g) is a
-    proper factor splits g, and each part is split again. Some t of degree
-    below deg g is a square modulo one factor and not modulo another, so
-    the search ends."""
-    if len(g) - 1 == i:
+    trial t for which gcd(t^((p^i - 1)/2) - 1, g) is a proper factor
+    splits g, and each part is split again: 2 deg g dense t of degree
+    deg g - 1 from a fixed seed, each splitting g about half the time, then
+    x, x + 1, ..., x + p - 1, the monic quadratics, ...; some t of degree
+    below deg g splits g, so the search ends."""
+    n = len(g) - 1
+    if n == i:
         return [g]
-    e = (p ** i - 1) // 2
-    for k in range(1, len(g) - 1):
-        for low in itertools.product(range(p), repeat=k):
-            w = _mpowmod([*low, 1], e, g, p)
-            h = _mgcd(g, _mop(w, [1], p, sub), p)
-            if 1 < len(h) < len(g):
-                return (_equal_degree(h, i, p)
-                        + _equal_degree(_mdivmod(g, h, p)[0], i, p))
+    e, rng = (p ** i - 1) // 2, random.Random(p)
+    for t in itertools.chain(
+            ([*map(rng.randrange, [p] * (n - 1)), 1] for _ in range(2 * n)),
+            ([*low, 1] for k in range(1, n)
+             for low in itertools.product(range(p), repeat=k))):
+        w = _mpowmod(t, e, g, p)
+        h = _mgcd(g, _mop(w, [1], p, sub), p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, i, p)
+                    + _equal_degree(_mdivmod(g, h, p)[0], i, p))
     raise ArithmeticError("no trial polynomial splits an equal-degree "
                           "product")
 

@@ -18,11 +18,12 @@ import pytest
 
 import siclift
 from siclift import cli, exactify, numfield
+from siclift.bignum import guarded
 from siclift.cli import main
 from siclift.errors import FieldError, SicliftError
 from siclift.exactify import (ExactFiducialCertificate, symmetry_structure,
                               verify_exact)
-from siclift.fidsearch import Fiducial
+from siclift.fidsearch import Fiducial, refine, seed_search
 from siclift.modring import dprime
 from siclift.numfield import cyclotomic_polynomial, lift_element
 
@@ -299,6 +300,28 @@ def test_exactify_prints_one_summary_line(workdir, fidfile, capsys):
     assert main(["exactify", "--fiducial", fidfile, "--out", out]) == 0
     assert capsys.readouterr().out == (
         f"wrote {out}: d=4 method=2 tower_degree=16 score=1.4142\n")
+
+
+def test_short_fiducial_is_not_told_to_raise_digits(workdir, capsys):
+    # the seed-11 d=4 fiducial at 320 digits with one entry moved by
+    # 10^-200: its SIC error supports 209 digits, and more requested digits
+    # can only fail again, so the hint is a refinement or fewer digits,
+    # both when it is asked for its own 320 and for more than it carries
+    fid = refine(seed_search(4, "fz", attempts=24, seed=11), 320)
+    with mp.workdps(guarded(320)):
+        vec = list(fid.vector)
+        vec[0] += mp.mpf(10) ** -200
+    path = str(workdir / "perturbed.fid")
+    Fiducial.create(4, vec, 320, symmetry=fid.symmetry,
+                    seed=fid.seed).save(path)
+    for extra, named in (([], "supports only 209"),
+                         (["--digits", "400"], "carries 320 digits")):
+        rc = main(["exactify", "--fiducial", path, "--out",
+                   str(workdir / "perturbed.cert"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2 and named in err
+        assert "larger --digits" not in err
+        assert err.endswith("(refine the fiducial, or pass fewer --digits)\n")
 
 
 def test_verify_exact_passes(certfile, capsys):

@@ -308,8 +308,9 @@ def test_frobenius_accepts_only_fields(fid_name, request):
     tau = heisenberg.tau_powers(fid.d, conj.prec)[1]
     proves = exactify._frobenius_proof(conj.e1, m)
     verdicts = []
-    for fac in exactify._tau_factors(conj, fid.d, [M.det() for M in reps]):
-        proven = proves(len(fac))
+    for fac in exactify._tau_factors(conj, fid.d, [M.det() for M in reps],
+                                     proves):
+        proven = proves(len(fac)) is not None
         if proven:
             roots = numfield._poly_roots([c.embed() for c in fac],
                                          conj.prec)
@@ -327,7 +328,8 @@ def test_frobenius_never_accepts_phi8_d4(fid4, monkeypatch):
     # subgroup of order 2, however many are read
     *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid4,
                                                                       None)
-    first = next(exactify._tau_factors(conj, 4, [1] * len(reps)))
+    first = next(exactify._tau_factors(
+        conj, 4, [1] * len(reps), exactify._frobenius_proof(conj.e1, 8)))
     assert [c.vec for c in first] == [
         conj.e1.rational(c).vec for c in cyclotomic_polynomial(8)[:-1]]
     monkeypatch.setattr(exactify, "FROBENIUS_PRIMES", 64)
@@ -343,6 +345,89 @@ def test_frobenius_skips_primes_dividing_the_order():
     assert 7 in itertools.islice(numfield.degree_one_primes(K), 3)
     proves = exactify._frobenius_proof(K, 7)
     assert proves(6) and not proves(7)
+
+
+@pytest.mark.parametrize("fid_name, skipped", [("fid4", 63), ("fid5", 7)])
+def test_frobenius_excluded_tau_candidates_never_divide(fid_name, skipped,
+                                                        request, monkeypatch):
+    # a factor of Phi_d' through tau that divides it over the overlap field
+    # holds tau's minimal polynomial, so its H holds every Frobenius
+    # residue. So every candidate (H, chi) the residues exclude gives no
+    # coefficients or fails to divide: the whole stream, under every
+    # action, offers the same factors when it reads the residues as when
+    # it reads none, and it lifts fewer candidates
+    fid = request.getfixturevalue(fid_name)
+    *_, conj, _gen, _autos, _cosets, reps, _perms = exactify._prepare(fid,
+                                                                      None)
+    m, guess = dprime(fid.d), [M.det() for M in reps]
+    real, lifts = exactify._Conjugates.lift, []
+
+    def counted(self, values, precision=None):
+        lifts.append(precision)
+        return real(self, values, precision)
+
+    def no_residues(k):
+        return frozenset({1}) if k == 1 else None
+
+    monkeypatch.setattr(exactify._Conjugates, "lift", counted)
+    offered = []
+    for proves in (no_residues, exactify._frobenius_proof(conj.e1, m)):
+        lifts.clear()
+        offered.append(([[c.vec for c in fac] for fac in exactify._tau_factors(
+            conj, fid.d, guess, proves)], len(lifts)))
+    (old, old_lifts), (new, new_lifts) = offered
+    assert new == old and old_lifts - new_lifts == skipped
+    # no subgroup of (Z/m)^x has order m, so every residue is read; tau
+    # has degree 2 over the overlap field, with conjugate tau^(m-1)
+    proves = exactify._frobenius_proof(conj.e1, m)
+    assert proves(m) is None and proves(1) == {1, m - 1}
+
+
+@pytest.mark.parametrize("fid_name, counts, minpolys", [
+    ("fid4", {"coefficients": 7, "rows": 8, "tau": 8}, 5),
+    ("fid5", {"coefficients": 9, "rows": 8, "tau": 16}, 1)])
+def test_recognitions_per_stage(fid_name, counts, minpolys, request,
+                                monkeypatch):
+    # recognize calls per stage of a seed-11 lift. Interpolating every
+    # coset's image, lifting the tau candidates that Frobenius rules out
+    # and testing a coefficient's rationality both by recognize and by its
+    # minimal polynomial made 11, 12 and 12 at d=4 (35 in all) and 9, 56
+    # and 16 at d=5 (81). While the coefficient field is the rationals
+    # (d=4), each coefficient's one lattice test is its minimal
+    # polynomial: the seed's and four coefficients', the last of which
+    # gives the degree-2 field; no coefficient is recognized over Q
+    fid = request.getfixturevalue(fid_name)
+    stage, got, towers = [None], {}, []
+    found, minpoly = exactify.recognize, exactify.minimal_polynomial
+    calls = []
+
+    def counted(tower, value, precision=None):
+        got[stage[0]] = got.get(stage[0], 0) + 1
+        towers.append((stage[0], tower.degree))
+        return found(tower, value, precision)
+
+    def counted_minpoly(a, max_degree, precision):
+        calls.append(a)
+        return minpoly(a, max_degree, precision=precision)
+
+    def staged(name, fn):
+        def run(*args):
+            stage[0] = name
+            try:
+                return fn(*args)
+            finally:
+                stage[0] = None
+        return run
+
+    monkeypatch.setattr(exactify, "recognize", counted)
+    monkeypatch.setattr(exactify, "minimal_polynomial", counted_minpoly)
+    for name, attr in (("coefficients", "lift_coefficients"),
+                       ("rows", "_galois_rows"), ("tau", "_extend_with_tau")):
+        monkeypatch.setattr(exactify, attr,
+                            staged(name, getattr(exactify, attr)))
+    method2_exactify(fid)
+    assert got == counts and len(calls) == minpolys
+    assert all(deg > 1 for name, deg in towers if name == "coefficients")
 
 
 def test_tau_actions_are_every_homomorphism_into_the_quotient():
@@ -453,13 +538,16 @@ def test_trivial_index_quotient_is_refused_before_the_overlap_field(
         exactify._prepare(fid4, None)
 
 
-@pytest.mark.parametrize("fid_name, cert_name",
-                         [("fid4", "cert4"), ("fid5", "cert5")])
-def test_galois_rows_lift_each_coset_once(fid_name, cert_name, request,
-                                          tmp_path, monkeypatch):
-    # every row but the identity is interpolated from its own coset's
-    # conjugates, once, and the rows come out as the same certificate's
-    # rows do after a save and a reload: one rule builds both
+@pytest.mark.parametrize("fid_name, cert_name, generators",
+                         [("fid4", "cert4", 2), ("fid5", "cert5", 1)])
+def test_galois_rows_lift_the_generators_once(fid_name, cert_name, generators,
+                                              request, tmp_path, monkeypatch):
+    # only the index quotient's generators are interpolated and recognized,
+    # once each: two for the Klein group at d=4, one for the cyclic group
+    # of order 8 at d=5. Every other image is composed, and each one is
+    # what interpolating its own coset's conjugates gives; the rows come
+    # out as the same certificate's rows do after a save and a reload: one
+    # rule builds both
     fid, cert = (request.getfixturevalue(n) for n in (fid_name, cert_name))
     real, lifts = exactify._Conjugates.lift, []
 
@@ -470,13 +558,38 @@ def test_galois_rows_lift_each_coset_once(fid_name, cert_name, request,
     monkeypatch.setattr(exactify._Conjugates, "lift", counted)
     *_, conj, _gen, autos, _cosets, _reps, _perms = exactify._prepare(fid,
                                                                      None)
-    n = len(conj.cay)
-    assert len(lifts) == n - 1 and len(autos) == n
+    n, cay = len(conj.cay), conj.cay
+    assert len(lifts) == generators and len(autos) == n
+    for i, row in enumerate(autos):
+        c = conj.at_root[i]
+        want = conj.t if c == conj.identity else real(
+            conj, [conj.t_conj[cay[N][c]] for N in range(n)])
+        assert row.images[-1] == want
     path = tmp_path / "cert"
     cert.save(str(path))
     back = ExactFiducialCertificate.load(str(path))
     assert [a.images for a in back.galois_rows()] == \
         [a.images for a in autos]
+
+
+def test_composed_image_off_its_conjugate_is_a_lift_error(fid4, monkeypatch):
+    # each image must embed at its own coset's conjugate. In the Klein group
+    # every coset but the identity has order 2, so the two generators are
+    # the first two of them and the last, y, is composed: with its root
+    # labelled as the identity's, the lift refuses at y
+    real, composed = exactify._Conjugates.__init__, []
+
+    def mislabelled(self, e0, e1, t_conj, cay):
+        real(self, e0, e1, t_conj, cay)
+        composed.append(max(set(range(len(cay))) - {self.identity}))
+        self.at_root = {i: self.identity if c == composed[0] else c
+                        for i, c in self.at_root.items()}
+
+    monkeypatch.setattr(exactify._Conjugates, "__init__", mislabelled)
+    with pytest.raises(LiftError) as exc:
+        exactify._prepare(fid4, None)
+    assert str(exc.value) == \
+        f"the image of coset {composed[0]} is off its conjugate"
 
 
 # ---------------------------------------------------------------------------

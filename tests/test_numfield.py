@@ -12,7 +12,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add, mul, sub
 
 import mpmath as mp
 import pytest
@@ -270,6 +270,23 @@ def _no_lll(*args, **kwargs):
 SWINNERTON_DYER = [576, 0, -960, 0, 352, 0, -40, 0, 1]
 
 
+def _lexicographic_split(g, i: int, p: int) -> list:
+    """The equal-degree split by lexicographic trials alone, x, x + 1, ...,
+    x + p - 1, the monic quadratics, ...: the oracle that factor_mod_p's
+    output is compared against."""
+    if len(g) - 1 == i:
+        return [g]
+    e = (p ** i - 1) // 2
+    for k in range(1, len(g) - 1):
+        for low in itertools.product(range(p), repeat=k):
+            w = numfield._mpowmod([*low, 1], e, g, p)
+            h = numfield._mgcd(g, numfield._mop(w, [1], p, sub), p)
+            if 1 < len(h) < len(g):
+                return (_lexicographic_split(h, i, p) + _lexicographic_split(
+                    numfield._mdivmod(g, h, p)[0], i, p))
+    raise AssertionError("no lexicographic trial splits g")
+
+
 class TestIsField:
     def test_swinnerton_dyer_needs_recombination(self, monkeypatch):
         monkeypatch.setattr(lattice, "lll_reduce", _no_lll)
@@ -320,6 +337,49 @@ class TestIsField:
             assert prod == [c % p for c in SWINNERTON_DYER]
         with pytest.raises(FieldError, match="squarefree"):
             numfield.factor_mod_p([1, 2, 1], 5)
+
+    def test_dense_trials_split_an_even_octic(self, monkeypatch):
+        # x^8 - 10x^6 - 50x^4 - 250x^2 + 625, the seed-11 d=4 overlap field
+        # as one polynomial over Q, is even; modulo 3 and modulo 7 it is a
+        # pair of quartics that 24 and 18 lexicographic trials fail to
+        # split, and a few dense trials split at once
+        f = [625, 0, -250, 0, -50, 0, -10, 0, 1]
+        real, calls = numfield._mpowmod, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(numfield, "_mpowmod", counted)
+        for p, lexicographic in ((3, 24), (7, 18)):
+            (i, g), = numfield._distinct_degree(
+                numfield._squarefree_mod(f, p), p)
+            calls.clear()
+            got = numfield._equal_degree(g, i, p)
+            assert len(got) == 2 and len(calls) <= 4
+            calls.clear()
+            assert sorted(_lexicographic_split(g, i, p)) == sorted(got)
+            assert len(calls) == lexicographic
+
+    def test_factor_mod_p_order_is_the_lexicographic_rule(self):
+        # the factors are sorted, so the trial order leaves them as they
+        # were: over the known-degree corpus and Phi_m, m <= 24, modulo the
+        # first 10 odd primes, wherever each stays squarefree
+        from test_lattice import CATALOG
+        polys = [list(c) for c, _mk in CATALOG]
+        polys += [cyclotomic_polynomial(m) for m in range(1, 25)]
+        primes = list(itertools.islice(numfield._odd_primes(), 10))
+        for f in polys:
+            for p in primes:
+                fp = numfield._squarefree_mod(f, p)
+                if fp is None:
+                    with pytest.raises(FieldError, match="squarefree"):
+                        numfield.factor_mod_p(f, p)
+                    continue
+                want = sorted((h for i, g in numfield._distinct_degree(fp, p)
+                               for h in _lexicographic_split(g, i, p)),
+                              key=lambda h: (len(h), h))
+                assert numfield.factor_mod_p(f, p) == want
 
     def test_reducibility_is_decided_without_lll(self, Q, monkeypatch):
         monkeypatch.setattr(lattice, "lll_reduce", _no_lll)
